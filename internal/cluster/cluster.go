@@ -129,8 +129,15 @@ func (s *Server) Reserved() Resources {
 
 // CanAdmit reports whether the VM's reservation still fits: the paper's
 // power-on admission rule.
-func (s *Server) CanAdmit(vm *VM) bool {
-	return s.Reserved().Add(vm.Reservation).Fits(s.Capacity)
+func (s *Server) CanAdmit(vm *VM) bool { return s.CanAdmitOnTop(s.Reserved(), vm) }
+
+// CanAdmitOnTop is CanAdmit for a caller that already holds the server's
+// Reserved() sum and tests several VMs against it (a batched boot query
+// arriving at a full server). reserved must be current: take it again after
+// anything is admitted or removed. Admit re-checks on its own, so a stale
+// sum can fail a placement but never over-commit the server.
+func (s *Server) CanAdmitOnTop(reserved Resources, vm *VM) bool {
+	return reserved.Add(vm.Reservation).Fits(s.Capacity)
 }
 
 // Admit places the VM on the server, enforcing the reservation rule.

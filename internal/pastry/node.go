@@ -370,27 +370,33 @@ func insertSortedByDist(list []NodeHandle, h NodeHandle, max int, dist func(ids.
 }
 
 func (n *Node) neighborInsert(h NodeHandle) {
-	d := n.prox(n.handle.Addr, h.Addr)
-	pos := sort.Search(len(n.neighbors), func(i int) bool {
-		di := n.prox(n.handle.Addr, n.neighbors[i].Addr)
-		if di != d {
-			return di > d
-		}
-		// Proximity ties (same rack) break by ring closeness, keeping the
-		// neighborhood set deterministic.
-		return !ids.CloserTo(n.handle.Id, n.neighbors[i].Id, h.Id)
-	})
+	// Consider runs on every envelope and direct message, almost always for
+	// a peer already in the set or too far to enter it: settle both cases
+	// before paying for the binary search.
 	for _, nb := range n.neighbors {
 		if nb.Id == h.Id {
 			return
 		}
 	}
-	n.neighbors = append(n.neighbors, NodeHandle{})
-	copy(n.neighbors[pos+1:], n.neighbors[pos:])
-	n.neighbors[pos] = h
-	if len(n.neighbors) > n.cfg.NeighborhoodSize {
-		n.neighbors = n.neighbors[:n.cfg.NeighborhoodSize]
+	d := n.prox(n.handle.Addr, h.Addr)
+	// after reports whether h sorts after nb: farther, or equally far (same
+	// rack) and no closer on the ring, which keeps the set deterministic.
+	after := func(nb NodeHandle) bool {
+		if di := n.prox(n.handle.Addr, nb.Addr); di != d {
+			return di < d
+		}
+		return ids.CloserTo(n.handle.Id, nb.Id, h.Id)
 	}
+	full := len(n.neighbors) == n.cfg.NeighborhoodSize
+	if full && after(n.neighbors[len(n.neighbors)-1]) {
+		return
+	}
+	pos := sort.Search(len(n.neighbors), func(i int) bool { return !after(n.neighbors[i]) })
+	if !full {
+		n.neighbors = append(n.neighbors, NodeHandle{})
+	}
+	copy(n.neighbors[pos+1:], n.neighbors[pos:]) // when full, the last entry falls off
+	n.neighbors[pos] = h
 }
 
 // Forget removes every trace of the given node from the local tables; it is
@@ -416,19 +422,16 @@ func removeByID(list []NodeHandle, id ids.Id) []NodeHandle {
 	return out
 }
 
-// LeafSet returns the node's leaf set: predecessors (counter-clockwise,
-// nearest first) and successors (clockwise, nearest first). The returned
-// slices are copies.
-func (n *Node) LeafSet() (ccw, cw []NodeHandle) {
-	ccw = append([]NodeHandle(nil), n.leafCCW...)
-	cw = append([]NodeHandle(nil), n.leafCW...)
-	return ccw, cw
-}
-
-// Neighborhood returns the proximity-based neighbor set, closest first.
-// The returned slice is a copy.
-func (n *Node) Neighborhood() []NodeHandle {
-	return append([]NodeHandle(nil), n.neighbors...)
+// AdjacentSets returns the node's proximity-based neighborhood set (closest
+// first) and the two halves of its leaf set: predecessors (counter-clockwise,
+// nearest first) and successors (clockwise, nearest first) — the order in
+// which the placement spill walk ranks candidates. The slices are the node's
+// own, not copies: read them before the node handles another message, and do
+// not modify or retain them.
+func (n *Node) AdjacentSets() (neighborhood, ccw, cw []NodeHandle) {
+	return n.neighbors[:len(n.neighbors):len(n.neighbors)],
+		n.leafCCW[:len(n.leafCCW):len(n.leafCCW)],
+		n.leafCW[:len(n.leafCW):len(n.leafCW)]
 }
 
 // knownNodes calls fn for every distinct node the local tables reference.

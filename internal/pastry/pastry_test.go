@@ -141,7 +141,7 @@ func TestStaticLeafSetsAreRingNeighbors(t *testing.T) {
 	ring, _ := buildStaticRing(t, 4, 8, HierarchyAssigner)
 	// With hierarchy ids, node i's ring successor is node i+1 (mod N).
 	for i, n := range ring.Nodes() {
-		ccw, cw := n.LeafSet()
+		_, ccw, cw := n.AdjacentSets()
 		if len(cw) == 0 || len(ccw) == 0 {
 			t.Fatalf("node %d has empty leaf side", i)
 		}
@@ -186,7 +186,7 @@ func TestNeighborhoodPrefersSameRack(t *testing.T) {
 	ring, _ := buildStaticRing(t, 4, 8, HierarchyAssigner)
 	topo := ring.Topology()
 	for i, n := range ring.Nodes() {
-		nb := n.Neighborhood()
+		nb, _, _ := n.AdjacentSets()
 		if len(nb) == 0 {
 			t.Fatalf("node %d has empty neighborhood", i)
 		}
@@ -244,7 +244,7 @@ func TestProtocolJoinLeafSetsMatchGroundTruth(t *testing.T) {
 	ring.StopMaintenance()
 	engine.Run()
 	for i, n := range ring.Nodes() {
-		ccw, cw := n.LeafSet()
+		_, ccw, cw := n.AdjacentSets()
 		if len(cw) == 0 || len(ccw) == 0 {
 			t.Fatalf("node %d leaf sides empty after join", i)
 		}
@@ -437,13 +437,13 @@ func TestForgetRemovesEverywhere(t *testing.T) {
 	n := ring.Node(0)
 	target := ring.Node(1).Handle() // ring + rack neighbor: in leaf, rt or neighborhood
 	n.Forget(target.Id)
-	ccw, cw := n.LeafSet()
+	nb, ccw, cw := n.AdjacentSets()
 	for _, h := range append(ccw, cw...) {
 		if h.Id == target.Id {
 			t.Fatal("Forget left node in leaf set")
 		}
 	}
-	for _, h := range n.Neighborhood() {
+	for _, h := range nb {
 		if h.Id == target.Id {
 			t.Fatal("Forget left node in neighborhood")
 		}

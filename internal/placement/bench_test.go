@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 	"vbundle/internal/topology"
 )
 
-func benchWorld(b *testing.B, servers int) (*sim.Engine, *cluster.Cluster, *DHT) {
+func benchWorld(b testing.TB, servers int, perServer cluster.Resources) (*sim.Engine, *cluster.Cluster, *DHT) {
 	b.Helper()
 	tp, err := topology.New(topology.Spec{
 		Racks:            (servers + 7) / 8,
@@ -27,19 +28,20 @@ func benchWorld(b *testing.B, servers int) (*sim.Engine, *cluster.Cluster, *DHT)
 	engine := sim.NewEngine(1)
 	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner)
 	ring.BuildStatic()
-	cl := cluster.New(tp, cluster.Resources{CPU: 64, MemMB: 1 << 20})
+	cl := cluster.New(tp, perServer)
 	return engine, cl, NewDHT(ring, cl, DHTConfig{})
 }
 
-// BenchmarkBootQuerySteadyState measures the full boot hot path — query
-// envelope, overlay route, region walk, admission, reply — in its steady
-// state: one VM is placed and removed again each iteration, so every query
-// resolves against the same cluster. Envelope pooling, pre-sized walk
-// buffers and the single-timer timeout wheel make the loop nearly
+// BenchmarkBootQuerySteadyState measures the boot hot path without a spill —
+// query envelope, overlay route, admission at the rendezvous, reply — in its
+// steady state: one VM is placed and removed again each iteration, so every
+// query resolves against the same empty cluster and is admitted at home (the
+// region walk is BenchmarkBootQuerySpillWalk's). Envelope pooling, pre-sized
+// walk buffers and the single-timer timeout wheel make the loop nearly
 // allocation-free; allocs/op is the figure of merit here, reported so
 // regressions show up in vb-bench snapshots.
 func BenchmarkBootQuerySteadyState(b *testing.B) {
-	engine, cl, d := benchWorld(b, 256)
+	engine, cl, d := benchWorld(b, 256, cluster.Resources{CPU: 64, MemMB: 1 << 20})
 	vm, err := cl.CreateVM("bench", cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 100},
 		cluster.Resources{CPU: 2, MemMB: 256, BandwidthMbps: 200})
 	if err != nil {
@@ -69,7 +71,7 @@ func BenchmarkBootQuerySteadyState(b *testing.B) {
 // attached: after the first routed query every placement skips the overlay
 // route and reaches the rendezvous in one direct hop.
 func BenchmarkBootQueryCached(b *testing.B) {
-	engine, cl, d := benchWorld(b, 256)
+	engine, cl, d := benchWorld(b, 256, cluster.Resources{CPU: 64, MemMB: 1 << 20})
 	d.SetCache(NewResolutionCache())
 	vm, err := cl.CreateVM("bench", cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 100},
 		cluster.Resources{CPU: 2, MemMB: 256, BandwidthMbps: 200})
@@ -92,5 +94,25 @@ func BenchmarkBootQueryCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		place()
 		cl.Unplace(vm.ID)
+	}
+}
+
+// BenchmarkBootQuerySpillWalk measures the region walk: every server is full
+// but the one standing the given number of spill hops from the rendezvous,
+// so each boot walks exactly that far before it is admitted. ns/hop should
+// not grow with the walk (one hop costs O(|M| + |L|), whatever came before
+// it) and allocs/op should not either (the walk allocates nothing).
+func BenchmarkBootQuerySpillWalk(b *testing.B) {
+	for _, hops := range []int{16, 128, 512} {
+		b.Run(fmt.Sprintf("hops=%d", hops), func(b *testing.B) {
+			f := newSpillFixture(b, hops)
+			f.walk(b) // warm the pools and grow the envelope
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.walk(b)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+		})
 	}
 }

@@ -457,7 +457,7 @@ type bootQuery struct {
 	Routed  bool              // took the full overlay route (may refresh the cache)
 	Done    bool              // answer leg: heading back to Origin
 	Spill   int
-	Visited []ids.Id
+	Visited visitedSet // servers the walk has been to: 16-byte nodeIds on the wire, addresses here
 }
 
 // WireSize implements simnet.WireSizer: a realistic boot request carries the
@@ -467,21 +467,13 @@ func (q *bootQuery) WireSize() int {
 	if q.Done {
 		return 24 + 8*len(q.VMs)
 	}
-	return 64 + 20 + 24*len(q.VMs) + 16*len(q.Visited)
+	return 64 + 20 + 24*len(q.VMs) + 16*q.Visited.Len()
 }
 
-func (q *bootQuery) visited(id ids.Id) bool {
-	for _, v := range q.Visited {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// queryPool recycles boot envelopes. Pre-sizing Visited for a generous walk
+// queryPool recycles boot envelopes. Pre-sizing Visited for a typical walk
 // and the VM vectors for a typical batch makes the steady-state boot path
-// allocation-free; sync.Pool keeps recycling safe when shards run on
+// allocation-free (a longer walk grows its envelope once, and the envelope
+// keeps the room); sync.Pool keeps recycling safe when shards run on
 // separate goroutines (an envelope released on one shard may be reused on
 // another only through the pool's synchronization).
 var queryPool = sync.Pool{New: func() any {
@@ -489,7 +481,7 @@ var queryPool = sync.Pool{New: func() any {
 		VMs:     make([]*cluster.VM, 0, 8),
 		Servers: make([]int32, 0, 8),
 		HopsAt:  make([]int32, 0, 8),
-		Visited: make([]ids.Id, 0, 64),
+		Visited: newVisitedSet(),
 	}
 }}
 
@@ -502,7 +494,7 @@ func releaseQuery(q *bootQuery) {
 	q.VMs = q.VMs[:0]
 	q.Servers = q.Servers[:0]
 	q.HopsAt = q.HopsAt[:0]
-	q.Visited = q.Visited[:0]
+	q.Visited.reset()
 	q.Seq = 0
 	q.Customer = ""
 	q.Key = ids.Id{}
@@ -549,17 +541,21 @@ func (a *dhtAgent) HandleDirect(_ pastry.NodeHandle, payload simnet.Message) {
 }
 
 func (a *dhtAgent) tryAdmit(q *bootQuery) {
-	q.Visited = append(q.Visited, a.node.ID())
+	q.Visited.Add(a.node.Addr())
 	srv := a.d.cl.Server(a.server)
+	// One Reserved() sum serves the whole batch; it changes only when this
+	// loop admits a VM.
+	reserved := srv.Reserved()
 	unplaced := 0
 	for i, vm := range q.VMs {
 		if q.Servers[i] >= 0 {
 			continue
 		}
-		if srv.CanAdmit(vm) {
+		if srv.CanAdmitOnTop(reserved, vm) {
 			if err := a.d.cl.Place(vm, a.server); err == nil {
 				q.Servers[i] = int32(a.server)
 				q.HopsAt[i] = int32(q.Spill)
+				reserved = srv.Reserved()
 				continue
 			}
 		}
@@ -580,32 +576,26 @@ func (a *dhtAgent) tryAdmit(q *bootQuery) {
 // nextSpillTarget picks the closest unvisited server among the node's
 // neighborhood and leaf sets: under hierarchy identifiers these are the
 // physically adjacent machines, so the walk grows the customer's footprint
-// outward from its home rack.
+// outward from its home rack. One hop costs O(|M| + |L|) — a latency lookup
+// and a visited-set probe per candidate — and allocates nothing.
 func (a *dhtAgent) nextSpillTarget(q *bootQuery) pastry.NodeHandle {
 	best := pastry.NoHandle
 	var bestLat time.Duration
-	self := a.node.Handle()
-	consider := func(h pastry.NodeHandle) {
-		if h.IsNil() || q.visited(h.Id) {
-			return
+	self := a.node.Addr()
+	neighborhood, ccw, cw := a.node.AdjacentSets()
+	for _, set := range [...][]pastry.NodeHandle{neighborhood, ccw, cw} {
+		for _, h := range set {
+			if h.IsNil() || q.Visited.Has(h.Addr) {
+				continue
+			}
+			lat := a.node.LatencyBetween(self, h.Addr)
+			switch {
+			case best.IsNil(), lat < bestLat:
+				best, bestLat = h, lat
+			case lat == bestLat && ids.CloserTo(q.Key, h.Id, best.Id):
+				best = h
+			}
 		}
-		lat := a.node.LatencyBetween(self.Addr, h.Addr)
-		switch {
-		case best.IsNil(), lat < bestLat:
-			best, bestLat = h, lat
-		case lat == bestLat && ids.CloserTo(q.Key, h.Id, best.Id):
-			best = h
-		}
-	}
-	for _, h := range a.node.Neighborhood() {
-		consider(h)
-	}
-	ccw, cw := a.node.LeafSet()
-	for _, h := range ccw {
-		consider(h)
-	}
-	for _, h := range cw {
-		consider(h)
 	}
 	return best
 }

@@ -19,6 +19,11 @@ type world struct {
 
 func newWorld(t *testing.T, racks, perRack int, nicMbps float64) *world {
 	t.Helper()
+	return newWorldOn(t, sim.NewEngine(21), racks, perRack, nicMbps)
+}
+
+func newWorldOn(t *testing.T, engine *sim.Engine, racks, perRack int, nicMbps float64) *world {
+	t.Helper()
 	tp, err := topology.New(topology.Spec{
 		Racks:            racks,
 		ServersPerRack:   perRack,
@@ -31,7 +36,6 @@ func newWorld(t *testing.T, racks, perRack int, nicMbps float64) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := sim.NewEngine(21)
 	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner)
 	ring.BuildStatic()
 	cl := cluster.New(tp, cluster.Resources{CPU: 64, MemMB: 1 << 20})

@@ -1,0 +1,113 @@
+package placement
+
+import (
+	"math/bits"
+
+	"vbundle/internal/simnet"
+)
+
+// visitedSet is the spill walk's record of the servers a query has been to:
+// the ordered list the wire model charges for, plus an open-addressing index
+// over it that answers "was this address visited?" in O(1). The walk asks
+// that once per candidate per hop, so a scan of the list would make a walk
+// quadratic in its own length.
+//
+// A server is stored as the key addr+1, so that 0 can mean an empty slot.
+// The index is linear probing over a power-of-two table, at most three
+// quarters full, sized by the longest walk the envelope has carried and
+// never by the ring: 4 bytes per visited server in the list and 5 to 11 in
+// the table, against the 16 of the nodeId the wire model charges. (Pooled
+// envelopes are most of what a serving run leaves on the heap, so the table
+// is kept this tight; the hash below keeps probe chains short even so.) It
+// lives inside the pooled envelope and travels with it, so under a sharded
+// engine only the shard currently handling the query touches it.
+//
+// Invariant: the occupied slots are exactly the keys in list, placed as if
+// inserted in list order. reset relies on it to empty the index in
+// O(len(list)) instead of clearing the whole table.
+type visitedSet struct {
+	list  []uint32 // keys in visiting order
+	slots []uint32
+	shift uint8 // 32 - log2(len(slots)): multiplicative hash → slot index
+}
+
+// visitedInitCap is the walk length an envelope is pre-sized for.
+const visitedInitCap = 64
+
+func newVisitedSet() visitedSet {
+	v := visitedSet{list: make([]uint32, 0, visitedInitCap)}
+	v.resize(2 * visitedInitCap)
+	return v
+}
+
+func (v *visitedSet) resize(n int) {
+	v.slots = make([]uint32, n)
+	v.shift = uint8(32 - bits.TrailingZeros(uint(n)))
+}
+
+// home is the slot an address hashes to. Walks visit runs of consecutive
+// addresses; the Fibonacci multiplier spreads such runs evenly over the
+// table where addr&mask would alias two far-apart runs onto each other.
+func (v *visitedSet) home(key uint32) uint32 { return (key * 0x9E3779B1) >> v.shift }
+
+// Len is the number of servers visited.
+func (v *visitedSet) Len() int { return len(v.list) }
+
+// At returns the i-th server visited.
+func (v *visitedSet) At(i int) simnet.Addr { return simnet.Addr(v.list[i] - 1) }
+
+// Has reports whether the server at addr has been visited.
+func (v *visitedSet) Has(addr simnet.Addr) bool {
+	key := uint32(addr) + 1
+	mask := uint32(len(v.slots) - 1)
+	for i := v.home(key); ; i = (i + 1) & mask {
+		switch v.slots[i] {
+		case key:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
+// Add records a visit. The caller never adds an address twice: a query only
+// travels to servers for which Has was false.
+func (v *visitedSet) Add(addr simnet.Addr) {
+	key := uint32(addr) + 1
+	v.list = append(v.list, key)
+	if 4*len(v.list) > 3*len(v.slots) {
+		v.resize(2 * len(v.slots))
+		for _, k := range v.list {
+			v.index(k)
+		}
+		return
+	}
+	v.index(key)
+}
+
+func (v *visitedSet) index(key uint32) {
+	mask := uint32(len(v.slots) - 1)
+	i := v.home(key)
+	for v.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	v.slots[i] = key
+}
+
+// reset empties the set, keeping its memory, in time proportional to the
+// walk. Entries leave in reverse insertion order: the entry added last was
+// probed for with every other entry in place, so the same probe finds it
+// again, and removing it restores the table to its state before that
+// insertion. Any other order could cut a probe chain and strand an entry.
+func (v *visitedSet) reset() {
+	mask := uint32(len(v.slots) - 1)
+	for k := len(v.list) - 1; k >= 0; k-- {
+		key := v.list[k]
+		i := v.home(key)
+		for v.slots[i] != key {
+			i = (i + 1) & mask
+		}
+		v.slots[i] = 0
+	}
+	v.list = v.list[:0]
+}

@@ -182,12 +182,16 @@ func (ti Tier) String() string {
 
 // TierBetween classifies the path between two servers.
 func (t *Topology) TierBetween(a, b int) Tier {
-	switch {
-	case a == b:
+	if a == b {
 		return TierLocal
-	case t.SameRack(a, b):
+	}
+	// Every message send and every spill-walk candidate is ranked through
+	// here: resolve each rack once, not once per tier tested.
+	ra, rb := t.RackOf(a), t.RackOf(b)
+	switch {
+	case ra == rb:
 		return TierRack
-	case t.SamePod(a, b):
+	case t.PodOf(ra) == t.PodOf(rb):
 		return TierPod
 	default:
 		return TierCore
