@@ -86,13 +86,13 @@ type Config struct {
 	// ProcessingDelay models the per-node fold-and-forward cost; the paper
 	// measures 1–2 ms per node (§V.C). Defaults to 1.5ms.
 	ProcessingDelay time.Duration
-	// FullRefold disables the incremental fold cache: every flush re-folds
-	// the local tuples with the whole per-child info base, the original
-	// behaviour. It is the reference mode for the incremental-vs-full
-	// equivalence property tests; the results are bit-identical either way
-	// (the cache only skips re-folding subtrees whose inputs are unchanged,
-	// and the fold order over unchanged inputs is deterministic).
-	FullRefold bool
+	// fullRefold disables the incremental fold cache: every flush re-folds
+	// the local tuples with the whole per-child info base. Only the
+	// incremental-vs-full equivalence property test sets it; the results are
+	// bit-identical either way (the cache only skips re-folding subtrees
+	// whose inputs are unchanged, and the fold order over unchanged inputs
+	// is deterministic).
+	fullRefold bool
 }
 
 func (c Config) withDefaults() Config {
@@ -435,7 +435,7 @@ func (m *Manager) PublishNow(name string) {
 // nothing per child, so a round's total fold work scales with how much
 // actually changed, not with the tree size.
 func (m *Manager) subtreeAggregates(st *topicState) attrList {
-	if st.cacheOK && !m.cfg.FullRefold {
+	if st.cacheOK && !m.cfg.fullRefold {
 		return st.cached
 	}
 	// A fresh list every re-fold: the previous one may still be referenced

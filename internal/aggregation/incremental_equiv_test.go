@@ -10,7 +10,7 @@ import (
 )
 
 // The incremental fold cache must be invisible: a run with dirty-subtree
-// caching (the default) and a run with Config.FullRefold must exchange the
+// caching (the default) and a run with Config.fullRefold must exchange the
 // same messages and end in the same state, bit for bit. churnSummary is the
 // observable surface the property test compares — every node's globals and
 // locals, the root's latency record, and the network's total traffic (equal
@@ -135,7 +135,7 @@ func TestIncrementalMatchesFullRefoldUnderChurn(t *testing.T) {
 			}
 			base := Config{UpdateInterval: time.Minute}
 			full := base
-			full.FullRefold = true
+			full.fullRefold = true
 			ref := runChurn(t, tc.racks, tc.perRack, full, tc.faults)
 			got := runChurn(t, tc.racks, tc.perRack, base, tc.faults)
 			if !reflect.DeepEqual(ref, got) {

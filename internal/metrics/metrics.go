@@ -1,11 +1,9 @@
 // Package metrics provides the small statistics toolkit the v-Bundle
-// experiments report with: running mean/stddev, empirical CDFs, fixed-bin
-// histograms, time series and labelled scatter snapshots matching the
-// paper's figures.
+// experiments report with: running mean/stddev, empirical CDFs, time series
+// and labelled scatter snapshots matching the paper's figures.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -183,47 +181,6 @@ func (ts *TimeSeries) Last() (TimePoint, bool) {
 		return TimePoint{}, false
 	}
 	return ts.points[len(ts.points)-1], true
-}
-
-// Histogram counts samples in fixed-width bins over [Lo, Hi); samples
-// outside the range land in the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	counts []int
-	n      int
-}
-
-// NewHistogram creates a histogram with the given range and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("metrics: invalid histogram [%g,%g)/%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, counts: make([]int, bins)}
-}
-
-// Add counts one sample.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
-	}
-	h.counts[idx]++
-	h.n++
-}
-
-// Counts returns the per-bin counts.
-func (h *Histogram) Counts() []int { return append([]int(nil), h.counts...) }
-
-// N returns the total number of samples.
-func (h *Histogram) N() int { return h.n }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.counts))
-	return h.Lo + w*(float64(i)+0.5)
 }
 
 // ScatterPoint is one dot of a labelled scatter plot (paper Figs. 7–9).

@@ -139,44 +139,6 @@ func TestTimeSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 42} {
-		h.Add(v)
-	}
-	counts := h.Counts()
-	// bins: [0,2) [2,4) [4,6) [6,8) [8,10); out-of-range clamps to edges:
-	// bin0 {-1, 0, 1.9}, bin1 {2}, bin2 {5}, bin4 {9.9, 10, 42}.
-	want := []int{3, 1, 1, 0, 3}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
-		}
-	}
-	if h.N() != 8 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.BinCenter(0) != 1 || h.BinCenter(4) != 9 {
-		t.Fatalf("bin centers: %g %g", h.BinCenter(0), h.BinCenter(4))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestScatter(t *testing.T) {
 	var s Scatter
 	s.Add(1, 2, "a")

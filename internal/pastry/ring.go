@@ -154,8 +154,7 @@ func (r *Ring) Nodes() []*Node { return r.nodes }
 // on its side, hence strictly more distant), so the query is a binary search
 // for key's rank plus a bitmap scan to the first live rank each way — O(log
 // n) against the O(n) scan the experiments' verification passes used to pay
-// per query. closestLiveScan keeps the exhaustive scan as the reference the
-// index equivalence test replays against.
+// per query (the index equivalence test replays against that scan).
 func (r *Ring) ClosestLive(key ids.Id) *Node {
 	n := len(r.nodes)
 	if n == 0 {
@@ -173,20 +172,6 @@ func (r *Ring) ClosestLive(key ids.Id) *Node {
 		return a
 	}
 	return b
-}
-
-// closestLiveScan is the exhaustive reference implementation of ClosestLive.
-func (r *Ring) closestLiveScan(key ids.Id) *Node {
-	var best *Node
-	for _, n := range r.nodes {
-		if !r.net.Alive(n.Addr()) {
-			continue
-		}
-		if best == nil || ids.CloserTo(key, n.ID(), best.ID()) {
-			best = n
-		}
-	}
-	return best
 }
 
 // nextLive returns the first live rank at or clockwise of start, or -1 when

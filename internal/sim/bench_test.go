@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -22,33 +21,6 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		}
 	}
 	e.Run()
-}
-
-// BenchmarkEngineQueueKinds A/Bs the bucketed calendar queue against the
-// retained binary heap on the same workload at growing backlog sizes; the
-// gap is the tentpole win of the bucketed store (heap ops are O(log n) in
-// the backlog, bucket ops O(1) amortized).
-func BenchmarkEngineQueueKinds(b *testing.B) {
-	for _, kind := range []struct {
-		name string
-		k    QueueKind
-	}{{"bucket", QueueBucket}, {"heap", QueueHeap}} {
-		for _, backlog := range []int{1024, 16384} {
-			b.Run(fmt.Sprintf("%s/backlog=%d", kind.name, backlog), func(b *testing.B) {
-				e := NewEngineWithQueue(1, kind.k)
-				fn := func() {}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.After(time.Duration(i%64)*time.Microsecond, fn)
-					if e.Pending() >= backlog {
-						e.Run()
-					}
-				}
-				e.Run()
-			})
-		}
-	}
 }
 
 // BenchmarkEngineTimerChain measures a self-rescheduling callback (the shape

@@ -11,13 +11,13 @@ import (
 // onto a circular wheel of fixed-width buckets, with a binary heap holding
 // only far-future overflow. Scheduling an event within the wheel's horizon
 // is an O(1) append; popping drains one bucket at a time, sorting each
-// bucket's handful of events once. The observable execution order is exactly
-// the heap's — strictly (at, key, seq) — which the queue equivalence
-// property test asserts on randomized traces.
+// bucket's handful of events once. The observable execution order is
+// strictly (at, key, seq), which the queue equivalence property test asserts
+// against a container/heap model on randomized traces.
 //
 // Geometry: buckets are 2^bucketShift nanoseconds wide (≈4.1µs) and the
 // wheel has wheelSlots of them, for a horizon of ≈16.8ms — wider than any
-// single network hop in the simulated topologies, so per-message delivery
+// single network hop in the simulated topologies, so network delivery
 // events always take the O(1) path, while periodic timers (seconds to
 // minutes of virtual time) overflow to the heap at a negligible rate.
 // Events migrate from the heap onto the wheel as the wheel turns; each
@@ -214,7 +214,7 @@ func (q *bucketQueue) loadBucket() {
 }
 
 // sortEvents sorts a drained bucket into execution order — strictly
-// (at, key, seq), the same total order the heap pops in. A monomorphic
+// (at, key, seq). A monomorphic
 // quicksort: the generic slices.SortFunc paid an indirect comparator call
 // per comparison, which dominated bucket-drain cost; here before() inlines.
 // Elements are unique (seq is unique), so equal keys never occur.

@@ -1,124 +1,139 @@
 package sim
 
 import (
-	"fmt"
+	"container/heap"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// traceRun drives one engine through a pseudo-random schedule/cancel/run
-// trace and returns the execution log: one "<label>@<now>" entry per
-// callback, in execution order. The trace generator draws from its own
-// rand.Rand (not the engine's) so both queue kinds see byte-identical
-// inputs; the log captures the queue's observable behavior completely —
-// execution order and clock value at each firing.
-func traceRun(kind QueueKind, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	e := NewEngineWithQueue(1, kind)
-	var log []string
-	var label int
+// heapModel is the reference pending-event store: container/heap over the
+// engine's (at, key, seq) order, with none of the calendar queue's wheel,
+// overflow or current-bucket machinery. It lives here, not in the engine:
+// production code has one queue, and this model is what pins its order.
+type heapModel struct{ h eventHeap }
 
-	// Delays mix the scales the simulator really uses: sub-bucket (ns),
-	// intra-wheel (µs..ms), and far-future overflow (seconds..minutes),
-	// plus exact ties and zero delays.
-	randDelay := func() time.Duration {
-		switch rng.Intn(6) {
-		case 0:
-			return 0
-		case 1:
-			return time.Duration(rng.Intn(4096)) // inside one bucket
-		case 2:
-			return time.Duration(rng.Intn(1e6)) // µs..ms, within the wheel
-		case 3:
-			return time.Duration(rng.Intn(50)) * time.Millisecond // ties likely
-		case 4:
-			return time.Duration(rng.Intn(120)) * time.Second // overflow heap
-		default:
-			return time.Duration(rng.Int63n(int64(10 * time.Minute)))
-		}
-	}
+func (m *heapModel) push(ev *event) { heap.Push(&m.h, ev) }
 
-	var tickers []*Ticker
-	var schedule func(depth int)
-	schedule = func(depth int) {
-		label++
-		l := label
-		d := randDelay()
-		reschedule := depth < 3 && rng.Intn(3) == 0
-		fn := func() {
-			log = append(log, fmt.Sprintf("%d@%d", l, e.Now()))
-			if reschedule {
-				schedule(depth + 1)
-			}
-		}
-		if rng.Intn(8) == 0 {
-			// Ticker intervals stay ≥1ms so bounded RunUntil windows below
-			// produce bounded tick counts.
-			t := e.Every(time.Duration(rng.Intn(50)+1)*time.Millisecond, fn)
-			tickers = append(tickers, t)
-		} else if rng.Intn(2) == 0 {
-			e.After(d, fn)
-		} else {
-			e.At(e.Now()+d, fn)
-		}
+func (m *heapModel) front() *event {
+	if len(m.h) == 0 {
+		return nil
 	}
-
-	for op := 0; op < 400; op++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4, 5:
-			schedule(0)
-		case 6: // cancel a random live ticker
-			if len(tickers) > 0 {
-				tickers[rng.Intn(len(tickers))].Stop()
-			}
-		case 7: // partial run over a bounded window (live tickers keep firing)
-			e.RunUntil(e.Now() + time.Duration(rng.Intn(1e8)))
-		case 8:
-			for i := 0; i < rng.Intn(20); i++ {
-				if !e.Step() {
-					break
-				}
-			}
-		case 9:
-			if p := e.Pending(); p > 0 {
-				log = append(log, fmt.Sprintf("pending=%d@%d", p, e.Now()))
-			}
-		}
-	}
-	// Drain. Callbacks may create further tickers mid-drain, so stop every
-	// known ticker before each step; each new ticker fires at most once.
-	for {
-		for _, t := range tickers {
-			t.Stop()
-		}
-		if !e.Step() {
-			break
-		}
-	}
-	return log
+	return m.h[0]
 }
 
-// TestQueueEquivalence replays identical randomized traces against the
-// binary heap and the bucketed calendar queue; the two stores must execute
-// every callback in the same order at the same virtual times.
+func (m *heapModel) pop() *event {
+	if len(m.h) == 0 {
+		return nil
+	}
+	return heap.Pop(&m.h).(*event)
+}
+
+// TestQueueEquivalence replays identical randomized push/peek/pop traces
+// against the bucketed calendar queue and the heap model; every front, pop,
+// nextAt and len must agree, event for event. The traces obey the engine's
+// one scheduling rule (nothing is pushed before the clock, and the clock
+// never passes a pending event) and otherwise go where the engine can go:
+// delays at every scale the simulator uses, same-instant bursts whose keys
+// span all four bands — so a delivery key lands below, and a keyed
+// completion above, At/AtGlobal events already pending at that instant —
+// and pushes behind a wheel position that an earlier peek moved ahead.
 func TestQueueEquivalence(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
 		seeds = 10
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		heapLog := traceRun(QueueHeap, seed)
-		bucketLog := traceRun(QueueBucket, seed)
-		if len(heapLog) != len(bucketLog) {
-			t.Fatalf("seed %d: heap executed %d callbacks, bucket %d",
-				seed, len(heapLog), len(bucketLog))
-		}
-		for i := range heapLog {
-			if heapLog[i] != bucketLog[i] {
-				t.Fatalf("seed %d: divergence at entry %d: heap %q, bucket %q",
-					seed, i, heapLog[i], bucketLog[i])
+		rng := rand.New(rand.NewSource(seed))
+		q, m := newBucketQueue(), &heapModel{}
+		var now time.Duration
+		var seq uint64
+
+		// Delays mix the scales the simulator really uses: sub-bucket (ns),
+		// intra-wheel (µs..ms), and far-future overflow (seconds..minutes),
+		// plus exact ties and zero delays.
+		randDelay := func() time.Duration {
+			switch rng.Intn(6) {
+			case 0:
+				return 0
+			case 1:
+				return time.Duration(rng.Intn(4096)) // inside one bucket
+			case 2:
+				return time.Duration(rng.Intn(1e6)) // µs..ms, within the wheel
+			case 3:
+				return time.Duration(rng.Intn(50)) * time.Millisecond // ties likely
+			case 4:
+				return time.Duration(rng.Intn(120)) * time.Second // overflow heap
+			default:
+				return time.Duration(rng.Int63n(int64(10 * time.Minute)))
 			}
+		}
+		// Keys as the engine builds them. Payloads come from a small range so
+		// equal keys (decided by seq alone) are as common as distinct ones.
+		randKey := func() uint64 {
+			switch rng.Intn(4) {
+			case 0:
+				return keyDelivery | uint64(rng.Intn(8))
+			case 1:
+				return keyLocal
+			case 2:
+				return keyGlobal
+			default:
+				return keyKeyed | uint64(rng.Intn(8))
+			}
+		}
+		push := func(at time.Duration, key uint64) {
+			seq++
+			ev := &event{at: at, key: key, seq: seq}
+			q.push(ev)
+			m.push(ev)
+		}
+		pop := func() bool {
+			want := m.pop()
+			if got := q.pop(); got != want {
+				t.Fatalf("seed %d: pop = %+v, heap model says %+v", seed, got, want)
+			}
+			if want == nil {
+				return false
+			}
+			now = want.at
+			return true
+		}
+
+		for op := 0; op < 2000; op++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3:
+				push(now+randDelay(), randKey())
+			case 4: // same-instant burst across the key bands
+				at := now + randDelay()
+				for i := rng.Intn(6) + 2; i > 0; i-- {
+					push(at, randKey())
+				}
+			case 5, 6:
+				for i := rng.Intn(8); i > 0 && pop(); i-- {
+				}
+			case 7:
+				if got, want := q.front(), m.front(); got != want {
+					t.Fatalf("seed %d: front = %+v, heap model says %+v", seed, got, want)
+				}
+			case 8:
+				// RunUntil short of the next event: the peek turns the wheel
+				// to that event's bucket, the clock stops somewhere before it,
+				// and later pushes land behind the wheel position.
+				at, ok := q.nextAt()
+				if want := m.front(); ok != (want != nil) || (ok && at != want.at) {
+					t.Fatalf("seed %d: nextAt = %v, %v, heap model says %+v", seed, at, ok, want)
+				}
+				if ok && at > now {
+					now += time.Duration(rng.Int63n(int64(at-now) + 1))
+				}
+			case 9:
+				if got, want := q.len(), len(m.h); got != want {
+					t.Fatalf("seed %d: len = %d, heap model says %d", seed, got, want)
+				}
+			}
+		}
+		for pop() {
 		}
 	}
 }

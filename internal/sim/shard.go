@@ -191,13 +191,13 @@ func NewShardedEngine(seed int64, shards int) *Engine {
 	if shards < 1 {
 		shards = 1
 	}
-	r := NewEngineWithQueue(seed, QueueBucket)
+	r := NewEngine(seed)
 	r.shards = make([]*Engine, shards)
 	for i := range r.shards {
 		// Shard rngs get derived seeds; deterministic code must not draw
 		// from them (the draw order would depend on the shard layout), and
 		// the simulation stack doesn't — nodes use per-node streams.
-		s := NewEngineWithQueue(seed+int64(i)*0x9E37+1, QueueBucket)
+		s := NewEngine(seed + int64(i)*0x9E37 + 1)
 		s.root = r
 		s.shardIdx = i
 		r.shards[i] = s
@@ -294,14 +294,7 @@ func (r *Engine) mergeStaged() {
 func (s *Engine) drainWindow() {
 	s.draining = drainModeWindow
 	s.statWindows++
-	for {
-		ev := s.events.front()
-		if ev == nil || ev.at >= s.drainLimit {
-			break
-		}
-		s.depth.Record(int64(s.events.len()))
-		s.events.pop()
-		s.runEvent(ev)
+	for s.runDue(s.drainLimit - 1) { // drainLimit is exclusive
 		s.statEvents++
 	}
 	s.draining = drainModeIdle
@@ -310,14 +303,7 @@ func (s *Engine) drainWindow() {
 // drainInstant runs every pending event at exactly g (worker goroutine).
 func (s *Engine) drainInstant(g time.Duration) {
 	s.draining = drainModeInstant
-	for {
-		ev := s.events.front()
-		if ev == nil || ev.at != g {
-			break
-		}
-		s.depth.Record(int64(s.events.len()))
-		s.events.pop()
-		s.runEvent(ev)
+	for s.runDue(g) {
 		s.statEvents++
 	}
 	s.draining = drainModeIdle
@@ -552,13 +538,9 @@ func (r *Engine) runInstant(g time.Duration) {
 			r.mergeStaged()
 			continue
 		}
-		ev := r.events.front()
-		if ev == nil || ev.at != g {
+		if !r.runDue(g) {
 			return
 		}
-		r.depth.Record(int64(r.events.len()))
-		r.events.pop()
-		r.runEvent(ev)
 		r.mergeStaged()
 		r.runBarriers()
 	}
@@ -590,9 +572,7 @@ func (r *Engine) shardedStep() bool {
 	if len(r.samplers) > 0 {
 		r.fireSamplers(best.at)
 	}
-	owner.depth.Record(int64(owner.events.len()))
-	owner.events.pop()
-	owner.runEvent(best)
+	owner.runDue(best.at)
 	if r.now < owner.now {
 		r.now = owner.now
 	}

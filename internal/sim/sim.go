@@ -32,26 +32,10 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 
 	"vbundle/internal/obs"
-)
-
-// QueueKind selects the engine's pending-event store.
-type QueueKind int
-
-const (
-	// QueueBucket is the default: a calendar queue that buckets events by
-	// timestamp (O(1) amortized schedule/pop for the near future, a heap
-	// only for far-future overflow). See bucketQueue.
-	QueueBucket QueueKind = iota
-	// QueueHeap is the original binary min-heap (O(log n) per operation).
-	// It is retained as the reference implementation: the equivalence
-	// property test replays identical traces against both stores, and the
-	// benchmarks A/B them.
-	QueueHeap
 )
 
 // Same-instant events execute in key order, then scheduling order. The key's
@@ -61,9 +45,8 @@ const (
 // that can cross a shard boundary must be decided by (at, key) alone.
 //
 //   - band 0 — network deliveries (AtDelivery). The payload is derived from
-//     the traffic itself (destination for a batch flush, (source, send index)
-//     for a per-message delivery), so delivery order is a property of the
-//     trace, not of which engine ran it.
+//     the traffic itself (the destination of a batch flush), so delivery
+//     order is a property of the trace, not of which engine ran it.
 //   - band 1 — plain At/After/Every. The payload is constant; same-instant
 //     order falls to the per-engine sequence counter. Band-1 events are
 //     node-local by contract (they never race across shards), which is why a
@@ -84,26 +67,15 @@ const (
 	keyPayloadMax uint64 = 1<<keyBandShift - 1
 )
 
-// eventQueue stores pending events ordered by (at, key, seq). Exactly one
-// goroutine touches it at a time (the engine's, or during sharded barriers
-// the root's).
-type eventQueue interface {
-	push(*event)
-	// pop removes and returns the earliest event, or nil when empty.
-	pop() *event
-	// front returns the earliest pending event without removing it.
-	front() *event
-	// nextAt returns the earliest pending timestamp, if any.
-	nextAt() (time.Duration, bool)
-	len() int
-}
-
 // Engine is a discrete-event scheduler over a virtual clock. The zero value
 // is not usable; construct engines with NewEngine or NewShardedEngine.
 type Engine struct {
-	now    time.Duration
-	seq    uint64
-	events eventQueue
+	now time.Duration
+	seq uint64
+	// events holds the pending events in (at, key, seq) order. Exactly one
+	// goroutine touches it at a time (the engine's, or during sharded
+	// barriers the root's).
+	events *bucketQueue
 	rng    *rand.Rand
 	seed   int64
 	// free recycles popped events: every scheduled callback would otherwise
@@ -151,21 +123,12 @@ type Engine struct {
 // NewEngine returns a serial engine whose clock starts at zero and whose
 // random source is seeded with seed, making runs reproducible.
 func NewEngine(seed int64) *Engine {
-	return NewEngineWithQueue(seed, QueueBucket)
-}
-
-// NewEngineWithQueue is NewEngine with an explicit pending-event store; the
-// two stores execute identical traces in identical order (asserted by the
-// queue equivalence tests), differing only in cost.
-func NewEngineWithQueue(seed int64, kind QueueKind) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed, samplerNext: infTime}
-	switch kind {
-	case QueueHeap:
-		e.events = &heapQueue{}
-	default:
-		e.events = newBucketQueue()
+	return &Engine{
+		events:      newBucketQueue(),
+		rng:         rand.New(rand.NewSource(seed)),
+		seed:        seed,
+		samplerNext: infTime,
 	}
-	return e
 }
 
 // Now returns the current virtual time.
@@ -219,32 +182,6 @@ func (h *eventHeap) Pop() (popped any) {
 	return
 }
 
-// heapQueue adapts the binary heap to the eventQueue interface.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-func (q *heapQueue) front() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-func (q *heapQueue) nextAt() (time.Duration, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
-}
-func (q *heapQueue) len() int { return len(q.h) }
-
 // mustInit catches use of a zero-value Engine (a nil-pointer deref waiting
 // to happen deep inside an experiment) with an explanation at the call site.
 func (e *Engine) mustInit() {
@@ -279,8 +216,8 @@ func (e *Engine) At(t time.Duration, fn func()) {
 // AtDelivery schedules a network-delivery event (key band 0) whose
 // same-instant order is decided by key alone, making delivery order
 // independent of both the scheduling order and the shard layout. key must
-// fit in 62 bits; simnet derives it from the traffic (destination, or
-// source and send index).
+// fit in 62 bits; simnet derives it from the traffic (the destination of a
+// batch flush).
 func (e *Engine) AtDelivery(t time.Duration, key uint64, fn func()) {
 	e.mustInit()
 	e.push(t, keyDelivery|(key&keyPayloadMax), fn)
@@ -406,6 +343,30 @@ func (e *Engine) runEvent(ev *event) {
 	fn()
 }
 
+// runDue executes the earliest pending event if its timestamp is at or
+// before limit, and reports whether it did. It is the engine's one run loop
+// body: the serial Step/Run/RunUntil, the shard window and instant drains,
+// the root's exclusive instants and the sharded Step all call it and differ
+// only in the bound. Sampler boundaries at or before the event fire first;
+// only a serial engine can have one pending here (shard engines carry no
+// samplers, and a sharded root fires its own before it runs anything).
+func (e *Engine) runDue(limit time.Duration) bool {
+	if e.events == nil {
+		return false
+	}
+	ev := e.events.front()
+	if ev == nil || ev.at > limit {
+		return false
+	}
+	if ev.at >= e.samplerNext {
+		e.fireSamplers(ev.at)
+	}
+	e.depth.Record(int64(e.events.len()))
+	e.events.pop()
+	e.runEvent(ev)
+	return true
+}
+
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was executed. On a sharded root
 // it pops the globally earliest event across all shards and runs it
@@ -415,19 +376,7 @@ func (e *Engine) Step() bool {
 	if len(e.shards) > 0 {
 		return e.shardedStep()
 	}
-	if e.events == nil {
-		return false
-	}
-	ev := e.events.front()
-	if ev == nil {
-		return false
-	}
-	if ev.at >= e.samplerNext {
-		e.fireSamplers(ev.at)
-	}
-	e.depth.Record(int64(e.events.len()))
-	e.runEvent(e.events.pop())
-	return true
+	return e.runDue(infTime)
 }
 
 // Run executes events until none remain. Periodic tickers must be stopped
@@ -437,7 +386,7 @@ func (e *Engine) Run() {
 		e.runWindows(0, true)
 		return
 	}
-	for e.Step() {
+	for e.runDue(infTime) {
 	}
 }
 
@@ -449,12 +398,7 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 		e.runWindows(deadline, false)
 		return
 	}
-	for e.events != nil {
-		at, ok := e.events.nextAt()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
+	for e.runDue(deadline) {
 	}
 	// Sampling boundaries inside (now, deadline] fire even when no event
 	// reaches them: an idle stretch still produces samples.

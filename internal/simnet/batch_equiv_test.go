@@ -9,9 +9,49 @@ import (
 	"vbundle/internal/sim"
 )
 
+// sendPerMessage is the reference delivery scheme batching is checked
+// against: Send's accounting and drop draw, then one engine event per message
+// — keyed by (source, send index) on the public Engine.AtDelivery — that
+// checks liveness and counts the receipt when it fires. No inbox, no flush,
+// no sort. Serial engines and the base drop rate only, which is all the
+// equivalence traces use.
+func sendPerMessage(n *Network, src, dst Addr, msg Message) {
+	size := wireSize(msg)
+	if !n.nodes[src].alive {
+		return
+	}
+	n.counters[src].MsgsSent++
+	n.counters[src].BytesSent += size
+	idx := n.sendSeq[src]
+	n.sendSeq[src]++
+	if n.dropRate > 0 && n.dropDraw(src, idx) < n.dropRate {
+		return
+	}
+	n.engine.AtDelivery(n.engine.Now()+n.latency(src, dst), deliveryKey(src, idx), func() {
+		s := n.nodes[dst]
+		if !s.alive {
+			return
+		}
+		n.counters[dst].MsgsReceived++
+		n.counters[dst].BytesReceived += size
+		s.handler.HandleMessage(src, msg)
+	})
+}
+
+// sendFunc is one of the two delivery schemes under comparison.
+type sendFunc func(n *Network, src, dst Addr, msg Message)
+
+var deliverySchemes = []struct {
+	name string
+	send sendFunc
+}{
+	{"batched", (*Network).Send},
+	{"per-message", sendPerMessage},
+}
+
 // rxLog records per-node delivery sequences. Per-destination delivery order
-// is an invariant both delivery modes guarantee (messages due at one node at
-// one instant arrive in send order), so the equivalence tests compare each
+// is an invariant both delivery schemes guarantee (messages due at one node
+// at one instant arrive in send order), so the equivalence tests compare each
 // node's sequence exactly.
 type rxLog struct {
 	eng   *sim.Engine
@@ -35,26 +75,22 @@ func (l *rxLog) handler(dst Addr) Handler {
 
 // runDeliveryTrace drives one network through a pseudo-random trace of
 // sends, kills and revives. The trace generator uses its own rand.Rand so
-// both delivery modes execute byte-identical Send sequences (send order is
+// both delivery schemes execute byte-identical send sequences (send order is
 // fixed by the trace's timer events, which never depend on deliveries), and
-// therefore draw byte-identical drop decisions from the engine's source.
+// therefore draw byte-identical drop decisions.
 // Kill/revive times carry a +1ns offset while all deliveries land on exact
 // microsecond multiples, so liveness flips never tie with deliveries — the
 // one interleaving batching does not preserve (a liveness flip whose
 // timestamp exactly equals a delivery's may order differently relative to
 // mid-batch messages; see the Network doc comment).
-func runDeliveryTrace(seed int64, perMessage bool) (*rxLog, []Counters) {
+func runDeliveryTrace(seed int64, send sendFunc) (*rxLog, []Counters) {
 	const size = 12
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.NewEngine(99)
 	latency := func(a, b Addr) time.Duration {
 		return time.Duration((int(a)*7+int(b)*13)%23+1) * 10 * time.Microsecond
 	}
-	opts := []Option{WithDropRate(0.25)}
-	if perMessage {
-		opts = append(opts, WithPerMessageDelivery())
-	}
-	net := New(eng, size, latency, opts...)
+	net := New(eng, size, latency, WithDropRate(0.25))
 	log := newRxLog(eng, size)
 	for i := 0; i < size; i++ {
 		net.Attach(Addr(i), log.handler(Addr(i)))
@@ -78,7 +114,7 @@ func runDeliveryTrace(seed int64, perMessage bool) (*rxLog, []Counters) {
 			tag := op
 			eng.At(at, func() {
 				for i, p := range pairs {
-					net.Send(p[0], p[1], fmt.Sprintf("m%d.%d", tag, i))
+					send(net, p[0], p[1], fmt.Sprintf("m%d.%d", tag, i))
 				}
 			})
 		}
@@ -97,8 +133,8 @@ func TestDeliveryModeEquivalence(t *testing.T) {
 		seeds = 8
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		batched, bc := runDeliveryTrace(seed, false)
-		perMsg, pc := runDeliveryTrace(seed, true)
+		batched, bc := runDeliveryTrace(seed, (*Network).Send)
+		perMsg, pc := runDeliveryTrace(seed, sendPerMessage)
 		for node := range batched.seen {
 			b, p := batched.seen[node], perMsg.seen[node]
 			if len(b) != len(p) {
@@ -121,18 +157,14 @@ func TestDeliveryModeEquivalence(t *testing.T) {
 	}
 }
 
-// TestMidBatchKill pins the semantics both modes must share when a handler
+// TestMidBatchKill pins the semantics both schemes must share when a handler
 // kills its own node partway through a same-instant batch: messages already
 // delivered stay delivered, the remainder of the batch is dropped, and the
 // counters record exactly the delivered prefix.
 func TestMidBatchKill(t *testing.T) {
-	for _, perMessage := range []bool{false, true} {
+	for _, scheme := range deliverySchemes {
 		eng := sim.NewEngine(1)
-		opts := []Option{}
-		if perMessage {
-			opts = append(opts, WithPerMessageDelivery())
-		}
-		net := New(eng, 2, flatLatency(time.Millisecond), opts...)
+		net := New(eng, 2, flatLatency(time.Millisecond))
 		log := newRxLog(eng, 2)
 		log.onMsg = func(dst Addr, msg Message) {
 			if msg == "poison" {
@@ -141,21 +173,21 @@ func TestMidBatchKill(t *testing.T) {
 		}
 		net.Attach(0, log.handler(0))
 		net.Attach(1, log.handler(1))
-		net.Send(0, 1, "first")
-		net.Send(0, 1, "poison")
-		net.Send(0, 1, "never")
+		scheme.send(net, 0, 1, "first")
+		scheme.send(net, 0, 1, "poison")
+		scheme.send(net, 0, 1, "never")
 		eng.Run()
 		if got := len(log.seen[1]); got != 2 {
-			t.Fatalf("perMessage=%v: delivered %d messages (%v), want 2",
-				perMessage, got, log.seen[1])
+			t.Fatalf("%s: delivered %d messages (%v), want 2",
+				scheme.name, got, log.seen[1])
 		}
 		c := net.CountersOf(1)
 		if c.MsgsReceived != 2 || c.BytesReceived != 2*DefaultWireSize {
-			t.Fatalf("perMessage=%v: counters %+v, want 2 msgs / %d bytes",
-				perMessage, c, 2*DefaultWireSize)
+			t.Fatalf("%s: counters %+v, want 2 msgs / %d bytes",
+				scheme.name, c, 2*DefaultWireSize)
 		}
 		if s := net.CountersOf(0); s.MsgsSent != 3 {
-			t.Fatalf("perMessage=%v: sender counters %+v, want 3 sent", perMessage, s)
+			t.Fatalf("%s: sender counters %+v, want 3 sent", scheme.name, s)
 		}
 	}
 }

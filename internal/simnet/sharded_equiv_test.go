@@ -147,16 +147,3 @@ func TestShardedDeliveryEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedPerMessagePanics pins the guard: per-message delivery has no
-// cross-shard merge shape, so constructing it over a sharded engine must
-// panic rather than silently lose determinism.
-func TestShardedPerMessagePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(sharded, WithPerMessageDelivery) did not panic")
-		}
-	}()
-	eng := sim.NewShardedEngine(1, 2)
-	New(eng, 4, flatLatency(time.Millisecond), WithPerMessageDelivery())
-}

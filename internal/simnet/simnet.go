@@ -98,10 +98,10 @@ func (f LinkFault) matches(src, dst Addr, now time.Duration) bool {
 // Crash selects true crash semantics: the handler is discarded at At, so
 // the node loses every piece of soft state, and the restart goes through
 // the registered restarter (SetRestarter) which must rebuild the node from
-// scratch plus whatever durable state it persisted. Crash=false is the
-// legacy pause ("the process froze and thawed"): the old handler survives
-// and Revive reattaches it — appropriate for link-style blips, a lie for
-// server crashes.
+// scratch plus whatever durable state it persisted. Crash=false is a pause
+// ("the process froze and thawed", a partition, churn): the old handler
+// survives and Revive reattaches it. The two are distinct faults, not an old
+// and a new model of one: a pause keeps soft state that a crash loses.
 type NodeFault struct {
 	Addr         Addr
 	At           time.Duration
@@ -124,11 +124,10 @@ type FaultSchedule struct {
 // timestamp) pair are coalesced into a single engine event that drains the
 // destination's inbox ring buffer, so a fan-in of k messages costs one
 // event and zero per-message closures instead of k closure allocations and
-// k queue operations. Messages within a batch are delivered in send order —
-// exactly the order the per-message scheme executes them — and liveness and
-// counter checks happen per message at delivery time, so drop, kill and
-// accounting semantics are identical (asserted by the delivery-mode
-// equivalence tests).
+// k queue operations. Messages within a batch are delivered in send order
+// and liveness and counter checks happen per message at delivery time, so
+// drop, kill and accounting semantics are those of one event per message
+// (the reference model the delivery-mode equivalence tests compare against).
 type Network struct {
 	engine   *sim.Engine
 	latency  LatencyFunc
@@ -136,12 +135,7 @@ type Network struct {
 	counters []Counters
 	dropRate float64
 
-	// perMessage restores the original one-event-per-message delivery;
-	// retained for the batching equivalence tests and benchmarks. It is
-	// incompatible with a sharded engine (New panics): batching is what
-	// gives cross-shard merges a one-event-per-(destination, instant) shape.
-	perMessage bool
-	inboxes    []inbox
+	inboxes []inbox
 	// flush holds one pre-bound flush closure per destination, created at
 	// New; steady-state sends allocate nothing, and under sharding the
 	// closures already exist before any cross-shard merge can need them.
@@ -236,8 +230,9 @@ func (n *Network) dropProbability(src, dst Addr) float64 {
 }
 
 // OnLivenessChange registers fn to be called whenever a node transitions
-// between alive and dead (via Attach, Kill or Revive). No-op transitions
-// (killing a dead node, attaching over a live one) are not reported.
+// between alive and dead (via Attach, Kill, Revive, Crash or Restart). No-op
+// transitions (killing a dead node, attaching over a live one) are not
+// reported.
 func (n *Network) OnLivenessChange(fn func(addr Addr, alive bool)) {
 	n.onLiveness = append(n.onLiveness, fn)
 }
@@ -334,13 +329,6 @@ func WithDropRate(p float64) Option {
 	return func(n *Network) { n.dropRate = p }
 }
 
-// WithPerMessageDelivery schedules one engine event per message instead of
-// batching by (destination, timestamp). It is the reference delivery scheme
-// the batching equivalence tests compare against.
-func WithPerMessageDelivery() Option {
-	return func(n *Network) { n.perMessage = true }
-}
-
 // WithTrace attaches a flight recorder: message drops and fault injections
 // are recorded, per-address recorder sources become available through
 // TraceSource for the protocol layers above, and the network's traffic
@@ -381,9 +369,6 @@ func New(engine *sim.Engine, size int, latency LatencyFunc, opts ...Option) *Net
 	}
 	k := engine.ShardCount()
 	if engine.Sharded() {
-		if n.perMessage {
-			panic("simnet: per-message delivery is incompatible with a sharded engine (batching gives cross-shard merges their one-event-per-(destination, instant) shape)")
-		}
 		n.engines = make([]*sim.Engine, size)
 		n.shardID = make([]int32, size)
 		for a := 0; a < size; a++ {
@@ -610,18 +595,6 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 	}
 	delay := n.latency(src, dst)
 	key := deliveryKey(src, idx)
-	if n.perMessage {
-		n.engine.AtDelivery(n.engine.Now()+delay, key, func() {
-			s := n.nodes[dst]
-			if !s.alive {
-				return
-			}
-			n.counters[dst].MsgsReceived++
-			n.counters[dst].BytesReceived += size
-			s.handler.HandleMessage(src, msg)
-		})
-		return
-	}
 	at := n.engineFor(src).Now() + delay
 	if n.engines != nil && n.shardID[src] != n.shardID[dst] {
 		// Cross-shard: park in the sender shard's outbox. The latency is at
@@ -646,11 +619,9 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 
 // flushInbox delivers every message due for dst at the current virtual time,
 // in delivery-key order — per-source send order, sources interleaved by
-// (source, send index), identical in serial and sharded runs and equal to the
-// order the per-message scheme executes. Liveness is re-checked before each
-// message, so a handler that kills dst mid-batch stops the remainder of the
-// batch — just as it would stop the remaining per-message events at the same
-// timestamp.
+// (source, send index), identical in serial and sharded runs. Liveness is
+// re-checked before each message, so a handler that kills dst mid-batch stops
+// the remainder of the batch.
 func (n *Network) flushInbox(dst Addr) {
 	sh := 0
 	if n.shardID != nil {

@@ -114,32 +114,44 @@ echo "== heap profile smoke (Fig 14, 32768 servers)"
 test -s /tmp/vb-heap.pprof || { echo "FAIL: empty heap profile"; exit 1; }
 rm -f /tmp/vb-heap.pprof
 
-# Tracing overhead gate: the always-on ring recorder must stay within 5%
-# wall time of a recording-free run (min of five, to shave scheduler noise;
-# a 2 ms absolute floor keeps timer jitter from failing runs this short)
-# and must not change one byte of the printed experiment metrics — the
-# recorder observes the simulation, it never participates in it.
-echo "== tracing overhead gate (Fig 14, 512 servers, ring recorder)"
-min_off=
-min_ring=
-for i in 1 2 3 4 5; do
-	start=$(date +%s%N)
-	/tmp/vb-overhead-ci -fig 14 -max-servers 512 -workers 1 > /tmp/vb-trace-off.txt
-	us=$(( ($(date +%s%N) - start) / 1000 ))
-	if [ -z "$min_off" ] || [ "$us" -lt "$min_off" ]; then min_off=$us; fi
+# overhead_gate LABEL OFF_CMD ON_CMD: an observer (flight recorder, series
+# sampler) must stay within 5% wall time of the same run without it — min of
+# five interleaved runs a side, to shave scheduler noise; a 2 ms absolute
+# floor keeps timer jitter from failing short runs — and must not change one
+# byte of stdout: observers watch the simulation, they never participate.
+overhead_gate() {
+	min_off=
+	min_on=
+	for i in 1 2 3 4 5; do
+		start=$(date +%s%N)
+		$2 > /tmp/vb-gate-off.txt
+		us=$(( ($(date +%s%N) - start) / 1000 ))
+		if [ -z "$min_off" ] || [ "$us" -lt "$min_off" ]; then min_off=$us; fi
 
-	start=$(date +%s%N)
-	/tmp/vb-overhead-ci -fig 14 -max-servers 512 -workers 1 -trace-ring 4096 > /tmp/vb-trace-ring.txt
-	us=$(( ($(date +%s%N) - start) / 1000 ))
-	if [ -z "$min_ring" ] || [ "$us" -lt "$min_ring" ]; then min_ring=$us; fi
-done
-diff /tmp/vb-trace-off.txt /tmp/vb-trace-ring.txt
-awk -v off="$min_off" -v ring="$min_ring" 'BEGIN {
-	printf "tracing off %.1f ms, ring %.1f ms (%+.1f%%)\n", off / 1000.0, ring / 1000.0, (ring - off) * 100.0 / off
-	if (ring > off * 1.05 && ring > off + 2000) { print "FAIL: ring recorder regresses wall time beyond 5%"; exit 1 }
-}'
-rm -f /tmp/vb-overhead-ci /tmp/vb-shards1.txt /tmp/vb-shards4.txt \
-	/tmp/vb-trace-off.txt /tmp/vb-trace-ring.txt
+		start=$(date +%s%N)
+		$3 > /tmp/vb-gate-on.txt
+		us=$(( ($(date +%s%N) - start) / 1000 ))
+		if [ -z "$min_on" ] || [ "$us" -lt "$min_on" ]; then min_on=$us; fi
+	done
+	diff /tmp/vb-gate-off.txt /tmp/vb-gate-on.txt
+	awk -v label="$1" -v off="$min_off" -v on="$min_on" 'BEGIN {
+		printf "%s off %.1f ms, on %.1f ms (%+.1f%%)\n", label, off / 1000.0, on / 1000.0, (on - off) * 100.0 / off
+		if (on > off * 1.05 && on > off + 2000) { print "FAIL: " label " regresses wall time beyond 5%"; exit 1 }
+	}'
+	rm -f /tmp/vb-gate-off.txt /tmp/vb-gate-on.txt
+}
+
+# Tracing overhead gate: the always-on ring recorder against a recording-free
+# run. It runs on the single 8192-server Fig 14 point (0.09-0.15 s), not on
+# the 512-server ladder it used to: that is a 13-17 ms process, where PR 12
+# recorded a +31% reading and where only the 2 ms floor decided the gate.
+# Here the 5% decides, and the recorder's own cost at this point is 4-7%
+# (see CHANGES.md, PR 13): on a busy box rerun this gate alone.
+echo "== tracing overhead gate (Fig 14, 8192 servers, single point, ring recorder)"
+overhead_gate "ring recorder" \
+	"/tmp/vb-overhead-ci -fig 14 -min-servers 8192 -max-servers 8192 -workers 1" \
+	"/tmp/vb-overhead-ci -fig 14 -min-servers 8192 -max-servers 8192 -workers 1 -trace-ring 4096"
+rm -f /tmp/vb-overhead-ci /tmp/vb-shards1.txt /tmp/vb-shards4.txt
 
 # Serving-layer smoke: a Poisson stream and a flash crowd at 512 servers
 # end to end through vb-serve (the binary exits nonzero on any leaked
@@ -208,36 +220,16 @@ grep -Eq '^audit: sweeps=[1-9][0-9]* violations=0$' /tmp/vb-audit.err \
 	|| { echo "FAIL: vb-serve audit gate"; cat /tmp/vb-audit.err; exit 1; }
 
 # Sampler overhead gate: the virtual-time series sampler at a 1 s cadence
-# must stay within 5% wall time of an unsampled vb-serve run (min of five,
-# 2 ms absolute floor, as for the tracing gate above) and must not change
-# one byte of the printed serve report — sampling observes boundaries, it
-# never participates in the run. The stream runs at rate 200, not the 100 of
-# the smokes above: since the spill walk went from quadratic to linear the
+# against an unsampled vb-serve run. The stream runs at rate 200, not the 100
+# of the smokes above: since the spill walk went from quadratic to linear the
 # rate-100 run is a 40 ms process, too short to hold a ~4 ms sampler against
 # at 5% (the sampler's cost is per boundary, not per event); rate 200 is
 # ~150 ms of serving, where 5% again means what it meant.
 echo "== sampler overhead gate (vb-serve 512 servers, rate 200, 1s cadence)"
-min_off=
-min_smp=
-for i in 1 2 3 4 5; do
-	start=$(date +%s%N)
-	/tmp/vb-serve-ci -servers 512 -rate 200 -duration 20s -prewarm 2 \
-		-cache -batch -seed 7 > /tmp/vb-smp-off.txt
-	us=$(( ($(date +%s%N) - start) / 1000 ))
-	if [ -z "$min_off" ] || [ "$us" -lt "$min_off" ]; then min_off=$us; fi
-
-	start=$(date +%s%N)
-	/tmp/vb-serve-ci -servers 512 -rate 200 -duration 20s -prewarm 2 \
-		-cache -batch -seed 7 -sample-every 1s > /tmp/vb-smp-on.txt
-	us=$(( ($(date +%s%N) - start) / 1000 ))
-	if [ -z "$min_smp" ] || [ "$us" -lt "$min_smp" ]; then min_smp=$us; fi
-done
-diff /tmp/vb-smp-off.txt /tmp/vb-smp-on.txt
-awk -v off="$min_off" -v smp="$min_smp" 'BEGIN {
-	printf "sampling off %.1f ms, on %.1f ms (%+.1f%%)\n", off / 1000.0, smp / 1000.0, (smp - off) * 100.0 / off
-	if (smp > off * 1.05 && smp > off + 2000) { print "FAIL: series sampler regresses wall time beyond 5%"; exit 1 }
-}'
+overhead_gate "series sampler" \
+	"/tmp/vb-serve-ci -servers 512 -rate 200 -duration 20s -prewarm 2 -cache -batch -seed 7" \
+	"/tmp/vb-serve-ci -servers 512 -rate 200 -duration 20s -prewarm 2 -cache -batch -seed 7 -sample-every 1s"
 rm -f /tmp/vb-overhead-ci /tmp/vb-serve-ci /tmp/vb-audit-off.txt \
-	/tmp/vb-audit-on.txt /tmp/vb-audit.err /tmp/vb-smp-off.txt /tmp/vb-smp-on.txt
+	/tmp/vb-audit-on.txt /tmp/vb-audit.err
 
 echo "CI OK"
