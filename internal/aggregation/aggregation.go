@@ -276,6 +276,19 @@ func New(sc *scribe.Scribe, cfg Config) *Manager {
 	return m
 }
 
+// topicNamed returns the state of the topic subscribed under name, or nil.
+// The name-keyed accessors run every round on every server; a node holds a
+// handful of topics, so comparing names costs less than deriving the key
+// (a SHA-1 of the name), which is computed once, at subscribe time.
+func (m *Manager) topicNamed(name string) *topicState {
+	for _, st := range m.topics {
+		if st.name == name {
+			return st
+		}
+	}
+	return nil
+}
+
 // topic returns the state for key, or nil if not subscribed.
 func (m *Manager) topic(key ids.Id) *topicState {
 	i := sort.Search(len(m.topics), func(i int) bool { return !m.topics[i].key.Less(key) })
@@ -301,9 +314,9 @@ func (m *Manager) Subscribe(name string, onGlobal func(Global)) {
 // SubscribeAttr joins the topic's tree and registers an optional callback
 // for one attribute's global updates.
 func (m *Manager) SubscribeAttr(name, attr string, onGlobal func(Global)) {
-	key := scribe.GroupKey(name)
-	st := m.topic(key)
+	st := m.topicNamed(name)
 	if st == nil {
+		key := scribe.GroupKey(name)
 		st = &topicState{key: key, name: name}
 		st.local = st.localBuf[:0]
 		st.flushFn = func() { m.flush(st) }
@@ -336,7 +349,7 @@ func (m *Manager) SetLocal(name string, v float64) {
 // SetLocalAttr stores one (topic, attributeName, value) tuple, the paper's
 // §III.D local-data model.
 func (m *Manager) SetLocalAttr(name, attr string, v float64) {
-	st := m.topic(scribe.GroupKey(name))
+	st := m.topicNamed(name)
 	if st == nil {
 		return
 	}
@@ -355,7 +368,7 @@ func (m *Manager) Local(name string) (float64, bool) {
 
 // LocalAttr returns the node's own sample for one attribute.
 func (m *Manager) LocalAttr(name, attr string) (float64, bool) {
-	st := m.topic(scribe.GroupKey(name))
+	st := m.topicNamed(name)
 	if st == nil {
 		return 0, false
 	}
@@ -374,7 +387,7 @@ func (m *Manager) Global(name string) (Global, bool) {
 // GlobalAttr returns the last globally published aggregate for one
 // attribute of the topic.
 func (m *Manager) GlobalAttr(name, attr string) (Global, bool) {
-	st := m.topic(scribe.GroupKey(name))
+	st := m.topicNamed(name)
 	if st == nil || !st.hasGlobal {
 		return Global{}, false
 	}
@@ -422,7 +435,7 @@ func (m *Manager) tick() {
 // PublishNow forces the root of the topic to disseminate immediately; only
 // the root reacts. Experiments use it to avoid waiting a full interval.
 func (m *Manager) PublishNow(name string) {
-	st := m.topic(scribe.GroupKey(name))
+	st := m.topicNamed(name)
 	if st == nil || !m.sc.IsRoot(st.key) {
 		return
 	}

@@ -18,11 +18,11 @@ type fixture struct {
 	managers []*Manager
 }
 
-func newFixture(t *testing.T, racks, perRack int) *fixture {
+func newFixture(t testing.TB, racks, perRack int) *fixture {
 	return newFixtureCfg(t, racks, perRack, Config{UpdateInterval: time.Minute})
 }
 
-func newFixtureCfg(t *testing.T, racks, perRack int, cfg Config) *fixture {
+func newFixtureCfg(t testing.TB, racks, perRack int, cfg Config) *fixture {
 	t.Helper()
 	tp, err := topology.New(topology.Spec{
 		Racks:            racks,
@@ -385,5 +385,122 @@ func TestFoldProperties(t *testing.T) {
 	}
 	if (Aggregate{}).Mean() != 0 {
 		t.Fatal("empty Mean not zero")
+	}
+}
+
+// TestLookupByNameMatchesLookupByKey: the name-keyed accessors find the
+// state the key-keyed message paths find, for every subscribed name, and
+// nothing for a name never subscribed or before any subscribe.
+func TestLookupByNameMatchesLookupByKey(t *testing.T) {
+	f := newFixture(t, 1, 4)
+	m := f.managers[1]
+	names := []string{"BW_Capacity", "BW_Demand"}
+	for _, name := range append(names, "never") {
+		if m.topicNamed(name) != nil {
+			t.Fatalf("%q found before any subscribe", name)
+		}
+		if _, ok := m.GlobalAttr(name, "b"); ok {
+			t.Fatalf("GlobalAttr(%q) ok before any subscribe", name)
+		}
+	}
+	for _, fm := range f.managers {
+		for _, name := range names {
+			fm.SubscribeAttr(name, "a", nil)
+			fm.SubscribeAttr(name, "b", nil) // second attribute, same topic state
+		}
+	}
+	if len(m.topics) != len(names) {
+		t.Fatalf("%d topic states for %d names", len(m.topics), len(names))
+	}
+	for _, name := range names {
+		st := m.topicNamed(name)
+		if st == nil || st != m.topic(scribe.GroupKey(name)) {
+			t.Fatalf("topicNamed(%q) = %p, topic(GroupKey) = %p", name, st, m.topic(scribe.GroupKey(name)))
+		}
+	}
+	if m.topicNamed("never") != nil || m.topic(scribe.GroupKey("never")) != nil {
+		t.Fatal("unsubscribed name found")
+	}
+
+	for i, fm := range f.managers {
+		fm.SetLocalAttr("BW_Capacity", "a", 1000)
+		fm.SetLocalAttr("BW_Capacity", "b", float64(i))
+		fm.SetLocalAttr("BW_Demand", "a", 10)
+		fm.SetLocalAttr("never", "a", 5) // no-op
+	}
+	f.engine.Run()
+	for _, name := range names {
+		f.publishAll(name)
+	}
+	n := float64(len(f.managers))
+	for _, tc := range []struct {
+		name, attr string
+		sum        float64
+		ok         bool
+	}{
+		{"BW_Capacity", "a", 1000 * n, true},
+		{"BW_Capacity", "b", n * (n - 1) / 2, true},
+		{"BW_Demand", "a", 10 * n, true},
+		{"BW_Demand", "b", 0, false}, // subscribed attribute nobody set
+		{"never", "a", 0, false},
+	} {
+		g, ok := m.GlobalAttr(tc.name, tc.attr)
+		if ok != tc.ok || g.Sum != tc.sum {
+			t.Errorf("GlobalAttr(%q, %q) = %g, %v; want %g, %v", tc.name, tc.attr, g.Sum, ok, tc.sum, tc.ok)
+		}
+	}
+	if v, ok := m.LocalAttr("BW_Capacity", "b"); !ok || v != 1 {
+		t.Errorf("LocalAttr = %g, %v", v, ok)
+	}
+	if _, ok := m.LocalAttr("never", "a"); ok {
+		t.Error("LocalAttr on unsubscribed topic reported ok")
+	}
+}
+
+// lookupFixture subscribes four managers to the rebalancer's two topics and
+// publishes one round, so a Global lookup has something to find.
+func lookupFixture(t testing.TB) *Manager {
+	f := newFixture(t, 1, 4)
+	topics := []string{"BW_Capacity", "BW_Demand"}
+	for _, m := range f.managers {
+		for _, topic := range topics {
+			m.Subscribe(topic, nil)
+			m.SetLocal(topic, 10)
+		}
+	}
+	f.engine.Run()
+	for _, topic := range topics {
+		f.publishAll(topic)
+	}
+	return f.managers[0]
+}
+
+// TestSetLocalGlobalAllocateNothing: the per-round accessors on a
+// subscribed topic — one leaf update, one global read — allocate nothing
+// (the pending flush the first SetLocal scheduled absorbs the rest).
+func TestSetLocalGlobalAllocateNothing(t *testing.T) {
+	m := lookupFixture(t)
+	m.SetLocal("BW_Demand", 11) // schedules the flush the measured calls coalesce into
+	v := 12.0
+	n := testing.AllocsPerRun(100, func() {
+		v++
+		m.SetLocal("BW_Demand", v)
+		if g, ok := m.Global("BW_Demand"); !ok || g.Count != 4 {
+			t.Fatalf("Global = %+v, %v", g, ok)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("SetLocal+Global: %v allocs/op, want 0", n)
+	}
+}
+
+func BenchmarkGlobalLookup(b *testing.B) {
+	m := lookupFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Global("BW_Demand"); !ok {
+			b.Fatal("no global")
+		}
 	}
 }

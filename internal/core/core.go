@@ -182,6 +182,11 @@ type VBundle struct {
 	// Recovery accumulates crash-restart outcomes (Options.Store only).
 	Recovery RecoveryStats
 
+	// shaper and classes are BandwidthSatisfaction's scratch, reused across
+	// servers and samples.
+	shaper  tcshape.Shaper
+	classes []tcshape.Class
+
 	aggCfg aggregation.Config
 	// maintenance bookkeeping so a restarted node rejoins with the same
 	// self-repair posture as its peers.
@@ -510,24 +515,31 @@ type BandwidthReport struct {
 // Gap returns unmet demand.
 func (r BandwidthReport) Gap() float64 { return r.DemandMbps - r.SatisfiedMbps }
 
+// appendClasses appends one tc class per VM hosted on srv, in VM-id order.
+func appendClasses(buf []tcshape.Class, srv *cluster.Server) []tcshape.Class {
+	for _, vm := range srv.VMs() {
+		buf = append(buf, tcshape.Class{
+			Rate:   vm.Reservation.BandwidthMbps,
+			Ceil:   vm.Limit.BandwidthMbps,
+			Demand: vm.Demand.BandwidthMbps,
+		})
+	}
+	return buf
+}
+
 // BandwidthSatisfaction runs the tc-style allocator on every server and
-// aggregates delivered versus demanded bandwidth.
+// aggregates delivered versus demanded bandwidth. It reuses one class
+// buffer and one shaper held on the VBundle, so it must only be called
+// from the serial band — an EveryGlobal sampler, or a main between runs —
+// never from per-node events that shards execute concurrently.
 func (vb *VBundle) BandwidthSatisfaction() BandwidthReport {
 	var rep BandwidthReport
 	for _, srv := range vb.Cluster.Servers() {
-		vms := srv.VMs()
-		if len(vms) == 0 {
+		if srv.NumVMs() == 0 {
 			continue
 		}
-		classes := make([]tcshape.Class, len(vms))
-		for i, vm := range vms {
-			classes[i] = tcshape.Class{
-				Rate:   vm.Reservation.BandwidthMbps,
-				Ceil:   vm.Limit.BandwidthMbps,
-				Demand: vm.Demand.BandwidthMbps,
-			}
-		}
-		got, want := tcshape.Satisfied(srv.Capacity.BandwidthMbps, classes)
+		vb.classes = appendClasses(vb.classes[:0], srv)
+		got, want := vb.shaper.Satisfied(srv.Capacity.BandwidthMbps, vb.classes)
 		rep.SatisfiedMbps += got
 		rep.DemandMbps += want
 	}
@@ -539,15 +551,7 @@ func (vb *VBundle) BandwidthSatisfaction() BandwidthReport {
 func (vb *VBundle) VMAllocations(server int) map[cluster.VMID]float64 {
 	srv := vb.Cluster.Server(server)
 	vms := srv.VMs()
-	classes := make([]tcshape.Class, len(vms))
-	for i, vm := range vms {
-		classes[i] = tcshape.Class{
-			Rate:   vm.Reservation.BandwidthMbps,
-			Ceil:   vm.Limit.BandwidthMbps,
-			Demand: vm.Demand.BandwidthMbps,
-		}
-	}
-	alloc := tcshape.Allocate(srv.Capacity.BandwidthMbps, classes)
+	alloc := tcshape.Allocate(srv.Capacity.BandwidthMbps, appendClasses(nil, srv))
 	out := make(map[cluster.VMID]float64, len(vms))
 	for i, vm := range vms {
 		out[vm.ID] = alloc[i]
@@ -565,24 +569,14 @@ func (vb *VBundle) AvailableBandwidth(id cluster.VMID) float64 {
 		return 0
 	}
 	srv := vb.Cluster.Server(server)
-	vms := srv.VMs()
-	classes := make([]tcshape.Class, len(vms))
-	probe := -1
-	for i, vm := range vms {
-		classes[i] = tcshape.Class{
-			Rate:   vm.Reservation.BandwidthMbps,
-			Ceil:   vm.Limit.BandwidthMbps,
-			Demand: vm.Demand.BandwidthMbps,
-		}
+	classes := appendClasses(nil, srv)
+	for i, vm := range srv.VMs() {
 		if vm.ID == id {
 			classes[i].Demand = vm.Limit.BandwidthMbps
-			probe = i
+			return tcshape.Allocate(srv.Capacity.BandwidthMbps, classes)[i]
 		}
 	}
-	if probe < 0 {
-		return 0
-	}
-	return tcshape.Allocate(srv.Capacity.BandwidthMbps, classes)[probe]
+	return 0
 }
 
 // PlacementQuality reports the locality of the current placement (Fig. 7/8).

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"vbundle/internal/cluster"
 	"vbundle/internal/placement"
+	"vbundle/internal/tcshape"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
 )
@@ -248,5 +251,58 @@ func TestBandwidthReportGap(t *testing.T) {
 	r := BandwidthReport{DemandMbps: 100, SatisfiedMbps: 80}
 	if r.Gap() != 20 {
 		t.Fatal("gap")
+	}
+}
+
+// TestBandwidthSatisfactionAllocatesNothing: the per-sample accounting
+// reuses the VBundle's class buffer and shaper, so after one warm call a
+// sweep over every server allocates nothing — and reuse across servers of
+// different widths leaks no stale class or share: the report is bit for bit
+// the one a fresh tcshape.Allocate per server gives (itself pinned to the
+// pre-scratch allocator by tcshape's TestShaperMatchesAllocateReference).
+func TestBandwidthSatisfactionAllocatesNothing(t *testing.T) {
+	vb, err := New(Options{Topology: smallSpec(8, 8), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for s := 0; s < vb.Cluster.Size(); s++ {
+		// 0–13 VMs a server: empty servers, and past the sort's
+		// insertion-sort cutoff of 12.
+		for v := rng.Intn(14); v > 0; v-- {
+			vm, err := vb.Cluster.CreateVM("bundle", bwRes(10), bwRes(1000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vb.Cluster.Place(vm, s); err != nil {
+				t.Fatal(err)
+			}
+			// A coarse grid, so tied headrooms are common; some servers end
+			// up over-subscribed, some idle.
+			vm.Demand.BandwidthMbps = float64(rng.Intn(12)) * 25
+		}
+	}
+
+	var want BandwidthReport
+	for _, srv := range vb.Cluster.Servers() {
+		classes := appendClasses(nil, srv)
+		var got, wanted float64
+		for i, a := range tcshape.Allocate(srv.Capacity.BandwidthMbps, classes) {
+			got += a
+			wanted += math.Min(classes[i].Demand, classes[i].Ceil)
+		}
+		want.SatisfiedMbps += got
+		want.DemandMbps += wanted
+	}
+
+	rep := vb.BandwidthSatisfaction() // warm: grows the scratch to the widest server
+	if rep != want || rep.Gap() <= 0 {
+		t.Fatalf("report %+v, reference %+v (gap must be positive for the test to mean anything)", rep, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { rep = vb.BandwidthSatisfaction() }); n != 0 {
+		t.Fatalf("BandwidthSatisfaction on warm scratch: %v allocs/op, want 0", n)
+	}
+	if rep != want {
+		t.Fatalf("report changed across calls: %+v, reference %+v", rep, want)
 	}
 }

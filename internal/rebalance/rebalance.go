@@ -53,6 +53,10 @@ const (
 	AppName = "vb-rebal"
 )
 
+// lessLoadedKey is the any-cast group's identifier, hashed once: every join,
+// leave and shed query addresses the group by it.
+var lessLoadedKey = scribe.GroupKey(LessLoadedGroup)
+
 // topicCapacityFor and topicDemandFor name the per-kind aggregation topics;
 // the bandwidth kind keeps the paper's names.
 func topicCapacityFor(k cluster.Kind) string {
@@ -757,7 +761,7 @@ func (a *Agent) joinGroup() {
 		return
 	}
 	a.inGroup = true
-	a.scribe().Join(scribe.GroupKey(LessLoadedGroup), scribe.Handlers{
+	a.scribe().Join(lessLoadedKey, scribe.Handlers{
 		OnAnycast: a.considerQuery,
 	})
 }
@@ -767,7 +771,7 @@ func (a *Agent) leaveGroup() {
 		return
 	}
 	a.inGroup = false
-	a.scribe().Leave(scribe.GroupKey(LessLoadedGroup))
+	a.scribe().Leave(lessLoadedKey)
 }
 
 // considerQuery is the receiver-side acceptance check (§III.C step 3),
@@ -924,7 +928,7 @@ func (a *Agent) shedChain(budget int) {
 		Reservation: vm.Reservation,
 		Demand:      effectiveDemand(vm),
 	}
-	a.scribe().Anycast(scribe.GroupKey(LessLoadedGroup), q, func(res scribe.AnycastResult) {
+	a.scribe().Anycast(lessLoadedKey, q, func(res scribe.AnycastResult) {
 		if !res.Accepted {
 			a.dropShed(vm.ID)
 			return // no receiver this round; retry next interval

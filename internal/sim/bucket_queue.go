@@ -19,7 +19,12 @@ import (
 // wheel has wheelSlots of them, for a horizon of ≈16.8ms — wider than any
 // single network hop in the simulated topologies, so network delivery
 // events always take the O(1) path, while periodic timers (seconds to
-// minutes of virtual time) overflow to the heap at a negligible rate.
+// minutes of virtual time) overflow to the heap. That is not free where
+// every node keeps several: on the benchmark's `rebalance` workload (8192
+// servers, three tickers a node) container/heap Pop and Push under advance
+// and push are 9 % of a CPU profile's samples at 3513c42 and 11 % once the
+// shaper and topic-lookup costs beside them are gone (EXPERIMENTS.md,
+// "Where `rebalance`'s second goes").
 // Events migrate from the heap onto the wheel as the wheel turns; each
 // event pays at most one heap round-trip.
 const (

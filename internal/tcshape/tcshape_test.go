@@ -3,6 +3,8 @@ package tcshape
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -170,14 +172,15 @@ func TestSatisfied(t *testing.T) {
 		{Rate: 100, Ceil: 200, Demand: 300},
 		{Rate: 100, Ceil: 300, Demand: 50},
 	}
-	allocated, wanted := Satisfied(400, classes)
+	var sh Shaper
+	allocated, wanted := sh.Satisfied(400, classes)
 	if !almostEq(wanted, 250) { // min(200,300) + min(300,50)
 		t.Errorf("wanted = %g, want 250", wanted)
 	}
 	if !almostEq(allocated, 250) { // fits entirely
 		t.Errorf("allocated = %g, want 250", allocated)
 	}
-	allocated, wanted = Satisfied(100, classes)
+	allocated, wanted = sh.Satisfied(100, classes)
 	if allocated > 100+1e-9 {
 		t.Errorf("allocated %g exceeds capacity", allocated)
 	}
@@ -299,5 +302,210 @@ func TestDeterministicForEqualInput(t *testing.T) {
 	// Symmetric classes receive symmetric shares.
 	if !almostEq(a[0], a[1]) {
 		t.Fatalf("symmetric classes got %g and %g", a[0], a[1])
+	}
+}
+
+// refAllocate and refAllocateWeighted are the allocators as they stood
+// before the fill moved onto Shaper scratch, kept verbatim (sort.Slice and
+// all) as the reference every share is compared against bit for bit.
+func refAllocate(capacity float64, classes []Class) []float64 {
+	alloc := make([]float64, len(classes))
+	if capacity <= 0 || len(classes) == 0 {
+		return alloc
+	}
+
+	// Phase 1: guarantees.
+	var guaranteedSum float64
+	for _, c := range classes {
+		guaranteedSum += c.guaranteed()
+	}
+	if guaranteedSum > capacity {
+		scale := capacity / guaranteedSum
+		for i, c := range classes {
+			alloc[i] = c.guaranteed() * scale
+		}
+		return alloc
+	}
+	for i, c := range classes {
+		alloc[i] = c.guaranteed()
+	}
+	remaining := capacity - guaranteedSum
+
+	// Phase 2: water-fill the surplus among hungry classes. Sorting by
+	// headroom lets a single pass compute the equal-increment fill level.
+	type hungry struct {
+		idx      int
+		headroom float64 // target - guaranteed
+	}
+	var hs []hungry
+	for i, c := range classes {
+		if h := c.target() - alloc[i]; h > 0 {
+			hs = append(hs, hungry{idx: i, headroom: h})
+		}
+	}
+	sort.Slice(hs, func(i, j int) bool { return hs[i].headroom < hs[j].headroom })
+
+	for k := 0; k < len(hs) && remaining > 0; k++ {
+		share := remaining / float64(len(hs)-k)
+		give := hs[k].headroom
+		if give > share {
+			give = share
+		}
+		alloc[hs[k].idx] += give
+		remaining -= give
+	}
+	return alloc
+}
+
+func refAllocateWeighted(capacity float64, classes []Class) []float64 {
+	alloc := make([]float64, len(classes))
+	if capacity <= 0 || len(classes) == 0 {
+		return alloc
+	}
+	var guaranteedSum float64
+	for _, c := range classes {
+		guaranteedSum += c.guaranteed()
+	}
+	if guaranteedSum > capacity {
+		scale := capacity / guaranteedSum
+		for i, c := range classes {
+			alloc[i] = c.guaranteed() * scale
+		}
+		return alloc
+	}
+	for i, c := range classes {
+		alloc[i] = c.guaranteed()
+	}
+	remaining := capacity - guaranteedSum
+
+	// Minimum weight: a tenth of the smallest positive rate (or 1 when no
+	// class has a rate), so zero-rate classes still progress.
+	minRate := 0.0
+	for _, c := range classes {
+		if c.Rate > 0 && (minRate == 0 || c.Rate < minRate) {
+			minRate = c.Rate
+		}
+	}
+	floor := 1.0
+	if minRate > 0 {
+		floor = minRate / 10
+	}
+	weight := func(c Class) float64 {
+		if c.Rate > floor {
+			return c.Rate
+		}
+		return floor
+	}
+
+	type hungry struct {
+		idx      int
+		headroom float64
+		w        float64
+	}
+	var hs []hungry
+	var wsum float64
+	for i, c := range classes {
+		if h := c.target() - alloc[i]; h > 0 {
+			w := weight(c)
+			hs = append(hs, hungry{idx: i, headroom: h, w: w})
+			wsum += w
+		}
+	}
+	// Sort by headroom per unit weight: the class that saturates first
+	// under proportional filling comes first, enabling a single pass.
+	sort.Slice(hs, func(i, j int) bool { return hs[i].headroom/hs[i].w < hs[j].headroom/hs[j].w })
+
+	for _, h := range hs {
+		if remaining <= 0 || wsum <= 0 {
+			break
+		}
+		give := remaining * h.w / wsum
+		if give > h.headroom {
+			give = h.headroom
+		}
+		alloc[h.idx] += give
+		remaining -= give
+		wsum -= h.w
+	}
+	return alloc
+}
+
+// drawClasses builds one class set for the reference comparison. Values
+// come from a small grid so duplicated headrooms — ties, which an unstable
+// sort may order either way — are the common case rather than a fluke, and
+// every regime shows up: zero demand, demand above ceil, rate above demand,
+// guarantees that over-commit the capacity.
+func drawClasses(rng *rand.Rand) (capacity float64, classes []Class) {
+	n := rng.Intn(65)
+	step := []float64{1, 12.5, 1.0 / 3}[rng.Intn(3)]
+	grid := func(k int) float64 { return float64(rng.Intn(k)) * step }
+	classes = make([]Class, n)
+	for i := range classes {
+		rate := grid(6)
+		classes[i] = Class{Rate: rate, Ceil: rate + grid(8), Demand: grid(20)}
+		if rng.Intn(4) == 0 {
+			classes[i].Demand = rng.Float64() * 300
+		}
+	}
+	switch rng.Intn(8) {
+	case 0:
+		capacity = -float64(rng.Intn(2)) * 100 // 0 or negative
+	case 1:
+		capacity = rng.Float64() * 10 // over-committed for most n
+	default:
+		capacity = rng.Float64() * float64(n+1) * 20 * step
+	}
+	return capacity, classes
+}
+
+func TestShaperMatchesAllocateReference(t *testing.T) {
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var sh Shaper // one shaper across all draws: stale scratch must not leak
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for draw := 0; draw < 20000; draw++ {
+			capacity, classes := drawClasses(rng)
+			want := refAllocate(capacity, classes)
+			wantW := refAllocateWeighted(capacity, classes)
+			for _, tc := range []struct {
+				name      string
+				got, want []float64
+			}{
+				{"Allocate", Allocate(capacity, classes), want},
+				{"AllocateWeighted", AllocateWeighted(capacity, classes), wantW},
+				{"fill", slices.Clone(sh.fill(capacity, classes, false)), want},
+				{"fill weighted", slices.Clone(sh.fill(capacity, classes, true)), wantW},
+			} {
+				if len(tc.got) != len(tc.want) {
+					t.Fatalf("seed %d draw %d %s: %d shares for %d classes", seed, draw, tc.name, len(tc.got), len(tc.want))
+				}
+				for i := range tc.want {
+					if !sameBits(tc.got[i], tc.want[i]) {
+						t.Fatalf("seed %d draw %d %s: class %d of %d got %v, reference %v (capacity %v, classes %v)",
+							seed, draw, tc.name, i, len(classes), tc.got[i], tc.want[i], capacity, classes)
+					}
+				}
+			}
+			var wantAllocated, wantWanted float64
+			for i, c := range classes {
+				wantAllocated += want[i]
+				wantWanted += c.target()
+			}
+			allocated, wanted := sh.Satisfied(capacity, classes)
+			if !sameBits(allocated, wantAllocated) || !sameBits(wanted, wantWanted) {
+				t.Fatalf("seed %d draw %d Satisfied: got (%v, %v), reference (%v, %v)", seed, draw, allocated, wanted, wantAllocated, wantWanted)
+			}
+		}
+	}
+}
+
+// TestShaperReuseAllocatesNothing: once the scratch has grown to the widest
+// server, shaping allocates nothing.
+func TestShaperReuseAllocatesNothing(t *testing.T) {
+	classes := genClasses(rand.New(rand.NewSource(7)), 1000)
+	var sh Shaper
+	sh.Satisfied(1000, classes)
+	if n := testing.AllocsPerRun(100, func() { sh.Satisfied(1000, classes) }); n != 0 {
+		t.Fatalf("Satisfied on warm scratch: %v allocs/op, want 0", n)
 	}
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"vbundle/internal/cluster"
@@ -13,19 +15,36 @@ import (
 type Driver struct {
 	engine *sim.Engine
 	cl     *cluster.Cluster
-	gens   map[cluster.VMID]Generator
+	// gens is kept in ascending VM-id order, so a refresh is a linear walk
+	// in an order fixed by the bindings alone: a generator that keeps state
+	// or draws from a shared source sees the same sequence on every run of
+	// a seed.
+	gens   []binding
 	ticker *sim.Ticker
 	onTick []func(t time.Duration)
 }
 
+// binding is one VM's generator.
+type binding struct {
+	id  cluster.VMID
+	gen Generator
+}
+
 // NewDriver creates a driver over the given cluster.
 func NewDriver(engine *sim.Engine, cl *cluster.Cluster) *Driver {
-	return &Driver{engine: engine, cl: cl, gens: make(map[cluster.VMID]Generator)}
+	return &Driver{engine: engine, cl: cl}
 }
 
 // Attach binds a generator to a VM, replacing any previous binding.
 func (d *Driver) Attach(id cluster.VMID, gen Generator) {
-	d.gens[id] = gen
+	i, bound := slices.BinarySearchFunc(d.gens, id, func(b binding, id cluster.VMID) int {
+		return cmp.Compare(b.id, id)
+	})
+	if bound {
+		d.gens[i].gen = gen
+		return
+	}
+	d.gens = slices.Insert(d.gens, i, binding{id: id, gen: gen})
 }
 
 // OnTick registers fn to run after each demand refresh.
@@ -37,9 +56,9 @@ func (d *Driver) OnTick(fn func(t time.Duration)) {
 // at the current virtual time.
 func (d *Driver) Refresh() {
 	now := d.engine.Now()
-	for id, gen := range d.gens {
-		if vm := d.cl.VM(id); vm != nil {
-			vm.Demand.BandwidthMbps = gen.DemandAt(now)
+	for _, b := range d.gens {
+		if vm := d.cl.VM(b.id); vm != nil {
+			vm.Demand.BandwidthMbps = b.gen.DemandAt(now)
 		}
 	}
 	for _, fn := range d.onTick {

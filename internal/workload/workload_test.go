@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -192,4 +193,59 @@ func TestDriverRefreshesDemands(t *testing.T) {
 	d.Start(time.Second)
 	d.Stop()
 	d.Stop()
+}
+
+// TestDriverRefreshOrder: a refresh walks the bindings in ascending VM id
+// whatever order they were attached in, and re-attaching a known id
+// replaces its generator in place.
+func TestDriverRefreshOrder(t *testing.T) {
+	tp, err := topology.New(topology.Spec{Racks: 1, ServersPerRack: 2, NICMbps: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := sim.NewEngine(1)
+	cl := cluster.New(tp, cluster.Resources{CPU: 64, MemMB: 1 << 20})
+	var vms []*cluster.VM
+	for i := 0; i < 40; i++ {
+		vm, err := cl.CreateVM("a", cluster.Resources{BandwidthMbps: 1}, cluster.Resources{BandwidthMbps: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Place(vm, i%2); err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	d := NewDriver(engine, cl)
+	var order []cluster.VMID
+	record := func(id cluster.VMID, mbps float64) Generator {
+		return GeneratorFunc(func(time.Duration) float64 {
+			order = append(order, id)
+			return mbps
+		})
+	}
+	for _, i := range rand.New(rand.NewSource(3)).Perm(len(vms)) {
+		d.Attach(vms[i].ID, record(vms[i].ID, 10))
+	}
+	replaced := vms[17]
+	d.Attach(replaced.ID, record(replaced.ID, 77))
+
+	d.Refresh()
+	if len(order) != len(vms) {
+		t.Fatalf("refresh called %d generators for %d bindings (re-Attach must replace, not add)", len(order), len(vms))
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i-1] >= order[i] {
+			t.Fatalf("refresh order not ascending by VM id: %v", order)
+		}
+	}
+	for _, vm := range vms {
+		want := 10.0
+		if vm == replaced {
+			want = 77
+		}
+		if vm.Demand.BandwidthMbps != want {
+			t.Fatalf("vm %d demand %g, want %g", vm.ID, vm.Demand.BandwidthMbps, want)
+		}
+	}
 }

@@ -25,16 +25,23 @@ go test -C benchmark ./...
 echo "== go test -race -short"
 go test -race -short ./...
 
-# Allocation gate: a 256-hop spill walk allocates no more than a boot admitted
-# at its rendezvous (exact under AllocsPerRun). The test skips itself under
-# -race, where sync.Pool sheds envelopes at random, so it is required here by
-# name to have run and passed, not merely not to have failed.
-echo "== spill walk allocation gate (0 allocations per hop)"
-go test -count=1 -v -run 'TestSpillWalkAllocatesNothingPerHop' ./internal/placement/ > /tmp/vb-spill.txt \
-	|| { cat /tmp/vb-spill.txt; exit 1; }
-grep -q -- '--- PASS: TestSpillWalkAllocatesNothingPerHop' /tmp/vb-spill.txt \
-	|| { echo "FAIL: allocation gate did not run"; cat /tmp/vb-spill.txt; exit 1; }
-rm -f /tmp/vb-spill.txt
+# Allocation gates, exact under AllocsPerRun, each required by name to have
+# run and passed, not merely not to have failed (the spill-walk test skips
+# itself under -race, where sync.Pool sheds envelopes at random; the other
+# two hold under -race too): a 256-hop spill walk allocates no more than a
+# boot admitted at its rendezvous; a warm BandwidthSatisfaction sweep and a
+# SetLocal+Global pair on a subscribed topic allocate nothing.
+alloc_gate() {
+	go test -count=1 -v -run "^$1\$" "$2" > /tmp/vb-alloc-gate.txt \
+		|| { cat /tmp/vb-alloc-gate.txt; exit 1; }
+	grep -q -- "--- PASS: $1" /tmp/vb-alloc-gate.txt \
+		|| { echo "FAIL: allocation gate $1 did not run"; cat /tmp/vb-alloc-gate.txt; exit 1; }
+	rm -f /tmp/vb-alloc-gate.txt
+}
+echo "== allocation gates (spill walk per hop, shaper sweep, topic accessors: 0 allocations)"
+alloc_gate TestSpillWalkAllocatesNothingPerHop ./internal/placement/
+alloc_gate TestBandwidthSatisfactionAllocatesNothing ./internal/core/
+alloc_gate TestSetLocalGlobalAllocateNothing ./internal/aggregation/
 
 # The fault-injection paths (lease expiry, release retry, anycast retry,
 # orphan release, crash-restart rejoin) under the race detector, explicitly
@@ -73,6 +80,16 @@ go build -o /tmp/vb-faults-ci ./cmd/vb-faults
 diff /tmp/vb-crash0.txt /tmp/vb-crash4.txt
 grep -q 'recovered fully' /tmp/vb-crash0.txt || { echo "FAIL: crash-restart gate"; exit 1; }
 rm -f /tmp/vb-faults-ci /tmp/vb-crash0.txt /tmp/vb-crash4.txt
+
+# The shuffling loop end to end — aggregation rounds, any-cast, leases,
+# migrations, and the per-minute shaper accounting behind Fig 11's curves —
+# must print the same bytes serial and sharded.
+echo "== sharded determinism diff (Fig 11, 256 servers, serial vs 4 shards)"
+go build -o /tmp/vb-rebalance-ci ./cmd/vb-rebalance
+/tmp/vb-rebalance-ci -fig 11 -servers 256 > /tmp/vb-fig11-0.txt
+/tmp/vb-rebalance-ci -fig 11 -servers 256 -shards 4 > /tmp/vb-fig11-4.txt
+diff /tmp/vb-fig11-0.txt /tmp/vb-fig11-4.txt
+rm -f /tmp/vb-rebalance-ci /tmp/vb-fig11-0.txt /tmp/vb-fig11-4.txt
 
 # Determinism gate for the parallel single-run engine: the same Fig. 14
 # experiment at -shards 1 and -shards 4 must print byte-identical metrics.
