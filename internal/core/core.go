@@ -344,13 +344,16 @@ func (vb *VBundle) restartNode(addr simnet.Addr) {
 	if hadState {
 		durable = 1
 	}
-	rejoin := src.Begin(now, obs.KindRejoin, obs.NoRef, 0, durable)
-
 	peers := make([]pastry.NodeHandle, 0, len(st.Peers))
 	for _, p := range st.Peers {
 		peers = append(peers, pastry.NodeHandle{Id: ids.New(p.IdHi, p.IdLo), Addr: simnet.Addr(p.Addr)})
 	}
-	node.Rejoin(peers)
+	// The checkpoint is whatever the store returned: Rejoin skips the peers
+	// this ring does not have (a store written by a ring of another size or
+	// assigner) and the span carries their count. Rejoin records nothing, so
+	// the span still opens ahead of everything the reconciliation emits.
+	foreign := node.Rejoin(peers)
+	rejoin := src.Begin(now, obs.KindRejoin, obs.NoRef, int64(foreign), durable)
 
 	adopted, released := agent.AdoptLeases(st.Leases, rejoin)
 

@@ -4,6 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"vbundle/internal/ids"
+	"vbundle/internal/obs"
+	"vbundle/internal/pastry"
+	"vbundle/internal/simnet"
 	"vbundle/internal/store"
 )
 
@@ -105,4 +109,96 @@ func TestCrashWithoutStoreHasNoRestarter(t *testing.T) {
 		}
 	}()
 	vb.Ring.Network().Restart(addr)
+}
+
+// ofRing reports whether h names a node of vb's ring: one of its addresses,
+// under the identifier the ring gave that address.
+func ofRing(vb *VBundle, h pastry.NodeHandle) bool {
+	return h.Addr >= 0 && int(h.Addr) < vb.Ring.Size() && vb.Ring.Node(int(h.Addr)).Handle() == h
+}
+
+// TestRestartOverForeignCheckpoint reboots a node whose durable store holds
+// another ring's peer checkpoint — a 64-server ring's, read back with a valid
+// checksum — where its own should be. Peers the 16-server ring does not have
+// (addresses past its end, its own addresses under the other ring's
+// identifiers) must be skipped and counted, and the node must still come back
+// through whatever the checkpoint got right.
+func TestRestartOverForeignCheckpoint(t *testing.T) {
+	const victim = 5
+	bigOpts := fastOpts()
+	bigOpts.Topology = smallSpec(8, 8)
+	bigOpts.Store = store.NewMem()
+	if _, err := New(bigOpts); err != nil {
+		t.Fatal(err)
+	}
+	foreign, ok, err := bigOpts.Store.Load(victim)
+	if err != nil || !ok || len(foreign.Peers) == 0 {
+		t.Fatalf("64-server ring left no checkpoint for node %d: ok=%v err=%v", victim, ok, err)
+	}
+
+	opts := fastOpts()
+	opts.Store = store.NewMem()
+	opts.Trace = obs.New()
+	vb, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0 // peers of the foreign checkpoint that are not nodes of this ring
+	for _, p := range foreign.Peers {
+		h := pastry.NodeHandle{Id: ids.New(p.IdHi, p.IdLo), Addr: simnet.Addr(p.Addr)}
+		if !ofRing(vb, h) {
+			want++
+		}
+	}
+	if want == 0 || want == len(foreign.Peers) {
+		t.Fatalf("fixture: %d of %d foreign peers are not of this ring; need some but not all", want, len(foreign.Peers))
+	}
+	if err := opts.Store.SavePeers(victim, foreign.Peers); err != nil {
+		t.Fatal(err)
+	}
+
+	vb.StartMaintenance(30 * time.Second)
+	addr := vb.Ring.Node(victim).Addr()
+	vb.Ring.Network().Crash(addr)
+	var survivors []pastry.NodeHandle // what the fresh tables held as Restart returned
+	vb.Engine.AtGlobal(vb.Now()+time.Minute, func() {
+		vb.Ring.Network().Restart(addr)
+		survivors = vb.Ring.Node(victim).Peers()
+	})
+	vb.RunFor(time.Minute + time.Second)
+
+	if !vb.Ring.Node(victim).Joined() {
+		t.Fatal("node did not rejoin")
+	}
+	if len(survivors) != len(foreign.Peers)-want {
+		t.Fatalf("rejoined with %d peers, the checkpoint held %d of this ring", len(survivors), len(foreign.Peers)-want)
+	}
+	for _, h := range survivors {
+		if !ofRing(vb, h) || !vb.Ring.Network().Alive(h.Addr) {
+			t.Fatalf("rejoined node holds %v: not a live node of this ring", h)
+		}
+	}
+	skipped := int64(-1)
+	for _, ev := range opts.Trace.Events() {
+		if ev.Kind == obs.KindRejoin && ev.Phase == obs.PhaseBegin {
+			skipped = ev.A
+		}
+	}
+	if skipped != int64(want) {
+		t.Fatalf("rejoin span counts %d skipped peers, want %d", skipped, want)
+	}
+
+	// The survivors are enough: maintenance fills the tables back in, and
+	// everything in them is of this ring.
+	vb.RunFor(10 * time.Minute)
+	vb.StopMaintenance()
+	peers := vb.Ring.Node(victim).Peers()
+	if len(peers) <= len(survivors) {
+		t.Fatalf("tables did not grow past the %d survivors: %d peers", len(survivors), len(peers))
+	}
+	for _, h := range peers {
+		if !ofRing(vb, h) {
+			t.Fatalf("node holds %v after repair: not a node of this ring", h)
+		}
+	}
 }

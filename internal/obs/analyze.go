@@ -270,6 +270,9 @@ func (ix *Index) explainCrash(w io.Writer, crash *Event) {
 		boot = "durable state found"
 	}
 	fmt.Fprintf(w, "  rejoin from %s at %v\n", boot, rejoin.begin.TS)
+	if rejoin.begin.A != 0 {
+		fmt.Fprintf(w, "    %d checkpointed peers skipped: not nodes of this ring\n", rejoin.begin.A)
+	}
 	for _, ch := range ix.children[rejoin.begin.Span] {
 		if ch.Kind != KindLeaseAdopt {
 			continue

@@ -114,9 +114,10 @@ const (
 	// just before the restarter rebuilds the stack.
 	KindRestart
 	// KindRejoin spans the post-restart reconciliation against the live
-	// ring, from the first announce to the last lease verdict (B at begin:
-	// 1 if the durable store held state, 0 on a blank boot; A at end:
-	// re-adopted leases; B at end: released/dropped orphans).
+	// ring, from the first announce to the last lease verdict (A at begin:
+	// checkpointed peers skipped because this ring has no such node; B at
+	// begin: 1 if the durable store held state, 0 on a blank boot; A at
+	// end: re-adopted leases; B at end: released/dropped orphans).
 	KindRejoin
 	// KindLeaseAdopt is one persisted lease's rejoin verdict (A = VM id,
 	// B = 0 re-adopted, 1 released/dropped).

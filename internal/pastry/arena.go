@@ -1,13 +1,12 @@
 package pastry
 
-// handleArena is a flat, index-addressed backing store for the per-node hot
-// slices: the two leaf-set halves, the neighborhood set, and the expected
-// routing-table rows. A ring carves every node's slices out of one
-// contiguous allocation instead of letting each node grow its own through
-// append doubling — at 256k nodes that replaces ~1.3M small heap objects
-// (each a GC-scannable pointer-bearing slice) with a single block, which
-// both shrinks construction time and removes the per-object scan cost from
-// every GC cycle of a long experiment.
+// refArena is the flat backing store for the per-node tables: the two
+// leaf-set halves, the neighborhood set, and the expected routing-table
+// rows, all of them int32 refs (a peer's address; the identifier lives once,
+// in the ring's directory). A ring carves every node's slices out of one
+// pointer-free allocation of four bytes a slot instead of letting each node
+// grow its own through append doubling — at 256k nodes that replaces ~1.3M
+// small heap objects with a single block the collector never scans.
 //
 // Chunks are handed out as zero-length slices whose capacity is clipped with
 // a three-index slice expression, so a chunk that outgrows its reservation
@@ -17,22 +16,23 @@ package pastry
 // +1 insertion scratch slot bounds them), the neighborhood set to
 // NeighborhoodSize, and routing tables rarely exceed the expectedRows
 // estimate (and fall back to a private copy when they do).
-type handleArena struct {
-	buf  []NodeHandle
+type refArena struct {
+	buf  []int32
 	next int
 }
 
-// newHandleArena reserves room for n handles.
-func newHandleArena(n int) *handleArena {
-	return &handleArena{buf: make([]NodeHandle, n)}
+// newRefArena reserves room for n refs.
+func newRefArena(n int) *refArena {
+	return &refArena{buf: make([]int32, n)}
 }
 
-// take carves a zero-length chunk with capacity n out of the arena. When the
-// arena is exhausted (or nil — standalone NewNode), it falls back to a plain
-// allocation so callers never need to care.
-func (a *handleArena) take(n int) []NodeHandle {
+// take carves a zero-length chunk with capacity n out of the arena. An
+// exhausted arena falls back to a plain allocation so callers never need to
+// care; so does a nil one, which is how Ring.RebuildNode gives the one node
+// it replaces private tables (the ring's arena is spent by then).
+func (a *refArena) take(n int) []int32 {
 	if a == nil || a.next+n > len(a.buf) {
-		return make([]NodeHandle, 0, n)
+		return make([]int32, 0, n)
 	}
 	s := a.buf[a.next : a.next : a.next+n]
 	a.next += n

@@ -23,7 +23,7 @@ func (n *Node) Join(bootstrap simnet.Addr) {
 // handleJoinForward processes one hop of a join routed toward the joiner's
 // identifier.
 func (n *Node) handleJoinForward(m *joinForward) {
-	n.Consider(m.Joiner)
+	n.consider(m.Joiner)
 	// Contribute the routing rows a node at this prefix depth can supply:
 	// every populated entry in rows 0..l, where l is the length of the
 	// prefix shared with the joiner.
@@ -48,8 +48,8 @@ func (n *Node) handleJoinForward(m *joinForward) {
 		n.net.Send(n.handle.Addr, m.Joiner.Addr, &joinReply{
 			From:    n.handle,
 			Rows:    m.Rows,
-			LeafCW:  append([]NodeHandle(nil), n.leafCW...),
-			LeafCCW: append([]NodeHandle(nil), n.leafCCW...),
+			LeafCW:  n.appendHandles(nil, n.leafCW),
+			LeafCCW: n.appendHandles(nil, n.leafCCW),
 			Hops:    m.Hops,
 		})
 		return
@@ -60,15 +60,15 @@ func (n *Node) handleJoinForward(m *joinForward) {
 
 // handleJoinReply installs the harvested state and announces the new node.
 func (n *Node) handleJoinReply(m *joinReply) {
-	n.Consider(m.From)
+	n.consider(m.From)
 	for _, h := range m.Rows {
-		n.Consider(h)
+		n.consider(h)
 	}
 	for _, h := range m.LeafCW {
-		n.Consider(h)
+		n.consider(h)
 	}
 	for _, h := range m.LeafCCW {
-		n.Consider(h)
+		n.consider(h)
 	}
 	// Tell everyone we learned about that we exist, so their tables absorb
 	// us (the "transmits a copy of its resulting state" step of the paper's

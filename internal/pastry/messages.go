@@ -31,6 +31,31 @@ func (e *directEnvelope) WireSize() int {
 	return len(e.App) + handleWireBytes + payloadSize(e.Payload)
 }
 
+// envPool recycles consumed envelopes among the nodes that run on one engine
+// goroutine: every node of a serial ring, one shard's nodes of a sharded one.
+// An envelope has a single owner at all times — created at Route/SendDirect,
+// handed to the network, consumed exactly once at delivery — so the final
+// recipient can bank the husk for the next send of any node on its goroutine
+// (the exclusive instants of a sharded run touch a pool only while its shard
+// is parked). A free list per node never paid back: the nodes that consume
+// (a tree parent, a key's owner) are rarely the ones that send next.
+type envPool struct {
+	env []*envelope
+	dir []*directEnvelope
+}
+
+// popHusk takes the most recently banked husk off a pool list, or allocates
+// one when the list is empty.
+func popHusk[T any](list *[]*T) *T {
+	k := len(*list)
+	if k == 0 {
+		return new(T)
+	}
+	husk := (*list)[k-1]
+	*list = (*list)[:k-1]
+	return husk
+}
+
 func payloadSize(p simnet.Message) int {
 	if ws, ok := p.(simnet.WireSizer); ok {
 		return ws.WireSize()

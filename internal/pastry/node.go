@@ -56,11 +56,17 @@ type Node struct {
 	appCacheName string
 	appCacheApp  App
 
-	rt        []NodeHandle // flat rtRows×cols table, grown one row at a time
-	rtRows    int          // rows currently backed by rt; reads beyond are empty
-	leafCW    []NodeHandle // successors, sorted by clockwise distance
-	leafCCW   []NodeHandle // predecessors, sorted by counter-clockwise distance
-	neighbors []NodeHandle // sorted by proximity to self
+	// dir is the ring's identifier directory (Ring.dir): dir[a] is the
+	// identifier of the node at address a. The tables below hold refs — a
+	// peer's address narrowed to int32, noRef for an empty routing-table
+	// slot — and a NodeHandle is materialised from (dir[ref], ref) only where
+	// one leaves the node.
+	dir       []ids.Id
+	rt        []int32 // flat rtRows×cols table, grown one row at a time
+	rtRows    int     // rows currently backed by rt; reads beyond are empty
+	leafCW    []int32 // successors, sorted by clockwise distance
+	leafCCW   []int32 // predecessors, sorted by counter-clockwise distance
+	neighbors []int32 // sorted by proximity to self
 
 	joined   bool
 	onJoined []func()
@@ -83,8 +89,8 @@ type Node struct {
 	// maintenance rounds and rare-case routing scans. The engine is
 	// single-goroutine and neither buffer escapes its call, so reuse is
 	// safe and keeps the periodic paths allocation-free.
-	probeScratch []NodeHandle
-	seenScratch  map[ids.Id]struct{}
+	probeScratch []int32
+	seenScratch  map[int32]struct{}
 	// handleFree recycles the slices leaf-set snapshots are copied into.
 	// Each slice has a single owner: created by leafSnapshot, embedded in
 	// exactly one in-flight leafExchange, consumed once by the receiving
@@ -92,13 +98,9 @@ type Node struct {
 	// steady state maintenance rounds allocate nothing. Slices of dropped
 	// messages are simply garbage-collected.
 	handleFree [][]NodeHandle
-	// envFree and dirFree recycle consumed envelopes. An envelope has a
-	// single owner at all times — created at Route/SendDirect, handed to the
-	// network, consumed exactly once at delivery — and the whole simulation
-	// runs on one engine goroutine, so the final recipient can safely keep
-	// the husk for its own future sends.
-	envFree []*envelope
-	dirFree []*directEnvelope
+	// pool recycles consumed envelopes among the nodes of this node's engine
+	// goroutine (see envPool).
+	pool *envPool
 
 	// routeStats accumulates delivered-hops samples for overhead analysis.
 	deliveries obs.Counter
@@ -112,46 +114,40 @@ type Node struct {
 	obs *obs.Source
 }
 
-// NewNode creates a node with the given identifier at the given network
-// address and attaches it to the network. The node is not joined yet: call
-// Join (or let Ring.BuildStatic populate its tables).
-func NewNode(net *simnet.Network, addr simnet.Addr, id ids.Id, cfg Config, prox simnet.LatencyFunc) *Node {
-	return newNode(net, addr, id, cfg, prox, nil, 0)
-}
+// noRef marks an empty routing-table slot.
+const noRef int32 = -1
 
-// newNode is NewNode plus an optional arena: when ar is non-nil the node's
-// leaf halves, neighborhood set and first rtRows routing-table rows are
-// carved out of it instead of allocated individually (Ring does this for
-// every node of a large ring).
-func newNode(net *simnet.Network, addr simnet.Addr, id ids.Id, cfg Config, prox simnet.LatencyFunc, ar *handleArena, rtRows int) *Node {
-	cfg = cfg.withDefaults()
+// newNode creates ring r's node at the given address and attaches it to the
+// network. The node is not joined yet: call Join (or let Ring.BuildStatic
+// populate its tables). The leaf halves, the neighborhood set and the first
+// rtRows routing-table rows are carved out of ar; a nil arena (RebuildNode)
+// allocates them privately.
+func newNode(r *Ring, addr simnet.Addr, ar *refArena, rtRows int) *Node {
+	cfg, net := r.cfg, r.net
 	// The routing table starts empty and grows by whole rows on first
 	// insert (rtSlot): a ring of n nodes only populates about log2(n)/B of
 	// the 32 rows, so the dense rows*cols table wasted ~12KB per node —
 	// ~100MB of handle slots at 8192 servers.
 	n := &Node{
 		cfg:    cfg,
-		handle: NodeHandle{Id: id, Addr: addr},
+		handle: NodeHandle{Id: r.dir[addr], Addr: addr},
+		dir:    r.dir,
 		net:    net,
 		engine: net.EngineFor(addr),
-		prox:   prox,
+		prox:   r.lat,
 		rng:    prng{state: uint64(net.Engine().Seed()) ^ (uint64(addr)+1)*0x9E3779B97F4A7C15},
 		obs:    net.TraceSource(addr),
 	}
+	n.pool = r.poolFor(n.engine)
 	n.apps = n.appsBuf[:0]
-	if ar != nil {
-		// Leaf halves carry one slot of insertion scratch beyond their
-		// steady-state bound (insertSortedByDist appends before truncating),
-		// so the chunks never outgrow the arena; same for the neighborhood
-		// set.
-		half := cfg.LeafSize / 2
-		n.leafCW = ar.take(half + 1)
-		n.leafCCW = ar.take(half + 1)
-		n.neighbors = ar.take(cfg.NeighborhoodSize + 1)
-		if rtRows > 0 {
-			n.rt = ar.take(rtRows * cfg.cols())
-		}
-	}
+	// Leaf halves carry one slot of insertion scratch beyond their
+	// steady-state bound (insertSortedByDist appends before truncating), so
+	// the chunks never outgrow the arena; same for the neighborhood set.
+	half := cfg.LeafSize / 2
+	n.leafCW = ar.take(half + 1)
+	n.leafCCW = ar.take(half + 1)
+	n.neighbors = ar.take(cfg.NeighborhoodSize + 1)
+	n.rt = ar.take(rtRows * cfg.cols())
 	if reg := net.Trace().Registry(); reg != nil {
 		reg.Register("pastry/deliveries", &n.deliveries)
 		reg.Register("pastry/route_hops", &n.totalHops)
@@ -252,28 +248,31 @@ func (n *Node) markJoined() {
 
 // --- table maintenance ---------------------------------------------------
 
+// HandleOf materialises the handle of a table ref: the refs AdjacentSets
+// returns, or any non-empty table entry.
+func (n *Node) HandleOf(ref int32) NodeHandle {
+	return NodeHandle{Id: n.dir[ref], Addr: simnet.Addr(ref)}
+}
+
 // rtSlot returns a pointer to routing-table row l, column d, growing the
 // flat table through row l on first use. The returned pointer is only valid
 // until the next rtSlot call (growth reallocates). Read-only paths use
 // rtGet, which never allocates.
-func (n *Node) rtSlot(l, d int) *NodeHandle {
+func (n *Node) rtSlot(l, d int) *int32 {
 	cols := n.cfg.cols()
 	if l >= n.rtRows {
 		need := (l + 1) * cols
+		old := len(n.rt)
 		if need <= cap(n.rt) {
 			// Arena-backed (or previously grown) table: extend in place.
-			old := len(n.rt)
 			n.rt = n.rt[:need]
-			for i := old; i < need; i++ {
-				n.rt[i] = NoHandle // the zero NodeHandle is a real node, not "empty"
-			}
 		} else {
-			grown := make([]NodeHandle, need)
+			grown := make([]int32, need)
 			copy(grown, n.rt)
-			for i := len(n.rt); i < need; i++ {
-				grown[i] = NoHandle
-			}
 			n.rt = grown
+		}
+		for i := old; i < need; i++ {
+			n.rt[i] = noRef // ref 0 is a real node, not "empty"
 		}
 		n.rtRows = l + 1
 	}
@@ -281,61 +280,65 @@ func (n *Node) rtSlot(l, d int) *NodeHandle {
 }
 
 // rtGet reads the entry at row l, column d without growing the table; rows
-// beyond rtRows read as empty. Routing's hot path — keep it one compare and
-// one indexed load.
+// beyond rtRows read as empty. Routing's hot path — keep it one compare, one
+// indexed load and, for a populated slot, one directory load.
 func (n *Node) rtGet(l, d int) NodeHandle {
 	if l < n.rtRows {
-		return n.rt[l*n.cfg.cols()+d]
+		if ref := n.rt[l*n.cfg.cols()+d]; ref >= 0 {
+			return n.HandleOf(ref)
+		}
 	}
 	return NoHandle
 }
 
-// RoutingTableEntry returns the entry at row l, column d, which is zero if
-// the slot is empty.
+// RoutingTableEntry returns the entry at row l, column d, which is NoHandle
+// if the slot is empty.
 func (n *Node) RoutingTableEntry(l, d int) NodeHandle { return n.rtGet(l, d) }
 
 // RoutingTableSize returns the number of populated routing-table slots.
 func (n *Node) RoutingTableSize() int {
 	var c int
-	for _, h := range n.rt {
-		if !h.IsNil() {
+	for _, ref := range n.rt {
+		if ref >= 0 {
 			c++
 		}
 	}
 	return c
 }
 
-// Consider folds a discovered handle into the node's routing state: the
+// consider folds a discovered handle into the node's routing state: the
 // routing table (kept proximity-optimal), the leaf set, and the neighborhood
 // set. It is cheap and idempotent; every protocol message that carries
-// handles calls it opportunistically.
-func (n *Node) Consider(h NodeHandle) {
+// handles calls it opportunistically. The handle must be one of this ring's
+// (inDirectory): only its address is stored, and its identifier is read back
+// from the directory. A handle in a message is: its sender materialised it
+// from the directory. Rejoin checks the ones a checkpoint brings.
+func (n *Node) consider(h NodeHandle) {
 	if h.IsNil() || h.Id == n.handle.Id {
 		return
 	}
-	n.rtInsert(h)
-	n.leafInsert(h)
-	n.neighborInsert(h)
+	ref := int32(h.Addr)
+	n.rtInsert(h.Id, ref)
+	n.leafInsert(h.Id, ref)
+	n.neighborInsert(h.Id, ref)
 }
 
-func (n *Node) rtInsert(h NodeHandle) {
-	l := n.handle.Id.CommonPrefixLen(h.Id, n.cfg.B)
+func (n *Node) rtInsert(id ids.Id, ref int32) {
+	l := n.handle.Id.CommonPrefixLen(id, n.cfg.B)
 	if l >= n.cfg.rows() {
 		return // identical identifier; cannot happen for distinct nodes
 	}
-	d := h.Id.DigitAt(l, n.cfg.B)
-	slot := n.rtSlot(l, d)
+	slot := n.rtSlot(l, id.DigitAt(l, n.cfg.B))
 	switch {
-	case slot.IsNil():
-		*slot = h
-	case slot.Id == h.Id:
-		// refresh address (no-op in simulation)
-		*slot = h
+	case *slot < 0:
+		*slot = ref
+	case *slot == ref:
+		// already there
 	default:
 		// Keep the entry closer by network proximity (Pastry's locality
 		// heuristic).
-		if n.prox(n.handle.Addr, h.Addr) < n.prox(n.handle.Addr, slot.Addr) {
-			*slot = h
+		if n.prox(n.handle.Addr, simnet.Addr(ref)) < n.prox(n.handle.Addr, simnet.Addr(*slot)) {
+			*slot = ref
 		}
 	}
 }
@@ -346,46 +349,47 @@ func (n *Node) cwDist(x ids.Id) ids.Id { return x.Sub(n.handle.Id) }
 // ccwDist is the counter-clockwise distance from the local id to x.
 func (n *Node) ccwDist(x ids.Id) ids.Id { return n.handle.Id.Sub(x) }
 
-func (n *Node) leafInsert(h NodeHandle) {
+func (n *Node) leafInsert(id ids.Id, ref int32) {
 	half := n.cfg.LeafSize / 2
-	n.leafCW = insertSortedByDist(n.leafCW, h, half, func(x ids.Id) ids.Id { return n.cwDist(x) })
-	n.leafCCW = insertSortedByDist(n.leafCCW, h, half, func(x ids.Id) ids.Id { return n.ccwDist(x) })
+	n.leafCW = n.insertSortedByDist(n.leafCW, id, ref, half, func(x ids.Id) ids.Id { return n.cwDist(x) })
+	n.leafCCW = n.insertSortedByDist(n.leafCCW, id, ref, half, func(x ids.Id) ids.Id { return n.ccwDist(x) })
 }
 
-func insertSortedByDist(list []NodeHandle, h NodeHandle, max int, dist func(ids.Id) ids.Id) []NodeHandle {
-	d := dist(h.Id)
+func (n *Node) insertSortedByDist(list []int32, id ids.Id, ref int32, max int, dist func(ids.Id) ids.Id) []int32 {
+	d := dist(id)
 	pos := sort.Search(len(list), func(i int) bool {
-		return !dist(list[i].Id).Less(d)
+		return !dist(n.dir[list[i]]).Less(d)
 	})
-	if pos < len(list) && list[pos].Id == h.Id {
+	if pos < len(list) && list[pos] == ref {
 		return list // already present
 	}
-	list = append(list, NodeHandle{})
+	list = append(list, 0)
 	copy(list[pos+1:], list[pos:])
-	list[pos] = h
+	list[pos] = ref
 	if len(list) > max {
 		list = list[:max]
 	}
 	return list
 }
 
-func (n *Node) neighborInsert(h NodeHandle) {
-	// Consider runs on every envelope and direct message, almost always for
+func (n *Node) neighborInsert(id ids.Id, ref int32) {
+	// consider runs on every envelope and direct message, almost always for
 	// a peer already in the set or too far to enter it: settle both cases
 	// before paying for the binary search.
 	for _, nb := range n.neighbors {
-		if nb.Id == h.Id {
+		if nb == ref {
 			return
 		}
 	}
-	d := n.prox(n.handle.Addr, h.Addr)
-	// after reports whether h sorts after nb: farther, or equally far (same
-	// rack) and no closer on the ring, which keeps the set deterministic.
-	after := func(nb NodeHandle) bool {
-		if di := n.prox(n.handle.Addr, nb.Addr); di != d {
+	d := n.prox(n.handle.Addr, simnet.Addr(ref))
+	// after reports whether the new peer sorts after nb: farther, or equally
+	// far (same rack) and no closer on the ring, which keeps the set
+	// deterministic.
+	after := func(nb int32) bool {
+		if di := n.prox(n.handle.Addr, simnet.Addr(nb)); di != d {
 			return di < d
 		}
-		return ids.CloserTo(n.handle.Id, nb.Id, h.Id)
+		return ids.CloserTo(n.handle.Id, n.dir[nb], id)
 	}
 	full := len(n.neighbors) == n.cfg.NeighborhoodSize
 	if full && after(n.neighbors[len(n.neighbors)-1]) {
@@ -393,30 +397,30 @@ func (n *Node) neighborInsert(h NodeHandle) {
 	}
 	pos := sort.Search(len(n.neighbors), func(i int) bool { return !after(n.neighbors[i]) })
 	if !full {
-		n.neighbors = append(n.neighbors, NodeHandle{})
+		n.neighbors = append(n.neighbors, 0)
 	}
 	copy(n.neighbors[pos+1:], n.neighbors[pos:]) // when full, the last entry falls off
-	n.neighbors[pos] = h
+	n.neighbors[pos] = ref
 }
 
 // Forget removes every trace of the given node from the local tables; it is
 // called when the peer is declared dead.
 func (n *Node) Forget(id ids.Id) {
-	for i := range n.rt {
-		if n.rt[i].Id == id {
-			n.rt[i] = NoHandle
+	for i, ref := range n.rt {
+		if ref >= 0 && n.dir[ref] == id {
+			n.rt[i] = noRef
 		}
 	}
-	n.leafCW = removeByID(n.leafCW, id)
-	n.leafCCW = removeByID(n.leafCCW, id)
-	n.neighbors = removeByID(n.neighbors, id)
+	n.leafCW = n.removeByID(n.leafCW, id)
+	n.leafCCW = n.removeByID(n.leafCCW, id)
+	n.neighbors = n.removeByID(n.neighbors, id)
 }
 
-func removeByID(list []NodeHandle, id ids.Id) []NodeHandle {
+func (n *Node) removeByID(list []int32, id ids.Id) []int32 {
 	out := list[:0]
-	for _, h := range list {
-		if h.Id != id {
-			out = append(out, h)
+	for _, ref := range list {
+		if n.dir[ref] != id {
+			out = append(out, ref)
 		}
 	}
 	return out
@@ -425,10 +429,11 @@ func removeByID(list []NodeHandle, id ids.Id) []NodeHandle {
 // AdjacentSets returns the node's proximity-based neighborhood set (closest
 // first) and the two halves of its leaf set: predecessors (counter-clockwise,
 // nearest first) and successors (clockwise, nearest first) — the order in
-// which the placement spill walk ranks candidates. The slices are the node's
-// own, not copies: read them before the node handles another message, and do
-// not modify or retain them.
-func (n *Node) AdjacentSets() (neighborhood, ccw, cw []NodeHandle) {
+// which the placement spill walk ranks candidates. Entries are refs: a ref
+// is the peer's address, and HandleOf resolves its identifier. The slices are
+// the node's own, not copies: read them before the node handles another
+// message, and do not modify or retain them.
+func (n *Node) AdjacentSets() (neighborhood, ccw, cw []int32) {
 	return n.neighbors[:len(n.neighbors):len(n.neighbors)],
 		n.leafCCW[:len(n.leafCCW):len(n.leafCCW)],
 		n.leafCW[:len(n.leafCW):len(n.leafCW)]
@@ -437,31 +442,31 @@ func (n *Node) AdjacentSets() (neighborhood, ccw, cw []NodeHandle) {
 // knownNodes calls fn for every distinct node the local tables reference.
 func (n *Node) knownNodes(fn func(NodeHandle)) {
 	if n.seenScratch == nil {
-		n.seenScratch = make(map[ids.Id]struct{})
+		n.seenScratch = make(map[int32]struct{})
 	}
 	clear(n.seenScratch)
 	seen := n.seenScratch
-	visit := func(h NodeHandle) {
-		if h.IsNil() {
+	visit := func(ref int32) {
+		if ref < 0 {
 			return
 		}
-		if _, ok := seen[h.Id]; ok {
+		if _, ok := seen[ref]; ok {
 			return
 		}
-		seen[h.Id] = struct{}{}
-		fn(h)
+		seen[ref] = struct{}{}
+		fn(n.HandleOf(ref))
 	}
-	for _, h := range n.rt {
-		visit(h)
+	for _, ref := range n.rt {
+		visit(ref)
 	}
-	for _, h := range n.leafCW {
-		visit(h)
+	for _, ref := range n.leafCW {
+		visit(ref)
 	}
-	for _, h := range n.leafCCW {
-		visit(h)
+	for _, ref := range n.leafCCW {
+		visit(ref)
 	}
-	for _, h := range n.neighbors {
-		visit(h)
+	for _, ref := range n.neighbors {
+		visit(ref)
 	}
 }
 
@@ -479,18 +484,33 @@ func (n *Node) Peers() []NodeHandle {
 // re-adopt us, mirroring the announce fan-out at the end of a normal join),
 // and mark the node joined. Peers that died while we were down are skipped
 // here and never enter the fresh tables; whatever the checkpoint missed,
-// the periodic leaf/routing-table exchanges repair.
-func (n *Node) Rejoin(peers []NodeHandle) {
+// the periodic leaf/routing-table exchanges repair. A checkpoint is input
+// from outside the ring: a peer the directory does not name is skipped as
+// well, so a checkpoint written by another ring cannot poison the tables;
+// Rejoin returns how many of those it skipped.
+func (n *Node) Rejoin(peers []NodeHandle) (foreign int) {
 	for _, h := range peers {
-		if h.IsNil() || h.Id == n.handle.Id || !n.net.Alive(h.Addr) {
+		if !inDirectory(n.dir, h) {
+			foreign++
 			continue
 		}
-		n.Consider(h)
+		if h.Id == n.handle.Id || !n.net.Alive(h.Addr) {
+			continue
+		}
+		n.consider(h)
 	}
 	n.knownNodes(func(h NodeHandle) {
 		n.net.Send(n.handle.Addr, h.Addr, announce{From: n.handle})
 	})
 	n.markJoined()
+	return foreign
+}
+
+// inDirectory reports whether h names a node of the ring dir describes: its
+// address is one of the ring's and its identifier is the one that address
+// carries.
+func inDirectory(dir []ids.Id, h NodeHandle) bool {
+	return h.Addr >= 0 && int(h.Addr) < len(dir) && dir[h.Addr] == h.Id
 }
 
 // --- message dispatch ------------------------------------------------------
@@ -500,30 +520,30 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
 	delete(n.suspicion, from) // any traffic proves the peer alive
 	switch m := msg.(type) {
 	case *envelope:
-		n.Consider(m.Source)
+		n.consider(m.Source)
 		n.routeEnvelope(m)
 	case *directEnvelope:
-		n.Consider(m.From)
+		n.consider(m.From)
 		if app, ok := n.app(m.App); ok {
 			app.HandleDirect(m.From, m.Payload)
 		}
 		m.Payload = nil
-		n.dirFree = append(n.dirFree, m)
+		n.pool.dir = append(n.pool.dir, m)
 	case *joinForward:
 		n.handleJoinForward(m)
 	case *joinReply:
 		n.handleJoinReply(m)
 	case announce:
-		n.Consider(m.From)
+		n.consider(m.From)
 	case *leafExchange:
 		n.handleLeafExchange(m)
 	case *rtExchange:
 		n.handleRTExchange(m)
 	case pingMsg:
-		n.Consider(m.From)
+		n.consider(m.From)
 		n.net.Send(n.handle.Addr, m.From.Addr, pongMsg{Seq: m.Seq, From: n.handle})
 	case pongMsg:
-		n.Consider(m.From)
+		n.consider(m.From)
 		if cb, ok := n.pendingPings[m.Seq]; ok {
 			delete(n.pendingPings, m.Seq)
 			cb(true)
@@ -534,13 +554,7 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
 // SendDirect delivers payload to app on the node named by to, bypassing
 // key-based routing (one network hop).
 func (n *Node) SendDirect(to NodeHandle, app string, payload simnet.Message) {
-	var env *directEnvelope
-	if k := len(n.dirFree); k > 0 {
-		env = n.dirFree[k-1]
-		n.dirFree = n.dirFree[:k-1]
-	} else {
-		env = new(directEnvelope)
-	}
+	env := popHusk(&n.pool.dir)
 	env.App, env.From, env.Payload = app, n.handle, payload
 	n.net.Send(n.handle.Addr, to.Addr, env)
 }
@@ -566,7 +580,7 @@ func (n *Node) Ping(to NodeHandle, cb func(alive bool)) {
 // declareDead forgets the peer and tells subscribers, then starts leaf-set
 // repair if the peer occupied a leaf position.
 func (n *Node) declareDead(h NodeHandle) {
-	wasLeaf := containsID(n.leafCW, h.Id) || containsID(n.leafCCW, h.Id)
+	wasLeaf := n.containsID(n.leafCW, h.Id) || n.containsID(n.leafCCW, h.Id)
 	n.Forget(h.Id)
 	for _, fn := range n.onDead {
 		fn(h)
@@ -576,23 +590,31 @@ func (n *Node) declareDead(h NodeHandle) {
 	}
 }
 
-func containsID(list []NodeHandle, id ids.Id) bool {
-	for _, h := range list {
-		if h.Id == id {
+func (n *Node) containsID(list []int32, id ids.Id) bool {
+	for _, ref := range list {
+		if n.dir[ref] == id {
 			return true
 		}
 	}
 	return false
 }
 
-// leafSnapshot copies the current leaf-set halves for embedding in a
-// message. Exchange messages must not alias the live slices: the sender
-// keeps mutating them (in place, via insertSortedByDist) while the message
-// is in flight, and on a sharded engine the receiver runs on another
-// goroutine. Each call produces slices owned by exactly one message; the
+// leafSnapshot materialises the current leaf-set halves for embedding in a
+// message. Each call produces slices owned by exactly one message; the
 // receiver recycles them via recycleHandles.
 func (n *Node) leafSnapshot() (cw, ccw []NodeHandle) {
-	return append(n.getHandles(), n.leafCW...), append(n.getHandles(), n.leafCCW...)
+	return n.appendHandles(n.getHandles(), n.leafCW), n.appendHandles(n.getHandles(), n.leafCCW)
+}
+
+// appendHandles appends the handles of refs to dst, growing it the way
+// append(dst, handles...) would.
+func (n *Node) appendHandles(dst []NodeHandle, refs []int32) []NodeHandle {
+	base := len(dst)
+	dst = append(dst, make([]NodeHandle, len(refs))...)
+	for i, ref := range refs {
+		dst[base+i] = n.HandleOf(ref)
+	}
+	return dst
 }
 
 func (n *Node) getHandles() []NodeHandle {
@@ -617,23 +639,23 @@ func (n *Node) recycleHandles(s []NodeHandle) {
 func (n *Node) repairLeafSet() {
 	if len(n.leafCW) > 0 {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, n.leafCW[len(n.leafCW)-1].Addr,
+		n.net.Send(n.handle.Addr, simnet.Addr(n.leafCW[len(n.leafCW)-1]),
 			&leafExchange{From: n.handle, CW: cw, CCW: ccw})
 	}
 	if len(n.leafCCW) > 0 {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, n.leafCCW[len(n.leafCCW)-1].Addr,
+		n.net.Send(n.handle.Addr, simnet.Addr(n.leafCCW[len(n.leafCCW)-1]),
 			&leafExchange{From: n.handle, CW: cw, CCW: ccw})
 	}
 }
 
 func (n *Node) handleLeafExchange(m *leafExchange) {
-	n.Consider(m.From)
+	n.consider(m.From)
 	for _, h := range m.CW {
-		n.Consider(h)
+		n.consider(h)
 	}
 	for _, h := range m.CCW {
-		n.Consider(h)
+		n.consider(h)
 	}
 	if !m.Reply {
 		cw, ccw := n.leafSnapshot()
@@ -670,11 +692,11 @@ func (n *Node) maintenanceRound() {
 	// receivers each consume (and recycle) their own slices.
 	if len(n.leafCW) > 0 {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, n.leafCW[0].Addr, &leafExchange{From: n.handle, CW: cw, CCW: ccw})
+		n.net.Send(n.handle.Addr, simnet.Addr(n.leafCW[0]), &leafExchange{From: n.handle, CW: cw, CCW: ccw})
 	}
 	if len(n.leafCCW) > 0 {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, n.leafCCW[0].Addr, &leafExchange{From: n.handle, CW: cw, CCW: ccw})
+		n.net.Send(n.handle.Addr, simnet.Addr(n.leafCCW[0]), &leafExchange{From: n.handle, CW: cw, CCW: ccw})
 	}
 	// Exchange one routing-table row with a random entry of that row: the
 	// periodic routing-table maintenance that refreshes stale entries and
@@ -688,7 +710,7 @@ func (n *Node) maintenanceRound() {
 		return
 	}
 	for i := 0; i < n.cfg.ProbesPerRound && i < len(candidates); i++ {
-		n.probe(candidates[n.rng.Intn(len(candidates))])
+		n.probe(n.HandleOf(candidates[n.rng.Intn(len(candidates))]))
 	}
 }
 
@@ -725,9 +747,9 @@ func (n *Node) rowEntries(row int) []NodeHandle {
 }
 
 func (n *Node) handleRTExchange(m *rtExchange) {
-	n.Consider(m.From)
+	n.consider(m.From)
 	for _, h := range m.Entries {
-		n.Consider(h)
+		n.consider(h)
 	}
 	if m.Reply {
 		return

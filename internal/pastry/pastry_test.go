@@ -51,6 +51,12 @@ func (c *collector) Deliver(key ids.Id, _ simnet.Message, info RouteInfo) {
 	c.delivered[key] = append(c.delivered[key], deliveryRec{addr: c.node.Addr(), hops: info.Hops})
 }
 
+// adjacentHandles is AdjacentSets with every ref materialised.
+func adjacentHandles(n *Node) (neighborhood, ccw, cw []NodeHandle) {
+	nb, l, r := n.AdjacentSets()
+	return n.appendHandles(nil, nb), n.appendHandles(nil, l), n.appendHandles(nil, r)
+}
+
 func buildStaticRing(t *testing.T, racks, perRack int, assign IdAssigner) (*Ring, map[ids.Id][]deliveryRec) {
 	t.Helper()
 	engine := sim.NewEngine(42)
@@ -141,7 +147,7 @@ func TestStaticLeafSetsAreRingNeighbors(t *testing.T) {
 	ring, _ := buildStaticRing(t, 4, 8, HierarchyAssigner)
 	// With hierarchy ids, node i's ring successor is node i+1 (mod N).
 	for i, n := range ring.Nodes() {
-		_, ccw, cw := n.AdjacentSets()
+		_, ccw, cw := adjacentHandles(n)
 		if len(cw) == 0 || len(ccw) == 0 {
 			t.Fatalf("node %d has empty leaf side", i)
 		}
@@ -186,7 +192,7 @@ func TestNeighborhoodPrefersSameRack(t *testing.T) {
 	ring, _ := buildStaticRing(t, 4, 8, HierarchyAssigner)
 	topo := ring.Topology()
 	for i, n := range ring.Nodes() {
-		nb, _, _ := n.AdjacentSets()
+		nb, _, _ := adjacentHandles(n)
 		if len(nb) == 0 {
 			t.Fatalf("node %d has empty neighborhood", i)
 		}
@@ -244,7 +250,7 @@ func TestProtocolJoinLeafSetsMatchGroundTruth(t *testing.T) {
 	ring.StopMaintenance()
 	engine.Run()
 	for i, n := range ring.Nodes() {
-		_, ccw, cw := n.AdjacentSets()
+		_, ccw, cw := adjacentHandles(n)
 		if len(cw) == 0 || len(ccw) == 0 {
 			t.Fatalf("node %d leaf sides empty after join", i)
 		}
@@ -425,8 +431,8 @@ func TestConsiderIgnoresSelfAndZero(t *testing.T) {
 	ring, _ := buildStaticRing(t, 1, 4, HierarchyAssigner)
 	n := ring.Node(0)
 	before := n.RoutingTableSize()
-	n.Consider(NoHandle)
-	n.Consider(n.Handle())
+	n.consider(NoHandle)
+	n.consider(n.Handle())
 	if n.RoutingTableSize() != before {
 		t.Fatal("Consider(self/zero) changed routing table")
 	}
@@ -437,7 +443,7 @@ func TestForgetRemovesEverywhere(t *testing.T) {
 	n := ring.Node(0)
 	target := ring.Node(1).Handle() // ring + rack neighbor: in leaf, rt or neighborhood
 	n.Forget(target.Id)
-	nb, ccw, cw := n.AdjacentSets()
+	nb, ccw, cw := adjacentHandles(n)
 	for _, h := range append(ccw, cw...) {
 		if h.Id == target.Id {
 			t.Fatal("Forget left node in leaf set")

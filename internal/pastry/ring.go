@@ -29,12 +29,29 @@ func RandomAssigner(index, total int) ids.Id {
 // Ring bundles a full overlay: one Pastry node per server of a topology,
 // connected through a simulated network whose latencies follow that
 // topology.
+//
+// Within a ring a node's identifier is a function of its address: the
+// assigner fixes it when the ring is built (the paper's certificate
+// authority, §II.B) and RebuildNode gives the replacement the identifier of
+// the node it replaces. That is what lets every node's tables hold bare
+// addresses (int32 refs) and read identifiers back from one shared
+// directory; a handle that disagrees with the directory is not of this ring
+// (inDirectory).
 type Ring struct {
 	cfg    Config
 	engine *sim.Engine
 	net    *simnet.Network
 	topo   *topology.Topology
 	nodes  []*Node
+	// dir is the identifier directory, indexed by address: dir[a] is the
+	// identifier of the node at address a. The ring owns it, every node
+	// shares it, and nothing writes it after NewRing.
+	dir []ids.Id
+	// lat is the topology's latency as the nodes' proximity metric.
+	lat simnet.LatencyFunc
+	// pools holds one envelope pool per engine goroutine, keyed by the
+	// engine that drives it.
+	pools map[*sim.Engine]*envPool
 
 	// byID holds node indices sorted by identifier; pos is its inverse
 	// (pos[i] is the rank of node i) and sortedIDs the identifiers in rank
@@ -75,27 +92,33 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 		topo:   topo,
 		nodes:  make([]*Node, n),
 		byID:   make([]int, n),
+		lat:    lat,
+		pools:  make(map[*sim.Engine]*envPool),
+	}
+	r.dir = make([]ids.Id, n)
+	for i := range r.dir {
+		r.dir[i] = assign(i, n)
 	}
 	// One flat arena backs every node's leaf halves, neighborhood set and
 	// expected routing-table rows: a single allocation instead of ~5n small
-	// GC-scanned slices, which dominates both build time and steady-state GC
-	// cost at 100k+ servers.
+	// slices, which dominates both build time and steady-state GC cost at
+	// 100k+ servers.
 	half := r.cfg.LeafSize / 2
 	expRows := expectedRows(n, r.cfg)
 	perNode := 2*(half+1) + (r.cfg.NeighborhoodSize + 1) + expRows*r.cfg.cols()
-	arena := newHandleArena(n * perNode)
+	arena := newRefArena(n * perNode)
 	for i := 0; i < n; i++ {
-		r.nodes[i] = newNode(net, simnet.Addr(i), assign(i, n), r.cfg, lat, arena, expRows)
+		r.nodes[i] = newNode(r, simnet.Addr(i), arena, expRows)
 		r.byID[i] = i
 	}
 	sort.Slice(r.byID, func(a, b int) bool {
-		return r.nodes[r.byID[a]].ID().Less(r.nodes[r.byID[b]].ID())
+		return r.dir[r.byID[a]].Less(r.dir[r.byID[b]])
 	})
 	r.pos = make([]int, n)
 	r.sortedIDs = make([]ids.Id, n)
 	for p, i := range r.byID {
 		r.pos[i] = p
-		r.sortedIDs[p] = r.nodes[i].ID()
+		r.sortedIDs[p] = r.dir[i]
 	}
 	// Snapshot current liveness (every node was just attached, so alive),
 	// then track transitions through the network's hook.
@@ -115,6 +138,16 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 		}
 	})
 	return r
+}
+
+// poolFor returns the envelope pool of the nodes engine e drives.
+func (r *Ring) poolFor(e *sim.Engine) *envPool {
+	p := r.pools[e]
+	if p == nil {
+		p = new(envPool)
+		r.pools[e] = p
+	}
+	return p
 }
 
 // Engine returns the simulation engine.
@@ -245,8 +278,7 @@ func (r *Ring) JoinAll(stagger time.Duration) (allJoined func() bool) {
 func (r *Ring) RebuildNode(i int) *Node {
 	old := r.nodes[i]
 	old.StopMaintenance()
-	lat := func(a, b simnet.Addr) time.Duration { return r.topo.Latency(int(a), int(b)) }
-	node := newNode(r.net, old.Addr(), old.ID(), r.cfg, lat, nil, 0)
+	node := newNode(r, old.Addr(), nil, 0)
 	r.nodes[i] = node
 	return node
 }
@@ -291,8 +323,8 @@ func (r *Ring) BuildStatic() {
 		node.leafCW = node.leafCW[:0]
 		node.leafCCW = node.leafCCW[:0]
 		for k := 1; k <= m; k++ {
-			node.leafCW = append(node.leafCW, r.nodes[r.byID[(p+k)%n]].Handle())
-			node.leafCCW = append(node.leafCCW, r.nodes[r.byID[(p-k+n)%n]].Handle())
+			node.leafCW = append(node.leafCW, int32(r.byID[(p+k)%n]))
+			node.leafCCW = append(node.leafCCW, int32(r.byID[(p-k+n)%n]))
 		}
 		// Neighborhood set: physically closest servers.
 		candScratch = r.fillNeighborhood(node, candScratch)
@@ -321,8 +353,8 @@ func (r *Ring) fillRoutingTables() {
 	// Per-row boundary scratch: a group at row l only uses scratch[l], and
 	// groups at the same row are processed strictly sequentially.
 	scratch := make([][]int, rows)
-	loHandles := make([]NodeHandle, cols)
-	hiHandles := make([]NodeHandle, cols)
+	loRefs := make([]int32, cols)
+	hiRefs := make([]int32, cols)
 	var fill func(row, gs, ge int)
 	fill = func(row, gs, ge int) {
 		if ge-gs <= 1 || row >= rows {
@@ -342,12 +374,12 @@ func (r *Ring) fillRoutingTables() {
 			})
 		}
 		bounds[cols] = ge
-		// The rank-extreme handles of every column range, fetched once per
+		// The rank-extreme refs of every column range, fetched once per
 		// group rather than once per member.
 		for d := 0; d < cols; d++ {
 			if bounds[d+1] > bounds[d] {
-				loHandles[d] = r.nodes[r.byID[bounds[d]]].Handle()
-				hiHandles[d] = r.nodes[r.byID[bounds[d+1]-1]].Handle()
+				loRefs[d] = int32(r.byID[bounds[d]])
+				hiRefs[d] = int32(r.byID[bounds[d+1]-1])
 			}
 		}
 		for d := 0; d < cols; d++ {
@@ -359,9 +391,9 @@ func (r *Ring) fillRoutingTables() {
 						continue
 					}
 					if p < bounds[col] {
-						*node.rtSlot(row, col) = loHandles[col]
+						*node.rtSlot(row, col) = loRefs[col]
 					} else {
-						*node.rtSlot(row, col) = hiHandles[col]
+						*node.rtSlot(row, col) = hiRefs[col]
 					}
 				}
 			}
@@ -377,7 +409,7 @@ func (r *Ring) fillRoutingTables() {
 // proximity, so the sort below evaluates each latency once instead of once
 // per comparison.
 type nbCandidate struct {
-	h   NodeHandle
+	ref int32
 	lat time.Duration
 }
 
@@ -394,8 +426,7 @@ func (r *Ring) fillNeighborhood(node *Node, cands []nbCandidate) []nbCandidate {
 	for d := 1; len(cands) < 2*r.cfg.NeighborhoodSize && d < r.topo.Servers(); d++ {
 		for _, srv := range [2]int{self - d, self + d} {
 			if srv >= 0 && srv < r.topo.Servers() {
-				h := r.nodes[srv].Handle()
-				cands = append(cands, nbCandidate{h: h, lat: node.prox(selfAddr, h.Addr)})
+				cands = append(cands, nbCandidate{ref: int32(srv), lat: node.prox(selfAddr, simnet.Addr(srv))})
 			}
 		}
 	}
@@ -403,7 +434,7 @@ func (r *Ring) fillNeighborhood(node *Node, cands []nbCandidate) []nbCandidate {
 		c := cands[i]
 		j := i
 		for j > 0 && (c.lat < cands[j-1].lat ||
-			(c.lat == cands[j-1].lat && ids.CloserTo(own, c.h.Id, cands[j-1].h.Id))) {
+			(c.lat == cands[j-1].lat && ids.CloserTo(own, r.dir[c.ref], r.dir[cands[j-1].ref]))) {
 			cands[j] = cands[j-1]
 			j--
 		}
@@ -415,7 +446,7 @@ func (r *Ring) fillNeighborhood(node *Node, cands []nbCandidate) []nbCandidate {
 	}
 	node.neighbors = node.neighbors[:0]
 	for _, c := range cands[:keep] {
-		node.neighbors = append(node.neighbors, c.h)
+		node.neighbors = append(node.neighbors, c.ref)
 	}
 	return cands
 }

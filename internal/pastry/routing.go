@@ -9,22 +9,16 @@ import (
 // Route sends payload toward key; it is delivered to the app of the same
 // name on the live node whose identifier is numerically closest to key.
 func (n *Node) Route(key ids.Id, app string, payload simnet.Message) {
-	var env *envelope
-	if k := len(n.envFree); k > 0 {
-		env = n.envFree[k-1]
-		n.envFree = n.envFree[:k-1]
-	} else {
-		env = new(envelope)
-	}
+	env := popHusk(&n.pool.env)
 	*env = envelope{Key: key, App: app, Source: n.handle, Payload: payload}
 	n.routeEnvelope(env)
 }
 
-// recycleEnvelope returns a fully consumed envelope to the local free list.
+// recycleEnvelope returns a fully consumed envelope to the pool.
 // Payload is dropped so recycled husks do not pin application messages.
 func (n *Node) recycleEnvelope(env *envelope) {
 	env.Payload = nil
-	n.envFree = append(n.envFree, env)
+	n.pool.env = append(n.pool.env, env)
 }
 
 // routeEnvelope makes one routing decision: deliver locally or forward one
@@ -97,8 +91,8 @@ func (n *Node) inLeafRange(key ids.Id) bool {
 	if len(n.leafCW) == 0 || len(n.leafCCW) == 0 {
 		return true
 	}
-	lo := n.leafCCW[len(n.leafCCW)-1].Id // farthest predecessor
-	hi := n.leafCW[len(n.leafCW)-1].Id   // farthest successor
+	lo := n.dir[n.leafCCW[len(n.leafCCW)-1]] // farthest predecessor
+	hi := n.dir[n.leafCW[len(n.leafCW)-1]]   // farthest successor
 	return key == lo || ids.InArc(key, lo, hi)
 }
 
@@ -106,14 +100,14 @@ func (n *Node) inLeafRange(key ids.Id) bool {
 // closest to key.
 func (n *Node) closestLeaf(key ids.Id) NodeHandle {
 	best := n.handle
-	for _, h := range n.leafCW {
-		if ids.CloserTo(key, h.Id, best.Id) {
-			best = h
+	for _, ref := range n.leafCW {
+		if id := n.dir[ref]; ids.CloserTo(key, id, best.Id) {
+			best = NodeHandle{Id: id, Addr: simnet.Addr(ref)}
 		}
 	}
-	for _, h := range n.leafCCW {
-		if ids.CloserTo(key, h.Id, best.Id) {
-			best = h
+	for _, ref := range n.leafCCW {
+		if id := n.dir[ref]; ids.CloserTo(key, id, best.Id) {
+			best = NodeHandle{Id: id, Addr: simnet.Addr(ref)}
 		}
 	}
 	if best.Id == n.handle.Id {

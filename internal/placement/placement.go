@@ -577,27 +577,32 @@ func (a *dhtAgent) tryAdmit(q *bootQuery) {
 // neighborhood and leaf sets: under hierarchy identifiers these are the
 // physically adjacent machines, so the walk grows the customer's footprint
 // outward from its home rack. One hop costs O(|M| + |L|) — a latency lookup
-// and a visited-set probe per candidate — and allocates nothing.
+// and a visited-set probe per candidate address, an identifier lookup only
+// to break a latency tie — and allocates nothing.
 func (a *dhtAgent) nextSpillTarget(q *bootQuery) pastry.NodeHandle {
-	best := pastry.NoHandle
+	best := int32(-1)
 	var bestLat time.Duration
 	self := a.node.Addr()
 	neighborhood, ccw, cw := a.node.AdjacentSets()
-	for _, set := range [...][]pastry.NodeHandle{neighborhood, ccw, cw} {
-		for _, h := range set {
-			if h.IsNil() || q.Visited.Has(h.Addr) {
+	for _, set := range [...][]int32{neighborhood, ccw, cw} {
+		for _, ref := range set {
+			addr := simnet.Addr(ref)
+			if q.Visited.Has(addr) {
 				continue
 			}
-			lat := a.node.LatencyBetween(self, h.Addr)
+			lat := a.node.LatencyBetween(self, addr)
 			switch {
-			case best.IsNil(), lat < bestLat:
-				best, bestLat = h, lat
-			case lat == bestLat && ids.CloserTo(q.Key, h.Id, best.Id):
-				best = h
+			case best < 0, lat < bestLat:
+				best, bestLat = ref, lat
+			case lat == bestLat && ids.CloserTo(q.Key, a.node.HandleOf(ref).Id, a.node.HandleOf(best).Id):
+				best = ref
 			}
 		}
 	}
-	return best
+	if best < 0 {
+		return pastry.NoHandle
+	}
+	return a.node.HandleOf(best)
 }
 
 // reply sends the query envelope back to the origin as the answer.

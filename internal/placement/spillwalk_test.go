@@ -96,14 +96,10 @@ func (a *refAgent) nextSpillTarget(q *bootQuery) pastry.NodeHandle {
 		}
 	}
 	neighborhood, ccw, cw := a.node.AdjacentSets()
-	for _, h := range append([]pastry.NodeHandle(nil), neighborhood...) {
-		consider(h)
-	}
-	for _, h := range append([]pastry.NodeHandle(nil), ccw...) {
-		consider(h)
-	}
-	for _, h := range append([]pastry.NodeHandle(nil), cw...) {
-		consider(h)
+	for _, set := range [][]int32{neighborhood, ccw, cw} {
+		for _, ref := range append([]int32(nil), set...) {
+			consider(a.node.HandleOf(ref))
+		}
 	}
 	return best
 }

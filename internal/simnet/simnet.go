@@ -263,6 +263,10 @@ type pending struct {
 	msg  Message
 }
 
+// inboxSlots is the capacity every inbox starts with (New carves it from a
+// slab; buf is never empty).
+const inboxSlots = 8
+
 // inbox is a growable circular buffer of a node's in-flight messages in
 // send order. In-flight counts per node are small (a handful of overlay
 // hops and maintenance probes), so membership scans are cheap.
@@ -276,7 +280,7 @@ func (b *inbox) slotAt(i int) *pending { return &b.buf[(b.head+i)&(len(b.buf)-1)
 
 func (b *inbox) push(p pending) {
 	if b.n == len(b.buf) {
-		grown := make([]pending, max(8, 2*len(b.buf)))
+		grown := make([]pending, 2*len(b.buf))
 		for i := 0; i < b.n; i++ {
 			grown[i] = *b.slotAt(i)
 		}
@@ -301,6 +305,9 @@ func (b *inbox) hasDue(t time.Duration) bool {
 // extract appends every message due at t to dst in send order, compacts the
 // remainder in place (preserving their order), and returns dst.
 func (b *inbox) extract(t time.Duration, dst []pending) []pending {
+	// At most b.n messages move: grow dst once for a fan-in wider than any
+	// before it, instead of doubling up to it.
+	dst = slices.Grow(dst, b.n)
 	w := 0
 	for i := 0; i < b.n; i++ {
 		p := b.slotAt(i)
@@ -380,6 +387,15 @@ func New(engine *sim.Engine, size int, latency LatencyFunc, opts ...Option) *Net
 		engine.OnBarrier(n.mergeOutboxes)
 	}
 	n.scratches = make([][]pending, k)
+	// Every node that ever receives a message needs its first inboxSlots
+	// slots, and under maintenance or an aggregation tree that is every
+	// node: carve them from one slab at construction instead of one
+	// allocation per node at its first message. A busier inbox outgrows its
+	// chunk into a private buffer.
+	slab := make([]pending, inboxSlots*size)
+	for a := range n.inboxes {
+		n.inboxes[a].buf = slab[a*inboxSlots : (a+1)*inboxSlots : (a+1)*inboxSlots]
+	}
 	for d := range n.flush {
 		d := Addr(d)
 		n.flush[d] = func() { n.flushInbox(d) }

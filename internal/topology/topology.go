@@ -14,6 +14,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -71,6 +72,12 @@ func (s Spec) Validate() error {
 	if s.NICMbps <= 0 {
 		return fmt.Errorf("topology: NICMbps = %g, need > 0", s.NICMbps)
 	}
+	// Server indices double as 32-bit network addresses: the overlay's
+	// tables store them as int32 and TierBetween divides them as uint32.
+	if s.Racks > math.MaxInt32/s.ServersPerRack {
+		return fmt.Errorf("topology: %d racks of %d servers exceed the %d-server address bound",
+			s.Racks, s.ServersPerRack, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -80,6 +87,9 @@ type Topology struct {
 	servers     int
 	racksPerPod int
 	pods        int
+	// spr and rpp are ServersPerRack and racksPerPod as TierBetween divides
+	// them: 32-bit, which Validate's address bound makes lossless.
+	spr, rpp uint32
 }
 
 // New builds a topology from spec.
@@ -99,6 +109,8 @@ func New(spec Spec) (*Topology, error) {
 		servers:     spec.Racks * spec.ServersPerRack,
 		racksPerPod: rpp,
 		pods:        (spec.Racks + rpp - 1) / rpp,
+		spr:         uint32(spec.ServersPerRack),
+		rpp:         uint32(rpp),
 	}, nil
 }
 
@@ -182,20 +194,24 @@ func (ti Tier) String() string {
 
 // TierBetween classifies the path between two servers.
 func (t *Topology) TierBetween(a, b int) Tier {
+	// Every message send and every spill-walk candidate is ranked through
+	// here: one range check for the pair, 32-bit divisions, and the pod
+	// divisions only for servers in different racks.
+	if uint(a) >= uint(t.servers) || uint(b) >= uint(t.servers) {
+		t.checkServer(a)
+		t.checkServer(b)
+	}
 	if a == b {
 		return TierLocal
 	}
-	// Every message send and every spill-walk candidate is ranked through
-	// here: resolve each rack once, not once per tier tested.
-	ra, rb := t.RackOf(a), t.RackOf(b)
-	switch {
-	case ra == rb:
+	ra, rb := uint32(a)/t.spr, uint32(b)/t.spr
+	if ra == rb {
 		return TierRack
-	case t.PodOf(ra) == t.PodOf(rb):
-		return TierPod
-	default:
-		return TierCore
 	}
+	if ra/t.rpp == rb/t.rpp {
+		return TierPod
+	}
+	return TierCore
 }
 
 // HopCount returns the number of switch traversals on the path between two

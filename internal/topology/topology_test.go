@@ -35,6 +35,8 @@ func TestValidate(t *testing.T) {
 		{"zero nic", Spec{Racks: 1, ServersPerRack: 1}, false},
 		{"negative pod", Spec{Racks: 1, ServersPerRack: 1, NICMbps: 1, RacksPerPod: -1}, false},
 		{"minimal", Spec{Racks: 1, ServersPerRack: 1, NICMbps: 1}, true},
+		{"address bound", Spec{Racks: 1 << 16, ServersPerRack: 1 << 15, NICMbps: 1}, false},
+		{"just under the bound", Spec{Racks: 1<<16 - 1, ServersPerRack: 1 << 15, NICMbps: 1}, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,6 +207,9 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { tp.RackOf(-1) },
 		func() { tp.RackOf(tp.Servers()) },
 		func() { tp.PodOf(99) },
+		func() { tp.TierBetween(0, tp.Servers()) },
+		func() { tp.TierBetween(-1, 0) },
+		func() { tp.Latency(tp.Servers(), tp.Servers()) },
 	} {
 		func() {
 			defer func() {
@@ -224,5 +229,81 @@ func TestDefaultSpecSize(t *testing.T) {
 	}
 	if tp.Servers() != 3010 {
 		t.Fatalf("default servers = %d, want 3010 (≈ paper's 3000)", tp.Servers())
+	}
+}
+
+// tierByDefinition is TierBetween as the package doc defines it, one
+// RackOf/PodOf call per question asked.
+func tierByDefinition(tp *Topology, a, b int) Tier {
+	switch {
+	case a == b:
+		return TierLocal
+	case tp.RackOf(a) == tp.RackOf(b):
+		return TierRack
+	case tp.PodOf(tp.RackOf(a)) == tp.PodOf(tp.RackOf(b)):
+		return TierPod
+	default:
+		return TierCore
+	}
+}
+
+func TestTierBetweenMatchesDefinitionExhaustively(t *testing.T) {
+	for _, spec := range []Spec{
+		{Racks: 6, ServersPerRack: 4, RacksPerPod: 2, NICMbps: 1000},  // powers of two, even pods
+		{Racks: 11, ServersPerRack: 7, RacksPerPod: 4, NICMbps: 1000}, // odd rack size, ragged last pod (3 racks)
+		{Racks: 5, ServersPerRack: 43, RacksPerPod: 0, NICMbps: 1000}, // one pod: no core tier
+		{Racks: 9, ServersPerRack: 1, RacksPerPod: 10, NICMbps: 1000}, // pod wider than the datacenter
+	} {
+		tp, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[Tier]int{}
+		for a := 0; a < tp.Servers(); a++ {
+			for b := 0; b < tp.Servers(); b++ {
+				got, want := tp.TierBetween(a, b), tierByDefinition(tp, a, b)
+				if got != want {
+					t.Fatalf("%+v: TierBetween(%d, %d) = %v, want %v", spec, a, b, got, want)
+				}
+				seen[got]++
+			}
+		}
+		if seen[TierLocal] != tp.Servers() {
+			t.Fatalf("%+v: %d local pairs, want %d", spec, seen[TierLocal], tp.Servers())
+		}
+		if tp.Pods() > 1 && seen[TierCore] == 0 {
+			t.Fatalf("%+v: no pair crossed the core", spec)
+		}
+	}
+}
+
+var latencySink time.Duration
+
+// BenchmarkLatency prices one Latency call per tier: simnet pays it on every
+// send, the spill walk on every candidate.
+func BenchmarkLatency(b *testing.B) {
+	spec := DefaultSpec()
+	spec.Racks, spec.ServersPerRack, spec.RacksPerPod = 256, 32, 16 // the 8192-server workloads
+	tp, err := New(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		peer func(a int) int
+	}{
+		{"rack", func(a int) int { return a ^ 16 }},
+		{"pod", func(a int) int { return a + 32 }},
+		{"core", func(a int) int { return a + 4096 }},
+		{"mixed", func(a int) int { return a * 2654435761 & 8191 }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sum time.Duration
+			for i := 0; i < b.N; i++ {
+				a := i & 31
+				sum += tp.Latency(a, bc.peer(a))
+			}
+			latencySink = sum
+		})
 	}
 }

@@ -194,16 +194,22 @@ grep -q '^unresolved boots: 0$' /tmp/vb-serve-flash.txt || { echo "FAIL: unresol
 rm -f /tmp/vb-serve-ci /tmp/vb-serve1.txt /tmp/vb-serve4.txt /tmp/vb-serve-flash.txt
 
 # Alloc-ceiling smoke: the 2048-server Fig. 14 point with -benchmem, gated
-# on allocs/op. Allocation counts are deterministic (unlike wall time on the
-# shared CI box), so this catches a reintroduced per-node map or closure at
-# the cheapest rung that still builds a real multi-rack ring. Current cost
-# is ~41.6k allocs; the ceiling leaves ~25% headroom.
+# on allocs/op and B/op, both read from the same line. Allocation counts and
+# bytes are deterministic (unlike wall time on the shared CI box; B/op moves
+# in its last two digits), so this catches a reintroduced per-node map or
+# closure, or a table entry that grows back from a 4-byte ref to a 24-byte
+# handle (11.77 MB/op), at the cheapest rung that still builds a real
+# multi-rack ring — without the 32768-server bytes/server test. Current cost
+# is 37.5k allocs and 7.69 MB (3756 B/server); the ceilings leave ~25% and
+# 20% headroom.
 echo "== alloc ceiling smoke (Fig 14, 2048 servers)"
 go test -run '^$' -bench 'BenchmarkFig14Scale/servers=2048$' -benchtime 1x -benchmem . > /tmp/vb-alloc.txt
 allocs=$(awk '/servers=2048/ {print $(NF-1)}' /tmp/vb-alloc.txt)
-[ -n "$allocs" ] || { echo "FAIL: no allocs/op parsed"; cat /tmp/vb-alloc.txt; exit 1; }
-[ "$allocs" -le 52000 ] || { echo "FAIL: $allocs allocs/op at 2048 servers exceeds ceiling 52000"; exit 1; }
-echo "allocs/op at 2048 servers: $allocs (ceiling 52000)"
+bytes=$(awk '/servers=2048/ {print $(NF-3)}' /tmp/vb-alloc.txt)
+[ -n "$allocs" ] && [ -n "$bytes" ] || { echo "FAIL: no allocs/op and B/op parsed"; cat /tmp/vb-alloc.txt; exit 1; }
+[ "$allocs" -le 46800 ] || { echo "FAIL: $allocs allocs/op at 2048 servers exceeds ceiling 46800"; exit 1; }
+[ "$bytes" -le 9230000 ] || { echo "FAIL: $bytes B/op at 2048 servers exceeds ceiling 9230000"; exit 1; }
+echo "at 2048 servers: $allocs allocs/op (ceiling 46800), $bytes B/op (ceiling 9230000)"
 rm -f /tmp/vb-alloc.txt
 
 # One iteration of every benchmark (a few seconds): catches benchmarks that
