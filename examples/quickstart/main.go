@@ -66,7 +66,7 @@ func main() {
 		vms = append(vms, vm)
 		rack := vb.Topo.RackOf(res.Server)
 		fmt.Printf("booted %-10s on server %2d (rack %d) after %d query hops\n",
-			vm.Name, res.Server, rack, res.Hops)
+			vm.Name(), res.Server, rack, res.Hops)
 	}
 	q := vb.PlacementQuality()
 	fmt.Printf("\nplacement quality: IBM spans %d rack(s), same-rack chatting fraction %.2f\n\n",

@@ -18,6 +18,7 @@
 package aggregation
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -170,9 +171,11 @@ func (l attrList) equal(o attrList) bool {
 	return true
 }
 
-// childAggregates is one child's contribution to the info base.
+// childAggregates is one child's contribution to the info base. ref is the
+// child's address — the ref scribe holds for the same tree edge; the node's
+// directory resolves its identifier.
 type childAggregates struct {
-	id   ids.Id
+	ref  int32
 	vals attrList
 }
 
@@ -194,10 +197,10 @@ type topicState struct {
 	key   ids.Id
 	name  string
 	local attrList
-	// localBuf is the inline backing array for local: the common one- or
-	// two-attribute topic then stores its tuples without a separate heap
-	// allocation per node.
-	localBuf [2]attrVal
+	// localBuf is the inline backing array for local: the common
+	// one-attribute topic stores its tuple without a separate heap allocation
+	// per node; a second attribute moves the list to the heap.
+	localBuf [1]attrVal
 	// children is the (ChildNodehandle, attribute, value) info base, kept
 	// sorted by child identifier so the upward fold always accumulates
 	// floats in the same order (float addition is not associative, and a
@@ -205,8 +208,6 @@ type topicState struct {
 	// aggregates, breaking run-to-run reproducibility).
 	children []childAggregates
 	lastSent attrList
-	sentOnce bool
-	flushing bool
 	// flushFn is the flush thunk bound once at subscribe time; every
 	// markDirty reuses it instead of allocating a fresh closure per
 	// scheduled flush.
@@ -220,17 +221,18 @@ type topicState struct {
 	// re-folding every child. Cached lists are never mutated in place; a
 	// re-fold always builds a fresh list (receivers of upMsg hold references
 	// to the old one).
-	cached  attrList
-	cacheOK bool
+	cached attrList
 
-	global    []globalVal
-	hasGlobal bool
-	onGlobal  []attrCallbacks
+	global   []globalVal
+	onGlobal []attrCallbacks
 
-	// probeStamp is the leaf-send time that triggered the pending flush,
-	// used by the root to measure leaf-to-root aggregation latency.
+	// probeStamp is the leaf-send time that triggered the pending flush
+	// (probeValid marks it set), used by the root to measure leaf-to-root
+	// aggregation latency.
 	probeStamp time.Duration
-	probeValid bool
+
+	// The flags sit together so that they share one word.
+	sentOnce, flushing, cacheOK, hasGlobal, probeValid bool
 }
 
 // maxRootLatencySamples bounds the per-root latency record.
@@ -453,13 +455,15 @@ func (m *Manager) subtreeAggregates(st *topicState) attrList {
 	}
 	// A fresh list every re-fold: the previous one may still be referenced
 	// by an in-flight upMsg, and agg must not alias localBuf either.
-	agg := make(attrList, len(st.local), len(st.local)+1)
+	// Exact capacity: a child almost never brings an attribute the node
+	// itself does not hold, and one that does pays the append.
+	agg := make(attrList, len(st.local))
 	copy(agg, st.local)
 	// The info base is already sorted by child identifier, so the fold
 	// order is fixed; departed children are compacted out in place.
 	kept := st.children[:0]
 	for _, c := range st.children {
-		if !m.sc.HasChild(st.key, c.id) {
+		if !m.sc.HasChild(st.key, m.childID(c.ref)) {
 			continue
 		}
 		kept = append(kept, c)
@@ -526,16 +530,24 @@ func (m *Manager) onChildUpdate(st *topicState, payload simnet.Message, from pas
 	if !ok {
 		return
 	}
-	i := sort.Search(len(st.children), func(i int) bool { return !st.children[i].id.Less(from.Id) })
-	if i < len(st.children) && st.children[i].id == from.Id {
+	ref := int32(from.Addr)
+	i := sort.Search(len(st.children), func(i int) bool { return !m.childID(st.children[i].ref).Less(from.Id) })
+	if i < len(st.children) && st.children[i].ref == ref {
 		if !st.children[i].vals.equal(up.Values) {
 			st.cacheOK = false
 		}
 		st.children[i].vals = up.Values
 	} else {
+		if len(st.children) == cap(st.children) {
+			// Grow once to the tree's fan-in instead of doubling up to it: a
+			// hub hears from tens of thousands of children in one round.
+			if more := m.sc.ChildCount(st.key) - len(st.children); more > 1 {
+				st.children = slices.Grow(st.children, more)
+			}
+		}
 		st.children = append(st.children, childAggregates{})
 		copy(st.children[i+1:], st.children[i:])
-		st.children[i] = childAggregates{id: from.Id, vals: up.Values}
+		st.children[i] = childAggregates{ref: ref, vals: up.Values}
 		st.cacheOK = false
 	}
 	m.markDirty(st, up.LeafSentAt)
@@ -595,6 +607,9 @@ func (m *Manager) RootLatencies() []time.Duration {
 }
 
 func (m *Manager) now() time.Duration { return m.sc.Node().Engine().Now() }
+
+// childID resolves the identifier of an info-base ref.
+func (m *Manager) childID(ref int32) ids.Id { return m.sc.Node().HandleOf(ref).Id }
 
 // upMsg carries a subtree's per-attribute aggregates one edge toward the
 // root.

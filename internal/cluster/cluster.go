@@ -65,7 +65,6 @@ type VMID int
 // varies.
 type VM struct {
 	ID       VMID
-	Name     string
 	Customer string
 	// Key is hash(customer): the placement key shared by all of the
 	// customer's VMs (paper §II.B).
@@ -74,6 +73,10 @@ type VM struct {
 	Limit       Resources
 	Demand      Resources
 }
+
+// Name returns the VM's display name, "<customer>-vm<id>". It is formatted
+// on demand: nothing on a boot path reads it.
+func (v *VM) Name() string { return fmt.Sprintf("%s-vm%d", v.Customer, v.ID) }
 
 // EffectiveDemandBW is the bandwidth the VM would consume if unconstrained
 // by its server: its demand capped by its limit.
@@ -312,7 +315,6 @@ func (c *Cluster) CreateVM(customer string, reservation, limit Resources) (*VM, 
 	}
 	c.chunks[ci] = append(c.chunks[ci], VM{
 		ID:          c.nextID,
-		Name:        fmt.Sprintf("%s-vm%d", customer, c.nextID),
 		Customer:    customer,
 		Key:         ids.HashString(customer),
 		Reservation: reservation,

@@ -53,6 +53,9 @@ func TestCreateVMValidation(t *testing.T) {
 	if vm.ID == 0 {
 		t.Error("VM id not assigned")
 	}
+	if vm.Name() != "ibm-vm1" {
+		t.Errorf("VM name %q, want ibm-vm1", vm.Name())
+	}
 	if c.VM(vm.ID) != vm {
 		t.Error("registry lookup failed")
 	}

@@ -206,7 +206,7 @@ func TestCompactTablesMatchReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				ring := NewRing(sim.NewEngine(seed), testTopo(t, 12, 8), Config{}, tc.assign) // 96 nodes in six pods
 				node := ring.Node(rng.Intn(ring.Size()))
-				model := &refTables{cfg: node.cfg, handle: node.handle, prox: node.prox}
+				model := &refTables{cfg: node.ring.cfg, handle: node.handle, prox: node.ring.lat}
 				pick := func() NodeHandle {
 					switch r := rng.Intn(40); {
 					case r == 0:
@@ -273,14 +273,14 @@ func checkHandlesMatchDirectory(t *testing.T, ring *Ring, when string) {
 		}
 		// A ref filed under another identifier than its own would still
 		// materialise a valid handle; its position gives it away.
-		cols := node.cfg.cols()
+		cols := node.ring.cfg.cols()
 		for i, ref := range node.rt {
 			if ref == noRef {
 				continue
 			}
 			l, d := i/cols, i%cols
 			id := ring.dir[ref]
-			if node.ID().CommonPrefixLen(id, node.cfg.B) != l || id.DigitAt(l, node.cfg.B) != d {
+			if node.ID().CommonPrefixLen(id, node.ring.cfg.B) != l || id.DigitAt(l, node.ring.cfg.B) != d {
 				t.Fatalf("%s: node %d rt[%d][%d] holds %v, which does not belong there", when, a, l, d, node.HandleOf(ref))
 			}
 		}

@@ -17,7 +17,7 @@ func (n *Node) Join(bootstrap simnet.Addr) {
 		n.markJoined()
 		return
 	}
-	n.net.Send(n.handle.Addr, bootstrap, &joinForward{Joiner: n.handle})
+	n.ring.net.Send(n.handle.Addr, bootstrap, &joinForward{Joiner: n.handle})
 }
 
 // handleJoinForward processes one hop of a join routed toward the joiner's
@@ -27,13 +27,13 @@ func (n *Node) handleJoinForward(m *joinForward) {
 	// Contribute the routing rows a node at this prefix depth can supply:
 	// every populated entry in rows 0..l, where l is the length of the
 	// prefix shared with the joiner.
-	l := n.handle.Id.CommonPrefixLen(m.Joiner.Id, n.cfg.B)
+	l := n.handle.Id.CommonPrefixLen(m.Joiner.Id, n.ring.cfg.B)
 	maxRow := l
-	if maxRow >= n.cfg.rows() {
-		maxRow = n.cfg.rows() - 1
+	if maxRow >= n.ring.cfg.rows() {
+		maxRow = n.ring.cfg.rows() - 1
 	}
 	for row := 0; row <= maxRow; row++ {
-		for col := 0; col < n.cfg.cols(); col++ {
+		for col := 0; col < n.ring.cfg.cols(); col++ {
 			if e := n.rtGet(row, col); !e.IsNil() {
 				m.Rows = append(m.Rows, e)
 			}
@@ -45,7 +45,7 @@ func (n *Node) handleJoinForward(m *joinForward) {
 	if next.IsNil() || next.Id == m.Joiner.Id {
 		// We are numerically closest to the joiner: reply with our leaf
 		// set, which (shifted by one position) becomes the joiner's.
-		n.net.Send(n.handle.Addr, m.Joiner.Addr, &joinReply{
+		n.ring.net.Send(n.handle.Addr, m.Joiner.Addr, &joinReply{
 			From:    n.handle,
 			Rows:    m.Rows,
 			LeafCW:  n.appendHandles(nil, n.leafCW),
@@ -55,7 +55,7 @@ func (n *Node) handleJoinForward(m *joinForward) {
 		return
 	}
 	m.Hops++
-	n.net.Send(n.handle.Addr, next.Addr, m)
+	n.ring.net.Send(n.handle.Addr, next.Addr, m)
 }
 
 // handleJoinReply installs the harvested state and announces the new node.
@@ -74,7 +74,7 @@ func (n *Node) handleJoinReply(m *joinReply) {
 	// us (the "transmits a copy of its resulting state" step of the paper's
 	// join, reduced to the handle in simulation).
 	n.knownNodes(func(h NodeHandle) {
-		n.net.Send(n.handle.Addr, h.Addr, announce{From: n.handle})
+		n.ring.net.Send(n.handle.Addr, h.Addr, announce{From: n.handle})
 	})
 	n.markJoined()
 }

@@ -12,6 +12,7 @@ type envelope struct {
 	Hops    int
 	Source  NodeHandle
 	Payload simnet.Message
+	next    *envelope // the husk below this one while it lies in an envPool
 }
 
 // WireSize implements simnet.WireSizer.
@@ -24,6 +25,7 @@ type directEnvelope struct {
 	App     string
 	From    NodeHandle
 	Payload simnet.Message
+	next    *directEnvelope // the husk below this one while it lies in an envPool
 }
 
 // WireSize implements simnet.WireSizer.
@@ -38,22 +40,45 @@ func (e *directEnvelope) WireSize() int {
 // recipient can bank the husk for the next send of any node on its goroutine
 // (the exclusive instants of a sharded run touch a pool only while its shard
 // is parked). A free list per node never paid back: the nodes that consume
-// (a tree parent, a key's owner) are rarely the ones that send next.
+// (a tree parent, a key's owner) are rarely the ones that send next. The two
+// stacks are threaded through the husks themselves (next), so banking a
+// hundred thousand of them while a tree forms grows nothing.
 type envPool struct {
-	env []*envelope
-	dir []*directEnvelope
+	env *envelope
+	dir *directEnvelope
 }
 
-// popHusk takes the most recently banked husk off a pool list, or allocates
-// one when the list is empty.
-func popHusk[T any](list *[]*T) *T {
-	k := len(*list)
-	if k == 0 {
-		return new(T)
+// getEnv takes the most recently banked envelope husk, or allocates one when
+// none is banked.
+func (p *envPool) getEnv() *envelope {
+	e := p.env
+	if e == nil {
+		return new(envelope)
 	}
-	husk := (*list)[k-1]
-	*list = (*list)[:k-1]
-	return husk
+	p.env, e.next = e.next, nil
+	return e
+}
+
+// putEnv banks a fully consumed envelope. The payload is dropped so that
+// husks do not pin application messages.
+func (p *envPool) putEnv(e *envelope) {
+	e.Payload, e.next = nil, p.env
+	p.env = e
+}
+
+// getDir and putDir are getEnv and putEnv for direct envelopes.
+func (p *envPool) getDir() *directEnvelope {
+	e := p.dir
+	if e == nil {
+		return new(directEnvelope)
+	}
+	p.dir, e.next = e.next, nil
+	return e
+}
+
+func (p *envPool) putDir(e *directEnvelope) {
+	e.Payload, e.next = nil, p.dir
+	p.dir = e
 }
 
 func payloadSize(p simnet.Message) int {

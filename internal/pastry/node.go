@@ -31,12 +31,15 @@ func (p *prng) Intn(n int) int { return int(p.next() % uint64(n)) }
 // Node is one Pastry overlay participant. All methods must be called from
 // the node's engine event loop — its shard's goroutine under a sharded
 // engine, the single engine goroutine otherwise.
+//
+// What is the same for every node of a ring — configuration, network,
+// proximity metric, identifier directory — is read through ring, and what
+// only failure detection and maintenance touch sits behind upkeep: a node
+// that routes, and nothing else, pays for neither.
 type Node struct {
-	cfg    Config
+	ring   *Ring
 	handle NodeHandle
-	net    *simnet.Network
 	engine *sim.Engine
-	prox   simnet.LatencyFunc
 	// rng is the node's private random stream (maintenance peer picks),
 	// seeded from (engine seed, address): draws never interleave with other
 	// nodes' draws, so the sequence is identical across engine modes. It is
@@ -56,12 +59,10 @@ type Node struct {
 	appCacheName string
 	appCacheApp  App
 
-	// dir is the ring's identifier directory (Ring.dir): dir[a] is the
-	// identifier of the node at address a. The tables below hold refs — a
-	// peer's address narrowed to int32, noRef for an empty routing-table
+	// The tables hold refs into the ring's identifier directory (Ring.dir) —
+	// a peer's address narrowed to int32, noRef for an empty routing-table
 	// slot — and a NodeHandle is materialised from (dir[ref], ref) only where
 	// one leaves the node.
-	dir       []ids.Id
 	rt        []int32 // flat rtRows×cols table, grown one row at a time
 	rtRows    int     // rows currently backed by rt; reads beyond are empty
 	leafCW    []int32 // successors, sorted by clockwise distance
@@ -71,16 +72,39 @@ type Node struct {
 	joined   bool
 	onJoined []func()
 
-	pingSeq uint64
-	// pendingPings is allocated lazily on the first probe: most nodes in a
-	// crash-free run never ping anyone.
-	pendingPings map[uint64]func(alive bool)
 	// onDead observers; onDeadBuf backs the single-observer common case
 	// (scribe) inline.
 	onDead    []func(NodeHandle)
 	onDeadBuf [1]func(NodeHandle)
+
+	// up is nil until the node first probes a peer, starts maintenance, scans
+	// its tables (knownNodes) or banks a leaf snapshot; upkeepState makes it.
+	up *upkeep
+
+	// pool recycles consumed envelopes among the nodes of this node's engine
+	// goroutine (see envPool).
+	pool *envPool
+
+	// routeStats accumulates delivered-hops samples for overhead analysis.
+	deliveries obs.Counter
+	totalHops  obs.Counter
+	// hopsHist is the per-node delivery hop-count distribution (nil when
+	// tracing is off; merged across nodes at snapshot time).
+	hopsHist *obs.Histogram
+
+	// obs is the node's flight-recorder source (nil when tracing is off;
+	// every emit is then a single nil-receiver branch).
+	obs *obs.Source
+}
+
+// upkeep is the state of a node's failure detector and periodic
+// maintenance, with the scratch their scans reuse. In a crash-free run
+// without maintenance almost no node ever has one.
+type upkeep struct {
+	pingSeq      uint64
+	pendingPings map[uint64]func(alive bool)
 	// suspicion counts consecutive failed probes per peer address; any
-	// received message clears it. Lazily allocated alongside pendingPings.
+	// received message clears it.
 	suspicion map[simnet.Addr]int
 
 	maintenance *sim.Ticker
@@ -98,20 +122,18 @@ type Node struct {
 	// steady state maintenance rounds allocate nothing. Slices of dropped
 	// messages are simply garbage-collected.
 	handleFree [][]NodeHandle
-	// pool recycles consumed envelopes among the nodes of this node's engine
-	// goroutine (see envPool).
-	pool *envPool
+}
 
-	// routeStats accumulates delivered-hops samples for overhead analysis.
-	deliveries obs.Counter
-	totalHops  obs.Counter
-	// hopsHist is the per-node delivery hop-count distribution (nil when
-	// tracing is off; merged across nodes at snapshot time).
-	hopsHist *obs.Histogram
-
-	// obs is the node's flight-recorder source (nil when tracing is off;
-	// every emit is then a single nil-receiver branch).
-	obs *obs.Source
+// upkeepState returns the node's upkeep state, making it on first use.
+func (n *Node) upkeepState() *upkeep {
+	if n.up == nil {
+		n.up = &upkeep{
+			pendingPings: make(map[uint64]func(bool)),
+			suspicion:    make(map[simnet.Addr]int),
+			seenScratch:  make(map[int32]struct{}),
+		}
+	}
+	return n.up
 }
 
 // noRef marks an empty routing-table slot.
@@ -129,12 +151,9 @@ func newNode(r *Ring, addr simnet.Addr, ar *refArena, rtRows int) *Node {
 	// the 32 rows, so the dense rows*cols table wasted ~12KB per node —
 	// ~100MB of handle slots at 8192 servers.
 	n := &Node{
-		cfg:    cfg,
+		ring:   r,
 		handle: NodeHandle{Id: r.dir[addr], Addr: addr},
-		dir:    r.dir,
-		net:    net,
 		engine: net.EngineFor(addr),
-		prox:   r.lat,
 		rng:    prng{state: uint64(net.Engine().Seed()) ^ (uint64(addr)+1)*0x9E3779B97F4A7C15},
 		obs:    net.TraceSource(addr),
 	}
@@ -168,17 +187,17 @@ func (n *Node) ID() ids.Id { return n.handle.Id }
 func (n *Node) Addr() simnet.Addr { return n.handle.Addr }
 
 // Config returns the node's effective configuration (defaults applied).
-func (n *Node) Config() Config { return n.cfg }
+func (n *Node) Config() Config { return n.ring.cfg }
 
 // Engine returns the simulation engine driving the node.
 func (n *Node) Engine() *sim.Engine { return n.engine }
 
 // Network returns the transport the node is attached to.
-func (n *Node) Network() *simnet.Network { return n.net }
+func (n *Node) Network() *simnet.Network { return n.ring.net }
 
 // LatencyBetween returns the proximity-metric latency between two network
 // addresses; applications use it to rank candidates topologically.
-func (n *Node) LatencyBetween(a, b simnet.Addr) time.Duration { return n.prox(a, b) }
+func (n *Node) LatencyBetween(a, b simnet.Addr) time.Duration { return n.ring.lat(a, b) }
 
 // appEntry is one (name, application) registration.
 type appEntry struct {
@@ -251,7 +270,7 @@ func (n *Node) markJoined() {
 // HandleOf materialises the handle of a table ref: the refs AdjacentSets
 // returns, or any non-empty table entry.
 func (n *Node) HandleOf(ref int32) NodeHandle {
-	return NodeHandle{Id: n.dir[ref], Addr: simnet.Addr(ref)}
+	return NodeHandle{Id: n.ring.dir[ref], Addr: simnet.Addr(ref)}
 }
 
 // rtSlot returns a pointer to routing-table row l, column d, growing the
@@ -259,7 +278,7 @@ func (n *Node) HandleOf(ref int32) NodeHandle {
 // until the next rtSlot call (growth reallocates). Read-only paths use
 // rtGet, which never allocates.
 func (n *Node) rtSlot(l, d int) *int32 {
-	cols := n.cfg.cols()
+	cols := n.ring.cfg.cols()
 	if l >= n.rtRows {
 		need := (l + 1) * cols
 		old := len(n.rt)
@@ -284,7 +303,7 @@ func (n *Node) rtSlot(l, d int) *int32 {
 // indexed load and, for a populated slot, one directory load.
 func (n *Node) rtGet(l, d int) NodeHandle {
 	if l < n.rtRows {
-		if ref := n.rt[l*n.cfg.cols()+d]; ref >= 0 {
+		if ref := n.rt[l*n.ring.cfg.cols()+d]; ref >= 0 {
 			return n.HandleOf(ref)
 		}
 	}
@@ -324,11 +343,11 @@ func (n *Node) consider(h NodeHandle) {
 }
 
 func (n *Node) rtInsert(id ids.Id, ref int32) {
-	l := n.handle.Id.CommonPrefixLen(id, n.cfg.B)
-	if l >= n.cfg.rows() {
+	l := n.handle.Id.CommonPrefixLen(id, n.ring.cfg.B)
+	if l >= n.ring.cfg.rows() {
 		return // identical identifier; cannot happen for distinct nodes
 	}
-	slot := n.rtSlot(l, id.DigitAt(l, n.cfg.B))
+	slot := n.rtSlot(l, id.DigitAt(l, n.ring.cfg.B))
 	switch {
 	case *slot < 0:
 		*slot = ref
@@ -337,7 +356,7 @@ func (n *Node) rtInsert(id ids.Id, ref int32) {
 	default:
 		// Keep the entry closer by network proximity (Pastry's locality
 		// heuristic).
-		if n.prox(n.handle.Addr, simnet.Addr(ref)) < n.prox(n.handle.Addr, simnet.Addr(*slot)) {
+		if n.ring.lat(n.handle.Addr, simnet.Addr(ref)) < n.ring.lat(n.handle.Addr, simnet.Addr(*slot)) {
 			*slot = ref
 		}
 	}
@@ -350,7 +369,7 @@ func (n *Node) cwDist(x ids.Id) ids.Id { return x.Sub(n.handle.Id) }
 func (n *Node) ccwDist(x ids.Id) ids.Id { return n.handle.Id.Sub(x) }
 
 func (n *Node) leafInsert(id ids.Id, ref int32) {
-	half := n.cfg.LeafSize / 2
+	half := n.ring.cfg.LeafSize / 2
 	n.leafCW = n.insertSortedByDist(n.leafCW, id, ref, half, func(x ids.Id) ids.Id { return n.cwDist(x) })
 	n.leafCCW = n.insertSortedByDist(n.leafCCW, id, ref, half, func(x ids.Id) ids.Id { return n.ccwDist(x) })
 }
@@ -358,7 +377,7 @@ func (n *Node) leafInsert(id ids.Id, ref int32) {
 func (n *Node) insertSortedByDist(list []int32, id ids.Id, ref int32, max int, dist func(ids.Id) ids.Id) []int32 {
 	d := dist(id)
 	pos := sort.Search(len(list), func(i int) bool {
-		return !dist(n.dir[list[i]]).Less(d)
+		return !dist(n.ring.dir[list[i]]).Less(d)
 	})
 	if pos < len(list) && list[pos] == ref {
 		return list // already present
@@ -381,17 +400,17 @@ func (n *Node) neighborInsert(id ids.Id, ref int32) {
 			return
 		}
 	}
-	d := n.prox(n.handle.Addr, simnet.Addr(ref))
+	d := n.ring.lat(n.handle.Addr, simnet.Addr(ref))
 	// after reports whether the new peer sorts after nb: farther, or equally
 	// far (same rack) and no closer on the ring, which keeps the set
 	// deterministic.
 	after := func(nb int32) bool {
-		if di := n.prox(n.handle.Addr, simnet.Addr(nb)); di != d {
+		if di := n.ring.lat(n.handle.Addr, simnet.Addr(nb)); di != d {
 			return di < d
 		}
-		return ids.CloserTo(n.handle.Id, n.dir[nb], id)
+		return ids.CloserTo(n.handle.Id, n.ring.dir[nb], id)
 	}
-	full := len(n.neighbors) == n.cfg.NeighborhoodSize
+	full := len(n.neighbors) == n.ring.cfg.NeighborhoodSize
 	if full && after(n.neighbors[len(n.neighbors)-1]) {
 		return
 	}
@@ -407,7 +426,7 @@ func (n *Node) neighborInsert(id ids.Id, ref int32) {
 // called when the peer is declared dead.
 func (n *Node) Forget(id ids.Id) {
 	for i, ref := range n.rt {
-		if ref >= 0 && n.dir[ref] == id {
+		if ref >= 0 && n.ring.dir[ref] == id {
 			n.rt[i] = noRef
 		}
 	}
@@ -419,7 +438,7 @@ func (n *Node) Forget(id ids.Id) {
 func (n *Node) removeByID(list []int32, id ids.Id) []int32 {
 	out := list[:0]
 	for _, ref := range list {
-		if n.dir[ref] != id {
+		if n.ring.dir[ref] != id {
 			out = append(out, ref)
 		}
 	}
@@ -441,11 +460,8 @@ func (n *Node) AdjacentSets() (neighborhood, ccw, cw []int32) {
 
 // knownNodes calls fn for every distinct node the local tables reference.
 func (n *Node) knownNodes(fn func(NodeHandle)) {
-	if n.seenScratch == nil {
-		n.seenScratch = make(map[int32]struct{})
-	}
-	clear(n.seenScratch)
-	seen := n.seenScratch
+	seen := n.upkeepState().seenScratch
+	clear(seen)
 	visit := func(ref int32) {
 		if ref < 0 {
 			return
@@ -490,17 +506,17 @@ func (n *Node) Peers() []NodeHandle {
 // Rejoin returns how many of those it skipped.
 func (n *Node) Rejoin(peers []NodeHandle) (foreign int) {
 	for _, h := range peers {
-		if !inDirectory(n.dir, h) {
+		if !inDirectory(n.ring.dir, h) {
 			foreign++
 			continue
 		}
-		if h.Id == n.handle.Id || !n.net.Alive(h.Addr) {
+		if h.Id == n.handle.Id || !n.ring.net.Alive(h.Addr) {
 			continue
 		}
 		n.consider(h)
 	}
 	n.knownNodes(func(h NodeHandle) {
-		n.net.Send(n.handle.Addr, h.Addr, announce{From: n.handle})
+		n.ring.net.Send(n.handle.Addr, h.Addr, announce{From: n.handle})
 	})
 	n.markJoined()
 	return foreign
@@ -517,7 +533,9 @@ func inDirectory(dir []ids.Id, h NodeHandle) bool {
 
 // HandleMessage implements simnet.Handler.
 func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
-	delete(n.suspicion, from) // any traffic proves the peer alive
+	if n.up != nil {
+		delete(n.up.suspicion, from) // any traffic proves the peer alive
+	}
 	switch m := msg.(type) {
 	case *envelope:
 		n.consider(m.Source)
@@ -527,8 +545,7 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
 		if app, ok := n.app(m.App); ok {
 			app.HandleDirect(m.From, m.Payload)
 		}
-		m.Payload = nil
-		n.pool.dir = append(n.pool.dir, m)
+		n.pool.putDir(m)
 	case *joinForward:
 		n.handleJoinForward(m)
 	case *joinReply:
@@ -541,11 +558,14 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
 		n.handleRTExchange(m)
 	case pingMsg:
 		n.consider(m.From)
-		n.net.Send(n.handle.Addr, m.From.Addr, pongMsg{Seq: m.Seq, From: n.handle})
+		n.ring.net.Send(n.handle.Addr, m.From.Addr, pongMsg{Seq: m.Seq, From: n.handle})
 	case pongMsg:
 		n.consider(m.From)
-		if cb, ok := n.pendingPings[m.Seq]; ok {
-			delete(n.pendingPings, m.Seq)
+		if n.up == nil {
+			return // never pinged anyone: a pong for a node this one replaced
+		}
+		if cb, ok := n.up.pendingPings[m.Seq]; ok {
+			delete(n.up.pendingPings, m.Seq)
 			cb(true)
 		}
 	}
@@ -554,24 +574,22 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
 // SendDirect delivers payload to app on the node named by to, bypassing
 // key-based routing (one network hop).
 func (n *Node) SendDirect(to NodeHandle, app string, payload simnet.Message) {
-	env := popHusk(&n.pool.dir)
+	env := n.pool.getDir()
 	env.App, env.From, env.Payload = app, n.handle, payload
-	n.net.Send(n.handle.Addr, to.Addr, env)
+	n.ring.net.Send(n.handle.Addr, to.Addr, env)
 }
 
 // Ping probes a peer and invokes cb with its liveness verdict after at most
 // the configured probe timeout.
 func (n *Node) Ping(to NodeHandle, cb func(alive bool)) {
-	n.pingSeq++
-	seq := n.pingSeq
-	if n.pendingPings == nil {
-		n.pendingPings = make(map[uint64]func(bool))
-	}
-	n.pendingPings[seq] = cb
-	n.net.Send(n.handle.Addr, to.Addr, pingMsg{Seq: seq, From: n.handle})
-	n.engine.After(n.cfg.ProbeTimeout, func() {
-		if cb, ok := n.pendingPings[seq]; ok {
-			delete(n.pendingPings, seq)
+	up := n.upkeepState()
+	up.pingSeq++
+	seq := up.pingSeq
+	up.pendingPings[seq] = cb
+	n.ring.net.Send(n.handle.Addr, to.Addr, pingMsg{Seq: seq, From: n.handle})
+	n.engine.After(n.ring.cfg.ProbeTimeout, func() {
+		if cb, ok := up.pendingPings[seq]; ok {
+			delete(up.pendingPings, seq)
 			cb(false)
 		}
 	})
@@ -592,7 +610,7 @@ func (n *Node) declareDead(h NodeHandle) {
 
 func (n *Node) containsID(list []int32, id ids.Id) bool {
 	for _, ref := range list {
-		if n.dir[ref] == id {
+		if n.ring.dir[ref] == id {
 			return true
 		}
 	}
@@ -618,17 +636,22 @@ func (n *Node) appendHandles(dst []NodeHandle, refs []int32) []NodeHandle {
 }
 
 func (n *Node) getHandles() []NodeHandle {
-	if k := len(n.handleFree); k > 0 {
-		s := n.handleFree[k-1]
-		n.handleFree = n.handleFree[:k-1]
-		return s[:0]
+	up := n.up
+	if up == nil || len(up.handleFree) == 0 {
+		return nil
 	}
-	return nil
+	k := len(up.handleFree) - 1
+	s := up.handleFree[k]
+	up.handleFree = up.handleFree[:k]
+	return s[:0]
 }
 
 func (n *Node) recycleHandles(s []NodeHandle) {
-	if cap(s) > 0 && len(n.handleFree) < 8 {
-		n.handleFree = append(n.handleFree, s)
+	if cap(s) == 0 {
+		return
+	}
+	if up := n.upkeepState(); len(up.handleFree) < 8 {
+		up.handleFree = append(up.handleFree, s)
 	}
 }
 
@@ -639,12 +662,12 @@ func (n *Node) recycleHandles(s []NodeHandle) {
 func (n *Node) repairLeafSet() {
 	if len(n.leafCW) > 0 {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, simnet.Addr(n.leafCW[len(n.leafCW)-1]),
+		n.ring.net.Send(n.handle.Addr, simnet.Addr(n.leafCW[len(n.leafCW)-1]),
 			&leafExchange{From: n.handle, CW: cw, CCW: ccw})
 	}
 	if len(n.leafCCW) > 0 {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, simnet.Addr(n.leafCCW[len(n.leafCCW)-1]),
+		n.ring.net.Send(n.handle.Addr, simnet.Addr(n.leafCCW[len(n.leafCCW)-1]),
 			&leafExchange{From: n.handle, CW: cw, CCW: ccw})
 	}
 }
@@ -659,7 +682,7 @@ func (n *Node) handleLeafExchange(m *leafExchange) {
 	}
 	if !m.Reply {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, m.From.Addr, &leafExchange{
+		n.ring.net.Send(n.handle.Addr, m.From.Addr, &leafExchange{
 			From: n.handle, CW: cw, CCW: ccw, Reply: true,
 		})
 	}
@@ -672,17 +695,18 @@ func (n *Node) handleLeafExchange(m *leafExchange) {
 // StartMaintenance begins periodic leaf-set exchange and liveness probing.
 // It is idempotent.
 func (n *Node) StartMaintenance() {
-	if n.maintenance != nil {
+	up := n.upkeepState()
+	if up.maintenance != nil {
 		return
 	}
-	n.maintenance = n.engine.Every(n.cfg.MaintenanceInterval, n.maintenanceRound)
+	up.maintenance = n.engine.Every(n.ring.cfg.MaintenanceInterval, n.maintenanceRound)
 }
 
 // StopMaintenance halts periodic maintenance.
 func (n *Node) StopMaintenance() {
-	if n.maintenance != nil {
-		n.maintenance.Stop()
-		n.maintenance = nil
+	if n.up != nil && n.up.maintenance != nil {
+		n.up.maintenance.Stop()
+		n.up.maintenance = nil
 	}
 }
 
@@ -692,24 +716,25 @@ func (n *Node) maintenanceRound() {
 	// receivers each consume (and recycle) their own slices.
 	if len(n.leafCW) > 0 {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, simnet.Addr(n.leafCW[0]), &leafExchange{From: n.handle, CW: cw, CCW: ccw})
+		n.ring.net.Send(n.handle.Addr, simnet.Addr(n.leafCW[0]), &leafExchange{From: n.handle, CW: cw, CCW: ccw})
 	}
 	if len(n.leafCCW) > 0 {
 		cw, ccw := n.leafSnapshot()
-		n.net.Send(n.handle.Addr, simnet.Addr(n.leafCCW[0]), &leafExchange{From: n.handle, CW: cw, CCW: ccw})
+		n.ring.net.Send(n.handle.Addr, simnet.Addr(n.leafCCW[0]), &leafExchange{From: n.handle, CW: cw, CCW: ccw})
 	}
 	// Exchange one routing-table row with a random entry of that row: the
 	// periodic routing-table maintenance that refreshes stale entries and
 	// spreads knowledge of failures beyond the leaf sets.
 	n.rtMaintenance()
 	// Probe a few random leaf-set members for liveness.
-	candidates := append(n.probeScratch[:0], n.leafCW...)
+	up := n.upkeepState()
+	candidates := append(up.probeScratch[:0], n.leafCW...)
 	candidates = append(candidates, n.leafCCW...)
-	n.probeScratch = candidates
+	up.probeScratch = candidates
 	if len(candidates) == 0 {
 		return
 	}
-	for i := 0; i < n.cfg.ProbesPerRound && i < len(candidates); i++ {
+	for i := 0; i < n.ring.cfg.ProbesPerRound && i < len(candidates); i++ {
 		n.probe(n.HandleOf(candidates[n.rng.Intn(len(candidates))]))
 	}
 }
@@ -717,7 +742,7 @@ func (n *Node) maintenanceRound() {
 // rtMaintenance picks a random populated routing-table row and swaps it
 // with a random peer from that row.
 func (n *Node) rtMaintenance() {
-	rows := n.cfg.rows()
+	rows := n.ring.cfg.rows()
 	start := n.rng.Intn(rows)
 	for k := 0; k < rows; k++ {
 		row := (start + k) % rows
@@ -726,7 +751,7 @@ func (n *Node) rtMaintenance() {
 			continue
 		}
 		peer := entries[n.rng.Intn(len(entries))]
-		n.net.Send(n.handle.Addr, peer.Addr, &rtExchange{
+		n.ring.net.Send(n.handle.Addr, peer.Addr, &rtExchange{
 			From: n.handle, Row: row, Entries: entries,
 		})
 		return
@@ -737,8 +762,8 @@ func (n *Node) rtMaintenance() {
 // slice is freshly allocated (sized to the row) because callers embed it in
 // messages that outlive the call.
 func (n *Node) rowEntries(row int) []NodeHandle {
-	out := make([]NodeHandle, 0, n.cfg.cols())
-	for col := 0; col < n.cfg.cols(); col++ {
+	out := make([]NodeHandle, 0, n.ring.cfg.cols())
+	for col := 0; col < n.ring.cfg.cols(); col++ {
 		if e := n.rtGet(row, col); !e.IsNil() {
 			out = append(out, e)
 		}
@@ -754,10 +779,10 @@ func (n *Node) handleRTExchange(m *rtExchange) {
 	if m.Reply {
 		return
 	}
-	if m.Row < 0 || m.Row >= n.cfg.rows() {
+	if m.Row < 0 || m.Row >= n.ring.cfg.rows() {
 		return
 	}
-	n.net.Send(n.handle.Addr, m.From.Addr, &rtExchange{
+	n.ring.net.Send(n.handle.Addr, m.From.Addr, &rtExchange{
 		From: n.handle, Row: m.Row, Entries: n.rowEntries(m.Row), Reply: true,
 	})
 }
@@ -766,17 +791,15 @@ func (n *Node) handleRTExchange(m *rtExchange) {
 // consecutive misses execute the death verdict, so the detector tolerates
 // heavy message loss while still catching real crashes within one round.
 func (n *Node) probe(target NodeHandle) {
+	suspicion := n.upkeepState().suspicion
 	n.Ping(target, func(alive bool) {
 		if alive {
-			delete(n.suspicion, target.Addr)
+			delete(suspicion, target.Addr)
 			return
 		}
-		if n.suspicion == nil {
-			n.suspicion = make(map[simnet.Addr]int)
-		}
-		n.suspicion[target.Addr]++
-		if n.suspicion[target.Addr] >= n.cfg.ProbeRetries {
-			delete(n.suspicion, target.Addr)
+		suspicion[target.Addr]++
+		if suspicion[target.Addr] >= n.ring.cfg.ProbeRetries {
+			delete(suspicion, target.Addr)
 			n.declareDead(target)
 			return
 		}

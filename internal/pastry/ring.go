@@ -426,7 +426,7 @@ func (r *Ring) fillNeighborhood(node *Node, cands []nbCandidate) []nbCandidate {
 	for d := 1; len(cands) < 2*r.cfg.NeighborhoodSize && d < r.topo.Servers(); d++ {
 		for _, srv := range [2]int{self - d, self + d} {
 			if srv >= 0 && srv < r.topo.Servers() {
-				cands = append(cands, nbCandidate{ref: int32(srv), lat: node.prox(selfAddr, simnet.Addr(srv))})
+				cands = append(cands, nbCandidate{ref: int32(srv), lat: r.lat(selfAddr, simnet.Addr(srv))})
 			}
 		}
 	}

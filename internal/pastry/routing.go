@@ -9,16 +9,9 @@ import (
 // Route sends payload toward key; it is delivered to the app of the same
 // name on the live node whose identifier is numerically closest to key.
 func (n *Node) Route(key ids.Id, app string, payload simnet.Message) {
-	env := popHusk(&n.pool.env)
+	env := n.pool.getEnv()
 	*env = envelope{Key: key, App: app, Source: n.handle, Payload: payload}
 	n.routeEnvelope(env)
-}
-
-// recycleEnvelope returns a fully consumed envelope to the pool.
-// Payload is dropped so recycled husks do not pin application messages.
-func (n *Node) recycleEnvelope(env *envelope) {
-	env.Payload = nil
-	n.pool.env = append(n.pool.env, env)
 }
 
 // routeEnvelope makes one routing decision: deliver locally or forward one
@@ -32,19 +25,19 @@ func (n *Node) routeEnvelope(env *envelope) {
 			n.deliver(env)
 			return
 		}
-		if !n.net.Alive(next.Addr) {
+		if !n.ring.net.Alive(next.Addr) {
 			n.declareDead(next)
 			continue
 		}
 		if app, ok := n.app(env.App); ok {
 			if !app.Forward(env.Key, env.Payload, next) {
-				n.recycleEnvelope(env) // application consumed the message
+				n.pool.putEnv(env) // application consumed the message
 				return
 			}
 		}
 		env.Hops++
 		n.obs.Instant(n.engine.Now(), obs.KindRouteHop, obs.NoRef, int64(env.Hops), int64(next.Addr))
-		n.net.Send(n.handle.Addr, next.Addr, env)
+		n.ring.net.Send(n.handle.Addr, next.Addr, env)
 		return
 	}
 }
@@ -57,7 +50,7 @@ func (n *Node) deliver(env *envelope) {
 	if app, ok := n.app(env.App); ok {
 		app.Deliver(env.Key, env.Payload, RouteInfo{Hops: env.Hops, Source: env.Source})
 	}
-	n.recycleEnvelope(env)
+	n.pool.putEnv(env)
 }
 
 // NextHop computes the Pastry routing decision for key: the zero handle
@@ -75,8 +68,8 @@ func (n *Node) NextHop(key ids.Id) NodeHandle {
 	if n.inLeafRange(key) {
 		return n.closestLeaf(key)
 	}
-	l := n.handle.Id.CommonPrefixLen(key, n.cfg.B)
-	d := key.DigitAt(l, n.cfg.B)
+	l := n.handle.Id.CommonPrefixLen(key, n.ring.cfg.B)
+	d := key.DigitAt(l, n.ring.cfg.B)
 	if e := n.rtGet(l, d); !e.IsNil() {
 		return e
 	}
@@ -91,8 +84,8 @@ func (n *Node) inLeafRange(key ids.Id) bool {
 	if len(n.leafCW) == 0 || len(n.leafCCW) == 0 {
 		return true
 	}
-	lo := n.dir[n.leafCCW[len(n.leafCCW)-1]] // farthest predecessor
-	hi := n.dir[n.leafCW[len(n.leafCW)-1]]   // farthest successor
+	lo := n.ring.dir[n.leafCCW[len(n.leafCCW)-1]] // farthest predecessor
+	hi := n.ring.dir[n.leafCW[len(n.leafCW)-1]]   // farthest successor
 	return key == lo || ids.InArc(key, lo, hi)
 }
 
@@ -101,12 +94,12 @@ func (n *Node) inLeafRange(key ids.Id) bool {
 func (n *Node) closestLeaf(key ids.Id) NodeHandle {
 	best := n.handle
 	for _, ref := range n.leafCW {
-		if id := n.dir[ref]; ids.CloserTo(key, id, best.Id) {
+		if id := n.ring.dir[ref]; ids.CloserTo(key, id, best.Id) {
 			best = NodeHandle{Id: id, Addr: simnet.Addr(ref)}
 		}
 	}
 	for _, ref := range n.leafCCW {
-		if id := n.dir[ref]; ids.CloserTo(key, id, best.Id) {
+		if id := n.ring.dir[ref]; ids.CloserTo(key, id, best.Id) {
 			best = NodeHandle{Id: id, Addr: simnet.Addr(ref)}
 		}
 	}
@@ -122,7 +115,7 @@ func (n *Node) closestLeaf(key ids.Id) NodeHandle {
 func (n *Node) rareCase(key ids.Id, l int) NodeHandle {
 	best := NoHandle
 	n.knownNodes(func(h NodeHandle) {
-		if h.Id.CommonPrefixLen(key, n.cfg.B) < l {
+		if h.Id.CommonPrefixLen(key, n.ring.cfg.B) < l {
 			return
 		}
 		if !ids.CloserTo(key, h.Id, n.handle.Id) {

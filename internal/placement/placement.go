@@ -168,8 +168,7 @@ type DHT struct {
 	// when their slot fires. This replaces one scheduled closure per query
 	// with one armed timer total — the boot hot path allocates nothing for
 	// timeout tracking.
-	tq         []qTimeout
-	tqHead     int
+	tq         timeoutQueue
 	timerArmed bool
 	timerFn    func()
 
@@ -185,6 +184,54 @@ type DHT struct {
 type qTimeout struct {
 	seq uint64
 	at  time.Duration
+}
+
+// tqChunk is how many deadlines one chunk of a timeoutQueue holds.
+const tqChunk = 1024
+
+// timeoutQueue is a FIFO of deadlines in fixed-size chunks. A deadline waits
+// a whole QueryTimeout before the timer looks at it, so under a steady stream
+// the queue holds every query of the last half minute: one slice grown by
+// append paid five times its final size in copies (Go grows a large slice by
+// a quarter at a time), chunks are allocated once and handed back as the head
+// passes them.
+type timeoutQueue struct {
+	chunks [][]qTimeout // all but the last are full
+	head   int          // next unread entry of chunks[0]
+	spare  []qTimeout   // one drained chunk, kept for the next push that needs one
+}
+
+func (q *timeoutQueue) push(t qTimeout) {
+	last := len(q.chunks) - 1
+	if last < 0 || len(q.chunks[last]) == tqChunk {
+		c := q.spare[:0]
+		q.spare = nil
+		if cap(c) == 0 {
+			c = make([]qTimeout, 0, tqChunk)
+		}
+		q.chunks = append(q.chunks, c)
+		last++
+	}
+	q.chunks[last] = append(q.chunks[last], t)
+}
+
+// peek returns the oldest deadline; ok is false on an empty queue.
+func (q *timeoutQueue) peek() (t qTimeout, ok bool) {
+	if len(q.chunks) == 0 || q.head == len(q.chunks[0]) {
+		return qTimeout{}, false
+	}
+	return q.chunks[0][q.head], true
+}
+
+// pop drops the oldest deadline, handing its chunk back once it is drained.
+func (q *timeoutQueue) pop() {
+	q.head++
+	if q.head == len(q.chunks[0]) { // full and read through, or the last one and the queue is empty
+		q.spare = q.chunks[0]
+		q.chunks[0] = nil
+		q.chunks = q.chunks[1:]
+		q.head = 0
+	}
 }
 
 // pendingQuery is the gateway-side record of an in-flight query. Exactly one
@@ -316,7 +363,7 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 
 func (d *DHT) armTimeout(seq uint64) {
 	eng := d.ring.Node(d.cfg.Gateway).Engine()
-	d.tq = append(d.tq, qTimeout{seq: seq, at: eng.Now() + d.cfg.QueryTimeout})
+	d.tq.push(qTimeout{seq: seq, at: eng.Now() + d.cfg.QueryTimeout})
 	if !d.timerArmed {
 		d.timerArmed = true
 		eng.After(d.cfg.QueryTimeout, d.timerFn)
@@ -327,9 +374,13 @@ func (d *DHT) onTimer() {
 	d.timerArmed = false
 	eng := d.ring.Node(d.cfg.Gateway).Engine()
 	now := eng.Now()
-	for d.tqHead < len(d.tq) && d.tq[d.tqHead].at <= now {
-		seq := d.tq[d.tqHead].seq
-		d.tqHead++
+	for {
+		t, ok := d.tq.peek()
+		if !ok || t.at > now {
+			break
+		}
+		d.tq.pop()
+		seq := t.seq
 		pq, ok := d.pending[seq]
 		if !ok {
 			continue // resolved long ago
@@ -346,17 +397,12 @@ func (d *DHT) onTimer() {
 			pq.deliver(i, Result{}, err)
 		}
 	}
-	if d.tqHead == len(d.tq) {
-		d.tq = d.tq[:0]
-		d.tqHead = 0
+	next, ok := d.tq.peek()
+	if !ok {
 		return
 	}
-	if d.tqHead > 1024 && d.tqHead > len(d.tq)/2 {
-		d.tq = append(d.tq[:0], d.tq[d.tqHead:]...)
-		d.tqHead = 0
-	}
 	d.timerArmed = true
-	eng.After(d.tq[d.tqHead].at-now, d.timerFn)
+	eng.After(next.at-now, d.timerFn)
 }
 
 // Stats reports placements completed, mean and max query hops, and spill

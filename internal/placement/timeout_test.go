@@ -1,0 +1,98 @@
+package placement
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"vbundle/internal/simnet"
+)
+
+// TestTimeoutQueueIsFIFOAcrossChunks holds the chunked queue against a plain
+// slice through pushes and pops that cross chunk boundaries, drain the queue
+// to empty and refill it.
+func TestTimeoutQueueIsFIFOAcrossChunks(t *testing.T) {
+	var q timeoutQueue
+	var model []qTimeout
+	next := uint64(0)
+	step := func(pushes, pops int) {
+		t.Helper()
+		for i := 0; i < pushes; i++ {
+			next++
+			e := qTimeout{seq: next, at: time.Duration(next)}
+			q.push(e)
+			model = append(model, e)
+		}
+		for i := 0; i < pops; i++ {
+			got, ok := q.peek()
+			if !ok || got != model[0] {
+				t.Fatalf("peek = %+v, %v; want %+v", got, ok, model[0])
+			}
+			q.pop()
+			model = model[1:]
+		}
+		if _, ok := q.peek(); ok != (len(model) > 0) {
+			t.Fatalf("peek reports ok=%v with %d entries queued", ok, len(model))
+		}
+		if live := (len(model) + q.head + tqChunk - 1) / tqChunk; len(q.chunks) != live {
+			t.Fatalf("%d chunks held for %d queued entries (head %d)", len(q.chunks), len(model), q.head)
+		}
+	}
+	step(3, 3)                   // drained inside the first chunk
+	step(tqChunk-1, 0)           // one short of full
+	step(2, 1)                   // spills into a second chunk
+	step(3*tqChunk, 2*tqChunk)   // head crosses two boundaries
+	step(0, len(model))          // drained to empty across a boundary
+	step(tqChunk+5, tqChunk+5)   // refilled from the spare, drained again
+	step(2*tqChunk+1, 2*tqChunk) // one entry left, in the last chunk
+	step(1, 2)
+}
+
+// TestQueryTimeoutsFireInLaunchOrder loses every message on the wire, so
+// every query that leaves the gateway times out: each exactly once, in launch
+// order, over more queries than one chunk of the timeout queue holds.
+func TestQueryTimeoutsFireInLaunchOrder(t *testing.T) {
+	w := newWorld(t, 4, 8, 1000)
+	w.ring.Network().ScheduleFaults(simnet.FaultSchedule{Links: []simnet.LinkFault{
+		{From: simnet.Nowhere, To: simnet.Nowhere, End: time.Hour, Rate: 1},
+	}})
+	d := NewDHT(w.ring, w.cl, DHTConfig{QueryTimeout: 2 * time.Second})
+	const n = 2*tqChunk + 300
+	var timedOut []int
+	placed := 0
+	for i := 0; i < n; i++ {
+		i := i
+		w.engine.At(time.Duration(i)*time.Millisecond, func() {
+			vm, err := w.cl.CreateVM(fmt.Sprintf("customer-%d", i%97), bwRes(1), bwRes(2))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d.Place(vm, func(_ Result, err error) {
+				if err != nil {
+					timedOut = append(timedOut, i)
+				} else {
+					placed++ // the gateway owns the customer's key: no message involved
+				}
+			})
+		})
+	}
+	w.engine.Run()
+	if len(timedOut)+placed != n {
+		t.Fatalf("%d timed out + %d placed, %d launched", len(timedOut), placed, n)
+	}
+	if len(timedOut) <= tqChunk {
+		t.Fatalf("only %d queries timed out: the queue never crossed a chunk", len(timedOut))
+	}
+	if d.Timeouts() != len(timedOut) {
+		t.Fatalf("Timeouts() = %d, callbacks saw %d", d.Timeouts(), len(timedOut))
+	}
+	for k := 1; k < len(timedOut); k++ {
+		if timedOut[k-1] >= timedOut[k] {
+			t.Fatalf("timeout %d fired for query %d after query %d", k, timedOut[k], timedOut[k-1])
+		}
+	}
+	if _, ok := d.tq.peek(); ok || len(d.tq.chunks) != 0 || len(d.pending) != 0 {
+		t.Fatalf("after the last timeout: %d chunks, %d pending queries", len(d.tq.chunks), len(d.pending))
+	}
+}

@@ -121,13 +121,13 @@ func TestResolvedAnycastsLeaveNoDeadTimers(t *testing.T) {
 	if accepted != n {
 		t.Fatalf("accepted %d of %d any-casts", accepted, n)
 	}
-	if len(origin.pendingAnycast) != 0 {
-		t.Fatalf("%d any-casts still pending after all resolved", len(origin.pendingAnycast))
+	if len(origin.orig.pending) != 0 {
+		t.Fatalf("%d any-casts still pending after all resolved", len(origin.orig.pending))
 	}
 	// The wheel prunes resolved entries on every push, so it never holds
 	// more than the single in-flight deadline.
-	if len(origin.wheel) > 1 {
-		t.Fatalf("wheel holds %d entries, want <= 1", len(origin.wheel))
+	if len(origin.orig.wheel) > 1 {
+		t.Fatalf("wheel holds %d entries, want <= 1", len(origin.orig.wheel))
 	}
 	// One armed wheel event at most may linger; the old per-any-cast timers
 	// would leave one dead event in the queue for each resolved query.

@@ -25,11 +25,12 @@ type joinMsg struct {
 // WireSize implements simnet.WireSizer.
 func (m *joinMsg) WireSize() int { return ids.Bytes + handleWireBytes }
 
-// joinAck confirms a graft and tells the child its parent.
-type joinAck struct {
-	Group  ids.Id
-	Parent pastry.NodeHandle
-}
+// joinAck confirms a graft. It is the group key and nothing more: the child
+// reads its new parent off the envelope that brought the ack. A parent
+// therefore acknowledges every child of a group with one pointer to its own
+// copy of the key (groupState.group, written once) instead of one object a
+// child. On the wire it is still a key and a handle.
+type joinAck ids.Id
 
 // WireSize implements simnet.WireSizer.
 func (m *joinAck) WireSize() int { return ids.Bytes + handleWireBytes }

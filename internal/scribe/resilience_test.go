@@ -99,7 +99,7 @@ func TestStaleParentEdgeGetsPruned(t *testing.T) {
 	}
 	// Fabricate: stale wrongly lists child as its child.
 	sg := stale.stateFor(group)
-	sg.putChild(child.Node().Handle())
+	sg.putChild(stale.Node(), child.Node().Handle())
 
 	for _, s := range f.scribes {
 		s.StartMaintenance(10 * time.Second)
@@ -152,7 +152,7 @@ func TestHeartbeatAdoptionIsGradientSafe(t *testing.T) {
 		t.Skip("no farther node in this fixture")
 	}
 	fg := farther.stateFor(group)
-	fg.putChild(detached.Node().Handle())
+	fg.putChild(farther.Node(), detached.Node().Handle())
 	farther.StartMaintenance(10 * time.Second)
 	f.engine.RunFor(15 * time.Second)
 	farther.StopMaintenance()

@@ -67,10 +67,13 @@ type groupState struct {
 	member bool
 	root   bool
 	parent pastry.NodeHandle // NoHandle while unknown or at the root
-	// children is kept sorted by identifier so every dissemination loop
-	// walks the tree in a deterministic order at no extra cost; maps would
-	// randomize message ordering and make identically-seeded runs diverge.
-	children []pastry.NodeHandle
+	// children holds the child edges as refs (the child's address; the
+	// node's directory resolves the identifier), sorted by identifier so every
+	// dissemination loop walks the tree in a deterministic order at no extra
+	// cost; maps would randomize message ordering and make identically-seeded
+	// runs diverge. A handle is materialised (Node.HandleOf) only where one
+	// leaves the slice: four bytes an edge instead of twenty-four.
+	children []int32
 	handlers Handlers
 	// joining marks an in-flight join (parent not yet confirmed).
 	joining bool
@@ -81,27 +84,28 @@ type groupState struct {
 }
 
 // childIndex locates id in the sorted children slice, returning its
-// position (or insertion point) and whether it is present.
-func (g *groupState) childIndex(id ids.Id) (int, bool) {
-	i := sort.Search(len(g.children), func(i int) bool { return !g.children[i].Id.Less(id) })
-	return i, i < len(g.children) && g.children[i].Id == id
+// position (or insertion point) and whether it is present. n is the local
+// node, whose directory orders the refs.
+func (g *groupState) childIndex(n *pastry.Node, id ids.Id) (int, bool) {
+	i := sort.Search(len(g.children), func(i int) bool { return !n.HandleOf(g.children[i]).Id.Less(id) })
+	return i, i < len(g.children) && n.HandleOf(g.children[i]).Id == id
 }
 
-// putChild inserts or refreshes a child edge, keeping the slice sorted.
-func (g *groupState) putChild(h pastry.NodeHandle) {
-	i, ok := g.childIndex(h.Id)
+// putChild inserts a child edge, keeping the slice sorted; an edge already
+// present stays as it is (within a ring the identifier fixes the address).
+func (g *groupState) putChild(n *pastry.Node, h pastry.NodeHandle) {
+	i, ok := g.childIndex(n, h.Id)
 	if ok {
-		g.children[i] = h
 		return
 	}
-	g.children = append(g.children, pastry.NoHandle)
+	g.children = append(g.children, 0)
 	copy(g.children[i+1:], g.children[i:])
-	g.children[i] = h
+	g.children[i] = int32(h.Addr)
 }
 
 // dropChild removes a child edge; it reports whether it was present.
-func (g *groupState) dropChild(id ids.Id) bool {
-	i, ok := g.childIndex(id)
+func (g *groupState) dropChild(n *pastry.Node, id ids.Id) bool {
+	i, ok := g.childIndex(n, id)
 	if !ok {
 		return false
 	}
@@ -132,6 +136,32 @@ type wheelEntry struct {
 	seq uint64
 }
 
+// originator is what a node needs to track the any-casts it launched: the
+// pending queries, their timeout wheel and their latency histograms. Only a
+// node that calls Anycast with a callback has one.
+type originator struct {
+	// seq numbers the tracked queries from 1; a fire-and-forget query
+	// carries 0, which therefore never matches a pending entry.
+	seq     uint64
+	pending map[uint64]pendingAnycast
+
+	// wheel holds the pending any-cast deadlines in push order. One armed
+	// engine event at the earliest live deadline serves the whole wheel, so
+	// resolved any-casts no longer leave a dead timer each in the event
+	// queue (8k-server runs used to carry thousands through it).
+	wheel        []wheelEntry
+	wheelDue     []wheelEntry // scratch for wheelFire, reused across fires
+	wheelArmed   bool
+	wheelArmedAt time.Duration
+	wheelEpoch   uint64
+
+	// lat records launch-to-verdict latency (every tracked any-cast,
+	// resolved or given up); retryWait records launch-to-retry waits. Both
+	// are nil when tracing is off.
+	lat       *obs.Histogram
+	retryWait *obs.Histogram
+}
+
 // Scribe runs group communication for one Pastry node.
 type Scribe struct {
 	node *pastry.Node
@@ -147,20 +177,10 @@ type Scribe struct {
 	g0        groupState
 	g0used    bool
 
-	anycastSeq uint64
-	// pendingAnycast is allocated lazily on the first tracked any-cast;
-	// most nodes in a large ring never originate one.
-	pendingAnycast map[uint64]pendingAnycast
-
-	// wheel holds the pending any-cast deadlines in push order. One armed
-	// engine event at the earliest live deadline serves the whole wheel, so
-	// resolved any-casts no longer leave a dead timer each in the event
-	// queue (8k-server runs used to carry thousands through it).
-	wheel        []wheelEntry
-	wheelDue     []wheelEntry // scratch for wheelFire, reused across fires
-	wheelArmed   bool
-	wheelArmedAt time.Duration
-	wheelEpoch   uint64
+	// orig is nil until the node launches its first tracked any-cast
+	// (originate makes it); with the flight recorder on, New makes it, because
+	// its histograms register there.
+	orig *originator
 
 	// AnycastTimeout bounds how long an originator waits for an any-cast
 	// verdict before retrying or reporting failure. Defaults to 10 seconds.
@@ -202,12 +222,6 @@ type Scribe struct {
 	// to the search that found it.
 	obs        *obs.Source
 	curAnycast obs.Ref
-
-	// anycastLat records launch-to-verdict latency (every tracked any-cast,
-	// resolved or given up); anycastRetryWait records launch-to-retry waits.
-	// Both are nil when tracing is off.
-	anycastLat       *obs.Histogram
-	anycastRetryWait *obs.Histogram
 }
 
 // group returns the state for id, or nil when this node is not in that
@@ -251,10 +265,13 @@ func New(node *pastry.Node) *Scribe {
 		reg.Register("scribe/anycasts_seen", &s.anycastsSeen)
 		reg.Register("scribe/anycasts_retried", &s.anycastsRetried)
 		reg.Register("scribe/orphan_accepts", &s.orphanAccepts)
-		s.anycastLat = &obs.Histogram{}
-		reg.RegisterHistogram("scribe/anycast_ns", s.anycastLat)
-		s.anycastRetryWait = &obs.Histogram{}
-		reg.RegisterHistogram("scribe/anycast_retry_wait_ns", s.anycastRetryWait)
+		// The registry lists a histogram's names from the moment it is
+		// registered, so a traced run registers every node's at construction,
+		// as it always has, and its originators exist from the start.
+		o := s.originate()
+		o.lat, o.retryWait = &obs.Histogram{}, &obs.Histogram{}
+		reg.RegisterHistogram("scribe/anycast_ns", o.lat)
+		reg.RegisterHistogram("scribe/anycast_retry_wait_ns", o.retryWait)
 	}
 	node.Register(AppName, s)
 	node.OnNodeDead(s.handleNodeDead)
@@ -283,8 +300,19 @@ func (s *Scribe) Children(group ids.Id) []pastry.NodeHandle {
 		return nil
 	}
 	out := make([]pastry.NodeHandle, len(g.children))
-	copy(out, g.children)
+	for i, ref := range g.children {
+		out[i] = s.node.HandleOf(ref)
+	}
 	return out
+}
+
+// ChildCount returns how many children the node has in the group tree; the
+// aggregation layer sizes its per-child info base by it.
+func (s *Scribe) ChildCount(group ids.Id) int {
+	if g := s.group(group); g != nil {
+		return len(g.children)
+	}
+	return 0
 }
 
 // ForEachChild calls fn for every child edge of this node in the group
@@ -292,8 +320,8 @@ func (s *Scribe) Children(group ids.Id) []pastry.NodeHandle {
 // not mutate the tree.
 func (s *Scribe) ForEachChild(group ids.Id, fn func(pastry.NodeHandle)) {
 	if g := s.group(group); g != nil {
-		for _, c := range g.children {
-			fn(c)
+		for _, ref := range g.children {
+			fn(s.node.HandleOf(ref))
 		}
 	}
 }
@@ -306,7 +334,7 @@ func (s *Scribe) HasChild(group, id ids.Id) bool {
 	if g == nil {
 		return false
 	}
-	_, ok := g.childIndex(id)
+	_, ok := g.childIndex(s.node, id)
 	return ok
 }
 
@@ -426,8 +454,8 @@ func (s *Scribe) disseminate(g *groupState, m *multicastDown) {
 	if g.member && g.handlers.OnMulticast != nil {
 		g.handlers.OnMulticast(g.group, m.Payload, m.From)
 	}
-	for _, child := range g.children {
-		s.node.SendDirect(child, AppName, m)
+	for _, ref := range g.children {
+		s.node.SendDirect(s.node.HandleOf(ref), AppName, m)
 	}
 }
 
@@ -440,8 +468,8 @@ func (s *Scribe) SendToChildren(group ids.Id, payload simnet.Message) {
 		return
 	}
 	m := &multicastDown{Group: group, Payload: payload, From: s.node.Handle()}
-	for _, child := range g.children {
-		s.node.SendDirect(child, AppName, m)
+	for _, ref := range g.children {
+		s.node.SendDirect(s.node.HandleOf(ref), AppName, m)
 	}
 }
 
@@ -476,26 +504,33 @@ func (s *Scribe) OnParentData(group ids.Id, fn func(payload simnet.Message, from
 // any accept goes straight to the orphan handler — the originator was
 // never going to act on it.
 func (s *Scribe) Anycast(group ids.Id, payload simnet.Message, onResult func(AnycastResult)) {
-	s.anycastSeq++
-	seq := s.anycastSeq
-	var trace obs.Ref
-	if onResult != nil {
-		trace = s.obs.Begin(s.node.Engine().Now(), obs.KindAnycast, obs.NoRef, int64(seq), 0)
-		if s.pendingAnycast == nil {
-			s.pendingAnycast = make(map[uint64]pendingAnycast)
-		}
-		s.pendingAnycast[seq] = pendingAnycast{
-			group:        group,
-			payload:      payload,
-			cb:           onResult,
-			attemptsLeft: s.AnycastRetries,
-			nextTimeout:  s.AnycastTimeout,
-			launched:     s.node.Engine().Now(),
-			trace:        trace,
-		}
-		s.wheelPush(s.node.Engine().Now()+s.AnycastTimeout, seq)
+	if onResult == nil {
+		s.sendAnycast(group, payload, 0, obs.NoRef)
+		return
 	}
+	o := s.originate()
+	o.seq++
+	seq := o.seq
+	trace := s.obs.Begin(s.node.Engine().Now(), obs.KindAnycast, obs.NoRef, int64(seq), 0)
+	o.pending[seq] = pendingAnycast{
+		group:        group,
+		payload:      payload,
+		cb:           onResult,
+		attemptsLeft: s.AnycastRetries,
+		nextTimeout:  s.AnycastTimeout,
+		launched:     s.node.Engine().Now(),
+		trace:        trace,
+	}
+	s.wheelPush(s.node.Engine().Now()+s.AnycastTimeout, seq)
 	s.sendAnycast(group, payload, seq, trace)
+}
+
+// originate returns the node's originator state, making it on first use.
+func (s *Scribe) originate() *originator {
+	if s.orig == nil {
+		s.orig = &originator{pending: make(map[uint64]pendingAnycast)}
+	}
+	return s.orig
 }
 
 // sendAnycast launches (or relaunches) the DFS for one attempt.
@@ -511,10 +546,13 @@ func (s *Scribe) sendAnycast(group ids.Id, payload simnet.Message, seq uint64, t
 
 // --- anycast timeout wheel ---------------------------------------------------
 
+// The wheel runs only on behalf of pending queries, so its functions find the
+// originator state in place: Anycast made it.
+
 // wheelPush parks a deadline for seq and makes sure an engine event is armed
 // no later than it.
 func (s *Scribe) wheelPush(at time.Duration, seq uint64) {
-	s.wheel = append(s.wheel, wheelEntry{at: at, seq: seq})
+	s.orig.wheel = append(s.orig.wheel, wheelEntry{at: at, seq: seq})
 	s.armWheel()
 }
 
@@ -522,30 +560,31 @@ func (s *Scribe) wheelPush(at time.Duration, seq uint64) {
 // relevant deadline. Entries whose any-cast already resolved are pruned
 // here, so a wheel full of resolved queries arms nothing.
 func (s *Scribe) armWheel() {
+	o := s.orig
 	w := 0
 	min := time.Duration(-1)
-	for _, e := range s.wheel {
-		if _, live := s.pendingAnycast[e.seq]; !live {
+	for _, e := range o.wheel {
+		if _, live := o.pending[e.seq]; !live {
 			continue // resolved: drop the entry, never arm for it
 		}
-		s.wheel[w] = e
+		o.wheel[w] = e
 		w++
 		if min < 0 || e.at < min {
 			min = e.at
 		}
 	}
-	s.wheel = s.wheel[:w]
+	o.wheel = o.wheel[:w]
 	if min < 0 {
 		return
 	}
-	if s.wheelArmed && s.wheelArmedAt <= min {
+	if o.wheelArmed && o.wheelArmedAt <= min {
 		return // the armed event already covers the earliest deadline
 	}
-	s.wheelArmed, s.wheelArmedAt = true, min
-	s.wheelEpoch++
-	epoch := s.wheelEpoch
+	o.wheelArmed, o.wheelArmedAt = true, min
+	o.wheelEpoch++
+	epoch := o.wheelEpoch
 	s.node.Engine().At(min, func() {
-		if epoch != s.wheelEpoch {
+		if epoch != o.wheelEpoch {
 			return // superseded by a re-arm at an earlier deadline
 		}
 		s.wheelFire()
@@ -555,47 +594,49 @@ func (s *Scribe) armWheel() {
 // wheelFire handles every deadline due at the current instant, then re-arms
 // for the remainder.
 func (s *Scribe) wheelFire() {
+	o := s.orig
 	now := s.node.Engine().Now()
-	s.wheelArmed = false
+	o.wheelArmed = false
 	w := 0
-	due := s.wheelDue[:0] // scratch: expireAnycast pushes onto s.wheel, never here
-	for _, e := range s.wheel {
+	due := o.wheelDue[:0] // scratch: expireAnycast pushes onto o.wheel, never here
+	for _, e := range o.wheel {
 		if e.at <= now {
 			due = append(due, e)
 		} else {
-			s.wheel[w] = e
+			o.wheel[w] = e
 			w++
 		}
 	}
-	s.wheel = s.wheel[:w]
+	o.wheel = o.wheel[:w]
 	for _, e := range due {
 		s.expireAnycast(e.seq)
 	}
-	s.wheelDue = due[:0]
+	o.wheelDue = due[:0]
 	s.armWheel()
 }
 
 // expireAnycast is the timeout path of one attempt: resend while the retry
 // budget lasts, report failure once it is spent.
 func (s *Scribe) expireAnycast(seq uint64) {
-	p, ok := s.pendingAnycast[seq]
+	o := s.orig
+	p, ok := o.pending[seq]
 	if !ok {
 		return // resolved before its deadline
 	}
 	if p.attemptsLeft > 0 {
 		p.attemptsLeft--
 		p.nextTimeout *= 2
-		s.pendingAnycast[seq] = p
+		o.pending[seq] = p
 		s.anycastsRetried.Inc()
 		now := s.node.Engine().Now()
-		s.anycastRetryWait.RecordDuration(now - p.launched)
+		o.retryWait.RecordDuration(now - p.launched)
 		s.obs.Instant(now, obs.KindAnycastRetry, p.trace, int64(p.attemptsLeft), 0)
 		s.wheelPush(now+p.nextTimeout, seq)
 		s.sendAnycast(p.group, p.payload, seq, p.trace)
 		return
 	}
-	delete(s.pendingAnycast, seq)
-	s.anycastLat.RecordDuration(s.node.Engine().Now() - p.launched)
+	delete(o.pending, seq)
+	o.lat.RecordDuration(s.node.Engine().Now() - p.launched)
 	s.obs.End(s.node.Engine().Now(), obs.KindAnycast, p.trace, 0, 0)
 	if p.cb != nil {
 		p.cb(AnycastResult{Trace: p.trace})
@@ -631,7 +672,8 @@ func (s *Scribe) anycastStep(m *anycastMsg) {
 	// accepted work stays near the requester (paper §III.C step 2).
 	next := pastry.NoHandle
 	var bestLat time.Duration
-	for _, child := range g.children {
+	for _, ref := range g.children {
+		child := s.node.HandleOf(ref)
 		if m.visited(child.Id) {
 			continue
 		}
@@ -673,7 +715,11 @@ func (s *Scribe) handleVerdict(v *anycastVerdict) {
 }
 
 func (s *Scribe) resolveAnycast(seq uint64, group ids.Id, payload simnet.Message, accepted bool, by pastry.NodeHandle, visited int, trace obs.Ref) {
-	p, ok := s.pendingAnycast[seq]
+	var p pendingAnycast
+	ok := false
+	if s.orig != nil {
+		p, ok = s.orig.pending[seq]
+	}
 	if !ok {
 		// No pending entry: the query was fire-and-forget, the originator
 		// already gave up on this sequence number, or an earlier attempt's
@@ -690,12 +736,12 @@ func (s *Scribe) resolveAnycast(seq uint64, group ids.Id, payload simnet.Message
 		}
 		return
 	}
-	delete(s.pendingAnycast, seq)
+	delete(s.orig.pending, seq)
 	var acceptedArg int64
 	if accepted {
 		acceptedArg = 1
 	}
-	s.anycastLat.RecordDuration(s.node.Engine().Now() - p.launched)
+	s.orig.lat.RecordDuration(s.node.Engine().Now() - p.launched)
 	s.obs.End(s.node.Engine().Now(), obs.KindAnycast, p.trace, int64(visited), acceptedArg)
 	if p.cb != nil {
 		p.cb(AnycastResult{Accepted: accepted, By: by, Visited: visited, Trace: p.trace})
@@ -773,8 +819,8 @@ func (s *Scribe) Forward(key ids.Id, payload simnet.Message, next pastry.NodeHan
 func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 	switch m := payload.(type) {
 	case *joinAck:
-		g := s.stateFor(m.Group)
-		g.parent = m.Parent
+		g := s.stateFor(ids.Id(*m))
+		g.parent = from
 		g.joining = false
 		g.missedBeats = 0
 	case *leaveMsg:
@@ -853,7 +899,7 @@ func (s *Scribe) OnChildDrop(fn func(group, child ids.Id)) {
 // dropChildOf removes a child edge and notifies the drop observers; it
 // reports whether the edge was present.
 func (s *Scribe) dropChildOf(g *groupState, id ids.Id) bool {
-	if !g.dropChild(id) {
+	if !g.dropChild(s.node, id) {
 		return false
 	}
 	for _, fn := range s.onChildDrop {
@@ -867,8 +913,8 @@ func (s *Scribe) addChild(g *groupState, child pastry.NodeHandle) {
 		return
 	}
 	s.joinsHandled.Inc()
-	g.putChild(child)
-	s.node.SendDirect(child, AppName, &joinAck{Group: g.group, Parent: s.node.Handle()})
+	g.putChild(s.node, child)
+	s.node.SendDirect(child, AppName, (*joinAck)(&g.group))
 }
 
 // --- failure handling --------------------------------------------------------
@@ -910,8 +956,8 @@ func (s *Scribe) StartMaintenance(interval time.Duration) {
 				// One heartbeat value per group per round; the message is
 				// immutable so every child can share it.
 				hb := &heartbeat{Group: g.group}
-				for _, child := range g.children {
-					s.node.SendDirect(child, AppName, hb)
+				for _, ref := range g.children {
+					s.node.SendDirect(s.node.HandleOf(ref), AppName, hb)
 				}
 			}
 			switch {

@@ -26,6 +26,12 @@ type shardedTraceResult struct {
 // schedule go through the global band, so the observable outcome must be
 // bit-identical at any shard count.
 func runShardedTrace(seed int64, shards int) shardedTraceResult {
+	return runShardedTraceOn(seed, shards, nil)
+}
+
+// runShardedTraceOn is runShardedTrace with a hook that sees the network
+// between construction and the first send.
+func runShardedTraceOn(seed int64, shards int, prepare func(*Network)) shardedTraceResult {
 	const size = 12
 	rng := rand.New(rand.NewSource(seed))
 	var eng *sim.Engine
@@ -39,6 +45,9 @@ func runShardedTrace(seed int64, shards int) shardedTraceResult {
 		return time.Duration((int(a)*7+int(b)*13)%23+1) * 10 * time.Microsecond
 	}
 	net := New(eng, size, latency, WithDropRate(0.2))
+	if prepare != nil {
+		prepare(net)
+	}
 	res := shardedTraceResult{seen: make([][]string, size)}
 	handlers := make([]Handler, size)
 	for i := 0; i < size; i++ {

@@ -264,12 +264,35 @@ type pending struct {
 }
 
 // inboxSlots is the capacity every inbox starts with (New carves it from a
-// slab; buf is never empty).
-const inboxSlots = 8
+// slab; buf is never empty). Two, because that is what inboxes hold: nodes
+// by the deepest their inbox ever got over a whole run of the repo benchmark
+// (counter in push, seed 1, commit e61c98e):
+//
+//	deepest inbox    ladder   boot_routed   rebalance   serve_hot
+//	0                     0        21 180           0       6 719
+//	1               131 100           452          53         189
+//	2                     0        10 029       5 770         487
+//	3-4                   0           889       2 004         806
+//	5-8                   0           239         329          11
+//	> 8                   7            20          57           1
+//	nodes           131 107        32 809       8 213       8 213
+//	within 2 slots  99.995 %       96.5 %      70.9 %      90.0 %
+//
+// The few deep ones are tree hubs and gateways (ladder: one inbox each up to
+// 16, 32, 8192, 65536 and 131072 messages, two up to 512; rebalance: up to
+// 8192). Eight slots cost every server 384 B for depths almost none reaches.
+const inboxSlots = 2
 
 // inbox is a growable circular buffer of a node's in-flight messages in
-// send order. In-flight counts per node are small (a handful of overlay
-// hops and maintenance probes), so membership scans are cheap.
+// send order. It starts as the node's chunk of the slab and moves to a
+// private buffer, doubling, when it outgrows the chunk.
+//
+// hasDue scans the whole inbox on every Send to the node. That is free at the
+// depths above and is not at a hub: 6-7 % of rebalance's CPU samples and
+// 4-5 % of ladder's at e61c98e (12-s profiles of the whole benchmark process,
+// two readings each; the deep inboxes hold messages with distinct due times,
+// so the scan rarely stops early). Indexing the due times is a run_s change
+// of its own and has not been made.
 type inbox struct {
 	buf  []pending // len(buf) is a power of two
 	head int
@@ -391,7 +414,8 @@ func New(engine *sim.Engine, size int, latency LatencyFunc, opts ...Option) *Net
 	// slots, and under maintenance or an aggregation tree that is every
 	// node: carve them from one slab at construction instead of one
 	// allocation per node at its first message. A busier inbox outgrows its
-	// chunk into a private buffer.
+	// chunk into a private buffer; the chunk's capacity is clipped, so it
+	// never grows into its neighbour's.
 	slab := make([]pending, inboxSlots*size)
 	for a := range n.inboxes {
 		n.inboxes[a].buf = slab[a*inboxSlots : (a+1)*inboxSlots : (a+1)*inboxSlots]

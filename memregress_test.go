@@ -14,11 +14,13 @@ import (
 
 // TestFig14BytesPerServerCeiling builds the full 32768-server Fig. 14 stack
 // once and asserts the total bytes allocated per server stays under a fixed
-// ceiling. The current cost is 4244 B/server (engine + topology + pastry's
-// four-byte-a-peer ref arena and identifier directory + simnet's inbox slab +
-// scribe + aggregation + the run's message traffic; it was 6697 B with
-// 24-byte handles in the tables); the ceiling leaves 20% headroom for
-// legitimate drift. If this fails after a change,
+// ceiling. The current cost is 3137 B/server (engine + topology + pastry's
+// four-byte-a-peer ref arena and identifier directory + simnet's two-slot
+// inbox slab + a 416-byte node, a 320-byte scribe and a 256-byte topic +
+// the run's message traffic); the ceiling leaves 20% headroom for legitimate
+// drift. If this fails after a change, run the three size-ceiling tests
+// (TestNodeSizeCeiling, TestScribeSizeCeiling, TestTopicStateSizeCeiling)
+// first: they name the struct that grew. Then
 // compare `go test -bench 'Fig14Scale32768' -benchmem` against the previous
 // commit and check the alloc-site top-10 recipe in DESIGN.md ("Profiling
 // methodology") before raising it: at 1048576 servers every extra KB/server
@@ -42,7 +44,7 @@ func TestFig14BytesPerServerCeiling(t *testing.T) {
 		t.Fatal("degenerate run: aggregation tree has height 0")
 	}
 	perServer := float64(after.TotalAlloc-before.TotalAlloc) / servers
-	const ceilingBytes = 5100 // measured 4244 B/server + 20%
+	const ceilingBytes = 3770 // measured 3137 B/server + 20%
 	if perServer > ceilingBytes {
 		t.Fatalf("allocated %.0f B/server at %d servers, ceiling %d — a per-node cost crept back in (see DESIGN.md \"Profiling methodology\")",
 			perServer, servers, ceilingBytes)

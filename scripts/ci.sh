@@ -42,6 +42,11 @@ echo "== allocation gates (spill walk per hop, shaper sweep, topic accessors: 0 
 alloc_gate TestSpillWalkAllocatesNothingPerHop ./internal/placement/
 alloc_gate TestBandwidthSatisfactionAllocatesNothing ./internal/core/
 alloc_gate TestSetLocalGlobalAllocateNothing ./internal/aggregation/
+# What every server holds of each layer, by size class (memregress_test.go
+# gates their sum at 32768 servers).
+alloc_gate TestNodeSizeCeiling ./internal/pastry/
+alloc_gate TestScribeSizeCeiling ./internal/scribe/
+alloc_gate TestTopicStateSizeCeiling ./internal/aggregation/
 
 # The fault-injection paths (lease expiry, release retry, anycast retry,
 # orphan release, crash-restart rejoin) under the race detector, explicitly
@@ -197,19 +202,20 @@ rm -f /tmp/vb-serve-ci /tmp/vb-serve1.txt /tmp/vb-serve4.txt /tmp/vb-serve-flash
 # on allocs/op and B/op, both read from the same line. Allocation counts and
 # bytes are deterministic (unlike wall time on the shared CI box; B/op moves
 # in its last two digits), so this catches a reintroduced per-node map or
-# closure, or a table entry that grows back from a 4-byte ref to a 24-byte
-# handle (11.77 MB/op), at the cheapest rung that still builds a real
+# closure, a table entry that grows back from a 4-byte ref to a 24-byte
+# handle (11.77 MB/op), or an eight-slot inbox chunk and the 584-byte node
+# (7.69 MB/op), at the cheapest rung that still builds a real
 # multi-rack ring — without the 32768-server bytes/server test. Current cost
-# is 37.5k allocs and 7.69 MB (3756 B/server); the ceilings leave ~25% and
+# is 35.4k allocs and 5.76 MB (2810 B/server); the ceilings leave ~25% and
 # 20% headroom.
 echo "== alloc ceiling smoke (Fig 14, 2048 servers)"
 go test -run '^$' -bench 'BenchmarkFig14Scale/servers=2048$' -benchtime 1x -benchmem . > /tmp/vb-alloc.txt
 allocs=$(awk '/servers=2048/ {print $(NF-1)}' /tmp/vb-alloc.txt)
 bytes=$(awk '/servers=2048/ {print $(NF-3)}' /tmp/vb-alloc.txt)
 [ -n "$allocs" ] && [ -n "$bytes" ] || { echo "FAIL: no allocs/op and B/op parsed"; cat /tmp/vb-alloc.txt; exit 1; }
-[ "$allocs" -le 46800 ] || { echo "FAIL: $allocs allocs/op at 2048 servers exceeds ceiling 46800"; exit 1; }
-[ "$bytes" -le 9230000 ] || { echo "FAIL: $bytes B/op at 2048 servers exceeds ceiling 9230000"; exit 1; }
-echo "at 2048 servers: $allocs allocs/op (ceiling 46800), $bytes B/op (ceiling 9230000)"
+[ "$allocs" -le 44200 ] || { echo "FAIL: $allocs allocs/op at 2048 servers exceeds ceiling 44200"; exit 1; }
+[ "$bytes" -le 6910000 ] || { echo "FAIL: $bytes B/op at 2048 servers exceeds ceiling 6910000"; exit 1; }
+echo "at 2048 servers: $allocs allocs/op (ceiling 44200), $bytes B/op (ceiling 6910000)"
 rm -f /tmp/vb-alloc.txt
 
 # One iteration of every benchmark (a few seconds): catches benchmarks that
