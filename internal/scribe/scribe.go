@@ -22,7 +22,9 @@ package scribe
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"vbundle/internal/ids"
@@ -35,8 +37,36 @@ import (
 const AppName = "scribe"
 
 // GroupKey derives a group identifier from its textual name, mirroring the
-// paper's hash(groupName) construction.
-func GroupKey(name string) ids.Id { return ids.HashString(name) }
+// paper's hash(groupName) construction. Every server of a cluster asks for the
+// same few names (131072 subscriptions to one topic hashed one string 131072
+// times), so the answers are remembered for the life of the process: a name
+// seen before costs one map lookup and allocates nothing.
+func GroupKey(name string) ids.Id {
+	known := groupKeys.Load()
+	if known != nil {
+		if id, ok := (*known)[name]; ok {
+			return id
+		}
+	}
+	id := ids.HashString(name)
+	// Shard goroutines subscribe concurrently, so the memo is never written
+	// in place: a new name publishes a copy. A race between two new names
+	// loses one of them until it is asked for again, which is harmless. Names
+	// past groupKeysMax are hashed each time, which keeps a process that
+	// invents names without end at the cost it always had.
+	if known == nil || len(*known) < groupKeysMax {
+		next := map[string]ids.Id{name: id}
+		if known != nil {
+			maps.Copy(next, *known)
+		}
+		groupKeys.Store(&next)
+	}
+	return id
+}
+
+const groupKeysMax = 4096
+
+var groupKeys atomic.Pointer[map[string]ids.Id]
 
 // Handlers holds the per-group callbacks of a member.
 type Handlers struct {

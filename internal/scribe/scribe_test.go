@@ -2,6 +2,7 @@ package scribe
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -527,5 +528,36 @@ func TestManyGroupsCoexist(t *testing.T) {
 		if counts[gi] != members {
 			t.Errorf("group %d: %d deliveries, want %d", gi, counts[gi], members)
 		}
+	}
+}
+
+// TestGroupKeyMemoMatchesHash: the remembered key of a name is the hash of the
+// name, first time and every time after, with concurrent callers asking for
+// overlapping names (shard goroutines subscribe in parallel; run under -race),
+// and a name already known costs no allocation.
+func TestGroupKeyMemoMatchesHash(t *testing.T) {
+	names := make([]string, 1000)
+	for i := range names {
+		names[i] = fmt.Sprintf("memo-topic-%d", i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range names {
+					name := names[(i*(2*g+1)+g)%len(names)]
+					if got, want := GroupKey(name), ids.HashString(name); got != want {
+						t.Errorf("GroupKey(%q) = %v, hash is %v", name, got, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if allocs := testing.AllocsPerRun(100, func() { GroupKey(names[0]) }); allocs != 0 {
+		t.Fatalf("GroupKey of a known name allocates %v objects, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -40,4 +41,30 @@ func BenchmarkEngineTimerChain(b *testing.B) {
 	b.ResetTimer()
 	e.After(time.Millisecond, tick)
 	e.Run()
+}
+
+// BenchmarkEnginePeriodicTimers measures the queue under the shuffling loop's
+// timers and nothing else: 8192 servers with three tickers each, at 1, 5 and
+// 25 minutes of virtual time, every ticker of a period due at one instant. An
+// iteration is 25 virtual minutes, 31 ticks a server.
+func BenchmarkEnginePeriodicTimers(b *testing.B) {
+	e := NewEngine(1)
+	ticks := 0
+	for i := 0; i < 8192; i++ {
+		for _, period := range []time.Duration{time.Minute, 5 * time.Minute, 25 * time.Minute} {
+			e.Every(period, func() { ticks++ })
+		}
+	}
+	e.RunFor(25 * time.Minute)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ticks = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunFor(25 * time.Minute)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks), "ns/tick")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(ticks), "allocs/tick")
 }

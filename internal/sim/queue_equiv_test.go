@@ -8,8 +8,8 @@ import (
 )
 
 // heapModel is the reference pending-event store: container/heap over the
-// engine's (at, key, seq) order, with none of the calendar queue's wheel,
-// overflow or current-bucket machinery. It lives here, not in the engine:
+// engine's (at, key, seq) order, with none of the timing wheel's levels,
+// cascades or current-bucket machinery. It lives here, not in the engine:
 // production code has one queue, and this model is what pins its order.
 type heapModel struct{ h eventHeap }
 
@@ -34,10 +34,11 @@ func (m *heapModel) pop() *event {
 // nextAt and len must agree, event for event. The traces obey the engine's
 // one scheduling rule (nothing is pushed before the clock, and the clock
 // never passes a pending event) and otherwise go where the engine can go:
-// delays at every scale the simulator uses, same-instant bursts whose keys
-// span all four bands — so a delivery key lands below, and a keyed
-// completion above, At/AtGlobal events already pending at that instant —
-// and pushes behind a wheel position that an earlier peek moved ahead.
+// delays at every scale the simulator uses and on either side of every level's
+// span and slot boundaries, same-instant bursts whose keys span all four
+// bands — so a delivery key lands below, and a keyed completion above,
+// At/AtGlobal events already pending at that instant — and pushes behind a
+// cursor that an earlier peek moved ahead, by a cascade from any level.
 func TestQueueEquivalence(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -50,22 +51,37 @@ func TestQueueEquivalence(t *testing.T) {
 		var seq uint64
 
 		// Delays mix the scales the simulator really uses: sub-bucket (ns),
-		// intra-wheel (µs..ms), and far-future overflow (seconds..minutes),
-		// plus exact ties and zero delays.
+		// level 0 (µs..ms), levels 1 and 2 (seconds..hours) and the far heap
+		// (days), plus exact ties and zero delays. Two draws aim at the seams:
+		// a delay of exactly one level's span give or take a bucket, and an
+		// instant a bucket either side of the next multiple of a span, where
+		// the cursor's digit at that level turns over.
+		const bucket = time.Duration(1) << bucketShift
+		span := func(level int) time.Duration { return bucket << (wheelBits * (level + 1)) }
+		nearby := func() time.Duration { return time.Duration(rng.Intn(3)-1)*bucket + time.Duration(rng.Intn(3)-1) }
 		randDelay := func() time.Duration {
-			switch rng.Intn(6) {
+			switch rng.Intn(10) {
 			case 0:
 				return 0
 			case 1:
 				return time.Duration(rng.Intn(4096)) // inside one bucket
 			case 2:
-				return time.Duration(rng.Intn(1e6)) // µs..ms, within the wheel
+				return time.Duration(rng.Intn(1e6)) // µs..ms, within level 0
 			case 3:
 				return time.Duration(rng.Intn(50)) * time.Millisecond // ties likely
 			case 4:
-				return time.Duration(rng.Intn(120)) * time.Second // overflow heap
-			default:
+				return time.Duration(rng.Intn(120)) * time.Second // levels 1 and 2
+			case 5:
 				return time.Duration(rng.Int63n(int64(10 * time.Minute)))
+			case 6:
+				return time.Duration(rng.Int63n(int64(60 * time.Hour))) // deep in level 2
+			case 7:
+				return span(wheelLevels-1) + time.Duration(rng.Int63n(int64(400*24*time.Hour))) // days past the top level
+			case 8:
+				return span(rng.Intn(wheelLevels)) + nearby()
+			default:
+				s := span(rng.Intn(wheelLevels))
+				return max(0, (now/s+1)*s+nearby()-now)
 			}
 		}
 		// Keys as the engine builds them. Payloads come from a small range so
@@ -126,6 +142,12 @@ func TestQueueEquivalence(t *testing.T) {
 				}
 				if ok && at > now {
 					now += time.Duration(rng.Int63n(int64(at-now) + 1))
+					// Sooner work, straight away: between the clock and the
+					// peeked event, so behind the cursor whichever level the
+					// peek cascaded from.
+					for i := rng.Intn(3); i > 0; i-- {
+						push(now+time.Duration(rng.Int63n(int64(at-now)+1)), randKey())
+					}
 				}
 			case 9:
 				if got, want := q.len(), len(m.h); got != want {
@@ -138,19 +160,19 @@ func TestQueueEquivalence(t *testing.T) {
 	}
 }
 
-// TestBucketQueueOverflowMigration pins the wheel/overflow boundary: events
-// far beyond the wheel horizon must still run in timestamp order, including
-// events scheduled behind an already-peeked empty stretch.
+// TestBucketQueueOverflowMigration pins the boundary between level 0 and the
+// levels above: events far beyond level 0's span must still run in timestamp
+// order, including events scheduled behind an already-peeked empty stretch.
 func TestBucketQueueOverflowMigration(t *testing.T) {
 	e := NewEngine(1)
 	var got []time.Duration
 	record := func() { got = append(got, e.Now()) }
-	// Far future (overflow), near future (wheel), and same bucket.
+	// Far future (level 2), near future (level 0), and same bucket.
 	e.After(10*time.Minute, record)
 	e.After(time.Millisecond, record)
 	e.After(1, record)
-	// Peek far ahead via RunUntil past all wheel events, then schedule
-	// earlier than the remaining overflow event.
+	// Peek far ahead via RunUntil past all level-0 events, then schedule
+	// earlier than the remaining level-2 event.
 	e.RunUntil(time.Second)
 	e.After(time.Second, record) // at 2s, before the 10-minute event
 	e.Run()

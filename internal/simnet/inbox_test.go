@@ -1,12 +1,173 @@
 package simnet
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"vbundle/internal/sim"
 )
+
+// refInbox is the inbox this one replaced, kept verbatim as the model: a ring
+// in send order, membership by scanning all of it, extraction by scanning and
+// compacting all of it. Production code has one inbox; this is what pins it.
+type refInbox struct {
+	buf  []pending // len(buf) is a power of two
+	head int
+	n    int
+}
+
+func (b *refInbox) slotAt(i int) *pending { return &b.buf[(b.head+i)&(len(b.buf)-1)] }
+
+func (b *refInbox) push(p pending) {
+	if b.n == len(b.buf) {
+		grown := make([]pending, 2*len(b.buf))
+		for i := 0; i < b.n; i++ {
+			grown[i] = *b.slotAt(i)
+		}
+		b.buf = grown
+		b.head = 0
+	}
+	*b.slotAt(b.n) = p
+	b.n++
+}
+
+func (b *refInbox) hasDue(t time.Duration) bool {
+	for i := 0; i < b.n; i++ {
+		if b.slotAt(i).at == t {
+			return true
+		}
+	}
+	return false
+}
+
+func (b *refInbox) extract(t time.Duration, dst []pending) []pending {
+	dst = slices.Grow(dst, b.n)
+	w := 0
+	for i := 0; i < b.n; i++ {
+		p := b.slotAt(i)
+		if p.at == t {
+			dst = append(dst, *p)
+		} else {
+			if w != i {
+				*b.slotAt(w) = *p
+			}
+			w++
+		}
+	}
+	for i := w; i < b.n; i++ {
+		*b.slotAt(i) = pending{} // release message references
+	}
+	b.n = w
+	return dst
+}
+
+// TestInboxMatchesScanModel drives the due-ordered inbox and the scan model
+// with the same random pushes, membership queries and flushes and holds them
+// to the inbox's contract: the same answer to every hasDue, the same messages
+// out of every extract — compared in delivery-key order, which is the order
+// flushInbox gives a batch before any of it is delivered — and the same count
+// parked after every operation. Due times come from a set of 4 values (a
+// hub's rack, pod and core latencies: long runs due at one instant) or of
+// 4000 (distinct send instants: runs of one or two), in ascending, descending
+// or shuffled order, so pushes land at the tail, at the head and in the
+// middle; the inboxes start on the two slots of a slab chunk and every seventh
+// seed fills them past 8192 messages. Flushes are for the earliest due time
+// parked, as the network's are, and now and then for an instant before it.
+func TestInboxMatchesScanModel(t *testing.T) {
+	seeds := 50
+	if testing.Short() {
+		seeds = 10
+	}
+	deepest := 0
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		values := make([]time.Duration, []int{4, 4000}[seed%2])
+		for i := range values {
+			values[i] = time.Duration(i+1)*time.Millisecond + time.Duration(rng.Intn(1000))
+		}
+		order := seed % 3 // ascending, descending, shuffled
+		depth := 64
+		if seed%7 == 0 {
+			depth = 9000
+		}
+		box := inbox{buf: make([]pending, inboxSlots)}
+		ref := refInbox{buf: make([]pending, inboxSlots)}
+		at, sent := 0, uint64(0)
+		nextDue := func() time.Duration {
+			switch order {
+			case 0:
+				at = (at + rng.Intn(3)) % len(values)
+			case 1:
+				at = (at + len(values) - rng.Intn(3)) % len(values)
+			default:
+				at = rng.Intn(len(values))
+			}
+			return values[at]
+		}
+		byKey := func(a, b pending) int {
+			if a.key < b.key {
+				return -1
+			}
+			return 1
+		}
+		var got, want []pending // scratch, as the network's flushes share one
+		flush := func(op int, due time.Duration) {
+			got = box.extract(due, got[:0])
+			want = ref.extract(due, want[:0])
+			slices.SortFunc(got, byKey)
+			slices.SortFunc(want, byKey)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d: extract(%v) took %d messages, model %d, or not the same ones", seed, op, due, len(got), len(want))
+			}
+		}
+		for op := 0; op < 5000; op++ {
+			// Fill to the seed's depth, then hold it there: mostly pushes
+			// below it, mostly flushes above.
+			pushes := 8
+			if ref.n >= depth {
+				pushes = 2
+			}
+			switch r := rng.Intn(10); {
+			case r < pushes:
+				for i := rng.Intn(16) + 1; i > 0; i-- {
+					sent++
+					p := pending{at: nextDue(), key: deliveryKey(Addr(rng.Intn(64)), sent), size: int(sent), msg: sent}
+					box.push(p)
+					ref.push(p)
+				}
+			case r == 9 || ref.n == 0:
+				due := values[rng.Intn(len(values))] + time.Duration(rng.Intn(3)-1)*time.Duration(rng.Intn(2))
+				if got, want := box.hasDue(due), ref.hasDue(due); got != want {
+					t.Fatalf("seed %d op %d: hasDue(%v) = %v, model says %v", seed, op, due, got, want)
+				}
+			default:
+				// The network's flush: the earliest due time parked — or,
+				// one time in four, an instant before it, when nothing is due.
+				due := ref.slotAt(0).at
+				for i := 1; i < ref.n; i++ {
+					due = min(due, ref.slotAt(i).at)
+				}
+				flush(op, due-time.Duration(rng.Intn(4)/3))
+			}
+			if box.n != ref.n {
+				t.Fatalf("seed %d op %d: %d messages parked, model holds %d", seed, op, box.n, ref.n)
+			}
+			deepest = max(deepest, box.n)
+		}
+		for ref.n > 0 {
+			flush(5000, box.slotAt(0).at)
+		}
+		if box.n != 0 {
+			t.Fatalf("seed %d: %d messages left behind the model's last", seed, box.n)
+		}
+	}
+	if deepest < 8192 {
+		t.Fatalf("deepest inbox held %d messages, want ≥ 8192", deepest)
+	}
+}
 
 // TestInboxOutgrowsChunkPrivately: an inbox that holds more than its chunk of
 // the slab moves to a buffer of its own and never writes into the chunks

@@ -254,11 +254,10 @@ type slot struct {
 // pending is one undelivered message parked in a destination's inbox. key is
 // the message's delivery key — (source, send index) packed into the band-0
 // key layout — which orders the batch at flush time identically in serial and
-// sharded runs.
+// sharded runs, and from which the flush reads the source back (sourceOf).
 type pending struct {
 	at   time.Duration
 	key  uint64
-	from Addr
 	size int
 	msg  Message
 }
@@ -280,19 +279,25 @@ type pending struct {
 //
 // The few deep ones are tree hubs and gateways (ladder: one inbox each up to
 // 16, 32, 8192, 65536 and 131072 messages, two up to 512; rebalance: up to
-// 8192). Eight slots cost every server 384 B for depths almost none reaches.
+// 8192). Eight slots cost every server 320 B for depths almost none reaches.
 const inboxSlots = 2
 
-// inbox is a growable circular buffer of a node's in-flight messages in
-// send order. It starts as the node's chunk of the slab and moves to a
-// private buffer, doubling, when it outgrows the chunk.
+// inbox is a growable circular buffer of a node's in-flight messages. It
+// starts as the node's chunk of the slab and moves to a private buffer,
+// doubling, when it outgrows the chunk.
 //
-// hasDue scans the whole inbox on every Send to the node. That is free at the
-// depths above and is not at a hub: 6-7 % of rebalance's CPU samples and
-// 4-5 % of ladder's at e61c98e (12-s profiles of the whole benchmark process,
-// two readings each; the deep inboxes hold messages with distinct due times,
-// so the scan rarely stops early). Indexing the due times is a run_s change
-// of its own and has not been made.
+// Ordering invariant: the messages are in due-time order, those due at one
+// instant in the order they were pushed. So whether a flush is already
+// scheduled for an instant is a binary search (one comparison when the
+// instant is the latest yet, which a send usually is), and the messages due at
+// an instant are one contiguous run. That run sits at the head whenever the
+// network asks for it: every due time in the inbox has exactly one flush event
+// pending, events run in time order, so the flush that fires first is the one
+// for the inbox's minimum, and each flush takes its whole run. Extraction is
+// O(batch) and moves nothing else. A message due earlier than the tail is
+// inserted in place, shifting the shorter side of the ring; that is the rare
+// path of a send and the common one of a barrier merge, which pushes each
+// shard's outbox in turn.
 type inbox struct {
 	buf  []pending // len(buf) is a power of two
 	head int
@@ -300,6 +305,20 @@ type inbox struct {
 }
 
 func (b *inbox) slotAt(i int) *pending { return &b.buf[(b.head+i)&(len(b.buf)-1)] }
+
+// rank returns the number of parked messages due before t.
+func (b *inbox) rank(t time.Duration) int {
+	lo, hi := 0, b.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.slotAt(mid).at < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
 func (b *inbox) push(p pending) {
 	if b.n == len(b.buf) {
@@ -310,43 +329,75 @@ func (b *inbox) push(p pending) {
 		b.buf = grown
 		b.head = 0
 	}
-	*b.slotAt(b.n) = p
+	i := b.n
+	if i > 0 && p.at < b.slotAt(i-1).at {
+		i = b.rank(p.at + 1) // behind everything due at or before p.at
+		b.open(i)
+	}
+	*b.slotAt(i) = p
 	b.n++
+}
+
+// open frees position i of a buffer with room to spare by moving whichever
+// side of it is shorter one slot outwards: [i, n) towards the tail, or [0, i)
+// and the head with it towards the front. Each side is at most two contiguous
+// stretches of buf and one message crossing the seam between its ends.
+func (b *inbox) open(i int) {
+	buf, c := b.buf, len(b.buf)
+	if b.n-i <= i {
+		from := (b.head + i) & (c - 1)
+		end := from + b.n - i
+		if end > c {
+			copy(buf[1:], buf[:end-c])
+		}
+		if end >= c {
+			buf[0] = buf[c-1]
+			end = c - 1
+		}
+		copy(buf[from+1:], buf[from:end])
+		return
+	}
+	from := b.head
+	if from == 0 {
+		from = c
+	}
+	end := from + i
+	copy(buf[from-1:], buf[from:min(end, c)])
+	if end > c {
+		buf[c-1] = buf[0]
+		copy(buf, buf[1:end-c])
+	}
+	b.head = from - 1
 }
 
 // hasDue reports whether any parked message is due exactly at t (in which
 // case a flush event for t is already scheduled).
 func (b *inbox) hasDue(t time.Duration) bool {
-	for i := 0; i < b.n; i++ {
-		if b.slotAt(i).at == t {
-			return true
-		}
+	if b.n == 0 {
+		return false
 	}
-	return false
+	if last := b.slotAt(b.n - 1).at; t >= last {
+		return t == last
+	}
+	return b.slotAt(b.rank(t)).at == t
 }
 
-// extract appends every message due at t to dst in send order, compacts the
-// remainder in place (preserving their order), and returns dst.
+// extract appends every message due at t to dst in the order they were pushed,
+// takes them out of the inbox, and returns dst. Nothing parked may be due
+// before t, so the run is at the head: a flush asks at the inbox's minimum.
 func (b *inbox) extract(t time.Duration, dst []pending) []pending {
-	// At most b.n messages move: grow dst once for a fan-in wider than any
-	// before it, instead of doubling up to it.
-	dst = slices.Grow(dst, b.n)
-	w := 0
-	for i := 0; i < b.n; i++ {
+	k := 0
+	for k < b.n && b.slotAt(k).at == t {
+		k++
+	}
+	dst = slices.Grow(dst, k)
+	for i := 0; i < k; i++ {
 		p := b.slotAt(i)
-		if p.at == t {
-			dst = append(dst, *p)
-		} else {
-			if w != i {
-				*b.slotAt(w) = *p
-			}
-			w++
-		}
+		dst = append(dst, *p)
+		*p = pending{} // release message references
 	}
-	for i := w; i < b.n; i++ {
-		*b.slotAt(i) = pending{} // release message references
-	}
-	b.n = w
+	b.head = (b.head + k) & (len(b.buf) - 1)
+	b.n -= k
 	return dst
 }
 
@@ -443,6 +494,9 @@ func splitmix64(x uint64) uint64 {
 func deliveryKey(src Addr, idx uint64) uint64 {
 	return uint64(src)<<38 | idx
 }
+
+// sourceOf returns the source address packed into a delivery key.
+func sourceOf(key uint64) Addr { return Addr(key >> 38) }
 
 // dropDraw returns the pseudo-uniform draw in [0,1) deciding the fate of the
 // idx-th send of src. Hashing (salt, source, send index) instead of consuming
@@ -644,7 +698,7 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 		// consequences (a reply chain can reach back from at+lookahead).
 		sh := n.shardID[src]
 		n.outboxes[sh] = append(n.outboxes[sh], outMsg{dst: dst,
-			p: pending{at: at, key: key, from: src, size: size, msg: msg}})
+			p: pending{at: at, key: key, size: size, msg: msg}})
 		n.engines[src].NoteCrossShardSend(at)
 		return
 	}
@@ -654,7 +708,7 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 		// Later same-(dst, at) sends just park in the inbox for free.
 		n.engineFor(dst).AtDelivery(at, uint64(dst), n.flush[dst])
 	}
-	box.push(pending{at: at, key: key, from: src, size: size, msg: msg})
+	box.push(pending{at: at, key: key, size: size, msg: msg})
 }
 
 // flushInbox delivers every message due for dst at the current virtual time,
@@ -682,7 +736,7 @@ func (n *Network) flushInbox(dst Addr) {
 		if s.alive {
 			n.counters[dst].MsgsReceived++
 			n.counters[dst].BytesReceived += p.size
-			s.handler.HandleMessage(p.from, p.msg)
+			s.handler.HandleMessage(sourceOf(p.key), p.msg)
 		}
 		*p = pending{} // release message references
 	}

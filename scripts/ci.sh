@@ -27,10 +27,12 @@ go test -race -short ./...
 
 # Allocation gates, exact under AllocsPerRun, each required by name to have
 # run and passed, not merely not to have failed (the spill-walk test skips
-# itself under -race, where sync.Pool sheds envelopes at random; the other
-# two hold under -race too): a 256-hop spill walk allocates no more than a
-# boot admitted at its rendezvous; a warm BandwidthSatisfaction sweep and a
-# SetLocal+Global pair on a subscribed topic allocate nothing.
+# itself under -race, where sync.Pool sheds envelopes at random; the others
+# hold under -race too): a 256-hop spill walk allocates no more than a
+# boot admitted at its rendezvous; a warm BandwidthSatisfaction sweep, a
+# SetLocal+Global pair on a subscribed topic and a warm round of 4096
+# five-minute tickers (the timing wheel hands its slot backings on, level to
+# level and round to round) allocate nothing.
 alloc_gate() {
 	go test -count=1 -v -run "^$1\$" "$2" > /tmp/vb-alloc-gate.txt \
 		|| { cat /tmp/vb-alloc-gate.txt; exit 1; }
@@ -38,10 +40,11 @@ alloc_gate() {
 		|| { echo "FAIL: allocation gate $1 did not run"; cat /tmp/vb-alloc-gate.txt; exit 1; }
 	rm -f /tmp/vb-alloc-gate.txt
 }
-echo "== allocation gates (spill walk per hop, shaper sweep, topic accessors: 0 allocations)"
+echo "== allocation gates (spill walk per hop, shaper sweep, topic accessors, periodic timers: 0 allocations)"
 alloc_gate TestSpillWalkAllocatesNothingPerHop ./internal/placement/
 alloc_gate TestBandwidthSatisfactionAllocatesNothing ./internal/core/
 alloc_gate TestSetLocalGlobalAllocateNothing ./internal/aggregation/
+alloc_gate TestPeriodicTimersAllocateNothing ./internal/sim/
 # What every server holds of each layer, by size class (memregress_test.go
 # gates their sum at 32768 servers).
 alloc_gate TestNodeSizeCeiling ./internal/pastry/
@@ -63,6 +66,13 @@ go test -race -run 'Resilience|NoLeak|LeaseExpiry|Orphan|Anycast|Fault|Dead|Deat
 # would also be a determinism bug.
 echo "== shard packages -race"
 go test -race ./internal/sim/ ./internal/simnet/
+
+# The two structures under every event against the models that pin them (a
+# container/heap for the timing wheel, the whole-inbox scan for the
+# due-ordered inbox), all seeds, never from the test cache.
+echo "== queue and inbox model equivalence -race"
+go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel' \
+	./internal/sim/ ./internal/simnet/
 
 # One small fault sweep end to end: vb-faults exits nonzero if any run
 # leaks a reservation or a drop rate fails to parse.
