@@ -26,6 +26,7 @@ import (
 	"vbundle/internal/obs"
 	"vbundle/internal/pastry"
 	"vbundle/internal/scribe"
+	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
 
@@ -250,7 +251,7 @@ type Manager struct {
 	// the inline backing array for the common one- or two-topic node.
 	topics    []*topicState
 	topicsBuf [2]*topicState
-	ticker    *tickerHandle
+	ticker    *sim.Ticker
 
 	// rootLatencies collects leaf-to-root latencies observed while this
 	// node is a topic root (Fig. 14's raw line).
@@ -259,8 +260,6 @@ type Manager struct {
 	// obs is the node's flight-recorder source (nil when tracing is off).
 	obs *obs.Source
 }
-
-type tickerHandle struct{ stop func() }
 
 // New creates the aggregation manager for the given Scribe instance.
 func New(sc *scribe.Scribe, cfg Config) *Manager {
@@ -408,14 +407,13 @@ func (m *Manager) Start() {
 	if m.ticker != nil {
 		return
 	}
-	t := m.sc.Node().Engine().Every(m.cfg.UpdateInterval, m.tick)
-	m.ticker = &tickerHandle{stop: t.Stop}
+	m.ticker = m.sc.Node().Engine().Every(m.cfg.UpdateInterval, m.tick)
 }
 
 // Stop halts the periodic cycle.
 func (m *Manager) Stop() {
 	if m.ticker != nil {
-		m.ticker.stop()
+		m.ticker.Stop()
 		m.ticker = nil
 	}
 }
@@ -508,11 +506,15 @@ func (m *Manager) flush(st *topicState) {
 		st.lastSent, st.sentOnce = agg, true
 		return
 	}
-	if m.sc.SendToParent(st.key, &upMsg{Topic: st.key, Values: agg, LeafSentAt: stamp}) {
+	shells := upShells.Of(m.sc.Node().Engine())
+	up := shells.get()
+	up.Topic, up.Values, up.LeafSentAt = st.key, agg, stamp
+	if m.sc.SendToParent(up) {
 		m.obs.Instant(m.now(), obs.KindAggUpdate, obs.NoRef, int64(len(st.children)), int64(len(agg)))
 		st.lastSent, st.sentOnce = agg, true
 		return
 	}
+	shells.put(up) // never sent: still ours
 	// The tree parent is not known yet (join still in flight). Keep the
 	// probe stamp and retry shortly; without this, values set before the
 	// tree converges would never reach the root.
@@ -551,6 +553,9 @@ func (m *Manager) onChildUpdate(st *topicState, payload simnet.Message, from pas
 		st.cacheOK = false
 	}
 	m.markDirty(st, up.LeafSentAt)
+	// This is the push's one point of consumption, and nothing above kept the
+	// *upMsg: the info base holds the list Values pointed at, not the shell.
+	upShells.Of(m.sc.Node().Engine()).put(up)
 }
 
 // publish computes the root's full aggregates and disseminates them down
@@ -612,20 +617,55 @@ func (m *Manager) now() time.Duration { return m.sc.Node().Engine().Now() }
 func (m *Manager) childID(ref int32) ids.Id { return m.sc.Node().HandleOf(ref).Id }
 
 // upMsg carries a subtree's per-attribute aggregates one edge toward the
-// root.
+// root. Values is the sender's cached fold list, shared and never written;
+// the shell around it is recycled (upShellList).
 type upMsg struct {
 	Topic      ids.Id
 	Values     attrList
 	LeafSentAt time.Duration
+	next       *upMsg // the shell below this one while it lies in an upShellList
 }
+
+// TreeGroup implements scribe.Upward.
+func (u *upMsg) TreeGroup() ids.Id { return u.Topic }
 
 // WireSize implements simnet.WireSizer.
 func (u *upMsg) WireSize() int {
-	size := ids.Bytes + 8
+	size := scribe.TreeEdgeWireBytes + ids.Bytes + 8
 	for _, av := range u.Values {
 		size += len(av.attr) + 4*8
 	}
 	return size
+}
+
+// upShellList recycles upMsg shells among the nodes of one engine goroutine,
+// under the rule pastry's envPool follows: a push has one owner at a time —
+// flush takes a shell and hands it to the network, onChildUpdate consumes it
+// exactly once and banks it on the receiver's list, last in first out. A
+// shell is per message, not per sender, because an interior node flushes
+// again 1.5 ms after its next child reports, while its previous push is still
+// a network hop from arriving: the two must not share values or stamp. A push
+// that is dropped, lost with a crashed inbox or delivered to a node that has
+// left the tree is never banked; the collector takes it. What stays banked is
+// one round's shells, which the next round sends again.
+type upShellList struct{ top *upMsg }
+
+var upShells = sim.NewLocal[upShellList]()
+
+func (l *upShellList) get() *upMsg {
+	u := l.top
+	if u == nil {
+		return &upMsg{}
+	}
+	l.top, u.next = u.next, nil
+	return u
+}
+
+// put banks a shell; Values is dropped so that a banked shell does not pin a
+// fold list its subtree has since replaced.
+func (l *upShellList) put(u *upMsg) {
+	u.Values, u.next = nil, l.top
+	l.top = u
 }
 
 // globalMsg carries the published global aggregates down the tree.

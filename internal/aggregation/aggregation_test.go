@@ -9,6 +9,7 @@ import (
 	"vbundle/internal/pastry"
 	"vbundle/internal/scribe"
 	"vbundle/internal/sim"
+	"vbundle/internal/simnet"
 	"vbundle/internal/topology"
 )
 
@@ -23,6 +24,11 @@ func newFixture(t testing.TB, racks, perRack int) *fixture {
 }
 
 func newFixtureCfg(t testing.TB, racks, perRack int, cfg Config) *fixture {
+	return newFixtureOn(t, sim.NewEngine(5), racks, perRack, cfg)
+}
+
+// newFixtureOn builds the ring under the given engine, serial or sharded.
+func newFixtureOn(t testing.TB, engine *sim.Engine, racks, perRack int, cfg Config, opts ...simnet.Option) *fixture {
 	t.Helper()
 	tp, err := topology.New(topology.Spec{
 		Racks:            racks,
@@ -36,8 +42,7 @@ func newFixtureCfg(t testing.TB, racks, perRack int, cfg Config) *fixture {
 	if err != nil {
 		t.Fatalf("topology: %v", err)
 	}
-	engine := sim.NewEngine(5)
-	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner)
+	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner, opts...)
 	ring.BuildStatic()
 	f := &fixture{engine: engine, ring: ring, managers: make([]*Manager, ring.Size())}
 	for i, n := range ring.Nodes() {

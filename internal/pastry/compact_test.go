@@ -394,3 +394,49 @@ func TestRejoinSkipsForeignPeers(t *testing.T) {
 	}
 	checkHandlesMatchDirectory(t, ring, "after a foreign checkpoint")
 }
+
+// TestConsiderMemoMatchesFullConsider drives one node of a 64-node ring, whose
+// consider returns at once for the sender it considered last, and the model,
+// whose Consider always runs the three inserts, with the same random sequence
+// in which senders come in runs, as a spill walk's hops or a gateway's queries
+// do, and a Forget may fall inside a run (the peer has then to go back in).
+// Routing table, both leaf halves and the neighborhood set must be equal after
+// every operation.
+func TestConsiderMemoMatchesFullConsider(t *testing.T) {
+	const seeds, ops = 50, 2000
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		assign := HierarchyAssigner
+		if seed%2 == 0 {
+			assign = RandomAssigner
+		}
+		ring := NewRing(sim.NewEngine(seed), testTopo(t, 8, 8), Config{}, assign)
+		node := ring.Node(rng.Intn(ring.Size()))
+		model := &refTables{cfg: node.ring.cfg, handle: node.handle, prox: node.ring.lat}
+		h := ring.Node(0).Handle() // the first sender is ref 0: a fresh node must not take it for considered
+		skipped := 0
+		for op := 0; op < ops; op++ {
+			if rng.Intn(3) == 0 { // a run lasts three operations on average
+				h = ring.Node(rng.Intn(ring.Size())).Handle()
+			}
+			what := "Consider"
+			if rng.Intn(8) == 0 {
+				what = "Forget"
+				node.Forget(h.Id)
+				model.Forget(h.Id)
+			} else {
+				if int32(h.Addr) == node.lastConsidered {
+					skipped++
+				}
+				node.consider(h)
+				model.Consider(h)
+			}
+			if d := model.diff(node); d != "" {
+				t.Fatalf("seed %d op %d (%s %v): %s", seed, op, what, h, d)
+			}
+		}
+		if skipped < ops/4 {
+			t.Fatalf("seed %d: the memo answered %d of %d operations; the sequence has too few repeats to test it", seed, skipped, ops)
+		}
+	}
+}

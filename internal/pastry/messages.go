@@ -2,6 +2,7 @@ package pastry
 
 import (
 	"vbundle/internal/ids"
+	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
 
@@ -47,6 +48,9 @@ type envPool struct {
 	env *envelope
 	dir *directEnvelope
 }
+
+// envPools keeps one envPool an engine; a node holds a pointer to its own.
+var envPools = sim.NewLocal[envPool]()
 
 // getEnv takes the most recently banked envelope husk, or allocates one when
 // none is banked.

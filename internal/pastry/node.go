@@ -69,8 +69,17 @@ type Node struct {
 	leafCCW   []int32 // predecessors, sorted by counter-clockwise distance
 	neighbors []int32 // sorted by proximity to self
 
-	joined   bool
-	onJoined []func()
+	joined bool
+	// lastConsidered is the ref consider folded in last, while no table has
+	// been written since (noRef otherwise: the zero value is a real ref).
+	// Traffic comes in runs from one sender — a spill walk's hops, a gateway's
+	// queries, a parent's multicasts — and a second consider of the same peer
+	// changes nothing: every slot it could take holds it or a closer peer, and
+	// both set inserts find it present or sort it after a full set's last
+	// entry. The writers that bypass consider (Forget, Ring.BuildStatic) reset
+	// it.
+	lastConsidered int32
+	onJoined       []func()
 
 	// onDead observers; onDeadBuf backs the single-observer common case
 	// (scribe) inline.
@@ -156,8 +165,10 @@ func newNode(r *Ring, addr simnet.Addr, ar *refArena, rtRows int) *Node {
 		engine: net.EngineFor(addr),
 		rng:    prng{state: uint64(net.Engine().Seed()) ^ (uint64(addr)+1)*0x9E3779B97F4A7C15},
 		obs:    net.TraceSource(addr),
+
+		lastConsidered: noRef,
 	}
-	n.pool = r.poolFor(n.engine)
+	n.pool = envPools.Of(n.engine)
 	n.apps = n.appsBuf[:0]
 	// Leaf halves carry one slot of insertion scratch beyond their
 	// steady-state bound (insertSortedByDist appends before truncating), so
@@ -333,13 +344,14 @@ func (n *Node) RoutingTableSize() int {
 // from the directory. A handle in a message is: its sender materialised it
 // from the directory. Rejoin checks the ones a checkpoint brings.
 func (n *Node) consider(h NodeHandle) {
-	if h.IsNil() || h.Id == n.handle.Id {
+	ref := int32(h.Addr)
+	if h.IsNil() || ref == n.lastConsidered || h.Id == n.handle.Id {
 		return
 	}
-	ref := int32(h.Addr)
 	n.rtInsert(h.Id, ref)
 	n.leafInsert(h.Id, ref)
 	n.neighborInsert(h.Id, ref)
+	n.lastConsidered = ref
 }
 
 func (n *Node) rtInsert(id ids.Id, ref int32) {
@@ -433,6 +445,7 @@ func (n *Node) Forget(id ids.Id) {
 	n.leafCW = n.removeByID(n.leafCW, id)
 	n.leafCCW = n.removeByID(n.leafCCW, id)
 	n.neighbors = n.removeByID(n.neighbors, id)
+	n.lastConsidered = noRef
 }
 
 func (n *Node) removeByID(list []int32, id ids.Id) []int32 {

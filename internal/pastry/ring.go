@@ -49,9 +49,6 @@ type Ring struct {
 	dir []ids.Id
 	// lat is the topology's latency as the nodes' proximity metric.
 	lat simnet.LatencyFunc
-	// pools holds one envelope pool per engine goroutine, keyed by the
-	// engine that drives it.
-	pools map[*sim.Engine]*envPool
 
 	// byID holds node indices sorted by identifier; pos is its inverse
 	// (pos[i] is the rank of node i) and sortedIDs the identifiers in rank
@@ -93,7 +90,6 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 		nodes:  make([]*Node, n),
 		byID:   make([]int, n),
 		lat:    lat,
-		pools:  make(map[*sim.Engine]*envPool),
 	}
 	r.dir = make([]ids.Id, n)
 	for i := range r.dir {
@@ -138,16 +134,6 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 		}
 	})
 	return r
-}
-
-// poolFor returns the envelope pool of the nodes engine e drives.
-func (r *Ring) poolFor(e *sim.Engine) *envPool {
-	p := r.pools[e]
-	if p == nil {
-		p = new(envPool)
-		r.pools[e] = p
-	}
-	return p
 }
 
 // Engine returns the simulation engine.
@@ -328,6 +314,7 @@ func (r *Ring) BuildStatic() {
 		}
 		// Neighborhood set: physically closest servers.
 		candScratch = r.fillNeighborhood(node, candScratch)
+		node.lastConsidered = noRef
 		node.markJoined()
 	}
 	// Routing tables: one recursive prefix partition of the identifier

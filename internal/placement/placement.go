@@ -18,7 +18,6 @@ package placement
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"vbundle/internal/cluster"
@@ -162,6 +161,13 @@ type DHT struct {
 
 	seq     uint64
 	pending map[uint64]pendingQuery
+	// free is the stack of recycled boot envelopes, threaded through the
+	// envelopes (bootQuery.next). It is read and written where pending is —
+	// Place and PlaceBatch take an envelope, finish hands it back at the
+	// gateway — and so needs no more synchronisation than that map has. It
+	// holds what the queries in flight together have needed; once nothing is
+	// in flight it is cut to one envelope (releaseQuery).
+	free *bootQuery
 
 	// Timeout wheel: queries share one outstanding timer. QueryTimeout is
 	// constant, so deadlines are FIFO; completed queries are skipped lazily
@@ -297,7 +303,7 @@ func (d *DHT) Cache() *ResolutionCache { return d.cache }
 
 // Place implements Engine: route a boot query toward hash(customer).
 func (d *DHT) Place(vm *cluster.VM, onDone func(Result, error)) {
-	q := acquireQuery()
+	q := d.acquireQuery()
 	q.VMs = append(q.VMs, vm)
 	q.Servers = append(q.Servers, -1)
 	q.HopsAt = append(q.HopsAt, 0)
@@ -313,7 +319,7 @@ func (d *DHT) PlaceBatch(vms []*cluster.VM, onDone func(int, Result, error)) {
 	if len(vms) == 0 {
 		panic("placement: empty batch")
 	}
-	q := acquireQuery()
+	q := d.acquireQuery()
 	for _, vm := range vms {
 		if vm.Customer != vms[0].Customer {
 			panic("placement: batch mixes customers")
@@ -453,7 +459,7 @@ func (d *DHT) recordHops(h int) {
 func (d *DHT) finish(q *bootQuery) {
 	pq, ok := d.pending[q.Seq]
 	if !ok {
-		releaseQuery(q) // timed out before the answer arrived
+		d.releaseQuery(q) // timed out before the answer arrived
 		return
 	}
 	delete(d.pending, q.Seq)
@@ -480,15 +486,15 @@ func (d *DHT) finish(q *bootQuery) {
 			pq.deliver(i, Result{}, fmt.Errorf("placement: spill walk exhausted for vm %d", q.VMs[i].ID))
 		}
 	}
-	releaseQuery(q)
+	d.releaseQuery(q)
 }
 
 // bootQuery carries a batch of one customer's VM boot requests toward the
 // customer key and then along the spill walk; with Done set, the same
 // envelope carries the per-VM answers back to the origin. The VM pointers
 // are an in-process simulation shortcut for the attribute bundles a real
-// query would serialize. Envelopes are pooled: the final replier hands the
-// envelope back to the gateway, which recycles it after the callbacks run.
+// query would serialize. Envelopes are recycled: the final replier hands the
+// envelope back to the gateway, which banks it after the callbacks run.
 type bootQuery struct {
 	Seq      uint64
 	Customer string
@@ -504,6 +510,7 @@ type bootQuery struct {
 	Done    bool              // answer leg: heading back to Origin
 	Spill   int
 	Visited visitedSet // servers the walk has been to: 16-byte nodeIds on the wire, addresses here
+	next    *bootQuery // the envelope below this one while it lies in DHT.free
 }
 
 // WireSize implements simnet.WireSizer: a realistic boot request carries the
@@ -516,24 +523,26 @@ func (q *bootQuery) WireSize() int {
 	return 64 + 20 + 24*len(q.VMs) + 16*q.Visited.Len()
 }
 
-// queryPool recycles boot envelopes. Pre-sizing Visited for a typical walk
-// and the VM vectors for a typical batch makes the steady-state boot path
-// allocation-free (a longer walk grows its envelope once, and the envelope
-// keeps the room); sync.Pool keeps recycling safe when shards run on
-// separate goroutines (an envelope released on one shard may be reused on
-// another only through the pool's synchronization).
-var queryPool = sync.Pool{New: func() any {
-	return &bootQuery{
-		VMs:     make([]*cluster.VM, 0, 8),
-		Servers: make([]int32, 0, 8),
-		HopsAt:  make([]int32, 0, 8),
-		Visited: newVisitedSet(),
+// acquireQuery takes the most recently banked boot envelope, or makes one.
+// Pre-sizing Visited for a typical walk and the VM vectors for a typical batch
+// makes the steady-state boot path allocation-free (a longer walk grows its
+// envelope once, and the envelope keeps the room). An envelope whose answer
+// is lost is never banked; the collector takes it.
+func (d *DHT) acquireQuery() *bootQuery {
+	q := d.free
+	if q == nil {
+		return &bootQuery{
+			VMs:     make([]*cluster.VM, 0, 8),
+			Servers: make([]int32, 0, 8),
+			HopsAt:  make([]int32, 0, 8),
+			Visited: newVisitedSet(),
+		}
 	}
-}}
+	d.free, q.next = q.next, nil
+	return q
+}
 
-func acquireQuery() *bootQuery { return queryPool.Get().(*bootQuery) }
-
-func releaseQuery(q *bootQuery) {
+func (d *DHT) releaseQuery(q *bootQuery) {
 	for i := range q.VMs {
 		q.VMs[i] = nil
 	}
@@ -549,7 +558,15 @@ func releaseQuery(q *bootQuery) {
 	q.Routed = false
 	q.Done = false
 	q.Spill = 0
-	queryPool.Put(q)
+	// An envelope keeps the room of the longest walk it has carried (7 KB on
+	// average where regions are full), so a list that only grew would hold a
+	// burst's worth of them for good. The last answer of a burst ends it: with
+	// nothing in flight the envelopes below are let go, and the one kept
+	// serves a gateway whose boots arrive one at a time.
+	if len(d.pending) > 0 {
+		q.next = d.free
+	}
+	d.free = q
 }
 
 // dhtAgent is the per-server protocol handler.

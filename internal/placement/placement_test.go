@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -367,5 +368,55 @@ func TestSortServers(t *testing.T) {
 	order := SortServers(w.cl)
 	if order[0] != 1 || order[1] != 2 || order[2] != 0 {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestIdleGatewayKeepsOneEnvelope: the free list of boot envelopes holds what
+// a burst of concurrent queries needed while the burst lasts — a second wave
+// inside it allocates no envelope — and is cut to one envelope by the answer
+// that leaves nothing in flight, so a gateway does not carry its busiest
+// moment's envelopes for good.
+func TestIdleGatewayKeepsOneEnvelope(t *testing.T) {
+	w := newWorld(t, 8, 8, 1000)
+	d := NewDHT(w.ring, w.cl, DHTConfig{})
+	banked := func() (n int) {
+		for q := d.free; q != nil; q = q.next {
+			n++
+		}
+		return n
+	}
+	const burst = 16
+	answered := 0
+	place := func(customer string) {
+		vm, err := w.cl.CreateVM(customer, bwRes(10), bwRes(20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Place(vm, func(_ Result, err error) {
+			if err != nil {
+				t.Errorf("place %s: %v", customer, err)
+			}
+			answered++
+			if answered == burst/2 {
+				// Half-way through the burst the answered half's envelopes are
+				// banked, the other half is in flight.
+				if got := banked(); got != burst/2-1 {
+					t.Errorf("%d envelopes banked behind the %d-th answer of %d, want %d", got, answered, burst, burst/2-1)
+				}
+			}
+		})
+	}
+	for i := 0; i < burst; i++ {
+		place(fmt.Sprintf("customer-%d", i))
+	}
+	if got := banked(); got != 0 {
+		t.Fatalf("%d envelopes banked with %d queries in flight", got, burst)
+	}
+	w.engine.Run()
+	if answered != burst || len(d.pending) != 0 {
+		t.Fatalf("%d of %d answered, %d pending", answered, burst, len(d.pending))
+	}
+	if got := banked(); got != 1 {
+		t.Fatalf("an idle gateway banks %d envelopes, want 1", got)
 	}
 }

@@ -175,7 +175,7 @@ type trackedQuery struct {
 // launch is PlaceBatch with the envelope kept in hand, so the walk can be
 // read off it when the answer arrives (and while it is still under way).
 func (w *walkWorld) launch(vms []*cluster.VM) *trackedQuery {
-	tq := &trackedQuery{q: acquireQuery(), vms: vms, rec: &walkRecord{
+	tq := &trackedQuery{q: w.d.acquireQuery(), vms: vms, rec: &walkRecord{
 		Customer: vms[0].Customer,
 		Results:  make([]Result, len(vms)),
 		Failed:   make([]bool, len(vms)),
@@ -378,7 +378,7 @@ func newSpillFixture(tb testing.TB, hops int) *spillFixture {
 	// path does not depend on who is full, so freeing that server leaves
 	// the walk up to it unchanged.
 	f.d.cfg.MaxSpillHops = hops + 16 // the bound counts the route's hops too
-	q := acquireQuery()
+	q := f.d.acquireQuery()
 	q.VMs = append(q.VMs, vm)
 	q.Servers = append(q.Servers, -1)
 	q.HopsAt = append(q.HopsAt, 0)
@@ -412,9 +412,6 @@ func (f *spillFixture) walk(tb testing.TB) {
 // warm, a boot that spills over 256 servers may allocate no more than a boot
 // admitted at its rendezvous — the walk itself allocates nothing.
 func TestSpillWalkAllocatesNothingPerHop(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops envelopes at random under the race detector")
-	}
 	measure := func(hops int) float64 {
 		f := newSpillFixture(t, hops)
 		return testing.AllocsPerRun(20, func() { f.walk(t) })

@@ -36,6 +36,7 @@ import (
 	"vbundle/internal/obs"
 	"vbundle/internal/pastry"
 	"vbundle/internal/scribe"
+	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 	"vbundle/internal/store"
 	"vbundle/internal/tcshape"
@@ -413,7 +414,7 @@ type Agent struct {
 	// receivers (live exchange plus an orphaned accept) stay independent.
 	releaseAwait map[releaseKey]bool
 
-	updateTicker, rebalanceTicker *simTicker
+	updateTicker, rebalanceTicker *sim.Ticker
 
 	migrationsTriggered obs.Counter
 	queriesSent         obs.Counter
@@ -477,8 +478,6 @@ func (a *Agent) shedDestOf(vm cluster.VMID) (pastry.NodeHandle, bool) {
 	return pastry.NodeHandle{}, false
 }
 
-type simTicker struct{ stop func() }
-
 func newAgent(coord *Coordinator, server int, node *pastry.Node, agg *aggregation.Manager) *Agent {
 	a := &Agent{
 		coord:        coord,
@@ -525,19 +524,17 @@ func (a *Agent) start() {
 	a.publishLocal()
 	a.agg.Start()
 	cfg := a.coord.cfg
-	ut := a.node.Engine().Every(cfg.UpdateInterval, a.publishLocal)
-	rt := a.node.Engine().Every(cfg.RebalanceInterval, a.rebalanceRound)
-	a.updateTicker = &simTicker{stop: ut.Stop}
-	a.rebalanceTicker = &simTicker{stop: rt.Stop}
+	a.updateTicker = a.node.Engine().Every(cfg.UpdateInterval, a.publishLocal)
+	a.rebalanceTicker = a.node.Engine().Every(cfg.RebalanceInterval, a.rebalanceRound)
 }
 
 func (a *Agent) stop() {
 	if a.updateTicker != nil {
-		a.updateTicker.stop()
+		a.updateTicker.Stop()
 		a.updateTicker = nil
 	}
 	if a.rebalanceTicker != nil {
-		a.rebalanceTicker.stop()
+		a.rebalanceTicker.Stop()
 		a.rebalanceTicker = nil
 	}
 	a.agg.Stop()

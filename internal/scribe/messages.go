@@ -64,15 +64,17 @@ type multicastDown struct {
 // WireSize implements simnet.WireSizer.
 func (m *multicastDown) WireSize() int { return ids.Bytes + handleWireBytes + payloadSize(m.Payload) }
 
-// parentData travels one tree edge upward (aggregation reduction).
-type parentData struct {
-	Group   ids.Id
-	Payload simnet.Message
-	From    pastry.NodeHandle
+// Upward is a payload SendToParent pushes one tree edge toward the root
+// (aggregation reduction). It travels bare — the direct envelope already
+// names its sender — so it has to name the group whose tree it climbs, and
+// its WireSize counts TreeEdgeWireBytes on top of its own content.
+type Upward interface {
+	TreeGroup() ids.Id
 }
 
-// WireSize implements simnet.WireSizer.
-func (m *parentData) WireSize() int { return ids.Bytes + handleWireBytes + payloadSize(m.Payload) }
+// TreeEdgeWireBytes is what a push up a tree edge carries beside the
+// payload's content: the group key and the sender's handle.
+const TreeEdgeWireBytes = ids.Bytes + handleWireBytes
 
 // anycastMsg performs the depth-first search of the tree.
 type anycastMsg struct {

@@ -30,6 +30,7 @@ import (
 	"vbundle/internal/ids"
 	"vbundle/internal/obs"
 	"vbundle/internal/pastry"
+	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
 
@@ -233,7 +234,7 @@ type Scribe struct {
 	onChildDrop    []func(group, child ids.Id)
 	onChildDropBuf [1]func(group, child ids.Id)
 
-	maintenance *simTicker
+	maintenance *sim.Ticker
 
 	// keyScratch is reused by sortedGroupKeys to snapshot the group keys
 	// before walks that may prune entries mid-iteration.
@@ -276,9 +277,6 @@ func (s *Scribe) sortedGroupKeys() []ids.Id {
 	s.keyScratch = out
 	return out
 }
-
-// simTicker is a tiny indirection so Scribe can stop its maintenance loop.
-type simTicker struct{ stop func() }
 
 // New creates the Scribe instance for node and registers it under AppName.
 func New(node *pastry.Node) *Scribe {
@@ -503,15 +501,16 @@ func (s *Scribe) SendToChildren(group ids.Id, payload simnet.Message) {
 	}
 }
 
-// SendToParent pushes payload directly to this node's parent in the group
-// tree; it reports false at the root or while the parent is unknown. The
+// SendToParent pushes payload directly to this node's parent in the tree of
+// the group the payload names; it reports false at the root or while the
+// parent is unknown, and the payload is then still the caller's. The
 // aggregation layer uses this for leaf-to-root reduction.
-func (s *Scribe) SendToParent(group ids.Id, payload simnet.Message) bool {
-	g := s.group(group)
+func (s *Scribe) SendToParent(payload Upward) bool {
+	g := s.group(payload.TreeGroup())
 	if g == nil || g.parent.IsNil() {
 		return false
 	}
-	s.node.SendDirect(g.parent, AppName, &parentData{Group: group, Payload: payload, From: s.node.Handle()})
+	s.node.SendDirect(g.parent, AppName, payload)
 	return true
 }
 
@@ -872,10 +871,6 @@ func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 		}
 		g.missedBeats = 0
 		s.disseminate(g, m)
-	case *parentData:
-		if g := s.group(m.Group); g != nil && g.onParentData != nil {
-			g.onParentData(m.Payload, m.From)
-		}
 	case *anycastMsg:
 		s.anycastStep(m)
 	case *anycastVerdict:
@@ -911,6 +906,12 @@ func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 		default:
 			// Heartbeat from a stale former parent: prune its edge.
 			s.node.SendDirect(from, AppName, &leaveMsg{Group: m.Group, Child: s.node.Handle()})
+		}
+	case Upward:
+		// The one interface case, behind every concrete one: a push that finds
+		// no tree here (this node left it) is dropped with its payload.
+		if g := s.group(m.TreeGroup()); g != nil && g.onParentData != nil {
+			g.onParentData(m, from)
 		}
 	}
 }
@@ -976,7 +977,7 @@ func (s *Scribe) StartMaintenance(interval time.Duration) {
 	if s.maintenance != nil {
 		return
 	}
-	t := s.node.Engine().Every(interval, func() {
+	s.maintenance = s.node.Engine().Every(interval, func() {
 		for _, key := range s.sortedGroupKeys() {
 			g := s.group(key)
 			if g == nil {
@@ -1011,13 +1012,12 @@ func (s *Scribe) StartMaintenance(interval time.Duration) {
 			}
 		}
 	})
-	s.maintenance = &simTicker{stop: t.Stop}
 }
 
 // StopMaintenance halts the heartbeat protocol.
 func (s *Scribe) StopMaintenance() {
 	if s.maintenance != nil {
-		s.maintenance.stop()
+		s.maintenance.Stop()
 		s.maintenance = nil
 	}
 }

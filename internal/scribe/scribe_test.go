@@ -419,6 +419,16 @@ func TestTreeRepairAfterNodeFailure(t *testing.T) {
 	}
 }
 
+// testPush is an upward payload: it names its group and counts the tree edge
+// in its wire size, as scribe.Upward asks.
+type testPush struct {
+	group ids.Id
+	body  string
+}
+
+func (p *testPush) TreeGroup() ids.Id { return p.group }
+func (p *testPush) WireSize() int     { return TreeEdgeWireBytes + len(p.body) }
+
 func TestSendToParentAndChildren(t *testing.T) {
 	f := newFixture(t, 2, 4)
 	group := GroupKey("agg")
@@ -453,25 +463,49 @@ func TestSendToParentAndChildren(t *testing.T) {
 	var upGot simnet.Message
 	parent.OnParentData(group, func(payload simnet.Message, from pastry.NodeHandle) {
 		upGot = payload
-		if from.Id != child.Node().ID() {
-			t.Errorf("parentData from %s, want %s", from.Id.Short(), child.Node().ID().Short())
+		if from != child.Node().Handle() {
+			t.Errorf("push from %s, want %s", from.Id.Short(), child.Node().ID().Short())
 		}
 	})
-	if !child.SendToParent(group, "partial-sum") {
+	push := &testPush{group: group, body: "partial-sum"}
+	sent := func() int { return f.ring.Network().CountersOf(child.Node().Addr()).BytesSent }
+	before := sent()
+	if !child.SendToParent(push) {
 		t.Fatal("SendToParent returned false for attached child")
 	}
+	// One push on the wire: a direct envelope (application name and sender
+	// handle) around the group key, the sender handle and the 11-byte body —
+	// the 73 bytes it cost while a parentData wrapper carried the last three.
+	if got := sent() - before; got != 73 {
+		t.Fatalf("one push is %d bytes on the wire, want 73", got)
+	}
 	f.engine.Run()
-	if upGot != "partial-sum" {
+	if upGot != push {
 		t.Fatalf("parent received %v", upGot)
 	}
 
-	// Root cannot send to parent.
+	// A push naming a group this node has no tree for is not sent, and the
+	// root cannot send to a parent.
+	if child.SendToParent(&testPush{group: GroupKey("no-such-group")}) {
+		t.Fatal("SendToParent returned true for an unknown group")
+	}
 	for _, s := range f.scribes {
 		if s.IsRoot(group) {
-			if s.SendToParent(group, "x") {
+			if s.SendToParent(&testPush{group: group, body: "x"}) {
 				t.Fatal("root SendToParent returned true")
 			}
 		}
+	}
+
+	// A push that arrives after the receiver left the tree is dropped.
+	upGot = nil
+	if !child.SendToParent(push) {
+		t.Fatal("second SendToParent returned false")
+	}
+	parent.groups = nil
+	f.engine.Run()
+	if upGot != nil {
+		t.Fatalf("a node outside the tree delivered %v", upGot)
 	}
 }
 

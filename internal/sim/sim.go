@@ -83,6 +83,9 @@ type Engine struct {
 	// Events are strictly owned by the engine (never escape to callers), so
 	// a popped event can be reused as soon as its callback is extracted.
 	free []*event
+	// locals holds the goroutine-local values of the layers above, one slot a
+	// Local; see local.go.
+	locals []any
 
 	// Sharded-mode plumbing; see shard.go. shards is non-empty only on a
 	// sharded root; root points back from a shard member to its root.

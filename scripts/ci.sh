@@ -26,13 +26,15 @@ echo "== go test -race -short"
 go test -race -short ./...
 
 # Allocation gates, exact under AllocsPerRun, each required by name to have
-# run and passed, not merely not to have failed (the spill-walk test skips
-# itself under -race, where sync.Pool sheds envelopes at random; the others
-# hold under -race too): a 256-hop spill walk allocates no more than a
-# boot admitted at its rendezvous; a warm BandwidthSatisfaction sweep, a
-# SetLocal+Global pair on a subscribed topic and a warm round of 4096
-# five-minute tickers (the timing wheel hands its slot backings on, level to
-# level and round to round) allocate nothing.
+# run and passed, not merely not to have failed (every free list in the tree
+# is deterministic, so they hold under -race too): a 256-hop spill walk
+# allocates no more than a boot admitted at its rendezvous; a warm
+# BandwidthSatisfaction sweep, a SetLocal+Global pair on a subscribed topic, a
+# warm round of 4096 five-minute tickers (the timing wheel hands its slot
+# backings on, level to level and round to round) and a warm aggregation
+# round of unchanged values (every push a recycled shell in a recycled
+# envelope) allocate nothing, and a round of changed values one fold list a
+# re-folded subtree.
 alloc_gate() {
 	go test -count=1 -v -run "^$1\$" "$2" > /tmp/vb-alloc-gate.txt \
 		|| { cat /tmp/vb-alloc-gate.txt; exit 1; }
@@ -40,10 +42,11 @@ alloc_gate() {
 		|| { echo "FAIL: allocation gate $1 did not run"; cat /tmp/vb-alloc-gate.txt; exit 1; }
 	rm -f /tmp/vb-alloc-gate.txt
 }
-echo "== allocation gates (spill walk per hop, shaper sweep, topic accessors, periodic timers: 0 allocations)"
+echo "== allocation gates (spill walk per hop, shaper sweep, topic accessors, periodic timers, aggregation round: 0 allocations)"
 alloc_gate TestSpillWalkAllocatesNothingPerHop ./internal/placement/
 alloc_gate TestBandwidthSatisfactionAllocatesNothing ./internal/core/
 alloc_gate TestSetLocalGlobalAllocateNothing ./internal/aggregation/
+alloc_gate TestWarmRoundAllocatesNoMessages ./internal/aggregation/
 alloc_gate TestPeriodicTimersAllocateNothing ./internal/sim/
 # What every server holds of each layer, by size class (memregress_test.go
 # gates their sum at 32768 servers).
@@ -69,10 +72,13 @@ go test -race ./internal/sim/ ./internal/simnet/
 
 # The two structures under every event against the models that pin them (a
 # container/heap for the timing wheel, the whole-inbox scan for the
-# due-ordered inbox), all seeds, never from the test cache.
-echo "== queue and inbox model equivalence -race"
-go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel' \
-	./internal/sim/ ./internal/simnet/
+# due-ordered inbox), the recycled push shells under loss, a crash and a
+# leave on four shard goroutines, two pushes of one sender on the wire
+# together, and the consider memo against the full inserts: all seeds, never
+# from the test cache.
+echo "== queue, inbox, shell and memo model equivalence -race"
+go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider' \
+	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/
 
 # One small fault sweep end to end: vb-faults exits nonzero if any run
 # leaks a reservation or a drop rate fails to parse.
