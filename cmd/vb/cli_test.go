@@ -1,0 +1,173 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestFlagsMatchParent walks every subcommand's flag set, as -h prints it
+// (name, type, help text, default), against testdata/flags.txt: the -h
+// output of the cmd/vb-* binaries the subcommands were folded from. A flag
+// added, dropped, renamed or re-defaulted shows as a diff.
+func TestFlagsMatchParent(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, header := range strings.Split(string(want), "\n") {
+		name, ok := strings.CutPrefix(header, "# vb ")
+		if !ok {
+			continue
+		}
+		_, usage, code := vb(append(strings.Fields(name), "-h")...)
+		if code != 0 {
+			t.Errorf("vb %s -h: exit status %d", name, code)
+		}
+		_, flags, _ := strings.Cut(usage, "\n") // drop "Usage of vb <name>:"
+		got.WriteString(header + "\n" + flags)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flag sets differ from testdata/flags.txt\ngot:\n%s", got.String())
+	}
+	var listed []string
+	for _, c := range commands {
+		if !strings.Contains(string(want), "# vb "+c.name) {
+			listed = append(listed, c.name)
+		}
+	}
+	if len(listed) > 0 {
+		t.Errorf("subcommands missing from testdata/flags.txt: %v", listed)
+	}
+}
+
+// TestFailedRunKeepsProfiles: the runs one wants to profile are the ones
+// that go wrong. Each cmd/vb-* main left through os.Exit on those, past its
+// deferred stop, and wrote no heap profile.
+func TestFailedRunKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	mem, cpu := filepath.Join(dir, "mem.pprof"), filepath.Join(dir, "cpu.pprof")
+	_, errs, code := vb("sim", "-engine", "nope", "-memprofile", mem, "-cpuprofile", cpu)
+	if code != 1 || !strings.Contains(errs, `vb sim: unknown engine "nope"`) {
+		t.Fatalf("exit status %d, stderr %q; want 1 and the unknown-engine error", code, errs)
+	}
+	for _, f := range []string{mem, cpu} {
+		if info, err := os.Stat(f); err != nil || info.Size() == 0 {
+			t.Errorf("%s: missing or empty after a failed run (%v)", filepath.Base(f), err)
+		}
+	}
+}
+
+func TestExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	os.WriteFile(a, []byte(`{"x": 1, "y": 2}`), 0o644)
+	os.WriteFile(b, []byte(`{"x": 1, "y": 3}`), 0o644)
+	for _, c := range []struct {
+		args           string
+		code           int
+		stdout, stderr string // substrings
+	}{
+		{"", 2, "", "usage: vb <subcommand>"},
+		{"nope", 2, "", "usage: vb <subcommand>"},
+		{"sim -nope", 2, "", "flag provided but not defined"},
+		{"sim -h", 0, "", "Usage of vb sim:"},
+		{"trace", 2, "", "vb trace explain"},
+		{"trace nope x.json", 2, "", "vb trace explain"},
+		{"trace tail", 2, "", "vb trace explain"},
+		{"trace tail " + filepath.Join(dir, "missing.json"), 1, "", "vb trace: open"},
+		{"metrics diff " + a, 2, "", "vb metrics diff"},
+		{"metrics diff " + a + " " + a, 0, "counters identical\n", ""},
+		{"metrics diff " + a + " " + b, 1, "2 != 3", ""},
+		{"metrics csv " + a, 1, "", "no metric series"},
+		{"rebalance -fig 12", 1, "", "vb rebalance: unknown figure 12"},
+		{"qos -fig 9", 1, "", "vb qos: unknown figure 9"},
+		{"overhead -min-servers 600 -max-servers 1000", 1, "", "vb overhead: empty sweep"},
+		{"faults -drop-rates 0,NaN", 1, "", `vb faults: bad drop rate "NaN"`},
+		{"placement -trials 0", 1, "", "vb placement: -trials 0"},
+	} {
+		stdout, stderr, code := vb(strings.Fields(c.args)...)
+		if code != c.code || !strings.Contains(stdout, c.stdout) || !strings.Contains(stderr, c.stderr) {
+			t.Errorf("vb %s: exit status %d, stdout %q, stderr %q; want %d, %q, %q",
+				c.args, code, stdout, stderr, c.code, c.stdout, c.stderr)
+		}
+	}
+}
+
+// traceFiles writes a small real trace with its sample series, and the
+// counter dump of the same run.
+func traceFiles(t testing.TB) (trace, counters string) {
+	dir := t.TempDir()
+	trace, counters = filepath.Join(dir, "trace.json"), filepath.Join(dir, "counters.json")
+	if _, errs, code := vb("serve", "-servers", "64", "-rate", "5", "-duration", "2s", "-seed", "7",
+		"-trace", trace, "-sample-every", "30s", "-counters", counters); code != 0 {
+		t.Fatalf("vb serve: exit status %d\n%s", code, errs)
+	}
+	return trace, counters
+}
+
+// TestTraceRoundTrip reads one run's artifacts back through every reader.
+// vb-metrics took any file starting with '{' for a counter dump and so
+// refused every trace -trace wrote.
+func TestTraceRoundTrip(t *testing.T) {
+	trace, counters := traceFiles(t)
+	out := func(args ...string) string {
+		stdout, errs, code := vb(args...)
+		if code != 0 || stdout == "" {
+			t.Fatalf("vb %v: exit status %d, %d bytes of stdout\n%s", args, code, len(stdout), errs)
+		}
+		return stdout
+	}
+	if series := out("trace", "series", trace); series != out("metrics", "csv", trace) {
+		t.Error("vb metrics csv and vb trace series print different series for one trace")
+	}
+	if sum := out("metrics", "summarize", trace); !strings.Contains(sum, "\nserve/placed ") || !strings.Contains(sum, " samples every 30s, ") {
+		t.Errorf("summarize of a trace lacks its counters or its series:\n%s", sum)
+	}
+	out("metrics", "summarize", counters)
+	out("metrics", "diff", trace, trace)
+	out("trace", "summary", trace)
+	out("trace", "tail", "-n", "5", trace)
+	if _, errs, code := vb("trace", "explain", trace); code != 0 {
+		t.Errorf("vb trace explain: exit status %d\n%s", code, errs)
+	}
+}
+
+// FuzzTraceSubcommands feeds arbitrary bytes to every reader behind vb trace
+// and vb metrics: a file that is not a trace is an error (exit status 1),
+// never a panic. The seeds run with the ordinary tests; search with
+//
+//	go test ./cmd/vb -run '^$' -fuzz FuzzTraceSubcommands -fuzztime 60s -fuzzminimizetime 1s
+//
+// (the default minute of minimizing spends the whole search shrinking the
+// first 47-KB input that reaches new code).
+func FuzzTraceSubcommands(f *testing.F) {
+	trace, counters := traceFiles(f)
+	for _, path := range []string{trace, counters} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, n := range []int{len(data), len(data) - 2, len(data) / 2, len(data) / 7, 1} {
+			f.Add(data[:n])
+		}
+	}
+	readers := [][]string{
+		{"trace", "explain"}, {"trace", "explain", "-crashes"}, {"trace", "summary"}, {"trace", "tail"},
+		{"trace", "series"}, {"metrics", "summarize"}, {"metrics", "csv"},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "in.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range readers {
+			if _, errs, code := vb(append(slices.Clip(r), path)...); code != 0 && code != 1 {
+				t.Errorf("vb %v: exit status %d\n%s", r, code, errs)
+			}
+		}
+	})
+}

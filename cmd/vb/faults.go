@@ -1,0 +1,151 @@
+package main
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"time"
+
+	"vbundle/internal/experiments"
+)
+
+// runFaults runs the Fig. 9 rebalancing scenario under injected faults: a
+// sweep of message-loss rates with receivers killed mid-run. For each loss
+// rate it reports the convergence (settling) time of the utilization
+// standard deviation and the number of receiver-side reservations still held
+// once the protocol stops and every lease has had time to expire — the leak
+// counter, which must read zero.
+//
+// With -crash the kills become true crashes: each victim's handler and all
+// its soft state are discarded, and the node reboots -restart-after minutes
+// later from its durable store, rejoining the live ring. The sweep then
+// gates on full recovery — no VM lost, no reservation leaked across the
+// restart — and fails if any run misses it.
+func runFaults(e *env, args []string) error {
+	var (
+		servers   = e.fs.Int("servers", 300, "approximate server count")
+		perServer = e.fs.Int("vms-per-server", 10, "VMs per server")
+		threshold = e.fs.Float64("threshold", 0.183, "rebalancing threshold")
+		duration  = e.fs.Int("duration", 75, "virtual experiment length in minutes")
+		lease     = e.fs.Int("lease", 10, "reservation lease duration in minutes")
+		rates     = e.fs.String("drop-rates", "0,0.01,0.02,0.05", "comma-separated message loss probabilities")
+		kill      = e.fs.Int("kill", 1, "receivers to kill mid-run")
+		killAt    = e.fs.Int("kill-at", 0, "kill time in minutes (0 = duration/3)")
+		workers   = e.fs.Int("workers", 0, "concurrent sweep variants (0 = all cores, 1 = sequential)")
+		shards    = e.fs.Int("shards", 0, "engine shards per run (0 = serial reference engine)")
+		verbose   = e.fs.Bool("v", false, "print the full per-run report, not just the sweep table")
+
+		crash        = e.fs.Bool("crash", false, "crash receivers for real (blank handler + durable-store reboot) instead of pausing them")
+		restartAfter = e.fs.Int("restart-after", 0, "crash downtime in minutes before the reboot (0 = 2x update interval)")
+		crashForever = e.fs.Int("crash-forever", 0, "additional receivers crashed with no restart at all")
+	)
+	if err := e.parse(args); err != nil {
+		return err
+	}
+	drops, err := parseRates(*rates)
+	if err != nil {
+		return err
+	}
+	minutes := func(n int) time.Duration { return time.Duration(n) * time.Minute }
+
+	// Either way the written trace is the last sweep variant's (the highest
+	// loss rate, where recoveries are most interesting).
+	if *crash {
+		variants := make([]experiments.CrashRestartParams, len(drops))
+		for i, d := range drops {
+			variants[i] = experiments.CrashRestartParams{
+				Spec:          experiments.ScaledSpec(*servers),
+				VMsPerServer:  *perServer,
+				Threshold:     *threshold,
+				Duration:      minutes(*duration),
+				LeaseDuration: minutes(*lease),
+				DropRate:      d,
+				CrashNodes:    *kill,
+				CrashForever:  *crashForever,
+				CrashAt:       minutes(*killAt),
+				RestartAfter:  minutes(*restartAfter),
+				Seed:          e.seed,
+				Shards:        *shards,
+				Obs:           e.obs.Config(),
+				Audit:         e.audit.Config(),
+			}
+		}
+		outs, err := experiments.RunCrashRestartSweep(variants, *workers)
+		if err != nil {
+			return err
+		}
+		failed := 0
+		for _, out := range outs {
+			if *verbose {
+				out.WriteCrashRestart(e.stdout)
+			}
+			e.collect(out.Trace, out.Audit)
+			if !out.GatePassed() {
+				failed++
+				fmt.Fprintf(e.stderr, "vb faults: gate FAILED at %.1f%% loss: lost VMs=%d, lost placements=%d, leaked=%d\n",
+					out.Params.DropRate*100, out.LostVMs, out.Recovery.LostPlacements, out.Leaked)
+			}
+		}
+		experiments.WriteCrashRestartTable(e.stdout, outs)
+		if failed != 0 {
+			return fmt.Errorf("%d of %d crash-restart runs failed the recovery gate", failed, len(outs))
+		}
+		e.printf("every crash-restart run recovered fully: no VM lost, no reservation leaked\n")
+		return nil
+	}
+
+	variants := make([]experiments.ResilienceParams, len(drops))
+	for i, d := range drops {
+		variants[i] = experiments.ResilienceParams{
+			Spec:          experiments.ScaledSpec(*servers),
+			VMsPerServer:  *perServer,
+			Threshold:     *threshold,
+			Duration:      minutes(*duration),
+			LeaseDuration: minutes(*lease),
+			DropRate:      d,
+			KillReceivers: *kill,
+			KillAt:        minutes(*killAt),
+			Seed:          e.seed,
+			Shards:        *shards,
+			Obs:           e.obs.Config(),
+			Audit:         e.audit.Config(),
+		}
+	}
+	outs, err := experiments.RunResilienceSweep(variants, *workers)
+	if err != nil {
+		return err
+	}
+	leaked := 0
+	for _, out := range outs {
+		if *verbose {
+			out.WriteResilience(e.stdout)
+		}
+		e.collect(out.Trace, out.Audit)
+		leaked += out.Leaked
+	}
+	experiments.WriteResilienceTable(e.stdout, outs)
+	if leaked != 0 {
+		return fmt.Errorf("%d reservations leaked across the sweep", leaked)
+	}
+	e.printf("no reservations leaked at quiesce in any run\n")
+	return nil
+}
+
+func parseRates(s string) ([]float64, error) {
+	var out []float64
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil || !(v >= 0 && v < 1) { // the negation also refuses NaN
+			return nil, fmt.Errorf("bad drop rate %q (want 0 <= rate < 1)", f)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no drop rates in %q", s)
+	}
+	return out, nil
+}

@@ -1,0 +1,119 @@
+package main
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"time"
+
+	"vbundle/internal/cluster"
+	"vbundle/internal/core"
+	"vbundle/internal/costbenefit"
+	"vbundle/internal/experiments"
+	"vbundle/internal/metrics"
+	"vbundle/internal/rebalance"
+	"vbundle/internal/workload"
+)
+
+// runSim is the free-form driver: it builds a datacenter, boots VMs for a
+// set of customers through the chosen placement engine, drives bursty
+// workloads, runs the rebalancer, and reports placement quality, utilization
+// balance and bandwidth satisfaction as the run goes and at its end.
+func runSim(e *env, args []string) error {
+	var (
+		servers      = e.fs.Int("servers", 300, "approximate server count")
+		customers    = e.fs.Int("customers", 5, "number of customers")
+		vms          = e.fs.Int("vms", 100, "VMs per customer")
+		engine       = e.fs.String("engine", "dht", "placement engine: dht, greedy or random")
+		threshold    = e.fs.Float64("threshold", 0.183, "rebalancing threshold")
+		hours        = e.fs.Float64("hours", 2, "virtual hours to simulate")
+		multiKind    = e.fs.Bool("multi-resource", false, "rebalance on CPU+memory+bandwidth (§VII extension)")
+		sameCustomer = e.fs.Bool("same-customer", false, "restrict exchanges to each customer's own bundle")
+		costBenefit  = e.fs.Bool("cost-benefit", false, "veto migrations whose cost exceeds the recovered bandwidth")
+		loss         = e.fs.Float64("loss", 0, "overlay message loss probability")
+		shards       = e.fs.Int("shards", 0, "engine shards (0 = serial reference engine)")
+	)
+	if err := e.parse(args); err != nil {
+		return err
+	}
+	kind, err := parseEngine(*engine)
+	if err != nil {
+		return err
+	}
+
+	rebalCfg := rebalance.Config{Threshold: *threshold, SameCustomerOnly: *sameCustomer}
+	if *multiKind {
+		rebalCfg.Kinds = []cluster.Kind{cluster.KindBandwidth, cluster.KindCPU, cluster.KindMemory}
+	}
+	if *costBenefit {
+		rebalCfg.CostBenefit = &costbenefit.Config{}
+	}
+	trace := e.obs.Config().New()
+	vb, err := core.New(core.Options{
+		Topology:    experiments.ScaledSpec(*servers),
+		Seed:        e.seed,
+		Shards:      *shards,
+		Engine:      kind,
+		Rebalance:   rebalCfg,
+		MessageLoss: *loss,
+		Trace:       trace,
+	})
+	if err != nil {
+		return err
+	}
+	e.collect(trace, vb.AttachAudit(e.audit.Config()))
+	if *loss > 0 {
+		vb.StartMaintenance(30 * time.Second)
+	}
+
+	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: 20}
+	lim := cluster.Resources{CPU: 4, MemMB: 128, BandwidthMbps: vb.Topo.NICMbps()}
+	rng := rand.New(rand.NewSource(e.seed))
+	booted, failed := 0, 0
+	for c := 0; c < *customers; c++ {
+		name := fmt.Sprintf("customer-%02d", c)
+		for v := 0; v < *vms; v++ {
+			vm, _, err := vb.BootVM(name, rsv, lim)
+			if err != nil {
+				failed++
+				continue
+			}
+			booted++
+			// Staggered bursty demand creates the workload variation
+			// v-Bundle exploits.
+			vb.Workloads.Attach(vm.ID, workload.Bursty(
+				10, 80+rng.Float64()*120,
+				time.Duration(30+rng.Intn(60))*time.Minute,
+				0.3+0.4*rng.Float64(),
+				rng.Float64(),
+			))
+		}
+	}
+	e.printf("booted %d VMs (%d failed) for %d customers on %d servers via %s\n",
+		booted, failed, *customers, vb.Topo.Servers(), vb.Placer.Name())
+
+	q := vb.PlacementQuality()
+	e.printf("placement: same-rack chatting fraction %.3f, cross-rack traffic %.0f Mbps\n",
+		q.SameRackPairFraction(), q.Load.CrossRackMbps())
+
+	vb.Workloads.Start(5 * time.Minute)
+	vb.StartServices()
+
+	duration := time.Duration(*hours * float64(time.Hour))
+	step := duration / 8
+	for t := step; t <= duration; t += step {
+		vb.RunFor(step)
+		rep := vb.BandwidthSatisfaction()
+		e.printf("t=%-8s SD=%.4f demand=%.0f satisfied=%.0f migrations=%d\n",
+			t.Round(time.Minute), vb.UtilizationStdDev(),
+			rep.DemandMbps, rep.SatisfiedMbps, vb.Migration.Stats().Completed)
+	}
+	vb.StopServices()
+	vb.Workloads.Stop()
+
+	snap := vb.UtilizationSnapshot()
+	e.printf("final: mean util %.3f, SD %.4f, max %.3f, migrations completed %d, queries %d\n",
+		metrics.MeanOf(snap), metrics.StdOf(snap), slices.Max(snap),
+		vb.Migration.Stats().Completed, vb.Rebalancer.QueriesSent())
+	return nil
+}

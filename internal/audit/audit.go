@@ -9,8 +9,8 @@
 // shard workers idle — and touch nothing but read-only accessors: no lease
 // sweeps, no persistence, no scheduled events, no trace spans on node
 // sources. Running with the auditor on therefore changes no virtual-time
-// metric by a single bit, which ci.sh asserts by byte-diffing experiment
-// output with -audit on and off.
+// metric by a single bit, which the -audit rows of cmd/vb's gates table
+// assert by byte-diffing experiment output with the auditor on and off.
 package audit
 
 import (

@@ -2,12 +2,10 @@ package audit
 
 import (
 	"flag"
-	"io"
-	"os"
 	"time"
 )
 
-// Flags binds the standard auditor flags every binary exposes:
+// Flags binds the auditor flags of every simulating vb subcommand:
 //
 //	-audit             enable the online invariant auditor
 //	-audit-every 1s    virtual-time sweep interval
@@ -32,16 +30,4 @@ func (f *Flags) Config() Config {
 		return Config{}
 	}
 	return Config{Every: f.Every}
-}
-
-// Exit writes the auditor's report to w (conventionally os.Stderr) and
-// exits nonzero when any invariant was violated. A nil auditor is a no-op.
-func Exit(a *Auditor, w io.Writer) {
-	if a == nil {
-		return
-	}
-	a.Report(w)
-	if a.Violations() > 0 {
-		os.Exit(1)
-	}
 }

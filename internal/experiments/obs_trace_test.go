@@ -85,7 +85,7 @@ func TestTracingDoesNotChangeMetrics(t *testing.T) {
 
 // TestTraceCausalChain asserts that a real experiment's trace links a
 // migration back through the lease to the anycast that discovered the
-// receiver — the property vb-trace explain relies on.
+// receiver — the property vb trace explain relies on.
 func TestTraceCausalChain(t *testing.T) {
 	out, err := RunRebalance(tracedRebalanceParams(0, obs.Config{Stream: true}))
 	if err != nil {

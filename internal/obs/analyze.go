@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// This file is the analysis half of the recorder: vb-trace reads a trace
+// This file is the analysis half of the recorder: vb trace reads a trace
 // file back with ReadChrome and uses the index here to answer "explain this
 // migration" by walking parent refs, and "why is the tail slow" via the
 // per-subsystem span statistics.

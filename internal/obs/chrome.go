@@ -125,7 +125,7 @@ type chromeDoc struct {
 }
 
 // ReadChrome parses a trace file written by WriteChrome back into events
-// and the counter snapshot, for vb-trace and the golden tests. Counter
+// and the counter snapshot, for vb trace and the golden tests. Counter
 // ("C") events are tolerated and skipped; use ReadChromeSeries to get them.
 func ReadChrome(r io.Reader) ([]Event, map[string]int64, error) {
 	events, counters, _, err := readChrome(r)

@@ -52,8 +52,9 @@ func (c Config) New() *Trace {
 	return t
 }
 
-// Flags is the shared -trace / -trace-ring / -counters flag set every
-// cmd/vb-* binary exposes, mirroring internal/profiling's pattern.
+// Flags is the -trace / -trace-ring / -counters / -sample-every flag set.
+// cmd/vb registers it once, on every simulating subcommand, and writes the
+// artifacts in its one epilogue (failed runs included).
 type Flags struct {
 	// Path is the trace_event JSON output file (-trace). Without
 	// -trace-ring it selects the full streaming recorder.

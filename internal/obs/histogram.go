@@ -34,8 +34,9 @@ type Histogram struct {
 	// scans touch only live buckets. The registry merges every node's
 	// histogram at each sample boundary (hundreds of sources × dozens of
 	// samples), and real distributions occupy a handful of adjacent
-	// buckets — bounding the loop is what keeps the ci.sh sampler
-	// overhead gate comfortable.
+	// buckets — bounding the loop is what keeps the sampler cheap
+	// (the serve-512-sampler row of cmd/vb's gates table prints its wall
+	// time).
 	hi int
 }
 

@@ -365,7 +365,7 @@ func NewRing(n int) *Trace {
 // source, so every instrumented site stays on its one-branch disabled
 // path. This is what `-sample-every` or `-counters` alone select: the
 // sampler's cost is then just the boundary snapshots, not per-event
-// recording (the ci.sh sampler gate holds it ≤5% wall).
+// recording.
 func NewMetrics() *Trace { return &Trace{metricsOnly: true, sources: make(map[int32]*Source)} }
 
 // Source returns (creating on first use) the event stream for one source

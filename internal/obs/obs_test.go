@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -188,5 +189,54 @@ func BenchmarkRingSource(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		src.Instant(time.Duration(i), KindRouteHop, NoRef, 1, 2)
+	}
+}
+
+// TestRingRecorderCostPerEvent gates what the always-on recorder costs where
+// that cost is fixed: a ring trace of 8192 sources plus the root, two events
+// a source — the shape of the 8192-server Fig 14 point (16485 events from
+// 8213 sources under -trace-ring 4096), where the recorder is a third of the
+// run's wall time. That wall time is printed as an advisory by the
+// fig14-8192-ring-recorder row of cmd/vb's gates table; the box drifts by
+// more than the recorder costs, so the bound sits here, on the counts that
+// repeat to the object: per event, a source's share of its header and map
+// slot, plus a buffer grown by append from one slot to two.
+//
+// The ceilings are the measured values + 10 %. ROADMAP item 1a (one slab,
+// slots carved per source, sized by measured depth) is the change that
+// lowers them; a change that raises them raises the recorder's share of
+// every traced run.
+func TestRingRecorderCostPerEvent(t *testing.T) {
+	const (
+		sources        = 8192
+		events         = 2 * (sources + 1)
+		maxAllocsPerEv = 1.66 // measured 1.51
+		maxBytesPerEv  = 172  // measured 156 B
+	)
+	record := func() {
+		tr := NewRing(4096)
+		for id := int32(0); id < sources; id++ {
+			src := tr.Source(id)
+			src.Instant(time.Millisecond, KindRouteHop, NoRef, 0, 1)
+			src.Instant(2*time.Millisecond, KindAggUpdate, NoRef, 0, 1)
+		}
+		root := tr.Source(RootSource)
+		span := root.Begin(0, KindAggUpdate, NoRef, 0, 0)
+		root.End(3*time.Millisecond, KindAggUpdate, span, 0, 0)
+	}
+	allocs := testing.AllocsPerRun(5, record) / events
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	record()
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / events
+
+	t.Logf("%.2f allocations and %.0f B per recorded event", allocs, bytes)
+	if allocs > maxAllocsPerEv {
+		t.Errorf("%.2f allocations per recorded event, ceiling %.2f", allocs, maxAllocsPerEv)
+	}
+	if bytes > maxBytesPerEv {
+		t.Errorf("%.0f B per recorded event, ceiling %d", bytes, maxBytesPerEv)
 	}
 }

@@ -132,7 +132,7 @@ func TestChromeSeriesRoundTrip(t *testing.T) {
 	}
 
 	// The CSV of the reconstruction must match the original byte for byte —
-	// what vb-trace series and vb-metrics csv print.
+	// what vb trace series and vb metrics csv print.
 	var a, b bytes.Buffer
 	if err := orig.WriteCSV(&a); err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func benchWorld(b testing.TB, servers int, perServer cluster.Resources) (*sim.En
 // region walk is BenchmarkBootQuerySpillWalk's). Envelope pooling, pre-sized
 // walk buffers and the single-timer timeout wheel make the loop nearly
 // allocation-free; allocs/op is the figure of merit here, reported so
-// regressions show up in vb-bench snapshots.
+// regressions show up under -benchmem.
 func BenchmarkBootQuerySteadyState(b *testing.B) {
 	engine, cl, d := benchWorld(b, 256, cluster.Resources{CPU: 64, MemMB: 1 << 20})
 	vm, err := cl.CreateVM("bench", cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 100},

@@ -1,7 +1,7 @@
-// Package profiling gives every experiment binary the same two pprof flags.
-// The scaling work in this repository is profile-driven (see DESIGN.md), so
-// each command wires -cpuprofile and -memprofile through this package rather
-// than reimplementing runtime/pprof bookkeeping.
+// Package profiling gives every simulating vb subcommand the same two pprof
+// flags. The scaling work in this repository is profile-driven (see
+// DESIGN.md); cmd/vb starts the profiles behind flag parsing and stops them
+// in its one epilogue, so a run that fails keeps its profiles.
 package profiling
 
 import (
@@ -19,17 +19,16 @@ type Config struct {
 	Mem string
 }
 
-// AddFlags registers -cpuprofile and -memprofile on fs (use
-// flag.CommandLine from a main package).
+// AddFlags registers -cpuprofile and -memprofile on fs.
 func (c *Config) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.CPU, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.Mem, "memprofile", "", "write a heap profile to this file on exit")
 }
 
 // Start begins CPU profiling when configured and returns a stop function
-// that finishes the CPU profile and writes the heap profile. Callers should
-// defer the stop function immediately; with no profiles configured both
-// Start and stop are no-ops.
+// that finishes the CPU profile and writes the heap profile. Callers must
+// run stop on every path out, not past an os.Exit; with no profiles
+// configured both Start and stop are no-ops.
 func (c *Config) Start() (stop func(), err error) {
 	var cpuFile *os.File
 	if c.CPU != "" {

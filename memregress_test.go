@@ -6,48 +6,68 @@
 package vbundle
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"vbundle/internal/experiments"
 )
 
-// TestFig14BytesPerServerCeiling builds the full 32768-server Fig. 14 stack
-// once and asserts the total bytes allocated per server stays under a fixed
-// ceiling. The current cost is 3137 B/server (engine + topology + pastry's
-// four-byte-a-peer ref arena and identifier directory + simnet's two-slot
-// inbox slab + a 416-byte node, a 320-byte scribe and a 256-byte topic +
-// the run's message traffic); the ceiling leaves 20% headroom for legitimate
-// drift. If this fails after a change, run the three size-ceiling tests
+// TestFig14BytesPerServerCeiling builds the Fig. 14 stack at two sizes and
+// holds the objects and bytes each allocates, construction and run together,
+// under fixed ceilings. Both counts are deterministic where wall time on a
+// shared box is not (bytes move in their last two digits).
+//
+// 2048 servers on the serial engine is the cheapest rung that still builds a
+// real multi-rack ring: 33.2k objects and 5.66 MB (2764 B/server), ceilings
+// a third and a fifth above. It catches a reintroduced per-node map or closure,
+// a table entry grown back from a 4-byte ref to a 24-byte handle (11.77 MB),
+// or an eight-slot inbox chunk and the 584-byte node (7.69 MB).
+//
+// 32768 servers on four shards is 525.5k objects and 2987 B/server (engine + topology +
+// pastry's four-byte-a-peer ref arena and identifier directory + simnet's
+// two-slot inbox slab + a 416-byte node, a 320-byte scribe and a 256-byte
+// topic + the run's message traffic), ceilings a fifth above (the bytes:
+// 3770 B/server).
+//
+// If this fails after a change, run the three size-ceiling tests
 // (TestNodeSizeCeiling, TestScribeSizeCeiling, TestTopicStateSizeCeiling)
-// first: they name the struct that grew. Then
-// compare `go test -bench 'Fig14Scale32768' -benchmem` against the previous
-// commit and check the alloc-site top-10 recipe in DESIGN.md ("Profiling
-// methodology") before raising it: at 1048576 servers every extra KB/server
-// is another gigabyte of heap.
+// first: they name the struct that grew. Then compare `go test -bench
+// 'Fig14Scale32768' -benchmem` against the previous commit and check the
+// alloc-site top-10 recipe in DESIGN.md ("Profiling methodology") before
+// raising a ceiling: at 1048576 servers every extra KB/server is another
+// gigabyte of heap.
 func TestFig14BytesPerServerCeiling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("32768-server ring; run without -short")
+	for _, c := range []struct {
+		servers, shards      int
+		maxMallocs, maxBytes uint64
+	}{
+		{servers: 2048, shards: 0, maxMallocs: 44200, maxBytes: 6910000},
+		{servers: 32768, shards: 4, maxMallocs: 631000, maxBytes: 3770 * 32768},
+	} {
+		t.Run(fmt.Sprintf("servers=%d", c.servers), func(t *testing.T) {
+			if c.servers > 2048 && testing.Short() {
+				t.Skip("32768-server ring; run without -short")
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
+				Sizes: []int{c.servers}, Seed: 1, Parallelism: 1, Shards: c.shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if out.Points[0].TreeHeight == 0 {
+				t.Fatal("degenerate run: aggregation tree has height 0")
+			}
+			mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+			t.Logf("%d objects (ceiling %d), %d B (ceiling %d), %d B/server",
+				mallocs, c.maxMallocs, bytes, c.maxBytes, bytes/uint64(c.servers))
+			if mallocs > c.maxMallocs || bytes > c.maxBytes {
+				t.Errorf("a per-node cost crept back in (see DESIGN.md \"Profiling methodology\")")
+			}
+		})
 	}
-	const servers = 32768
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-		Sizes: []int{servers}, Seed: 1, Parallelism: 1, Shards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if out.Points[0].TreeHeight == 0 {
-		t.Fatal("degenerate run: aggregation tree has height 0")
-	}
-	perServer := float64(after.TotalAlloc-before.TotalAlloc) / servers
-	const ceilingBytes = 3770 // measured 3137 B/server + 20%
-	if perServer > ceilingBytes {
-		t.Fatalf("allocated %.0f B/server at %d servers, ceiling %d — a per-node cost crept back in (see DESIGN.md \"Profiling methodology\")",
-			perServer, servers, ceilingBytes)
-	}
-	t.Logf("%.0f B/server (ceiling %d)", perServer, ceilingBytes)
 }
