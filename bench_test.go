@@ -700,31 +700,6 @@ func BenchmarkAblationSpillWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMigrationBandwidth quantifies the Fig. 10 simplification
-// ("we ignore that migration itself consumes bandwidth"): the same
-// rebalancing run with and without charging migration streams to the NICs.
-func BenchmarkAblationMigrationBandwidth(b *testing.B) {
-	for _, account := range []bool{false, true} {
-		name := "ignored"
-		if account {
-			name = "charged"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := rebalanceParams(150, 0.1, int64(i))
-				p.Duration = 40 * time.Minute
-				p.AccountMigrationBW = account
-				out, err := experiments.RunRebalance(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(out.Migrations), "migrations")
-				b.ReportMetric(metrics.StdOf(out.After), "sdAfter")
-			}
-		})
-	}
-}
-
 // BenchmarkChurnLocality extends Fig. 8 to continuous operation: placement
 // locality sustained over hours of VM arrivals and departures, per engine.
 func BenchmarkChurnLocality(b *testing.B) {

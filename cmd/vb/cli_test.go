@@ -61,6 +61,34 @@ func TestFailedRunKeepsProfiles(t *testing.T) {
 	}
 }
 
+// TestFig14TraceCarriesSeries: Fig 14 runs on an overlay without a cluster,
+// and the constructor it used to have of its own never attached the
+// sampler: -sample-every wrote a trace with no series and a counter dump
+// without the engine's queue depth. Built by core.NewOverlay it samples as
+// every other figure does.
+func TestFig14TraceCarriesSeries(t *testing.T) {
+	dir := t.TempDir()
+	trace, counters := filepath.Join(dir, "t"), filepath.Join(dir, "c")
+	if _, errs, code := vb("overhead", "-fig", "14", "-min-servers", "256", "-max-servers", "256", "-workers", "1",
+		"-sample-every", "10ms", "-trace", trace, "-counters", counters); code != 0 {
+		t.Fatalf("vb overhead: exit status %d\n%s", code, errs)
+	}
+	csv, errs, code := vb("trace", "series", trace)
+	if code != 0 {
+		t.Fatalf("vb trace series: exit status %d\n%s", code, errs)
+	}
+	if lines := strings.Split(strings.TrimSpace(csv), "\n"); len(lines) < 2 {
+		t.Errorf("vb trace series: want a header and at least one row, got\n%s", csv)
+	}
+	dump, err := os.ReadFile(counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(dump), "sim/queue_depth") {
+		t.Errorf("-counters dump lacks sim/queue_depth:\n%s", dump)
+	}
+}
+
 func TestExitStatus(t *testing.T) {
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")

@@ -48,86 +48,58 @@ func runFaults(e *env, args []string) error {
 	}
 	minutes := func(n int) time.Duration { return time.Duration(n) * time.Minute }
 
-	// Either way the written trace is the last sweep variant's (the highest
-	// loss rate, where recoveries are most interesting).
-	if *crash {
-		variants := make([]experiments.CrashRestartParams, len(drops))
-		for i, d := range drops {
-			variants[i] = experiments.CrashRestartParams{
-				Spec:          experiments.ScaledSpec(*servers),
-				VMsPerServer:  *perServer,
-				Threshold:     *threshold,
-				Duration:      minutes(*duration),
-				LeaseDuration: minutes(*lease),
-				DropRate:      d,
-				CrashNodes:    *kill,
-				CrashForever:  *crashForever,
-				CrashAt:       minutes(*killAt),
-				RestartAfter:  minutes(*restartAfter),
-				Seed:          e.seed,
-				Shards:        *shards,
-				Obs:           e.obs.Config(),
-				Audit:         e.audit.Config(),
-			}
-		}
-		outs, err := experiments.RunCrashRestartSweep(variants, *workers)
-		if err != nil {
-			return err
-		}
-		failed := 0
-		for _, out := range outs {
-			if *verbose {
-				out.WriteCrashRestart(e.stdout)
-			}
-			e.collect(out.Trace, out.Audit)
-			if !out.GatePassed() {
-				failed++
-				fmt.Fprintf(e.stderr, "vb faults: gate FAILED at %.1f%% loss: lost VMs=%d, lost placements=%d, leaked=%d\n",
-					out.Params.DropRate*100, out.LostVMs, out.Recovery.LostPlacements, out.Leaked)
-			}
-		}
-		experiments.WriteCrashRestartTable(e.stdout, outs)
-		if failed != 0 {
-			return fmt.Errorf("%d of %d crash-restart runs failed the recovery gate", failed, len(outs))
-		}
-		e.printf("every crash-restart run recovered fully: no VM lost, no reservation leaked\n")
-		return nil
-	}
-
-	variants := make([]experiments.ResilienceParams, len(drops))
+	variants := make([]experiments.FaultParams, len(drops))
 	for i, d := range drops {
-		variants[i] = experiments.ResilienceParams{
-			Spec:          experiments.ScaledSpec(*servers),
-			VMsPerServer:  *perServer,
-			Threshold:     *threshold,
-			Duration:      minutes(*duration),
+		variants[i] = experiments.FaultParams{
+			RebalanceParams: experiments.RebalanceParams{
+				Spec:         experiments.ScaledSpec(*servers),
+				VMsPerServer: *perServer,
+				Threshold:    *threshold,
+				Duration:     minutes(*duration),
+				Seed:         e.seed,
+				Shards:       *shards,
+				Obs:          e.obs.Config(),
+				Audit:        e.audit.Config(),
+			},
 			LeaseDuration: minutes(*lease),
 			DropRate:      d,
-			KillReceivers: *kill,
-			KillAt:        minutes(*killAt),
-			Seed:          e.seed,
-			Shards:        *shards,
-			Obs:           e.obs.Config(),
-			Audit:         e.audit.Config(),
+			Victims:       *kill,
+			At:            minutes(*killAt),
+			Crash:         *crash,
+			CrashForever:  *crashForever,
+			RestartAfter:  minutes(*restartAfter),
 		}
 	}
-	outs, err := experiments.RunResilienceSweep(variants, *workers)
+	outs, err := experiments.RunFaultsSweep(variants, *workers)
 	if err != nil {
 		return err
 	}
-	leaked := 0
+	// The written trace is the last sweep variant's (the highest loss rate,
+	// where recoveries are most interesting).
+	leaked, failed := 0, 0
 	for _, out := range outs {
 		if *verbose {
-			out.WriteResilience(e.stdout)
+			out.Write(e.stdout)
 		}
 		e.collect(out.Trace, out.Audit)
 		leaked += out.Leaked
+		if *crash && !out.GatePassed() {
+			failed++
+			fmt.Fprintf(e.stderr, "vb faults: gate FAILED at %.1f%% loss: lost VMs=%d, lost placements=%d, leaked=%d\n",
+				out.Params.DropRate*100, out.LostVMs, out.Recovery.LostPlacements, out.Leaked)
+		}
 	}
-	experiments.WriteResilienceTable(e.stdout, outs)
-	if leaked != 0 {
+	experiments.WriteFaultTable(e.stdout, outs)
+	switch {
+	case failed != 0:
+		return fmt.Errorf("%d of %d crash-restart runs failed the recovery gate", failed, len(outs))
+	case *crash:
+		e.printf("every crash-restart run recovered fully: no VM lost, no reservation leaked\n")
+	case leaked != 0:
 		return fmt.Errorf("%d reservations leaked across the sweep", leaked)
+	default:
+		e.printf("no reservations leaked at quiesce in any run\n")
 	}
-	e.printf("no reservations leaked at quiesce in any run\n")
 	return nil
 }
 

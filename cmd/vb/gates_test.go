@@ -99,6 +99,12 @@ var gates = []gate{
 		variants: []string{"-workers 1"}, stdout: []string{`^no reservations leaked at quiesce in any run$`}},
 	{name: "faults-64-crash", args: "faults -crash -servers 64 -duration 30 -lease 4 -drop-rates 0,0.02 -kill 2 -crash-forever 1 -restart-after 5 -seed 5 -workers 1", golden: true,
 		variants: []string{"-shards 4"}, stdout: []string{`recovered fully`}},
+	// The same two with -v: the per-run reports, which the sweep tables above
+	// do not show, printed by the parent of PR 23 before the pause and crash
+	// experiments were merged into one.
+	{name: "faults-64-v", args: "faults -servers 64 -duration 30 -lease 4 -drop-rates 0,0.02 -seed 5 -v", golden: true},
+	{name: "faults-64-crash-v", args: "faults -crash -servers 64 -duration 30 -lease 4 -drop-rates 0,0.02 -kill 2 -crash-forever 1 -restart-after 5 -seed 5 -workers 1 -v", golden: true,
+		variants: []string{"-shards 4"}},
 
 	// The serving path: a Poisson stream and a flash crowd. vb exits nonzero
 	// on a leaked reservation or an unresolved boot; the hygiene lines are

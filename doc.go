@@ -6,11 +6,12 @@
 // and any-cast discovery plus live migration.
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); the runnable entry point is cmd/vb, one binary with a
-// subcommand per experiment family (vb placement, vb rebalance, vb qos, vb
-// overhead, vb churn, vb faults, vb serve, vb sim) plus vb trace and vb
-// metrics over the recordings they write, next to the examples under
-// examples/. The benchmark suite in bench_test.go
+// inventory; internal/core builds every stack — NewOverlay the overlay
+// alone, New everything above it); the runnable entry point is cmd/vb, one
+// binary with a subcommand per experiment family (vb placement, vb
+// rebalance, vb qos, vb overhead, vb churn, vb faults, vb serve, vb sim)
+// plus vb trace and vb metrics over the recordings they write, next to the
+// examples under examples/. The benchmark suite in bench_test.go
 // regenerates every table and figure of the paper's evaluation; expected
 // versus measured results are recorded in EXPERIMENTS.md.
 package vbundle

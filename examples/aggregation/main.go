@@ -14,35 +14,31 @@ import (
 	"log"
 	"time"
 
-	"vbundle/internal/aggregation"
-	"vbundle/internal/pastry"
-	"vbundle/internal/scribe"
-	"vbundle/internal/sim"
+	"vbundle/internal/core"
+	"vbundle/internal/rebalance"
 	"vbundle/internal/topology"
 )
 
 func main() {
 	// 64 servers in 8 racks; 10 ms per switch level, as measured in §V.C.
-	topo, err := topology.New(topology.Spec{
-		Racks:            8,
-		ServersPerRack:   8,
-		RacksPerPod:      4,
-		NICMbps:          1000,
-		Oversubscription: 8,
-		LANHop:           10 * time.Millisecond,
-		LocalDelivery:    50 * time.Microsecond,
+	// The overlay-only stack: no cluster, placement or rebalancer above it.
+	ov, err := core.NewOverlay(core.Options{
+		Topology: topology.Spec{
+			Racks:            8,
+			ServersPerRack:   8,
+			RacksPerPod:      4,
+			NICMbps:          1000,
+			Oversubscription: 8,
+			LANHop:           10 * time.Millisecond,
+			LocalDelivery:    50 * time.Microsecond,
+		},
+		Seed:      42,
+		Rebalance: rebalance.Config{UpdateInterval: 30 * time.Second},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := sim.NewEngine(42)
-	ring := pastry.NewRing(engine, topo, pastry.Config{}, pastry.HierarchyAssigner)
-	ring.BuildStatic()
-
-	managers := make([]*aggregation.Manager, ring.Size())
-	for i, node := range ring.Nodes() {
-		managers[i] = aggregation.New(scribe.New(node), aggregation.Config{UpdateInterval: 30 * time.Second})
-	}
+	engine, ring, managers := ov.Engine, ov.Ring, ov.Aggs
 
 	// Every server subscribes to the two v-Bundle topics and publishes its
 	// local capacity and demand (demand grows with the server index to make

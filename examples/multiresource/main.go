@@ -33,7 +33,6 @@ func main() {
 			LANHop:           time.Millisecond,
 			LocalDelivery:    50 * time.Microsecond,
 		},
-		ServerCapacity: cluster.Resources{CPU: 16, MemMB: 16384},
 		Rebalance: rebalance.Config{
 			Threshold:         0.1,
 			UpdateInterval:    time.Minute,

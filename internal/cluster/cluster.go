@@ -92,22 +92,7 @@ type Server struct {
 	// than a map makes every per-server sum fold in a fixed order, so
 	// repeated runs produce bit-identical floating-point results.
 	vms []*VM
-	// externalBW is bandwidth consumed by non-VM traffic on this NIC —
-	// in-flight migration streams account themselves here.
-	externalBW float64
 }
-
-// AddExternalBW adjusts the non-VM bandwidth load on this server's NIC
-// (negative deltas release it; the floor is zero).
-func (s *Server) AddExternalBW(delta float64) {
-	s.externalBW += delta
-	if s.externalBW < 0 {
-		s.externalBW = 0
-	}
-}
-
-// ExternalBW returns the current non-VM bandwidth load.
-func (s *Server) ExternalBW() float64 { return s.externalBW }
 
 // NewServer creates an empty server.
 func NewServer(index int, capacity Resources) *Server {
@@ -176,10 +161,9 @@ func (s *Server) NumVMs() int { return len(s.vms) }
 // Admit/Remove calls.
 func (s *Server) VMs() []*VM { return s.vms }
 
-// DemandBW returns the total effective bandwidth demand on this server,
-// including external (migration) traffic.
+// DemandBW returns the total effective bandwidth demand on this server.
 func (s *Server) DemandBW() float64 {
-	sum := s.externalBW
+	var sum float64
 	for _, vm := range s.vms {
 		sum += vm.EffectiveDemandBW()
 	}

@@ -67,13 +67,9 @@ func (v *VM) EffectiveDemand(k Kind) float64 {
 	return minF(v.Demand.Get(k), v.Limit.Get(k))
 }
 
-// DemandOf sums the effective demand for a kind over hosted VMs; the
-// bandwidth kind additionally includes external (migration) traffic.
+// DemandOf sums the effective demand for a kind over hosted VMs.
 func (s *Server) DemandOf(k Kind) float64 {
 	var sum float64
-	if k == KindBandwidth {
-		sum = s.externalBW
-	}
 	for _, vm := range s.vms {
 		sum += vm.EffectiveDemand(k)
 	}

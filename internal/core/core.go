@@ -2,7 +2,9 @@
 // (topology + cluster), the Pastry overlay with hierarchy-assigned nodeIds,
 // Scribe and the aggregation trees, the topology-aware placement engine,
 // and the decentralized rebalancer. It is the public entry point examples,
-// command-line tools and the experiment harnesses build on.
+// command-line tools and the experiment harnesses build on, and the one
+// place a stack is constructed: NewOverlay for the overlay alone, New for
+// everything.
 //
 // Typical use:
 //
@@ -75,16 +77,10 @@ type Options struct {
 	Pastry pastry.Config
 	// Engine selects the placement algorithm; defaults to EngineDHT.
 	Engine EngineKind
-	// DHT tunes the DHT placement engine.
-	DHT placement.DHTConfig
 	// Rebalance tunes the resource-shuffling algorithm.
 	Rebalance rebalance.Config
 	// Migration tunes the migration cost model.
 	Migration migration.Config
-	// ServerCapacity is each server's resource capacity; bandwidth
-	// defaults to the topology NIC rate, CPU/memory default to a
-	// dual-socket testbed machine (16 cores, 16 GB).
-	ServerCapacity cluster.Resources
 	// ProtocolJoin builds the overlay with message-driven joins instead of
 	// static construction. Slower; used when join behaviour itself is
 	// under study.
@@ -112,11 +108,12 @@ type Options struct {
 	// purely in-memory; crash-restart schedules then panic for want of a
 	// restarter.
 	Store store.Store
-	// PeerCheckpointInterval is how often each live node's peer snapshot
-	// is refreshed in the store while maintenance runs (routing state
-	// drifts as nodes fail and rejoin). Defaults to 5 minutes.
-	PeerCheckpointInterval time.Duration
 }
+
+// peerCheckpointInterval is how often each live node's peer snapshot is
+// refreshed in the store while maintenance runs (routing state drifts as
+// nodes fail and rejoin).
+const peerCheckpointInterval = 5 * time.Minute
 
 func (o Options) withDefaults() Options {
 	if o.Topology.Racks == 0 {
@@ -125,17 +122,8 @@ func (o Options) withDefaults() Options {
 	if o.Engine == 0 {
 		o.Engine = EngineDHT
 	}
-	if o.ServerCapacity.CPU == 0 {
-		o.ServerCapacity.CPU = 16
-	}
-	if o.ServerCapacity.MemMB == 0 {
-		o.ServerCapacity.MemMB = 16384
-	}
 	if o.JoinStagger == 0 {
 		o.JoinStagger = 500 * time.Millisecond
-	}
-	if o.PeerCheckpointInterval == 0 {
-		o.PeerCheckpointInterval = 5 * time.Minute
 	}
 	return o
 }
@@ -164,47 +152,29 @@ type RecoveryStats struct {
 	LostPlacements int
 }
 
-// VBundle is a fully wired v-Bundle datacenter simulation.
-type VBundle struct {
-	opts Options
-
-	Engine     *sim.Engine
-	Topo       *topology.Topology
-	Ring       *pastry.Ring
-	Cluster    *cluster.Cluster
-	Scribes    []*scribe.Scribe
-	Aggs       []*aggregation.Manager
-	Migration  *migration.Manager
-	Rebalancer *rebalance.Coordinator
-	Placer     placement.Engine
-	Workloads  *workload.Driver
-
-	// Recovery accumulates crash-restart outcomes (Options.Store only).
-	Recovery RecoveryStats
-
-	// shaper and classes are BandwidthSatisfaction's scratch, reused across
-	// servers and samples.
-	shaper  tcshape.Shaper
-	classes []tcshape.Class
+// Overlay is the stack below the cluster: the simulated datacenter network,
+// the Pastry ring over it, and one Scribe and one aggregation manager on
+// every node. It is all the overlay experiments (Table I, Fig. 14) need,
+// and the part of a VBundle that New builds first.
+type Overlay struct {
+	Engine  *sim.Engine
+	Topo    *topology.Topology
+	Ring    *pastry.Ring
+	Scribes []*scribe.Scribe
+	Aggs    []*aggregation.Manager
 
 	aggCfg aggregation.Config
-	// maintenance bookkeeping so a restarted node rejoins with the same
-	// self-repair posture as its peers.
-	maintOn        bool
-	maintHeartbeat time.Duration
-	peerTicker     *sim.Ticker
 }
 
-// New builds a v-Bundle instance. The overlay is constructed immediately
-// (statically by default), so the instance is ready to place VMs.
-func New(opts Options) (*VBundle, error) {
+// NewOverlay builds the overlay-only stack from the options that concern it
+// (Topology, Seed, Pastry, ProtocolJoin, JoinStagger, MessageLoss, Shards,
+// Trace, and Rebalance.UpdateInterval as the aggregation period). The ring
+// is constructed immediately, statically by default.
+func NewOverlay(opts Options) (*Overlay, error) {
 	opts = opts.withDefaults()
 	topo, err := topology.New(opts.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
-	}
-	if opts.Shards > 0 && opts.Migration.AccountBandwidth {
-		return nil, fmt.Errorf("core: Migration.AccountBandwidth requires the serial engine (Shards = 0): the NIC bandwidth accumulation is cross-shard and order-sensitive")
 	}
 	var engine *sim.Engine
 	if opts.Shards > 0 {
@@ -232,16 +202,82 @@ func New(opts Options) (*VBundle, error) {
 	} else {
 		ring.BuildStatic()
 	}
-	cl := cluster.New(topo, opts.ServerCapacity)
+	ov := &Overlay{
+		Engine:  engine,
+		Topo:    topo,
+		Ring:    ring,
+		Scribes: make([]*scribe.Scribe, ring.Size()),
+		Aggs:    make([]*aggregation.Manager, ring.Size()),
+		aggCfg:  aggregation.Config{UpdateInterval: opts.Rebalance.UpdateInterval},
+	}
+	for i, node := range ring.Nodes() {
+		ov.stack(i, node)
+	}
+	return ov, nil
+}
+
+// stack puts a fresh Scribe and aggregation manager on node i; each layer
+// registers its app on the node.
+func (ov *Overlay) stack(i int, node *pastry.Node) {
+	ov.Scribes[i] = scribe.New(node)
+	ov.Aggs[i] = aggregation.New(ov.Scribes[i], ov.aggCfg)
+}
+
+// rebuildNode replaces a crashed node's tower with a blank one: the dead
+// stack's tickers are quiesced, then the Pastry node and the layers above it
+// are rebuilt bottom-up.
+func (ov *Overlay) rebuildNode(i int) *pastry.Node {
+	ov.Scribes[i].StopMaintenance()
+	node := ov.Ring.RebuildNode(i)
+	ov.stack(i, node)
+	return node
+}
+
+// VBundle is a fully wired v-Bundle datacenter simulation: the Overlay plus
+// the cluster, the migration manager, the rebalancer, the workload driver
+// and the placement engine.
+type VBundle struct {
+	opts Options
+
+	Overlay
+	Cluster    *cluster.Cluster
+	Migration  *migration.Manager
+	Rebalancer *rebalance.Coordinator
+	Placer     placement.Engine
+	Workloads  *workload.Driver
+
+	// Recovery accumulates crash-restart outcomes (Options.Store only).
+	Recovery RecoveryStats
+
+	// shaper and classes are BandwidthSatisfaction's scratch, reused across
+	// servers and samples.
+	shaper  tcshape.Shaper
+	classes []tcshape.Class
+
+	// maintenance bookkeeping so a restarted node rejoins with the same
+	// self-repair posture as its peers.
+	maintOn        bool
+	maintHeartbeat time.Duration
+	peerTicker     *sim.Ticker
+}
+
+// New builds a v-Bundle instance: NewOverlay, then everything above it. The
+// instance is ready to place VMs.
+func New(opts Options) (*VBundle, error) {
+	opts = opts.withDefaults()
+	ov, err := NewOverlay(opts)
+	if err != nil {
+		return nil, err
+	}
+	engine, ring := ov.Engine, ov.Ring
+	// Every server is a dual-socket testbed machine (16 cores, 16 GB); its
+	// bandwidth is the topology's NIC rate.
+	cl := cluster.New(ov.Topo, cluster.Resources{CPU: 16, MemMB: 16384})
 
 	vb := &VBundle{
 		opts:      opts,
-		Engine:    engine,
-		Topo:      topo,
-		Ring:      ring,
+		Overlay:   *ov,
 		Cluster:   cl,
-		Scribes:   make([]*scribe.Scribe, ring.Size()),
-		Aggs:      make([]*aggregation.Manager, ring.Size()),
 		Migration: migration.New(engine, cl, opts.Migration),
 	}
 	// Killed servers abort their in-flight migrations instead of landing
@@ -253,17 +289,12 @@ func New(opts Options) (*VBundle, error) {
 	if opts.Trace != nil {
 		vb.Migration.SetTrace(opts.Trace)
 	}
-	vb.aggCfg = aggregation.Config{UpdateInterval: opts.Rebalance.UpdateInterval}
-	for i, node := range ring.Nodes() {
-		vb.Scribes[i] = scribe.New(node)
-		vb.Aggs[i] = aggregation.New(vb.Scribes[i], vb.aggCfg)
-	}
 	vb.Rebalancer = rebalance.NewCoordinator(ring, cl, vb.Migration, vb.Aggs, opts.Rebalance)
 	vb.Workloads = workload.NewDriver(engine, cl)
 
 	switch opts.Engine {
 	case EngineDHT:
-		vb.Placer = placement.NewDHT(ring, cl, opts.DHT)
+		vb.Placer = placement.NewDHT(ring, cl, placement.DHTConfig{})
 	case EngineGreedy:
 		vb.Placer = placement.NewGreedy(cl)
 	case EngineRandom:
@@ -325,18 +356,11 @@ func (vb *VBundle) restartNode(addr simnet.Addr) {
 		panic(fmt.Sprintf("core: restart of node %d: loading durable state: %v", i, err))
 	}
 
-	// Quiesce the dead stack's tickers, then rebuild bottom-up. Each layer
-	// re-registers its app on the fresh node.
-	vb.Scribes[i].StopMaintenance()
-	node := vb.Ring.RebuildNode(i)
-	sc := scribe.New(node)
-	vb.Scribes[i] = sc
-	agg := aggregation.New(sc, vb.aggCfg)
-	vb.Aggs[i] = agg
+	node := vb.rebuildNode(i)
 	if d, ok := vb.Placer.(*placement.DHT); ok {
 		d.RebindNode(i)
 	}
-	agent := vb.Rebalancer.ReplaceAgent(i, node, agg)
+	agent := vb.Rebalancer.ReplaceAgent(i, node, vb.Aggs[i])
 
 	src := vb.Ring.Network().TraceSource(addr)
 	now := vb.Engine.Now()
@@ -380,7 +404,7 @@ func (vb *VBundle) restartNode(addr simnet.Addr) {
 
 	if vb.maintOn {
 		node.StartMaintenance()
-		sc.StartMaintenance(vb.maintHeartbeat)
+		vb.Scribes[i].StartMaintenance(vb.maintHeartbeat)
 	}
 
 	vb.Recovery.Restarts++
@@ -467,7 +491,7 @@ func (vb *VBundle) StartMaintenance(heartbeat time.Duration) {
 	// re-adopted), so refresh every live node's durable peer snapshot
 	// periodically in the global band.
 	if vb.opts.Store != nil && vb.peerTicker == nil {
-		vb.peerTicker = vb.Engine.EveryGlobal(vb.opts.PeerCheckpointInterval, func() {
+		vb.peerTicker = vb.Engine.EveryGlobal(peerCheckpointInterval, func() {
 			for i := 0; i < vb.Ring.Size(); i++ {
 				if vb.Ring.Network().Alive(simnet.Addr(i)) {
 					vb.checkpointPeers(i)
@@ -518,18 +542,6 @@ type BandwidthReport struct {
 // Gap returns unmet demand.
 func (r BandwidthReport) Gap() float64 { return r.DemandMbps - r.SatisfiedMbps }
 
-// appendClasses appends one tc class per VM hosted on srv, in VM-id order.
-func appendClasses(buf []tcshape.Class, srv *cluster.Server) []tcshape.Class {
-	for _, vm := range srv.VMs() {
-		buf = append(buf, tcshape.Class{
-			Rate:   vm.Reservation.BandwidthMbps,
-			Ceil:   vm.Limit.BandwidthMbps,
-			Demand: vm.Demand.BandwidthMbps,
-		})
-	}
-	return buf
-}
-
 // BandwidthSatisfaction runs the tc-style allocator on every server and
 // aggregates delivered versus demanded bandwidth. It reuses one class
 // buffer and one shaper held on the VBundle, so it must only be called
@@ -541,7 +553,7 @@ func (vb *VBundle) BandwidthSatisfaction() BandwidthReport {
 		if srv.NumVMs() == 0 {
 			continue
 		}
-		vb.classes = appendClasses(vb.classes[:0], srv)
+		vb.classes = rebalance.AppendClasses(vb.classes[:0], srv)
 		got, want := vb.shaper.Satisfied(srv.Capacity.BandwidthMbps, vb.classes)
 		rep.SatisfiedMbps += got
 		rep.DemandMbps += want
@@ -554,7 +566,7 @@ func (vb *VBundle) BandwidthSatisfaction() BandwidthReport {
 func (vb *VBundle) VMAllocations(server int) map[cluster.VMID]float64 {
 	srv := vb.Cluster.Server(server)
 	vms := srv.VMs()
-	alloc := tcshape.Allocate(srv.Capacity.BandwidthMbps, appendClasses(nil, srv))
+	alloc := tcshape.Allocate(srv.Capacity.BandwidthMbps, rebalance.AppendClasses(nil, srv))
 	out := make(map[cluster.VMID]float64, len(vms))
 	for i, vm := range vms {
 		out[vm.ID] = alloc[i]
@@ -572,7 +584,7 @@ func (vb *VBundle) AvailableBandwidth(id cluster.VMID) float64 {
 		return 0
 	}
 	srv := vb.Cluster.Server(server)
-	classes := appendClasses(nil, srv)
+	classes := rebalance.AppendClasses(nil, srv)
 	for i, vm := range srv.VMs() {
 		if vm.ID == id {
 			classes[i].Demand = vm.Limit.BandwidthMbps

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"vbundle/internal/cluster"
+	"vbundle/internal/pastry"
 	"vbundle/internal/placement"
+	"vbundle/internal/rebalance"
 	"vbundle/internal/tcshape"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
@@ -104,6 +108,55 @@ func TestProtocolJoinOption(t *testing.T) {
 	}
 	if _, _, err := vb.BootVM("A", bwRes(10), bwRes(20)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ringHash folds every node's routing state — leaf sets, routing table,
+// neighbourhood set, in Peers order — into one value.
+func ringHash(ring *pastry.Ring) uint64 {
+	h := fnv.New64a()
+	var b [20]byte
+	for _, n := range ring.Nodes() {
+		for _, p := range n.Peers() {
+			binary.LittleEndian.PutUint64(b[0:], p.Id.Hi())
+			binary.LittleEndian.PutUint64(b[8:], p.Id.Lo())
+			binary.LittleEndian.PutUint32(b[16:], uint32(p.Addr))
+			h.Write(b[:])
+		}
+		h.Write([]byte{0xff}) // node boundary
+	}
+	return h.Sum64()
+}
+
+// TestNewOverlayBuildsTheRingNewBuilds holds the constructor to itself: New
+// is NewOverlay plus the layers above, so the same options must give the
+// same ring, scribes and managers — statically built, sharded, or joined
+// by protocol.
+func TestNewOverlayBuildsTheRingNewBuilds(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"static":  {Topology: smallSpec(4, 8), Seed: 3},
+		"sharded": {Topology: smallSpec(4, 8), Seed: 3, Shards: 2},
+		"join":    {Topology: smallSpec(2, 6), Seed: 5, ProtocolJoin: true, JoinStagger: 20 * time.Millisecond},
+	} {
+		ov, err := NewOverlay(opts)
+		if err != nil {
+			t.Fatalf("%s: NewOverlay: %v", name, err)
+		}
+		vb, err := New(opts)
+		if err != nil {
+			t.Fatalf("%s: New: %v", name, err)
+		}
+		if a, b := ringHash(ov.Ring), ringHash(vb.Ring); a != b {
+			t.Errorf("%s: NewOverlay ring %016x, New ring %016x", name, a, b)
+		}
+		if ov.Engine.Now() != vb.Now() {
+			t.Errorf("%s: NewOverlay ends construction at %v, New at %v", name, ov.Engine.Now(), vb.Now())
+		}
+		n := ov.Ring.Size()
+		if len(ov.Scribes) != n || len(ov.Aggs) != n || len(vb.Scribes) != n || len(vb.Aggs) != n {
+			t.Errorf("%s: %d nodes, overlay %d scribes / %d managers, full stack %d / %d",
+				name, n, len(ov.Scribes), len(ov.Aggs), len(vb.Scribes), len(vb.Aggs))
+		}
 	}
 }
 
@@ -285,7 +338,7 @@ func TestBandwidthSatisfactionAllocatesNothing(t *testing.T) {
 
 	var want BandwidthReport
 	for _, srv := range vb.Cluster.Servers() {
-		classes := appendClasses(nil, srv)
+		classes := rebalance.AppendClasses(nil, srv)
 		var got, wanted float64
 		for i, a := range tcshape.Allocate(srv.Capacity.BandwidthMbps, classes) {
 			got += a

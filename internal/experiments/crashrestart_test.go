@@ -10,24 +10,27 @@ import (
 	"vbundle/internal/obs"
 )
 
-func smallCrashRestart(servers int, seed int64, shards int, cfg obs.Config) CrashRestartParams {
-	return CrashRestartParams{
-		Spec:              ScaledSpec(servers),
-		VMsPerServer:      4,
-		Threshold:         0.1,
-		UpdateInterval:    2 * time.Minute,
-		RebalanceInterval: 6 * time.Minute,
-		LeaseDuration:     5 * time.Minute,
-		Heartbeat:         time.Minute,
-		Duration:          30 * time.Minute,
-		SampleEvery:       2 * time.Minute,
-		DropRate:          0.02,
-		CrashNodes:        2,
-		CrashForever:      1,
-		RestartAfter:      4 * time.Minute,
-		Seed:              seed,
-		Shards:            shards,
-		Obs:               cfg,
+func smallCrashRestart(servers int, seed int64, shards int, cfg obs.Config) FaultParams {
+	return FaultParams{
+		RebalanceParams: RebalanceParams{
+			Spec:              ScaledSpec(servers),
+			VMsPerServer:      4,
+			Threshold:         0.1,
+			UpdateInterval:    2 * time.Minute,
+			RebalanceInterval: 6 * time.Minute,
+			Duration:          30 * time.Minute,
+			SampleEvery:       2 * time.Minute,
+			Seed:              seed,
+			Shards:            shards,
+			Obs:               cfg,
+		},
+		LeaseDuration: 5 * time.Minute,
+		Heartbeat:     time.Minute,
+		DropRate:      0.02,
+		Victims:       2,
+		Crash:         true,
+		CrashForever:  1,
+		RestartAfter:  4 * time.Minute,
 	}
 }
 
@@ -37,15 +40,15 @@ func smallCrashRestart(servers int, seed int64, shards int, cfg obs.Config) Cras
 // leaked — neither in a live table nor hidden in a dead node's store.
 func TestCrashRestartRecoveryGate(t *testing.T) {
 	for _, seed := range []int64{5, 11, 23} {
-		out, err := RunCrashRestart(smallCrashRestart(512, seed, 0, obs.Config{}))
+		out, err := RunFaults(smallCrashRestart(512, seed, 0, obs.Config{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out.Crashed) != 2 || len(out.Dead) != 1 {
-			t.Fatalf("seed %d: crashed %v, dead %v; want 2 restarted + 1 left down", seed, out.Crashed, out.Dead)
+		if len(out.Victims) != 2 || len(out.Dead) != 1 {
+			t.Fatalf("seed %d: crashed %v, dead %v; want 2 restarted + 1 left down", seed, out.Victims, out.Dead)
 		}
-		if out.Recovery.Restarts != len(out.Crashed) {
-			t.Fatalf("seed %d: %d restarts served for %d crashes", seed, out.Recovery.Restarts, len(out.Crashed))
+		if out.Recovery.Restarts != len(out.Victims) {
+			t.Fatalf("seed %d: %d restarts served for %d crashes", seed, out.Recovery.Restarts, len(out.Victims))
 		}
 		if out.Recovery.BlankBoots != 0 {
 			t.Fatalf("seed %d: %d blank boots — the store held nothing for a node that had checkpointed", seed, out.Recovery.BlankBoots)
@@ -70,15 +73,15 @@ func TestCrashRestartShardEquivalence(t *testing.T) {
 		sizes = append(sizes, 2048)
 	}
 	for _, servers := range sizes {
-		ref, err := RunCrashRestart(smallCrashRestart(servers, 7, 0, obs.Config{}))
+		ref, err := RunFaults(smallCrashRestart(servers, 7, 0, obs.Config{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ref.Crashed) == 0 || ref.Recovery.Restarts == 0 {
+		if len(ref.Victims) == 0 || ref.Recovery.Restarts == 0 {
 			t.Fatalf("%d servers: reference run restarted nothing; the equivalence check would be vacuous", servers)
 		}
 		for _, k := range []int{1, 4} {
-			got, err := RunCrashRestart(smallCrashRestart(servers, 7, k, obs.Config{}))
+			got, err := RunFaults(smallCrashRestart(servers, 7, k, obs.Config{}))
 			if err != nil {
 				t.Fatalf("%d servers, shards %d: %v", servers, k, err)
 			}
@@ -95,21 +98,21 @@ func TestCrashRestartShardEquivalence(t *testing.T) {
 // streaming must not change a single recovery metric, and the streamed
 // trace must explain the crash→rejoin chain.
 func TestCrashRestartTracingInvariance(t *testing.T) {
-	render := func(cfg obs.Config) ([]byte, *CrashRestartOutcome) {
-		out, err := RunCrashRestart(smallCrashRestart(512, 7, 0, cfg))
+	render := func(cfg obs.Config) ([]byte, *FaultOutcome) {
+		out, err := RunFaults(smallCrashRestart(512, 7, 0, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		out.WriteCrashRestart(&buf)
-		WriteCrashRestartTable(&buf, []*CrashRestartOutcome{out})
+		out.Write(&buf)
+		WriteFaultTable(&buf, []*FaultOutcome{out})
 		return buf.Bytes(), out
 	}
 	off, _ := render(obs.Config{})
 	if !strings.Contains(string(off), "gate PASS") {
 		t.Fatalf("reference run failed its own gate:\n%s", off)
 	}
-	var traced *CrashRestartOutcome
+	var traced *FaultOutcome
 	for _, tc := range []struct {
 		name string
 		cfg  obs.Config

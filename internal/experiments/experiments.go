@@ -12,6 +12,9 @@ import (
 	"io"
 	"time"
 
+	"vbundle/internal/audit"
+	"vbundle/internal/obs"
+	"vbundle/internal/parallel"
 	"vbundle/internal/topology"
 )
 
@@ -41,6 +44,33 @@ func ScaledSpec(servers int) topology.Spec {
 		spec.RacksPerPod = racks
 	}
 	return spec
+}
+
+// sweepSizes measures one point per ring size across workers goroutines
+// (0 = GOMAXPROCS, 1 = sequential), in size order. Only the largest size
+// records and is audited — its trace and auditor are the ones returned —
+// since tracing the smaller points would retain their whole stacks (the
+// registry gauges hold the network) for nothing.
+func sweepSizes[P any](sizes []int, workers int, oc obs.Config, au audit.Config,
+	point func(n int, tr *obs.Trace, au audit.Config) (P, *audit.Auditor, error)) ([]P, *obs.Trace, *audit.Auditor, error) {
+	largest := 0
+	for i, n := range sizes {
+		if n > sizes[largest] {
+			largest = i
+		}
+	}
+	trace := oc.New()
+	var auditor *audit.Auditor
+	points, err := parallel.Map(len(sizes), workers, func(i int) (P, error) {
+		if i != largest {
+			pt, _, err := point(sizes[i], nil, audit.Config{})
+			return pt, err
+		}
+		pt, a, err := point(sizes[i], trace, au)
+		auditor = a
+		return pt, err
+	})
+	return points, trace, auditor, err
 }
 
 // Customers are the five tenants of Fig. 7/8.

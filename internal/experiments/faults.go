@@ -3,109 +3,101 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"vbundle/internal/audit"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/migration"
 	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/rebalance"
-	"vbundle/internal/topology"
+	"vbundle/internal/store"
 )
 
-// ResilienceParams configures the fault-injection variant of the Fig. 9
-// rebalancing experiment: the same skewed load, but run over a lossy
-// network with servers killed mid-run. It measures what the paper's
-// evaluation assumes implicitly — that the shed/receive protocol neither
-// stalls nor leaks receiver-side reservations when messages vanish.
-type ResilienceParams struct {
-	// Spec is the datacenter; defaults to a ≈300-server slice so a whole
-	// loss sweep stays cheap.
-	Spec topology.Spec
-	// VMsPerServer sets the load granularity.
-	VMsPerServer int
-	// TargetMeanUtil and UtilSpread shape the skewed load (Fig. 9).
-	TargetMeanUtil, UtilSpread float64
-	// Threshold is the rebalancing margin.
-	Threshold float64
-	// UpdateInterval and RebalanceInterval follow the paper.
-	UpdateInterval, RebalanceInterval time.Duration
+// FaultParams configures the fault experiment: the Fig. 9 rebalancing
+// experiment plus a fault value — a lossy network, and victims taken down
+// mid-run. It measures what the paper's evaluation assumes implicitly: that
+// the shed/receive protocol neither stalls nor leaks receiver-side
+// reservations when messages vanish and servers fail.
+//
+// A victim is paused by default (simnet Kill: the node falls silent with its
+// soft state intact and stays down). With Crash the fault is a true crash:
+// the victim's handler, leaf sets, lease tables and placement maps are
+// discarded, and the node reboots from its durable store and reconciles
+// with the live ring. That run's verdict is the recovery gate: no VM lost,
+// no reservation leaked across the restart.
+type FaultParams struct {
+	// RebalanceParams is the experiment underneath. Two defaults differ: a
+	// ≈300-server slice and 10 VMs a server, so a whole loss sweep stays
+	// cheap.
+	RebalanceParams
 	// LeaseDuration bounds receiver-side reservation holds.
 	LeaseDuration time.Duration
-	// Heartbeat drives Pastry/Scribe self-repair (needed under loss).
+	// Heartbeat drives Pastry/Scribe self-repair (on whenever a fault is
+	// injected).
 	Heartbeat time.Duration
-	// Duration is the rebalancing phase length.
-	Duration time.Duration
-	// SampleEvery is the SD time-series sampling period.
-	SampleEvery time.Duration
 	// DropRate is the independent per-message loss probability (0–1).
 	DropRate float64
-	// KillReceivers is how many current receivers to kill at KillAt.
-	KillReceivers int
-	// KillAt is when the kills happen; defaults to Duration/3.
-	KillAt time.Duration
-	// Seed drives the synthetic load and the loss draws.
-	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	// Victims is how many current receivers to take down at At. Crashed
+	// victims reboot RestartAfter later.
+	Victims int
+	// At is when the victims go down; defaults to Duration/3.
+	At time.Duration
+	// Crash makes the fault a crash-restart instead of a pause. Victims then
+	// defaults to 1 when CrashForever is zero too.
+	Crash bool
+	// CrashForever (Crash only) is how many additional nodes to crash with
+	// no restart at all — they stay down, exercising the store-backed lease
+	// audit of dead nodes.
+	CrashForever int
+	// RestartAfter (Crash only) is the downtime before a crashed victim
+	// reboots; defaults to 2×UpdateInterval.
+	RestartAfter time.Duration
 }
 
-func (p ResilienceParams) withDefaults() ResilienceParams {
+func (p FaultParams) withDefaults() FaultParams {
 	if p.Spec.Racks == 0 {
 		p.Spec = ScaledSpec(300)
 	}
 	if p.VMsPerServer == 0 {
 		p.VMsPerServer = 10
 	}
-	if p.TargetMeanUtil == 0 {
-		p.TargetMeanUtil = 0.6226
-	}
-	if p.UtilSpread == 0 {
-		p.UtilSpread = 0.47
-	}
-	if p.Threshold == 0 {
-		p.Threshold = 0.183
-	}
-	if p.UpdateInterval == 0 {
-		p.UpdateInterval = 5 * time.Minute
-	}
-	if p.RebalanceInterval == 0 {
-		p.RebalanceInterval = 25 * time.Minute
-	}
+	p.RebalanceParams = p.RebalanceParams.withDefaults()
 	if p.LeaseDuration == 0 {
 		p.LeaseDuration = 10 * time.Minute
 	}
 	if p.Heartbeat == 0 {
 		p.Heartbeat = time.Minute
 	}
-	if p.Duration == 0 {
-		p.Duration = 75 * time.Minute
+	if p.At == 0 {
+		p.At = p.Duration / 3
 	}
-	if p.SampleEvery == 0 {
-		p.SampleEvery = time.Minute
-	}
-	if p.KillAt == 0 {
-		p.KillAt = p.Duration / 3
+	if p.Crash {
+		if p.Victims == 0 && p.CrashForever == 0 {
+			p.Victims = 1
+		}
+		if p.RestartAfter == 0 {
+			p.RestartAfter = 2 * p.UpdateInterval
+		}
 	}
 	return p
 }
 
-// ResilienceOutcome reports convergence and leak accounting for one run.
-type ResilienceOutcome struct {
-	Params ResilienceParams
-	// Killed lists the servers taken down at KillAt.
-	Killed []int
+// FaultOutcome reports convergence, leak and recovery accounting for one run.
+type FaultOutcome struct {
+	Params FaultParams
+	// Victims lists the servers taken down at At (crashed ones restart);
+	// Dead lists the ones crashed with no restart.
+	Victims, Dead []int
+	// VMsBefore and VMsAfter are the registered VM counts on either side
+	// of the fault window (the workload neither boots nor destroys, so
+	// they must match).
+	VMsBefore, VMsAfter int
+	// LostVMs counts VMs still registered but placed nowhere after the
+	// quiesce — VMs lost across a restart. Must be zero.
+	LostVMs int
 	// BeforeSD and AfterSD are utilization standard deviations among the
-	// servers that stay alive.
+	// servers alive at the time.
 	BeforeSD, AfterSD float64
 	// SD is the live-server SD time series.
 	SD metrics.TimeSeries
@@ -113,9 +105,17 @@ type ResilienceOutcome struct {
 	// first sample after which it never left a small band around AfterSD.
 	Converged       bool
 	ConvergenceTime time.Duration
+	// RecoveryTime is how long after the restart instant the SD settled
+	// (zero without a restart, when it settled before the reboot finished,
+	// or when it never settled).
+	RecoveryTime time.Duration
+	// Recovery is the core-level restart accounting: adopted vs released
+	// leases, verified vs lost placements. LostPlacements must be zero.
+	Recovery core.RecoveryStats
 	// Leaked counts receiver-side reservations still held after the
-	// protocol stopped and every lease had time to run out. The whole
-	// point of the exercise: this must be zero.
+	// protocol stopped and every lease had time to run out, including — via
+	// the durable store — unexpired holds of nodes that stayed dead. The
+	// whole point of the exercise: this must be zero.
 	Leaked int
 	// Reserve is the cluster-wide reservation protocol accounting.
 	Reserve rebalance.ReserveStats
@@ -142,76 +142,104 @@ func liveSD(vb *core.VBundle) float64 {
 	return s.Std()
 }
 
-// RunResilience executes one fault-injection run.
-func RunResilience(p ResilienceParams) (*ResilienceOutcome, error) {
+// inject takes the run's victims down. A pause takes current receivers in
+// ring order. A crash takes the nodes whose durable state is worth
+// reconciling: first any node still holding reservation leases (the crash
+// orphans them — the rejoin, or for dead nodes the store-backed audit, must
+// clean up), then current receivers, then any live node so small topologies
+// still run the full schedule; the DHT gateway at node 0 is never crashed,
+// the boot path's query state lives there. The first Victims crashed reboot
+// after RestartAfter; the next CrashForever stay down.
+func (o *FaultOutcome) inject(vb *core.VBundle) {
+	p, net := o.Params, vb.Ring.Network()
+	receiver := func(i int) bool { return vb.Rebalancer.Agent(i).Role() == rebalance.RoleReceiver }
+	first, want, passes := 0, p.Victims, []func(int) bool{receiver}
+	if p.Crash {
+		first, want = 1, p.Victims+p.CrashForever
+		passes = []func(int) bool{
+			func(i int) bool { return vb.Rebalancer.Agent(i).HeldLeases() > 0 },
+			receiver,
+			func(int) bool { return true },
+		}
+	}
+	for _, eligible := range passes {
+		for i := first; i < vb.Ring.Size() && len(o.Victims)+len(o.Dead) < want; i++ {
+			addr := vb.Ring.Node(i).Addr()
+			if !net.Alive(addr) || !eligible(i) {
+				continue
+			}
+			switch {
+			case !p.Crash:
+				net.Kill(addr)
+				o.Victims = append(o.Victims, i)
+			case len(o.Victims) < p.Victims:
+				net.Crash(addr)
+				o.Victims = append(o.Victims, i)
+				vb.Engine.AtGlobal(vb.Now()+p.RestartAfter, func() { net.Restart(addr) })
+			default:
+				net.Crash(addr)
+				o.Dead = append(o.Dead, i)
+			}
+		}
+	}
+}
+
+// RunFaults executes one fault-injection run.
+func RunFaults(p FaultParams) (*FaultOutcome, error) {
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
-		Topology:    p.Spec,
-		Seed:        p.Seed,
-		Shards:      p.Shards,
-		Trace:       trace,
-		MessageLoss: p.DropRate,
-		Rebalance: rebalance.Config{
-			Threshold:         p.Threshold,
-			UpdateInterval:    p.UpdateInterval,
-			RebalanceInterval: p.RebalanceInterval,
-			LeaseDuration:     p.LeaseDuration,
-		},
-		Migration: migration.Config{},
-	})
+	out := &FaultOutcome{Params: p, Trace: p.Obs.New()}
+	r := p.spine(out.Trace)
+	r.opts.MessageLoss = p.DropRate
+	r.opts.Rebalance.LeaseDuration = p.LeaseDuration
+	if p.Crash {
+		r.opts.Store = store.NewMem()
+	}
+	r.before = func(vb *core.VBundle) {
+		out.BeforeSD = liveSD(vb)
+		out.VMsBefore = vb.Cluster.NumVMs()
+	}
+	r.sample = func(vb *core.VBundle) { out.SD.Add(vb.Now(), liveSD(vb)) }
+	if p.DropRate > 0 || p.Victims > 0 || p.CrashForever > 0 {
+		r.repair = func(vb *core.VBundle) func() {
+			vb.StartMaintenance(p.Heartbeat)
+			return vb.StopMaintenance
+		}
+		// The grace period covers release retries plus a full lease term, so
+		// anything still reserved afterwards — in a live table or in a dead
+		// node's durable store — is a genuine leak.
+		r.quiesce = p.LeaseDuration + p.UpdateInterval
+	}
+	r.window = func(vb *core.VBundle) {
+		vb.RunFor(p.At)
+		out.inject(vb)
+		if rest := p.Duration - p.At; rest > 0 {
+			vb.RunFor(rest)
+		}
+	}
+	vb, auditor, err := r.run()
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed + 1))
-	if err := seedSkewedLoad(vb, p.VMsPerServer, p.TargetMeanUtil, p.UtilSpread, rng); err != nil {
-		return nil, err
-	}
-
-	out := &ResilienceOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
-	out.BeforeSD = liveSD(vb)
-	sample := func() { out.SD.Add(vb.Now(), liveSD(vb)) }
-	sample()
-	sampler := vb.Engine.EveryGlobal(p.SampleEvery, sample)
-
-	vb.Workloads.Start(p.UpdateInterval)
-	if p.DropRate > 0 || p.KillReceivers > 0 {
-		vb.StartMaintenance(p.Heartbeat)
-	}
-	vb.StartServices()
-
-	vb.RunFor(p.KillAt)
-	for i := 0; i < vb.Ring.Size() && len(out.Killed) < p.KillReceivers; i++ {
-		if vb.Rebalancer.Agent(i).Role() == rebalance.RoleReceiver {
-			vb.Ring.Network().Kill(vb.Ring.Node(i).Addr())
-			out.Killed = append(out.Killed, i)
-		}
-	}
-	if rest := p.Duration - p.KillAt; rest > 0 {
-		vb.RunFor(rest)
-	}
-
-	vb.StopServices()
-	if p.DropRate > 0 || p.KillReceivers > 0 {
-		vb.StopMaintenance()
-	}
-	vb.Workloads.Stop()
-	sampler.Stop()
-	// Quiesce with a bounded run, not a full drain: a loss-damaged
-	// aggregation tree can bounce repair traffic indefinitely. The grace
-	// period covers release retries plus a full lease term, so anything
-	// still reserved afterwards is a genuine leak.
-	vb.RunFor(p.LeaseDuration + p.UpdateInterval)
+	out.Audit = auditor
 
 	out.AfterSD = liveSD(vb)
+	out.VMsAfter = vb.Cluster.NumVMs()
 	out.Converged, out.ConvergenceTime = convergencePoint(out.SD, out.AfterSD)
+	if rebootDone := p.At + p.RestartAfter; p.Crash && out.Converged && out.ConvergenceTime > rebootDone {
+		out.RecoveryTime = out.ConvergenceTime - rebootDone
+	}
+	placed := 0
+	for _, srv := range vb.Cluster.Servers() {
+		placed += srv.NumVMs()
+	}
+	out.LostVMs = out.VMsAfter - placed
+	out.Recovery = vb.Recovery
 	out.Leaked = vb.Rebalancer.LeakedReservations()
 	out.Reserve = vb.Rebalancer.ReserveStats()
 	for _, s := range vb.Scribes {
-		r, o := s.AnycastStats()
-		out.AnycastRetries += r
-		out.OrphanAccepts += o
+		retries, orphans := s.AnycastStats()
+		out.AnycastRetries += retries
+		out.OrphanAccepts += orphans
 	}
 	out.Migrations = vb.Rebalancer.MigrationsTriggered()
 	st := vb.Migration.Stats()
@@ -242,23 +270,51 @@ func convergencePoint(series metrics.TimeSeries, final float64) (bool, time.Dura
 	return true, pts[settle].T
 }
 
-// RunResilienceSweep runs one RunResilience per variant (typically a loss
-// sweep) across workers goroutines, preserving variant order.
-func RunResilienceSweep(variants []ResilienceParams, workers int) ([]*ResilienceOutcome, error) {
-	return parallel.Map(len(variants), workers, func(i int) (*ResilienceOutcome, error) {
-		return RunResilience(variants[i])
+// RunFaultsSweep runs one RunFaults per variant (typically a loss sweep)
+// across workers goroutines, preserving variant order.
+func RunFaultsSweep(variants []FaultParams, workers int) ([]*FaultOutcome, error) {
+	return parallel.Map(len(variants), workers, func(i int) (*FaultOutcome, error) {
+		return RunFaults(variants[i])
 	})
 }
 
-// WriteResilience renders one run's verdict.
-func (o *ResilienceOutcome) WriteResilience(w io.Writer) {
+// GatePassed reports whether the run met the recovery gate: every VM
+// accounted for and no reservation leaked across the fault.
+func (o *FaultOutcome) GatePassed() bool {
+	return o.LostVMs == 0 && o.Recovery.LostPlacements == 0 && o.Leaked == 0 &&
+		o.VMsBefore == o.VMsAfter
+}
+
+func (o *FaultOutcome) verdict() string {
+	if o.GatePassed() {
+		return "PASS"
+	}
+	return "FAIL"
+}
+
+// Write renders one run's verdict: the recovery report of a crash run, the
+// convergence and leak report of a pause run.
+func (o *FaultOutcome) Write(w io.Writer) {
 	p := o.Params
-	writeHeader(w, "Resilience", fmt.Sprintf("%d servers, %.1f%% loss, %d receiver kill(s) at %s",
-		p.Spec.Racks*p.Spec.ServersPerRack, p.DropRate*100, len(o.Killed), fmtDur(p.KillAt)))
+	servers := p.Spec.Racks * p.Spec.ServersPerRack
 	conv := "did not settle"
 	if o.Converged {
 		conv = fmt.Sprintf("settled at %s", fmtDur(o.ConvergenceTime))
 	}
+	if p.Crash {
+		writeHeader(w, "Crash-restart", fmt.Sprintf("%d servers, %.1f%% loss, %d crash(es) at %s, reboot after %s, %d left dead",
+			servers, p.DropRate*100, len(o.Victims), fmtDur(p.At), fmtDur(p.RestartAfter), len(o.Dead)))
+		fmt.Fprintf(w, "SD %.4f → %.4f (%s, recovery %s); migrations=%d (completed %d)\n",
+			o.BeforeSD, o.AfterSD, conv, fmtDur(o.RecoveryTime), o.Migrations, o.MigrationsCompleted)
+		fmt.Fprintf(w, "restarts=%d blank-boots=%d leases adopted=%d released=%d; placements verified=%d stale=%d lost=%d\n",
+			o.Recovery.Restarts, o.Recovery.BlankBoots, o.Recovery.AdoptedLeases, o.Recovery.ReleasedLeases,
+			o.Recovery.VerifiedPlacements, o.Recovery.StalePlacements, o.Recovery.LostPlacements)
+		fmt.Fprintf(w, "VMs %d → %d (lost %d); leaked reservations at quiesce: %d — gate %s\n",
+			o.VMsBefore, o.VMsAfter, o.LostVMs, o.Leaked, o.verdict())
+		return
+	}
+	writeHeader(w, "Resilience", fmt.Sprintf("%d servers, %.1f%% loss, %d receiver kill(s) at %s",
+		servers, p.DropRate*100, len(o.Victims), fmtDur(p.At)))
 	fmt.Fprintf(w, "SD %.4f → %.4f (%s); migrations=%d (completed %d, dead-dest %d, dead-src %d)\n",
 		o.BeforeSD, o.AfterSD, conv, o.Migrations, o.MigrationsCompleted, o.FailedDeadDest, o.FailedDeadSource)
 	fmt.Fprintf(w, "reservations: accepted=%d renewed=%d released=%d expired=%d orphan-released=%d dup=%d unknown=%d\n",
@@ -268,8 +324,21 @@ func (o *ResilienceOutcome) WriteResilience(w io.Writer) {
 		o.AnycastRetries, o.OrphanAccepts, o.Leaked)
 }
 
-// WriteResilienceTable renders a loss-sweep summary, one row per run.
-func WriteResilienceTable(w io.Writer, outs []*ResilienceOutcome) {
+// WriteFaultTable renders a sweep summary, one row per run, in the format
+// of the sweep's fault kind (a sweep varies the loss rate, not the kind).
+func WriteFaultTable(w io.Writer, outs []*FaultOutcome) {
+	if len(outs) > 0 && outs[0].Params.Crash {
+		writeHeader(w, "Crash-restart sweep", "recovery gates vs loss and downtime")
+		fmt.Fprintf(w, "%-6s %-8s %-9s %-9s %-9s %-9s %-9s %-7s %-6s %-7s %-5s\n",
+			"loss", "crashes", "downtime", "SD-pre", "SD-post", "recovery", "adopted", "rel'd", "lost", "leaked", "gate")
+		for _, o := range outs {
+			fmt.Fprintf(w, "%-6s %-8d %-9s %-9.4f %-9.4f %-9s %-9d %-7d %-6d %-7d %-5s\n",
+				fmt.Sprintf("%.1f%%", o.Params.DropRate*100), len(o.Victims)+len(o.Dead),
+				fmtDur(o.Params.RestartAfter), o.BeforeSD, o.AfterSD, fmtDur(o.RecoveryTime),
+				o.Recovery.AdoptedLeases, o.Recovery.ReleasedLeases, o.LostVMs, o.Leaked, o.verdict())
+		}
+		return
+	}
 	writeHeader(w, "Resilience sweep", "convergence and reservation leaks vs message loss")
 	fmt.Fprintf(w, "%-6s %-6s %-9s %-9s %-11s %-7s %-8s %-8s %-7s\n",
 		"loss", "kills", "SD-pre", "SD-post", "settled", "migr", "retries", "orphans", "leaked")
@@ -279,7 +348,7 @@ func WriteResilienceTable(w io.Writer, outs []*ResilienceOutcome) {
 			conv = fmtDur(o.ConvergenceTime)
 		}
 		fmt.Fprintf(w, "%-6s %-6d %-9.4f %-9.4f %-11s %-7d %-8d %-8d %-7d\n",
-			fmt.Sprintf("%.1f%%", o.Params.DropRate*100), len(o.Killed),
+			fmt.Sprintf("%.1f%%", o.Params.DropRate*100), len(o.Victims),
 			o.BeforeSD, o.AfterSD, conv, o.MigrationsCompleted,
 			o.AnycastRetries, o.OrphanAccepts, o.Leaked)
 	}

@@ -7,31 +7,33 @@ import (
 	"time"
 )
 
-func smallResilience(drop float64, kills int) ResilienceParams {
-	return ResilienceParams{
-		Spec:              ScaledSpec(64),
-		VMsPerServer:      10,
-		Threshold:         0.1,
-		UpdateInterval:    time.Minute,
-		RebalanceInterval: 5 * time.Minute,
-		LeaseDuration:     4 * time.Minute,
-		Duration:          30 * time.Minute,
-		DropRate:          drop,
-		KillReceivers:     kills,
-		Seed:              5,
+func smallResilience(drop float64, kills int) FaultParams {
+	return FaultParams{
+		RebalanceParams: RebalanceParams{
+			Spec:              ScaledSpec(64),
+			VMsPerServer:      10,
+			Threshold:         0.1,
+			UpdateInterval:    time.Minute,
+			RebalanceInterval: 5 * time.Minute,
+			Duration:          30 * time.Minute,
+			Seed:              5,
+		},
+		LeaseDuration: 4 * time.Minute,
+		DropRate:      drop,
+		Victims:       kills,
 	}
 }
 
 func TestResilienceRunLeaksNothing(t *testing.T) {
-	out, err := RunResilience(smallResilience(0.02, 1))
+	out, err := RunFaults(smallResilience(0.02, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Leaked != 0 {
 		t.Fatalf("%d reservations leaked (stats %+v)", out.Leaked, out.Reserve)
 	}
-	if len(out.Killed) != 1 {
-		t.Fatalf("killed %v, want one receiver", out.Killed)
+	if len(out.Victims) != 1 {
+		t.Fatalf("killed %v, want one receiver", out.Victims)
 	}
 	if out.MigrationsCompleted == 0 {
 		t.Fatal("no migrations completed under loss")
@@ -43,8 +45,8 @@ func TestResilienceRunLeaksNothing(t *testing.T) {
 		t.Fatalf("reservation protocol never ran: %+v", out.Reserve)
 	}
 	var buf bytes.Buffer
-	out.WriteResilience(&buf)
-	WriteResilienceTable(&buf, []*ResilienceOutcome{out})
+	out.Write(&buf)
+	WriteFaultTable(&buf, []*FaultOutcome{out})
 	for _, want := range []string{"Resilience", "leaked", "settled"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, buf.String())
@@ -53,7 +55,7 @@ func TestResilienceRunLeaksNothing(t *testing.T) {
 }
 
 func TestResilienceLosslessRunMatchesRebalanceBehaviour(t *testing.T) {
-	out, err := RunResilience(smallResilience(0, 0))
+	out, err := RunFaults(smallResilience(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

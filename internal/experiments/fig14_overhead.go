@@ -5,16 +5,13 @@ import (
 	"io"
 	"time"
 
-	"vbundle/internal/aggregation"
 	"vbundle/internal/audit"
+	"vbundle/internal/core"
 	"vbundle/internal/ids"
 	"vbundle/internal/obs"
-	"vbundle/internal/parallel"
 	"vbundle/internal/pastry"
 	"vbundle/internal/scribe"
 	"vbundle/internal/sim"
-	"vbundle/internal/simnet"
-	"vbundle/internal/topology"
 )
 
 // AggLatencyParams configures the Fig. 14 experiment: leaf-to-root
@@ -93,87 +90,38 @@ type AggLatencyOutcome struct {
 	Audit *audit.Auditor `json:"-"`
 }
 
-// buildOverheadStack creates a ring with scribes and aggregation managers
-// for overhead measurements. tr, when non-nil, attaches a flight recorder.
-func buildOverheadStack(servers int, lanHop time.Duration, seed int64, shards int, tr *obs.Trace) (*sim.Engine, *pastry.Ring, []*scribe.Scribe, []*aggregation.Manager, error) {
-	spec := ScaledSpec(servers)
-	spec.LANHop = lanHop
-	topo, err := topology.New(spec)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	var engine *sim.Engine
-	if shards > 0 {
-		engine = sim.NewShardedEngine(seed, shards)
-	} else {
-		engine = sim.NewEngine(seed)
-	}
-	var netOpts []simnet.Option
-	if tr != nil {
-		netOpts = append(netOpts, simnet.WithTrace(tr))
-	}
-	ring := pastry.NewRing(engine, topo, pastry.Config{}, pastry.HierarchyAssigner, netOpts...)
-	ring.BuildStatic()
-	scribes := make([]*scribe.Scribe, ring.Size())
-	managers := make([]*aggregation.Manager, ring.Size())
-	for i, n := range ring.Nodes() {
-		scribes[i] = scribe.New(n)
-		managers[i] = aggregation.New(scribes[i], aggregation.Config{UpdateInterval: 5 * time.Minute})
-	}
-	return engine, ring, scribes, managers, nil
-}
-
 // RunAggLatency executes the Fig. 14 sweep. Sweep points are independent
 // trials (each builds its own engine and ring), so they run concurrently
 // under internal/parallel while the result stays bit-identical to the
 // sequential loop.
 func RunAggLatency(p AggLatencyParams) (*AggLatencyOutcome, error) {
 	p = p.withDefaults()
-	out := &AggLatencyOutcome{Params: p}
-	// Only the largest sweep point records: its trace is the one the outcome
-	// keeps, and tracing the smaller points would retain their whole stacks
-	// (the registry gauges hold the network) for nothing.
-	largest := 0
-	for i, n := range p.Sizes {
-		if n > p.Sizes[largest] {
-			largest = i
-		}
-	}
-	trace := p.Obs.New()
-	points, err := parallel.Map(len(p.Sizes), p.Parallelism, func(i int) (AggLatencyPoint, error) {
-		var tr *obs.Trace
-		var au audit.Config
-		if i == largest {
-			tr = trace
-			au = p.Audit
-		}
-		pt, a, err := aggLatencyPoint(p, p.Sizes[i], tr, au)
-		if i == largest {
-			out.Audit = a
-		}
-		return pt, err
-	})
+	points, trace, auditor, err := sweepSizes(p.Sizes, p.Parallelism, p.Obs, p.Audit,
+		func(n int, tr *obs.Trace, au audit.Config) (AggLatencyPoint, *audit.Auditor, error) {
+			return aggLatencyPoint(p, n, tr, au)
+		})
 	if err != nil {
 		return nil, err
 	}
-	out.Points = points
-	out.Trace = trace
-	return out, nil
+	return &AggLatencyOutcome{Params: p, Points: points, Trace: trace, Audit: auditor}, nil
 }
 
-// aggLatencyPoint measures one ring size on a private simulation stack.
+// aggLatencyPoint measures one ring size on a private overlay.
 func aggLatencyPoint(p AggLatencyParams, n int, tr *obs.Trace, au audit.Config) (AggLatencyPoint, *audit.Auditor, error) {
 	const topic = "BW_Demand"
-	engine, ring, scribes, managers, err := buildOverheadStack(n, p.LANHop, p.Seed, p.Shards, tr)
+	spec := ScaledSpec(n)
+	spec.LANHop = p.LANHop
+	ov, err := core.NewOverlay(core.Options{Topology: spec, Seed: p.Seed, Shards: p.Shards, Trace: tr})
 	if err != nil {
 		return AggLatencyPoint{}, nil, err
 	}
-	// This stack has no cluster or rebalancer; the auditor gets the check
+	engine, managers := ov.Engine, ov.Aggs
+	// An overlay has no cluster or rebalancer; the auditor gets the check
 	// its targets support (routing-liveness coherence).
 	auditor := audit.Attach(au, audit.Targets{
 		Engine:  engine,
-		Network: ring.Network(),
-		Ring:    ring,
+		Network: ov.Ring.Network(),
+		Ring:    ov.Ring,
 		Trace:   tr,
 	})
 	for _, m := range managers {
@@ -201,7 +149,7 @@ func aggLatencyPoint(p AggLatencyParams, n int, tr *obs.Trace, au audit.Config) 
 		pt.RawMean = sum / time.Duration(len(raw))
 	}
 	pt.WithInterval = pt.RawMean + p.UpdateInterval
-	pt.TreeHeight = treeHeight(scribes, scribe.GroupKey(topic))
+	pt.TreeHeight = treeHeight(ov.Scribes, scribe.GroupKey(topic))
 	pt.ShardWork = engine.ShardWork()
 	return pt, auditor, nil
 }

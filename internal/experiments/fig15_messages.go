@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"vbundle/internal/audit"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
 	"vbundle/internal/obs"
-	"vbundle/internal/parallel"
 	"vbundle/internal/rebalance"
 )
 
@@ -80,79 +78,57 @@ type MessageOverheadOutcome struct {
 // results bit-identical to the sequential loop.
 func RunMessageOverhead(p MessageOverheadParams) (*MessageOverheadOutcome, error) {
 	p = p.withDefaults()
-	out := &MessageOverheadOutcome{Params: p}
-	// Only the largest sweep point records (see RunAggLatency).
-	largest := 0
-	for i, n := range p.Sizes {
-		if n > p.Sizes[largest] {
-			largest = i
-		}
-	}
-	trace := p.Obs.New()
-	points, err := parallel.Map(len(p.Sizes), p.Parallelism, func(i int) (MessageOverheadPoint, error) {
-		var tr *obs.Trace
-		var au audit.Config
-		if i == largest {
-			tr = trace
-			au = p.Audit
-		}
-		pt, a, err := messageOverheadPoint(p, p.Sizes[i], tr, au)
-		if i == largest {
-			out.Audit = a
-		}
-		return pt, err
-	})
+	points, trace, auditor, err := sweepSizes(p.Sizes, p.Parallelism, p.Obs, p.Audit,
+		func(n int, tr *obs.Trace, au audit.Config) (MessageOverheadPoint, *audit.Auditor, error) {
+			return messageOverheadPoint(p, n, tr, au)
+		})
 	if err != nil {
 		return nil, err
 	}
-	out.Points = points
-	out.Trace = trace
-	return out, nil
+	return &MessageOverheadOutcome{Params: p, Points: points, Trace: trace, Audit: auditor}, nil
 }
 
-// messageOverheadPoint measures one ring size on a private v-Bundle stack.
+// messageOverheadPoint measures one ring size: the skewed-load run with a
+// modest load, Pastry's ring maintenance beside the services, and one round
+// counted once trees are built and roles have settled.
 func messageOverheadPoint(p MessageOverheadParams, n int, tr *obs.Trace, au audit.Config) (MessageOverheadPoint, *audit.Auditor, error) {
 	spec := ScaledSpec(n)
 	spec.LANHop = time.Millisecond
-	vb, err := core.New(core.Options{
-		Topology: spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Trace:    tr,
-		Rebalance: rebalance.Config{
-			Threshold:         0.183,
-			UpdateInterval:    p.Round,
-			RebalanceInterval: 5 * p.Round,
+	var pt MessageOverheadPoint
+	_, auditor, err := skewedRun{
+		opts: core.Options{
+			Topology: spec,
+			Seed:     p.Seed,
+			Shards:   p.Shards,
+			Trace:    tr,
+			Rebalance: rebalance.Config{
+				Threshold:         0.183,
+				UpdateInterval:    p.Round,
+				RebalanceInterval: 5 * p.Round,
+			},
 		},
-	})
-	if err != nil {
-		return MessageOverheadPoint{}, nil, err
-	}
-	auditor := vb.AttachAudit(au)
-	rng := rand.New(rand.NewSource(p.Seed + int64(n)))
-	if err := seedSkewedLoad(vb, p.VMsPerServer, 0.6, 0.4, rng); err != nil {
-		return MessageOverheadPoint{}, nil, err
-	}
-	// Pastry ring maintenance participates in the per-round budget.
-	vb.Ring.StartMaintenance()
-	vb.Workloads.Start(p.Round)
-	vb.StartServices()
-
-	// Warm up: trees built, roles settled.
-	vb.RunFor(3 * p.Round)
-	vb.Ring.Network().ResetCounters()
-	vb.RunFor(p.Round)
-
-	pt := MessageOverheadPoint{Servers: vb.Topo.Servers()}
-	for _, c := range vb.Ring.Network().AllCounters() {
-		pt.Msgs.Add(float64(c.MsgsSent))
-		pt.KB.Add(float64(c.BytesSent) / 1024)
-	}
-
-	vb.StopServices()
-	vb.Workloads.Stop()
-	vb.Ring.StopMaintenance()
-	return pt, auditor, nil
+		vmsPerServer: p.VMsPerServer,
+		meanUtil:     0.6,
+		spread:       0.4,
+		loadSeed:     p.Seed + int64(n),
+		audit:        au,
+		// Pastry ring maintenance participates in the per-round budget.
+		repair: func(vb *core.VBundle) func() {
+			vb.Ring.StartMaintenance()
+			return vb.Ring.StopMaintenance
+		},
+		window: func(vb *core.VBundle) {
+			vb.RunFor(3 * p.Round)
+			vb.Ring.Network().ResetCounters()
+			vb.RunFor(p.Round)
+			pt.Servers = vb.Topo.Servers()
+			for _, c := range vb.Ring.Network().AllCounters() {
+				pt.Msgs.Add(float64(c.MsgsSent))
+				pt.KB.Add(float64(c.BytesSent) / 1024)
+			}
+		},
+	}.run()
+	return pt, auditor, err
 }
 
 // Report renders the Fig. 15 percentiles.

@@ -10,10 +10,10 @@ import (
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/migration"
 	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/rebalance"
+	"vbundle/internal/sim"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
 )
@@ -42,9 +42,6 @@ type RebalanceParams struct {
 	Duration time.Duration
 	// SampleEvery is the time-series sampling period.
 	SampleEvery time.Duration
-	// AccountMigrationBW charges migration streams to the NICs they cross
-	// (the paper's Fig. 10 ignores this; enabling it is an ablation).
-	AccountMigrationBW bool
 	// Seed drives the synthetic load.
 	Seed int64
 	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
@@ -137,53 +134,123 @@ func seedSkewedLoad(vb *core.VBundle, vmsPerServer int, meanUtil, spread float64
 	return nil
 }
 
+// skewedRun is one run of the paper's shuffling scenario (§III, Fig. 9–11):
+// a full stack under a skewed load, aggregation and any-cast rounds on for
+// a window, then off and run out. The rebalance experiment, the fault
+// experiment and Fig. 15's message count are this run with different
+// options, observers and windows.
+type skewedRun struct {
+	// opts builds the stack; Rebalance.UpdateInterval is also the workload
+	// refresh period.
+	opts core.Options
+	// vmsPerServer, meanUtil, spread and loadSeed shape the load.
+	vmsPerServer     int
+	meanUtil, spread float64
+	loadSeed         int64
+	audit            audit.Config
+	// before, when set, sees the seeded stack with nothing switched on.
+	before func(vb *core.VBundle)
+	// sample, when set, runs once behind before and then every sampleEvery
+	// in the global band until the services stop.
+	sample      func(vb *core.VBundle)
+	sampleEvery time.Duration
+	// repair, when set, switches self-repair on beside the services and
+	// returns what switches it off again.
+	repair func(vb *core.VBundle) (stop func())
+	// window runs with the services on.
+	window func(vb *core.VBundle)
+	// quiesce bounds the run-out after the services stop; zero drains the
+	// event queue. A run that injected faults must bound it: a loss-damaged
+	// aggregation tree can bounce repair traffic indefinitely.
+	quiesce time.Duration
+}
+
+func (r skewedRun) run() (*core.VBundle, *audit.Auditor, error) {
+	vb, err := core.New(r.opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(r.loadSeed))
+	if err := seedSkewedLoad(vb, r.vmsPerServer, r.meanUtil, r.spread, rng); err != nil {
+		return nil, nil, err
+	}
+	auditor := vb.AttachAudit(r.audit)
+	if r.before != nil {
+		r.before(vb)
+	}
+	var sampler *sim.Ticker
+	if r.sample != nil {
+		r.sample(vb)
+		sampler = vb.Engine.EveryGlobal(r.sampleEvery, func() { r.sample(vb) })
+	}
+
+	vb.Workloads.Start(r.opts.Rebalance.UpdateInterval)
+	stopRepair := func() {}
+	if r.repair != nil {
+		stopRepair = r.repair(vb)
+	}
+	vb.StartServices()
+	r.window(vb)
+	vb.StopServices()
+	stopRepair()
+	vb.Workloads.Stop()
+	if sampler != nil {
+		sampler.Stop()
+	}
+	if r.quiesce > 0 {
+		vb.RunFor(r.quiesce)
+	} else {
+		vb.Engine.Run()
+	}
+	return vb, auditor, nil
+}
+
+// spine is the run every RebalanceParams field but Duration and SampleEvery
+// describes; the caller adds its observers and its window.
+func (p RebalanceParams) spine(trace *obs.Trace) skewedRun {
+	return skewedRun{
+		opts: core.Options{
+			Topology: p.Spec,
+			Seed:     p.Seed,
+			Shards:   p.Shards,
+			Trace:    trace,
+			Rebalance: rebalance.Config{
+				Threshold:         p.Threshold,
+				UpdateInterval:    p.UpdateInterval,
+				RebalanceInterval: p.RebalanceInterval,
+			},
+		},
+		vmsPerServer: p.VMsPerServer,
+		meanUtil:     p.TargetMeanUtil,
+		spread:       p.UtilSpread,
+		loadSeed:     p.Seed + 1,
+		audit:        p.Audit,
+		sampleEvery:  p.SampleEvery,
+	}
+}
+
 // RunRebalance executes the resource-shuffling experiment.
 func RunRebalance(p RebalanceParams) (*RebalanceOutcome, error) {
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
-		Topology: p.Spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Trace:    trace,
-		Rebalance: rebalance.Config{
-			Threshold:         p.Threshold,
-			UpdateInterval:    p.UpdateInterval,
-			RebalanceInterval: p.RebalanceInterval,
-		},
-		Migration: migration.Config{AccountBandwidth: p.AccountMigrationBW},
-	})
-	if err != nil {
-		return nil, err
+	out := &RebalanceOutcome{Params: p, Trace: p.Obs.New()}
+	r := p.spine(out.Trace)
+	r.before = func(vb *core.VBundle) {
+		out.Before = vb.UtilizationSnapshot()
+		out.MeanUtil = vb.Cluster.MeanUtilizationBW()
 	}
-	rng := rand.New(rand.NewSource(p.Seed + 1))
-	if err := seedSkewedLoad(vb, p.VMsPerServer, p.TargetMeanUtil, p.UtilSpread, rng); err != nil {
-		return nil, err
-	}
-
-	out := &RebalanceOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
-	out.Before = vb.UtilizationSnapshot()
-	out.MeanUtil = vb.Cluster.MeanUtilizationBW()
-
-	sample := func() {
+	r.sample = func(vb *core.VBundle) {
 		now := vb.Now()
 		out.SD.Add(now, vb.UtilizationStdDev())
 		rep := vb.BandwidthSatisfaction()
 		out.Demand.Add(now, rep.DemandMbps)
 		out.Satisfied.Add(now, rep.SatisfiedMbps)
 	}
-	sample()
-	sampler := vb.Engine.EveryGlobal(p.SampleEvery, sample)
-
-	vb.Workloads.Start(p.UpdateInterval)
-	vb.StartServices()
-	vb.RunFor(p.Duration)
-	vb.StopServices()
-	vb.Workloads.Stop()
-	sampler.Stop()
-	vb.Engine.Run()
-
+	r.window = func(vb *core.VBundle) { vb.RunFor(p.Duration) }
+	vb, auditor, err := r.run()
+	if err != nil {
+		return nil, err
+	}
+	out.Audit = auditor
 	out.After = vb.UtilizationSnapshot()
 	out.Migrations = vb.Rebalancer.MigrationsTriggered()
 	out.Queries = vb.Rebalancer.QueriesSent()

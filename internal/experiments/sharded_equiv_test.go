@@ -134,26 +134,28 @@ func TestShardedEquivalence(t *testing.T) {
 	})
 
 	t.Run("ResilienceFaultsOn", func(t *testing.T) {
-		params := func(shards int) ResilienceParams {
-			return ResilienceParams{
-				Spec:           ScaledSpec(80),
-				VMsPerServer:   4,
-				UpdateInterval: 2 * time.Minute, RebalanceInterval: 6 * time.Minute,
+		params := func(shards int) FaultParams {
+			return FaultParams{
+				RebalanceParams: RebalanceParams{
+					Spec:           ScaledSpec(80),
+					VMsPerServer:   4,
+					UpdateInterval: 2 * time.Minute, RebalanceInterval: 6 * time.Minute,
+					Duration: 24 * time.Minute, SampleEvery: 2 * time.Minute,
+					Seed: 7, Shards: shards,
+				},
 				LeaseDuration: 5 * time.Minute, Heartbeat: time.Minute,
-				Duration: 24 * time.Minute, SampleEvery: 2 * time.Minute,
-				DropRate: 0.05, KillReceivers: 2,
-				Seed: 7, Shards: shards,
+				DropRate: 0.05, Victims: 2,
 			}
 		}
-		ref, err := RunResilience(params(0))
+		ref, err := RunFaults(params(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ref.Killed) == 0 {
+		if len(ref.Victims) == 0 {
 			t.Fatal("reference run killed no servers; the fault path would be untested")
 		}
 		for _, k := range shardCounts {
-			got, err := RunResilience(params(k))
+			got, err := RunFaults(params(k))
 			if err != nil {
 				t.Fatalf("shards %d: %v", k, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"vbundle/internal/core"
 	"vbundle/internal/ids"
 	"vbundle/internal/pastry"
 	"vbundle/internal/scribe"
@@ -55,10 +56,13 @@ type Table1Outcome struct {
 // RunTable1 executes the micro-measurements.
 func RunTable1(p Table1Params) (*Table1Outcome, error) {
 	p = p.withDefaults()
-	engine, _, scribes, managers, err := buildOverheadStack(p.Servers, time.Millisecond, p.Seed, 0, nil)
+	spec := ScaledSpec(p.Servers)
+	spec.LANHop = time.Millisecond
+	ov, err := core.NewOverlay(core.Options{Topology: spec, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
+	engine, scribes, managers := ov.Engine, ov.Scribes, ov.Aggs
 	out := &Table1Outcome{Params: p}
 	n := len(scribes)
 

@@ -66,12 +66,6 @@ type Config struct {
 	// ColdOverhead is the suspend/restore overhead of a cold migration.
 	// Defaults to 2s.
 	ColdOverhead time.Duration
-	// AccountBandwidth charges the migration stream to the source and
-	// destination NICs for the transfer duration. The paper's Fig. 10
-	// simulation explicitly ignores this cost ("we ignore that migration
-	// itself consumes bandwidth"); enabling it quantifies the
-	// simplification.
-	AccountBandwidth bool
 }
 
 // Normalized returns the config with every unset field replaced by its
@@ -272,13 +266,6 @@ func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID
 	m.stats.Started++
 	m.mu.Unlock()
 	d := m.cfg.Duration(vm.Reservation.MemMB, mode)
-	if m.cfg.AccountBandwidth {
-		// The stream saturates its share of both NICs for the transfer.
-		// (Rejected under sharding by core: the float accumulation is not
-		// associative and the NIC state is cross-shard.)
-		m.cluster.Server(src).AddExternalBW(m.cfg.LinkMbps)
-		m.cluster.Server(dst).AddExternalBW(m.cfg.LinkMbps)
-	}
 	// The completion mutates shared cluster state, so it runs in the keyed
 	// band — exclusively on the root engine, same-instant completions ordered
 	// by VM id in every engine mode. The start time is the caller's clock:
@@ -286,10 +273,6 @@ func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID
 	caller := m.engineOf(src)
 	span := rec.Begin(caller.Now(), obs.KindMigration, parent, int64(id), int64(dst))
 	caller.AtKeyed(caller.Now()+d, uint64(id), func() {
-		if m.cfg.AccountBandwidth {
-			m.cluster.Server(src).AddExternalBW(-m.cfg.LinkMbps)
-			m.cluster.Server(dst).AddExternalBW(-m.cfg.LinkMbps)
-		}
 		m.mu.Lock()
 		delete(m.inFlight, id)
 		m.mu.Unlock()

@@ -282,6 +282,9 @@ func NewDHT(ring *pastry.Ring, cl *cluster.Cluster, cfg DHTConfig) *DHT {
 // Name implements Engine.
 func (d *DHT) Name() string { return "vbundle-dht" }
 
+// Gateway returns the node that originates boot queries.
+func (d *DHT) Gateway() *pastry.Node { return d.ring.Node(d.cfg.Gateway) }
+
 // RebindNode re-registers the DHT agent on a rebuilt ring node after a
 // crash-restart. The agent itself is stateless (gateway-side query state
 // lives on the gateway), so a fresh one is enough.
@@ -339,7 +342,7 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 	q.Seq = d.seq
 	pq.customer = vm0.Customer
 	pq.n = len(q.VMs)
-	gateway := d.ring.Node(d.cfg.Gateway)
+	gateway := d.Gateway()
 	q.Origin = gateway.Handle()
 	d.armTimeout(q.Seq)
 	if d.cache != nil {
@@ -368,7 +371,7 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 }
 
 func (d *DHT) armTimeout(seq uint64) {
-	eng := d.ring.Node(d.cfg.Gateway).Engine()
+	eng := d.Gateway().Engine()
 	d.tq.push(qTimeout{seq: seq, at: eng.Now() + d.cfg.QueryTimeout})
 	if !d.timerArmed {
 		d.timerArmed = true
@@ -378,7 +381,7 @@ func (d *DHT) armTimeout(seq uint64) {
 
 func (d *DHT) onTimer() {
 	d.timerArmed = false
-	eng := d.ring.Node(d.cfg.Gateway).Engine()
+	eng := d.Gateway().Engine()
 	now := eng.Now()
 	for {
 		t, ok := d.tq.peek()

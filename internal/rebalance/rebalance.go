@@ -26,6 +26,7 @@ package rebalance
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vbundle/internal/aggregation"
@@ -1023,26 +1024,28 @@ func effectiveDemand(vm *cluster.VM) cluster.Resources {
 	return d
 }
 
+// AppendClasses appends one tc class per VM hosted on srv, in VM-id order.
+func AppendClasses(buf []tcshape.Class, srv *cluster.Server) []tcshape.Class {
+	for _, vm := range srv.VMs() {
+		buf = append(buf, tcshape.Class{
+			Rate:   vm.Reservation.BandwidthMbps,
+			Ceil:   vm.Limit.BandwidthMbps,
+			Demand: vm.Demand.BandwidthMbps,
+		})
+	}
+	return buf
+}
+
 // deliveredBW runs the server's tc shaper to find how much bandwidth the
 // VM actually receives right now (the cost-benefit baseline).
 func (a *Agent) deliveredBW(vm *cluster.VM) float64 {
 	srv := a.coord.cl.Server(a.server)
 	vms := srv.VMs()
-	classes := make([]tcshape.Class, len(vms))
-	idx := -1
-	for i, v := range vms {
-		classes[i] = tcshape.Class{
-			Rate:   v.Reservation.BandwidthMbps,
-			Ceil:   v.Limit.BandwidthMbps,
-			Demand: v.Demand.BandwidthMbps,
-		}
-		if v.ID == vm.ID {
-			idx = i
-		}
-	}
+	idx := slices.IndexFunc(vms, func(v *cluster.VM) bool { return v.ID == vm.ID })
 	if idx < 0 {
 		return 0
 	}
+	classes := AppendClasses(make([]tcshape.Class, 0, len(vms)), srv)
 	return tcshape.Allocate(srv.Capacity.BandwidthMbps, classes)[idx]
 }
 

@@ -140,7 +140,7 @@ func New(vb *core.VBundle, cfg Config) (*Frontend, error) {
 		return nil, fmt.Errorf("serve: front end requires the DHT engine, got %s", vb.Placer.Name())
 	}
 	cfg = cfg.withDefaults()
-	gw := vb.Ring.Node(vb.Options().DHT.Gateway)
+	gw := dht.Gateway()
 	f := &Frontend{
 		cfg:       cfg,
 		cl:        vb.Cluster,

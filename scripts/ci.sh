@@ -14,6 +14,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# The constructor rule (DESIGN.md): every stack above pastry is built by
+# core.NewOverlay or core.New; only layer tests below core build by hand.
+echo "== one stack constructor"
+if grep -rn 'pastry.NewRing(' --include='*.go' internal cmd examples |
+	grep -v _test.go | grep -vE '^internal/(pastry|core)/'; then exit 1; fi
+
 # Includes the gates table with its long rows (the 524288-server shard pair,
 # ≈ 17 s and ≈ 1.5 GB; the 32768-server heap-profile row), the two Fig 14
 # allocation ceilings in memregress_test.go and the fuzz targets' seeds.
