@@ -111,6 +111,11 @@ var gates = []gate{
 	// matched as well so a change to the exit status cannot weaken the row.
 	{name: "serve-512", args: serve512, golden: true,
 		variants: []string{"-shards 1", "-shards 4"}, stdout: []string{noLeak, noOrphan}},
+	// The same stream with the cache off, printed by the parent of the PR that
+	// made the spill walk resumable: what the walk memo rides on the cache
+	// gate for. With the gate off nothing of the walk may move.
+	{name: "serve-512-routed", args: "serve -servers 512 -rate 100 -duration 20s -prewarm 2 -batch -seed 7", golden: true,
+		variants: []string{"-shards 1", "-shards 4"}, stdout: []string{noLeak, noOrphan}},
 	{name: "serve-512-flash", args: "serve -servers 512 -rate 100 -duration 20s -prewarm 2 -cache -batch -flash-mult 10 -flash-start 6s -flash-len 5s -max-inflight 64 -seed 7", golden: true,
 		stdout: []string{`flash window: requests=[0-9]* shed=[1-9]`, noLeak, noOrphan}},
 	{name: "serve-512-audit", args: serve512 + " -audit", golden: true,

@@ -17,10 +17,10 @@ import (
 // message and byte counts mean the two modes sent the same updates at the
 // same times, not just converged to the same values).
 type churnSummary struct {
-	Globals   [][]Global
-	HasGlobal [][]bool
-	Locals    [][]float64
-	Latencies []time.Duration
+	Globals                                  [][]Global
+	HasGlobal                                [][]bool
+	Locals                                   [][]float64
+	Latencies                                []time.Duration
 	Sent, Received, BytesSent, BytesReceived int
 }
 

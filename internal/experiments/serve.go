@@ -152,6 +152,11 @@ type ServeOutcome struct {
 	// CacheStats is the resolution-cache counter snapshot (zero when the
 	// cache gate is off).
 	CacheStats placement.CacheStats
+	// Walk attributes the answered queries' forward hops: overlay route,
+	// stops of resumed walks, spill walk — and how many visits admitted
+	// nothing, how many queries resumed a remembered walk and how many of
+	// those fell back to the classic one.
+	Walk placement.WalkStats
 	// FlashRequests / FlashShed count boot VMs submitted and shed inside
 	// the flash window.
 	FlashRequests, FlashShed int
@@ -300,6 +305,7 @@ func RunServe(p ServeParams) (*ServeOutcome, error) {
 	out.HopP50 = dht.HopQuantile(0.50)
 	out.HopP99 = dht.HopQuantile(0.99)
 	out.Timeouts = dht.Timeouts()
+	out.Walk = dht.Walk()
 	if c := fe.Cache(); c != nil {
 		out.CacheStats = c.Stats()
 	}
@@ -348,6 +354,11 @@ func (o *ServeOutcome) Report(w io.Writer) {
 	c := o.CacheStats
 	fmt.Fprintf(w, "cache: hits=%d misses=%d stores=%d evictions=%d size=%d\n",
 		c.Hits, c.Misses, c.Stores, c.Evictions, c.Size)
+	if p.Cache {
+		k := o.Walk
+		fmt.Fprintf(w, "walk: route=%d stop=%d walk=%d wasted=%d resumed=%d fallbacks=%d\n",
+			k.HopsRoute, k.HopsStop, k.HopsWalk, k.HopsWasted, k.Resumed, k.Fallbacks)
+	}
 	if p.FlashMultiplier > 1 {
 		frac := 0.0
 		if o.FlashRequests > 0 {

@@ -22,6 +22,7 @@ import (
 
 	"vbundle/internal/cluster"
 	"vbundle/internal/ids"
+	"vbundle/internal/obs"
 	"vbundle/internal/pastry"
 	"vbundle/internal/simnet"
 )
@@ -151,7 +152,8 @@ func (c DHTConfig) withDefaults(clusterSize int) DHTConfig {
 // the engine's Place routes a boot query from the gateway toward
 // hash(customer). PlaceBatch admits several VMs of one customer along a
 // single walk, and an optional ResolutionCache lets repeat boots skip the
-// overlay route entirely (one direct hop to the customer's rendezvous).
+// overlay route entirely (one direct hop to the customer's rendezvous) and
+// resume the customer's last walk where it stopped.
 type DHT struct {
 	ring   *pastry.Ring
 	cl     *cluster.Cluster
@@ -185,6 +187,28 @@ type DHT struct {
 	spillFails int
 	timeouts   int
 	hopHist    []int // hopHist[h] = placements whose query took h hops
+	// walk is WalkStats as counters, on the trace registry when tracing is on.
+	walk struct{ hopsRoute, hopsStop, hopsWalk, hopsWasted, resumed, fallbacks obs.Counter }
+}
+
+// WalkStats says where the answered queries' forward messages went. Every
+// message that carries a query toward a server is exactly one of HopsRoute,
+// HopsStop and HopsWalk; the answer leg is not counted.
+type WalkStats struct {
+	// HopsRoute are overlay routing hops toward hash(customer).
+	HopsRoute int64
+	// HopsStop are direct hops to a resumed walk's explicit stops: the
+	// servers freed since the remembered walk, then its frontier.
+	HopsStop int64
+	// HopsWalk are the rest: the direct hop to a cached rendezvous and the
+	// spill walk's server-to-server steps.
+	HopsWalk int64
+	// HopsWasted are visits, however reached, to a server that admitted
+	// nothing.
+	HopsWasted int64
+	// Resumed counts queries launched from a walk memo, Fallbacks those of
+	// them that dead-ended and walked again from the rendezvous.
+	Resumed, Fallbacks int64
 }
 
 type qTimeout struct {
@@ -276,6 +300,14 @@ func NewDHT(ring *pastry.Ring, cl *cluster.Cluster, cfg DHTConfig) *DHT {
 		d.agents[i] = a
 		node.Register(AppName, a)
 	}
+	if reg := ring.Network().Trace().Registry(); reg != nil {
+		reg.Register("placement/hops_route", &d.walk.hopsRoute)
+		reg.Register("placement/hops_stop", &d.walk.hopsStop)
+		reg.Register("placement/hops_walk", &d.walk.hopsWalk)
+		reg.Register("placement/hops_wasted", &d.walk.hopsWasted)
+		reg.Register("placement/resumed", &d.walk.resumed)
+		reg.Register("placement/fallbacks", &d.walk.fallbacks)
+	}
 	return d
 }
 
@@ -295,10 +327,11 @@ func (d *DHT) RebindNode(i int) {
 	node.Register(AppName, a)
 }
 
-// SetCache attaches a customer→rendezvous resolution cache. Subsequent
-// boots for a cached customer skip the overlay route and go straight to the
-// recorded rendezvous in one hop; the spill walk from there is identical to
-// the routed walk, so the placement outcome does not change. Nil detaches.
+// SetCache attaches the gateway's per-customer soft state. Subsequent boots
+// for a cached customer skip the overlay route and go in one hop to the
+// recorded rendezvous, or, once a walk of the customer's has finished, to
+// where that walk stopped (see ResolutionCache for what each may change).
+// Nil detaches.
 func (d *DHT) SetCache(c *ResolutionCache) { d.cache = c }
 
 // Cache returns the attached resolution cache, if any.
@@ -308,7 +341,7 @@ func (d *DHT) Cache() *ResolutionCache { return d.cache }
 func (d *DHT) Place(vm *cluster.VM, onDone func(Result, error)) {
 	q := d.acquireQuery()
 	q.VMs = append(q.VMs, vm)
-	q.Servers = append(q.Servers, -1)
+	q.Servers = append(q.Servers, vmUnplaced)
 	q.HopsAt = append(q.HopsAt, 0)
 	d.launch(q, pendingQuery{single: onDone})
 }
@@ -328,7 +361,7 @@ func (d *DHT) PlaceBatch(vms []*cluster.VM, onDone func(int, Result, error)) {
 			panic("placement: batch mixes customers")
 		}
 		q.VMs = append(q.VMs, vm)
-		q.Servers = append(q.Servers, -1)
+		q.Servers = append(q.Servers, vmUnplaced)
 		q.HopsAt = append(q.HopsAt, 0)
 	}
 	d.launch(q, pendingQuery{batch: onDone})
@@ -346,22 +379,36 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 	q.Origin = gateway.Handle()
 	d.armTimeout(q.Seq)
 	if d.cache != nil {
-		if home, ok := d.cache.Lookup(vm0.Customer); ok {
+		if e := d.cache.lookup(vm0.Customer); e != nil {
 			// Fast path: skip the overlay route, one direct hop to the
 			// remembered rendezvous. Routed = false keeps a direct walk
 			// from re-populating the cache (a stale entry must only be
 			// refreshed by a full route).
 			pq.direct = true
 			d.pending[q.Seq] = pq
-			q.Home = home
-			if home.Addr == gateway.Addr() {
-				// The gateway is the rendezvous: admit synchronously, the
-				// same short-circuit replies use.
+			q.Home = e.home
+			first := e.home
+			if m := &e.memo; m.visited.Len() > 0 {
+				// Resume the customer's last walk: start from what it had
+				// visited, stop where capacity was freed since, then at its
+				// frontier, and walk on from there. The visited list is
+				// copied, not taken — a busy customer has several queries in
+				// flight and each must resume — the freed list is taken, so
+				// one query goes back for each hole.
+				q.Resumed = true
+				q.Visited.copyFrom(&m.visited)
+				q.Stops = append(append(q.Stops, m.freed...), m.frontier)
+				m.freed = m.freed[:0]
+				first = gateway.HandleOf(int32(q.Stops[0]))
+			}
+			if first.Addr == gateway.Addr() {
+				// The gateway is the first server asked: admit
+				// synchronously, the same short-circuit replies use.
 				q.Spill++
 				d.agents[d.cfg.Gateway].tryAdmit(q)
 				return
 			}
-			gateway.SendDirect(home, AppName, q)
+			gateway.SendDirect(first, AppName, q)
 			return
 		}
 	}
@@ -427,6 +474,19 @@ func (d *DHT) Stats() (placed int, meanHops float64, maxHops, failures int) {
 // Timeouts reports queries that expired unanswered.
 func (d *DHT) Timeouts() int { return d.timeouts }
 
+// Walk reports what the answered queries' hops were spent on.
+func (d *DHT) Walk() WalkStats {
+	w := &d.walk
+	return WalkStats{
+		HopsRoute:  w.hopsRoute.Value(),
+		HopsStop:   w.hopsStop.Value(),
+		HopsWalk:   w.hopsWalk.Value(),
+		HopsWasted: w.hopsWasted.Value(),
+		Resumed:    w.resumed.Value(),
+		Fallbacks:  w.fallbacks.Value(),
+	}
+}
+
 // HopQuantile returns the q-quantile (0 < q ≤ 1, nearest-rank) of the
 // per-placement hop distribution, or 0 when nothing has been placed.
 func (d *DHT) HopQuantile(q float64) int {
@@ -466,12 +526,27 @@ func (d *DHT) finish(q *bootQuery) {
 		return
 	}
 	delete(d.pending, q.Seq)
-	if d.cache != nil && q.Routed {
-		for _, s := range q.Servers {
-			if s >= 0 {
-				d.cache.Store(q.Customer, q.Home)
-				break
-			}
+	placedVMs := 0
+	for _, s := range q.Servers {
+		if s >= 0 {
+			placedVMs++
+		}
+	}
+	if d.cache != nil {
+		if q.Routed && placedVMs > 0 {
+			d.cache.Store(q.Customer, q.Home)
+		}
+		d.cache.remember(q, placedVMs == len(q.VMs))
+	}
+	hops := q.Detour + q.Spill
+	d.walk.hopsRoute.Add(int64(q.RouteHops))
+	d.walk.hopsStop.Add(int64(q.stop))
+	d.walk.hopsWalk.Add(int64(hops - q.RouteHops - q.stop))
+	d.walk.hopsWasted.Add(int64(q.Wasted))
+	if len(q.Stops) > 0 {
+		d.walk.resumed.Inc()
+		if !q.Resumed {
+			d.walk.fallbacks.Inc()
 		}
 	}
 	for i := range q.VMs {
@@ -503,18 +578,37 @@ type bootQuery struct {
 	Customer string
 	Key      ids.Id
 	VMs      []*cluster.VM
-	// Servers[i] is the server that admitted VMs[i], -1 while unplaced.
+	// Servers[i] is the server that admitted VMs[i], vmUnplaced while it is
+	// carried, vmGone once the cluster no longer knows it.
 	Servers []int32
-	// HopsAt[i] is the walk's hop count when VMs[i] was admitted.
+	// HopsAt[i] is the query's hop count when VMs[i] was admitted.
 	HopsAt  []int32
 	Origin  pastry.NodeHandle
 	Home    pastry.NodeHandle // rendezvous where the route delivered
 	Routed  bool              // took the full overlay route (may refresh the cache)
 	Done    bool              // answer leg: heading back to Origin
-	Spill   int
-	Visited visitedSet // servers the walk has been to: 16-byte nodeIds on the wire, addresses here
-	next    *bootQuery // the envelope below this one while it lies in DHT.free
+	Spill   int               // hops taken, counted against MaxSpillHops
+	Visited visitedSet        // servers the walk has been to: 16-byte nodeIds on the wire, addresses here
+
+	// A resumed walk (launch) starts with Visited seeded from the customer's
+	// walk memo and is sent to Stops in turn — 20 bytes each on the wire
+	// while still ahead — before it walks on from the last of them.
+	Stops   []simnet.Addr
+	stop    int  // stops arrived at
+	Resumed bool // still trusting the memo; cleared by fallBack
+	Detour  int  // hops a resumed walk had spent when it fell back
+
+	RouteHops int // of the hops, those the overlay route took
+	Wasted    int // visits that admitted nothing
+
+	next *bootQuery // the envelope below this one while it lies in DHT.free
 }
+
+// Values of bootQuery.Servers for a VM no server has admitted.
+const (
+	vmUnplaced = -1
+	vmGone     = -2
+)
 
 // WireSize implements simnet.WireSizer: a realistic boot request carries the
 // per-VM attribute tuples, origin and the visited list; the answer carries a
@@ -523,7 +617,7 @@ func (q *bootQuery) WireSize() int {
 	if q.Done {
 		return 24 + 8*len(q.VMs)
 	}
-	return 64 + 20 + 24*len(q.VMs) + 16*q.Visited.Len()
+	return 64 + 20 + 24*len(q.VMs) + 16*q.Visited.Len() + 20*(len(q.Stops)-q.stop)
 }
 
 // acquireQuery takes the most recently banked boot envelope, or makes one.
@@ -553,6 +647,8 @@ func (d *DHT) releaseQuery(q *bootQuery) {
 	q.Servers = q.Servers[:0]
 	q.HopsAt = q.HopsAt[:0]
 	q.Visited.reset()
+	q.Stops = q.Stops[:0]
+	q.stop, q.Resumed, q.Detour, q.RouteHops, q.Wasted = 0, false, 0, 0, 0
 	q.Seq = 0
 	q.Customer = ""
 	q.Key = ids.Id{}
@@ -589,6 +685,7 @@ func (a *dhtAgent) Deliver(_ ids.Id, payload simnet.Message, info pastry.RouteIn
 	}
 	q.Home = a.node.Handle()
 	q.Spill += info.Hops
+	q.RouteHops = info.Hops
 	a.tryAdmit(q)
 }
 
@@ -606,37 +703,84 @@ func (a *dhtAgent) HandleDirect(_ pastry.NodeHandle, payload simnet.Message) {
 	a.tryAdmit(m)
 }
 
+// tryAdmit is one visit of the walk: admit what fits here, answer when
+// nothing is left to place, otherwise send the query on.
 func (a *dhtAgent) tryAdmit(q *bootQuery) {
-	q.Visited.Add(a.node.Addr())
+	if q.stop < len(q.Stops) {
+		// A stop of a resumed walk. The memo nearly always holds it already;
+		// a server freed after a newer walk replaced the memo may be new.
+		q.stop++
+		if !q.Visited.Has(a.node.Addr()) {
+			q.Visited.Add(a.node.Addr())
+		}
+	} else {
+		q.Visited.Add(a.node.Addr())
+	}
 	srv := a.d.cl.Server(a.server)
 	// One Reserved() sum serves the whole batch; it changes only when this
 	// loop admits a VM.
 	reserved := srv.Reserved()
-	unplaced := 0
+	unplaced, admitted := 0, false
 	for i, vm := range q.VMs {
-		if q.Servers[i] >= 0 {
+		if q.Servers[i] != vmUnplaced {
 			continue
 		}
 		if srv.CanAdmitOnTop(reserved, vm) {
 			if err := a.d.cl.Place(vm, a.server); err == nil {
 				q.Servers[i] = int32(a.server)
-				q.HopsAt[i] = int32(q.Spill)
+				q.HopsAt[i] = int32(q.Detour + q.Spill)
 				reserved = srv.Reserved()
+				admitted = true
+				continue
+			}
+			if a.d.cl.VM(vm.ID) == nil {
+				// The gateway timed the query out and destroyed its VMs: no
+				// server will ever take this one, so stop carrying it.
+				q.Servers[i] = vmGone
 				continue
 			}
 		}
 		unplaced++
 	}
-	if unplaced == 0 || q.Spill >= a.d.cfg.MaxSpillHops {
+	if !admitted {
+		q.Wasted++
+	}
+	if unplaced == 0 {
 		a.reply(q)
 		return
 	}
-	next := a.nextSpillTarget(q)
-	if next.IsNil() {
-		a.reply(q)
+	if q.stop < len(q.Stops) {
+		a.node.SendDirect(a.node.HandleOf(int32(q.Stops[q.stop])), AppName, q)
 		return
 	}
-	a.node.SendDirect(next, AppName, q)
+	next := pastry.NoHandle
+	if q.Spill < a.d.cfg.MaxSpillHops {
+		next = a.nextSpillTarget(q)
+	}
+	switch {
+	case !next.IsNil():
+		a.node.SendDirect(next, AppName, q)
+	case q.Resumed:
+		a.fallBack(q)
+	default:
+		a.reply(q)
+	}
+}
+
+// fallBack is what keeps a walk memo from ever costing a placement: a resumed
+// walk that has nowhere left to go — every neighbour of the server it stands
+// on is in the visited list it was given, or its hop budget is spent — forgets
+// the memo and walks classically from the rendezvous with a full budget, so
+// the VMs it still carries fail only where the classic walk fails them.
+func (a *dhtAgent) fallBack(q *bootQuery) {
+	q.Resumed = false
+	q.Visited.reset()
+	q.Detour, q.Spill = q.Spill, 0
+	if q.Home.Addr == a.node.Addr() {
+		a.tryAdmit(q)
+		return
+	}
+	a.node.SendDirect(q.Home, AppName, q)
 }
 
 // nextSpillTarget picks the closest unvisited server among the node's

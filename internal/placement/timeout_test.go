@@ -96,3 +96,44 @@ func TestQueryTimeoutsFireInLaunchOrder(t *testing.T) {
 		t.Fatalf("after the last timeout: %d chunks, %d pending queries", len(d.tq.chunks), len(d.pending))
 	}
 }
+
+// TestTimedOutQueryStopsWalking: a query the gateway has given up on carries
+// VMs the front end has destroyed (serve.resolve does, on any error). Every
+// server with room refuses them as unregistered; the first such refusal must
+// end the walk. It used to count as "does not fit here", and the envelope
+// walked on to MaxSpillHops — the cluster size, a message a server.
+func TestTimedOutQueryStopsWalking(t *testing.T) {
+	w := newWorld(t, 64, 8, 1000) // 512 servers, every one with room
+	d := NewDHT(w.ring, w.cl, DHTConfig{QueryTimeout: time.Millisecond})
+	vm, err := w.cl.CreateVM("Accolade", bwRes(100), bwRes(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := func() (n int) {
+		for _, c := range w.ring.Network().AllCounters() {
+			n += c.MsgsSent
+		}
+		return n
+	}
+	timedOut := false
+	d.Place(vm, func(_ Result, err error) {
+		if err == nil {
+			t.Error("the query beat a 1 ms timeout: the scenario tests nothing")
+		}
+		timedOut = true
+		w.cl.Destroy(vm.ID)
+	})
+	w.engine.RunFor(time.Millisecond)
+	if !timedOut || d.Timeouts() != 1 {
+		t.Fatalf("timed out = %v, Timeouts() = %d at the deadline", timedOut, d.Timeouts())
+	}
+	atDeadline := msgs()
+	w.engine.Run()
+	// What is left of the route, and the answer that brings the envelope home.
+	if after := msgs() - atDeadline; after > 8 {
+		t.Fatalf("%d messages sent after the deadline on a ring of %d, want a handful", after, w.cl.Size())
+	}
+	if d.free == nil || len(d.pending) != 0 {
+		t.Fatalf("envelope banked = %v, %d pending: the zombie never came home", d.free != nil, len(d.pending))
+	}
+}

@@ -20,7 +20,9 @@ import (
 // envelopes are most of what a serving run leaves on the heap, so the table
 // is kept this tight; the hash below keeps probe chains short even so.) It
 // lives inside the pooled envelope and travels with it, so under a sharded
-// engine only the shard currently handling the query touches it.
+// engine only the shard currently handling the query touches it. The gateway
+// keeps one more a customer, the walk memo (cache.go): what the customer's
+// last finished walk carried home, copied into the next query's envelope.
 //
 // Invariant: the occupied slots are exactly the keys in list, placed as if
 // inserted in list order. reset relies on it to empty the index in
@@ -110,4 +112,23 @@ func (v *visitedSet) reset() {
 		v.slots[i] = 0
 	}
 	v.list = v.list[:0]
+}
+
+// copyFrom makes v an equal set to src: the same servers in the same visiting
+// order. A table of src's size takes src's slots as they are; a larger one
+// (an envelope that has carried a longer walk keeps its room) is indexed
+// again in list order, which is what the invariant asks of it.
+func (v *visitedSet) copyFrom(src *visitedSet) {
+	v.reset()
+	v.list = append(v.list, src.list...)
+	if len(v.slots) < len(src.slots) {
+		v.resize(len(src.slots))
+	}
+	if len(v.slots) == len(src.slots) {
+		copy(v.slots, src.slots)
+		return
+	}
+	for _, k := range v.list {
+		v.index(k)
+	}
 }

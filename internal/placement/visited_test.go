@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -63,4 +64,88 @@ func TestVisitedSetMatchesMap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzVisitedSet drives two sets through an op string — Add, Has, reset and
+// copyFrom in either direction, three bytes an op — against a map and an
+// insertion-order list each. The set outlives a query now (the walk memo is
+// one, copied into every resumed envelope), so a slot stranded by reset or a
+// table mis-indexed by copyFrom would send some later walk past a server it
+// never visited, or to one twice.
+func FuzzVisitedSet(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 1, 0, 1, 3, 0, 0, 1, 0, 1})                   // add, add, has, copy a→b, has
+	f.Add([]byte{0, 0, 7, 2, 0, 0, 0, 0, 7, 3, 0, 0, 2, 0, 0})                   // add, reset, add again, copy, reset
+	f.Add([]byte{4, 0, 9, 4, 1, 9, 4, 2, 9, 7, 0, 0, 0, 0, 9})                   // aliasing adds on b, copy b→a
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 1, 0, 3, 0, 0}, 60)) // growth, then copies into a smaller table
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type model struct {
+			set   visitedSet
+			has   map[simnet.Addr]bool
+			order []simnet.Addr
+		}
+		sets := [2]*model{
+			{set: newVisitedSet(), has: map[simnet.Addr]bool{}},
+			{has: map[simnet.Addr]bool{}}, // the zero value, as a fresh walk memo holds it
+		}
+		check := func(m *model) {
+			t.Helper()
+			if m.set.Len() != len(m.order) {
+				t.Fatalf("Len = %d, model holds %d", m.set.Len(), len(m.order))
+			}
+			for i, a := range m.order {
+				if m.set.At(i) != a || !m.set.Has(a) {
+					t.Fatalf("entry %d: At = %d, Has(%d) = %v; model holds %d", i, m.set.At(i), a, m.set.Has(a), a)
+				}
+			}
+			occupied := 0
+			for _, s := range m.set.slots {
+				if s != 0 {
+					occupied++
+				}
+			}
+			if occupied != len(m.order) {
+				t.Fatalf("%d slots occupied for %d entries", occupied, len(m.order))
+			}
+			if 4*len(m.order) > 3*len(m.set.slots) && len(m.order) > 0 {
+				t.Fatalf("%d entries in %d slots, want at most three quarters full", len(m.order), len(m.set.slots))
+			}
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			m, other := sets[ops[0]>>2&1], sets[1-ops[0]>>2&1]
+			// Runs of neighbours, as a walk visits them, and jumps of 2^k that
+			// alias onto the same slots of a power-of-two table.
+			addr := simnet.Addr(ops[2]) + simnet.Addr(ops[1]&0x0f)<<(6+ops[1]>>4)
+			switch ops[0] & 3 {
+			case 0:
+				if len(m.set.slots) == 0 {
+					continue // Add is only ever called on a made set or a copy
+				}
+				if !m.has[addr] {
+					m.set.Add(addr)
+					m.has[addr] = true
+					m.order = append(m.order, addr)
+				}
+			case 1:
+				if len(m.set.slots) > 0 && m.set.Has(addr) != m.has[addr] {
+					t.Fatalf("Has(%d) = %v, model says %v", addr, !m.has[addr], m.has[addr])
+				}
+			case 2:
+				m.set.reset()
+				m.has, m.order = map[simnet.Addr]bool{}, nil
+				check(m)
+			case 3:
+				m.set.copyFrom(&other.set)
+				m.has = map[simnet.Addr]bool{}
+				for a := range other.has {
+					m.has[a] = true
+				}
+				m.order = append([]simnet.Addr(nil), other.order...)
+				check(m)
+				check(other)
+			}
+		}
+		check(sets[0])
+		check(sets[1])
+	})
 }

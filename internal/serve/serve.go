@@ -5,10 +5,13 @@
 // Three hot-path optimizations, each individually gated by Config:
 //
 //   - Resolution cache: repeat boots for a customer skip the overlay route
-//     and reach the customer's rendezvous in one direct hop. The cache is
-//     invalidated whenever a migration moves one of the customer's VMs
-//     (wired into the migration and rebalance completion paths) and on
-//     direct-query timeouts; only a full routed query repopulates it.
+//     and reach the customer's rendezvous in one direct hop — or, once one
+//     of the customer's spill walks has finished, resume that walk where it
+//     stopped, by way of the servers the customer's terminates have freed
+//     since. The cache is invalidated whenever a migration moves one of the
+//     customer's VMs (wired into the migration and rebalance completion
+//     paths) and on direct-query timeouts; only a full routed query
+//     repopulates it.
 //   - Batching: boots for a customer that arrive while that customer
 //     already has a query in flight are coalesced and flushed as a single
 //     walked query that admits the whole batch; group boots (one request,
@@ -366,6 +369,9 @@ func (f *Frontend) Terminate(customer string) (id cluster.VMID, server int, ok b
 	copy(cs.live, cs.live[1:])
 	cs.live = cs.live[:len(cs.live)-1]
 	server, _ = f.cl.Terminate(id)
+	if f.cache != nil {
+		f.cache.Freed(customer, server)
+	}
 	f.terminated.Inc()
 	f.rootObs.Instant(f.gateway.Now(), obs.KindTerminate, obs.NoRef, int64(id), int64(server))
 	return id, server, true

@@ -8,7 +8,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== go vet"
+echo "== gofmt, go vet"
+test -z "$(gofmt -l .)"
 go vet ./...
 
 echo "== go build"
