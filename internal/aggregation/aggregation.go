@@ -265,16 +265,18 @@ type Manager struct {
 func New(sc *scribe.Scribe, cfg Config) *Manager {
 	m := &Manager{sc: sc, cfg: cfg.withDefaults(), obs: sc.Node().Obs()}
 	m.topics = m.topicsBuf[:0]
-	// A departing child changes the subtree fold without any message
-	// arriving, so the drop hook is what keeps the fold cache honest: the
-	// next flush re-folds and compacts, exactly when the full re-fold would
-	// first have noticed the departure.
-	sc.OnChildDrop(func(group, _ ids.Id) {
-		if st := m.topic(group); st != nil {
-			st.cacheOK = false
-		}
-	})
+	sc.SetChildDropListener(m)
 	return m
+}
+
+// ChildDropped implements scribe.ChildDropListener. A departing child changes
+// the subtree fold without any message arriving, so this is what keeps the
+// fold cache honest: the next flush re-folds and compacts, exactly when the
+// full re-fold would first have noticed the departure.
+func (m *Manager) ChildDropped(group, _ ids.Id) {
+	if st := m.topic(group); st != nil {
+		st.cacheOK = false
+	}
 }
 
 // topicNamed returns the state of the topic subscribed under name, or nil.

@@ -25,6 +25,34 @@ func TestTopicStateSizeCeiling(t *testing.T) {
 	t.Logf("aggregation.topicState: %d bytes, %d-byte size class", size, sizeclass.Of(size))
 }
 
+// TestConstructionAllocatesPerLayer: building the overlay — NewRing,
+// BuildStatic, a Scribe and a Manager on every node — allocates the Scribe and
+// the Manager a node and a constant besides. The nodes come out of one slice,
+// their tables out of one arena, the network's deliveries go to one handler
+// an engine, and the hooks between the layers are interfaces: a closure or
+// an object a node anywhere below shows up as one more object a node here.
+func TestConstructionAllocatesPerLayer(t *testing.T) {
+	const nodes, perNode, constant = 4096, 2, 64
+	tp, err := topology.New(topology.Spec{
+		Racks: 128, ServersPerRack: 32, RacksPerPod: 8, NICMbps: 1000, Oversubscription: 8,
+		LANHop: 10 * time.Millisecond, LocalDelivery: 50 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		ring := pastry.NewRing(sim.NewEngine(1), tp, pastry.Config{}, pastry.HierarchyAssigner)
+		ring.BuildStatic()
+		for _, n := range ring.Nodes() {
+			New(scribe.New(n), Config{})
+		}
+	})
+	t.Logf("%.0f objects for %d nodes: %d a node + %.0f", allocs, nodes, perNode, allocs-perNode*nodes)
+	if allocs > perNode*nodes+constant {
+		t.Fatalf("building %d nodes allocated %.0f objects; the ceiling is %d a node + %d", nodes, allocs, perNode, constant)
+	}
+}
+
 // TestInfoBaseFollowsScribeChildren: on a ring with random identifiers
 // (identifier order is not address order) the info base holds, after one
 // round, exactly the refs of scribe's child edges in scribe's order — the

@@ -1,5 +1,7 @@
 package pastry
 
+import "vbundle/internal/ids"
+
 // refArena is the flat backing store for the per-node tables: the two
 // leaf-set halves, the neighborhood set, and the expected routing-table
 // rows, all of them int32 refs (a peer's address; the identifier lives once,
@@ -14,8 +16,8 @@ package pastry
 // per-node table-maintenance code is written so that never happens in steady
 // state: leaf halves are truncated to LeafSize/2 after every insert (so the
 // +1 insertion scratch slot bounds them), the neighborhood set to
-// NeighborhoodSize, and routing tables rarely exceed the expectedRows
-// estimate (and fall back to a private copy when they do).
+// NeighborhoodSize, and no routing table of a ring NewRing built can need a
+// row beyond expectedRows (a rebuilt node's private table grows as it must).
 type refArena struct {
 	buf  []int32
 	next int
@@ -39,16 +41,18 @@ func (a *refArena) take(n int) []int32 {
 	return s
 }
 
-// expectedRows returns how many routing-table rows a node of an n-node ring
-// is expected to populate. Row l is only useful while more than one node
-// shares an l-digit prefix with us, so about log_{2^B}(n) rows are live;
-// one extra row of slack absorbs assigner irregularities. Nodes that still
-// outgrow the estimate (possible with random identifiers) migrate to a
-// private table via rtSlot's fallback path.
-func expectedRows(n int, cfg Config) int {
-	rows := 1
-	for m := 1; m < n && rows < cfg.rows(); m *= cfg.cols() {
-		rows++
+// expectedRows returns how many routing-table rows a node of the ring whose
+// identifiers sorted holds in rank order can ever populate: one more than the
+// longest common prefix of two rank-adjacent identifiers. Row l holds a peer
+// sharing exactly l digits with the node, and no two identifiers share a
+// longer prefix than some rank-adjacent pair between them does, so the
+// reservation is exact — BuildStatic fills that many rows on some node, and
+// neither it nor a later consider of a ring member writes beyond them. The
+// directory never changes after NewRing, so neither does the bound.
+func expectedRows(sorted []ids.Id, cfg Config) int {
+	lcp := 0
+	for i := 1; i < len(sorted); i++ {
+		lcp = max(lcp, sorted[i-1].CommonPrefixLen(sorted[i], cfg.B))
 	}
-	return rows
+	return min(lcp+1, cfg.rows())
 }

@@ -81,11 +81,6 @@ type Node struct {
 	lastConsidered int32
 	onJoined       []func()
 
-	// onDead observers; onDeadBuf backs the single-observer common case
-	// (scribe) inline.
-	onDead    []func(NodeHandle)
-	onDeadBuf [1]func(NodeHandle)
-
 	// up is nil until the node first probes a peer, starts maintenance, scans
 	// its tables (knownNodes) or banks a leaf snapshot; upkeepState makes it.
 	up *upkeep
@@ -148,18 +143,19 @@ func (n *Node) upkeepState() *upkeep {
 // noRef marks an empty routing-table slot.
 const noRef int32 = -1
 
-// newNode creates ring r's node at the given address and attaches it to the
+// init makes n ring r's node at the given address and attaches it to the
 // network. The node is not joined yet: call Join (or let Ring.BuildStatic
-// populate its tables). The leaf halves, the neighborhood set and the first
-// rtRows routing-table rows are carved out of ar; a nil arena (RebuildNode)
-// allocates them privately.
-func newNode(r *Ring, addr simnet.Addr, ar *refArena, rtRows int) *Node {
+// populate its tables). NewRing inits the nodes of one []Node in place,
+// RebuildNode a node of its own. The leaf halves, the neighborhood set and
+// the first rtRows routing-table rows are carved out of ar; a nil arena
+// (RebuildNode) allocates them privately.
+func (n *Node) init(r *Ring, addr simnet.Addr, ar *refArena, rtRows int) {
 	cfg, net := r.cfg, r.net
 	// The routing table starts empty and grows by whole rows on first
 	// insert (rtSlot): a ring of n nodes only populates about log2(n)/B of
 	// the 32 rows, so the dense rows*cols table wasted ~12KB per node —
 	// ~100MB of handle slots at 8192 servers.
-	n := &Node{
+	*n = Node{
 		ring:   r,
 		handle: NodeHandle{Id: r.dir[addr], Addr: addr},
 		engine: net.EngineFor(addr),
@@ -185,7 +181,6 @@ func newNode(r *Ring, addr simnet.Addr, ar *refArena, rtRows int) *Node {
 		reg.RegisterHistogram("pastry/hops", n.hopsHist)
 	}
 	net.Attach(addr, n)
-	return n
 }
 
 // Handle returns the node's identifier and address.
@@ -209,6 +204,11 @@ func (n *Node) Network() *simnet.Network { return n.ring.net }
 // LatencyBetween returns the proximity-metric latency between two network
 // addresses; applications use it to rank candidates topologically.
 func (n *Node) LatencyBetween(a, b simnet.Addr) time.Duration { return n.ring.lat(a, b) }
+
+// ProximityFloor returns the smallest latency LatencyBetween gives two
+// distinct addresses (one LAN hop): a ranking that has found a candidate
+// this close can stop looking.
+func (n *Node) ProximityFloor() time.Duration { return n.ring.floor }
 
 // appEntry is one (name, application) registration.
 type appEntry struct {
@@ -243,13 +243,12 @@ func (n *Node) app(name string) (App, bool) {
 	return nil, false
 }
 
-// OnNodeDead subscribes fn to failure notifications: it is invoked whenever
-// this node declares a peer dead through probe timeouts.
-func (n *Node) OnNodeDead(fn func(NodeHandle)) {
-	if n.onDead == nil {
-		n.onDead = n.onDeadBuf[:0]
-	}
-	n.onDead = append(n.onDead, fn)
+// DeathObserver is implemented by applications that repair state of their
+// own when the node they are registered on declares a peer dead (scribe
+// re-grafts its trees). The node tells every registered application that
+// has the method, in registration order.
+type DeathObserver interface {
+	NodeDead(peer NodeHandle)
 }
 
 // Joined reports whether the node has completed its join.
@@ -289,24 +288,36 @@ func (n *Node) HandleOf(ref int32) NodeHandle {
 // until the next rtSlot call (growth reallocates). Read-only paths use
 // rtGet, which never allocates.
 func (n *Node) rtSlot(l, d int) *int32 {
-	cols := n.ring.cfg.cols()
-	if l >= n.rtRows {
-		need := (l + 1) * cols
-		old := len(n.rt)
-		if need <= cap(n.rt) {
-			// Arena-backed (or previously grown) table: extend in place.
-			n.rt = n.rt[:need]
-		} else {
-			grown := make([]int32, need)
-			copy(grown, n.rt)
-			n.rt = grown
-		}
-		for i := old; i < need; i++ {
-			n.rt[i] = noRef // ref 0 is a real node, not "empty"
-		}
-		n.rtRows = l + 1
+	n.growRows(l + 1)
+	return &n.rt[l*n.ring.cfg.cols()+d]
+}
+
+// setRow writes routing-table row l whole (Ring.BuildStatic's fill), growing
+// the table through it once.
+func (n *Node) setRow(l int, row []int32) {
+	n.growRows(l + 1)
+	copy(n.rt[l*len(row):], row)
+}
+
+// growRows extends the table to at least rows rows, every new slot empty.
+func (n *Node) growRows(rows int) {
+	if rows <= n.rtRows {
+		return
 	}
-	return &n.rt[l*cols+d]
+	need := rows * n.ring.cfg.cols()
+	old := len(n.rt)
+	if need <= cap(n.rt) {
+		// Arena-backed (or previously grown) table: extend in place.
+		n.rt = n.rt[:need]
+	} else {
+		grown := make([]int32, need)
+		copy(grown, n.rt)
+		n.rt = grown
+	}
+	for i := old; i < need; i++ {
+		n.rt[i] = noRef // ref 0 is a real node, not "empty"
+	}
+	n.rtRows = rows
 }
 
 // rtGet reads the entry at row l, column d without growing the table; rows
@@ -608,13 +619,15 @@ func (n *Node) Ping(to NodeHandle, cb func(alive bool)) {
 	})
 }
 
-// declareDead forgets the peer and tells subscribers, then starts leaf-set
-// repair if the peer occupied a leaf position.
+// declareDead forgets the peer and tells the applications that observe
+// deaths, then starts leaf-set repair if the peer occupied a leaf position.
 func (n *Node) declareDead(h NodeHandle) {
 	wasLeaf := n.containsID(n.leafCW, h.Id) || n.containsID(n.leafCCW, h.Id)
 	n.Forget(h.Id)
-	for _, fn := range n.onDead {
-		fn(h)
+	for _, e := range n.apps {
+		if o, ok := e.app.(DeathObserver); ok {
+			o.NodeDead(h)
+		}
 	}
 	if wasLeaf {
 		n.repairLeafSet()

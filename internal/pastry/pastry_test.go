@@ -292,12 +292,20 @@ func TestFailureRepairRestoresRouting(t *testing.T) {
 	}
 }
 
+// deathApp is an application that observes its node's death verdicts.
+type deathApp struct {
+	BaseApp
+	dead func(NodeHandle)
+}
+
+func (d deathApp) NodeDead(h NodeHandle) { d.dead(h) }
+
 func TestOnNodeDeadFires(t *testing.T) {
 	ring, _ := buildStaticRing(t, 2, 8, HierarchyAssigner)
 	engine := ring.Engine()
 	var deadSeen []NodeHandle
 	observer := ring.Node(5)
-	observer.OnNodeDead(func(h NodeHandle) { deadSeen = append(deadSeen, h) })
+	observer.Register("observer", deathApp{dead: func(h NodeHandle) { deadSeen = append(deadSeen, h) }})
 	victim := ring.Node(6) // ring neighbor of observer
 	ring.Network().Kill(victim.Addr())
 	ring.StartMaintenance()
@@ -550,7 +558,7 @@ func TestLossyNetworkDoesNotMassKill(t *testing.T) {
 	ring.BuildStatic()
 	falseDeaths := 0
 	for _, n := range ring.Nodes() {
-		n.OnNodeDead(func(NodeHandle) { falseDeaths++ })
+		n.Register("observer", deathApp{dead: func(NodeHandle) { falseDeaths++ }})
 	}
 	ring.StartMaintenance()
 	engine.RunFor(20 * 30 * time.Second)

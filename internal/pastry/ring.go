@@ -2,6 +2,7 @@ package pastry
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"time"
@@ -47,8 +48,10 @@ type Ring struct {
 	// identifier of the node at address a. The ring owns it, every node
 	// shares it, and nothing writes it after NewRing.
 	dir []ids.Id
-	// lat is the topology's latency as the nodes' proximity metric.
-	lat simnet.LatencyFunc
+	// lat is the topology's latency as the nodes' proximity metric; floor is
+	// the smallest latency it gives two distinct servers.
+	lat   simnet.LatencyFunc
+	floor time.Duration
 
 	// byID holds node indices sorted by identifier; pos is its inverse
 	// (pos[i] is the rank of node i) and sortedIDs the identifiers in rank
@@ -74,12 +77,13 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 	}
 	n := topo.Servers()
 	lat := func(a, b simnet.Addr) time.Duration { return topo.Latency(int(a), int(b)) }
+	// Any two distinct servers are at least one LAN hop apart (the sub-hop
+	// LocalDelivery tier is same-server only).
+	floor := topo.Spec().LANHop
 	if engine.Sharded() {
-		// Any two distinct servers are at least one LAN hop apart (the
-		// sub-hop LocalDelivery tier is same-server only, and a server is
-		// never split across shards), so LANHop bounds every cross-shard
-		// interaction and is the engine's parallel window width.
-		engine.SetLookahead(topo.Spec().LANHop)
+		// A server is never split across shards, so the floor bounds every
+		// cross-shard interaction and is the engine's parallel window width.
+		engine.SetLookahead(floor)
 	}
 	net := simnet.New(engine, n, lat, opts...)
 	r := &Ring{
@@ -90,21 +94,11 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 		nodes:  make([]*Node, n),
 		byID:   make([]int, n),
 		lat:    lat,
+		floor:  floor,
 	}
 	r.dir = make([]ids.Id, n)
 	for i := range r.dir {
 		r.dir[i] = assign(i, n)
-	}
-	// One flat arena backs every node's leaf halves, neighborhood set and
-	// expected routing-table rows: a single allocation instead of ~5n small
-	// slices, which dominates both build time and steady-state GC cost at
-	// 100k+ servers.
-	half := r.cfg.LeafSize / 2
-	expRows := expectedRows(n, r.cfg)
-	perNode := 2*(half+1) + (r.cfg.NeighborhoodSize + 1) + expRows*r.cfg.cols()
-	arena := newRefArena(n * perNode)
-	for i := 0; i < n; i++ {
-		r.nodes[i] = newNode(r, simnet.Addr(i), arena, expRows)
 		r.byID[i] = i
 	}
 	sort.Slice(r.byID, func(a, b int) bool {
@@ -115,6 +109,19 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 	for p, i := range r.byID {
 		r.pos[i] = p
 		r.sortedIDs[p] = r.dir[i]
+	}
+	// One flat arena backs every node's leaf halves, neighborhood set and
+	// routing-table rows, and one slice holds the nodes themselves: two
+	// allocations instead of ~6n small objects, which dominates both build
+	// time and steady-state GC cost at 100k+ servers.
+	half := r.cfg.LeafSize / 2
+	rows := expectedRows(r.sortedIDs, r.cfg)
+	perNode := 2*(half+1) + (r.cfg.NeighborhoodSize + 1) + rows*r.cfg.cols()
+	arena := newRefArena(n * perNode)
+	nodes := make([]Node, n)
+	for i := range nodes {
+		r.nodes[i] = &nodes[i]
+		r.nodes[i].init(r, simnet.Addr(i), arena, rows)
 	}
 	// Snapshot current liveness (every node was just attached, so alive),
 	// then track transitions through the network's hook.
@@ -264,7 +271,8 @@ func (r *Ring) JoinAll(stagger time.Duration) (allJoined func() bool) {
 func (r *Ring) RebuildNode(i int) *Node {
 	old := r.nodes[i]
 	old.StopMaintenance()
-	node := newNode(r, old.Addr(), nil, 0)
+	node := new(Node)
+	node.init(r, old.Addr(), nil, 0)
 	r.nodes[i] = node
 	return node
 }
@@ -286,15 +294,17 @@ func (r *Ring) StopMaintenance() {
 // BuildStatic populates every node's leaf set, routing table and
 // neighborhood set directly from global knowledge, bypassing the join
 // protocol. The resulting state is exactly what a converged ring reaches;
-// overlay unit tests assert the equivalence on small rings.
+// overlay unit tests assert the equivalence on small rings. It fills the
+// blank tables of a ring NewRing has just made.
 func (r *Ring) BuildStatic() {
 	n := len(r.nodes)
 	if n == 0 {
 		return
 	}
 	half := r.cfg.LeafSize / 2
-	// candScratch is reused across nodes by the neighborhood fill.
-	candScratch := make([]nbCandidate, 0, 2*r.cfg.NeighborhoodSize+2)
+	// The neighborhood fill's two buffers, reused across nodes.
+	cands := make([]nbCandidate, 0, 2*r.cfg.NeighborhoodSize+2)
+	sorted := make([]nbCandidate, 0, 2*r.cfg.NeighborhoodSize+2)
 
 	for i, node := range r.nodes {
 		p := r.pos[i]
@@ -313,7 +323,7 @@ func (r *Ring) BuildStatic() {
 			node.leafCCW = append(node.leafCCW, int32(r.byID[(p-k+n)%n]))
 		}
 		// Neighborhood set: physically closest servers.
-		candScratch = r.fillNeighborhood(node, candScratch)
+		cands, sorted = r.fillNeighborhood(node, cands, sorted)
 		node.lastConsidered = noRef
 		node.markJoined()
 	}
@@ -326,22 +336,24 @@ func (r *Ring) BuildStatic() {
 // fillRoutingTables populates every node's routing table in one recursive
 // walk of the identifier-sorted ranks. All nodes sharing an l-digit prefix
 // form one contiguous rank range, and row l's column boundaries depend only
-// on that prefix — so the boundaries are computed once per prefix group
-// (16 binary searches within the group) and each member's row-l entries
-// follow with O(1) work per slot: for a member of rank p and a column range
-// [cs, ce), the rank-closest candidate is cs if p < cs and ce-1 otherwise
-// (p is never inside a sibling range). The per-node early stop of the
-// former implementation is preserved structurally: recursion only descends
-// into sub-ranges with at least two members, which is exactly "stop once
-// the prefix range around the own identifier contains only us".
+// on that prefix — so the boundaries are computed once per prefix group (16
+// binary searches within the group). For a member of rank p and a column
+// range [cs, ce) that is not its own, the rank-closest candidate is cs if p
+// < cs and ce-1 otherwise (p is never inside a sibling range): the high end
+// of every range below the member's own, the low end of every range above
+// it. That row is therefore the same for every member of one range, so it is
+// built once per range and copied into each member, which grows its table
+// once. A group whose members all share digit l as well writes no row l at
+// all; recursion only descends into sub-ranges with at least two members,
+// which is exactly "stop once the prefix range around the own identifier
+// contains only us".
 func (r *Ring) fillRoutingTables() {
 	n := len(r.sortedIDs)
 	cols, rows := r.cfg.cols(), r.cfg.rows()
 	// Per-row boundary scratch: a group at row l only uses scratch[l], and
 	// groups at the same row are processed strictly sequentially.
 	scratch := make([][]int, rows)
-	loRefs := make([]int32, cols)
-	hiRefs := make([]int32, cols)
+	shared := make([]int32, cols)
 	var fill func(row, gs, ge int)
 	fill = func(row, gs, ge int) {
 		if ge-gs <= 1 || row >= rows {
@@ -361,28 +373,23 @@ func (r *Ring) fillRoutingTables() {
 			})
 		}
 		bounds[cols] = ge
-		// The rank-extreme refs of every column range, fetched once per
-		// group rather than once per member.
-		for d := 0; d < cols; d++ {
-			if bounds[d+1] > bounds[d] {
-				loRefs[d] = int32(r.byID[bounds[d]])
-				hiRefs[d] = int32(r.byID[bounds[d+1]-1])
-			}
-		}
 		for d := 0; d < cols; d++ {
 			cs, ce := bounds[d], bounds[d+1]
-			for p := cs; p < ce; p++ {
-				node := r.nodes[r.byID[p]]
-				for col := 0; col < cols; col++ {
-					if col == d || bounds[col+1] == bounds[col] {
-						continue
-					}
-					if p < bounds[col] {
-						*node.rtSlot(row, col) = loRefs[col]
-					} else {
-						*node.rtSlot(row, col) = hiRefs[col]
-					}
+			if cs == ce || ce-cs == ge-gs {
+				continue // no members, or no other range to point at
+			}
+			for col := range shared {
+				switch {
+				case col == d || bounds[col+1] == bounds[col]:
+					shared[col] = noRef
+				case col < d:
+					shared[col] = int32(r.byID[bounds[col+1]-1])
+				default:
+					shared[col] = int32(r.byID[bounds[col]])
 				}
+			}
+			for p := cs; p < ce; p++ {
+				r.nodes[r.byID[p]].setRow(row, shared)
 			}
 		}
 		for d := 0; d < cols; d++ {
@@ -392,48 +399,73 @@ func (r *Ring) fillRoutingTables() {
 	fill(0, 0, n)
 }
 
-// nbCandidate pairs a neighborhood candidate with its precomputed
-// proximity, so the sort below evaluates each latency once instead of once
-// per comparison.
+// nbCandidate is one neighborhood candidate with both its sort keys, each
+// computed once: its proximity and its ring distance to the node.
 type nbCandidate struct {
-	ref int32
-	lat time.Duration
+	ref  int32
+	lat  time.Duration
+	dist ids.Id
 }
 
-func (r *Ring) fillNeighborhood(node *Node, cands []nbCandidate) []nbCandidate {
-	// Collect candidates in widening index windows around the server — the
-	// same candidate sequence neighborInsert used to consume one by one —
-	// then insertion-sort by (proximity, ring closeness) and keep the |M|
-	// closest. Insert-then-truncate and sort-then-truncate agree because
-	// the comparator is a total order over distinct identifiers.
-	self := int(node.Addr())
-	selfAddr := node.Addr()
-	own := node.ID()
+// fillNeighborhood sets node's neighborhood: of the 2|M| servers nearest by
+// index — the candidate sequence neighborInsert used to consume one by one —
+// the |M| first in (proximity, ring distance, identifier) order, the order
+// neighborInsert keeps. One stable pass per distinct latency, lowest first,
+// moves each latency's candidates to sorted (there are three between distinct
+// servers of this topology, and the passes stop once |M| are placed); each
+// such run is then ordered by ring distance. Under the hierarchy assigner
+// ring distance grows with index distance, so a run arrives in order and the
+// insertion sort makes one comparison a candidate. cands and sorted are the
+// caller's scratch, returned for reuse.
+func (r *Ring) fillNeighborhood(node *Node, cands, sorted []nbCandidate) ([]nbCandidate, []nbCandidate) {
+	self, own := node.Addr(), node.ID()
+	servers := r.topo.Servers()
 	cands = cands[:0]
-	for d := 1; len(cands) < 2*r.cfg.NeighborhoodSize && d < r.topo.Servers(); d++ {
-		for _, srv := range [2]int{self - d, self + d} {
-			if srv >= 0 && srv < r.topo.Servers() {
-				cands = append(cands, nbCandidate{ref: int32(srv), lat: r.lat(selfAddr, simnet.Addr(srv))})
+	next := time.Duration(math.MaxInt64)
+	for d := 1; len(cands) < 2*r.cfg.NeighborhoodSize && d < servers; d++ {
+		for _, srv := range [2]int{int(self) - d, int(self) + d} {
+			if srv >= 0 && srv < servers {
+				c := nbCandidate{ref: int32(srv), lat: r.lat(self, simnet.Addr(srv)), dist: r.dir[srv].Dist(own)}
+				cands = append(cands, c)
+				next = min(next, c.lat)
 			}
 		}
 	}
-	for i := 1; i < len(cands); i++ {
-		c := cands[i]
-		j := i
-		for j > 0 && (c.lat < cands[j-1].lat ||
-			(c.lat == cands[j-1].lat && ids.CloserTo(own, r.dir[c.ref], r.dir[cands[j-1].ref]))) {
-			cands[j] = cands[j-1]
-			j--
+	keep := min(len(cands), r.cfg.NeighborhoodSize)
+	sorted = sorted[:0]
+	for len(sorted) < keep {
+		lat, start := next, len(sorted)
+		next = time.Duration(math.MaxInt64)
+		for _, c := range cands {
+			switch {
+			case c.lat == lat:
+				sorted = append(sorted, c)
+			case c.lat > lat:
+				next = min(next, c.lat)
+			}
 		}
-		cands[j] = c
-	}
-	keep := len(cands)
-	if keep > r.cfg.NeighborhoodSize {
-		keep = r.cfg.NeighborhoodSize
+		run := sorted[start:]
+		for i := 1; i < len(run); i++ {
+			c := run[i]
+			j := i
+			for ; j > 0 && r.nearer(c, run[j-1]); j-- {
+				run[j] = run[j-1]
+			}
+			run[j] = c
+		}
 	}
 	node.neighbors = node.neighbors[:0]
-	for _, c := range cands[:keep] {
+	for _, c := range sorted[:keep] {
 		node.neighbors = append(node.neighbors, c.ref)
 	}
-	return cands
+	return cands, sorted
+}
+
+// nearer orders two candidates of one latency as ids.CloserTo does: by ring
+// distance, a tie to the smaller identifier.
+func (r *Ring) nearer(a, b nbCandidate) bool {
+	if c := a.dist.Cmp(b.dist); c != 0 {
+		return c < 0
+	}
+	return r.dir[a.ref].Less(r.dir[b.ref])
 }

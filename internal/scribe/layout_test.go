@@ -107,6 +107,11 @@ func (g *handleChildren) dropChild(id ids.Id) bool {
 	return true
 }
 
+// dropLog is a child-drop listener that records what it is told.
+type dropLog struct{ children []ids.Id }
+
+func (d *dropLog) ChildDropped(_, child ids.Id) { d.children = append(d.children, child) }
+
 // TestChildRefsMatchHandleModel drives the ref table and the handle model
 // with the same random puts and drops on a ring with random identifiers,
 // where identifier order is not address order, and compares what the public
@@ -132,8 +137,8 @@ func TestChildRefsMatchHandleModel(t *testing.T) {
 	group := GroupKey("model")
 	g := s.stateFor(group)
 	var model handleChildren
-	var drops []ids.Id
-	s.OnChildDrop(func(_, child ids.Id) { drops = append(drops, child) })
+	drops := &dropLog{}
+	s.SetChildDropListener(drops)
 
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -143,13 +148,13 @@ func TestChildRefsMatchHandleModel(t *testing.T) {
 				g.putChild(s.node, h)
 				model.putChild(h)
 			} else {
-				drops = drops[:0]
+				drops.children = drops.children[:0]
 				got, want := s.dropChildOf(g, h.Id), model.dropChild(h.Id)
 				if got != want {
 					t.Fatalf("seed %d op %d: dropChild(%v) = %v, model %v", seed, op, h.Id.Short(), got, want)
 				}
-				if want && (len(drops) != 1 || drops[0] != h.Id) {
-					t.Fatalf("seed %d op %d: drop observers saw %v, want [%v]", seed, op, drops, h.Id)
+				if n := len(drops.children); (want && (n != 1 || drops.children[0] != h.Id)) || (!want && n != 0) {
+					t.Fatalf("seed %d op %d: the drop listener saw %v, want [%v] if dropped", seed, op, drops.children, h.Id)
 				}
 			}
 			var each []pastry.NodeHandle

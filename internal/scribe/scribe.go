@@ -227,12 +227,10 @@ type Scribe struct {
 	// resources for this verdict; the handler must release them.
 	OnOrphanAccept func(group ids.Id, payload simnet.Message, by pastry.NodeHandle)
 
-	// onChildDrop observers are told whenever a child edge is removed from a
-	// group tree (leave, failure, stale-edge prune). The aggregation layer
-	// uses it to invalidate cached subtree folds that included the child.
-	// onChildDropBuf backs the single-observer common case inline.
-	onChildDrop    []func(group, child ids.Id)
-	onChildDropBuf [1]func(group, child ids.Id)
+	// childDrops is told whenever a child edge is removed from a group tree
+	// (leave, failure, stale-edge prune): the aggregation manager, which
+	// invalidates the cached subtree folds that included the child.
+	childDrops ChildDropListener
 
 	maintenance *sim.Ticker
 
@@ -302,7 +300,6 @@ func New(node *pastry.Node) *Scribe {
 		reg.RegisterHistogram("scribe/anycast_retry_wait_ns", o.retryWait)
 	}
 	node.Register(AppName, s)
-	node.OnNodeDead(s.handleNodeDead)
 	return s
 }
 
@@ -699,19 +696,7 @@ func (s *Scribe) anycastStep(m *anycastMsg) {
 	}
 	// Prefer the unvisited child topologically closest to the origin, so
 	// accepted work stays near the requester (paper §III.C step 2).
-	next := pastry.NoHandle
-	var bestLat time.Duration
-	for _, ref := range g.children {
-		child := s.node.HandleOf(ref)
-		if m.visited(child.Id) {
-			continue
-		}
-		l := s.node.LatencyBetween(child.Addr, m.Origin.Addr)
-		if next.IsNil() || l < bestLat || (l == bestLat && ids.CloserTo(m.Origin.Id, child.Id, next.Id)) {
-			next, bestLat = child, l
-		}
-	}
-	if !next.IsNil() {
+	if next := s.nextChild(g, m); !next.IsNil() {
 		s.node.SendDirect(next, AppName, m)
 		return
 	}
@@ -725,6 +710,51 @@ func (s *Scribe) anycastStep(m *anycastMsg) {
 	}
 	// Exhausted the tree.
 	s.finishAnycast(m, false, pastry.NoHandle)
+}
+
+// nextChild returns the unvisited child of g that the search visits next: the
+// minimum by (latency to the origin, ring distance to the origin,
+// identifier), or NoHandle when every child has been visited. The children
+// are sorted by identifier, so it searches instead of scanning: from the
+// origin's rank it walks outward both ways at once, always taking the side
+// closer to the origin by ring distance (ids.CloserTo's tie-break), which
+// meets the children in (distance, identifier) order. The first unvisited
+// child of each strictly lower latency is the best so far, and the walk stops
+// once that latency is the proximity floor, which no later child can beat.
+// An unvisited origin among the children sits at distance 0 and is met
+// first. A step thus looks at the children around the origin, not at all of
+// a hub's.
+func (s *Scribe) nextChild(g *groupState, m *anycastMsg) pastry.NodeHandle {
+	kids := g.children
+	n := len(kids)
+	next := pastry.NoHandle
+	if n == 0 {
+		return next
+	}
+	origin, floor := m.Origin, s.node.ProximityFloor()
+	// [cw .. ccw], clockwise, is what the walk has yet to meet.
+	cw, _ := g.childIndex(s.node, origin.Id)
+	ccw := (cw - 1 + n) % n
+	cw %= n
+	var bestLat time.Duration
+	for k := 0; k < n; k++ {
+		var child pastry.NodeHandle
+		if a, b := s.node.HandleOf(kids[cw]), s.node.HandleOf(kids[ccw]); ids.CloserTo(origin.Id, a.Id, b.Id) {
+			child, cw = a, (cw+1)%n
+		} else {
+			child, ccw = b, (ccw-1+n)%n
+		}
+		if m.visited(child.Id) {
+			continue
+		}
+		if l := s.node.LatencyBetween(child.Addr, origin.Addr); next.IsNil() || l < bestLat {
+			next, bestLat = child, l
+			if l <= floor {
+				break
+			}
+		}
+	}
+	return next
 }
 
 func (s *Scribe) finishAnycast(m *anycastMsg, accepted bool, by pastry.NodeHandle) {
@@ -916,25 +946,31 @@ func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 	}
 }
 
-// OnChildDrop registers fn to be called whenever a child edge is removed
-// from one of this node's group trees, with the group key and the departed
-// child's identifier. Additions are not reported: a new child has no effect
-// on derived per-child state until its first upward message.
-func (s *Scribe) OnChildDrop(fn func(group, child ids.Id)) {
-	if s.onChildDrop == nil {
-		s.onChildDrop = s.onChildDropBuf[:0]
-	}
-	s.onChildDrop = append(s.onChildDrop, fn)
+// ChildDropListener hears of every child edge removed from one of a node's
+// group trees, with the group key and the departed child's identifier.
+// Additions are not reported: a new child has no effect on derived per-child
+// state until its first upward message.
+type ChildDropListener interface {
+	ChildDropped(group, child ids.Id)
 }
 
-// dropChildOf removes a child edge and notifies the drop observers; it
+// SetChildDropListener installs the node's one child-drop listener; a
+// second one panics, as a second Register of a name does: it is a wiring bug.
+func (s *Scribe) SetChildDropListener(l ChildDropListener) {
+	if s.childDrops != nil {
+		panic(fmt.Sprintf("scribe: a second child-drop listener on node %s", s.node.ID().Short()))
+	}
+	s.childDrops = l
+}
+
+// dropChildOf removes a child edge and tells the child-drop listener; it
 // reports whether the edge was present.
 func (s *Scribe) dropChildOf(g *groupState, id ids.Id) bool {
 	if !g.dropChild(s.node, id) {
 		return false
 	}
-	for _, fn := range s.onChildDrop {
-		fn(g.group, id)
+	if s.childDrops != nil {
+		s.childDrops.ChildDropped(g.group, id)
 	}
 	return true
 }
@@ -950,9 +986,10 @@ func (s *Scribe) addChild(g *groupState, child pastry.NodeHandle) {
 
 // --- failure handling --------------------------------------------------------
 
-// handleNodeDead repairs trees when Pastry declares a neighbor dead: if it
-// was a parent, rejoin the group; if a child, drop it.
-func (s *Scribe) handleNodeDead(h pastry.NodeHandle) {
+// NodeDead implements pastry.DeathObserver: it repairs trees when Pastry
+// declares a neighbor dead. If it was a parent, rejoin the group; if a child,
+// drop it.
+func (s *Scribe) NodeDead(h pastry.NodeHandle) {
 	for _, key := range s.sortedGroupKeys() {
 		g := s.group(key)
 		if g == nil {
@@ -1022,7 +1059,10 @@ func (s *Scribe) StopMaintenance() {
 	}
 }
 
-var _ pastry.App = (*Scribe)(nil)
+var (
+	_ pastry.App           = (*Scribe)(nil)
+	_ pastry.DeathObserver = (*Scribe)(nil)
+)
 
 // String identifies the instance in logs.
 func (s *Scribe) String() string {

@@ -46,7 +46,9 @@ import (
 //
 //   - band 0 — network deliveries (AtDelivery). The payload is derived from
 //     the traffic itself (the destination of a batch flush), so delivery
-//     order is a property of the trace, not of which engine ran it.
+//     order is a property of the trace, not of which engine ran it. The
+//     event carries no callback: the engine hands the payload to its one
+//     delivery handler (SetDeliveryHandler).
 //   - band 1 — plain At/After/Every. The payload is constant; same-instant
 //     order falls to the per-engine sequence counter. Band-1 events are
 //     node-local by contract (they never race across shards), which is why a
@@ -86,6 +88,10 @@ type Engine struct {
 	// locals holds the goroutine-local values of the layers above, one slot a
 	// Local; see local.go.
 	locals []any
+	// deliver runs every band-0 event with the event's payload: one handler
+	// an engine, where a callback an event would be one closure a
+	// destination.
+	deliver func(key uint64)
 
 	// Sharded-mode plumbing; see shard.go. shards is non-empty only on a
 	// sharded root; root points back from a shard member to its root.
@@ -216,14 +222,29 @@ func (e *Engine) At(t time.Duration, fn func()) {
 	e.push(t, keyLocal, fn)
 }
 
+// SetDeliveryHandler installs the function every delivery event of this
+// engine runs, with the event's key. An engine has one: a second call — a
+// second network on one engine — panics.
+func (e *Engine) SetDeliveryHandler(fn func(key uint64)) {
+	e.mustInit()
+	if e.deliver != nil {
+		panic("sim: a second delivery handler on one engine (one network an engine)")
+	}
+	e.deliver = fn
+}
+
 // AtDelivery schedules a network-delivery event (key band 0) whose
 // same-instant order is decided by key alone, making delivery order
-// independent of both the scheduling order and the shard layout. key must
-// fit in 62 bits; simnet derives it from the traffic (the destination of a
-// batch flush).
-func (e *Engine) AtDelivery(t time.Duration, key uint64, fn func()) {
+// independent of both the scheduling order and the shard layout. When it
+// fires, the engine's delivery handler runs with key. key must fit in 62
+// bits; simnet derives it from the traffic (the destination of a batch
+// flush).
+func (e *Engine) AtDelivery(t time.Duration, key uint64) {
 	e.mustInit()
-	e.push(t, keyDelivery|(key&keyPayloadMax), fn)
+	if e.deliver == nil {
+		panic("sim: AtDelivery on an engine without a delivery handler")
+	}
+	e.push(t, keyDelivery|(key&keyPayloadMax), nil)
 }
 
 // AtGlobal schedules an experiment-driver event: fault injections, samplers,
@@ -337,12 +358,17 @@ func (e *Engine) EveryGlobal(interval time.Duration, fn func()) *Ticker {
 }
 
 // runEvent advances the clock to ev.at and executes it, recycling the event
-// first (it is fully consumed, and fn may itself schedule and reuse it).
+// first (it is fully consumed, and fn may itself schedule and reuse it). A
+// delivery event has no fn; its key, band 0, is the handler's payload as is.
 func (e *Engine) runEvent(ev *event) {
 	e.now = ev.at
-	fn := ev.fn
+	fn, key := ev.fn, ev.key
 	ev.fn = nil
 	e.free = append(e.free, ev)
+	if fn == nil {
+		e.deliver(key)
+		return
+	}
 	fn()
 }
 

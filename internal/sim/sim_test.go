@@ -205,3 +205,33 @@ func TestEventRecyclingFromWithinCallback(t *testing.T) {
 		t.Fatalf("Now = %v, want 1s", e.Now())
 	}
 }
+
+// TestDeliveriesGoToTheHandler: a delivery event runs the engine's one
+// delivery handler with its key, before same-instant timers and in key order
+// whatever the scheduling order; a second handler, or a delivery on an engine
+// without one, panics.
+func TestDeliveriesGoToTheHandler(t *testing.T) {
+	e := NewEngine(1)
+	var got []uint64
+	e.At(time.Second, func() { got = append(got, 0) })
+	mustPanic(t, "AtDelivery without a handler", func() { e.AtDelivery(time.Second, 9) })
+	e.SetDeliveryHandler(func(key uint64) { got = append(got, key) })
+	mustPanic(t, "a second delivery handler", func() { e.SetDeliveryHandler(func(uint64) {}) })
+	e.AtDelivery(time.Second, 7)
+	e.AtDelivery(time.Second, 3)
+	e.AtDelivery(time.Millisecond, 11)
+	e.Run()
+	if want := []uint64{11, 3, 7, 0}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || got[3] != want[3] {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}

@@ -11,10 +11,12 @@ import (
 
 // sendPerMessage is the reference delivery scheme batching is checked
 // against: Send's accounting and drop draw, then one engine event per message
-// — keyed by (source, send index) on the public Engine.AtDelivery — that
-// checks liveness and counts the receipt when it fires. No inbox, no flush,
-// no sort. Serial engines and the base drop rate only, which is all the
-// equivalence traces use.
+// — keyed by (source, send index) on the public Engine.AtKeyed (the delivery
+// band has one handler an engine, and the network is it) — that checks
+// liveness and counts the receipt when it fires. No inbox, no flush, no sort.
+// Keyed events run after an instant's timers where deliveries run before
+// them; nothing a timer of these traces does reads a delivery. Serial engines
+// and the base drop rate only, which is all the equivalence traces use.
 func sendPerMessage(n *Network, src, dst Addr, msg Message) {
 	size := wireSize(msg)
 	if !n.nodes[src].alive {
@@ -27,7 +29,7 @@ func sendPerMessage(n *Network, src, dst Addr, msg Message) {
 	if n.dropRate > 0 && n.dropDraw(src, idx) < n.dropRate {
 		return
 	}
-	n.engine.AtDelivery(n.engine.Now()+n.latency(src, dst), deliveryKey(src, idx), func() {
+	n.engine.AtKeyed(n.engine.Now()+n.latency(src, dst), deliveryKey(src, idx), func() {
 		s := n.nodes[dst]
 		if !s.alive {
 			return

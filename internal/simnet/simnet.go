@@ -118,7 +118,9 @@ type FaultSchedule struct {
 }
 
 // Network is a simulated datagram network. It must be driven by exactly one
-// sim.Engine; all handlers run on the engine's event loop.
+// sim.Engine, and an engine drives at most one network: the network is its
+// delivery handler (a second New on one engine panics). All handlers run on
+// the engine's event loop.
 //
 // Delivery is batched by default: all messages due at one (destination,
 // timestamp) pair are coalesced into a single engine event that drains the
@@ -136,10 +138,6 @@ type Network struct {
 	dropRate float64
 
 	inboxes []inbox
-	// flush holds one pre-bound flush closure per destination, created at
-	// New; steady-state sends allocate nothing, and under sharding the
-	// closures already exist before any cross-shard merge can need them.
-	flush []func()
 	// scratches holds one extraction buffer per shard (index 0 on a serial
 	// engine): a flush fully consumes its shard's buffer before returning.
 	scratches [][]pending
@@ -430,7 +428,6 @@ func New(engine *sim.Engine, size int, latency LatencyFunc, opts ...Option) *Net
 		nodes:    make([]slot, size),
 		counters: make([]Counters, size),
 		inboxes:  make([]inbox, size),
-		flush:    make([]func(), size),
 		sendSeq:  make([]uint64, size),
 		dropSalt: splitmix64(uint64(engine.Seed())),
 	}
@@ -471,9 +468,12 @@ func New(engine *sim.Engine, size int, latency LatencyFunc, opts ...Option) *Net
 	for a := range n.inboxes {
 		n.inboxes[a].buf = slab[a*inboxSlots : (a+1)*inboxSlots : (a+1)*inboxSlots]
 	}
-	for d := range n.flush {
-		d := Addr(d)
-		n.flush[d] = func() { n.flushInbox(d) }
+	// A flush event's key is its destination, and every engine the network
+	// schedules on hands it to flushInbox: steady-state sends allocate
+	// nothing, and there is no callback a destination to make.
+	flush := n.flushInbox
+	for sh := 0; sh < k; sh++ {
+		engine.Shard(sh).SetDeliveryHandler(flush)
 	}
 	return n
 }
@@ -537,7 +537,7 @@ func (n *Network) mergeOutboxes() {
 			m := &out[i]
 			box := &n.inboxes[m.dst]
 			if !box.hasDue(m.p.at) {
-				n.engineFor(m.dst).AtDelivery(m.p.at, uint64(m.dst), n.flush[m.dst])
+				n.engineFor(m.dst).AtDelivery(m.p.at, uint64(m.dst))
 			}
 			box.push(m.p)
 			out[i] = outMsg{}
@@ -706,17 +706,19 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 	if !box.hasDue(at) {
 		// First message bound for dst at this instant: schedule its flush.
 		// Later same-(dst, at) sends just park in the inbox for free.
-		n.engineFor(dst).AtDelivery(at, uint64(dst), n.flush[dst])
+		n.engineFor(dst).AtDelivery(at, uint64(dst))
 	}
 	box.push(pending{at: at, key: key, size: size, msg: msg})
 }
 
-// flushInbox delivers every message due for dst at the current virtual time,
-// in delivery-key order — per-source send order, sources interleaved by
-// (source, send index), identical in serial and sharded runs. Liveness is
-// re-checked before each message, so a handler that kills dst mid-batch stops
-// the remainder of the batch.
-func (n *Network) flushInbox(dst Addr) {
+// flushInbox is the engines' delivery handler: key is the destination dst of
+// the flush event. It delivers every message due for dst at the current
+// virtual time, in delivery-key order — per-source send order, sources
+// interleaved by (source, send index), identical in serial and sharded runs.
+// Liveness is re-checked before each message, so a handler that kills dst
+// mid-batch stops the remainder of the batch.
+func (n *Network) flushInbox(key uint64) {
+	dst := Addr(key)
 	sh := 0
 	if n.shardID != nil {
 		sh = int(n.shardID[dst])

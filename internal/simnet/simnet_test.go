@@ -202,3 +202,20 @@ func TestPanicsOnBadAddress(t *testing.T) {
 		}()
 	}
 }
+
+// TestSecondNetworkOnOneEngineRejected: the network is its engine's delivery
+// handler, so a second network on the engine — serial, or any shard of a
+// sharded root — would take the first one's deliveries; New panics instead.
+func TestSecondNetworkOnOneEngineRejected(t *testing.T) {
+	for _, e := range []*sim.Engine{sim.NewEngine(1), sim.NewShardedEngine(1, 2)} {
+		New(e, 2, flatLatency(time.Millisecond))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a second network on a %d-shard engine was accepted", e.ShardCount())
+				}
+			}()
+			New(e, 2, flatLatency(time.Millisecond))
+		}()
+	}
+}

@@ -57,24 +57,26 @@ go test -race ./internal/sim/ ./internal/simnet/
 # container/heap for the timing wheel, the whole-inbox scan for the
 # due-ordered inbox), the recycled push shells under loss, a crash and a
 # leave on four shard goroutines, two pushes of one sender on the wire
-# together, and the consider memo against the full inserts: all seeds, never
-# from the test cache.
-echo "== queue, inbox, shell and memo model equivalence -race"
-go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider' \
-	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/
+# together, the consider memo against the full inserts, and the any-cast's
+# child search against the scan: all seeds, never from the test cache.
+echo "== queue, inbox, shell, memo and search model equivalence -race"
+go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestAnycastSearchMatchesScan' \
+	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
-# Eight gates that must have run and passed by name, not merely not failed
-# (a renamed or skipped test fails the count). Five are exact under
+# Nine gates that must have run and passed by name, not merely not failed
+# (a renamed or skipped test fails the count). Six are exact under
 # AllocsPerRun: a 256-hop spill walk allocates no more than a boot admitted
 # at its rendezvous; a warm BandwidthSatisfaction sweep, a SetLocal+Global
 # pair on a subscribed topic, a warm round of 4096 five-minute tickers and a
 # warm aggregation round of unchanged values allocate nothing (a round of
-# changed values: one fold list a re-folded subtree). Three are what every
-# server holds of each layer, by allocator size class.
-echo "== allocation and size gates, PASS by name (8)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling)$' \
+# changed values: one fold list a re-folded subtree); building a 4096-node
+# overlay allocates a Scribe and a Manager a node and a constant. Three are
+# what every server holds of each layer (the node to the byte, it comes out
+# of one []Node; the others by allocator size class).
+echo "== allocation and size gates, PASS by name (9)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling)$' \
 	./internal/placement/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ | grep -c '^--- PASS')" -eq 8
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ | grep -c '^--- PASS')" -eq 9
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
