@@ -90,10 +90,10 @@ type Options struct {
 	MessageLoss float64
 	// JoinStagger is the delay between successive protocol joins.
 	JoinStagger time.Duration
-	// Shards selects the engine mode: 0 (the default) runs the serial
-	// reference engine; K ≥ 1 runs the conservative parallel engine with K
-	// shards. Any K produces bit-identical virtual-time results; K = 1
-	// exercises the windowed machinery on one shard.
+	// Shards is the engine's shard count K: 0 (the default) and 1 both run
+	// the one-shard engine; K ≥ 2 runs K shards in parallel windows, and
+	// needs a positive Topology.LANHop as its lookahead. Any K produces
+	// bit-identical virtual-time results.
 	Shards int
 	// Trace attaches a flight recorder: every subsystem records its
 	// decision points (route hops, anycast walks, lease grants, migrations)
@@ -176,12 +176,12 @@ func NewOverlay(opts Options) (*Overlay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	var engine *sim.Engine
-	if opts.Shards > 0 {
-		engine = sim.NewShardedEngine(opts.Seed, opts.Shards)
-	} else {
-		engine = sim.NewEngine(opts.Seed)
+	if hop := topo.Spec().LANHop; opts.Shards > 1 && hop <= 0 {
+		// The LAN hop is the shortest link between two servers, so it is the
+		// sharded engine's lookahead, which must be positive.
+		return nil, fmt.Errorf("core: Shards = %d needs a positive Topology.LANHop (the cross-shard lookahead), have %v", opts.Shards, hop)
 	}
+	engine := sim.NewShardedEngine(opts.Seed, opts.Shards)
 	// Queue-depth diagnostics and — when the trace carries a series — the
 	// virtual-time metrics sampler.
 	sim.AttachObs(engine, opts.Trace)

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,6 +157,27 @@ func TestNewOverlayBuildsTheRingNewBuilds(t *testing.T) {
 		if len(ov.Scribes) != n || len(ov.Aggs) != n || len(vb.Scribes) != n || len(vb.Aggs) != n {
 			t.Errorf("%s: %d nodes, overlay %d scribes / %d managers, full stack %d / %d",
 				name, n, len(ov.Scribes), len(ov.Aggs), len(vb.Scribes), len(vb.Aggs))
+		}
+	}
+}
+
+// TestZeroLANHopNeedsOneShard: a zero LAN hop is a topology the one-shard
+// engine builds on, but it leaves two or more shards no lookahead, so there
+// NewOverlay and New return an error naming the field instead of panicking.
+func TestZeroLANHopNeedsOneShard(t *testing.T) {
+	spec := smallSpec(2, 4)
+	spec.LANHop = 0
+	for _, shards := range []int{0, 1, 2} {
+		opts := Options{Topology: spec, Seed: 1, Shards: shards}
+		_, errOverlay := NewOverlay(opts)
+		_, errStack := New(opts)
+		for _, err := range []error{errOverlay, errStack} {
+			switch {
+			case shards < 2 && err != nil:
+				t.Errorf("shards %d: %v", shards, err)
+			case shards >= 2 && (err == nil || !strings.Contains(err.Error(), "core: ") || !strings.Contains(err.Error(), "Topology.LANHop")):
+				t.Errorf("shards %d: error %v, want a core: error naming Topology.LANHop", shards, err)
+			}
 		}
 	}
 }

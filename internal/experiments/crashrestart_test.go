@@ -80,7 +80,7 @@ func TestCrashRestartShardEquivalence(t *testing.T) {
 		if len(ref.Victims) == 0 || ref.Recovery.Restarts == 0 {
 			t.Fatalf("%d servers: reference run restarted nothing; the equivalence check would be vacuous", servers)
 		}
-		for _, k := range []int{1, 4} {
+		for _, k := range []int{2, 4} {
 			got, err := RunFaults(smallCrashRestart(servers, 7, k, obs.Config{}))
 			if err != nil {
 				t.Fatalf("%d servers, shards %d: %v", servers, k, err)

@@ -41,8 +41,8 @@ type QoSParams struct {
 	SampleEvery time.Duration
 	// Seed drives jitter.
 	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
+	// Shards is the engine's shard count, as in core.Options; virtual-time
+	// results are identical at any setting.
 	Shards int
 	// Obs configures the flight recorder for this run. The zero value
 	// records nothing; recording never changes experiment metrics.

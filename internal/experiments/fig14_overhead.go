@@ -32,9 +32,8 @@ type AggLatencyParams struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Every sweep point builds its own
 	// engine and ring, so results are identical at any setting.
 	Parallelism int
-	// Shards selects the engine mode for each sweep point (0 = serial
-	// reference, K ≥ 1 = K-shard parallel engine); virtual-time results
-	// are identical at any setting.
+	// Shards is each sweep point's engine shard count, as in core.Options;
+	// virtual-time results are identical at any setting.
 	Shards int
 	// Obs configures the flight recorder. Only the largest sweep point
 	// records (its trace is the one the outcome keeps). Recording never
@@ -70,8 +69,8 @@ type AggLatencyPoint struct {
 	WithInterval time.Duration
 	// TreeHeight is the maximum depth of the aggregation tree.
 	TreeHeight int
-	// ShardWork is the per-shard work accounting for the point's run (nil
-	// when the point ran on the serial engine). Windows and self-caps are
+	// ShardWork is the per-shard work accounting for the point's run (one
+	// entry on the serial engine). Windows and self-caps are
 	// the coordination costs the sharded engine pays for bit-identical
 	// virtual time; benchmarks surface them so a shard-count change that
 	// trades event parallelism for barrier churn is visible in the output.

@@ -29,9 +29,8 @@ type MessageOverheadParams struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Every sweep point builds its own
 	// full v-Bundle stack, so results are identical at any setting.
 	Parallelism int
-	// Shards selects the engine mode for each sweep point (0 = serial
-	// reference, K ≥ 1 = K-shard parallel engine); virtual-time results
-	// are identical at any setting.
+	// Shards is each sweep point's engine shard count, as in core.Options;
+	// virtual-time results are identical at any setting.
 	Shards int
 	// Obs configures the flight recorder. Only the largest sweep point
 	// records (its trace is the one the outcome keeps).

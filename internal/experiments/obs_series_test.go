@@ -13,7 +13,7 @@ import (
 // TestSeriesShardInvariance is the determinism acceptance gate for the
 // virtual-time sampler: the sampled series — counters and histogram-derived
 // percentiles alike — must serialize byte-identically between the serial
-// engine and the sharded engine at 1, 4 and 8 shards. Boundary sampling
+// engine and the sharded engine at 2, 4 and 8 shards. Boundary sampling
 // (every row reflects exactly the events with at < kΔ) plus order-invariant
 // histogram merging is what makes this hold; this test is what keeps it so.
 func TestSeriesShardInvariance(t *testing.T) {
@@ -40,7 +40,7 @@ func TestSeriesShardInvariance(t *testing.T) {
 	if !strings.Contains(header, "/p99") {
 		t.Fatalf("series has no percentile columns, header: %s", header)
 	}
-	for _, k := range []int{1, 4, 8} {
+	for _, k := range []int{2, 4, 8} {
 		if got := renderCSV(k); !bytes.Equal(ref, got) {
 			t.Errorf("shards %d: series CSV differs from the serial reference:\nserial:\n%s\nshards %d:\n%s",
 				k, ref, k, got)

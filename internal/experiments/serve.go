@@ -72,8 +72,8 @@ type ServeParams struct {
 	RecordPlacements bool
 	// Seed drives all randomness.
 	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
+	// Shards is the engine's shard count, as in core.Options; virtual-time
+	// results are identical at any setting.
 	Shards int
 	// Obs configures the flight recorder for this run.
 	Obs obs.Config

@@ -47,7 +47,7 @@ func reportOf(t *testing.T, o *ServeOutcome) []byte {
 }
 
 // TestServeShardedEquivalence replays the serving stream on the sharded
-// engine at K ∈ {1, 2, 4, 8}: every virtual-time metric and the rendered
+// engine at K ∈ {2, 4, 8}: every virtual-time metric and the rendered
 // report must match the serial reference byte for byte.
 func TestServeShardedEquivalence(t *testing.T) {
 	ref, err := RunServe(serveTestParams(0))

@@ -80,7 +80,7 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 	// Any two distinct servers are at least one LAN hop apart (the sub-hop
 	// LocalDelivery tier is same-server only).
 	floor := topo.Spec().LANHop
-	if engine.Sharded() {
+	if engine.ShardCount() > 1 {
 		// A server is never split across shards, so the floor bounds every
 		// cross-shard interaction and is the engine's parallel window width.
 		engine.SetLookahead(floor)

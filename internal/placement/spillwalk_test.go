@@ -116,11 +116,7 @@ type walkWorld struct {
 
 func newWalkWorld(t *testing.T, seed int64, shards int, ref bool) *walkWorld {
 	t.Helper()
-	engine := sim.NewEngine(seed)
-	if shards > 0 {
-		engine = sim.NewShardedEngine(seed, shards)
-	}
-	w := &walkWorld{world: newWorldOn(t, engine, 64, 8, 400), ref: ref}
+	w := &walkWorld{world: newWorldOn(t, sim.NewShardedEngine(seed, shards), 64, 8, 400), ref: ref}
 	if !ref {
 		w.d = NewDHT(w.ring, w.cl, DHTConfig{})
 		return w

@@ -49,8 +49,11 @@ func TestBucketQueueMillionEventBacklog(t *testing.T) {
 	if got := q.len(); got != total {
 		t.Fatalf("backlog holds %d events, want %d", got, total)
 	}
-	above := len(q.far)
+	above := 0
 	for _, w := range q.levels[1:] {
+		if w == nil {
+			continue // levels 3 and 4: nothing here is hours ahead
+		}
 		for _, slot := range w.slots {
 			above += len(slot)
 		}

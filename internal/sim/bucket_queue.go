@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/bits"
 	"slices"
 	"time"
@@ -11,7 +10,7 @@ import (
 // by the digits of their bucket number, scheduling is an O(1) append at every
 // horizon, and only the bucket being drained is ever sorted. The observable
 // execution order is strictly (at, key, seq), which the queue equivalence
-// property test asserts against a container/heap model on randomized traces.
+// property test asserts against a binary-heap model on randomized traces.
 //
 // Geometry. A bucket is 2^bucketShift ns of virtual time (≈4.1µs); its number
 // is read as base-4096 digits, one wheel per digit:
@@ -20,6 +19,11 @@ import (
 //	0       2^12 ns ≈ 4.1 µs    4096    ≈ 16.8 ms
 //	1       2^24 ns ≈ 16.8 ms   4096    ≈ 68.7 s
 //	2       2^36 ns ≈ 68.7 s    4096    ≈ 78 h
+//	3       2^48 ns ≈ 78 h      4096    ≈ 36.5 years
+//	4       2^60 ns ≈ 36.5 y    8 used  2^63 ns, every time.Duration
+//
+// A bucket number has 51 bits, so five digits place every representable
+// instant on a wheel.
 //
 // An event whose bucket b lies ahead of the cursor goes to level k, the
 // position of the highest digit in which b and curBucket differ, at slot
@@ -38,10 +42,6 @@ import (
 // burst of periodic timers reaches that bucket in the order it was scheduled,
 // which is already execution order, and sortEvents finds that in one pass.
 //
-// Only an event outside the cursor's 78-hour epoch (a difference above digit
-// 2) waits in the far heap; it joins the wheels when they have run dry and the
-// cursor jumps to its epoch.
-//
 // Backings. An empty slot holds no memory. Slot and cur backings come from
 // and return to spare, a pool by size class, so a slot that grows takes the
 // backing some drained slot left behind and nothing is dropped and regrown: a
@@ -53,7 +53,7 @@ const (
 	wheelBits   = 12
 	wheelSlots  = 1 << wheelBits // 4096 slots a level
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 3
+	wheelLevels = 5
 
 	// minBacking is the smallest backing the pool makes, in events.
 	minBacking = 4
@@ -70,7 +70,7 @@ type bucketQueue struct {
 	// curBucket is the cursor: every pending event with bucket ≤ curBucket is
 	// in cur, sorted by (at, key, seq) and consumed from curHead (consumed
 	// entries are nilled to release the pointers); every other pending event
-	// is on a wheel or in far. Normally cur is exactly one bucket; it
+	// is on a wheel. Normally cur is exactly one bucket; it
 	// additionally absorbs events scheduled "behind" curBucket, which can
 	// happen after nextAt peeked ahead to an empty stretch and a caller then
 	// scheduled sooner work.
@@ -79,13 +79,10 @@ type bucketQueue struct {
 	curHead   int
 
 	// levels holds the wheels, each made when its first event arrives: an
-	// engine that sets no timer beyond a span never pays for the level above.
+	// engine that sets no timer beyond a span never pays for the level above
+	// (a wheel is ≈ 99 KB).
 	levels  [wheelLevels]*wheel
 	inWheel int
-
-	// far holds the events outside the cursor's epoch, ordered by
-	// (at, key, seq).
-	far eventHeap
 
 	// spare[c] holds the idle backings of capacity in [2^c, 2^(c+1)), all
 	// entries nil; 2^48 pointers are more than an address space holds.
@@ -97,7 +94,7 @@ func newBucketQueue() *bucketQueue { return &bucketQueue{} }
 func bucketOf(at time.Duration) int64 { return int64(at) >> bucketShift }
 
 func (q *bucketQueue) len() int {
-	return (len(q.cur) - q.curHead) + q.inWheel + len(q.far)
+	return (len(q.cur) - q.curHead) + q.inWheel
 }
 
 func (q *bucketQueue) push(ev *event) {
@@ -126,10 +123,6 @@ func (q *bucketQueue) push(ev *event) {
 // digit in which b differs from the cursor.
 func (q *bucketQueue) place(b int64, ev *event) {
 	k := (bits.Len64(uint64(b^q.curBucket)) - 1) / wheelBits
-	if k >= wheelLevels {
-		heap.Push(&q.far, ev)
-		return
-	}
 	w := q.levels[k]
 	if w == nil {
 		w = new(wheel)
@@ -199,7 +192,7 @@ func (q *bucketQueue) insertCur(ev *event) {
 // the cursor to the next occupied bucket as needed.
 func (q *bucketQueue) front() *event {
 	for q.curHead == len(q.cur) {
-		if q.inWheel == 0 && len(q.far) == 0 {
+		if q.inWheel == 0 {
 			return nil
 		}
 		q.advance()
@@ -259,15 +252,7 @@ func (q *bucketQueue) advance() {
 		sortEvents(q.cur)
 		return
 	}
-	// The wheels have run dry: jump to the epoch of the earliest far event
-	// and bring in every far event of that epoch.
-	q.cur = q.cur[:0]
-	q.curBucket = bucketOf(q.far[0].at)
-	epoch := q.curBucket >> (wheelLevels * wheelBits)
-	for len(q.far) > 0 && bucketOf(q.far[0].at)>>(wheelLevels*wheelBits) == epoch {
-		q.settle(heap.Pop(&q.far).(*event))
-	}
-	sortEvents(q.cur)
+	panic("sim: timing wheel holds events in no slot ahead of the cursor")
 }
 
 // next returns the first occupied slot at or after from, or -1.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,6 +13,20 @@ import (
 // cascades or current-bucket machinery. It lives here, not in the engine:
 // production code has one queue, and this model is what pins its order.
 type heapModel struct{ h eventHeap }
+
+type eventHeap []*event
+
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	popped := old[n-1]
+	*h = old[:n-1]
+	return popped
+}
 
 func (m *heapModel) push(ev *event) { heap.Push(&m.h, ev) }
 
@@ -35,15 +50,17 @@ func (m *heapModel) pop() *event {
 // one scheduling rule (nothing is pushed before the clock, and the clock
 // never passes a pending event) and otherwise go where the engine can go:
 // delays at every scale the simulator uses and on either side of every level's
-// span and slot boundaries, same-instant bursts whose keys span all four
-// bands — so a delivery key lands below, and a keyed completion above,
-// At/AtGlobal events already pending at that instant — and pushes behind a
-// cursor that an earlier peek moved ahead, by a cascade from any level.
+// span and slot boundaries, up to the last instant a time.Duration holds,
+// same-instant bursts whose keys span all four bands — so a delivery key lands
+// below, and a keyed completion above, At/AtGlobal events already pending at
+// that instant — and pushes behind a cursor that an earlier peek moved ahead,
+// by a cascade from any level.
 func TestQueueEquivalence(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
 		seeds = 10
 	}
+	var reached [wheelLevels]bool
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q, m := newBucketQueue(), &heapModel{}
@@ -51,14 +68,20 @@ func TestQueueEquivalence(t *testing.T) {
 		var seq uint64
 
 		// Delays mix the scales the simulator really uses: sub-bucket (ns),
-		// level 0 (µs..ms), levels 1 and 2 (seconds..hours) and the far heap
+		// level 0 (µs..ms), levels 1 and 2 (seconds..hours) and level 3
 		// (days), plus exact ties and zero delays. Two draws aim at the seams:
 		// a delay of exactly one level's span give or take a bucket, and an
 		// instant a bucket either side of the next multiple of a span, where
-		// the cursor's digit at that level turns over.
+		// the cursor's digit at that level turns over. One lands within a
+		// bucket of the largest instant a time.Duration holds, on level 4;
+		// once the clock has reached it, every later push is saturated there.
 		const bucket = time.Duration(1) << bucketShift
+		const maxTime = time.Duration(math.MaxInt64)
+		// span is defined for levels 0–3: level 4's exceeds a time.Duration.
 		span := func(level int) time.Duration { return bucket << (wheelBits * (level + 1)) }
 		nearby := func() time.Duration { return time.Duration(rng.Intn(3)-1)*bucket + time.Duration(rng.Intn(3)-1) }
+		later := func(d time.Duration) time.Duration { return now + min(d, maxTime-now) }
+		upTo := func(d time.Duration) time.Duration { return time.Duration(rng.Int63n(int64(min(d, maxTime-1)) + 1)) }
 		randDelay := func() time.Duration {
 			switch rng.Intn(10) {
 			case 0:
@@ -76,11 +99,14 @@ func TestQueueEquivalence(t *testing.T) {
 			case 6:
 				return time.Duration(rng.Int63n(int64(60 * time.Hour))) // deep in level 2
 			case 7:
-				return span(wheelLevels-1) + time.Duration(rng.Int63n(int64(400*24*time.Hour))) // days past the top level
+				if rng.Intn(8) == 0 {
+					return max(0, maxTime-now-time.Duration(rng.Intn(int(bucket)))) // the last bucket of time
+				}
+				return span(2) + time.Duration(rng.Int63n(int64(400*24*time.Hour))) // days past level 2
 			case 8:
-				return span(rng.Intn(wheelLevels)) + nearby()
+				return span(rng.Intn(wheelLevels-1)) + nearby()
 			default:
-				s := span(rng.Intn(wheelLevels))
+				s := span(rng.Intn(wheelLevels - 1))
 				return max(0, (now/s+1)*s+nearby()-now)
 			}
 		}
@@ -119,9 +145,9 @@ func TestQueueEquivalence(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3:
-				push(now+randDelay(), randKey())
+				push(later(randDelay()), randKey())
 			case 4: // same-instant burst across the key bands
-				at := now + randDelay()
+				at := later(randDelay())
 				for i := rng.Intn(6) + 2; i > 0; i-- {
 					push(at, randKey())
 				}
@@ -141,12 +167,12 @@ func TestQueueEquivalence(t *testing.T) {
 					t.Fatalf("seed %d: nextAt = %v, %v, heap model says %+v", seed, at, ok, want)
 				}
 				if ok && at > now {
-					now += time.Duration(rng.Int63n(int64(at-now) + 1))
+					now += upTo(at - now)
 					// Sooner work, straight away: between the clock and the
 					// peeked event, so behind the cursor whichever level the
 					// peek cascaded from.
 					for i := rng.Intn(3); i > 0; i-- {
-						push(now+time.Duration(rng.Int63n(int64(at-now)+1)), randKey())
+						push(now+upTo(at-now), randKey())
 					}
 				}
 			case 9:
@@ -156,6 +182,16 @@ func TestQueueEquivalence(t *testing.T) {
 			}
 		}
 		for pop() {
+		}
+		for k, w := range q.levels {
+			reached[k] = reached[k] || w != nil
+		}
+	}
+	// A level is made when its first event arrives and kept, so one left nil
+	// by every seed is one no trace ever placed an event on.
+	for k, ok := range reached {
+		if !ok {
+			t.Errorf("no trace placed an event on level %d", k)
 		}
 	}
 }

@@ -8,31 +8,36 @@ import (
 	"time"
 )
 
-// Sharded execution: a conservative parallel discrete-event mode.
+// Sharded execution: a conservative parallel discrete-event engine.
 //
-// A sharded engine is a root Engine coordinating K shard Engines. Simulation
-// state is partitioned across the shards (simnet assigns each node to the
-// shard of a deterministic hash of its address), and every cross-shard
-// interaction is a message with a nonzero link latency. That latency is the
-// lookahead L: a shard executing an event at time t cannot affect another
-// shard before t+L, so all shards drain their own queues in parallel, each
-// on its own goroutine, up to a per-shard horizon no other shard can reach
-// into. At the window barrier, cross-shard sends (parked in per-shard
-// outboxes) are merged into the destination queues, ordered by their band-0
-// keys — which were assigned at send time from the traffic itself, so the
-// merged order is identical to the order the serial engine would have
-// produced.
+// A root Engine coordinates K shard Engines. Simulation state is partitioned
+// across the shards (simnet assigns each node to the shard of a
+// deterministic hash of its address), and every cross-shard interaction is a
+// message with a nonzero link latency. That latency is the lookahead L: a
+// shard executing an event at time t cannot affect another shard before t+L,
+// so all shards drain their own queues in parallel, each on its own
+// goroutine, up to a per-shard horizon no other shard can reach into. At the
+// window barrier, cross-shard sends (parked in per-shard outboxes) are
+// merged into the destination queues, ordered by their band-0 keys — which
+// were assigned at send time from the traffic itself, so the merged order is
+// identical to the order a one-shard engine produces.
 //
 // Windows are sized dynamically. Shard i's horizon for a window is
 //
-//	H_i = min(m_{-i} + L, next root event, deadline+1)
+//	H_i = min(m_{-i} + L, next root event, next sampler boundary, deadline+1)
 //
 // where m_{-i} is the earliest pending event on any *other* shard: whatever
 // the others do from m_{-i} onward, no consequence can land on shard i
 // before m_{-i}+L, so everything earlier is safe to run now. A shard far
 // ahead of its peers — or the only busy shard — gets an unbounded horizon
-// instead of barrier-stepping every L, which is what lets a hot shard (or
-// K=1) drain long stretches without serializing on the barrier.
+// instead of barrier-stepping every L, which is what lets a hot shard drain
+// long stretches without serializing on the barrier.
+//
+// At K = 1 there is no other shard, so m_{-0} is +∞, and the root is its own
+// shard, so the next root event is the shard's own next event and bounds
+// nothing. Its window is bounded by the deadline and the next sampler
+// boundary alone: no lookahead, barrier, staging or worker is needed, and
+// the window loop drains it in place.
 //
 // Two in-window actions shrink a shard's own horizon after the fact
 // (self-capping, always on the shard's own goroutine):
@@ -46,9 +51,9 @@ import (
 //     contract g ≥ now+L (enforced at the call site): their horizons are
 //     at most m_i + L ≤ now_i + L ≤ g.
 //
-// Windows still end at the next root-engine event (global drivers, keyed
-// completions): those run exclusively between windows, with every shard
-// clock raised to the instant, exactly where the serial engine would run
+// At K ≥ 2 windows still end at the next root-engine event (global drivers,
+// keyed completions): those run exclusively between windows, with every
+// shard clock raised to the instant, exactly where a one-shard engine runs
 // them (bands 2 and 3 sort after all same-instant node work).
 type workerPool struct {
 	cmds []chan shardCmd
@@ -74,22 +79,19 @@ const (
 	drainModeInstant
 )
 
-// ShardStats reports one shard's share of a sharded run's work: how many
-// events it executed, how many windows it participated in, and how often it
-// shortened its own window (cross-shard sends and staged root events).
+// ShardStats reports one shard's share of a run's work: how many events it
+// executed, how many windows it participated in, and how often it shortened
+// its own window (cross-shard sends and staged root events).
 type ShardStats struct {
 	Events  uint64
 	Windows uint64
 	Caps    uint64
 }
 
-// ShardWork returns per-shard work counters, index-aligned with Shard(i).
-// On a serial engine it returns nil. The counters accumulate across runs.
+// ShardWork returns per-shard work counters, index-aligned with Shard(i): one
+// entry for a serial engine. The counters accumulate across runs.
 func (e *Engine) ShardWork() []ShardStats {
 	r := e.Root()
-	if len(r.shards) == 0 {
-		return nil
-	}
 	out := make([]ShardStats, len(r.shards))
 	for i, s := range r.shards {
 		out[i] = ShardStats{Events: s.statEvents, Windows: s.statWindows, Caps: s.statCaps}
@@ -111,9 +113,9 @@ func (e *Engine) capDrain(t time.Duration) {
 // NoteCrossShardSend tells the sending shard's engine that a message bound
 // for another shard was parked with arrival time at. The earliest consequence
 // that can come back to this shard is at+lookahead, so the current window is
-// capped there. Outside a parallel window (setup, exclusive instants, serial
-// engines) this is a no-op: parked messages are merged before the next
-// window's horizons are computed.
+// capped there. Outside a parallel window (setup, exclusive instants, a
+// one-shard engine) this is a no-op: parked messages are merged before the
+// next window's horizons are computed.
 func (e *Engine) NoteCrossShardSend(at time.Duration) {
 	if e.root == nil || e.draining != drainModeWindow {
 		return
@@ -181,17 +183,19 @@ func (g *staging) giveBack(buf []stagedEvent) {
 	g.mu.Unlock()
 }
 
-// NewShardedEngine returns a root engine with shards shard engines. The
-// caller must partition its state across the shards (Shard(i) hands out the
-// per-shard engines), set the lookahead to the minimum cross-shard latency,
-// and may then drive the root exactly like a serial engine: Run, RunUntil,
-// and Step produce the same observable execution as NewEngine(seed) would,
-// for any shard count — the sharded-equivalence tests assert it.
+// NewShardedEngine returns a root engine with shards shard engines; at
+// shards ≤ 1 that is NewEngine(seed), its own only shard. The caller must
+// partition its state across the shards (Shard(i) hands out the per-shard
+// engines), set the lookahead to the minimum cross-shard latency when there
+// are two or more, and may then drive the root exactly like a serial engine:
+// Run, RunUntil, and Step produce the same observable execution as
+// NewEngine(seed) would, for any shard count — the sharded-equivalence tests
+// assert it.
 func NewShardedEngine(seed int64, shards int) *Engine {
-	if shards < 1 {
-		shards = 1
-	}
 	r := NewEngine(seed)
+	if shards <= 1 {
+		return r
+	}
 	r.shards = make([]*Engine, shards)
 	for i := range r.shards {
 		// Shard rngs get derived seeds; deterministic code must not draw
@@ -199,7 +203,6 @@ func NewShardedEngine(seed int64, shards int) *Engine {
 		// the simulation stack doesn't — nodes use per-node streams.
 		s := NewEngine(seed + int64(i)*0x9E37 + 1)
 		s.root = r
-		s.shardIdx = i
 		r.shards[i] = s
 	}
 	return r
@@ -213,31 +216,14 @@ func (e *Engine) Root() *Engine {
 	return e
 }
 
-// Sharded reports whether this engine is a sharded root.
-func (e *Engine) Sharded() bool { return len(e.shards) > 0 }
+// ShardCount returns the number of shards: 1 for a serial engine.
+func (e *Engine) ShardCount() int { return len(e.shards) }
 
-// ShardCount returns the number of shards (1 for a serial engine: serial is
-// the K=1 special case).
-func (e *Engine) ShardCount() int {
-	if len(e.shards) == 0 {
-		return 1
-	}
-	return len(e.shards)
-}
-
-// Shard returns shard i of a sharded root.
-func (e *Engine) Shard(i int) *Engine {
-	if len(e.shards) == 0 {
-		if i == 0 {
-			return e
-		}
-		panic(fmt.Sprintf("sim: Shard(%d) on a serial engine", i))
-	}
-	return e.shards[i]
-}
+// Shard returns shard i; shard 0 of a serial engine is the engine itself.
+func (e *Engine) Shard(i int) *Engine { return e.shards[i] }
 
 // SetLookahead declares the minimum latency of any cross-shard interaction;
-// it bounds the parallel window width. Sharded runs panic without it.
+// it bounds the parallel window width. Runs of K ≥ 2 shards panic without it.
 func (e *Engine) SetLookahead(d time.Duration) {
 	if d <= 0 {
 		panic("sim: SetLookahead with non-positive lookahead")
@@ -247,10 +233,11 @@ func (e *Engine) SetLookahead(d time.Duration) {
 
 // OnBarrier registers fn to run at every window barrier and exclusive
 // instant, on the root goroutine with all shards idle. simnet uses it to
-// merge cross-shard outboxes into destination inboxes.
+// merge cross-shard outboxes into destination inboxes; a serial engine has
+// neither.
 func (e *Engine) OnBarrier(fn func()) {
 	r := e.Root()
-	if len(r.shards) == 0 {
+	if len(r.shards) == 1 {
 		panic("sim: OnBarrier on a serial engine")
 	}
 	r.barriers = append(r.barriers, fn)
@@ -264,8 +251,11 @@ func (r *Engine) runBarriers() {
 
 // mergeStaged moves staged root events into the root queue. The batch is
 // sorted by (at, key) first: the staging order of a concurrent window is
-// nondeterministic, the keys are not.
+// nondeterministic, the keys are not. A one-shard engine stages nothing.
 func (r *Engine) mergeStaged() {
+	if len(r.shards) == 1 {
+		return
+	}
 	evs := r.staging.take()
 	if len(evs) == 0 {
 		r.staging.giveBack(evs)
@@ -295,7 +285,6 @@ func (s *Engine) drainWindow() {
 	s.draining = drainModeWindow
 	s.statWindows++
 	for s.runDue(s.drainLimit - 1) { // drainLimit is exclusive
-		s.statEvents++
 	}
 	s.draining = drainModeIdle
 }
@@ -304,7 +293,6 @@ func (s *Engine) drainWindow() {
 func (s *Engine) drainInstant(g time.Duration) {
 	s.draining = drainModeInstant
 	for s.runDue(g) {
-		s.statEvents++
 	}
 	s.draining = drainModeIdle
 }
@@ -337,8 +325,8 @@ func (p *workerPool) stop() {
 }
 
 // dispatch hands cmd to every shard with relevant work and waits for all of
-// them — the barrier. With a single busy shard the drain runs inline on the
-// root goroutine instead, so K=1 costs no synchronization at all.
+// them — the barrier. The first busy shard drains inline on the root
+// goroutine, so a window with one busy shard costs no synchronization.
 func (r *Engine) dispatch(cmd shardCmd, busy func(*Engine) bool) {
 	first := -1
 	sent := 0
@@ -366,9 +354,9 @@ func (r *Engine) dispatch(cmd shardCmd, busy func(*Engine) bool) {
 	}
 }
 
-func (r *Engine) minShardNext() (time.Duration, bool) {
-	var min time.Duration
-	ok := false
+// nextAt returns the earliest pending instant on the root and its shards.
+func (r *Engine) nextAt() (time.Duration, bool) {
+	min, ok := r.events.nextAt()
 	for _, s := range r.shards {
 		if at, has := s.events.nextAt(); has && (!ok || at < min) {
 			min, ok = at, true
@@ -386,131 +374,116 @@ func (r *Engine) anyShardAt(g time.Duration) bool {
 	return false
 }
 
-// runWindows is the sharded main loop behind Run (drainAll) and RunUntil.
-func (r *Engine) runWindows(deadline time.Duration, drainAll bool) {
+// runWindows is the one run loop, behind Run (deadline infTime) and RunUntil.
+func (r *Engine) runWindows(deadline time.Duration) {
 	r.mustInit()
-	if r.lookahead <= 0 {
-		panic("sim: sharded run without SetLookahead (the minimum cross-shard link latency)")
+	one := len(r.shards) == 1
+	if !one {
+		if r.lookahead <= 0 {
+			panic("sim: sharded run without SetLookahead (the minimum cross-shard link latency)")
+		}
+		r.mergeStaged()
+		r.runBarriers()
+		r.workers.start(r)
+		defer r.workers.stop()
 	}
-	r.mergeStaged()
-	r.runBarriers()
-	r.workers.start(r)
-	defer r.workers.stop()
 	for {
-		rootEv := r.events.front()
-		shardMin, shardOk := r.minShardNext()
-		var tMin time.Duration
-		switch {
-		case rootEv == nil && !shardOk:
-			tMin = 0
-		case rootEv == nil:
-			tMin = shardMin
-		case !shardOk || rootEv.at <= shardMin:
-			tMin = rootEv.at
-		default:
-			tMin = shardMin
+		if one {
+			// K = 1: the horizon is +∞, so the window ends at the deadline
+			// or just before the next sampler boundary, whichever is first.
+			limit := deadline
+			if len(r.samplers) > 0 {
+				limit = min(limit, r.nextSamplerAt()-1)
+			}
+			r.statWindows++
+			for r.runDue(limit) {
+			}
+			if limit == deadline {
+				break // nothing at or before the deadline is left
+			}
 		}
-		if rootEv == nil && !shardOk {
-			break
-		}
-		if !drainAll && tMin > deadline {
+		tMin, ok := r.nextAt()
+		if !ok || tMin > deadline {
 			break
 		}
 		// Sampling boundaries at or before the next event fire now, with
 		// every worker idle and every clock raised to the boundary — the
-		// same between-events instant the serial engine fires at. After
-		// this, the earliest pending boundary is strictly after tMin.
-		if len(r.samplers) > 0 {
-			r.fireSamplers(tMin)
+		// same between-events instant at every K. After this, the earliest
+		// pending boundary is strictly after tMin.
+		r.fireSamplers(tMin)
+		if one {
+			continue
 		}
-		if rootEv != nil && rootEv.at == tMin {
+		if rootEv := r.events.front(); rootEv != nil && rootEv.at == tMin {
 			// A root event is next: run the whole instant exclusively, node
-			// work first, then global/keyed events — the serial order.
+			// work first, then global/keyed events — the one-shard order.
 			r.runInstant(tMin)
 		} else {
-			// Dynamic windows: shard i may safely run everything before
-			// m_{-i} + lookahead, the earliest instant any other shard could
-			// reach into it. The two smallest shard minima give m_{-i} for
-			// every i: the min-holder sees the second minimum, everyone else
-			// the minimum. A shard with no busy peers gets an unbounded
-			// horizon (bounded only by root events and the deadline);
-			// self-caps shrink it mid-drain as cross-shard effects appear.
-			min1, min2 := infTime, infTime
-			min1Idx := -1
-			for i, s := range r.shards {
-				if at, has := s.events.nextAt(); has {
-					if at < min1 {
-						min2 = min1
-						min1, min1Idx = at, i
-					} else if at < min2 {
-						min2 = at
-					}
-				}
-			}
-			// A pending sampling boundary also bounds every window: no
-			// shard may execute an event at or past it before it fires
-			// (drainLimit is exclusive, so capping at the boundary is
-			// exact).
-			sampleNext := infTime
-			if len(r.samplers) > 0 {
-				sampleNext = r.nextSamplerAt()
-			}
-			for i, s := range r.shards {
-				other := min1
-				if i == min1Idx {
-					other = min2
-				}
-				h := infTime
-				if other != infTime {
-					h = other + r.lookahead
-				}
-				if rootEv != nil && rootEv.at < h {
-					h = rootEv.at
-				}
-				if !drainAll && deadline+1 < h {
-					h = deadline + 1 // the window must include events at the deadline itself
-				}
-				if sampleNext < h {
-					h = sampleNext
-				}
-				s.drainLimit = h
-			}
-			r.dispatch(shardCmd{}, func(s *Engine) bool {
-				at, has := s.events.nextAt()
-				return has && at < s.drainLimit
-			})
+			r.openWindows(deadline, rootEv)
 		}
 		r.runBarriers()
 		r.mergeStaged()
 	}
-	if !drainAll {
-		// Boundaries inside (now, deadline] with no event to trigger them
-		// still fire, exactly like the serial RunUntil epilogue.
+	if deadline == infTime {
+		// Run leaves every clock at the globally last executed event.
+		deadline = r.now
+		for _, s := range r.shards {
+			deadline = max(deadline, s.now)
+		}
+	} else {
+		// Sampling boundaries inside (now, deadline] fire even when no event
+		// reaches them: an idle stretch still produces samples.
 		r.fireSamplers(deadline)
 	}
-	if drainAll {
-		// Leave every clock at the globally last executed event, exactly
-		// where a serial Run leaves its single clock.
-		maxNow := r.now
-		for _, s := range r.shards {
-			if s.now > maxNow {
-				maxNow = s.now
+	r.now = max(r.now, deadline)
+	for _, s := range r.shards {
+		s.now = max(s.now, deadline)
+	}
+}
+
+// openWindows runs one parallel window of a root of K ≥ 2. Shard i may
+// safely run everything before m_{-i} + lookahead, the earliest instant any
+// other shard could reach into it. The two smallest shard minima give m_{-i}
+// for every i: the min-holder sees the second minimum, everyone else the
+// minimum. A shard with no busy peers gets an unbounded horizon, bounded only
+// by the next root event, the next sampling boundary (no shard may execute
+// an event at or past it before it fires; drainLimit is exclusive, so
+// capping at the boundary is exact) and the deadline; self-caps shrink it
+// mid-drain as cross-shard effects appear.
+func (r *Engine) openWindows(deadline time.Duration, rootEv *event) {
+	min1, min2 := infTime, infTime
+	min1Idx := -1
+	for i, s := range r.shards {
+		if at, has := s.events.nextAt(); has {
+			if at < min1 {
+				min2 = min1
+				min1, min1Idx = at, i
+			} else if at < min2 {
+				min2 = at
 			}
 		}
-		r.now = maxNow
-		for _, s := range r.shards {
-			s.now = maxNow
+	}
+	bound := r.nextSamplerAt()
+	if rootEv != nil {
+		bound = min(bound, rootEv.at)
+	}
+	if deadline < bound-1 {
+		bound = deadline + 1 // the window must include events at the deadline itself
+	}
+	for i, s := range r.shards {
+		other := min1
+		if i == min1Idx {
+			other = min2
 		}
-		return
-	}
-	if r.now < deadline {
-		r.now = deadline
-	}
-	for _, s := range r.shards {
-		if s.now < deadline {
-			s.now = deadline
+		s.drainLimit = bound
+		if other != infTime {
+			s.drainLimit = min(bound, other+r.lookahead)
 		}
 	}
+	r.dispatch(shardCmd{}, func(s *Engine) bool {
+		at, has := s.events.nextAt()
+		return has && at < s.drainLimit
+	})
 }
 
 // runInstant executes everything scheduled at exactly g: first all shard
@@ -546,13 +519,16 @@ func (r *Engine) runInstant(g time.Duration) {
 	}
 }
 
-// shardedStep pops the globally earliest event across the root and all
-// shards and runs it on the caller's goroutine (no workers). Cross-engine
-// ties are decided by (at, key); the remaining tie (same instant, same key
-// on two engines) is broken by engine order, which is deterministic for a
-// fixed shard count. Step-driven phases (placement queries) are exclusive by
+// Step executes the single earliest pending event, advancing the clock to its
+// timestamp, and reports whether there was one. It pops the globally earliest
+// event across the root and all shards and runs it on the caller's goroutine
+// (no workers), which is how placement queries are driven to resolution.
+// Cross-engine ties are decided by (at, key); the remaining tie (same
+// instant, same key on two engines) is broken by engine order, which is
+// deterministic for a fixed shard count. Step-driven phases are exclusive by
 // construction, so this is their whole execution model.
-func (r *Engine) shardedStep() bool {
+func (r *Engine) Step() bool {
+	r.mustInit()
 	r.mergeStaged()
 	r.runBarriers()
 	best := r.events.front()

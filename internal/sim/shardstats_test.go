@@ -1,14 +1,18 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
+
+	"vbundle/internal/obs"
 )
 
 // TestShardWorkAccounting drives a two-shard engine through a known event
 // load and checks the per-shard work counters: every executed event is
 // attributed to its shard, windows are counted, and a serial engine reports
-// no per-shard stats at all.
+// its one shard, itself.
 func TestShardWorkAccounting(t *testing.T) {
 	root := NewShardedEngine(1, 2)
 	root.SetLookahead(time.Millisecond)
@@ -45,12 +49,58 @@ func TestShardWorkAccounting(t *testing.T) {
 	if total != 2*perShard {
 		t.Errorf("total attributed events = %d, want %d", total, 2*perShard)
 	}
-	// Shard engines resolve to the root's view; a serial engine has none.
+	// Shard engines resolve to the root's view.
 	if got := root.Shard(1).ShardWork(); len(got) != 2 {
 		t.Errorf("ShardWork via shard engine returned %d entries, want 2", len(got))
 	}
-	if NewEngine(1).ShardWork() != nil {
-		t.Error("serial engine reported per-shard stats")
+
+	// A serial engine is one shard: every event it runs — by Run, RunUntil or
+	// Step — is that shard's.
+	e := NewEngine(1)
+	for i := 0; i < 10; i++ {
+		e.At(time.Duration(i)*time.Millisecond, func() {})
+	}
+	e.Step()
+	e.RunUntil(5 * time.Millisecond)
+	e.Run()
+	if got := e.ShardWork(); len(got) != 1 || got[0].Events != 10 {
+		t.Errorf("serial engine ShardWork = %+v, want one entry of 10 events", got)
+	}
+}
+
+// TestOneShardIsTheSerialEngine: a one-shard engine is NewEngine, not a root
+// over a shard of its own. It accepts At, registers one queue-depth histogram
+// (so the queue-depth count, sim.events, is the number of events run, not
+// twice it), and counts each pending event once.
+func TestOneShardIsTheSerialEngine(t *testing.T) {
+	e := NewShardedEngine(3, 1)
+	if e.ShardCount() != 1 || e.Shard(0) != e {
+		t.Fatalf("NewShardedEngine(3, 1): %d shards, Shard(0) == e is %v", e.ShardCount(), e.Shard(0) == e)
+	}
+	tr := obs.NewMetrics()
+	AttachObs(e, tr)
+	for i := 0; i < 5; i++ {
+		e.At(time.Duration(i)*time.Second, func() {})
+	}
+	e.AtGlobal(time.Second, func() {})
+	e.AtKeyed(2*time.Second, 7, func() {})
+	if got := e.Pending(); got != 7 {
+		t.Fatalf("Pending = %d, want 7", got)
+	}
+	e.Run()
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending after Run = %d, want 0", got)
+	}
+	var dump bytes.Buffer
+	var snap map[string]int64
+	if err := tr.Registry().WriteJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(dump.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap["sim/queue_depth/count"]; got != 7 {
+		t.Fatalf("sim/queue_depth counted %d pops, want 7", got)
 	}
 }
 

@@ -5,30 +5,26 @@
 // in milliseconds of wall time, and identical seeds replay identical event
 // orders, which the test suite relies on.
 //
-// The engine comes in two execution modes with one ordering contract:
+// There is one engine: a root driving K shards, the engines that run node
+// work, each drained in time windows no other shard can reach into (the
+// lookahead, the minimum cross-shard link latency, sizes them; see shard.go).
+// A serial engine (NewEngine) is K = 1 by construction: it is its own only
+// shard, one queue holds all of its events, and no other shard exists to
+// bound its window, so Run and RunUntil drain it straight up to the deadline
+// or the next sampler boundary — no barrier, no worker, no staging. A root of
+// K ≥ 2 (NewShardedEngine) keeps the driver events in a queue of its own and
+// runs its shards on one goroutine each.
 //
-//   - Serial (NewEngine): one goroutine, callbacks run sequentially in
-//     (timestamp, key, sequence) order, so simulation code needs no locking
-//     of its own. This is the default and the reference implementation.
-//   - Sharded (NewShardedEngine): a root engine coordinating K shard
-//     engines, each drained by its own goroutine inside barrier-synchronized
-//     time windows sized dynamically from the shards' queues and the
-//     configured lookahead (the minimum cross-shard link latency). See
-//     shard.go.
-//
-// Both modes order same-instant events by the same key bands, which is what
-// makes the sharded engine's output bit-identical to the serial engine's
-// (asserted by the sharded-equivalence property tests): the serial engine is
-// simply the K=1 special case that never pays a barrier.
-//
-// The equivalence contract is stronger than "same metrics": each node's
-// callbacks run in the same relative order in every mode, so any per-node
-// stream of observations is mode-invariant too. The internal/obs flight
-// recorder is built directly on this — it stamps events with (virtual time,
-// node, per-node sequence) and nothing else, which is why a serialized trace
-// is byte-identical between the serial and sharded engines at any shard
-// count (asserted by the trace shard-invariance test in
-// internal/experiments).
+// Every K orders same-instant events by the same key bands, which is what
+// makes a K-shard run's output bit-identical to the one-shard run's
+// (asserted by the sharded-equivalence property tests). The contract is
+// stronger than "same metrics": each node's callbacks run in the same
+// relative order at every K, so any per-node stream of observations is
+// shard-count-invariant too. The internal/obs flight recorder is built
+// directly on this — it stamps events with (virtual time, node, per-node
+// sequence) and nothing else, which is why a serialized trace is
+// byte-identical at any shard count (asserted by the trace shard-invariance
+// test in internal/experiments).
 package sim
 
 import (
@@ -55,7 +51,7 @@ import (
 //     per-engine tiebreak suffices.
 //   - band 2 — AtGlobal/AfterGlobal/EveryGlobal: experiment drivers,
 //     samplers, fault injectors. They run on the root engine, after all
-//     same-instant node work, in both modes.
+//     same-instant node work, at every shard count.
 //   - band 3 — AtKeyed: domain-keyed completions (e.g. a migration keyed by
 //     VM id) scheduled from shard context onto the root engine. The caller's
 //     key makes the merge order deterministic regardless of which shard
@@ -93,11 +89,13 @@ type Engine struct {
 	// destination.
 	deliver func(key uint64)
 
-	// Sharded-mode plumbing; see shard.go. shards is non-empty only on a
-	// sharded root; root points back from a shard member to its root.
+	// shards are the engines that run node work; see shard.go. A root of
+	// K ≥ 2 holds its K members, each of which points back at it through
+	// root; every other engine is its own only shard, with shards backed by
+	// self so that nothing is allocated for it.
 	shards    []*Engine
+	self      [1]*Engine
 	root      *Engine
-	shardIdx  int
 	lookahead time.Duration
 	barriers  []func()
 	staging   staging
@@ -122,22 +120,20 @@ type Engine struct {
 	// comparisons).
 	samplers []sampler
 	depth    *obs.Histogram
-	// samplerNext caches the earliest pending sampler boundary (infTime
-	// when none), so the serial per-pop check in Step is one comparison
-	// instead of a call that scans the sampler list on every event.
-	// Maintained by AddSampler and fireSamplers.
-	samplerNext time.Duration
 }
 
-// NewEngine returns a serial engine whose clock starts at zero and whose
-// random source is seeded with seed, making runs reproducible.
+// NewEngine returns a serial engine — one shard, itself — whose clock starts
+// at zero and whose random source is seeded with seed, making runs
+// reproducible.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		events:      newBucketQueue(),
-		rng:         rand.New(rand.NewSource(seed)),
-		seed:        seed,
-		samplerNext: infTime,
+	e := &Engine{
+		events: newBucketQueue(),
+		rng:    rand.New(rand.NewSource(seed)),
+		seed:   seed,
 	}
+	e.self[0] = e
+	e.shards = e.self[:]
+	return e
 }
 
 // Now returns the current virtual time.
@@ -176,21 +172,6 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
-}
-
 // mustInit catches use of a zero-value Engine (a nil-pointer deref waiting
 // to happen deep inside an experiment) with an explanation at the call site.
 func (e *Engine) mustInit() {
@@ -211,12 +192,13 @@ func (e *Engine) push(t time.Duration, key uint64, fn func()) {
 // At schedules fn to run at absolute virtual time t. Times in the past run
 // at the current instant (they are clamped to Now).
 //
-// On a sharded root At panics: work on the root must declare its scheduling
-// context (AtGlobal for drivers, AtKeyed for domain-keyed completions) so
-// that same-instant ordering does not depend on the shard count.
+// On a root of K ≥ 2 shards At panics: work on the root must declare its
+// scheduling context (AtGlobal for drivers, AtKeyed for domain-keyed
+// completions) so that same-instant ordering does not depend on the shard
+// count.
 func (e *Engine) At(t time.Duration, fn func()) {
 	e.mustInit()
-	if len(e.shards) > 0 {
+	if len(e.shards) > 1 {
 		panic("sim: At on a sharded root engine; use AtGlobal/AfterGlobal/EveryGlobal (drivers) or AtKeyed (keyed completions)")
 	}
 	e.push(t, keyLocal, fn)
@@ -249,21 +231,12 @@ func (e *Engine) AtDelivery(t time.Duration, key uint64) {
 
 // AtGlobal schedules an experiment-driver event: fault injections, samplers,
 // workload refreshes — anything that observes or mutates cross-node state.
-// At any instant, global events run after all node-level work, in both the
-// serial and the sharded engine; that shared rule is what keeps the two
-// engines' event orders identical. On a sharded root the event is staged
-// (safe to call from shard context) and merged at the next barrier.
+// At any instant, global events run after all node-level work, at every
+// shard count; that shared rule is what keeps the event order independent of
+// K. On a root of K ≥ 2 the event is staged (safe to call from shard context)
+// and merged at the next barrier.
 func (e *Engine) AtGlobal(t time.Duration, fn func()) {
-	e.mustInit()
-	r := e.Root()
-	if len(r.shards) > 0 {
-		if e != r {
-			e.noteStaged(t, "global")
-		}
-		r.staging.add(t, keyGlobal, fn)
-		return
-	}
-	r.push(t, keyGlobal, fn)
+	e.atRoot(t, keyGlobal, fn, "global")
 }
 
 // AfterGlobal schedules a global event delay after the root clock. It must
@@ -280,21 +253,28 @@ func (e *Engine) AfterGlobal(delay time.Duration, fn func()) {
 // the caller's key, so the execution order is identical however many shards
 // staged them. The canonical user is migration completion, keyed by VM id.
 //
-// In sharded mode an event staged from shard context mid-window must lie at
-// least one lookahead beyond the staging shard's clock (enforced by a panic;
-// in practice migration durations are orders of magnitude larger), which
-// keeps it beyond every shard's window horizon.
+// At K ≥ 2 an event staged from shard context mid-window must lie at least
+// one lookahead beyond the staging shard's clock (enforced by a panic; in
+// practice migration durations are orders of magnitude larger), which keeps
+// it beyond every shard's window horizon.
 func (e *Engine) AtKeyed(t time.Duration, key uint64, fn func()) {
+	e.atRoot(t, keyKeyed|(key&keyPayloadMax), fn, "keyed")
+}
+
+// atRoot schedules a band-2 or band-3 event on the root. A one-shard engine
+// runs everything on its own goroutine and pushes it straight into its queue;
+// a root of K ≥ 2 stages it, since the call may come from any shard.
+func (e *Engine) atRoot(t time.Duration, key uint64, fn func(), band string) {
 	e.mustInit()
 	r := e.Root()
-	if len(r.shards) > 0 {
-		if e != r {
-			e.noteStaged(t, "keyed")
-		}
-		r.staging.add(t, keyKeyed|(key&keyPayloadMax), fn)
+	if len(r.shards) == 1 {
+		r.push(t, key, fn)
 		return
 	}
-	r.push(t, keyKeyed|(key&keyPayloadMax), fn)
+	if e != r {
+		e.noteStaged(t, band)
+	}
+	r.staging.add(t, key, fn)
 }
 
 // newEvent takes an event from the free list, or allocates when the list is
@@ -352,7 +332,7 @@ func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
 
 // EveryGlobal is Every in the global band: the ticker's callbacks run after
 // all same-instant node work. Experiment samplers use it so their
-// observations are taken at identical points in both engine modes.
+// observations are taken at identical points at every shard count.
 func (e *Engine) EveryGlobal(interval time.Duration, fn func()) *Ticker {
 	return e.every(interval, fn, e.AfterGlobal)
 }
@@ -374,68 +354,29 @@ func (e *Engine) runEvent(ev *event) {
 
 // runDue executes the earliest pending event if its timestamp is at or
 // before limit, and reports whether it did. It is the engine's one run loop
-// body: the serial Step/Run/RunUntil, the shard window and instant drains,
-// the root's exclusive instants and the sharded Step all call it and differ
-// only in the bound. Sampler boundaries at or before the event fire first;
-// only a serial engine can have one pending here (shard engines carry no
-// samplers, and a sharded root fires its own before it runs anything).
+// body: the one-shard drain, the shard window and instant drains, the root's
+// exclusive instants and Step all call it and differ only in the bound. The
+// caller has fired every sampler boundary at or before limit.
 func (e *Engine) runDue(limit time.Duration) bool {
-	if e.events == nil {
-		return false
-	}
 	ev := e.events.front()
 	if ev == nil || ev.at > limit {
 		return false
 	}
-	if ev.at >= e.samplerNext {
-		e.fireSamplers(ev.at)
-	}
 	e.depth.Record(int64(e.events.len()))
 	e.events.pop()
+	e.statEvents++
 	e.runEvent(ev)
 	return true
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event was executed. On a sharded root
-// it pops the globally earliest event across all shards and runs it
-// exclusively (no worker goroutines), which is how placement queries are
-// driven to resolution.
-func (e *Engine) Step() bool {
-	if len(e.shards) > 0 {
-		return e.shardedStep()
-	}
-	return e.runDue(infTime)
-}
-
-// Run executes events until none remain. Periodic tickers must be stopped
-// for Run to terminate.
-func (e *Engine) Run() {
-	if len(e.shards) > 0 {
-		e.runWindows(0, true)
-		return
-	}
-	for e.runDue(infTime) {
-	}
-}
+// Run executes events until none remain, leaving the clock at the last one.
+// Periodic tickers must be stopped for Run to terminate.
+func (e *Engine) Run() { e.runWindows(infTime) }
 
 // RunUntil executes events with timestamps at or before deadline, then
 // advances the clock to exactly the deadline. Events scheduled later remain
 // pending.
-func (e *Engine) RunUntil(deadline time.Duration) {
-	if len(e.shards) > 0 {
-		e.runWindows(deadline, false)
-		return
-	}
-	for e.runDue(deadline) {
-	}
-	// Sampling boundaries inside (now, deadline] fire even when no event
-	// reaches them: an idle stretch still produces samples.
-	e.fireSamplers(deadline)
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
+func (e *Engine) RunUntil(deadline time.Duration) { e.runWindows(deadline) }
 
 // RunFor executes events for d of virtual time from the current instant.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
@@ -443,15 +384,13 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 // Pending returns the number of events waiting to run, including staged
 // cross-shard events not yet merged.
 func (e *Engine) Pending() int {
-	if e.events == nil {
-		return 0
-	}
-	n := e.events.len()
+	n := 0
 	for _, s := range e.shards {
 		n += s.events.len()
 	}
-	if len(e.shards) > 0 {
-		n += e.staging.len()
+	if len(e.shards) > 1 {
+		// A root of K ≥ 2 keeps its own queue beside its shards'.
+		n += e.events.len() + e.staging.len()
 	}
 	return n
 }

@@ -446,7 +446,7 @@ func New(engine *sim.Engine, size int, latency LatencyFunc, opts ...Option) *Net
 		reg.RegisterGauge("net/bytes_received", func() int64 { return n.sumCounters(func(c *Counters) int { return c.BytesReceived }) })
 	}
 	k := engine.ShardCount()
-	if engine.Sharded() {
+	if k > 1 {
 		n.engines = make([]*sim.Engine, size)
 		n.shardID = make([]int32, size)
 		for a := 0; a < size; a++ {
