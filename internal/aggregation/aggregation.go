@@ -254,21 +254,39 @@ type Manager struct {
 	obs *obs.Source
 }
 
+// managerSlabs and topicSlabs are where New and SubscribeAttr carve their
+// Managers and topicStates: one slab an engine each, so a ring's managers and
+// subscriptions cost an allocation a chunk, not one a node.
+var (
+	managerSlabs = sim.NewLocal[sim.Slab[Manager]]()
+	topicSlabs   = sim.NewLocal[sim.Slab[topicState]]()
+)
+
 // New creates the aggregation manager for the given Scribe instance.
 func New(sc *scribe.Scribe, cfg Config) *Manager {
-	m := &Manager{sc: sc, cfg: cfg.withDefaults(), obs: sc.Node().Obs()}
+	m := managerSlabs.Of(sc.Node().Engine()).New()
+	*m = Manager{sc: sc, cfg: cfg.withDefaults(), obs: sc.Node().Obs()}
 	m.topics = m.topicsBuf[:0]
-	sc.SetChildDropListener(m)
+	sc.SetTreeListener(m)
 	return m
 }
 
-// ChildDropped implements scribe.ChildDropListener. A departing child changes
-// the subtree fold without any message arriving, so this is what keeps the
-// fold cache honest: the next flush re-folds and compacts, exactly when the
-// full re-fold would first have noticed the departure.
+// ChildDropped implements scribe.TreeListener. A departing child changes the
+// subtree fold without any message arriving, so this is what keeps the fold
+// cache honest: the next flush re-folds and compacts, exactly when the full
+// re-fold would first have noticed the departure.
 func (m *Manager) ChildDropped(group, _ ids.Id) {
 	if st := m.topic(group); st != nil {
 		st.cacheOK = false
+	}
+}
+
+// ParentData implements scribe.TreeListener: a child's push up the tree of a
+// subscribed topic. A push for a group this node holds no topic of is
+// dropped.
+func (m *Manager) ParentData(group ids.Id, payload simnet.Message, from pastry.NodeHandle) {
+	if st := m.topic(group); st != nil {
+		m.onChildUpdate(st, payload, from)
 	}
 }
 
@@ -313,7 +331,8 @@ func (m *Manager) SubscribeAttr(name, attr string, onGlobal func(Global)) {
 	st := m.topicNamed(name)
 	if st == nil {
 		key := scribe.GroupKey(name)
-		st = &topicState{key: key, name: name}
+		st = topicSlabs.Of(m.sc.Node().Engine()).New()
+		*st = topicState{key: key, name: name}
 		st.local = st.localBuf[:0]
 		st.flushFn = func() { m.flush(st) }
 		i := sort.Search(len(m.topics), func(i int) bool { return !m.topics[i].key.Less(key) })
@@ -321,9 +340,6 @@ func (m *Manager) SubscribeAttr(name, attr string, onGlobal func(Global)) {
 		copy(m.topics[i+1:], m.topics[i:])
 		m.topics[i] = st
 		m.sc.Join(key, scribe.Handlers{OnMulticast: m.onGlobalMsg})
-		m.sc.OnParentData(key, func(payload simnet.Message, from pastry.NodeHandle) {
-			m.onChildUpdate(st, payload, from)
-		})
 	}
 	if onGlobal != nil {
 		for i := range st.onGlobal {

@@ -103,6 +103,17 @@ func TestWarmRoundAllocatesNoMessages(t *testing.T) {
 	}
 }
 
+// pushHook stands in for a manager as its scribe's tree listener: child drops
+// go to the manager, pushes to push.
+type pushHook struct {
+	*Manager
+	push func(group ids.Id, payload simnet.Message, from pastry.NodeHandle)
+}
+
+func (h pushHook) ParentData(group ids.Id, payload simnet.Message, from pastry.NodeHandle) {
+	h.push(group, payload, from)
+}
+
 // subtreeSum adds up the local values of the tree below and including server
 // i, walking scribe's child edges.
 func (f *fixture) subtreeSum(t *testing.T, i int, topic string) float64 {
@@ -155,14 +166,14 @@ func TestOverlappingPushesKeepTheirValues(t *testing.T) {
 		stamp time.Duration
 	}
 	var got []seen
-	pst := parent.topicNamed(topic)
-	parent.sc.OnParentData(key, func(payload simnet.Message, from pastry.NodeHandle) {
+	parent.sc.SetTreeListener(nil)
+	parent.sc.SetTreeListener(pushHook{parent, func(group ids.Id, payload simnet.Message, from pastry.NodeHandle) {
 		if up := payload.(*upMsg); from == child.sc.Node().Handle() {
 			a, _ := up.Values.get(DefaultAttr)
 			got = append(got, seen{shell: up, sum: a.Sum, stamp: up.LeafSentAt})
 		}
-		parent.onChildUpdate(pst, payload, from)
-	})
+		parent.ParentData(group, payload, from)
+	}})
 
 	t0 := f.engine.Now()
 	child.SetLocal(topic, 1000)
@@ -302,13 +313,10 @@ func TestShellsAreBankedOnce(t *testing.T) {
 	delivered := make([][]*upMsg, len(f.managers))
 	for i, m := range f.managers {
 		m.Stop()
-		for _, key := range keys {
-			if m.sc.InTree(key) {
-				m.sc.OnParentData(key, func(payload simnet.Message, _ pastry.NodeHandle) {
-					delivered[i] = append(delivered[i], payload.(*upMsg))
-				})
-			}
-		}
+		m.sc.SetTreeListener(nil)
+		m.sc.SetTreeListener(pushHook{m, func(_ ids.Id, payload simnet.Message, _ pastry.NodeHandle) {
+			delivered[i] = append(delivered[i], payload.(*upMsg))
+		}})
 	}
 	engine.RunFor(200 * time.Millisecond)
 	inFlight := make(map[*upMsg]bool)

@@ -267,8 +267,12 @@ func New(topo *topology.Topology, perServer Resources) *Cluster {
 		topo:    topo,
 		servers: make([]*Server, topo.Servers()),
 	}
-	for i := range c.servers {
-		c.servers[i] = NewServer(i, perServer)
+	// One slice for all the servers: an allocation a cluster, not one a
+	// server.
+	servers := make([]Server, len(c.servers))
+	for i := range servers {
+		servers[i] = Server{Index: i, Capacity: perServer}
+		c.servers[i] = &servers[i]
 	}
 	return c
 }

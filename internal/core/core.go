@@ -172,6 +172,11 @@ type Overlay struct {
 // is constructed immediately, statically by default.
 func NewOverlay(opts Options) (*Overlay, error) {
 	opts = opts.withDefaults()
+	switch opts.Pastry.B {
+	case 0, 1, 2, 4: // 0 is the default, 4
+	default:
+		return nil, fmt.Errorf("core: Pastry.B = %d, must be 1, 2 or 4 (0 for the default)", opts.Pastry.B)
+	}
 	topo, err := topology.New(opts.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

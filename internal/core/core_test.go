@@ -182,6 +182,26 @@ func TestZeroLANHopNeedsOneShard(t *testing.T) {
 	}
 }
 
+// TestPastryDigitWidth: a digit width pastry.Config does not allow is a
+// configuration error NewOverlay and New return, naming the field, not a
+// panic inside NewRing (b = 3) or a ring built anyway (b = 8).
+func TestPastryDigitWidth(t *testing.T) {
+	for _, b := range []int{0, 1, 2, 4, 3, 8, -4} {
+		opts := Options{Topology: smallSpec(2, 4), Seed: 1, Pastry: pastry.Config{B: b}}
+		_, errOverlay := NewOverlay(opts)
+		_, errStack := New(opts)
+		valid := b == 0 || b == 1 || b == 2 || b == 4
+		for _, err := range []error{errOverlay, errStack} {
+			switch {
+			case valid && err != nil:
+				t.Errorf("B = %d: %v", b, err)
+			case !valid && (err == nil || !strings.Contains(err.Error(), "core: ") || !strings.Contains(err.Error(), "Pastry.B")):
+				t.Errorf("B = %d: error %v, want a core: error naming Pastry.B", b, err)
+			}
+		}
+	}
+}
+
 func TestEndToEndRebalancingImprovesBalance(t *testing.T) {
 	vb, err := New(Options{Topology: smallSpec(4, 4)})
 	if err != nil {
@@ -379,5 +399,32 @@ func TestBandwidthSatisfactionAllocatesNothing(t *testing.T) {
 	}
 	if rep != want {
 		t.Fatalf("report changed across calls: %+v, reference %+v", rep, want)
+	}
+}
+
+// TestCoreConstructionAllocatesPerLayer: what New builds above the overlay —
+// the cluster's servers, the placement and rebalancing agents, the hooks
+// between them and the layers below — allocates per layer, not per server:
+// each batch constructor carves one slice, a rebalancing agent meets scribe
+// through the node's app registry (scribe.OrphanAcceptor) and not through a
+// method value, and its release table is made by its first release. A closure
+// or an object a server anywhere above the overlay fails it.
+func TestCoreConstructionAllocatesPerLayer(t *testing.T) {
+	const servers, ceiling = 4096, 0.05
+	opts := Options{Topology: smallSpec(servers/32, 32), Seed: 1}
+	overlay := testing.AllocsPerRun(1, func() {
+		if _, err := NewOverlay(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stack := testing.AllocsPerRun(1, func() {
+		if _, err := New(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perServer := (stack - overlay) / servers
+	t.Logf("NewOverlay %.0f objects, New %.0f: %.4f a server above the overlay", overlay, stack, perServer)
+	if perServer > ceiling {
+		t.Fatalf("New allocates %.4f objects a server beyond the overlay; the ceiling is %v", perServer, ceiling)
 	}
 }

@@ -196,29 +196,6 @@ func (a Id) DigitAt(i, b int) int {
 	return int(word >> shift & mask)
 }
 
-// WithDigit returns a copy of the identifier with digit i (b bits wide,
-// digit 0 most significant) replaced by d.
-func (a Id) WithDigit(i, b, d int) Id {
-	checkDigitWidth(b)
-	if d < 0 || d >= 1<<uint(b) {
-		panic("ids: digit value out of range")
-	}
-	perWord := 64 / b
-	if i < 0 || i >= Bits/b {
-		panic("ids: digit index out of range")
-	}
-	j := i
-	word := &a.hi
-	if j >= perWord {
-		word = &a.lo
-		j -= perWord
-	}
-	shift := uint(64 - b*(j+1))
-	mask := (uint64(1)<<uint(b) - 1) << shift
-	*word = *word&^mask | uint64(d)<<shift
-	return a
-}
-
 // CommonPrefixLen returns the number of leading digits (b bits wide) that a
 // and b share. The result is in [0, 128/b].
 func (a Id) CommonPrefixLen(other Id, b int) int {
@@ -232,58 +209,6 @@ func (a Id) CommonPrefixLen(other Id, b int) int {
 		return Bits / b
 	}
 	return lead / b
-}
-
-// PrefixRange returns the smallest and largest identifiers that share the
-// first row digits (b bits wide) with base and have digit row equal to col:
-// the identifier interval a Pastry routing-table slot (row, col) covers.
-//
-// It is equivalent to rewriting every digit below row with WithDigit — col at
-// row, then 0s (lo) and all-ones (hi) for the tail — but runs in O(1) mask
-// arithmetic instead of O(Bits/b) digit stores; routing-table construction
-// calls it rows×cols times per node, which made the digit loop the single
-// hottest path when building 8k-server rings.
-func PrefixRange(base Id, row, col, b int) (lo, hi Id) {
-	checkDigitWidth(b)
-	if row < 0 || row >= Bits/b {
-		panic("ids: digit index out of range")
-	}
-	if col < 0 || col >= 1<<uint(b) {
-		panic("ids: digit value out of range")
-	}
-	keep := topMask(b * row)               // bits of base preserved
-	digit := shiftIn(uint64(col), b*row+b) // col placed at digit position row
-	lo = Id{hi: base.hi & keep.hi, lo: base.lo & keep.lo}
-	lo = Id{hi: lo.hi | digit.hi, lo: lo.lo | digit.lo}
-	tail := topMask(b*row + b) // everything below digit row is the free tail
-	hi = Id{hi: lo.hi | ^tail.hi, lo: lo.lo | ^tail.lo}
-	return lo, hi
-}
-
-// topMask returns the identifier with the k most significant bits set.
-func topMask(k int) Id {
-	switch {
-	case k <= 0:
-		return Zero
-	case k >= Bits:
-		return Max
-	case k <= 64:
-		return Id{hi: ^uint64(0) << uint(64-k)}
-	default:
-		return Id{hi: ^uint64(0), lo: ^uint64(0) << uint(Bits-k)}
-	}
-}
-
-// shiftIn returns v positioned so that its least significant bit lands at
-// bit Bits-end (v occupies the bits just above the low Bits-end bits).
-// Shift counts of 64 or more are well-defined in Go (they yield zero), so no
-// special-casing is needed at the word boundary.
-func shiftIn(v uint64, end int) Id {
-	s := uint(Bits - end)
-	if s >= 64 {
-		return Id{hi: v << (s - 64)}
-	}
-	return Id{hi: v >> (64 - s), lo: v << s}
 }
 
 func checkDigitWidth(b int) {

@@ -132,6 +132,18 @@ func TestInArc(t *testing.T) {
 	}
 }
 
+// withDigit returns a with digit i (b bits wide, digit 0 most significant)
+// replaced by d: the inverse DigitAt is held against.
+func withDigit(a Id, i, b, d int) Id {
+	word, j := &a.hi, i
+	if perWord := 64 / b; j >= perWord {
+		word, j = &a.lo, j-perWord
+	}
+	shift := uint(64 - b*(j+1))
+	*word = *word&^((1<<uint(b)-1)<<shift) | uint64(d)<<shift
+	return a
+}
+
 func TestDigitAtAndWithDigit(t *testing.T) {
 	id := New(0x0123456789abcdef, 0xfedcba9876543210)
 	// b = 4: hex digits, most significant first.
@@ -142,12 +154,12 @@ func TestDigitAtAndWithDigit(t *testing.T) {
 			t.Fatalf("DigitAt(%d, 4) = %x, want %x", i, got, want)
 		}
 	}
-	// Round-trip WithDigit.
+	// Round-trip withDigit.
 	for i := 0; i < 32; i++ {
 		for _, d := range []int{0, 7, 15} {
-			mod := id.WithDigit(i, 4, d)
+			mod := withDigit(id, i, 4, d)
 			if got := mod.DigitAt(i, 4); got != d {
-				t.Fatalf("WithDigit(%d)=%x then DigitAt=%x", i, d, got)
+				t.Fatalf("withDigit(%d)=%x then DigitAt=%x", i, d, got)
 			}
 			// Other digits untouched.
 			for j := 0; j < 32; j++ {
@@ -155,7 +167,7 @@ func TestDigitAtAndWithDigit(t *testing.T) {
 					continue
 				}
 				if mod.DigitAt(j, 4) != id.DigitAt(j, 4) {
-					t.Fatalf("WithDigit(%d) disturbed digit %d", i, j)
+					t.Fatalf("withDigit(%d) disturbed digit %d", i, j)
 				}
 			}
 		}
@@ -178,7 +190,7 @@ func TestDigitWidths(t *testing.T) {
 		// Reconstruct the id from its digits.
 		got := Zero
 		for i := 0; i < n; i++ {
-			got = got.WithDigit(i, b, id.DigitAt(i, b))
+			got = withDigit(got, i, b, id.DigitAt(i, b))
 		}
 		if got != id {
 			t.Errorf("b=%d: digit round-trip mismatch", b)
@@ -293,49 +305,6 @@ func TestScaledAdjacencyMatchesHierarchy(t *testing.T) {
 			}
 			if x := Scaled(j, total); InArc(x, a, b) && x != b {
 				t.Fatalf("id %d intrudes between %d and %d", j, i, i+1)
-			}
-		}
-	}
-}
-
-// prefixRangeRef is the digit-by-digit reference PrefixRange replaces: set
-// digit row to col, then rewrite every deeper digit to 0 (lo) or the maximum
-// digit (hi).
-func prefixRangeRef(base Id, row, col, b int) (lo, hi Id) {
-	lo = base.WithDigit(row, b, col)
-	hi = lo
-	for k := row + 1; k < Bits/b; k++ {
-		lo = lo.WithDigit(k, b, 0)
-		hi = hi.WithDigit(k, b, 1<<uint(b)-1)
-	}
-	return lo, hi
-}
-
-func TestPrefixRangeMatchesDigitLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, b := range []int{1, 2, 4, 8, 16} {
-		perID := Bits / b
-		for trial := 0; trial < 200; trial++ {
-			base := Random(rng)
-			row := rng.Intn(perID)
-			col := rng.Intn(1 << uint(b))
-			gotLo, gotHi := PrefixRange(base, row, col, b)
-			wantLo, wantHi := prefixRangeRef(base, row, col, b)
-			if gotLo != wantLo || gotHi != wantHi {
-				t.Fatalf("PrefixRange(%v, row=%d, col=%d, b=%d) = [%v, %v], want [%v, %v]",
-					base, row, col, b, gotLo, gotHi, wantLo, wantHi)
-			}
-		}
-		// Boundary rows: first and last digit.
-		for _, row := range []int{0, perID - 1} {
-			for _, col := range []int{0, 1<<uint(b) - 1} {
-				base := Random(rng)
-				gotLo, gotHi := PrefixRange(base, row, col, b)
-				wantLo, wantHi := prefixRangeRef(base, row, col, b)
-				if gotLo != wantLo || gotHi != wantHi {
-					t.Fatalf("PrefixRange boundary (row=%d, col=%d, b=%d): got [%v, %v], want [%v, %v]",
-						row, col, b, gotLo, gotHi, wantLo, wantHi)
-				}
 			}
 		}
 	}

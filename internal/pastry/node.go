@@ -251,6 +251,19 @@ type DeathObserver interface {
 	NodeDead(peer NodeHandle)
 }
 
+// FindApp returns the first application registered on n that implements T:
+// how a layer hands a hook to whichever application above it takes it, with
+// no callback stored on every node.
+func FindApp[T any](n *Node) (T, bool) {
+	for _, e := range n.apps {
+		if t, ok := e.app.(T); ok {
+			return t, true
+		}
+	}
+	var none T
+	return none, false
+}
+
 // Joined reports whether the node has completed its join.
 func (n *Node) Joined() bool { return n.joined }
 

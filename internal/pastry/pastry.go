@@ -32,7 +32,8 @@ import (
 // L = 16, |M| = 16).
 type Config struct {
 	// B is the digit width in bits; routing tables have 2^B columns.
-	// Must be one of 1, 2 or 4. Defaults to 4.
+	// Must be one of 1, 2 or 4 (core.NewOverlay returns an error for any
+	// other). Defaults to 4.
 	B int
 	// LeafSize is the total leaf set size L; L/2 nodes are kept on each
 	// side of the local identifier. Defaults to 16.

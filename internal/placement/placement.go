@@ -295,8 +295,12 @@ func NewDHT(ring *pastry.Ring, cl *cluster.Cluster, cfg DHTConfig) *DHT {
 		pending: make(map[uint64]pendingQuery),
 	}
 	d.timerFn = d.onTimer
+	// One slice for all the agents, as NewRing carves its nodes; a rebound
+	// node's agent (RebindNode) is an object of its own.
+	agents := make([]dhtAgent, ring.Size())
 	for i, node := range ring.Nodes() {
-		a := &dhtAgent{d: d, server: i, node: node}
+		a := &agents[i]
+		*a = dhtAgent{d: d, server: i, node: node}
 		d.agents[i] = a
 		node.Register(AppName, a)
 	}

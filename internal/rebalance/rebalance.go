@@ -229,9 +229,13 @@ func NewCoordinator(ring *pastry.Ring, cl *cluster.Cluster, mig *migration.Manag
 	if cfg.CostBenefit != nil {
 		c.analyzer = costbenefit.New(*cfg.CostBenefit, mig.Config())
 	}
+	// One slice for all the agents, as NewRing carves its nodes; a replaced
+	// agent (ReplaceAgent) is an object of its own.
+	agents := make([]Agent, ring.Size())
 	c.agents = make([]*Agent, ring.Size())
 	for i := range c.agents {
-		c.agents[i] = newAgent(c, i, ring.Node(i), managers[i])
+		c.agents[i] = &agents[i]
+		agents[i].init(c, i, ring.Node(i), managers[i])
 	}
 	return c
 }
@@ -257,7 +261,8 @@ func (c *Coordinator) SetStore(st store.Store) { c.store = st }
 // AdoptLeases.
 func (c *Coordinator) ReplaceAgent(i int, node *pastry.Node, agg *aggregation.Manager) *Agent {
 	c.agents[i].stop()
-	a := newAgent(c, i, node, agg)
+	a := new(Agent)
+	a.init(c, i, node, agg)
 	c.agents[i] = a
 	if c.started {
 		a.start()
@@ -413,6 +418,7 @@ type Agent struct {
 	// releaseAwait tracks releases sent but not yet acknowledged, keyed by
 	// (vm, receiver) so concurrent releases of one VM to different
 	// receivers (live exchange plus an orphaned accept) stay independent.
+	// It is nil until the agent sends its first release.
 	releaseAwait map[releaseKey]bool
 
 	updateTicker, rebalanceTicker *sim.Ticker
@@ -479,15 +485,16 @@ func (a *Agent) shedDestOf(vm cluster.VMID) (pastry.NodeHandle, bool) {
 	return pastry.NodeHandle{}, false
 }
 
-func newAgent(coord *Coordinator, server int, node *pastry.Node, agg *aggregation.Manager) *Agent {
-	a := &Agent{
-		coord:        coord,
-		server:       server,
-		node:         node,
-		agg:          agg,
-		role:         RoleNeutral,
-		releaseAwait: make(map[releaseKey]bool),
-		obs:          node.Obs(),
+// init makes a server's agent on node and registers it there, where scribe
+// also finds it as the node's OrphanAcceptor.
+func (a *Agent) init(coord *Coordinator, server int, node *pastry.Node, agg *aggregation.Manager) {
+	*a = Agent{
+		coord:  coord,
+		server: server,
+		node:   node,
+		agg:    agg,
+		role:   RoleNeutral,
+		obs:    node.Obs(),
 	}
 	if reg := node.Network().Trace().Registry(); reg != nil {
 		reg.Register("rebalance/migrations_triggered", &a.migrationsTriggered)
@@ -497,10 +504,6 @@ func newAgent(coord *Coordinator, server int, node *pastry.Node, agg *aggregatio
 		reg.RegisterHistogram("rebalance/lease_hold_ns", a.leaseHold)
 	}
 	node.Register(AppName, a)
-	// Late or duplicate accepts that the any-cast layer already gave up on
-	// still hold a reservation at some receiver; release it.
-	agg.Scribe().OnOrphanAccept = a.handleOrphanAccept
-	return a
 }
 
 // Role returns the agent's current self-identification.
@@ -965,6 +968,9 @@ func (a *Agent) shedChain(budget int) {
 // the backstop beyond that point).
 func (a *Agent) sendRelease(to pastry.NodeHandle, vm cluster.VMID) {
 	key := releaseKey{vm: vm, addr: to.Addr}
+	if a.releaseAwait == nil {
+		a.releaseAwait = make(map[releaseKey]bool)
+	}
 	a.releaseAwait[key] = true
 	a.trySendRelease(to, key, a.coord.cfg.ReleaseRetries, a.coord.cfg.ReleaseRetryInterval)
 }
@@ -997,11 +1003,12 @@ func (a *Agent) renewWhileInFlight(to pastry.NodeHandle, vm cluster.VMID, demand
 	})
 }
 
-// handleOrphanAccept releases reservations made for accepts the any-cast
-// layer had already given up on: a verdict that arrived after the timeout,
-// or a duplicate accept from a retried query. Without this, the receiver
-// would hold the reservation until its lease expired.
-func (a *Agent) handleOrphanAccept(_ ids.Id, payload simnet.Message, by pastry.NodeHandle) {
+// OrphanAccepted implements scribe.OrphanAcceptor: it releases reservations
+// made for accepts the any-cast layer had already given up on — a verdict
+// that arrived after the timeout, or a duplicate accept from a retried
+// query. Without this, the receiver would hold the reservation until its
+// lease expired.
+func (a *Agent) OrphanAccepted(_ ids.Id, payload simnet.Message, by pastry.NodeHandle) {
 	q, ok := payload.(*shedQuery)
 	if !ok {
 		return
@@ -1014,6 +1021,8 @@ func (a *Agent) handleOrphanAccept(_ ids.Id, payload simnet.Message, by pastry.N
 	a.reserveStats.OrphanReleases++
 	a.sendRelease(by, q.VMID)
 }
+
+var _ scribe.OrphanAcceptor = (*Agent)(nil)
 
 // effectiveDemand builds the VM's per-kind effective demand vector.
 func effectiveDemand(vm *cluster.VM) cluster.Resources {

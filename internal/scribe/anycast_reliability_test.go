@@ -9,11 +9,23 @@ import (
 	"vbundle/internal/simnet"
 )
 
+// orphanLog is an application that records the orphaned accepts scribe hands
+// it as its node's OrphanAcceptor.
+type orphanLog struct {
+	pastry.BaseApp
+	fn func(group ids.Id, payload simnet.Message, by pastry.NodeHandle)
+}
+
+func (o *orphanLog) OrphanAccepted(group ids.Id, payload simnet.Message, by pastry.NodeHandle) {
+	o.fn(group, payload, by)
+}
+
 // TestLateAcceptAfterTimeoutIsOrphaned is the regression test for the
 // reservation-leak bug: a member accepts an any-cast, but the verdict
 // reaches the originator only after its timeout already reported failure.
-// The accept must surface through OnOrphanAccept so the acceptor's
-// reservation can be released — before the fix it was silently dropped.
+// The accept must surface at the originator node's OrphanAcceptor so the
+// acceptor's reservation can be released — before the fix it was silently
+// dropped.
 func TestLateAcceptAfterTimeoutIsOrphaned(t *testing.T) {
 	f := newFixture(t, 2, 4)
 	group := GroupKey("late-accept")
@@ -35,10 +47,10 @@ func TestLateAcceptAfterTimeoutIsOrphaned(t *testing.T) {
 	var orphanPayload simnet.Message
 	var orphanBy pastry.NodeHandle
 	orphans := 0
-	origin.OnOrphanAccept = func(g ids.Id, payload simnet.Message, by pastry.NodeHandle) {
+	origin.Node().Register("orphans", &orphanLog{fn: func(g ids.Id, payload simnet.Message, by pastry.NodeHandle) {
 		orphans++
 		orphanGroup, orphanPayload, orphanBy = g, payload, by
-	}
+	}})
 
 	var result *AnycastResult
 	origin.Anycast(group, "reserve 100 Mbps", func(r AnycastResult) { result = &r })

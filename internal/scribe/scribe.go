@@ -110,8 +110,6 @@ type groupState struct {
 	joining bool
 	// missedBeats counts maintenance rounds without a parent heartbeat.
 	missedBeats int
-	// onParentData receives payloads pushed upward with SendToParent.
-	onParentData func(payload simnet.Message, from pastry.NodeHandle)
 }
 
 // childIndex locates id in the sorted children slice, returning its
@@ -221,16 +219,11 @@ type Scribe struct {
 	// queries and lost verdicts both look like silence). Defaults to 2.
 	AnycastRetries int
 
-	// OnOrphanAccept, when set, receives accepted verdicts that no longer
-	// have a pending callback — the originator timed out, or an earlier
-	// attempt's verdict already resolved the query. The acceptor is holding
-	// resources for this verdict; the handler must release them.
-	OnOrphanAccept func(group ids.Id, payload simnet.Message, by pastry.NodeHandle)
-
-	// childDrops is told whenever a child edge is removed from a group tree
-	// (leave, failure, stale-edge prune): the aggregation manager, which
-	// invalidates the cached subtree folds that included the child.
-	childDrops ChildDropListener
+	// tree hears of the node's tree edges: a child edge removed (leave,
+	// failure, stale-edge prune) and a push from a child. It is the
+	// aggregation manager, which invalidates the cached subtree folds that
+	// included the child and folds the pushes.
+	tree TreeListener
 
 	maintenance *sim.Ticker
 
@@ -276,9 +269,14 @@ func (s *Scribe) sortedGroupKeys() []ids.Id {
 	return out
 }
 
+// scribeSlabs is where New carves its Scribes: one slab an engine, so a ring's
+// Scribes cost an allocation a chunk, not one a node.
+var scribeSlabs = sim.NewLocal[sim.Slab[Scribe]]()
+
 // New creates the Scribe instance for node and registers it under AppName.
 func New(node *pastry.Node) *Scribe {
-	s := &Scribe{
+	s := scribeSlabs.Of(node.Engine()).New()
+	*s = Scribe{
 		node:           node,
 		AnycastTimeout: 10 * time.Second,
 		AnycastRetries: 2,
@@ -386,7 +384,7 @@ func (s *Scribe) Stats() (joins, multicasts, anycasts int) {
 
 // AnycastStats returns the originator-side reliability counters: queries
 // resent after a silent timeout, and accepted verdicts that arrived with no
-// pending callback (handed to OnOrphanAccept).
+// pending callback (handed to the node's OrphanAcceptor).
 func (s *Scribe) AnycastStats() (retried, orphans int) {
 	return int(s.anycastsRetried.Value()), int(s.orphanAccepts.Value())
 }
@@ -511,12 +509,6 @@ func (s *Scribe) SendToParent(payload Upward) bool {
 	return true
 }
 
-// OnParentData registers a callback for payloads pushed upward with
-// SendToParent; the aggregation layer is the only consumer.
-func (s *Scribe) OnParentData(group ids.Id, fn func(payload simnet.Message, from pastry.NodeHandle)) {
-	s.stateFor(group).onParentData = fn
-}
-
 // --- anycast -----------------------------------------------------------------
 
 // Anycast starts a depth-first search of the group tree for a member that
@@ -524,8 +516,8 @@ func (s *Scribe) OnParentData(group ids.Id, fn func(payload simnet.Message, from
 // query with a callback is tracked until its verdict arrives: silence past
 // AnycastTimeout triggers up to AnycastRetries resends with doubled
 // timeouts, and only after the last attempt goes unanswered does onResult
-// see a failure. An accept that straggles in after that still reaches
-// OnOrphanAccept, so its resources are never silently stranded. A nil
+// see a failure. An accept that straggles in after that still reaches the
+// node's OrphanAcceptor, so its resources are never silently stranded. A nil
 // onResult is fire-and-forget: nothing is tracked, no timer is armed, and
 // any accept goes straight to the orphan handler — the originator was
 // never going to act on it.
@@ -789,8 +781,8 @@ func (s *Scribe) resolveAnycast(seq uint64, group ids.Id, payload simnet.Message
 		if accepted {
 			s.orphanAccepts.Inc()
 			s.obs.Instant(s.node.Engine().Now(), obs.KindOrphanAccept, trace, 0, int64(by.Addr))
-			if s.OnOrphanAccept != nil {
-				s.OnOrphanAccept(group, payload, by)
+			if o, ok := pastry.FindApp[OrphanAcceptor](s.node); ok {
+				o.OrphanAccepted(group, payload, by)
 			}
 		}
 		return
@@ -939,38 +931,55 @@ func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 		}
 	case Upward:
 		// The one interface case, behind every concrete one: a push that finds
-		// no tree here (this node left it) is dropped with its payload.
-		if g := s.group(m.TreeGroup()); g != nil && g.onParentData != nil {
-			g.onParentData(m, from)
+		// no tree here (this node left it), or no listener, is dropped with its
+		// payload.
+		if group := m.TreeGroup(); s.tree != nil && s.group(group) != nil {
+			s.tree.ParentData(group, m, from)
 		}
 	}
 }
 
-// ChildDropListener hears of every child edge removed from one of a node's
-// group trees, with the group key and the departed child's identifier.
-// Additions are not reported: a new child has no effect on derived per-child
-// state until its first upward message.
-type ChildDropListener interface {
+// TreeListener is the one hook between a node's group trees and the layer
+// that keeps state per tree edge (the aggregation manager).
+type TreeListener interface {
+	// ChildDropped hears of every child edge removed from one of the node's
+	// trees, with the group key and the departed child's identifier.
+	// Additions are not reported: a new child has no effect on derived
+	// per-child state until its first upward message.
 	ChildDropped(group, child ids.Id)
+	// ParentData receives a payload a child pushed up with SendToParent, in
+	// a tree this node is still in.
+	ParentData(group ids.Id, payload simnet.Message, from pastry.NodeHandle)
 }
 
-// SetChildDropListener installs the node's one child-drop listener; a
-// second one panics, as a second Register of a name does: it is a wiring bug.
-func (s *Scribe) SetChildDropListener(l ChildDropListener) {
-	if s.childDrops != nil {
-		panic(fmt.Sprintf("scribe: a second child-drop listener on node %s", s.node.ID().Short()))
+// SetTreeListener installs the node's one tree listener, or clears it with
+// nil; a second non-nil one panics, as a second Register of a name does: it
+// is a wiring bug.
+func (s *Scribe) SetTreeListener(l TreeListener) {
+	if s.tree != nil && l != nil {
+		panic(fmt.Sprintf("scribe: a second tree listener on node %s", s.node.ID().Short()))
 	}
-	s.childDrops = l
+	s.tree = l
 }
 
-// dropChildOf removes a child edge and tells the child-drop listener; it
-// reports whether the edge was present.
+// OrphanAcceptor is implemented by the application on an any-cast
+// originator's node that is told of accepted verdicts with no pending
+// callback — the originator timed out, or an earlier attempt's verdict
+// already resolved the query. The acceptor is holding resources for such a
+// verdict; the handler must release them. Scribe hands each one to the first
+// registered application that implements it (pastry.FindApp).
+type OrphanAcceptor interface {
+	OrphanAccepted(group ids.Id, payload simnet.Message, by pastry.NodeHandle)
+}
+
+// dropChildOf removes a child edge and tells the tree listener; it reports
+// whether the edge was present.
 func (s *Scribe) dropChildOf(g *groupState, id ids.Id) bool {
 	if !g.dropChild(s.node, id) {
 		return false
 	}
-	if s.childDrops != nil {
-		s.childDrops.ChildDropped(g.group, id)
+	if s.tree != nil {
+		s.tree.ChildDropped(g.group, id)
 	}
 	return true
 }

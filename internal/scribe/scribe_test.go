@@ -429,6 +429,15 @@ type testPush struct {
 func (p *testPush) TreeGroup() ids.Id { return p.group }
 func (p *testPush) WireSize() int     { return TreeEdgeWireBytes + len(p.body) }
 
+// pushLog is a tree listener that hands every push to a function and
+// ignores child drops.
+type pushLog func(group ids.Id, payload simnet.Message, from pastry.NodeHandle)
+
+func (pushLog) ChildDropped(_, _ ids.Id) {}
+func (f pushLog) ParentData(group ids.Id, payload simnet.Message, from pastry.NodeHandle) {
+	f(group, payload, from)
+}
+
 func TestSendToParentAndChildren(t *testing.T) {
 	f := newFixture(t, 2, 4)
 	group := GroupKey("agg")
@@ -461,12 +470,12 @@ func TestSendToParentAndChildren(t *testing.T) {
 	}
 
 	var upGot simnet.Message
-	parent.OnParentData(group, func(payload simnet.Message, from pastry.NodeHandle) {
+	parent.SetTreeListener(pushLog(func(g ids.Id, payload simnet.Message, from pastry.NodeHandle) {
 		upGot = payload
-		if from != child.Node().Handle() {
-			t.Errorf("push from %s, want %s", from.Id.Short(), child.Node().ID().Short())
+		if g != group || from != child.Node().Handle() {
+			t.Errorf("push in %s from %s, want %s from %s", g.Short(), from.Id.Short(), group.Short(), child.Node().ID().Short())
 		}
-	})
+	}))
 	push := &testPush{group: group, body: "partial-sum"}
 	sent := func() int { return f.ring.Network().CountersOf(child.Node().Addr()).BytesSent }
 	before := sent()
@@ -593,5 +602,28 @@ func TestGroupKeyMemoMatchesHash(t *testing.T) {
 	wg.Wait()
 	if allocs := testing.AllocsPerRun(100, func() { GroupKey(names[0]) }); allocs != 0 {
 		t.Fatalf("GroupKey of a known name allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestTreeListenerIsOne: a node has one tree listener. A second one panics,
+// as a second Register of an application name does, and nil clears the slot
+// so that another can take it.
+func TestTreeListenerIsOne(t *testing.T) {
+	f := newFixture(t, 1, 2)
+	s := f.scribes[0]
+	first, second := pushLog(func(ids.Id, simnet.Message, pastry.NodeHandle) {}), &dropLog{}
+	s.SetTreeListener(first)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second tree listener did not panic")
+			}
+		}()
+		s.SetTreeListener(second)
+	}()
+	s.SetTreeListener(nil)
+	s.SetTreeListener(second)
+	if s.tree != second {
+		t.Fatalf("the listener is %v, want the one installed after clearing", s.tree)
 	}
 }

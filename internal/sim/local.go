@@ -1,6 +1,9 @@
 package sim
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Local names a value of which every engine holds its own instance: state the
 // nodes of one engine share and that only the goroutine running that engine
@@ -38,5 +41,38 @@ func (l Local[T]) Of(e *Engine) *T {
 	}
 	v := new(T)
 	e.locals[l.slot] = v
+	return v
+}
+
+// Slab hands out zeroed *T carved from chunks, for values that live as long
+// as the engine they belong to: a per-node object made at construction costs
+// one allocation a chunk instead of one a node. Nothing is ever given back,
+// so a slab is for what is never dropped before its engine — an object that
+// is replaced (a rebuilt node's) simply stays in its chunk. Chunks double in
+// length from slabMinLen up to slabMaxBytes, so what an engine leaves unfilled
+// is at most one chunk a type, however small the run. A per-node constructor
+// keeps its slab in a Local of the node's engine (and so carves on the
+// goroutine that runs the engine, or while it is parked); the engine keeps its
+// events' in a field. The zero value is ready to use.
+type Slab[T any] struct {
+	free []T // the current chunk's unused tail
+	n    int // the current chunk's length
+}
+
+const (
+	slabMinLen   = 4
+	slabMaxBytes = 32 << 10
+)
+
+// New returns a zeroed T no other call has returned.
+func (s *Slab[T]) New() *T {
+	if len(s.free) == 0 {
+		var zero T
+		most := max(1, slabMaxBytes/max(1, int(unsafe.Sizeof(zero))))
+		s.n = min(max(2*s.n, slabMinLen), most)
+		s.free = make([]T, s.n)
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
 	return v
 }

@@ -79,8 +79,11 @@ type Engine struct {
 	// free recycles popped events: every scheduled callback would otherwise
 	// heap-allocate one *event, and large experiments schedule millions.
 	// Events are strictly owned by the engine (never escape to callers), so
-	// a popped event can be reused as soon as its callback is extracted.
+	// a popped event can be reused as soon as its callback is extracted. An
+	// event the list cannot supply is carved from slab: every event comes
+	// back to free when it runs, so none is dropped and none pins a chunk.
 	free []*event
+	slab Slab[event]
 	// locals holds the goroutine-local values of the layers above, one slot a
 	// Local; see local.go.
 	locals []any
@@ -277,16 +280,19 @@ func (e *Engine) atRoot(t time.Duration, key uint64, fn func(), band string) {
 	r.staging.add(t, key, fn)
 }
 
-// newEvent takes an event from the free list, or allocates when the list is
-// empty. The free list is bounded by the peak number of pending events.
+// newEvent takes an event from the free list, or carves one from the slab
+// when the list is empty. The free list is bounded by the peak number of
+// pending events.
 func (e *Engine) newEvent(at time.Duration, key uint64, fn func()) *event {
+	var ev *event
 	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
+		ev = e.free[n-1]
 		e.free = e.free[:n-1]
-		ev.at, ev.key, ev.seq, ev.fn = at, key, e.seq, fn
-		return ev
+	} else {
+		ev = e.slab.New()
 	}
-	return &event{at: at, key: key, seq: e.seq, fn: fn}
+	ev.at, ev.key, ev.seq, ev.fn = at, key, e.seq, fn
+	return ev
 }
 
 // After schedules fn to run delay after the current virtual time. Negative

@@ -19,16 +19,18 @@ import (
 // shared box is not (bytes move in their last two digits).
 //
 // 2048 servers on the serial engine is the cheapest rung that still builds a
-// real multi-rack ring: 25.0k objects and 5.33 MB (2601 B/server), object
-// ceiling a third above. It catches a reintroduced per-node map or closure
-// (2048 objects each), a table entry grown back from a 4-byte ref to a
-// 24-byte handle, or an eight-slot inbox chunk.
+// real multi-rack ring: 14.7k objects and 5.26 MB (2570 B/server), object
+// ceiling a third above. It catches a reintroduced per-node map, closure or
+// object (2048 objects each), a table entry grown back from a 4-byte ref to
+// a 24-byte handle, or an eight-slot inbox chunk.
 //
-// 32768 servers on four shards is 394.3k objects and 2827 B/server (engine +
+// 32768 servers on four shards is 231.1k objects and 2767 B/server (engine +
 // topology + pastry's four-byte-a-peer ref arena, sized to the rows the ring
 // fills, and identifier directory + simnet's two-slot inbox slab + one
-// []Node of 384-byte nodes, a 320-byte scribe and a 256-byte topic + the
-// run's message traffic), object ceiling a fifth above.
+// []Node of 384-byte nodes + each shard's slabs of 288-byte scribes, managers,
+// 248-byte topics and events + the run's message traffic), object ceiling a
+// fifth above. Before the slabs it was 394.3k objects and 2827 B/server: one
+// Scribe, Manager, topicState, parent-data closure and event a server.
 //
 // The byte ceilings are the ones set when the arena reserved a routing row
 // no node filled, lowered by that row (64 B/server): 6.78 MB and
@@ -46,8 +48,8 @@ func TestFig14BytesPerServerCeiling(t *testing.T) {
 		servers, shards      int
 		maxMallocs, maxBytes uint64
 	}{
-		{servers: 2048, shards: 0, maxMallocs: 33300, maxBytes: 6910000 - 64*2048},
-		{servers: 32768, shards: 4, maxMallocs: 473200, maxBytes: (3770 - 64) * 32768},
+		{servers: 2048, shards: 0, maxMallocs: 19650, maxBytes: 6910000 - 64*2048},
+		{servers: 32768, shards: 4, maxMallocs: 277300, maxBytes: (3770 - 64) * 32768},
 	} {
 		t.Run(fmt.Sprintf("servers=%d", c.servers), func(t *testing.T) {
 			if c.servers > 2048 && testing.Short() {

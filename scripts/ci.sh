@@ -63,20 +63,21 @@ echo "== queue, inbox, shell, memo and search model equivalence -race"
 go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestAnycastSearchMatchesScan' \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
-# Nine gates that must have run and passed by name, not merely not failed
-# (a renamed or skipped test fails the count). Six are exact under
+# Ten gates that must have run and passed by name, not merely not failed
+# (a renamed or skipped test fails the count). Seven are exact under
 # AllocsPerRun: a 256-hop spill walk allocates no more than a boot admitted
 # at its rendezvous; a warm BandwidthSatisfaction sweep, a SetLocal+Global
 # pair on a subscribed topic, a warm round of 4096 five-minute tickers and a
 # warm aggregation round of unchanged values allocate nothing (a round of
-# changed values: one fold list a re-folded subtree); building a 4096-node
-# overlay allocates a Scribe and a Manager a node and a constant. Three are
-# what every server holds of each layer (the node to the byte, it comes out
-# of one []Node; the others by allocator size class).
-echo "== allocation and size gates, PASS by name (9)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling)$' \
+# changed values: one fold list a re-folded subtree); each node past 4096 of
+# an overlay costs a slab chunk's share of an object (under 0.02), and
+# core.New a twentieth of one a server beyond the overlay. Three are what
+# every server holds of each layer, to the byte: the node comes out of one
+# []Node, the Scribe and the topic out of their engine's slabs.
+echo "== allocation and size gates, PASS by name (10)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling)$' \
 	./internal/placement/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ | grep -c '^--- PASS')" -eq 9
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ | grep -c '^--- PASS')" -eq 10
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
