@@ -85,20 +85,18 @@ type Config struct {
 	// UpdateInterval is the leaf sampling and root dissemination period.
 	// The paper's rebalancing experiments use 5 minutes. Defaults to 5m.
 	UpdateInterval time.Duration
-	// ProcessingDelay models the per-node fold-and-forward cost; the paper
-	// measures 1–2 ms per node (§V.C). Defaults to 1.5ms.
-	ProcessingDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.UpdateInterval == 0 {
 		c.UpdateInterval = 5 * time.Minute
 	}
-	if c.ProcessingDelay == 0 {
-		c.ProcessingDelay = 1500 * time.Microsecond
-	}
 	return c
 }
+
+// processingDelay models the per-node fold-and-forward cost; the paper
+// measures 1–2 ms per node (§V.C).
+const processingDelay = 1500 * time.Microsecond
 
 // attrVal is one (attributeName, aggregate) tuple.
 type attrVal struct {
@@ -496,7 +494,7 @@ func (m *Manager) markDirty(st *topicState, probeStamp time.Duration) {
 		return
 	}
 	st.flushing = true
-	m.sc.Node().Engine().After(m.cfg.ProcessingDelay, st.flushFn)
+	m.sc.Node().Engine().After(processingDelay, st.flushFn)
 }
 
 func (m *Manager) flush(st *topicState) {

@@ -208,7 +208,7 @@ func TestDeadLeafDropsOutOfAggregate(t *testing.T) {
 	f.ring.Network().Kill(f.ring.Node(victim).Addr())
 
 	// Let Pastry detect the failure and Scribe drop the child edge. The
-	// detector needs ProbeRetries consecutive misses, so give it several
+	// detector needs probeRetries consecutive misses, so give it several
 	// maintenance rounds.
 	f.ring.StartMaintenance()
 	f.engine.RunFor(20 * 30 * time.Second)

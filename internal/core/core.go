@@ -79,8 +79,6 @@ type Options struct {
 	Engine EngineKind
 	// Rebalance tunes the resource-shuffling algorithm.
 	Rebalance rebalance.Config
-	// Migration tunes the migration cost model.
-	Migration migration.Config
 	// ProtocolJoin builds the overlay with message-driven joins instead of
 	// static construction. Slower; used when join behaviour itself is
 	// under study.
@@ -176,6 +174,12 @@ func NewOverlay(opts Options) (*Overlay, error) {
 	case 0, 1, 2, 4: // 0 is the default, 4
 	default:
 		return nil, fmt.Errorf("core: Pastry.B = %d, must be 1, 2 or 4 (0 for the default)", opts.Pastry.B)
+	}
+	if opts.Pastry.LeafSize < 0 {
+		return nil, fmt.Errorf("core: Pastry.LeafSize = %d, must not be negative (0 for the default)", opts.Pastry.LeafSize)
+	}
+	if opts.Pastry.NeighborhoodSize < 0 {
+		return nil, fmt.Errorf("core: Pastry.NeighborhoodSize = %d, must not be negative (0 for the default)", opts.Pastry.NeighborhoodSize)
 	}
 	topo, err := topology.New(opts.Topology)
 	if err != nil {
@@ -283,7 +287,7 @@ func New(opts Options) (*VBundle, error) {
 		opts:      opts,
 		Overlay:   *ov,
 		Cluster:   cl,
-		Migration: migration.New(engine, cl, opts.Migration),
+		Migration: migration.New(engine, cl),
 	}
 	// Killed servers abort their in-flight migrations instead of landing
 	// VMs on (or streaming them from) dead hardware.

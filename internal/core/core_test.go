@@ -186,17 +186,29 @@ func TestZeroLANHopNeedsOneShard(t *testing.T) {
 // configuration error NewOverlay and New return, naming the field, not a
 // panic inside NewRing (b = 3) or a ring built anyway (b = 8).
 func TestPastryDigitWidth(t *testing.T) {
-	for _, b := range []int{0, 1, 2, 4, 3, 8, -4} {
-		opts := Options{Topology: smallSpec(2, 4), Seed: 1, Pastry: pastry.Config{B: b}}
+	for _, tc := range []struct {
+		cfg pastry.Config
+		bad string // the field the error must name; empty for a valid config
+	}{
+		{pastry.Config{B: 0}, ""},
+		{pastry.Config{B: 1}, ""},
+		{pastry.Config{B: 2}, ""},
+		{pastry.Config{B: 4}, ""},
+		{pastry.Config{B: 3}, "Pastry.B"},
+		{pastry.Config{B: 8}, "Pastry.B"},
+		{pastry.Config{B: -4}, "Pastry.B"},
+		{pastry.Config{NeighborhoodSize: -1}, "Pastry.NeighborhoodSize"},
+		{pastry.Config{LeafSize: -2}, "Pastry.LeafSize"},
+	} {
+		opts := Options{Topology: smallSpec(2, 4), Seed: 1, Pastry: tc.cfg}
 		_, errOverlay := NewOverlay(opts)
 		_, errStack := New(opts)
-		valid := b == 0 || b == 1 || b == 2 || b == 4
 		for _, err := range []error{errOverlay, errStack} {
 			switch {
-			case valid && err != nil:
-				t.Errorf("B = %d: %v", b, err)
-			case !valid && (err == nil || !strings.Contains(err.Error(), "core: ") || !strings.Contains(err.Error(), "Pastry.B")):
-				t.Errorf("B = %d: error %v, want a core: error naming Pastry.B", b, err)
+			case tc.bad == "" && err != nil:
+				t.Errorf("%+v: %v", tc.cfg, err)
+			case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), "core: ") || !strings.Contains(err.Error(), tc.bad)):
+				t.Errorf("%+v: error %v, want a core: error naming %s", tc.cfg, err, tc.bad)
 			}
 		}
 	}

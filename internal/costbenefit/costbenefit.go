@@ -71,15 +71,15 @@ func (a Analysis) Ratio() float64 {
 	return a.BenefitMbpsSec / a.CostMbpsSec
 }
 
-// Analyzer prices proposed migrations.
+// Analyzer prices proposed migrations with the migration package's cost
+// model.
 type Analyzer struct {
 	cfg Config
-	mig migration.Config
 }
 
-// New creates an analyzer using the migration manager's cost model.
-func New(cfg Config, mig migration.Config) *Analyzer {
-	return &Analyzer{cfg: cfg.withDefaults(), mig: mig.Normalized()}
+// New creates an analyzer.
+func New(cfg Config) *Analyzer {
+	return &Analyzer{cfg: cfg.withDefaults()}
 }
 
 // Config returns the effective configuration.
@@ -89,8 +89,6 @@ func (a *Analyzer) Config() Config { return a.cfg }
 type Proposal struct {
 	// VM is the candidate.
 	VM *cluster.VM
-	// Mode is the intended migration mode.
-	Mode migration.Mode
 	// DeliveredMbps is the bandwidth the VM currently receives on its
 	// congested source (from the tc shaper).
 	DeliveredMbps float64
@@ -101,19 +99,14 @@ type Proposal struct {
 // cost is the migration stream's occupancy of source and destination NICs
 // plus the downtime-disrupted demand.
 func (a *Analyzer) Analyze(p Proposal) Analysis {
-	out := Analysis{TransferTime: a.mig.Duration(p.VM.Reservation.MemMB, p.Mode)}
+	out := Analysis{TransferTime: migration.Duration(p.VM.Reservation.MemMB)}
 
 	// Cost: the transfer occupies LinkMbps on two NICs for the transfer
 	// time...
 	transferSec := out.TransferTime.Seconds()
-	out.CostMbpsSec = 2 * a.mig.LinkMbps * transferSec
-	// ...and the VM's demand is unserved during the blackout (the whole
-	// transfer for cold migration, just the stop-and-copy for live).
-	blackout := a.mig.LiveDowntime
-	if p.Mode == migration.Cold {
-		blackout = out.TransferTime
-	}
-	out.CostMbpsSec += p.VM.EffectiveDemandBW() * blackout.Seconds()
+	out.CostMbpsSec = 2 * migration.LinkMbps * transferSec
+	// ...and the VM's demand is unserved during the stop-and-copy.
+	out.CostMbpsSec += p.VM.EffectiveDemandBW() * migration.Downtime.Seconds()
 
 	// Benefit: unserved demand recovered for the horizon.
 	unserved := p.VM.EffectiveDemandBW() - p.DeliveredMbps

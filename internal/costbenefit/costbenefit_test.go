@@ -18,10 +18,10 @@ func vm(memMB, demand, limit float64) *cluster.VM {
 }
 
 func TestStarvedVMApproved(t *testing.T) {
-	a := New(Config{}, migration.Config{})
+	a := New(Config{})
 	// 128 MB VM demanding 200 Mbps but receiving 50: 150 Mbps recovered
 	// over 25 minutes dwarfs a ~1.7 s transfer.
-	res := a.Analyze(Proposal{VM: vm(128, 200, 400), Mode: migration.Live, DeliveredMbps: 50})
+	res := a.Analyze(Proposal{VM: vm(128, 200, 400), DeliveredMbps: 50})
 	if !res.Approved {
 		t.Fatalf("starved VM not approved: %+v", res)
 	}
@@ -34,9 +34,9 @@ func TestStarvedVMApproved(t *testing.T) {
 }
 
 func TestSatisfiedVMRejected(t *testing.T) {
-	a := New(Config{}, migration.Config{})
+	a := New(Config{})
 	// The VM already receives its full demand: nothing to gain.
-	res := a.Analyze(Proposal{VM: vm(128, 200, 400), Mode: migration.Live, DeliveredMbps: 200})
+	res := a.Analyze(Proposal{VM: vm(128, 200, 400), DeliveredMbps: 200})
 	if res.Approved {
 		t.Fatalf("fully served VM approved: %+v", res)
 	}
@@ -46,32 +46,19 @@ func TestSatisfiedVMRejected(t *testing.T) {
 }
 
 func TestOverDeliveredClampsBenefit(t *testing.T) {
-	a := New(Config{}, migration.Config{})
-	res := a.Analyze(Proposal{VM: vm(128, 100, 400), Mode: migration.Live, DeliveredMbps: 500})
+	a := New(Config{})
+	res := a.Analyze(Proposal{VM: vm(128, 100, 400), DeliveredMbps: 500})
 	if res.BenefitMbpsSec != 0 {
 		t.Fatalf("negative unserved demand produced benefit %f", res.BenefitMbpsSec)
 	}
 }
 
 func TestHugeMemoryTipsTheScale(t *testing.T) {
-	a := New(Config{Horizon: 30 * time.Second}, migration.Config{})
+	a := New(Config{Horizon: 30 * time.Second})
 	// Tiny recovery window, enormous memory: cost dominates.
-	res := a.Analyze(Proposal{VM: vm(64_000, 200, 400), Mode: migration.Live, DeliveredMbps: 150})
+	res := a.Analyze(Proposal{VM: vm(64_000, 200, 400), DeliveredMbps: 150})
 	if res.Approved {
 		t.Fatalf("64 GB VM over a 30s horizon approved: %+v", res)
-	}
-}
-
-func TestColdCostsMoreThanLive(t *testing.T) {
-	a := New(Config{}, migration.Config{})
-	p := Proposal{VM: vm(1024, 300, 400), DeliveredMbps: 100}
-	p.Mode = migration.Live
-	live := a.Analyze(p)
-	p.Mode = migration.Cold
-	cold := a.Analyze(p)
-	if cold.CostMbpsSec <= live.CostMbpsSec {
-		t.Fatalf("cold cost %f <= live cost %f (blackout should dominate)",
-			cold.CostMbpsSec, live.CostMbpsSec)
 	}
 }
 
@@ -79,9 +66,9 @@ func TestMarginRaisesTheBar(t *testing.T) {
 	// A move with benefit/cost ≈ 1.4 flips with the margin: a 4 GB live
 	// migration costs ≈85 000 Mbps·s, recovering 80 Mbps over 25 min earns
 	// ≈120 000.
-	borderline := Proposal{VM: vm(4096, 200, 400), Mode: migration.Live, DeliveredMbps: 120}
-	lax := New(Config{Margin: 1, Horizon: 25 * time.Minute}, migration.Config{})
-	strict := New(Config{Margin: 50, Horizon: 25 * time.Minute}, migration.Config{})
+	borderline := Proposal{VM: vm(4096, 200, 400), DeliveredMbps: 120}
+	lax := New(Config{Margin: 1, Horizon: 25 * time.Minute})
+	strict := New(Config{Margin: 50, Horizon: 25 * time.Minute})
 	if !lax.Analyze(borderline).Approved {
 		t.Fatal("lax margin rejected borderline move")
 	}
@@ -103,10 +90,9 @@ func TestRatioEdgeCases(t *testing.T) {
 }
 
 func TestTransferTimeMatchesMigrationModel(t *testing.T) {
-	migCfg := migration.Config{}.Normalized()
-	a := New(Config{}, migration.Config{})
-	res := a.Analyze(Proposal{VM: vm(256, 10, 10), Mode: migration.Live, DeliveredMbps: 10})
-	if res.TransferTime != migCfg.Duration(256, migration.Live) {
+	a := New(Config{})
+	res := a.Analyze(Proposal{VM: vm(256, 10, 10), DeliveredMbps: 10})
+	if res.TransferTime != migration.Duration(256) {
 		t.Fatalf("transfer time %v mismatches migration model", res.TransferTime)
 	}
 }

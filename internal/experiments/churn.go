@@ -24,8 +24,6 @@ import (
 type ChurnParams struct {
 	// Spec is the datacenter.
 	Spec topology.Spec
-	// Customers to run.
-	Customers []string
 	// InitialVMsPerCustomer seeds the system before churn starts.
 	InitialVMsPerCustomer int
 	// ArrivalsPerMinute is each customer's mean VM arrival rate.
@@ -38,8 +36,6 @@ type ChurnParams struct {
 	SampleEvery time.Duration
 	// Engine selects the placement algorithm.
 	Engine core.EngineKind
-	// ReservationMbps is each VM's bandwidth reservation.
-	ReservationMbps float64
 	// Seed drives arrivals and lifetimes.
 	Seed int64
 	// Shards is the engine's shard count, as in core.Options; virtual-time
@@ -55,9 +51,6 @@ type ChurnParams struct {
 func (p ChurnParams) withDefaults() ChurnParams {
 	if p.Spec.Racks == 0 {
 		p.Spec = ScaledSpec(300)
-	}
-	if len(p.Customers) == 0 {
-		p.Customers = Customers
 	}
 	if p.InitialVMsPerCustomer == 0 {
 		p.InitialVMsPerCustomer = 60
@@ -76,9 +69,6 @@ func (p ChurnParams) withDefaults() ChurnParams {
 	}
 	if p.Engine == 0 {
 		p.Engine = core.EngineDHT
-	}
-	if p.ReservationMbps == 0 {
-		p.ReservationMbps = 100
 	}
 	return p
 }
@@ -118,8 +108,6 @@ func RunChurn(p ChurnParams) (*ChurnOutcome, error) {
 	out := &ChurnOutcome{Params: p, Engine: vb.Placer.Name(), Trace: trace}
 	out.Audit = vb.AttachAudit(p.Audit)
 	rng := vb.Engine.Rand()
-	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: p.ReservationMbps}
-	lim := cluster.Resources{CPU: 2, MemMB: 128, BandwidthMbps: p.ReservationMbps * 2}
 
 	scheduleDeath := func(id cluster.VMID) {
 		life := time.Duration(rng.ExpFloat64() * float64(p.MeanLifetime))
@@ -130,7 +118,7 @@ func RunChurn(p ChurnParams) (*ChurnOutcome, error) {
 		})
 	}
 	arrive := func(customer string, withLifetime bool) {
-		vm, err := vb.Cluster.CreateVM(customer, rsv, lim)
+		vm, err := vb.Cluster.CreateVM(customer, bootRsv, bootLim)
 		if err != nil {
 			out.Rejected++
 			return
@@ -152,14 +140,14 @@ func RunChurn(p ChurnParams) (*ChurnOutcome, error) {
 	// bounded minute of virtual time — a full drain would also execute the
 	// seeds' future deaths and fast-forward the clock.
 	for i := 0; i < p.InitialVMsPerCustomer; i++ {
-		for _, customer := range p.Customers {
+		for _, customer := range Customers {
 			arrive(customer, true)
 		}
 	}
 	vb.RunFor(time.Minute)
 
 	// Poisson arrivals per customer: exponential inter-arrival gaps.
-	for _, customer := range p.Customers {
+	for _, customer := range Customers {
 		customer := customer
 		var next func()
 		next = func() {

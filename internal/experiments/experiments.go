@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vbundle/internal/audit"
+	"vbundle/internal/cluster"
 	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/topology"
@@ -75,6 +76,13 @@ func sweepSizes[P any](sizes []int, workers int, oc obs.Config, au audit.Config,
 
 // Customers are the five tenants of Fig. 7/8.
 var Customers = []string{"Accolade", "Beenox", "Crystal", "Deck13", "Epyx"}
+
+// Every VM the placement, churn and serving experiments boot reserves
+// bootRsv, 100 Mbps of bandwidth, and may burst to bootLim.
+var (
+	bootRsv = cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: 100}
+	bootLim = cluster.Resources{CPU: 2, MemMB: 128, BandwidthMbps: 200}
+)
 
 // writeHeader prints a uniform experiment banner.
 func writeHeader(w io.Writer, id, title string) {

@@ -233,7 +233,7 @@ func TestFig14LatencyGrowsLinearlyWithExponentialServers(t *testing.T) {
 		if pt.RawMean <= 0 {
 			t.Fatalf("size %d: no latency measured", pt.Servers)
 		}
-		if pt.WithInterval != pt.RawMean+out.Params.UpdateInterval {
+		if pt.WithInterval != pt.RawMean+aggSendInterval {
 			t.Fatal("WithInterval arithmetic")
 		}
 		if i > 0 && pt.RawMean < out.Points[i-1].RawMean {

@@ -25,20 +25,8 @@ type QoSParams struct {
 	// VMsPerHost fills the hosts with VMs (paper: 225–300 total ⇒ 15–20
 	// per host).
 	VMsPerHost int
-	// IperfMbps is each interference stream's offered rate.
-	IperfMbps float64
-	// IperfOnSIPpHost is how many Iperf VMs share the SIPp host and
-	// create the bottleneck.
-	IperfOnSIPpHost int
-	// Threshold, UpdateInterval, RebalanceInterval tune v-Bundle; the
-	// QoS experiment uses second-scale intervals so rebalancing engages
-	// around t≈300 s as in Fig. 12.
-	Threshold                         float64
-	UpdateInterval, RebalanceInterval time.Duration
 	// Duration is the experiment length (paper plots 100–500 s).
 	Duration time.Duration
-	// SampleEvery is the SIPp evaluation step.
-	SampleEvery time.Duration
 	// Seed drives jitter.
 	Seed int64
 	// Shards is the engine's shard count, as in core.Options; virtual-time
@@ -58,29 +46,24 @@ func (p QoSParams) withDefaults() QoSParams {
 	if p.VMsPerHost == 0 {
 		p.VMsPerHost = 15 // 225 VMs
 	}
-	if p.IperfMbps == 0 {
-		p.IperfMbps = 120
-	}
-	if p.IperfOnSIPpHost == 0 {
-		p.IperfOnSIPpHost = 14
-	}
-	if p.Threshold == 0 {
-		p.Threshold = 0.1
-	}
-	if p.UpdateInterval == 0 {
-		p.UpdateInterval = time.Minute
-	}
-	if p.RebalanceInterval == 0 {
-		p.RebalanceInterval = 5 * time.Minute
-	}
 	if p.Duration == 0 {
 		p.Duration = 500 * time.Second
 	}
-	if p.SampleEvery == 0 {
-		p.SampleEvery = 5 * time.Second
-	}
 	return p
 }
+
+// The testbed's fixed settings. iperfOnSIPpHost Iperf VMs offering
+// iperfMbps each share the SIPp host and create the bottleneck. v-Bundle
+// runs with threshold 0.1 and minute-scale intervals, so rebalancing engages
+// around t≈300 s as in Fig. 12. SIPp is evaluated every sippStep.
+const (
+	iperfMbps            = 120
+	iperfOnSIPpHost      = 14
+	qosThreshold         = 0.1
+	qosUpdateInterval    = time.Minute
+	qosRebalanceInterval = 5 * time.Minute
+	sippStep             = 5 * time.Second
+)
 
 // QoSOutcome carries the Fig. 12/13 series.
 type QoSOutcome struct {
@@ -123,9 +106,9 @@ func RunQoS(p QoSParams) (*QoSOutcome, error) {
 		Shards:   p.Shards,
 		Trace:    trace,
 		Rebalance: rebalance.Config{
-			Threshold:         p.Threshold,
-			UpdateInterval:    p.UpdateInterval,
-			RebalanceInterval: p.RebalanceInterval,
+			Threshold:         qosThreshold,
+			UpdateInterval:    qosUpdateInterval,
+			RebalanceInterval: qosRebalanceInterval,
 			// The congested host must drain within one round for QoS to
 			// recover on the paper's 300–375 s timeline.
 			MaxShedsPerRound: 12,
@@ -170,7 +153,7 @@ func RunQoS(p QoSParams) (*QoSOutcome, error) {
 		}
 		return nil
 	}
-	if err := addIperf(0, p.IperfOnSIPpHost, p.IperfMbps); err != nil {
+	if err := addIperf(0, iperfOnSIPpHost, iperfMbps); err != nil {
 		return nil, err
 	}
 	for h := 1; h < p.Hosts; h++ {
@@ -186,9 +169,9 @@ func RunQoS(p QoSParams) (*QoSOutcome, error) {
 	// Drive SIPp each sample: evaluate failures/RT under the bandwidth the
 	// SIPp VM can actually obtain on its current host (its shaper headroom,
 	// which shrinks while co-located Iperf streams hog the NIC).
-	vb.Engine.EveryGlobal(p.SampleEvery, func() {
+	vb.Engine.EveryGlobal(sippStep, func() {
 		avail := vb.AvailableBandwidth(sippVM.ID)
-		res := sipp.Step(vb.Now(), p.SampleEvery, avail)
+		res := sipp.Step(vb.Now(), sippStep, avail)
 		out.FailedCalls.Add(vb.Now(), float64(res.FailedCalls))
 		migrating := out.FirstMigrationAt != 0 && out.LastMigrationAt == 0
 		for _, rt := range res.ResponseTimesMs {
@@ -215,7 +198,7 @@ func RunQoS(p QoSParams) (*QoSOutcome, error) {
 		}
 	})
 
-	vb.Workloads.Start(p.SampleEvery)
+	vb.Workloads.Start(sippStep)
 	vb.StartServices()
 	vb.RunFor(p.Duration)
 	vb.StopServices()

@@ -20,12 +20,6 @@ type AggLatencyParams struct {
 	// Sizes are the ring sizes to sweep; defaults to the paper's powers of
 	// two 16…1024.
 	Sizes []int
-	// UpdateInterval is the subscriber send period added to the raw
-	// propagation latency in the paper's upper curve (their figure shows
-	// a 30 s offset).
-	UpdateInterval time.Duration
-	// LANHop is the per-switch-level latency; the paper observes ≈10 ms.
-	LANHop time.Duration
 	// Seed drives randomness.
 	Seed int64
 	// Parallelism caps the worker goroutines running the Sizes sweep
@@ -49,14 +43,17 @@ func (p AggLatencyParams) withDefaults() AggLatencyParams {
 	if len(p.Sizes) == 0 {
 		p.Sizes = []int{16, 32, 64, 128, 256, 512, 1024}
 	}
-	if p.UpdateInterval == 0 {
-		p.UpdateInterval = 30 * time.Second
-	}
-	if p.LANHop == 0 {
-		p.LANHop = 10 * time.Millisecond
-	}
 	return p
 }
+
+// aggSendInterval is the subscriber send period the paper's upper curve adds
+// to the raw propagation latency (their figure shows a 30 s offset);
+// aggLANHop is the per-switch-level latency, which the paper observes at
+// ≈10 ms.
+const (
+	aggSendInterval = 30 * time.Second
+	aggLANHop       = 10 * time.Millisecond
+)
 
 // AggLatencyPoint is one ring size's measurement.
 type AggLatencyPoint struct {
@@ -109,7 +106,7 @@ func RunAggLatency(p AggLatencyParams) (*AggLatencyOutcome, error) {
 func aggLatencyPoint(p AggLatencyParams, n int, tr *obs.Trace, au audit.Config) (AggLatencyPoint, *audit.Auditor, error) {
 	const topic = "BW_Demand"
 	spec := ScaledSpec(n)
-	spec.LANHop = p.LANHop
+	spec.LANHop = aggLANHop
 	ov, err := core.NewOverlay(core.Options{Topology: spec, Seed: p.Seed, Shards: p.Shards, Trace: tr})
 	if err != nil {
 		return AggLatencyPoint{}, nil, err
@@ -147,7 +144,7 @@ func aggLatencyPoint(p AggLatencyParams, n int, tr *obs.Trace, au audit.Config) 
 	if len(raw) > 0 {
 		pt.RawMean = sum / time.Duration(len(raw))
 	}
-	pt.WithInterval = pt.RawMean + p.UpdateInterval
+	pt.WithInterval = pt.RawMean + aggSendInterval
 	pt.TreeHeight = treeHeight(ov.Scribes, scribe.GroupKey(topic))
 	pt.ShardWork = engine.ShardWork()
 	return pt, auditor, nil

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"vbundle/internal/audit"
-	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
 	"vbundle/internal/obs"
@@ -21,8 +20,6 @@ import (
 type PlacementParams struct {
 	// Spec is the datacenter; defaults to the paper's 3000-server layout.
 	Spec topology.Spec
-	// Customers to provision; defaults to the paper's five.
-	Customers []string
 	// VMsPerWavePerCustomer is how many VMs each customer boots per wave.
 	// Fig. 7 uses 1000 (5000 total); Fig. 8 adds a second wave.
 	VMsPerWavePerCustomer int
@@ -30,8 +27,6 @@ type PlacementParams struct {
 	Waves int
 	// Engine selects the placement algorithm (Fig. 8a: DHT, 8b: greedy).
 	Engine core.EngineKind
-	// ReservationMbps is each VM's bandwidth reservation.
-	ReservationMbps float64
 	// Seed drives all randomness.
 	Seed int64
 	// Shards is the engine's shard count, as in core.Options; virtual-time
@@ -48,9 +43,6 @@ func (p PlacementParams) withDefaults() PlacementParams {
 	if p.Spec.Racks == 0 {
 		p.Spec = PaperSpec()
 	}
-	if len(p.Customers) == 0 {
-		p.Customers = Customers
-	}
 	if p.VMsPerWavePerCustomer == 0 {
 		p.VMsPerWavePerCustomer = 1000
 	}
@@ -59,9 +51,6 @@ func (p PlacementParams) withDefaults() PlacementParams {
 	}
 	if p.Engine == 0 {
 		p.Engine = core.EngineDHT
-	}
-	if p.ReservationMbps == 0 {
-		p.ReservationMbps = 100
 	}
 	return p
 }
@@ -108,8 +97,6 @@ func RunPlacement(p PlacementParams) (*PlacementOutcome, error) {
 	}
 	out := &PlacementOutcome{Params: p, Engine: vb.Placer.Name(), Trace: trace}
 	out.Audit = vb.AttachAudit(p.Audit)
-	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: p.ReservationMbps}
-	lim := cluster.Resources{CPU: 2, MemMB: 128, BandwidthMbps: p.ReservationMbps * 2}
 
 	for wave := 0; wave < p.Waves; wave++ {
 		wo := WaveOutcome{}
@@ -117,8 +104,8 @@ func RunPlacement(p PlacementParams) (*PlacementOutcome, error) {
 		// Round-robin across customers so arrivals interleave, as a real
 		// multi-tenant cloud sees them.
 		for i := 0; i < p.VMsPerWavePerCustomer; i++ {
-			for _, customer := range p.Customers {
-				_, res, err := vb.BootVM(customer, rsv, lim)
+			for _, customer := range Customers {
+				_, res, err := vb.BootVM(customer, bootRsv, bootLim)
 				if err != nil {
 					wo.Failed++
 					continue
@@ -170,7 +157,7 @@ func (o *PlacementOutcome) Report(w io.Writer) {
 		fig = "Fig 7 (greedy baseline)"
 	}
 	writeHeader(w, fig, fmt.Sprintf("VM/PM mappings, engine=%s, %d wave(s) × %d VMs × %d customers",
-		o.Engine, o.Params.Waves, o.Params.VMsPerWavePerCustomer, len(o.Params.Customers)))
+		o.Engine, o.Params.Waves, o.Params.VMsPerWavePerCustomer, len(Customers)))
 	for wi, wave := range o.Waves {
 		fmt.Fprintf(w, "after wave %d: placed=%d failed=%d meanQueryHops=%.1f hopP50=%d hopP99=%d\n",
 			wi+1, wave.Placed, wave.Failed, wave.MeanHops, wave.HopP50, wave.HopP99)

@@ -25,13 +25,6 @@ type RebalanceParams struct {
 	// VMsPerServer sets the load granularity (paper: 75000 VMs on 3000
 	// servers ⇒ 25 per server).
 	VMsPerServer int
-	// TargetMeanUtil is the cluster mean utilization to synthesize
-	// (paper: 0.6226).
-	TargetMeanUtil float64
-	// UtilSpread is the half-width of the per-server utilization
-	// distribution around the mean (paper's Fig. 9 shows roughly
-	// uniform 0.15–1.1).
-	UtilSpread float64
 	// Threshold is the rebalancing margin (Fig. 9 compares 0.3 and 0.1;
 	// Fig. 10 uses 0.183).
 	Threshold float64
@@ -61,12 +54,6 @@ func (p RebalanceParams) withDefaults() RebalanceParams {
 	}
 	if p.VMsPerServer == 0 {
 		p.VMsPerServer = 25
-	}
-	if p.TargetMeanUtil == 0 {
-		p.TargetMeanUtil = 0.6226
-	}
-	if p.UtilSpread == 0 {
-		p.UtilSpread = 0.47
 	}
 	if p.Threshold == 0 {
 		p.Threshold = 0.183
@@ -106,6 +93,13 @@ type RebalanceOutcome struct {
 	// Audit is the run's auditor (nil when Params.Audit is disabled).
 	Audit *audit.Auditor `json:"-"`
 }
+
+// The paper's skewed load (Fig. 9): each server's utilization is drawn
+// uniformly from paperMeanUtil ± paperUtilSpread, roughly 0.15–1.1.
+const (
+	paperMeanUtil   = 0.6226
+	paperUtilSpread = 0.47
+)
 
 // seedSkewedLoad provisions VMs so each server's utilization is drawn
 // uniformly from [mean−spread, mean+spread] (clamped at a small floor),
@@ -221,8 +215,8 @@ func (p RebalanceParams) spine(trace *obs.Trace) skewedRun {
 			},
 		},
 		vmsPerServer: p.VMsPerServer,
-		meanUtil:     p.TargetMeanUtil,
-		spread:       p.UtilSpread,
+		meanUtil:     paperMeanUtil,
+		spread:       paperUtilSpread,
 		loadSeed:     p.Seed + 1,
 		audit:        p.Audit,
 		sampleEvery:  p.SampleEvery,

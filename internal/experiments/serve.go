@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"vbundle/internal/audit"
-	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/obs"
 	"vbundle/internal/placement"
-	"vbundle/internal/rebalance"
 	"vbundle/internal/serve"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
@@ -59,17 +57,10 @@ type ServeParams struct {
 	Cache, Batch bool
 	MaxInFlight  int
 	MaxBatch     int
-	// Rebalance starts the periodic rebalancer, so migrations exercise the
-	// cache-invalidation path during the stream.
+	// Rebalance starts the periodic rebalancer, at the paper's 5m / 25m
+	// cadences, so migrations exercise the cache-invalidation path during
+	// the stream.
 	Rebalance bool
-	// RebalanceUpdateEvery / RebalanceEvery override the aggregation and
-	// rebalance intervals (defaults: the rebalance package's 5m / 25m).
-	RebalanceUpdateEvery, RebalanceEvery time.Duration
-	// ReservationMbps is each VM's bandwidth reservation. Defaults to 100.
-	ReservationMbps float64
-	// RecordPlacements captures the final customer→placements table in the
-	// outcome (for equivalence tests; large at scale, so off by default).
-	RecordPlacements bool
 	// Seed drives all randomness.
 	Seed int64
 	// Shards is the engine's shard count, as in core.Options; virtual-time
@@ -108,9 +99,6 @@ func (p ServeParams) withDefaults() ServeParams {
 	if p.TerminateFraction == 0 {
 		p.TerminateFraction = 0.9
 	}
-	if p.ReservationMbps == 0 {
-		p.ReservationMbps = 100
-	}
 	return p
 }
 
@@ -122,13 +110,6 @@ func DefaultServeMix() []workload.CustomerClass {
 		{Name: "mid", Count: 8, Weight: 0.3, GroupSize: 4},
 		{Name: "small", Count: 64, Weight: 0.2, GroupSize: 1},
 	}
-}
-
-// PlacedVM is one row of the final placement table.
-type PlacedVM struct {
-	Customer string
-	VM       cluster.VMID
-	Server   int
 }
 
 // ServeOutcome is the result of RunServe. Every field is derived from
@@ -172,9 +153,6 @@ type ServeOutcome struct {
 	LeakedReservations, Unresolved int
 	// VirtualEnd is the clock at the end of the run.
 	VirtualEnd time.Duration
-	// Placements is the final placement table (RecordPlacements only),
-	// ordered by customer then VM id.
-	Placements []PlacedVM `json:",omitempty"`
 	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
 	Trace *obs.Trace `json:"-"`
 	// Audit is the run's auditor (nil when Params.Audit is disabled).
@@ -190,10 +168,6 @@ func RunServe(p ServeParams) (*ServeOutcome, error) {
 		Seed:     p.Seed,
 		Shards:   p.Shards,
 		Trace:    trace,
-		Rebalance: rebalance.Config{
-			UpdateInterval:    p.RebalanceUpdateEvery,
-			RebalanceInterval: p.RebalanceEvery,
-		},
 	})
 	if err != nil {
 		return nil, err
@@ -213,15 +187,13 @@ func RunServe(p ServeParams) (*ServeOutcome, error) {
 	}
 	out := &ServeOutcome{Params: p, Trace: trace}
 	out.Audit = vb.AttachAudit(p.Audit)
-	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: p.ReservationMbps}
-	lim := cluster.Resources{CPU: 2, MemMB: 128, BandwidthMbps: p.ReservationMbps * 2}
 
 	// Standing population: boot Prewarm VMs per customer and let them
 	// settle before the stream begins.
 	var streamStart time.Duration
 	if p.Prewarm > 0 {
 		mix.EachCustomer(func(customer string, _ workload.CustomerClass) {
-			if _, err := fe.Boot(customer, p.Prewarm, rsv, lim); err != nil {
+			if _, err := fe.Boot(customer, p.Prewarm, bootRsv, bootLim); err != nil {
 				panic(fmt.Sprintf("experiments: prewarm boot for %s: %v", customer, err))
 			}
 			if p.MaxInFlight > 0 {
@@ -259,7 +231,7 @@ func RunServe(p ServeParams) (*ServeOutcome, error) {
 	boot = func() {
 		now := eng.Now()
 		customer, group := mix.Pick(bootRng)
-		admitted, berr := fe.Boot(customer, group, rsv, lim)
+		admitted, berr := fe.Boot(customer, group, bootRsv, bootLim)
 		if inFlash(now) {
 			out.FlashRequests += group
 			if berr != nil && errors.Is(berr, serve.ErrOverloaded) {
@@ -319,15 +291,6 @@ func RunServe(p ServeParams) (*ServeOutcome, error) {
 	out.LeakedReservations = vb.Rebalancer.LeakedReservations()
 	out.Unresolved = fe.Unresolved()
 	out.VirtualEnd = vb.Now()
-	if p.RecordPlacements {
-		for _, customer := range vb.Cluster.Customers() {
-			for _, vm := range vb.Cluster.VMsOf(customer) {
-				if s, ok := vb.Cluster.LocationOf(vm.ID); ok {
-					out.Placements = append(out.Placements, PlacedVM{Customer: customer, VM: vm.ID, Server: s})
-				}
-			}
-		}
-	}
 	return out, nil
 }
 

@@ -392,6 +392,13 @@ func churnPropertyRun(t *testing.T, servers int, seed int64, cache, faults bool)
 	return placements, vb.Migration.Stats().Completed, hits
 }
 
+// PlacedVM is one row of a run's final placement table.
+type PlacedVM struct {
+	Customer string
+	VM       cluster.VMID
+	Server   int
+}
+
 // sameRows holds the cached run's final table against the uncached one's: the
 // same (customer, VM) rows. Where a row's VM sits may differ — the walk memo
 // resumes a walk where the classic one re-walks it, and says so: it may change

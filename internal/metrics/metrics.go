@@ -88,11 +88,6 @@ func (c *CDF) Add(v float64) {
 	c.sorted = false
 }
 
-// AddDuration appends a duration sample in milliseconds.
-func (c *CDF) AddDuration(d time.Duration) {
-	c.Add(float64(d) / float64(time.Millisecond))
-}
-
 // N returns the number of samples.
 func (c *CDF) N() int { return len(c.samples) }
 
@@ -174,14 +169,6 @@ func (ts *TimeSeries) Points() []TimePoint { return ts.points }
 
 // N returns the number of samples.
 func (ts *TimeSeries) N() int { return len(ts.points) }
-
-// Last returns the most recent sample.
-func (ts *TimeSeries) Last() (TimePoint, bool) {
-	if len(ts.points) == 0 {
-		return TimePoint{}, false
-	}
-	return ts.points[len(ts.points)-1], true
-}
 
 // ScatterPoint is one dot of a labelled scatter plot (paper Figs. 7–9).
 type ScatterPoint struct {

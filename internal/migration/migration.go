@@ -1,9 +1,9 @@
 // Package migration models VM migration as v-Bundle uses it (§V.B): live
 // migration keeps the instance running while its memory is copied to the
-// destination (shared storage over NFS means only memory moves), cold
-// migration pauses, saves and restores it. The rebalancer only needs the
-// cost semantics — how long a migration takes, how much traffic it creates,
-// and whether the destination can still admit the VM when it lands.
+// destination (shared storage over NFS means only memory moves). The
+// rebalancer only needs the cost semantics — how long a migration takes, how
+// much traffic it creates, and whether the destination can still admit the
+// VM when it lands.
 package migration
 
 import (
@@ -28,79 +28,22 @@ var (
 	ErrSourceDead = errors.New("source server dead")
 )
 
-// Mode selects how the VM is moved.
-type Mode int
-
-// Migration modes.
+// The cost model of a live migration over the testbed's GbE.
 const (
-	// Live keeps the VM running; cost is iterative memory copy plus a
-	// short stop-and-copy downtime.
-	Live Mode = iota + 1
-	// Cold suspends the VM for the whole transfer.
-	Cold
+	// LinkMbps is the bandwidth the migration stream gets.
+	LinkMbps = 1000
+	// dirtyFactor inflates the copied volume for the iterative pre-copy
+	// rounds.
+	dirtyFactor = 1.3
+	// Downtime is the stop-and-copy pause at the end of the transfer.
+	Downtime = 60 * time.Millisecond
 )
 
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case Live:
-		return "live"
-	case Cold:
-		return "cold"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// Config tunes the migration cost model.
-type Config struct {
-	// LinkMbps is the bandwidth available to the migration stream.
-	// Defaults to 1000 (the testbed's GbE).
-	LinkMbps float64
-	// LiveDirtyFactor inflates the copied volume for live migration's
-	// iterative pre-copy rounds. Defaults to 1.3.
-	LiveDirtyFactor float64
-	// LiveDowntime is the stop-and-copy pause of a live migration.
-	// Defaults to 60ms.
-	LiveDowntime time.Duration
-	// ColdOverhead is the suspend/restore overhead of a cold migration.
-	// Defaults to 2s.
-	ColdOverhead time.Duration
-}
-
-// Normalized returns the config with every unset field replaced by its
-// default, so cost models built on top see the same numbers the manager
-// uses.
-func (c Config) Normalized() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.LinkMbps == 0 {
-		c.LinkMbps = 1000
-	}
-	if c.LiveDirtyFactor == 0 {
-		c.LiveDirtyFactor = 1.3
-	}
-	if c.LiveDowntime == 0 {
-		c.LiveDowntime = 60 * time.Millisecond
-	}
-	if c.ColdOverhead == 0 {
-		c.ColdOverhead = 2 * time.Second
-	}
-	return c
-}
-
 // Duration returns how long moving memMB of guest memory takes.
-func (c Config) Duration(memMB float64, mode Mode) time.Duration {
-	bits := memMB * 8e6 // MB -> Mb (decimal, matching Mbps)
-	if mode == Live {
-		bits *= c.LiveDirtyFactor
-	}
-	seconds := bits / (c.LinkMbps * 1e6)
-	d := time.Duration(seconds * float64(time.Second))
-	if mode == Live {
-		return d + c.LiveDowntime
-	}
-	return d + c.ColdOverhead
+func Duration(memMB float64) time.Duration {
+	bits := memMB * 8e6 * dirtyFactor // MB -> Mb (decimal, matching Mbps)
+	seconds := bits / (LinkMbps * 1e6)
+	return time.Duration(seconds*float64(time.Second)) + Downtime
 }
 
 // Stats summarizes completed migrations.
@@ -130,7 +73,6 @@ type Stats struct {
 type Manager struct {
 	engine  *sim.Engine
 	cluster *cluster.Cluster
-	cfg     Config
 	mu      sync.Mutex
 	stats   Stats
 	// inFlight counts migrations per VM so a VM is never moved twice
@@ -164,17 +106,13 @@ type Manager struct {
 type CompletionHook func(vm *cluster.VM, src, dst int, err error)
 
 // New creates a migration manager.
-func New(engine *sim.Engine, cl *cluster.Cluster, cfg Config) *Manager {
+func New(engine *sim.Engine, cl *cluster.Cluster) *Manager {
 	return &Manager{
 		engine:   engine,
 		cluster:  cl,
-		cfg:      cfg.withDefaults(),
 		inFlight: make(map[cluster.VMID]bool),
 	}
 }
-
-// Config returns the effective configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // SetLiveness installs the server-liveness oracle consulted at migration
 // start and arrival; core wires it to the simulated network so killed
@@ -230,8 +168,8 @@ func (m *Manager) InFlight(id cluster.VMID) bool {
 // on dst. The call itself fails fast (synchronously returned error) when
 // the VM is unknown, unplaced, already migrating, or the destination cannot
 // admit it right now.
-func (m *Manager) Migrate(id cluster.VMID, dst int, mode Mode, onDone func(error)) error {
-	return m.MigrateTraced(nil, obs.NoRef, id, dst, mode, onDone)
+func (m *Manager) Migrate(id cluster.VMID, dst int, onDone func(error)) error {
+	return m.MigrateTraced(nil, obs.NoRef, id, dst, onDone)
 }
 
 // MigrateTraced is Migrate with flight-recorder context: rec is the
@@ -239,7 +177,7 @@ func (m *Manager) Migrate(id cluster.VMID, dst int, mode Mode, onDone func(error
 // caused this move — the anycast that discovered the receiver. The
 // migration span begins on the caller's stream and ends on the root stream
 // (where completions execute); the shared span ref joins the two halves.
-func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID, dst int, mode Mode, onDone func(error)) error {
+func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID, dst int, onDone func(error)) error {
 	vm := m.cluster.VM(id)
 	if vm == nil {
 		return fmt.Errorf("migration: unknown vm %d", id)
@@ -265,7 +203,7 @@ func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID
 	m.inFlight[id] = true
 	m.stats.Started++
 	m.mu.Unlock()
-	d := m.cfg.Duration(vm.Reservation.MemMB, mode)
+	d := Duration(vm.Reservation.MemMB)
 	// The completion mutates shared cluster state, so it runs in the keyed
 	// band — exclusively on the root engine, same-instant completions ordered
 	// by VM id in every engine mode. The start time is the caller's clock:

@@ -18,7 +18,7 @@ func newWorld(t *testing.T) (*sim.Engine, *cluster.Cluster, *Manager) {
 	}
 	engine := sim.NewEngine(1)
 	cl := cluster.New(tp, cluster.Resources{CPU: 16, MemMB: 4096})
-	return engine, cl, New(engine, cl, Config{})
+	return engine, cl, New(engine, cl)
 }
 
 func res(memMB, bwMbps float64) cluster.Resources {
@@ -26,19 +26,10 @@ func res(memMB, bwMbps float64) cluster.Resources {
 }
 
 func TestDurationModel(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	// 128 MB at 1000 Mbps: 128*8e6 / 1e9 ≈ 1.024 s for cold (plus 2s
-	// overhead), ×1.3 for live (plus 60ms downtime).
-	cold := cfg.Duration(128, Cold)
-	if want := time.Duration(1.024*float64(time.Second)) + 2*time.Second; cold != want {
-		t.Errorf("cold = %v, want %v", cold, want)
-	}
-	live := cfg.Duration(128, Live)
-	if want := time.Duration(1.024*1.3*float64(time.Second)) + 60*time.Millisecond; live != want {
-		t.Errorf("live = %v, want %v", live, want)
-	}
-	if live >= cold {
-		t.Errorf("live (%v) should be faster than cold (%v) for small memory", live, cold)
+	// 128 MB at 1000 Mbps: 128*8e6 / 1e9 ≈ 1.024 s, ×1.3 for the pre-copy
+	// rounds, plus 60ms downtime.
+	if got, want := Duration(128), time.Duration(1.024*1.3*float64(time.Second))+60*time.Millisecond; got != want {
+		t.Errorf("Duration(128) = %v, want %v", got, want)
 	}
 }
 
@@ -49,7 +40,7 @@ func TestMigrateMovesVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done error = errSentinel
-	if err := mgr.Migrate(vm.ID, 3, Live, func(err error) { done = err }); err != nil {
+	if err := mgr.Migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
 		t.Fatal(err)
 	}
 	if !mgr.InFlight(vm.ID) {
@@ -84,16 +75,16 @@ func (*sentinelError) Error() string { return "sentinel" }
 func TestMigrateFastFailures(t *testing.T) {
 	_, cl, mgr := newWorld(t)
 	vm, _ := cl.CreateVM("a", res(128, 50), res(128, 100))
-	if err := mgr.Migrate(vm.ID, 1, Live, nil); err == nil {
+	if err := mgr.Migrate(vm.ID, 1, nil); err == nil {
 		t.Fatal("unplaced VM migrated")
 	}
 	if err := cl.Place(vm, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Migrate(vm.ID, 0, Live, nil); err == nil {
+	if err := mgr.Migrate(vm.ID, 0, nil); err == nil {
 		t.Fatal("self-migration accepted")
 	}
-	if err := mgr.Migrate(cluster.VMID(999), 1, Live, nil); err == nil {
+	if err := mgr.Migrate(cluster.VMID(999), 1, nil); err == nil {
 		t.Fatal("unknown VM migrated")
 	}
 	// Fill destination so it cannot admit.
@@ -103,14 +94,14 @@ func TestMigrateFastFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := mgr.Migrate(vm.ID, 1, Live, nil); err == nil {
+	if err := mgr.Migrate(vm.ID, 1, nil); err == nil {
 		t.Fatal("migration to full server accepted")
 	}
 	// Double migration rejected while in flight.
-	if err := mgr.Migrate(vm.ID, 2, Live, nil); err != nil {
+	if err := mgr.Migrate(vm.ID, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Migrate(vm.ID, 3, Live, nil); err == nil {
+	if err := mgr.Migrate(vm.ID, 3, nil); err == nil {
 		t.Fatal("concurrent migration accepted")
 	}
 }
@@ -127,10 +118,10 @@ func TestMigrateRaceFailsAtArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	var errs []error
-	if err := mgr.Migrate(vm1.ID, 2, Live, func(err error) { errs = append(errs, err) }); err != nil {
+	if err := mgr.Migrate(vm1.ID, 2, func(err error) { errs = append(errs, err) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Migrate(vm2.ID, 2, Live, func(err error) { errs = append(errs, err) }); err != nil {
+	if err := mgr.Migrate(vm2.ID, 2, func(err error) { errs = append(errs, err) }); err != nil {
 		t.Fatal(err)
 	}
 	engine.Run()
@@ -160,7 +151,7 @@ func TestNoAccountingByDefault(t *testing.T) {
 	if err := cl.Place(vm, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Migrate(vm.ID, 2, Live, nil); err != nil {
+	if err := mgr.Migrate(vm.ID, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	engine.RunFor(time.Second)
@@ -173,15 +164,6 @@ func TestNoAccountingByDefault(t *testing.T) {
 		t.Fatalf("destination demand mid-transfer = %g, want 0", got)
 	}
 	engine.Run()
-}
-
-func TestModeString(t *testing.T) {
-	if Live.String() != "live" || Cold.String() != "cold" {
-		t.Fatal("mode names")
-	}
-	if Mode(9).String() == "" {
-		t.Fatal("unknown mode empty")
-	}
 }
 
 // deathWorld is newWorld plus a mutable liveness set, standing in for the
@@ -201,7 +183,7 @@ func TestMigrateToDeadDestinationFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead[3] = true
-	err := mgr.Migrate(vm.ID, 3, Live, nil)
+	err := mgr.Migrate(vm.ID, 3, nil)
 	if !errors.Is(err, ErrDestinationDead) {
 		t.Fatalf("err = %v, want ErrDestinationDead", err)
 	}
@@ -221,7 +203,7 @@ func TestDestinationDeathMidFlightAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done error = errSentinel
-	if err := mgr.Migrate(vm.ID, 3, Live, func(err error) { done = err }); err != nil {
+	if err := mgr.Migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
 		t.Fatal(err)
 	}
 	// The destination crashes while the transfer is running.
@@ -242,7 +224,7 @@ func TestDestinationDeathMidFlightAborts(t *testing.T) {
 	}
 	// The VM is migratable again once the destination recovers.
 	dead[3] = false
-	if err := mgr.Migrate(vm.ID, 3, Live, nil); err != nil {
+	if err := mgr.Migrate(vm.ID, 3, nil); err != nil {
 		t.Fatalf("retry after revive: %v", err)
 	}
 	engine.Run()
@@ -258,7 +240,7 @@ func TestSourceDeathMidFlightAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done error = errSentinel
-	if err := mgr.Migrate(vm.ID, 3, Live, func(err error) { done = err }); err != nil {
+	if err := mgr.Migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
 		t.Fatal(err)
 	}
 	engine.After(100*time.Millisecond, func() { dead[0] = true })

@@ -37,7 +37,7 @@ func buildStaticOracle(r *Ring) {
 		}
 		candScratch = oracleNeighborhood(r, node, candScratch)
 		node.lastConsidered = noRef
-		node.markJoined()
+		node.joined = true
 	}
 	oracleRoutingTables(r)
 }

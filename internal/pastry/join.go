@@ -14,7 +14,7 @@ import (
 // with this node as its first member.
 func (n *Node) Join(bootstrap simnet.Addr) {
 	if bootstrap == simnet.Nowhere || bootstrap == n.handle.Addr {
-		n.markJoined()
+		n.joined = true
 		return
 	}
 	n.ring.net.Send(n.handle.Addr, bootstrap, &joinForward{Joiner: n.handle})
@@ -48,8 +48,8 @@ func (n *Node) handleJoinForward(m *joinForward) {
 		n.ring.net.Send(n.handle.Addr, m.Joiner.Addr, &joinReply{
 			From:    n.handle,
 			Rows:    m.Rows,
-			LeafCW:  n.appendHandles(nil, n.leafCW),
-			LeafCCW: n.appendHandles(nil, n.leafCCW),
+			LeafCW:  n.handles(n.leafCW),
+			LeafCCW: n.handles(n.leafCCW),
 			Hops:    m.Hops,
 		})
 		return
@@ -76,5 +76,5 @@ func (n *Node) handleJoinReply(m *joinReply) {
 	n.knownNodes(func(h NodeHandle) {
 		n.ring.net.Send(n.handle.Addr, h.Addr, announce{From: n.handle})
 	})
-	n.markJoined()
+	n.joined = true
 }

@@ -9,14 +9,14 @@ import (
 	"vbundle/internal/sizeclass"
 )
 
-// TestNodeSizeCeiling pins what one node costs every server of a ring: 384
+// TestNodeSizeCeiling pins what one node costs every server of a ring: 360
 // bytes. NewRing carves the nodes from one []Node, so there is no size class
 // to absorb a word — every byte is one more a server — and the ceiling is the
 // size itself. What is the same for every node of a ring belongs on Ring,
 // what only failure detection or maintenance touches belongs in upkeep, and
 // what an application wants to hear is a method of the application.
 func TestNodeSizeCeiling(t *testing.T) {
-	const expected, ceiling = 384, 384
+	const expected, ceiling = 360, 360
 	size := unsafe.Sizeof(Node{})
 	if size > ceiling {
 		t.Fatalf("pastry.Node is %d bytes and falls into the %d-byte size class; the ceiling is %d (expected %d)",
@@ -58,7 +58,7 @@ func TestUpkeepStateIsLazy(t *testing.T) {
 	}
 
 	a.StartMaintenance()
-	engine.RunFor(2 * a.Config().MaintenanceInterval)
+	engine.RunFor(2 * maintenanceInterval)
 	a.StopMaintenance()
 	engine.Run()
 

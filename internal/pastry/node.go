@@ -79,10 +79,9 @@ type Node struct {
 	// entry. The writers that bypass consider (Forget, Ring.BuildStatic) reset
 	// it.
 	lastConsidered int32
-	onJoined       []func()
 
 	// up is nil until the node first probes a peer, starts maintenance, scans
-	// its tables (knownNodes) or banks a leaf snapshot; upkeepState makes it.
+	// its tables (knownNodes); upkeepState makes it.
 	up *upkeep
 
 	// pool recycles consumed envelopes among the nodes of this node's engine
@@ -119,13 +118,6 @@ type upkeep struct {
 	// safe and keeps the periodic paths allocation-free.
 	probeScratch []int32
 	seenScratch  map[int32]struct{}
-	// handleFree recycles the slices leaf-set snapshots are copied into.
-	// Each slice has a single owner: created by leafSnapshot, embedded in
-	// exactly one in-flight leafExchange, consumed once by the receiving
-	// node's handleLeafExchange — which banks it in its own free list, so in
-	// steady state maintenance rounds allocate nothing. Slices of dropped
-	// messages are simply garbage-collected.
-	handleFree [][]NodeHandle
 }
 
 // upkeepState returns the node's upkeep state, making it on first use.
@@ -266,27 +258,6 @@ func FindApp[T any](n *Node) (T, bool) {
 
 // Joined reports whether the node has completed its join.
 func (n *Node) Joined() bool { return n.joined }
-
-// OnJoined registers fn to run once the node completes its join; if the
-// node is already joined, fn runs immediately.
-func (n *Node) OnJoined(fn func()) {
-	if n.joined {
-		fn()
-		return
-	}
-	n.onJoined = append(n.onJoined, fn)
-}
-
-func (n *Node) markJoined() {
-	if n.joined {
-		return
-	}
-	n.joined = true
-	for _, fn := range n.onJoined {
-		fn()
-	}
-	n.onJoined = nil
-}
 
 // --- table maintenance ---------------------------------------------------
 
@@ -555,7 +526,7 @@ func (n *Node) Rejoin(peers []NodeHandle) (foreign int) {
 	n.knownNodes(func(h NodeHandle) {
 		n.ring.net.Send(n.handle.Addr, h.Addr, announce{From: n.handle})
 	})
-	n.markJoined()
+	n.joined = true
 	return foreign
 }
 
@@ -624,7 +595,7 @@ func (n *Node) Ping(to NodeHandle, cb func(alive bool)) {
 	seq := up.pingSeq
 	up.pendingPings[seq] = cb
 	n.ring.net.Send(n.handle.Addr, to.Addr, pingMsg{Seq: seq, From: n.handle})
-	n.engine.After(n.ring.cfg.ProbeTimeout, func() {
+	n.engine.After(probeTimeout, func() {
 		if cb, ok := up.pendingPings[seq]; ok {
 			delete(up.pendingPings, seq)
 			cb(false)
@@ -657,47 +628,22 @@ func (n *Node) containsID(list []int32, id ids.Id) bool {
 }
 
 // leafSnapshot materialises the current leaf-set halves for embedding in a
-// message. Each call produces slices owned by exactly one message; the
-// receiver recycles them via recycleHandles.
+// message.
 func (n *Node) leafSnapshot() (cw, ccw []NodeHandle) {
-	return n.appendHandles(n.getHandles(), n.leafCW), n.appendHandles(n.getHandles(), n.leafCCW)
+	return n.handles(n.leafCW), n.handles(n.leafCCW)
 }
 
-// appendHandles appends the handles of refs to dst, growing it the way
-// append(dst, handles...) would.
-func (n *Node) appendHandles(dst []NodeHandle, refs []int32) []NodeHandle {
-	base := len(dst)
-	dst = append(dst, make([]NodeHandle, len(refs))...)
+// handles materialises the handles of refs.
+func (n *Node) handles(refs []int32) []NodeHandle {
+	out := make([]NodeHandle, len(refs))
 	for i, ref := range refs {
-		dst[base+i] = n.HandleOf(ref)
+		out[i] = n.HandleOf(ref)
 	}
-	return dst
-}
-
-func (n *Node) getHandles() []NodeHandle {
-	up := n.up
-	if up == nil || len(up.handleFree) == 0 {
-		return nil
-	}
-	k := len(up.handleFree) - 1
-	s := up.handleFree[k]
-	up.handleFree = up.handleFree[:k]
-	return s[:0]
-}
-
-func (n *Node) recycleHandles(s []NodeHandle) {
-	if cap(s) == 0 {
-		return
-	}
-	if up := n.upkeepState(); len(up.handleFree) < 8 {
-		up.handleFree = append(up.handleFree, s)
-	}
+	return out
 }
 
 // repairLeafSet asks the farthest live leaf on each side for its leaf set,
-// the standard Pastry repair that refills holes left by failures. Each
-// receiver gets its own snapshot: the two messages must not share slices,
-// or both receivers would recycle the same backing array.
+// the standard Pastry repair that refills holes left by failures.
 func (n *Node) repairLeafSet() {
 	if len(n.leafCW) > 0 {
 		cw, ccw := n.leafSnapshot()
@@ -725,10 +671,6 @@ func (n *Node) handleLeafExchange(m *leafExchange) {
 			From: n.handle, CW: cw, CCW: ccw, Reply: true,
 		})
 	}
-	// This handler is the message's single point of consumption; bank its
-	// snapshot slices for this node's own future exchanges.
-	n.recycleHandles(m.CW)
-	n.recycleHandles(m.CCW)
 }
 
 // StartMaintenance begins periodic leaf-set exchange and liveness probing.
@@ -738,7 +680,7 @@ func (n *Node) StartMaintenance() {
 	if up.maintenance != nil {
 		return
 	}
-	up.maintenance = n.engine.Every(n.ring.cfg.MaintenanceInterval, n.maintenanceRound)
+	up.maintenance = n.engine.Every(maintenanceInterval, n.maintenanceRound)
 }
 
 // StopMaintenance halts periodic maintenance.
@@ -751,8 +693,7 @@ func (n *Node) StopMaintenance() {
 
 func (n *Node) maintenanceRound() {
 	// Exchange leaf sets with immediate ring neighbors to keep the ring
-	// consistent as membership changes. Per-send snapshots: the two
-	// receivers each consume (and recycle) their own slices.
+	// consistent as membership changes.
 	if len(n.leafCW) > 0 {
 		cw, ccw := n.leafSnapshot()
 		n.ring.net.Send(n.handle.Addr, simnet.Addr(n.leafCW[0]), &leafExchange{From: n.handle, CW: cw, CCW: ccw})
@@ -773,7 +714,7 @@ func (n *Node) maintenanceRound() {
 	if len(candidates) == 0 {
 		return
 	}
-	for i := 0; i < n.ring.cfg.ProbesPerRound && i < len(candidates); i++ {
+	for i := 0; i < probesPerRound && i < len(candidates); i++ {
 		n.probe(n.HandleOf(candidates[n.rng.Intn(len(candidates))]))
 	}
 }
@@ -826,7 +767,7 @@ func (n *Node) handleRTExchange(m *rtExchange) {
 	})
 }
 
-// probe pings a peer; failures re-probe immediately until ProbeRetries
+// probe pings a peer; failures re-probe immediately until probeRetries
 // consecutive misses execute the death verdict, so the detector tolerates
 // heavy message loss while still catching real crashes within one round.
 func (n *Node) probe(target NodeHandle) {
@@ -837,7 +778,7 @@ func (n *Node) probe(target NodeHandle) {
 			return
 		}
 		suspicion[target.Addr]++
-		if suspicion[target.Addr] >= n.ring.cfg.ProbeRetries {
+		if suspicion[target.Addr] >= probeRetries {
 			delete(suspicion, target.Addr)
 			n.declareDead(target)
 			return

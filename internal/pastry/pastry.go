@@ -41,22 +41,26 @@ type Config struct {
 	// NeighborhoodSize is |M|, the size of the proximity-based
 	// neighborhood set. Defaults to 16.
 	NeighborhoodSize int
-	// MaintenanceInterval is the period of leaf-set exchange and liveness
-	// probing. Defaults to 30 seconds of virtual time.
-	MaintenanceInterval time.Duration
-	// ProbeTimeout is how long a node waits for a pong before declaring a
-	// peer dead. Defaults to 3 seconds.
-	ProbeTimeout time.Duration
-	// ProbesPerRound is how many leaf-set members are liveness-probed per
-	// maintenance round. Defaults to 3.
-	ProbesPerRound int
-	// ProbeRetries is how many consecutive probe failures (re-probed
+}
+
+// Maintenance and failure detection.
+const (
+	// maintenanceInterval is the period of leaf-set exchange and liveness
+	// probing, in virtual time.
+	maintenanceInterval = 30 * time.Second
+	// probeTimeout is how long a node waits for a pong before counting the
+	// probe as failed.
+	probeTimeout = 3 * time.Second
+	// probesPerRound is how many leaf-set members are liveness-probed per
+	// maintenance round.
+	probesPerRound = 3
+	// probeRetries is how many consecutive probe failures (re-probed
 	// back-to-back) are required before a peer is declared dead; any
 	// message from the peer resets the count. On a network losing 30% of
 	// messages a single ping+pong round trip fails half the time, so real
-	// tolerance needs several retries. Defaults to 8.
-	ProbeRetries int
-}
+	// tolerance needs several retries.
+	probeRetries = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.B == 0 {
@@ -67,18 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NeighborhoodSize == 0 {
 		c.NeighborhoodSize = 16
-	}
-	if c.MaintenanceInterval == 0 {
-		c.MaintenanceInterval = 30 * time.Second
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 3 * time.Second
-	}
-	if c.ProbesPerRound == 0 {
-		c.ProbesPerRound = 3
-	}
-	if c.ProbeRetries == 0 {
-		c.ProbeRetries = 8
 	}
 	return c
 }

@@ -54,7 +54,7 @@ func (c *collector) Deliver(key ids.Id, _ simnet.Message, info RouteInfo) {
 // adjacentHandles is AdjacentSets with every ref materialised.
 func adjacentHandles(n *Node) (neighborhood, ccw, cw []NodeHandle) {
 	nb, l, r := n.AdjacentSets()
-	return n.appendHandles(nil, nb), n.appendHandles(nil, l), n.appendHandles(nil, r)
+	return n.handles(nb), n.handles(l), n.handles(r)
 }
 
 func buildStaticRing(t *testing.T, racks, perRack int, assign IdAssigner) (*Ring, map[ids.Id][]deliveryRec) {
@@ -551,7 +551,7 @@ func TestRoutingTableMaintenanceFillsHoles(t *testing.T) {
 
 func TestLossyNetworkDoesNotMassKill(t *testing.T) {
 	// 30% message loss: single lost pings must not execute live peers;
-	// the detector requires ProbeRetries consecutive misses.
+	// the detector requires probeRetries consecutive misses.
 	engine := sim.NewEngine(17)
 	ring := NewRing(engine, testTopo(t, 4, 8), Config{}, HierarchyAssigner,
 		simnet.WithDropRate(0.3))
@@ -567,7 +567,7 @@ func TestLossyNetworkDoesNotMassKill(t *testing.T) {
 	// All nodes are actually alive, so every death verdict is false. Some
 	// are statistically unavoidable at 30% loss: a ping+pong round trip
 	// fails about half the time, so each probe chain ends in a false
-	// verdict with probability 0.51^ProbeRetries ≈ 0.5%, giving an
+	// verdict with probability 0.51^probeRetries ≈ 0.5%, giving an
 	// expectation of ~9 over 32 nodes × 20 rounds × 3 probes. The bound
 	// sits well above that mean but far below the ~1000 verdicts a
 	// zero-tolerance detector produces on the same trace.

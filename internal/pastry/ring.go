@@ -325,7 +325,7 @@ func (r *Ring) BuildStatic() {
 		// Neighborhood set: physically closest servers.
 		cands, sorted = r.fillNeighborhood(node, cands, sorted)
 		node.lastConsidered = noRef
-		node.markJoined()
+		node.joined = true
 	}
 	// Routing tables: one recursive prefix partition of the identifier
 	// space fills every node's table, instead of per-(node,row,col) binary

@@ -279,7 +279,7 @@ func TestFreedServerOutsideTheMemoIsVisitedOnce(t *testing.T) {
 	m := r.memo("Accolade")
 	outside := simnet.Addr(-1)
 	for s := 0; s < r.cl.Size(); s++ {
-		if !m.visited.Has(simnet.Addr(s)) && s != r.d.cfg.Gateway {
+		if !m.visited.Has(simnet.Addr(s)) && s != gatewayServer {
 			outside = simnet.Addr(s)
 			break
 		}

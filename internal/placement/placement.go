@@ -127,13 +127,14 @@ type DHTConfig struct {
 	// MaxSpillHops bounds the spill walk after the rendezvous server; a
 	// query that exhausts it fails. Defaults to the cluster size.
 	MaxSpillHops int
-	// Gateway is the server index that originates boot queries (the cloud
-	// front end submits through it). Defaults to 0.
-	Gateway int
 	// QueryTimeout bounds how long the gateway waits for an answer.
 	// Defaults to 30 seconds of virtual time.
 	QueryTimeout time.Duration
 }
+
+// gatewayServer is the server that originates boot queries: the cloud front
+// end submits through it.
+const gatewayServer = 0
 
 func (c DHTConfig) withDefaults(clusterSize int) DHTConfig {
 	if c.MaxSpillHops == 0 {
@@ -319,7 +320,7 @@ func NewDHT(ring *pastry.Ring, cl *cluster.Cluster, cfg DHTConfig) *DHT {
 func (d *DHT) Name() string { return "vbundle-dht" }
 
 // Gateway returns the node that originates boot queries.
-func (d *DHT) Gateway() *pastry.Node { return d.ring.Node(d.cfg.Gateway) }
+func (d *DHT) Gateway() *pastry.Node { return d.ring.Node(gatewayServer) }
 
 // RebindNode re-registers the DHT agent on a rebuilt ring node after a
 // crash-restart. The agent itself is stateless (gateway-side query state
@@ -409,7 +410,7 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 				// The gateway is the first server asked: admit
 				// synchronously, the same short-circuit replies use.
 				q.Spill++
-				d.agents[d.cfg.Gateway].tryAdmit(q)
+				d.agents[gatewayServer].tryAdmit(q)
 				return
 			}
 			gateway.SendDirect(first, AppName, q)

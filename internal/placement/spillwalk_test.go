@@ -231,7 +231,7 @@ func (w *walkWorld) script(t *testing.T, seed int64, rounds int) (recs []walkRec
 			w.engine.RunFor(20 * time.Millisecond)
 			for _, tq := range flying {
 				if n := tq.q.Visited.Len(); !tq.done && n >= 3 {
-					if victim := int(tq.q.Visited.At(n / 2)); victim != w.d.cfg.Gateway {
+					if victim := int(tq.q.Visited.At(n / 2)); victim != gatewayServer {
 						w.restart(victim)
 						restarts++
 						break

@@ -33,7 +33,7 @@ func buildMulti(t *testing.T, racks, perRack int, cfg Config) *world {
 	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner)
 	ring.BuildStatic()
 	cl := cluster.New(tp, cluster.Resources{CPU: 16, MemMB: 16384})
-	mig := migration.New(engine, cl, migration.Config{})
+	mig := migration.New(engine, cl)
 	managers := make([]*aggregation.Manager, ring.Size())
 	for i, n := range ring.Nodes() {
 		managers[i] = aggregation.New(scribe.New(n), aggregation.Config{UpdateInterval: cfg.UpdateInterval})

@@ -126,8 +126,6 @@ type Config struct {
 	// MaxShedsPerRound bounds how many VMs one shedder evacuates per
 	// rebalance round. Defaults to 4.
 	MaxShedsPerRound int
-	// Mode selects live or cold migration. Defaults to live.
-	Mode migration.Mode
 	// Kinds lists the resources the rebalancer tracks; a server sheds when
 	// ANY kind exceeds its band and receives only when ALL kinds have
 	// room. Defaults to bandwidth only, as in the paper's evaluation; the
@@ -147,21 +145,19 @@ type Config struct {
 	// inbound VM without hearing from the shedder again. The lease is the
 	// backstop against lost releases and dead shedders: whatever happens on
 	// the wire, a hold is reclaimed at most one lease after its last
-	// renewal. Defaults to 30 seconds.
+	// renewal. A shedder renews the lease every LeaseDuration/3 while the
+	// migration is in flight, so two consecutive renewals must be lost
+	// before a live migration's hold can lapse. Defaults to 30 seconds.
 	LeaseDuration time.Duration
-	// RenewInterval is how often a shedder refreshes the receiver's lease
-	// while the migration is still in flight. Defaults to LeaseDuration/3,
-	// so two consecutive renewals must be lost before a live migration's
-	// hold can lapse.
-	RenewInterval time.Duration
-	// ReleaseRetryInterval is the initial resend period for a release that
-	// has not been acknowledged; it doubles per attempt. Defaults to 2s.
-	ReleaseRetryInterval time.Duration
-	// ReleaseRetries bounds the resends of an unacknowledged release
-	// before the shedder gives up and leaves reclaim to the receiver's
-	// lease expiry. Defaults to 5.
-	ReleaseRetries int
 }
+
+// The release exchange: an unacknowledged release is resent after
+// releaseRetryInterval, doubling per attempt, at most releaseRetries times;
+// beyond that the receiver's lease expiry reclaims the hold.
+const (
+	releaseRetryInterval = 2 * time.Second
+	releaseRetries       = 5
+)
 
 func (c Config) withDefaults() Config {
 	if c.Threshold == 0 {
@@ -176,23 +172,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxShedsPerRound == 0 {
 		c.MaxShedsPerRound = 4
 	}
-	if c.Mode == 0 {
-		c.Mode = migration.Live
-	}
 	if len(c.Kinds) == 0 {
 		c.Kinds = []cluster.Kind{cluster.KindBandwidth}
 	}
 	if c.LeaseDuration == 0 {
 		c.LeaseDuration = 30 * time.Second
-	}
-	if c.RenewInterval == 0 {
-		c.RenewInterval = c.LeaseDuration / 3
-	}
-	if c.ReleaseRetryInterval == 0 {
-		c.ReleaseRetryInterval = 2 * time.Second
-	}
-	if c.ReleaseRetries == 0 {
-		c.ReleaseRetries = 5
 	}
 	return c
 }
@@ -227,7 +211,7 @@ func NewCoordinator(ring *pastry.Ring, cl *cluster.Cluster, mig *migration.Manag
 	cfg = cfg.withDefaults()
 	c := &Coordinator{cfg: cfg, ring: ring, cl: cl, mig: mig}
 	if cfg.CostBenefit != nil {
-		c.analyzer = costbenefit.New(*cfg.CostBenefit, mig.Config())
+		c.analyzer = costbenefit.New(*cfg.CostBenefit)
 	}
 	// One slice for all the agents, as NewRing carves its nodes; a replaced
 	// agent (ReplaceAgent) is an object of its own.
@@ -913,7 +897,6 @@ func (a *Agent) shedChain(budget int) {
 	if an := a.coord.analyzer; an != nil {
 		verdict := an.Analyze(costbenefit.Proposal{
 			VM:            vm,
-			Mode:          a.coord.cfg.Mode,
 			DeliveredMbps: a.deliveredBW(vm),
 		})
 		if !verdict.Approved {
@@ -941,7 +924,7 @@ func (a *Agent) shedChain(budget int) {
 		a.migrationsTriggered.Inc()
 		// The migration span is parented to the any-cast that discovered
 		// the receiver, completing the anycast -> lease -> migration chain.
-		err := a.coord.mig.MigrateTraced(a.obs, res.Trace, vm.ID, dst, a.coord.cfg.Mode, func(merr error) {
+		err := a.coord.mig.MigrateTraced(a.obs, res.Trace, vm.ID, dst, func(merr error) {
 			a.dropShed(vm.ID)
 			// Whatever the outcome, release the receiver's hold: on
 			// success the VM's demand now counts directly there; on
@@ -972,7 +955,7 @@ func (a *Agent) sendRelease(to pastry.NodeHandle, vm cluster.VMID) {
 		a.releaseAwait = make(map[releaseKey]bool)
 	}
 	a.releaseAwait[key] = true
-	a.trySendRelease(to, key, a.coord.cfg.ReleaseRetries, a.coord.cfg.ReleaseRetryInterval)
+	a.trySendRelease(to, key, releaseRetries, releaseRetryInterval)
 }
 
 func (a *Agent) trySendRelease(to pastry.NodeHandle, key releaseKey, retriesLeft int, backoff time.Duration) {
@@ -993,7 +976,7 @@ func (a *Agent) trySendRelease(to pastry.NodeHandle, key releaseKey, retriesLeft
 // migration is still running, so slow transfers are never reclaimed out
 // from under a live exchange.
 func (a *Agent) renewWhileInFlight(to pastry.NodeHandle, vm cluster.VMID, demand cluster.Resources) {
-	a.node.Engine().After(a.coord.cfg.RenewInterval, func() {
+	a.node.Engine().After(a.coord.cfg.LeaseDuration/3, func() {
 		cur, live := a.shedDestOf(vm)
 		if !live || cur.Id != to.Id || !a.coord.mig.InFlight(vm) {
 			return

@@ -41,7 +41,7 @@ func build(t *testing.T, racks, perRack int, cfg Config, netOpts ...simnet.Optio
 	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner, netOpts...)
 	ring.BuildStatic()
 	cl := cluster.New(tp, cluster.Resources{CPU: 64, MemMB: 1 << 20})
-	mig := migration.New(engine, cl, migration.Config{})
+	mig := migration.New(engine, cl)
 	mig.SetLiveness(func(s int) bool { return ring.Network().Alive(simnet.Addr(s)) })
 	managers := make([]*aggregation.Manager, ring.Size())
 	for i, n := range ring.Nodes() {

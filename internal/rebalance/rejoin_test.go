@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"vbundle/internal/migration"
 	"vbundle/internal/obs"
 	"vbundle/internal/simnet"
 	"vbundle/internal/store"
@@ -24,10 +23,10 @@ func TestAdoptLeasesReconciles(t *testing.T) {
 	settled := loadVM(t, w, 0, 100)  // not migrating at all: hold is an orphan
 
 	w.engine.RunFor(time.Minute)
-	if err := w.mig.Migrate(inflight.ID, 1, migration.Live, nil); err != nil {
+	if err := w.mig.Migrate(inflight.ID, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mig.Migrate(arrived.ID, 2, migration.Live, nil); err != nil {
+	if err := w.mig.Migrate(arrived.ID, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -155,11 +155,6 @@ func (t *Topology) PodOf(rack int) int {
 // SameRack reports whether two servers share a ToR switch.
 func (t *Topology) SameRack(a, b int) bool { return t.RackOf(a) == t.RackOf(b) }
 
-// SamePod reports whether two servers share an aggregation switch.
-func (t *Topology) SamePod(a, b int) bool {
-	return t.PodOf(t.RackOf(a)) == t.PodOf(t.RackOf(b))
-}
-
 // Tier identifies the highest network layer a path between two servers
 // crosses.
 type Tier int

@@ -19,15 +19,15 @@ import (
 // shared box is not (bytes move in their last two digits).
 //
 // 2048 servers on the serial engine is the cheapest rung that still builds a
-// real multi-rack ring: 14.7k objects and 5.26 MB (2570 B/server), object
+// real multi-rack ring: 14.7k objects and 5.22 MB (2548 B/server), object
 // ceiling a third above. It catches a reintroduced per-node map, closure or
 // object (2048 objects each), a table entry grown back from a 4-byte ref to
 // a 24-byte handle, or an eight-slot inbox chunk.
 //
-// 32768 servers on four shards is 231.1k objects and 2767 B/server (engine +
+// 32768 servers on four shards is 231.1k objects and 2735 B/server (engine +
 // topology + pastry's four-byte-a-peer ref arena, sized to the rows the ring
 // fills, and identifier directory + simnet's two-slot inbox slab + one
-// []Node of 384-byte nodes + each shard's slabs of 288-byte scribes, managers,
+// []Node of 360-byte nodes + each shard's slabs of 288-byte scribes, managers,
 // 248-byte topics and events + the run's message traffic), object ceiling a
 // fifth above. Before the slabs it was 394.3k objects and 2827 B/server: one
 // Scribe, Manager, topicState, parent-data closure and event a server.

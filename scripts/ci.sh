@@ -63,7 +63,7 @@ echo "== queue, inbox, shell, memo and search model equivalence -race"
 go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestAnycastSearchMatchesScan' \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
-# Ten gates that must have run and passed by name, not merely not failed
+# Eleven gates that must have run and passed by name, not merely not failed
 # (a renamed or skipped test fails the count). Seven are exact under
 # AllocsPerRun: a 256-hop spill walk allocates no more than a boot admitted
 # at its rendezvous; a warm BandwidthSatisfaction sweep, a SetLocal+Global
@@ -73,11 +73,13 @@ go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|Test
 # an overlay costs a slab chunk's share of an object (under 0.02), and
 # core.New a twentieth of one a server beyond the overlay. Three are what
 # every server holds of each layer, to the byte: the node comes out of one
-# []Node, the Scribe and the topic out of their engine's slabs.
-echo "== allocation and size gates, PASS by name (10)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling)$' \
+# []Node, the Scribe and the topic out of their engine's slabs. One holds the
+# options to what some caller sets: every field of a Config, Options or
+# …Params struct is set somewhere besides its own withDefaults.
+echo "== allocation, size and knob gates, PASS by name (11)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter)$' \
 	./internal/placement/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ | grep -c '^--- PASS')" -eq 10
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 11
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
