@@ -20,7 +20,6 @@ import (
 	"vbundle/internal/pastry"
 	"vbundle/internal/scribe"
 	"vbundle/internal/sim"
-	"vbundle/internal/tcshape"
 	"vbundle/internal/topology"
 )
 
@@ -807,38 +806,6 @@ func BenchmarkBootServeFlash(b *testing.B) {
 			b.ReportMetric(float64(out.FlashShed)/float64(out.FlashRequests), "flashShedFrac")
 		}
 	}
-}
-
-// BenchmarkAblationShaperMode compares the two surplus-sharing policies of
-// the tc shaper (equal-share vs HTB's rate-proportional) on a saturated
-// NIC with mixed class sizes.
-func BenchmarkAblationShaperMode(b *testing.B) {
-	// Guarantees sum to 210 on a 1000 Mbps NIC: the surplus-sharing policy
-	// decides who gets the other 790.
-	classes := make([]tcshape.Class, 20)
-	for i := range classes {
-		classes[i] = tcshape.Class{
-			Rate:   float64(i + 1),
-			Ceil:   1000,
-			Demand: 900,
-		}
-	}
-	b.Run("equal", func(b *testing.B) {
-		var smallest float64
-		for i := 0; i < b.N; i++ {
-			alloc := tcshape.Allocate(1000, classes)
-			smallest = alloc[0]
-		}
-		b.ReportMetric(smallest, "smallestClassMbps")
-	})
-	b.Run("weighted", func(b *testing.B) {
-		var smallest float64
-		for i := 0; i < b.N; i++ {
-			alloc := tcshape.AllocateWeighted(1000, classes)
-			smallest = alloc[0]
-		}
-		b.ReportMetric(smallest, "smallestClassMbps")
-	})
 }
 
 // BenchmarkOverlayBuild measures ring construction at the paper's scale.

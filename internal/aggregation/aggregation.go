@@ -313,9 +313,6 @@ func (m *Manager) topic(key ids.Id) *topicState {
 // Scribe returns the underlying Scribe instance.
 func (m *Manager) Scribe() *scribe.Scribe { return m.sc }
 
-// Config returns the effective configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // Subscribe joins the topic's tree and registers an optional callback fired
 // on every new global value of the default attribute. All servers in a
 // v-Bundle cluster subscribe to every topic they participate in.
@@ -369,24 +366,6 @@ func (m *Manager) SetLocalAttr(name, attr string, v float64) {
 		st.cacheOK = false
 	}
 	m.markDirty(st, m.now())
-}
-
-// Local returns the node's own default-attribute sample for the topic.
-func (m *Manager) Local(name string) (float64, bool) {
-	return m.LocalAttr(name, DefaultAttr)
-}
-
-// LocalAttr returns the node's own sample for one attribute.
-func (m *Manager) LocalAttr(name, attr string) (float64, bool) {
-	st := m.topicNamed(name)
-	if st == nil {
-		return 0, false
-	}
-	a, ok := st.local.get(attr)
-	if !ok || a.Count == 0 {
-		return 0, false
-	}
-	return a.Sum, true
 }
 
 // Global returns the last globally published default-attribute aggregate.

@@ -51,6 +51,24 @@ func newFixtureOn(t testing.TB, engine *sim.Engine, racks, perRack int, cfg Conf
 	return f
 }
 
+// Local returns the node's own default-attribute sample for the topic.
+func (m *Manager) Local(name string) (float64, bool) {
+	return m.LocalAttr(name, DefaultAttr)
+}
+
+// LocalAttr returns the node's own sample for one attribute.
+func (m *Manager) LocalAttr(name, attr string) (float64, bool) {
+	st := m.topicNamed(name)
+	if st == nil {
+		return 0, false
+	}
+	a, ok := st.local.get(attr)
+	if !ok || a.Count == 0 {
+		return 0, false
+	}
+	return a.Sum, true
+}
+
 func (f *fixture) publishAll(topic string) {
 	for _, m := range f.managers {
 		m.PublishNow(topic)

@@ -183,15 +183,6 @@ func (a *Auditor) Violations() int {
 	return int(a.violations.Value())
 }
 
-// Detail returns the retained violation records (bounded by
-// Config.MaxDetail).
-func (a *Auditor) Detail() []Violation {
-	if a == nil {
-		return nil
-	}
-	return a.detail
-}
-
 // Report writes a one-line summary plus the retained violations. Binaries
 // send it to stderr: experiment stdout is byte-diffed with the auditor on
 // and off, and must stay identical.

@@ -34,20 +34,10 @@ func (r Resources) Add(o Resources) Resources {
 	return Resources{r.CPU + o.CPU, r.MemMB + o.MemMB, r.BandwidthMbps + o.BandwidthMbps}
 }
 
-// Sub returns the component-wise difference (which may be negative).
-func (r Resources) Sub(o Resources) Resources {
-	return Resources{r.CPU - o.CPU, r.MemMB - o.MemMB, r.BandwidthMbps - o.BandwidthMbps}
-}
-
 // Fits reports whether every component of r is at most the matching
 // component of capacity.
 func (r Resources) Fits(capacity Resources) bool {
 	return r.CPU <= capacity.CPU && r.MemMB <= capacity.MemMB && r.BandwidthMbps <= capacity.BandwidthMbps
-}
-
-// Min returns the component-wise minimum.
-func (r Resources) Min(o Resources) Resources {
-	return Resources{minF(r.CPU, o.CPU), minF(r.MemMB, o.MemMB), minF(r.BandwidthMbps, o.BandwidthMbps)}
 }
 
 func minF(a, b float64) float64 {
@@ -92,11 +82,6 @@ type Server struct {
 	// than a map makes every per-server sum fold in a fixed order, so
 	// repeated runs produce bit-identical floating-point results.
 	vms []*VM
-}
-
-// NewServer creates an empty server.
-func NewServer(index int, capacity Resources) *Server {
-	return &Server{Index: index, Capacity: capacity}
 }
 
 // find locates id in the sorted vms slice, returning its position (or the

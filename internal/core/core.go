@@ -84,7 +84,7 @@ type Options struct {
 	// under study.
 	ProtocolJoin bool
 	// MessageLoss drops each overlay message independently with this
-	// probability, for robustness studies (0 = reliable network).
+	// probability in [0, 1), for robustness studies (0 = reliable network).
 	MessageLoss float64
 	// JoinStagger is the delay between successive protocol joins.
 	JoinStagger time.Duration
@@ -105,7 +105,7 @@ type Options struct {
 	// the store held and reconciles with the live ring. Nil keeps nodes
 	// purely in-memory; crash-restart schedules then panic for want of a
 	// restarter.
-	Store store.Store
+	Store *store.MemStore
 }
 
 // peerCheckpointInterval is how often each live node's peer snapshot is
@@ -180,6 +180,12 @@ func NewOverlay(opts Options) (*Overlay, error) {
 	}
 	if opts.Pastry.NeighborhoodSize < 0 {
 		return nil, fmt.Errorf("core: Pastry.NeighborhoodSize = %d, must not be negative (0 for the default)", opts.Pastry.NeighborhoodSize)
+	}
+	if opts.Rebalance.UpdateInterval < 0 {
+		return nil, fmt.Errorf("core: Rebalance.UpdateInterval = %v, must not be negative (0 for the default)", opts.Rebalance.UpdateInterval)
+	}
+	if !(opts.MessageLoss >= 0 && opts.MessageLoss < 1) {
+		return nil, fmt.Errorf("core: MessageLoss = %v, must be in [0, 1)", opts.MessageLoss)
 	}
 	topo, err := topology.New(opts.Topology)
 	if err != nil {
@@ -274,6 +280,12 @@ type VBundle struct {
 // instance is ready to place VMs.
 func New(opts Options) (*VBundle, error) {
 	opts = opts.withDefaults()
+	if opts.Rebalance.RebalanceInterval < 0 {
+		return nil, fmt.Errorf("core: Rebalance.RebalanceInterval = %v, must not be negative (0 for the default)", opts.Rebalance.RebalanceInterval)
+	}
+	if opts.Rebalance.LeaseDuration < 0 {
+		return nil, fmt.Errorf("core: Rebalance.LeaseDuration = %v, must not be negative (0 for the default)", opts.Rebalance.LeaseDuration)
+	}
 	ov, err := NewOverlay(opts)
 	if err != nil {
 		return nil, err
@@ -455,12 +467,6 @@ func (vb *VBundle) BootVM(customer string, reservation, limit cluster.Resources)
 	return vm, res, err
 }
 
-// BootVMAsync places an already created VM without driving the simulation;
-// the callback fires when the query resolves.
-func (vb *VBundle) BootVMAsync(vm *cluster.VM, onDone func(placement.Result, error)) {
-	vb.Placer.Place(vm, onDone)
-}
-
 func (vb *VBundle) placeAndWait(vm *cluster.VM) (placement.Result, error) {
 	var (
 		res  placement.Result
@@ -548,9 +554,6 @@ type BandwidthReport struct {
 	SatisfiedMbps float64
 }
 
-// Gap returns unmet demand.
-func (r BandwidthReport) Gap() float64 { return r.DemandMbps - r.SatisfiedMbps }
-
 // BandwidthSatisfaction runs the tc-style allocator on every server and
 // aggregates delivered versus demanded bandwidth. It reuses one class
 // buffer and one shaper held on the VBundle, so it must only be called
@@ -568,19 +571,6 @@ func (vb *VBundle) BandwidthSatisfaction() BandwidthReport {
 		rep.DemandMbps += want
 	}
 	return rep
-}
-
-// VMAllocations runs the shaper for one server and returns each hosted VM's
-// allocated bandwidth, keyed by VM id.
-func (vb *VBundle) VMAllocations(server int) map[cluster.VMID]float64 {
-	srv := vb.Cluster.Server(server)
-	vms := srv.VMs()
-	alloc := tcshape.Allocate(srv.Capacity.BandwidthMbps, rebalance.AppendClasses(nil, srv))
-	out := make(map[cluster.VMID]float64, len(vms))
-	for i, vm := range vms {
-		out[vm.ID] = alloc[i]
-	}
-	return out
 }
 
 // AvailableBandwidth probes how much bandwidth a VM could obtain on its

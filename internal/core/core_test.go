@@ -11,7 +11,6 @@ import (
 
 	"vbundle/internal/cluster"
 	"vbundle/internal/pastry"
-	"vbundle/internal/placement"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/tcshape"
 	"vbundle/internal/topology"
@@ -214,6 +213,39 @@ func TestPastryDigitWidth(t *testing.T) {
 	}
 }
 
+// TestBadCadencesAndLossAreErrors: a negative aggregation or rebalance
+// period (which made StartServices panic in sim's Every), a negative lease
+// (which was accepted) and a loss rate outside [0, 1), the range
+// simnet.WithDropRate allows (which was accepted), are configuration errors
+// New returns, naming the field; NewOverlay returns the two it reads.
+func TestBadCadencesAndLossAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		set     func(*Options)
+		bad     string // the field the error must name
+		overlay bool   // NewOverlay reads the field and must refuse it too
+	}{
+		{func(o *Options) { o.Rebalance.UpdateInterval = -time.Minute }, "Rebalance.UpdateInterval", true},
+		{func(o *Options) { o.Rebalance.RebalanceInterval = -time.Minute }, "Rebalance.RebalanceInterval", false},
+		{func(o *Options) { o.Rebalance.LeaseDuration = -time.Second }, "Rebalance.LeaseDuration", false},
+		{func(o *Options) { o.MessageLoss = 1 }, "MessageLoss", true},
+		{func(o *Options) { o.MessageLoss = -0.1 }, "MessageLoss", true},
+	} {
+		opts := Options{Topology: smallSpec(2, 4), Seed: 1}
+		tc.set(&opts)
+		_, err := New(opts)
+		errs := []error{err}
+		if tc.overlay {
+			_, err := NewOverlay(opts)
+			errs = append(errs, err)
+		}
+		for _, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "core: ") || !strings.Contains(err.Error(), tc.bad) {
+				t.Errorf("bad %s: error %v, want a core: error naming it", tc.bad, err)
+			}
+		}
+	}
+}
+
 func TestEndToEndRebalancingImprovesBalance(t *testing.T) {
 	vb, err := New(Options{Topology: smallSpec(4, 4)})
 	if err != nil {
@@ -254,34 +286,6 @@ func TestEndToEndRebalancingImprovesBalance(t *testing.T) {
 	}
 }
 
-func TestVMAllocationsRespectShaping(t *testing.T) {
-	vb, err := New(Options{Topology: smallSpec(1, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm1, res1, err := vb.BootVM("A", bwRes(100), bwRes(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm2, _, err := vb.BootVM("A", bwRes(100), bwRes(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm1.Demand.BandwidthMbps = 900
-	vm2.Demand.BandwidthMbps = 900
-	alloc := vb.VMAllocations(res1.Server)
-	var total float64
-	for _, a := range alloc {
-		total += a
-	}
-	if total > 1000+1e-9 {
-		t.Fatalf("allocations %v exceed NIC", alloc)
-	}
-	if alloc[vm1.ID] < 100 {
-		t.Fatalf("guarantee violated: %v", alloc)
-	}
-}
-
 func TestOptionsAccessorAndNow(t *testing.T) {
 	vb, err := New(Options{Topology: smallSpec(1, 2), Seed: 3})
 	if err != nil {
@@ -296,31 +300,6 @@ func TestOptionsAccessorAndNow(t *testing.T) {
 	vb.RunFor(time.Minute)
 	if vb.Now() != time.Minute {
 		t.Fatalf("Now = %v", vb.Now())
-	}
-}
-
-func TestBootVMAsync(t *testing.T) {
-	vb, err := New(Options{Topology: smallSpec(2, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := vb.Cluster.CreateVM("a", bwRes(10), bwRes(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	vb.BootVMAsync(vm, func(_ placement.Result, err error) {
-		if err != nil {
-			t.Errorf("async placement: %v", err)
-		}
-		done = true
-	})
-	vb.Engine.Run()
-	if !done {
-		t.Fatal("async callback never fired")
-	}
-	if _, placed := vb.Cluster.LocationOf(vm.ID); !placed {
-		t.Fatal("VM not placed")
 	}
 }
 
@@ -353,6 +332,9 @@ func TestAvailableBandwidthProbe(t *testing.T) {
 		t.Fatalf("unplaced available = %g", got)
 	}
 }
+
+// Gap returns unmet demand.
+func (r BandwidthReport) Gap() float64 { return r.DemandMbps - r.SatisfiedMbps }
 
 func TestBandwidthReportGap(t *testing.T) {
 	r := BandwidthReport{DemandMbps: 100, SatisfiedMbps: 80}

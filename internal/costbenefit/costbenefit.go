@@ -59,18 +59,6 @@ type Analysis struct {
 	Approved bool
 }
 
-// Ratio returns benefit over cost (infinite cost returns zero; zero cost
-// with positive benefit returns a large ratio).
-func (a Analysis) Ratio() float64 {
-	if a.CostMbpsSec <= 0 {
-		if a.BenefitMbpsSec > 0 {
-			return 1e9
-		}
-		return 0
-	}
-	return a.BenefitMbpsSec / a.CostMbpsSec
-}
-
 // Analyzer prices proposed migrations with the migration package's cost
 // model.
 type Analyzer struct {
@@ -81,9 +69,6 @@ type Analyzer struct {
 func New(cfg Config) *Analyzer {
 	return &Analyzer{cfg: cfg.withDefaults()}
 }
-
-// Config returns the effective configuration.
-func (a *Analyzer) Config() Config { return a.cfg }
 
 // Proposal describes a candidate migration for pricing.
 type Proposal struct {

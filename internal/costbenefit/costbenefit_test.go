@@ -8,6 +8,18 @@ import (
 	"vbundle/internal/migration"
 )
 
+// Ratio returns benefit over cost (infinite cost returns zero; zero cost
+// with positive benefit returns a large ratio).
+func (a Analysis) Ratio() float64 {
+	if a.CostMbpsSec <= 0 {
+		if a.BenefitMbpsSec > 0 {
+			return 1e9
+		}
+		return 0
+	}
+	return a.BenefitMbpsSec / a.CostMbpsSec
+}
+
 func vm(memMB, demand, limit float64) *cluster.VM {
 	return &cluster.VM{
 		ID:          1,

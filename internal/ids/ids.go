@@ -37,9 +37,6 @@ type Id struct {
 // Zero is the identifier with all bits clear.
 var Zero = Id{}
 
-// Max is the identifier with all bits set (2^128 - 1).
-var Max = Id{hi: ^uint64(0), lo: ^uint64(0)}
-
 // New builds an identifier from its two 64-bit halves.
 func New(hi, lo uint64) Id { return Id{hi: hi, lo: lo} }
 
@@ -59,13 +56,6 @@ func FromBytes(p []byte) (Id, error) {
 		hi: binary.BigEndian.Uint64(p[:8]),
 		lo: binary.BigEndian.Uint64(p[8:]),
 	}, nil
-}
-
-// AppendBytes appends the big-endian byte representation of a to dst.
-func (a Id) AppendBytes(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, a.hi)
-	dst = binary.BigEndian.AppendUint64(dst, a.lo)
-	return dst
 }
 
 // HashString maps an arbitrary string (for example a customer or group name)
@@ -124,16 +114,6 @@ func (a Id) Cmp(b Id) int {
 
 // Less reports whether a is numerically smaller than b.
 func (a Id) Less(b Id) bool { return a.Cmp(b) < 0 }
-
-// Equal reports whether a and b are the same identifier.
-func (a Id) Equal(b Id) bool { return a == b }
-
-// Add returns (a + b) mod 2^128.
-func (a Id) Add(b Id) Id {
-	lo, carry := bits.Add64(a.lo, b.lo, 0)
-	hi, _ := bits.Add64(a.hi, b.hi, carry)
-	return Id{hi: hi, lo: lo}
-}
 
 // Sub returns (a - b) mod 2^128.
 func (a Id) Sub(b Id) Id {
@@ -229,12 +209,3 @@ func (a Id) String() string {
 
 // Short renders the first 8 hexadecimal characters, for compact logs.
 func (a Id) Short() string { return a.String()[:8] }
-
-// Parse converts a 32-character hexadecimal string back into an identifier.
-func Parse(s string) (Id, error) {
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return Id{}, fmt.Errorf("ids: parse %q: %w", s, err)
-	}
-	return FromBytes(raw)
-}

@@ -1,10 +1,40 @@
 package ids
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// Max is the identifier with all bits set (2^128 - 1).
+var Max = Id{hi: ^uint64(0), lo: ^uint64(0)}
+
+// Add returns (a + b) mod 2^128.
+func (a Id) Add(b Id) Id {
+	lo, carry := bits.Add64(a.lo, b.lo, 0)
+	hi, _ := bits.Add64(a.hi, b.hi, carry)
+	return Id{hi: hi, lo: lo}
+}
+
+// AppendBytes appends the big-endian byte representation of a to dst.
+func (a Id) AppendBytes(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, a.hi)
+	dst = binary.BigEndian.AppendUint64(dst, a.lo)
+	return dst
+}
+
+// Parse converts a 32-character hexadecimal string back into an identifier.
+func Parse(s string) (Id, error) {
+	raw, err := hex.DecodeString(s)
+	if err != nil {
+		return Id{}, fmt.Errorf("ids: parse %q: %w", s, err)
+	}
+	return FromBytes(raw)
+}
 
 func TestScaledOrderingAndSpacing(t *testing.T) {
 	const n = 97

@@ -14,29 +14,15 @@ import (
 type Stats struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add folds one sample into the statistics.
 func (s *Stats) Add(v float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
 	delta := v - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (v - s.mean)
 }
-
-// N returns the number of samples.
-func (s *Stats) N() int { return s.n }
 
 // Mean returns the sample mean (zero when empty).
 func (s *Stats) Mean() float64 { return s.mean }
@@ -51,12 +37,6 @@ func (s *Stats) Variance() float64 {
 
 // Std returns the population standard deviation.
 func (s *Stats) Std() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest sample (zero when empty).
-func (s *Stats) Min() float64 { return s.min }
-
-// Max returns the largest sample (zero when empty).
-func (s *Stats) Max() float64 { return s.max }
 
 // StdOf is a convenience one-shot population standard deviation.
 func StdOf(values []float64) float64 {

@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the analysis half of the recorder: vb trace reads a trace
-// file back with ReadChrome and uses the index here to answer "explain this
-// migration" by walking parent refs, and "why is the tail slow" via the
-// per-subsystem span statistics.
+// file back with ReadChromeSeries and uses the index here to answer
+// "explain this migration" by walking parent refs, and "why is the tail
+// slow" via the per-subsystem span statistics.
 
 // spanRec pairs the begin and end halves of an async span.
 type spanRec struct {
@@ -35,7 +35,7 @@ type Index struct {
 }
 
 // NewIndex builds the causal index (events must be in canonical order, as
-// returned by Trace.Events or ReadChrome on a WriteChrome file).
+// returned by Trace.Events or ReadChromeSeries on a WriteChrome file).
 func NewIndex(events []Event) *Index {
 	ix := &Index{
 		events:   events,

@@ -124,22 +124,11 @@ type chromeDoc struct {
 	} `json:"otherData"`
 }
 
-// ReadChrome parses a trace file written by WriteChrome back into events
-// and the counter snapshot, for vb trace and the golden tests. Counter
-// ("C") events are tolerated and skipped; use ReadChromeSeries to get them.
-func ReadChrome(r io.Reader) ([]Event, map[string]int64, error) {
-	events, counters, _, err := readChrome(r)
-	return events, counters, err
-}
-
-// ReadChromeSeries parses a trace file including its sampled series. The
-// series is nil when the file carries no counter events; its interval is
-// inferred from the first two sampling instants.
+// ReadChromeSeries parses a trace file written by WriteChrome back into
+// events, the counter snapshot and the sampled series. The series is nil
+// when the file carries no counter events; its interval is inferred from
+// the first two sampling instants.
 func ReadChromeSeries(r io.Reader) ([]Event, map[string]int64, *Series, error) {
-	return readChrome(r)
-}
-
-func readChrome(r io.Reader) ([]Event, map[string]int64, *Series, error) {
 	var doc chromeDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, nil, nil, fmt.Errorf("parse trace: %w", err)

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -195,17 +194,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 		return nil
 	}
 	return r.SnapshotInto(nil)
-}
-
-// Names returns the registered names in sorted order.
-func (r *Registry) Names() []string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON dumps the summed registry as indented JSON (sorted keys, so the

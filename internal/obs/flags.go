@@ -27,11 +27,6 @@ type Config struct {
 	Metrics bool
 }
 
-// Enabled reports whether New will construct a recorder.
-func (c Config) Enabled() bool {
-	return c.Stream || c.Ring > 0 || c.SampleEvery > 0 || c.Metrics
-}
-
 // New constructs the run's trace, or nil when disabled.
 func (c Config) New() *Trace {
 	var t *Trace

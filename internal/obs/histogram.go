@@ -12,7 +12,7 @@ import (
 const histBuckets = 64
 
 // Histogram is a log-bucketed distribution: power-of-two buckets indexed by
-// bit length, a zero-allocation record path, and exact count/sum/min/max so
+// bit length, a zero-allocation record path, and exact count/min/max so
 // quantiles can interpolate inside a bucket and clamp to observed extremes.
 //
 // Like Source, a nil *Histogram is the disabled recorder: Record returns
@@ -28,7 +28,7 @@ const histBuckets = 64
 // keeps the derived percentiles bit-identical at any shard count.
 type Histogram struct {
 	counts   [histBuckets]int64
-	n, sum   int64
+	n        int64
 	min, max int64
 	// hi is the highest occupied bucket index, so merges and quantile
 	// scans touch only live buckets. The registry merges every node's
@@ -53,7 +53,6 @@ func (h *Histogram) Record(v int64) {
 	if b > h.hi {
 		h.hi = b
 	}
-	h.sum += v
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}
@@ -74,36 +73,12 @@ func (h *Histogram) Count() int64 {
 	return h.n
 }
 
-// Sum returns the sum of all recorded samples.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 {
 	if h == nil || h.n == 0 {
 		return 0
 	}
 	return h.max
-}
-
-// Mean returns the integer mean of the recorded samples (0 when empty).
-func (h *Histogram) Mean() int64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return h.sum / h.n
 }
 
 // bucketBounds returns the value range a bucket covers.
@@ -173,7 +148,6 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.max = o.max
 	}
 	h.n += o.n
-	h.sum += o.sum
 }
 
 // Reset clears the histogram for reuse as a merge scratch.

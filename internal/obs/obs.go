@@ -38,17 +38,6 @@ const NoRef Ref = 0
 // exclusively on the root engine. It sorts after every node address.
 const RootSource = 1 << 20
 
-// Src extracts the source id a ref was minted by (-1 for NoRef).
-func (r Ref) Src() int32 {
-	if r == NoRef {
-		return -1
-	}
-	return int32(uint64(r)>>40) - 1
-}
-
-// Seq extracts the per-source sequence number of a ref.
-func (r Ref) Seq() uint64 { return uint64(r) & (1<<40 - 1) }
-
 // Kind is the typed identity of an event.
 type Kind uint8
 
@@ -319,15 +308,6 @@ func (s *Source) events() []Event {
 	out = append(out, s.buf[start:]...)
 	out = append(out, s.buf[:start]...)
 	return out
-}
-
-// Dropped reports how many events the ring discarded (always 0 in stream
-// mode).
-func (s *Source) Dropped() uint64 {
-	if s == nil || s.ring <= 0 || s.seq <= uint64(len(s.buf)) {
-		return 0
-	}
-	return s.seq - uint64(len(s.buf))
 }
 
 // Trace owns the per-source buffers and the counter registry for one

@@ -17,6 +17,27 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // sampleTrace builds a small fixed trace exercising every serialization
 // shape: cross-source async spans, instants with causal parents, the root
 // source, and registered counters/gauges.
+
+// Src extracts the source id a ref was minted by (-1 for NoRef).
+func (r Ref) Src() int32 {
+	if r == NoRef {
+		return -1
+	}
+	return int32(uint64(r)>>40) - 1
+}
+
+// Seq extracts the per-source sequence number of a ref.
+func (r Ref) Seq() uint64 { return uint64(r) & (1<<40 - 1) }
+
+// Dropped reports how many events the ring discarded (always 0 in stream
+// mode).
+func (s *Source) Dropped() uint64 {
+	if s == nil || s.ring <= 0 || s.seq <= uint64(len(s.buf)) {
+		return 0
+	}
+	return s.seq - uint64(len(s.buf))
+}
+
 func sampleTrace() *Trace {
 	tr := New()
 	deliveries := &Counter{}
@@ -109,7 +130,7 @@ func TestChromeGolden(t *testing.T) {
 	}
 
 	// ts must be monotone non-decreasing in file order.
-	events, _, err := ReadChrome(bytes.NewReader(buf.Bytes()))
+	events, _, _, err := ReadChromeSeries(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +161,7 @@ func TestChromeRoundTrip(t *testing.T) {
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	events, counters, err := ReadChrome(&buf)
+	events, counters, _, err := ReadChromeSeries(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,16 +143,6 @@ func TestChromeSeriesRoundTrip(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("CSV did not round-trip:\noriginal:\n%s\nreconstructed:\n%s", a.String(), b.String())
 	}
-
-	// Plain ReadChrome on the same bytes must still work, ignoring the
-	// counter events.
-	events2, _, err := ReadChrome(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(events2, events) {
-		t.Error("ReadChrome and ReadChromeSeries disagree on span events")
-	}
 }
 
 func TestEnableSeriesIdempotent(t *testing.T) {

@@ -18,7 +18,7 @@ type envelope struct {
 
 // WireSize implements simnet.WireSizer.
 func (e *envelope) WireSize() int {
-	return ids.Bytes + len(e.App) + 4 + handleWireBytes + payloadSize(e.Payload)
+	return ids.Bytes + len(e.App) + 4 + handleWireBytes + simnet.WireSize(e.Payload)
 }
 
 // directEnvelope carries a point-to-point application message.
@@ -31,7 +31,7 @@ type directEnvelope struct {
 
 // WireSize implements simnet.WireSizer.
 func (e *directEnvelope) WireSize() int {
-	return len(e.App) + handleWireBytes + payloadSize(e.Payload)
+	return len(e.App) + handleWireBytes + simnet.WireSize(e.Payload)
 }
 
 // envPool recycles consumed envelopes among the nodes that run on one engine
@@ -83,13 +83,6 @@ func (p *envPool) getDir() *directEnvelope {
 func (p *envPool) putDir(e *directEnvelope) {
 	e.Payload, e.next = nil, p.dir
 	p.dir = e
-}
-
-func payloadSize(p simnet.Message) int {
-	if ws, ok := p.(simnet.WireSizer); ok {
-		return ws.WireSize()
-	}
-	return simnet.DefaultWireSize
 }
 
 // joinForward routes a join request toward the joiner's own identifier,

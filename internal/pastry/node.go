@@ -184,9 +184,6 @@ func (n *Node) ID() ids.Id { return n.handle.Id }
 // Addr returns the node's network address.
 func (n *Node) Addr() simnet.Addr { return n.handle.Addr }
 
-// Config returns the node's effective configuration (defaults applied).
-func (n *Node) Config() Config { return n.ring.cfg }
-
 // Engine returns the simulation engine driving the node.
 func (n *Node) Engine() *sim.Engine { return n.engine }
 
@@ -315,10 +312,6 @@ func (n *Node) rtGet(l, d int) NodeHandle {
 	}
 	return NoHandle
 }
-
-// RoutingTableEntry returns the entry at row l, column d, which is NoHandle
-// if the slot is empty.
-func (n *Node) RoutingTableEntry(l, d int) NodeHandle { return n.rtGet(l, d) }
 
 // RoutingTableSize returns the number of populated routing-table slots.
 func (n *Node) RoutingTableSize() int {
@@ -785,15 +778,6 @@ func (n *Node) probe(target NodeHandle) {
 		}
 		n.probe(target)
 	})
-}
-
-// RouteStats returns the number of messages this node delivered as final
-// destination and the mean number of hops they travelled.
-func (n *Node) RouteStats() (deliveries int, meanHops float64) {
-	if n.deliveries.Value() == 0 {
-		return 0, 0
-	}
-	return int(n.deliveries.Value()), float64(n.totalHops.Value()) / float64(n.deliveries.Value())
 }
 
 // Obs returns the node's flight-recorder source, shared by the protocol

@@ -12,6 +12,25 @@ import (
 	"vbundle/internal/topology"
 )
 
+// Config returns the node's effective configuration (defaults applied).
+func (n *Node) Config() Config { return n.ring.cfg }
+
+// RoutingTableEntry returns the entry at row l, column d, which is NoHandle
+// if the slot is empty.
+func (n *Node) RoutingTableEntry(l, d int) NodeHandle { return n.rtGet(l, d) }
+
+// RouteStats returns the number of messages this node delivered as final
+// destination and the mean number of hops they travelled.
+func (n *Node) RouteStats() (deliveries int, meanHops float64) {
+	if n.deliveries.Value() == 0 {
+		return 0, 0
+	}
+	return int(n.deliveries.Value()), float64(n.totalHops.Value()) / float64(n.deliveries.Value())
+}
+
+// Engine returns the simulation engine.
+func (r *Ring) Engine() *sim.Engine { return r.engine }
+
 func testTopo(t *testing.T, racks, perRack int) *topology.Topology {
 	t.Helper()
 	tp, err := topology.New(topology.Spec{

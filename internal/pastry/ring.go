@@ -143,9 +143,6 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 	return r
 }
 
-// Engine returns the simulation engine.
-func (r *Ring) Engine() *sim.Engine { return r.engine }
-
 // LiveBit reports the ring's cached liveness bit for node i — the bitmap
 // backing ClosestLive. The online auditor cross-checks it against the
 // network's ground truth (Network().Alive), which the liveness hook must

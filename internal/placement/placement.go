@@ -339,9 +339,6 @@ func (d *DHT) RebindNode(i int) {
 // Nil detaches.
 func (d *DHT) SetCache(c *ResolutionCache) { d.cache = c }
 
-// Cache returns the attached resolution cache, if any.
-func (d *DHT) Cache() *ResolutionCache { return d.cache }
-
 // Place implements Engine: route a boot query toward hash(customer).
 func (d *DHT) Place(vm *cluster.VM, onDone func(Result, error)) {
 	q := d.acquireQuery()

@@ -18,6 +18,21 @@ type world struct {
 	cl     *cluster.Cluster
 }
 
+// PlaceAllSync drives a synchronous engine (greedy, random) over a VM list,
+// returning per-VM results in order.
+func PlaceAllSync(e Engine, vms []*cluster.VM) ([]Result, []error) {
+	results := make([]Result, len(vms))
+	errs := make([]error, len(vms))
+	for i, vm := range vms {
+		i := i
+		e.Place(vm, func(r Result, err error) {
+			results[i] = r
+			errs[i] = err
+		})
+	}
+	return results, errs
+}
+
 func newWorld(t *testing.T, racks, perRack int, nicMbps float64) *world {
 	t.Helper()
 	return newWorldOn(t, sim.NewEngine(21), racks, perRack, nicMbps)
@@ -353,21 +368,6 @@ func TestSnapshotCollapsesDuplicates(t *testing.T) {
 	snap := Snapshot(w.cl)
 	if len(snap.Points()) != 1 {
 		t.Fatalf("snapshot points = %d, want 1 (collapsed)", len(snap.Points()))
-	}
-}
-
-func TestSortServers(t *testing.T) {
-	w := newWorld(t, 1, 3, 100)
-	for i, demand := range []float64{10, 90, 50} {
-		vm, _ := w.cl.CreateVM("c", bwRes(10), bwRes(100))
-		if err := w.cl.Place(vm, i); err != nil {
-			t.Fatal(err)
-		}
-		vm.Demand.BandwidthMbps = demand
-	}
-	order := SortServers(w.cl)
-	if order[0] != 1 || order[1] != 2 || order[2] != 0 {
-		t.Fatalf("order = %v", order)
 	}
 }
 

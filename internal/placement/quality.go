@@ -2,7 +2,6 @@ package placement
 
 import (
 	"math/rand"
-	"sort"
 
 	"vbundle/internal/cluster"
 	"vbundle/internal/metrics"
@@ -158,37 +157,4 @@ func Snapshot(cl *cluster.Cluster) *metrics.Scatter {
 		}
 	}
 	return &sc
-}
-
-// PlaceAllSync drives a synchronous engine (greedy, random) over a VM list,
-// returning per-VM results in order.
-func PlaceAllSync(e Engine, vms []*cluster.VM) ([]Result, []error) {
-	results := make([]Result, len(vms))
-	errs := make([]error, len(vms))
-	for i, vm := range vms {
-		i := i
-		e.Place(vm, func(r Result, err error) {
-			results[i] = r
-			errs[i] = err
-		})
-	}
-	return results, errs
-}
-
-// SortServers returns server indices ordered by current bandwidth
-// utilization, most loaded first — a helper for experiment reporting.
-func SortServers(cl *cluster.Cluster) []int {
-	idx := make([]int, cl.Size())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ua := cl.Server(idx[a]).UtilizationBW()
-		ub := cl.Server(idx[b]).UtilizationBW()
-		if ua != ub {
-			return ua > ub
-		}
-		return idx[a] < idx[b]
-	})
-	return idx
 }

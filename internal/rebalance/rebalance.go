@@ -200,7 +200,7 @@ type Coordinator struct {
 	// store, when set, receives a write-through copy of every agent's lease
 	// table: leases are the one piece of rebalancer state that must survive
 	// a crash (a hold protects another server's in-flight VM).
-	store store.Store
+	store *store.MemStore
 
 	started bool
 }
@@ -237,7 +237,7 @@ func (c *Coordinator) Agent(i int) *Agent { return c.agents[i] }
 // SetStore attaches the per-node durable store: every lease mutation is
 // written through, and LeakedReservations consults the store for nodes that
 // are currently down. Set it before Start.
-func (c *Coordinator) SetStore(st store.Store) { c.store = st }
+func (c *Coordinator) SetStore(st *store.MemStore) { c.store = st }
 
 // ReplaceAgent rebuilds server i's agent on a freshly rebuilt node after a
 // crash: the old agent (whose node is a corpse) is stopped, and the new one
@@ -275,21 +275,6 @@ func (c *Coordinator) Stop() {
 	for _, a := range c.agents {
 		a.stop()
 	}
-}
-
-// Roles counts agents per current role.
-func (c *Coordinator) Roles() (shedders, receivers, neutral int) {
-	for _, a := range c.agents {
-		switch a.role {
-		case RoleShedder:
-			shedders++
-		case RoleReceiver:
-			receivers++
-		default:
-			neutral++
-		}
-	}
-	return shedders, receivers, neutral
 }
 
 // MigrationsTriggered sums the shed attempts that led to migrations.
@@ -379,8 +364,7 @@ type Agent struct {
 	// because every agent reads it on the rebalance hot path and a cluster
 	// has one agent per server.
 	means    [kindSlots]float64
-	meansSet [kindSlots]bool
-	haveMean bool
+	haveMean bool // every tracked kind has a mean
 	inGroup  bool
 
 	// reserved holds resources promised to accepted inbound VMs while they
@@ -492,17 +476,6 @@ func (a *Agent) init(coord *Coordinator, server int, node *pastry.Node, agg *agg
 
 // Role returns the agent's current self-identification.
 func (a *Agent) Role() Role { return a.role }
-
-// MeanUtilization returns the last cluster-mean bandwidth utilization the
-// agent computed (the paper's "average utilization line").
-func (a *Agent) MeanUtilization() (float64, bool) {
-	return a.means[cluster.KindBandwidth], a.meansSet[cluster.KindBandwidth] && a.haveMean
-}
-
-// MeanFor returns the cluster mean for one tracked resource kind.
-func (a *Agent) MeanFor(k cluster.Kind) (float64, bool) {
-	return a.means[k], a.meansSet[k]
-}
 
 func (a *Agent) start() {
 	for _, k := range a.coord.cfg.Kinds {
@@ -688,7 +661,6 @@ func (a *Agent) reevaluate() {
 			return // wait until every tracked kind has a global
 		}
 		a.means[k] = dem.Sum / cap.Sum
-		a.meansSet[k] = true
 	}
 	a.haveMean = true
 	thr := a.coord.cfg.Threshold

@@ -15,6 +15,32 @@ import (
 	"vbundle/internal/topology"
 )
 
+// Roles counts agents per current role.
+func (c *Coordinator) Roles() (shedders, receivers, neutral int) {
+	for _, a := range c.agents {
+		switch a.role {
+		case RoleShedder:
+			shedders++
+		case RoleReceiver:
+			receivers++
+		default:
+			neutral++
+		}
+	}
+	return shedders, receivers, neutral
+}
+
+// MeanUtilization returns the last cluster-mean bandwidth utilization the
+// agent computed (the paper's "average utilization line").
+func (a *Agent) MeanUtilization() (float64, bool) {
+	return a.MeanFor(cluster.KindBandwidth)
+}
+
+// MeanFor returns the cluster mean for one tracked resource kind.
+func (a *Agent) MeanFor(k cluster.Kind) (float64, bool) {
+	return a.means[k], a.haveMean
+}
+
 type world struct {
 	engine *sim.Engine
 	ring   *pastry.Ring

@@ -9,13 +9,6 @@ import (
 
 const handleWireBytes = 20
 
-func payloadSize(p simnet.Message) int {
-	if ws, ok := p.(simnet.WireSizer); ok {
-		return ws.WireSize()
-	}
-	return simnet.DefaultWireSize
-}
-
 // joinMsg is routed toward the groupId and grafted at the first tree node.
 type joinMsg struct {
 	Group ids.Id
@@ -52,7 +45,9 @@ type multicastMsg struct {
 }
 
 // WireSize implements simnet.WireSizer.
-func (m *multicastMsg) WireSize() int { return ids.Bytes + handleWireBytes + payloadSize(m.Payload) }
+func (m *multicastMsg) WireSize() int {
+	return ids.Bytes + handleWireBytes + simnet.WireSize(m.Payload)
+}
 
 // multicastDown travels from the root down the tree to all members.
 type multicastDown struct {
@@ -62,7 +57,9 @@ type multicastDown struct {
 }
 
 // WireSize implements simnet.WireSizer.
-func (m *multicastDown) WireSize() int { return ids.Bytes + handleWireBytes + payloadSize(m.Payload) }
+func (m *multicastDown) WireSize() int {
+	return ids.Bytes + handleWireBytes + simnet.WireSize(m.Payload)
+}
 
 // Upward is a payload SendToParent pushes one tree edge toward the root
 // (aggregation reduction). It travels bare — the direct envelope already
@@ -91,7 +88,7 @@ type anycastMsg struct {
 
 // WireSize implements simnet.WireSizer.
 func (m *anycastMsg) WireSize() int {
-	return ids.Bytes*(1+len(m.Visited)) + handleWireBytes + 8 + payloadSize(m.Payload)
+	return ids.Bytes*(1+len(m.Visited)) + handleWireBytes + 8 + simnet.WireSize(m.Payload)
 }
 
 func (m *anycastMsg) visited(id ids.Id) bool {
@@ -122,7 +119,7 @@ type anycastVerdict struct {
 
 // WireSize implements simnet.WireSizer.
 func (m *anycastVerdict) WireSize() int {
-	return 8 + 1 + handleWireBytes + 4 + ids.Bytes + payloadSize(m.Payload)
+	return 8 + 1 + handleWireBytes + 4 + ids.Bytes + simnet.WireSize(m.Payload)
 }
 
 // heartbeat keeps tree edges fresh; children re-join after missing several.

@@ -304,12 +304,6 @@ func New(node *pastry.Node) *Scribe {
 // Node returns the underlying Pastry node.
 func (s *Scribe) Node() *pastry.Node { return s.node }
 
-// Member reports whether this node is a subscribed member of group.
-func (s *Scribe) Member(group ids.Id) bool {
-	g := s.group(group)
-	return g != nil && g.member
-}
-
 // InTree reports whether this node participates in the group's tree, as a
 // member or as a forwarder.
 func (s *Scribe) InTree(group ids.Id) bool {
@@ -374,12 +368,6 @@ func (s *Scribe) Parent(group ids.Id) pastry.NodeHandle {
 func (s *Scribe) IsRoot(group ids.Id) bool {
 	g := s.group(group)
 	return g != nil && g.root
-}
-
-// Stats returns operation counters for overhead analysis: joins processed,
-// multicast relays and any-cast visits at this node.
-func (s *Scribe) Stats() (joins, multicasts, anycasts int) {
-	return int(s.joinsHandled.Value()), int(s.multicastsRelayed.Value()), int(s.anycastsSeen.Value())
 }
 
 // AnycastStats returns the originator-side reliability counters: queries

@@ -14,6 +14,18 @@ import (
 )
 
 // fixture builds a static ring with a Scribe instance per node.
+// Member reports whether this node is a subscribed member of group.
+func (s *Scribe) Member(group ids.Id) bool {
+	g := s.group(group)
+	return g != nil && g.member
+}
+
+// Stats returns operation counters for overhead analysis: joins processed,
+// multicast relays and any-cast visits at this node.
+func (s *Scribe) Stats() (joins, multicasts, anycasts int) {
+	return int(s.joinsHandled.Value()), int(s.multicastsRelayed.Value()), int(s.anycastsSeen.Value())
+}
+
 type fixture struct {
 	engine  *sim.Engine
 	ring    *pastry.Ring

@@ -376,11 +376,3 @@ func (f *Frontend) Terminate(customer string) (id cluster.VMID, server int, ok b
 	f.rootObs.Instant(f.gateway.Now(), obs.KindTerminate, obs.NoRef, int64(id), int64(server))
 	return id, server, true
 }
-
-// Live counts the customer's running VMs.
-func (f *Frontend) Live(customer string) int {
-	if cs, ok := f.customers[customer]; ok {
-		return len(cs.live)
-	}
-	return 0
-}

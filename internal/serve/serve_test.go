@@ -14,6 +14,14 @@ var testRes = cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: 100}
 var testLim = cluster.Resources{CPU: 2, MemMB: 256, BandwidthMbps: 200}
 
 // testSpec shrinks the default datacenter to about n servers.
+// Live counts the customer's running VMs.
+func (f *Frontend) Live(customer string) int {
+	if cs, ok := f.customers[customer]; ok {
+		return len(cs.live)
+	}
+	return 0
+}
+
 func testSpec(n int) topology.Spec {
 	spec := topology.DefaultSpec()
 	spec.ServersPerRack = 8

@@ -18,7 +18,7 @@ import (
 // them; nothing a timer of these traces does reads a delivery. Serial engines
 // and the base drop rate only, which is all the equivalence traces use.
 func sendPerMessage(n *Network, src, dst Addr, msg Message) {
-	size := wireSize(msg)
+	size := WireSize(msg)
 	if !n.nodes[src].alive {
 		return
 	}

@@ -41,6 +41,16 @@ type WireSizer interface {
 // implement WireSizer.
 const DefaultWireSize = 64
 
+// WireSize is the byte size the traffic counters charge for msg: its own
+// WireSize when it implements WireSizer, DefaultWireSize otherwise. A
+// message carrying another as its payload adds the payload's WireSize.
+func WireSize(msg Message) int {
+	if ws, ok := msg.(WireSizer); ok {
+		return ws.WireSize()
+	}
+	return DefaultWireSize
+}
+
 // Handler receives messages delivered to a node.
 type Handler interface {
 	HandleMessage(from Addr, msg Message)
@@ -568,9 +578,6 @@ func (n *Network) TraceSource(addr Addr) *obs.Source {
 	return n.obsSrc[addr]
 }
 
-// Size returns the number of addressable endpoints.
-func (n *Network) Size() int { return len(n.nodes) }
-
 // Attach registers handler at addr and marks the node alive. Attaching over
 // a live node replaces its handler.
 func (n *Network) Attach(addr Addr, handler Handler) {
@@ -668,7 +675,7 @@ func (n *Network) Alive(addr Addr) bool {
 func (n *Network) Send(src, dst Addr, msg Message) {
 	n.check(src)
 	n.check(dst)
-	size := wireSize(msg)
+	size := WireSize(msg)
 	if n.nodes[src].alive {
 		n.counters[src].MsgsSent++
 		n.counters[src].BytesSent += size
@@ -743,13 +750,6 @@ func (n *Network) flushInbox(key uint64) {
 		*p = pending{} // release message references
 	}
 	n.scratches[sh] = batch[:0]
-}
-
-func wireSize(msg Message) int {
-	if ws, ok := msg.(WireSizer); ok {
-		return ws.WireSize()
-	}
-	return DefaultWireSize
 }
 
 // CountersOf returns a copy of the traffic counters for addr.

@@ -2,10 +2,15 @@ package store
 
 import "sync"
 
-// MemStore is the deterministic in-memory Store the simulator uses. It is
-// safe for concurrent use by the parallel experiment harness (each run owns
-// its own MemStore, but the race detector still wants the discipline) and
-// deep-copies every section on both save and load.
+// MemStore is the per-node durability contract. Save* calls replace the
+// named section wholesale — the caller always writes its full authoritative
+// table, so replaying a save is idempotent by construction. Load returns the
+// latest state for a node and ok=false when the node has never saved
+// anything (a genuinely blank restart). Every section is deep-copied on both
+// save and load: a caller mutating its slice after a save, or the returned
+// state after a load, does not alias stored data. It is safe for concurrent
+// use by the parallel experiment harness (each run owns its own MemStore,
+// but the race detector still wants the discipline).
 type MemStore struct {
 	mu    sync.Mutex
 	nodes map[int]*NodeState
@@ -66,14 +71,3 @@ func (m *MemStore) Load(node int) (NodeState, bool, error) {
 	}
 	return out, true, nil
 }
-
-// Delete drops the node's state entirely.
-func (m *MemStore) Delete(node int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.nodes, node)
-	return nil
-}
-
-// Close is a no-op for the in-memory store.
-func (m *MemStore) Close() error { return nil }

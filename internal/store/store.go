@@ -14,10 +14,10 @@
 //   - peers: a routing-state checkpoint (node IDs and addresses) used to
 //     bootstrap the rejoin announce instead of a full cold join.
 //
-// Two implementations satisfy the same contract tests: MemStore, the
-// deterministic in-memory store the simulator uses, and FileStore, a
-// file-backed store with checksummed atomic section writes that rejects
-// torn or truncated state at load instead of resurrecting garbage.
+// MemStore is the one implementation: the simulator's crash model needs
+// durability only across a node's own crash and restart inside one process,
+// so deep copies on save and load are the whole of it, and there is no file
+// format to version or to validate.
 package store
 
 import "time"
@@ -62,20 +62,4 @@ type NodeState struct {
 	Placements []PlacementRecord
 	Leases     []LeaseRecord
 	Peers      []PeerRecord
-}
-
-// Store is the per-node durability contract. Save* calls replace the named
-// section wholesale — the caller always writes its full authoritative
-// table, so replaying a save is idempotent by construction. Load returns
-// the latest state for a node and ok=false when the node has never saved
-// anything (a genuinely blank restart). Implementations must deep-copy on
-// both save and load: a caller mutating its slice after a save, or the
-// returned state after a load, must not alias stored data.
-type Store interface {
-	SavePlacements(node int, recs []PlacementRecord) error
-	SaveLeases(node int, recs []LeaseRecord) error
-	SavePeers(node int, recs []PeerRecord) error
-	Load(node int) (NodeState, bool, error)
-	Delete(node int) error
-	Close() error
 }

@@ -13,9 +13,8 @@
 //  3. the allocator is work-conserving: capacity is left idle only when
 //     every class is satisfied or capped.
 //
-// There is one fill (Shaper.fill); Allocate, AllocateWeighted and
-// Shaper.Satisfied differ only in the weights they hand it and in what they
-// do with the shares.
+// There is one fill (Shaper.fill); Allocate and Shaper.Satisfied differ only
+// in what they do with the shares.
 package tcshape
 
 import "slices"
@@ -51,8 +50,6 @@ func (c Class) guaranteed() float64 {
 type hungry struct {
 	idx      int
 	headroom float64 // target - guaranteed
-	w        float64 // the class's share of the surplus per unit of fill level
-	level    float64 // headroom / w: the fill level at which the class saturates
 }
 
 // Shaper owns the scratch the fill works on — the per-class shares and the
@@ -67,13 +64,12 @@ type Shaper struct {
 
 // fill computes the per-class bandwidth shares for a NIC of the given
 // capacity into the shaper's scratch: same length and order as classes.
-// The surplus over the guarantees is shared equally, or in proportion to
-// each class's rate when weighted.
+// The surplus over the guarantees is shared equally.
 //
 // If the guarantees alone exceed capacity (an over-committed server that
 // admission control would not produce), guarantees are scaled down
 // proportionally, mirroring how HTB degrades.
-func (s *Shaper) fill(capacity float64, classes []Class, weighted bool) []float64 {
+func (s *Shaper) fill(capacity float64, classes []Class) []float64 {
 	if cap(s.alloc) < len(classes) {
 		s.alloc = make([]float64, len(classes))
 		s.hs = make([]hungry, 0, len(classes))
@@ -101,25 +97,14 @@ func (s *Shaper) fill(capacity float64, classes []Class, weighted bool) []float6
 	}
 	remaining := capacity - guaranteedSum
 
-	// Phase 2: water-fill the surplus among hungry classes. Sorting by the
-	// level at which each saturates lets a single pass compute the fill.
-	// With unit weights the arithmetic below is exact in the weights
-	// (x*1, x/1 and a count held in a float64), so equal filling is the
-	// weighted fill and not a second body.
-	floor := 0.0
-	if weighted {
-		floor = weightFloor(classes)
-	}
+	// Phase 2: water-fill the surplus among hungry classes. Sorting by
+	// headroom, the fill level at which each saturates, lets a single pass
+	// compute the fill: each class in turn takes an equal share of what is
+	// left, or its headroom if that is less.
 	hs := s.hs[:0]
-	var wsum float64
 	for i, c := range classes {
 		if h := c.target() - alloc[i]; h > 0 {
-			w := 1.0
-			if weighted {
-				w = max(c.Rate, floor)
-			}
-			hs = append(hs, hungry{idx: i, headroom: h, w: w, level: h / w})
-			wsum += w
+			hs = append(hs, hungry{idx: i, headroom: h})
 		}
 	}
 	s.hs = hs
@@ -129,41 +114,24 @@ func (s *Shaper) fill(capacity float64, classes []Class, weighted bool) []float6
 	// summed in the same order.
 	slices.SortFunc(hs, func(a, b hungry) int {
 		switch {
-		case a.level < b.level:
+		case a.headroom < b.headroom:
 			return -1
-		case a.level > b.level:
+		case a.headroom > b.headroom:
 			return 1
 		}
 		return 0
 	})
 
-	for k := 0; k < len(hs) && remaining > 0 && wsum > 0; k++ {
+	for k := 0; k < len(hs) && remaining > 0; k++ {
 		h := &hs[k]
-		give := remaining * h.w / wsum
+		give := remaining / float64(len(hs)-k)
 		if give > h.headroom {
 			give = h.headroom
 		}
 		alloc[h.idx] += give
 		remaining -= give
-		wsum -= h.w
 	}
 	return alloc
-}
-
-// weightFloor is the minimum weight of the rate-proportional fill: a tenth
-// of the smallest positive rate (or 1 when no class has a rate), so
-// zero-rate classes still progress.
-func weightFloor(classes []Class) float64 {
-	minRate := 0.0
-	for _, c := range classes {
-		if c.Rate > 0 && (minRate == 0 || c.Rate < minRate) {
-			minRate = c.Rate
-		}
-	}
-	if minRate > 0 {
-		return minRate / 10
-	}
-	return 1
 }
 
 // Allocate returns the per-class bandwidth shares for a NIC of the given
@@ -179,19 +147,7 @@ func weightFloor(classes []Class) float64 {
 //     alloc[i] == min(Ceil, Demand).
 func Allocate(capacity float64, classes []Class) []float64 {
 	var s Shaper
-	return s.fill(capacity, classes, false)
-}
-
-// AllocateWeighted distributes like Allocate but shares the surplus in
-// proportion to each class's rate instead of equally — Linux HTB's actual
-// behaviour, where a class's quantum derives from its configured rate.
-// Classes with zero rate share a minimal weight so they are not starved.
-//
-// It preserves the same invariants as Allocate (guarantees met, ceil and
-// demand respected, capacity respected, work conservation).
-func AllocateWeighted(capacity float64, classes []Class) []float64 {
-	var s Shaper
-	return s.fill(capacity, classes, true)
+	return s.fill(capacity, classes)
 }
 
 // Satisfied returns the total allocated bandwidth and the total target
@@ -200,7 +156,7 @@ func AllocateWeighted(capacity float64, classes []Class) []float64 {
 // resource" versus "resource demand" curves. The shares stay in the
 // shaper's scratch.
 func (s *Shaper) Satisfied(capacity float64, classes []Class) (allocated, wanted float64) {
-	for i, a := range s.fill(capacity, classes, false) {
+	for i, a := range s.fill(capacity, classes) {
 		allocated += a
 		wanted += classes[i].target()
 	}

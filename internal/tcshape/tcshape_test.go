@@ -189,103 +189,6 @@ func TestSatisfied(t *testing.T) {
 	}
 }
 
-func TestWeightedSurplusFollowsRates(t *testing.T) {
-	// Two always-hungry classes with rates 100 and 300: HTB hands the
-	// surplus out 1:3.
-	classes := []Class{
-		{Rate: 100, Ceil: 1000, Demand: 1000},
-		{Rate: 300, Ceil: 1000, Demand: 1000},
-	}
-	alloc := AllocateWeighted(800, classes)
-	// Guarantees 100+300, surplus 400 split 100/300.
-	if !almostEq(alloc[0], 200) || !almostEq(alloc[1], 600) {
-		t.Fatalf("weighted split: %v", alloc)
-	}
-	// Equal-share mode differs: surplus 400 split 200/200.
-	eq := Allocate(800, classes)
-	if !almostEq(eq[0], 300) || !almostEq(eq[1], 500) {
-		t.Fatalf("equal split: %v", eq)
-	}
-}
-
-func TestWeightedZeroRateNotStarved(t *testing.T) {
-	classes := []Class{
-		{Rate: 0, Ceil: 1000, Demand: 1000},
-		{Rate: 500, Ceil: 1000, Demand: 1000},
-	}
-	alloc := AllocateWeighted(600, classes)
-	if alloc[0] <= 0 {
-		t.Fatalf("zero-rate class starved: %v", alloc)
-	}
-	if alloc[1] <= alloc[0] {
-		t.Fatalf("rate ordering not respected: %v", alloc)
-	}
-}
-
-func TestWeightedSaturationRedistributes(t *testing.T) {
-	// The heavy class caps at its ceiling; the leftovers go to the other.
-	classes := []Class{
-		{Rate: 300, Ceil: 350, Demand: 1000},
-		{Rate: 100, Ceil: 1000, Demand: 1000},
-	}
-	alloc := AllocateWeighted(1000, classes)
-	if !almostEq(alloc[0], 350) {
-		t.Fatalf("capped class: %v", alloc)
-	}
-	if !almostEq(alloc[1], 650) {
-		t.Fatalf("redistribution: %v", alloc)
-	}
-}
-
-func TestWeightedInvariantsProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		capacity := 100 + rng.Float64()*10000
-		classes := genClasses(rng, capacity)
-		alloc := AllocateWeighted(capacity, classes)
-		var total float64
-		allSatisfied := true
-		for i, c := range classes {
-			g := math.Min(c.Rate, c.Demand)
-			tgt := math.Min(c.Ceil, c.Demand)
-			if alloc[i] < g-1e-6 || alloc[i] > tgt+1e-6 {
-				return false
-			}
-			if alloc[i] < tgt-1e-6 {
-				allSatisfied = false
-			}
-			total += alloc[i]
-		}
-		if total > capacity+1e-6 {
-			return false
-		}
-		if total < capacity-1e-6 && !allSatisfied {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWeightedDegenerate(t *testing.T) {
-	if got := AllocateWeighted(100, nil); len(got) != 0 {
-		t.Fatal("nil classes")
-	}
-	if got := AllocateWeighted(0, []Class{{Rate: 1, Ceil: 2, Demand: 2}}); got[0] != 0 {
-		t.Fatal("zero capacity")
-	}
-	// Overcommitted guarantees scale, as in Allocate.
-	got := AllocateWeighted(100, []Class{
-		{Rate: 100, Ceil: 100, Demand: 100},
-		{Rate: 100, Ceil: 100, Demand: 100},
-	})
-	if !almostEq(got[0], 50) || !almostEq(got[1], 50) {
-		t.Fatalf("overcommit: %v", got)
-	}
-}
-
 func TestDeterministicForEqualInput(t *testing.T) {
 	classes := []Class{
 		{Rate: 50, Ceil: 500, Demand: 400},
@@ -305,9 +208,9 @@ func TestDeterministicForEqualInput(t *testing.T) {
 	}
 }
 
-// refAllocate and refAllocateWeighted are the allocators as they stood
-// before the fill moved onto Shaper scratch, kept verbatim (sort.Slice and
-// all) as the reference every share is compared against bit for bit.
+// refAllocate is the allocator as it stood before the fill moved onto Shaper
+// scratch, kept verbatim (sort.Slice and all) as the reference every share
+// is compared against bit for bit.
 func refAllocate(capacity float64, classes []Class) []float64 {
 	alloc := make([]float64, len(classes))
 	if capacity <= 0 || len(classes) == 0 {
@@ -357,79 +260,6 @@ func refAllocate(capacity float64, classes []Class) []float64 {
 	return alloc
 }
 
-func refAllocateWeighted(capacity float64, classes []Class) []float64 {
-	alloc := make([]float64, len(classes))
-	if capacity <= 0 || len(classes) == 0 {
-		return alloc
-	}
-	var guaranteedSum float64
-	for _, c := range classes {
-		guaranteedSum += c.guaranteed()
-	}
-	if guaranteedSum > capacity {
-		scale := capacity / guaranteedSum
-		for i, c := range classes {
-			alloc[i] = c.guaranteed() * scale
-		}
-		return alloc
-	}
-	for i, c := range classes {
-		alloc[i] = c.guaranteed()
-	}
-	remaining := capacity - guaranteedSum
-
-	// Minimum weight: a tenth of the smallest positive rate (or 1 when no
-	// class has a rate), so zero-rate classes still progress.
-	minRate := 0.0
-	for _, c := range classes {
-		if c.Rate > 0 && (minRate == 0 || c.Rate < minRate) {
-			minRate = c.Rate
-		}
-	}
-	floor := 1.0
-	if minRate > 0 {
-		floor = minRate / 10
-	}
-	weight := func(c Class) float64 {
-		if c.Rate > floor {
-			return c.Rate
-		}
-		return floor
-	}
-
-	type hungry struct {
-		idx      int
-		headroom float64
-		w        float64
-	}
-	var hs []hungry
-	var wsum float64
-	for i, c := range classes {
-		if h := c.target() - alloc[i]; h > 0 {
-			w := weight(c)
-			hs = append(hs, hungry{idx: i, headroom: h, w: w})
-			wsum += w
-		}
-	}
-	// Sort by headroom per unit weight: the class that saturates first
-	// under proportional filling comes first, enabling a single pass.
-	sort.Slice(hs, func(i, j int) bool { return hs[i].headroom/hs[i].w < hs[j].headroom/hs[j].w })
-
-	for _, h := range hs {
-		if remaining <= 0 || wsum <= 0 {
-			break
-		}
-		give := remaining * h.w / wsum
-		if give > h.headroom {
-			give = h.headroom
-		}
-		alloc[h.idx] += give
-		remaining -= give
-		wsum -= h.w
-	}
-	return alloc
-}
-
 // drawClasses builds one class set for the reference comparison. Values
 // come from a small grid so duplicated headrooms — ties, which an unstable
 // sort may order either way — are the common case rather than a fluke, and
@@ -466,15 +296,12 @@ func TestShaperMatchesAllocateReference(t *testing.T) {
 		for draw := 0; draw < 20000; draw++ {
 			capacity, classes := drawClasses(rng)
 			want := refAllocate(capacity, classes)
-			wantW := refAllocateWeighted(capacity, classes)
 			for _, tc := range []struct {
 				name      string
 				got, want []float64
 			}{
 				{"Allocate", Allocate(capacity, classes), want},
-				{"AllocateWeighted", AllocateWeighted(capacity, classes), wantW},
-				{"fill", slices.Clone(sh.fill(capacity, classes, false)), want},
-				{"fill weighted", slices.Clone(sh.fill(capacity, classes, true)), wantW},
+				{"fill", slices.Clone(sh.fill(capacity, classes)), want},
 			} {
 				if len(tc.got) != len(tc.want) {
 					t.Fatalf("seed %d draw %d %s: %d shares for %d classes", seed, draw, tc.name, len(tc.got), len(tc.want))

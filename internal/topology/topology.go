@@ -83,12 +83,11 @@ func (s Spec) Validate() error {
 
 // Topology is an immutable realized datacenter network.
 type Topology struct {
-	spec        Spec
-	servers     int
-	racksPerPod int
-	pods        int
-	// spr and rpp are ServersPerRack and racksPerPod as TierBetween divides
-	// them: 32-bit, which Validate's address bound makes lossless.
+	spec    Spec
+	servers int
+	// spr and rpp are ServersPerRack and the racks a pod holds (RacksPerPod,
+	// or every rack when that is 0 or larger) as TierBetween divides them:
+	// 32-bit, which Validate's address bound makes lossless.
 	spr, rpp uint32
 }
 
@@ -105,12 +104,10 @@ func New(spec Spec) (*Topology, error) {
 		spec.Oversubscription = 1
 	}
 	return &Topology{
-		spec:        spec,
-		servers:     spec.Racks * spec.ServersPerRack,
-		racksPerPod: rpp,
-		pods:        (spec.Racks + rpp - 1) / rpp,
-		spr:         uint32(spec.ServersPerRack),
-		rpp:         uint32(rpp),
+		spec:    spec,
+		servers: spec.Racks * spec.ServersPerRack,
+		spr:     uint32(spec.ServersPerRack),
+		rpp:     uint32(rpp),
 	}, nil
 }
 
@@ -119,12 +116,6 @@ func (t *Topology) Spec() Spec { return t.spec }
 
 // Servers returns the total number of servers.
 func (t *Topology) Servers() int { return t.servers }
-
-// Racks returns the number of racks.
-func (t *Topology) Racks() int { return t.spec.Racks }
-
-// Pods returns the number of aggregation pods.
-func (t *Topology) Pods() int { return t.pods }
 
 // NICMbps returns the per-server NIC line rate.
 func (t *Topology) NICMbps() float64 { return t.spec.NICMbps }
@@ -142,14 +133,6 @@ func (t *Topology) RackOf(server int) int {
 func (t *Topology) SlotOf(server int) int {
 	t.checkServer(server)
 	return server % t.spec.ServersPerRack
-}
-
-// PodOf returns the pod index of a rack.
-func (t *Topology) PodOf(rack int) int {
-	if rack < 0 || rack >= t.spec.Racks {
-		panic(fmt.Sprintf("topology: rack %d out of range [0,%d)", rack, t.spec.Racks))
-	}
-	return rack / t.racksPerPod
 }
 
 // SameRack reports whether two servers share a ToR switch.
@@ -207,21 +190,6 @@ func (t *Topology) TierBetween(a, b int) Tier {
 		return TierPod
 	}
 	return TierCore
-}
-
-// HopCount returns the number of switch traversals on the path between two
-// servers: 0 locally, 1 via the ToR, 3 via ToR-agg-ToR, 5 via the core.
-func (t *Topology) HopCount(a, b int) int {
-	switch t.TierBetween(a, b) {
-	case TierLocal:
-		return 0
-	case TierRack:
-		return 1
-	case TierPod:
-		return 3
-	default:
-		return 5
-	}
 }
 
 // Latency returns the one-way message latency between two servers under the

@@ -1,10 +1,22 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// Pods returns the number of aggregation pods.
+func (t *Topology) Pods() int { return (t.spec.Racks + int(t.rpp) - 1) / int(t.rpp) }
+
+// PodOf returns the pod index of a rack.
+func (t *Topology) PodOf(rack int) int {
+	if rack < 0 || rack >= t.spec.Racks {
+		panic(fmt.Sprintf("topology: rack %d out of range [0,%d)", rack, t.spec.Racks))
+	}
+	return rack / int(t.rpp)
+}
 
 func small(t *testing.T) *Topology {
 	t.Helper()
@@ -75,22 +87,18 @@ func TestTiers(t *testing.T) {
 	tests := []struct {
 		a, b int
 		want Tier
-		hops int
 	}{
-		{0, 0, TierLocal, 0},
-		{0, 3, TierRack, 1},
-		{0, 4, TierPod, 3},  // racks 0 and 1, same pod
-		{0, 8, TierCore, 5}, // racks 0 and 2, different pods
-		{8, 11, TierRack, 1},
-		{8, 15, TierPod, 3},
-		{23, 0, TierCore, 5},
+		{0, 0, TierLocal},
+		{0, 3, TierRack},
+		{0, 4, TierPod},  // racks 0 and 1, same pod
+		{0, 8, TierCore}, // racks 0 and 2, different pods
+		{8, 11, TierRack},
+		{8, 15, TierPod},
+		{23, 0, TierCore},
 	}
 	for _, tc := range tests {
 		if got := tp.TierBetween(tc.a, tc.b); got != tc.want {
 			t.Errorf("TierBetween(%d,%d) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-		if got := tp.HopCount(tc.a, tc.b); got != tc.hops {
-			t.Errorf("HopCount(%d,%d) = %d, want %d", tc.a, tc.b, got, tc.hops)
 		}
 	}
 }

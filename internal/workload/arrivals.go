@@ -6,22 +6,16 @@ import (
 	"time"
 )
 
-// ArrivalProcess generates request arrival gaps in virtual time. All draws
-// come from the caller-owned rng, so a stream is deterministic for a given
-// seed regardless of what else the simulation interleaves.
-type ArrivalProcess interface {
-	// Next returns the gap from virtual time t to the next arrival.
-	Next(t time.Duration, rng *rand.Rand) time.Duration
-}
-
 // Poisson is a homogeneous Poisson arrival process: exponential gaps with
-// mean 1/PerSec.
+// mean 1/PerSec. Poisson and FlashCrowd draw from the caller-owned rng, so a
+// stream is deterministic for a given seed regardless of what else the
+// simulation interleaves.
 type Poisson struct {
 	// PerSec is the mean arrival rate per second of virtual time.
 	PerSec float64
 }
 
-// Next implements ArrivalProcess.
+// Next returns the gap from virtual time t to the next arrival.
 func (p Poisson) Next(_ time.Duration, rng *rand.Rand) time.Duration {
 	return expGap(p.PerSec, rng)
 }
@@ -47,8 +41,9 @@ func (f FlashCrowd) RateAt(t time.Duration) float64 {
 	return f.Base
 }
 
-// Next implements ArrivalProcess via thinning: draw candidate gaps at the
-// peak rate and accept each with probability rate(t)/peak.
+// Next returns the gap from virtual time t to the next arrival, by
+// thinning: draw candidate gaps at the peak rate and accept each with
+// probability rate(t)/peak.
 func (f FlashCrowd) Next(t time.Duration, rng *rand.Rand) time.Duration {
 	peak := f.Base
 	if f.Multiplier > 1 {
@@ -110,15 +105,6 @@ func NewMix(classes []CustomerClass) (*Mix, error) {
 		}
 	}
 	return m, nil
-}
-
-// Customers returns the total number of distinct customers in the mix.
-func (m *Mix) Customers() int {
-	n := 0
-	for _, c := range m.classes {
-		n += c.Count
-	}
-	return n
 }
 
 // MeanGroup is the weight-averaged VMs per boot request.

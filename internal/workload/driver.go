@@ -21,7 +21,6 @@ type Driver struct {
 	// a seed.
 	gens   []binding
 	ticker *sim.Ticker
-	onTick []func(t time.Duration)
 }
 
 // binding is one VM's generator.
@@ -47,11 +46,6 @@ func (d *Driver) Attach(id cluster.VMID, gen Generator) {
 	d.gens = slices.Insert(d.gens, i, binding{id: id, gen: gen})
 }
 
-// OnTick registers fn to run after each demand refresh.
-func (d *Driver) OnTick(fn func(t time.Duration)) {
-	d.onTick = append(d.onTick, fn)
-}
-
 // Refresh sets every attached VM's bandwidth demand to its generator value
 // at the current virtual time.
 func (d *Driver) Refresh() {
@@ -60,9 +54,6 @@ func (d *Driver) Refresh() {
 		if vm := d.cl.VM(b.id); vm != nil {
 			vm.Demand.BandwidthMbps = b.gen.DemandAt(now)
 		}
-	}
-	for _, fn := range d.onTick {
-		fn(now)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package workload generates the VM bandwidth demands that drive the
-// v-Bundle experiments: simple analytic generators (flat, ramp, sine,
+// v-Bundle experiments: simple analytic generators (flat, sine,
 // bursty) for the large-scale rebalancing simulations, and models of the
 // two applications the paper's testbed evaluation runs — SIPp, a SIP call
 // generator whose QoS (failed calls, response time) degrades when starved
@@ -32,21 +32,6 @@ func Flat(mbps float64) Generator {
 	return GeneratorFunc(func(time.Duration) float64 { return mbps })
 }
 
-// Ramp grows linearly from start by slope Mbps per second, clamped to
-// [0, max].
-func Ramp(start, slopePerSec, max float64) Generator {
-	return GeneratorFunc(func(t time.Duration) float64 {
-		v := start + slopePerSec*t.Seconds()
-		if v > max {
-			v = max
-		}
-		if v < 0 {
-			v = 0
-		}
-		return v
-	})
-}
-
 // Sine oscillates around base with the given amplitude and period; phase
 // shifts the cycle so different VMs peak at different times. Values are
 // clamped at zero.
@@ -72,24 +57,6 @@ func Bursty(low, high float64, period time.Duration, duty, phase float64) Genera
 			return high
 		}
 		return low
-	})
-}
-
-// Trace replays a fixed sequence of demands, one entry per step, holding
-// the last value afterwards.
-func Trace(values []float64, step time.Duration) Generator {
-	return GeneratorFunc(func(t time.Duration) float64 {
-		if len(values) == 0 {
-			return 0
-		}
-		idx := int(t / step)
-		if idx >= len(values) {
-			idx = len(values) - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		return values[idx]
 	})
 }
 

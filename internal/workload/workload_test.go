@@ -18,22 +18,6 @@ func TestFlat(t *testing.T) {
 	}
 }
 
-func TestRamp(t *testing.T) {
-	g := Ramp(10, 2, 20)
-	if g.DemandAt(0) != 10 {
-		t.Fatal("ramp start")
-	}
-	if g.DemandAt(3*time.Second) != 16 {
-		t.Fatalf("ramp mid = %g", g.DemandAt(3*time.Second))
-	}
-	if g.DemandAt(time.Minute) != 20 {
-		t.Fatal("ramp clamp high")
-	}
-	if Ramp(5, -10, 100).DemandAt(time.Second) != 0 {
-		t.Fatal("ramp clamp low")
-	}
-}
-
 func TestSine(t *testing.T) {
 	g := Sine(100, 50, time.Minute, 0)
 	if v := g.DemandAt(0); math.Abs(v-100) > 1e-9 {
@@ -68,21 +52,6 @@ func TestBursty(t *testing.T) {
 	shifted := Bursty(10, 90, time.Minute, 0.25, 0.5)
 	if shifted.DemandAt(0) != 10 {
 		t.Fatal("phase shift ignored")
-	}
-}
-
-func TestTrace(t *testing.T) {
-	g := Trace([]float64{1, 2, 3}, time.Second)
-	cases := map[time.Duration]float64{
-		0: 1, 500 * time.Millisecond: 1, time.Second: 2, 2 * time.Second: 3, time.Hour: 3,
-	}
-	for at, want := range cases {
-		if got := g.DemandAt(at); got != want {
-			t.Errorf("trace at %v = %g, want %g", at, got, want)
-		}
-	}
-	if Trace(nil, time.Second).DemandAt(0) != 0 {
-		t.Fatal("empty trace should be zero")
 	}
 }
 
@@ -173,9 +142,9 @@ func TestDriverRefreshesDemands(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDriver(engine, cl)
-	d.Attach(vm.ID, Ramp(0, 1, 1000))
+	// One Mbps a second, counting the refreshes that read it.
 	ticks := 0
-	d.OnTick(func(time.Duration) { ticks++ })
+	d.Attach(vm.ID, GeneratorFunc(func(t time.Duration) float64 { ticks++; return t.Seconds() }))
 	d.Start(10 * time.Second)
 	if vm.Demand.BandwidthMbps != 0 {
 		t.Fatalf("initial refresh demand = %g", vm.Demand.BandwidthMbps)

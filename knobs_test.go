@@ -10,6 +10,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -29,39 +30,17 @@ var knobStruct = regexp.MustCompile(`(Config|Options|Params)$`)
 // export data), so a key or selector counts for the struct it really belongs
 // to, not for every struct with a field of that name.
 func TestEveryKnobHasASetter(t *testing.T) {
-	l := &knobLoader{
-		fset:  token.NewFileSet(),
-		pkgs:  map[string]*knobPkg{},
-		knobs: map[knobField]bool{},
-		setBy: map[knobField]bool{},
-	}
-	l.std = importer.ForCompiler(l.fset, "gc", nil)
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+	l := loadModule(t)
+	l.knobs = map[knobField]bool{}
+	l.setBy = map[knobField]bool{}
+	for _, p := range l.paths() {
+		info := newInfo()
+		files, err := l.checkWithTests(p, info)
 		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(p, ".go") {
-			return l.parse(p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var paths []string
-	for p := range l.pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := l.checkWithTests(p); err != nil {
 			t.Fatal(err)
+		}
+		for _, f := range files {
+			l.collect(f, info)
 		}
 	}
 	// Guard against a vacuous pass: the walk must have found the stack's
@@ -84,6 +63,199 @@ func TestEveryKnobHasASetter(t *testing.T) {
 	if len(unset) > 0 {
 		t.Errorf("%d fields are set by nothing but their defaults; make each a constant:\n%s",
 			len(unset), strings.Join(unset, "\n"))
+	}
+}
+
+// exemptMethods are the methods of the standard interfaces a method may be
+// called through without its name appearing at the call: fmt.Stringer, error
+// with the Unwrap that errors.Is and errors.As look for, and
+// json.Marshaler/Unmarshaler.
+var exemptMethods = []string{"String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON"}
+
+// TestEveryExportHasACaller holds the rule "an export is something another
+// package calls": every exported func, type, var, const and method declared in
+// a non-test file under internal/ must be used by a non-test file of the
+// module or of benchmark/, or by a test file of another package. A use inside
+// the identifier's own declaration, or inside a type's own methods, does not
+// count. A method is exempt when an interface of the module, fmt.Stringer,
+// error or json.Marshaler/Unmarshaler declares a method of its name, since it
+// may be called only through that interface. An export its own tests alone
+// use is dead code: delete it, or move it into the _test.go file of the
+// package whose tests need it.
+func TestEveryExportHasACaller(t *testing.T) {
+	l := loadModule(t)
+	type span struct{ from, to token.Pos }
+	exports := map[token.Pos]types.Object{} // by the position of its name
+	own := map[token.Pos][]span{}
+	used := map[token.Pos]bool{}
+	ifaceMethods := map[string]bool{} // declared by an interface of the module
+	for _, p := range l.paths() {
+		info := newInfo()
+		files, err := l.checkWithTests(p, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(l.fset.File(f.Pos()).Name(), "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					if iface, ok := info.Types[it].Type.(*types.Interface); ok {
+						for i := 0; i < iface.NumMethods(); i++ {
+							ifaceMethods[iface.Method(i).Name()] = true
+						}
+					}
+				}
+				return true
+			})
+			if !strings.HasPrefix(p, "vbundle/internal/") {
+				continue
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					s := span{d.Pos(), d.End()}
+					if d.Recv != nil {
+						if tn := recvType(d.Recv.List[0].Type, info); tn != nil {
+							own[tn.Pos()] = append(own[tn.Pos()], s)
+						}
+					}
+					if d.Name.IsExported() {
+						exports[d.Name.Pos()] = info.Defs[d.Name]
+						own[d.Name.Pos()] = append(own[d.Name.Pos()], s)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						s := span{spec.Pos(), spec.End()}
+						var names []*ast.Ident
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{sp.Name}
+						case *ast.ValueSpec:
+							names = sp.Names
+						}
+						for _, id := range names {
+							if id.IsExported() {
+								exports[id.Pos()] = info.Defs[id]
+								own[id.Pos()] = append(own[id.Pos()], s)
+							}
+						}
+					}
+				}
+			}
+		}
+		// Another package's use counts wherever it is; a use in the export's
+		// own package counts from a non-test file outside its own
+		// declaration and methods, all of which this package's check has
+		// just collected.
+		for id, obj := range info.Uses {
+			pos := obj.Pos()
+			if obj.Pkg() == nil || obj.Pkg().Path() != p {
+				used[pos] = true
+				continue
+			}
+			if strings.HasSuffix(l.fset.File(id.Pos()).Name(), "_test.go") {
+				continue
+			}
+			if !slices.ContainsFunc(own[pos], func(s span) bool { return s.from <= id.Pos() && id.Pos() < s.to }) {
+				used[pos] = true
+			}
+		}
+	}
+	// Guard against a vacuous pass: the walk must have seen the stack's
+	// constructors used and exempted some method through a module interface.
+	byName := map[string]token.Pos{}
+	exempted := 0
+	var unused []string
+	for pos, obj := range exports {
+		name := path.Base(obj.Pkg().Path()) + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if ifaceMethods[obj.Name()] {
+					exempted++
+					continue
+				}
+				if slices.Contains(exemptMethods, obj.Name()) {
+					continue
+				}
+				name = path.Base(obj.Pkg().Path()) + "." + namedOf(recv.Type()).Obj().Name() + "." + obj.Name()
+			}
+		}
+		byName[name] = pos
+		if !used[pos] {
+			unused = append(unused, name)
+		}
+	}
+	for _, name := range []string{"core.New", "rebalance.NewCoordinator"} {
+		if pos, ok := byName[name]; !ok || !used[pos] {
+			t.Fatalf("%s not seen as used: the walk missed the module's callers", name)
+		}
+	}
+	if exempted == 0 {
+		t.Fatal("no method exempted by a module interface: the walk missed the module's interfaces")
+	}
+	sort.Strings(unused)
+	t.Logf("%d exports under internal/, %d methods exempted by a module interface", len(exports), exempted)
+	if len(unused) > 0 {
+		t.Errorf("%d exports have no caller outside their own package's tests; delete each, or move it into a _test.go file:\n%s",
+			len(unused), strings.Join(unused, "\n"))
+	}
+}
+
+// recvType returns the type a method's receiver expression names.
+func recvType(e ast.Expr, info *types.Info) *types.TypeName {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			tn, _ := info.Uses[x].(*types.TypeName)
+			return tn
+		default:
+			return nil
+		}
+	}
+}
+
+// loadModule parses every Go file of the module and of benchmark/, tests
+// included, ready for checkWithTests.
+func loadModule(t *testing.T) *knobLoader {
+	l := &knobLoader{fset: token.NewFileSet(), pkgs: map[string]*knobPkg{}}
+	l.std = importer.ForCompiler(l.fset, "gc", nil)
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(p, ".go") {
+			return l.parse(p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 }
 
@@ -150,7 +322,7 @@ func (l *knobLoader) Import(p string) (*types.Package, error) {
 			return nil, err
 		}
 		d.types = pkg
-		if !strings.HasPrefix(p, "vbundle/benchmark") {
+		if l.knobs != nil && !strings.HasPrefix(p, "vbundle/benchmark") {
 			l.declare(pkg)
 		}
 	}
@@ -176,18 +348,27 @@ func (l *knobLoader) declare(pkg *types.Package) {
 	}
 }
 
+// paths returns the import paths of the loaded packages, sorted.
+func (l *knobLoader) paths() []string {
+	var paths []string
+	for p := range l.pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
 // checkWithTests type-checks one package with its test files and then its
-// external tests, recording every field they set.
-func (l *knobLoader) checkWithTests(importPath string) error {
+// external tests into info, and returns all of their files.
+func (l *knobLoader) checkWithTests(importPath string, info *types.Info) ([]*ast.File, error) {
 	d := l.pkgs[importPath]
 	if _, err := l.Import(importPath); err != nil {
-		return err
+		return nil, err
 	}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	files := append(append([]*ast.File(nil), d.files...), d.internal...)
 	tested, err := (&types.Config{Importer: l}).Check(importPath, l.fset, files, info)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(d.external) > 0 {
 		// go test rebuilds every package between the external tests and the
@@ -201,10 +382,7 @@ func (l *knobLoader) checkWithTests(importPath string) error {
 		l.tested = nil
 		files = append(files, d.external...)
 	}
-	for _, f := range files {
-		l.collect(f, info)
-	}
-	return nil
+	return files, nil
 }
 
 // collect records the fields f sets, skipping each struct's own withDefaults.

@@ -40,8 +40,8 @@ go test -race -short ./...
 
 # The fault-injection paths (lease expiry, release retry, anycast retry,
 # orphan release, crash-restart rejoin) under the race detector, explicitly
-# and un-shortened. internal/store and internal/core ride along for the
-# durable-store and restarter paths.
+# and un-shortened. internal/store (the MemStore contract) and internal/core
+# ride along for the durable-store and restarter paths.
 echo "== resilience tests -race"
 go test -race -run 'Resilience|NoLeak|LeaseExpiry|Orphan|Anycast|Fault|Dead|Death|Crash|Restart|Rejoin|Adopt|Store' \
 	./internal/rebalance/ ./internal/scribe/ ./internal/simnet/ \
@@ -63,7 +63,7 @@ echo "== queue, inbox, shell, memo and search model equivalence -race"
 go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestAnycastSearchMatchesScan' \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
-# Eleven gates that must have run and passed by name, not merely not failed
+# Twelve gates that must have run and passed by name, not merely not failed
 # (a renamed or skipped test fails the count). Seven are exact under
 # AllocsPerRun: a 256-hop spill walk allocates no more than a boot admitted
 # at its rendezvous; a warm BandwidthSatisfaction sweep, a SetLocal+Global
@@ -73,13 +73,14 @@ go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|Test
 # an overlay costs a slab chunk's share of an object (under 0.02), and
 # core.New a twentieth of one a server beyond the overlay. Three are what
 # every server holds of each layer, to the byte: the node comes out of one
-# []Node, the Scribe and the topic out of their engine's slabs. One holds the
-# options to what some caller sets: every field of a Config, Options or
-# …Params struct is set somewhere besides its own withDefaults.
-echo "== allocation, size and knob gates, PASS by name (11)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter)$' \
+# []Node, the Scribe and the topic out of their engine's slabs. Two hold the
+# API to its callers: every field of a Config, Options or …Params struct is
+# set somewhere besides its own withDefaults, and every export of internal/
+# is used somewhere besides its own package's tests.
+echo "== allocation, size, knob and export gates, PASS by name (12)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller)$' \
 	./internal/placement/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 11
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 12
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
