@@ -739,11 +739,23 @@ func bootServeParams(servers int, rate float64, cache, batch bool, shards int, s
 	}
 }
 
-func reportBootServe(b *testing.B, out *experiments.ServeOutcome, elapsed time.Duration) {
+// runBootServe runs one serving experiment and reports it: wall time and
+// heap objects (runtime.MemStats.Mallocs, set-up included) per placement
+// beside the virtual-network figures.
+func runBootServe(b *testing.B, p experiments.ServeParams) *experiments.ServeOutcome {
 	b.Helper()
-	placed := out.Stats.Placed
-	if placed > 0 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	out, err := experiments.RunServe(p)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if placed := out.Stats.Placed; placed > 0 {
 		b.ReportMetric(float64(elapsed.Nanoseconds())/float64(placed), "ns/placement")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(placed), "allocs/placement")
 	}
 	b.ReportMetric(out.PlacedPerSec, "placements/s")
 	b.ReportMetric(out.MsgsPerPlacement, "msgs/placement")
@@ -752,6 +764,7 @@ func reportBootServe(b *testing.B, out *experiments.ServeOutcome, elapsed time.D
 	if out.LeakedReservations != 0 || out.Unresolved != 0 {
 		b.Fatalf("hygiene: %d leaked, %d unresolved", out.LeakedReservations, out.Unresolved)
 	}
+	return out
 }
 
 // BenchmarkBootServe is the serving-layer ladder: the same repeat-heavy
@@ -765,12 +778,7 @@ func reportBootServe(b *testing.B, out *experiments.ServeOutcome, elapsed time.D
 func BenchmarkBootServe(b *testing.B) {
 	run := func(b *testing.B, p experiments.ServeParams) {
 		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			out, err := experiments.RunServe(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			reportBootServe(b, out, time.Since(start))
+			runBootServe(b, p)
 		}
 	}
 	b.Run("512/baseline", func(b *testing.B) { run(b, bootServeParams(512, 200, false, false, 0, 7)) })
@@ -796,12 +804,7 @@ func BenchmarkBootServeFlash(b *testing.B) {
 		p.FlashStart = 3 * time.Second
 		p.FlashLength = 3 * time.Second
 		p.MaxInFlight = 256
-		start := time.Now()
-		out, err := experiments.RunServe(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportBootServe(b, out, time.Since(start))
+		out := runBootServe(b, p)
 		if out.FlashRequests > 0 {
 			b.ReportMetric(float64(out.FlashShed)/float64(out.FlashRequests), "flashShedFrac")
 		}

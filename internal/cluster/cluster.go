@@ -223,6 +223,11 @@ type Cluster struct {
 	dead   []bool
 	nVMs   int // live (non-destroyed) VM count
 	nextID VMID
+	// keyCustomer and key are the last customer CreateVM hashed and its
+	// key (zero before the first): a group boot, or a run of one customer's
+	// VMs, hashes once.
+	keyCustomer string
+	key         ids.Id
 	// onServerChange, when set, fires after every placement mutation with
 	// each server whose VM set changed (destination then source for a
 	// migration). The durability layer checkpoints per-server placement
@@ -280,6 +285,9 @@ func (c *Cluster) CreateVM(customer string, reservation, limit Resources) (*VM, 
 	if !reservation.Fits(limit) {
 		return nil, fmt.Errorf("cluster: reservation %+v exceeds limit %+v", reservation, limit)
 	}
+	if customer != c.keyCustomer || c.key == ids.Zero {
+		c.keyCustomer, c.key = customer, ids.HashString(customer)
+	}
 	c.nextID++
 	i := int(c.nextID) - 1
 	ci, off := vmChunkIndex(i)
@@ -289,7 +297,7 @@ func (c *Cluster) CreateVM(customer string, reservation, limit Resources) (*VM, 
 	c.chunks[ci] = append(c.chunks[ci], VM{
 		ID:          c.nextID,
 		Customer:    customer,
-		Key:         ids.HashString(customer),
+		Key:         c.key,
 		Reservation: reservation,
 		Limit:       limit,
 	})

@@ -274,3 +274,19 @@ func TestVMPointerStabilityAcrossChunks(t *testing.T) {
 		t.Fatalf("NumVMs = %d, want %d", c.NumVMs(), total)
 	}
 }
+
+// TestCreateVMKeysEveryVMByItsCustomer holds the remembered hash to its
+// source: runs of one customer, alternating customers, the empty customer
+// first and a customer coming back all key each VM by hash(customer).
+func TestCreateVMKeysEveryVMByItsCustomer(t *testing.T) {
+	c := testCluster(t)
+	for _, customer := range []string{"", "", "beta", "beta", "beta", "alpha", "beta", "alpha", "", "alpha"} {
+		vm, err := c.CreateVM(customer, bw(1), bw(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ids.HashString(customer); vm.Key != want {
+			t.Fatalf("vm %d of %q: key %v, want %v", vm.ID, customer, vm.Key, want)
+		}
+	}
+}

@@ -1,0 +1,210 @@
+package serve
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"vbundle/internal/cluster"
+	"vbundle/internal/core"
+	"vbundle/internal/placement"
+)
+
+// streamStep returns one step of a continuous serving stream over eight
+// customers: 5 ms of virtual time, a boot for the next customer in turn,
+// and two terminates once that customer holds more than four VMs. A boot
+// lands every 5 ms whatever the queries take, so the stream never drains.
+func streamStep(t *testing.T, vb *core.VBundle, fe *Frontend) func() {
+	customers := make([]string, 8)
+	for i := range customers {
+		customers[i] = fmt.Sprintf("tenant-%d", i)
+	}
+	next := 0
+	return func() {
+		vb.RunFor(5 * time.Millisecond)
+		c := customers[next%len(customers)]
+		next++
+		if _, err := fe.Boot(c, 1, testRes, testLim); err != nil {
+			t.Fatal(err)
+		}
+		if fe.Live(c) > 4 {
+			fe.Terminate(c)
+			fe.Terminate(c)
+		}
+	}
+}
+
+// TestBootPathAllocatesNothing is the serving request's allocation gate: in
+// a warm stream a boot, its query's completion and a customer's terminates
+// allocate nothing, whichever optimizations are on. Each launched query
+// rides a recycled flight record and Boot's scratch list, and the live
+// queue is reused in place.
+func TestBootPathAllocatesNothing(t *testing.T) {
+	for _, cfg := range []Config{{}, {Cache: true}, {Batch: true}, {Cache: true, Batch: true}} {
+		t.Run(fmt.Sprintf("cache=%t,batch=%t", cfg.Cache, cfg.Batch), func(t *testing.T) {
+			vb, fe := newFrontend(t, 64, cfg)
+			step := streamStep(t, vb, fe)
+			for i := 0; i < 4000; i++ {
+				step()
+			}
+			if got := testing.AllocsPerRun(2000, step); got != 0 {
+				t.Errorf("a warm boot/terminate step allocates %v objects; want 0", got)
+			}
+			settle(vb)
+			if fe.Unresolved() != 0 {
+				t.Fatalf("unresolved = %d after settle", fe.Unresolved())
+			}
+		})
+	}
+}
+
+// TestLiveQueueMatchesSortedModel holds the head-indexed live queue to the
+// shape it replaced, a sorted slice whose front Terminate removed: seeded
+// interleavings of completions (in any order, so a VM can resolve after a
+// younger one was already terminated) and terminates free the same VMs in
+// the same order and miss as often. The queue's capacity stays within twice
+// the peak running count plus one.
+func TestLiveQueueMatchesSortedModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		vb, fe := newFrontend(t, 16, Config{})
+		rng := rand.New(rand.NewSource(seed))
+		cs := fe.state("acme")
+		var pending []*cluster.VM // created, not yet resolved
+		var model []cluster.VMID  // sorted running ids
+		var maxTerminated cluster.VMID
+		misses, late, peak := 0, 0, 0
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				vm, err := vb.Cluster.CreateVM("acme", testRes, testLim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fe.inFlight++
+				pending = append(pending, vm)
+			case r < 7 && len(pending) > 0:
+				k := rng.Intn(len(pending))
+				vm := pending[k]
+				pending = append(pending[:k], pending[k+1:]...)
+				if vm.ID < maxTerminated {
+					late++
+				}
+				fe.resolve(cs, vm, placement.Result{}, nil)
+				i := sort.Search(len(model), func(i int) bool { return model[i] > vm.ID })
+				model = append(model[:i], append([]cluster.VMID{vm.ID}, model[i:]...)...)
+			default:
+				id, _, ok := fe.Terminate("acme")
+				if len(model) == 0 {
+					misses++
+					if ok {
+						t.Fatalf("seed %d step %d: terminated %d, model holds nothing", seed, step, id)
+					}
+					break
+				}
+				if !ok || id != model[0] {
+					t.Fatalf("seed %d step %d: terminated %d (ok %t), model frees %d", seed, step, id, ok, model[0])
+				}
+				model = model[1:]
+				if id > maxTerminated {
+					maxTerminated = id
+				}
+			}
+			if len(model) > peak {
+				peak = len(model)
+			}
+			if fe.Live("acme") != len(model) {
+				t.Fatalf("seed %d step %d: %d live, model %d", seed, step, fe.Live("acme"), len(model))
+			}
+			if cap(cs.live) > 2*peak+1 {
+				t.Fatalf("seed %d step %d: cap(live) %d over 2 × peak %d + 1", seed, step, cap(cs.live), peak)
+			}
+		}
+		if got := fe.Stats().TerminateMisses; got != misses {
+			t.Fatalf("seed %d: %d misses, model %d", seed, got, misses)
+		}
+		if late == 0 {
+			t.Fatalf("seed %d: no completion arrived after a younger VM was terminated", seed)
+		}
+		// A customer whose running count r holds steady reuses its queue in
+		// place: a boot and a terminate a round reallocate nothing once the
+		// queue has had r rounds to reach its 2r slots.
+		for _, vm := range pending {
+			fe.resolve(cs, vm, placement.Result{}, nil)
+		}
+		warm := fe.Live("acme") + 1
+		var backing *cluster.VMID
+		for round := 0; round < warm+1000; round++ {
+			vm, err := vb.Cluster.CreateVM("acme", testRes, testLim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fe.inFlight++
+			fe.resolve(cs, vm, placement.Result{}, nil)
+			fe.Terminate("acme")
+			if round == warm {
+				backing = &cs.live[:cap(cs.live)][0]
+			} else if round > warm && &cs.live[:cap(cs.live)][0] != backing {
+				t.Fatalf("seed %d: the live queue of %d VMs was reallocated in steady round %d", seed, warm-1, round)
+			}
+		}
+	}
+}
+
+// TestFlightRecordsRecycleOnceUnderLoss churns a cached, batched front end
+// on a lossy network, so queries time out and their late answers arrive
+// after the record went back. Every boot is accounted for once, and after
+// the drain every record made lies on the free list exactly once, emptied.
+func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
+	vb, err := core.New(core.Options{Topology: testSpec(64), Seed: 3, MessageLoss: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := New(vb, Config{Cache: true, Batch: true, MaxBatch: 4, MaxInFlight: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 3000; i++ {
+		vb.RunFor(time.Duration(1+rng.Intn(100)) * time.Millisecond)
+		c := fmt.Sprintf("tenant-%d", rng.Intn(12))
+		fe.Boot(c, 1+rng.Intn(3), testRes, testLim) // a shed is counted, not fatal
+		for fe.Live(c) > 6 {
+			fe.Terminate(c)
+		}
+	}
+	vb.RunFor(2 * time.Minute)
+
+	s := fe.Stats()
+	if s.Placed+s.Failed+s.Shed != s.Requested {
+		t.Fatalf("placed %d + failed %d + shed %d != requested %d", s.Placed, s.Failed, s.Shed, s.Requested)
+	}
+	if fe.Unresolved() != 0 {
+		t.Fatalf("unresolved = %d after the drain", fe.Unresolved())
+	}
+	if fe.dht.Timeouts() == 0 {
+		t.Fatal("no query timed out: the loss never left an answer late")
+	}
+	seen := make(map[*flight]bool)
+	for fl := fe.flights; fl != nil; fl = fl.next {
+		if seen[fl] || len(seen) > fe.nflights {
+			t.Fatalf("a record lies on the free list twice (%d records made)", fe.nflights)
+		}
+		seen[fl] = true
+		if len(fl.batch) != 0 || fl.cs != nil || fl.remaining != 0 {
+			t.Fatalf("banked record not emptied: %d VMs, cs %v, %d remaining", len(fl.batch), fl.cs, fl.remaining)
+		}
+		for _, vm := range fl.batch[:cap(fl.batch)] {
+			if vm != nil {
+				t.Fatalf("banked record still holds vm %d", vm.ID)
+			}
+		}
+	}
+	if len(seen) != fe.nflights {
+		t.Fatalf("%d records on the free list, %d made", len(seen), fe.nflights)
+	}
+	if fe.nflights < 2 {
+		t.Fatalf("%d records made: the churn never had two queries in flight", fe.nflights)
+	}
+}

@@ -97,9 +97,78 @@ type customerState struct {
 	// inFlightQueries counts this customer's outstanding queries; with
 	// batching on it stays ≤ 1 and arrivals beyond it queue.
 	inFlightQueries int
-	// live holds the customer's running VMs ordered by id, so terminates
-	// free the oldest VM regardless of query completion order.
+	// live[head:] holds the customer's running VMs ordered by id, so
+	// terminates free the oldest VM regardless of query completion order.
+	// It is a queue: Terminate takes live[head] and advances head, and slides
+	// the rest down only once head reaches half of len(live), so a terminate
+	// costs amortised O(1) where shifting the whole list cost O(live).
 	live []cluster.VMID
+	head int
+}
+
+// push inserts a resolved VM into the live queue in id order. Completions
+// arrive out of order, so it sorts backwards from the tail, never past head:
+// a late completion older than every VM still running is next to go. A full
+// queue is reallocated at twice its running VMs, dropping the terminated
+// prefix, so cap(live) stays within 2 × the peak running count + 1.
+func (cs *customerState) push(id cluster.VMID) {
+	if len(cs.live) == cap(cs.live) {
+		running := cs.live[cs.head:]
+		grown := make([]cluster.VMID, len(running), 2*len(running)+1)
+		copy(grown, running)
+		cs.live, cs.head = grown, 0
+	}
+	cs.live = append(cs.live, id)
+	for i := len(cs.live) - 1; i > cs.head && cs.live[i-1] > cs.live[i]; i-- {
+		cs.live[i-1], cs.live[i] = cs.live[i], cs.live[i-1]
+	}
+}
+
+// pop takes the oldest running VM; ok is false when nothing runs.
+func (cs *customerState) pop() (id cluster.VMID, ok bool) {
+	if cs.head == len(cs.live) {
+		return 0, false
+	}
+	id = cs.live[cs.head]
+	cs.head++
+	if 2*cs.head >= len(cs.live) {
+		n := copy(cs.live, cs.live[cs.head:])
+		cs.live, cs.head = cs.live[:n], 0
+	}
+	return id, true
+}
+
+// flight is the front end's record of one launched placement query: the
+// VMs it carries and how many of them are still unanswered. Records come
+// from Frontend.flights and go back once the last VM resolves, and each
+// binds its resolved method once, when made, so launching a query allocates
+// neither a closure nor a slice.
+type flight struct {
+	f         *Frontend
+	cs        *customerState
+	batch     []*cluster.VM
+	remaining int
+	done      func(int, placement.Result, error) // resolved, bound once
+	next      *flight                            // the record below this one on Frontend.flights
+}
+
+// resolved is the query's completion callback: DHT.PlaceBatch calls it once
+// per VM. The last call hands the record back before flushing the
+// customer's queue, so the next query can ride the same record. The DHT
+// drops an answer whose query has timed out, so no call reaches a record
+// after it went back.
+func (fl *flight) resolved(i int, r placement.Result, err error) {
+	f, cs := fl.f, fl.cs
+	f.resolve(cs, fl.batch[i], r, err)
+	fl.remaining--
+	if fl.remaining > 0 {
+		return
+	}
+	f.releaseFlight(fl)
+	cs.inFlightQueries--
+	if f.cfg.Batch {
+		f.flush(cs)
+	}
 }
 
 // Frontend is the serving layer over one VBundle instance.
@@ -117,6 +186,18 @@ type Frontend struct {
 
 	inFlight  int
 	customers map[string]*customerState
+	// admitted is Boot's scratch list of the request's admitted VMs; submit
+	// copies it into cs.queued or into flights, so it is reused.
+	admitted []*cluster.VM
+	// flights is the stack of idle flight records, threaded through
+	// flight.next; nflights counts every record made. Unlike DHT.free it is
+	// never cut when the gateway goes idle: a DHT envelope keeps the room of
+	// the longest walk it carried (kilobytes), a flight record only the
+	// batch it carried (at most MaxBatch pointers, about 100 B a typical
+	// record), so the list is bounded by the peak number of queries in
+	// flight at a cost too small to give back.
+	flights   *flight
+	nflights  int
 	submitAt  map[cluster.VMID]time.Duration
 	bootSpans map[cluster.VMID]obs.Ref
 
@@ -223,7 +304,7 @@ func (f *Frontend) state(customer string) *customerState {
 func (f *Frontend) Boot(customer string, group int, reservation, limit cluster.Resources) (int, error) {
 	cs := f.state(customer)
 	now := f.gateway.Now()
-	admitted := make([]*cluster.VM, 0, group)
+	admitted := f.admitted[:0]
 	for i := 0; i < group; i++ {
 		f.requested.Inc()
 		if f.cfg.MaxInFlight > 0 && f.inFlight >= f.cfg.MaxInFlight {
@@ -231,12 +312,12 @@ func (f *Frontend) Boot(customer string, group int, reservation, limit cluster.R
 			f.shed.Add(int64(shedCount))
 			f.requested.Add(int64(shedCount - 1))
 			f.rootObs.Instant(now, obs.KindBootShed, obs.NoRef, int64(f.inFlight), int64(f.cfg.MaxInFlight))
-			f.submit(customer, cs, admitted)
+			f.submit(cs, admitted)
 			return len(admitted), &OverloadError{Customer: customer, InFlight: f.inFlight, Limit: f.cfg.MaxInFlight}
 		}
 		vm, err := f.cl.CreateVM(customer, reservation, limit)
 		if err != nil {
-			f.submit(customer, cs, admitted)
+			f.submit(cs, admitted)
 			return len(admitted), err
 		}
 		// The booted workload immediately exerts its reserved demand, so
@@ -255,34 +336,36 @@ func (f *Frontend) Boot(customer string, group int, reservation, limit cluster.R
 		}
 		admitted = append(admitted, vm)
 	}
-	f.submit(customer, cs, admitted)
+	f.submit(cs, admitted)
 	return len(admitted), nil
 }
 
-// submit routes freshly admitted boots: coalesce behind an in-flight query
-// when batching is on, otherwise launch immediately.
-func (f *Frontend) submit(customer string, cs *customerState, vms []*cluster.VM) {
-	if len(vms) == 0 {
-		return
-	}
-	if !f.cfg.Batch {
-		for _, vm := range vms {
-			f.launch(customer, cs, nil, vm)
+// submit routes the boots Boot admitted: coalesce behind an in-flight query
+// when batching is on, otherwise launch immediately. Either way the VMs are
+// copied, into cs.queued or into flight records, so vms goes back to Boot's
+// scratch list.
+func (f *Frontend) submit(cs *customerState, vms []*cluster.VM) {
+	switch {
+	case len(vms) == 0:
+	case !f.cfg.Batch:
+		for i := range vms {
+			f.launch(f.acquireFlight(cs, vms[i:i+1]))
 		}
-		return
+	default:
+		cs.queued = append(cs.queued, vms...)
+		// Launch immediately when nothing is in flight (no coalescing
+		// partner exists yet), and whenever a full batch has accumulated —
+		// so one slow query never caps a busy customer's throughput at
+		// MaxBatch per round-trip.
+		for cs.inFlightQueries == 0 && len(cs.queued) > 0 || len(cs.queued) >= f.cfg.MaxBatch {
+			f.flush(cs)
+		}
 	}
-	cs.queued = append(cs.queued, vms...)
-	// Launch immediately when nothing is in flight (no coalescing partner
-	// exists yet), and whenever a full batch has accumulated — so one slow
-	// query never caps a busy customer's throughput at MaxBatch per
-	// round-trip.
-	for cs.inFlightQueries == 0 && len(cs.queued) > 0 || len(cs.queued) >= f.cfg.MaxBatch {
-		f.flush(customer, cs)
-	}
+	f.admitted = clearVMs(vms)
 }
 
 // flush launches one query carrying up to MaxBatch queued VMs.
-func (f *Frontend) flush(customer string, cs *customerState) {
+func (f *Frontend) flush(cs *customerState) {
 	n := len(cs.queued)
 	if n == 0 {
 		return
@@ -290,44 +373,61 @@ func (f *Frontend) flush(customer string, cs *customerState) {
 	if n > f.cfg.MaxBatch {
 		n = f.cfg.MaxBatch
 	}
-	batch := make([]*cluster.VM, n)
-	copy(batch, cs.queued)
+	fl := f.acquireFlight(cs, cs.queued[:n])
 	rest := copy(cs.queued, cs.queued[n:])
-	for i := rest; i < len(cs.queued); i++ {
-		cs.queued[i] = nil
-	}
+	clear(cs.queued[rest:])
 	cs.queued = cs.queued[:rest]
-	f.launch(customer, cs, batch, nil)
+	f.launch(fl)
 }
 
-// launch starts one placement query for either a prepared batch or a single
-// VM and tracks its completion.
-func (f *Frontend) launch(customer string, cs *customerState, batch []*cluster.VM, single *cluster.VM) {
-	if single != nil {
-		batch = append(batch, single)
+// clearVMs nils the pointers in vms, so a reused list holds no VM, and
+// returns it emptied.
+func clearVMs(vms []*cluster.VM) []*cluster.VM {
+	clear(vms)
+	return vms[:0]
+}
+
+// acquireFlight takes an idle flight record, or makes one, and loads it with
+// a copy of vms.
+func (f *Frontend) acquireFlight(cs *customerState, vms []*cluster.VM) *flight {
+	fl := f.flights
+	if fl == nil {
+		fl = &flight{f: f}
+		fl.done = fl.resolved
+		f.nflights++
+	} else {
+		f.flights, fl.next = fl.next, nil
 	}
+	fl.cs = cs
+	fl.batch = append(fl.batch, vms...)
+	fl.remaining = len(vms)
+	return fl
+}
+
+// releaseFlight empties a record whose every VM has resolved and banks it.
+func (f *Frontend) releaseFlight(fl *flight) {
+	fl.batch = clearVMs(fl.batch)
+	fl.cs = nil
+	fl.next = f.flights
+	f.flights = fl
+}
+
+// launch starts the placement query of a loaded flight record. The query
+// may resolve before PlaceBatch returns, so nothing here reads the record
+// after handing it over.
+func (f *Frontend) launch(fl *flight) {
 	f.queries.Inc()
-	if len(batch) > 1 {
+	if n := len(fl.batch); n > 1 {
 		f.batches.Inc()
-		f.batchedVMs.Add(int64(len(batch)))
+		f.batchedVMs.Add(int64(n))
 	}
-	cs.inFlightQueries++
-	remaining := len(batch)
-	f.dht.PlaceBatch(batch, func(i int, r placement.Result, err error) {
-		f.resolve(batch[i], r, err)
-		remaining--
-		if remaining == 0 {
-			cs.inFlightQueries--
-			if f.cfg.Batch {
-				f.flush(customer, cs)
-			}
-		}
-	})
+	fl.cs.inFlightQueries++
+	f.dht.PlaceBatch(fl.batch, fl.done)
 }
 
 // resolve finishes one boot VM: stats, latency, live list — or destroy on
 // failure so nothing stays half-booted.
-func (f *Frontend) resolve(vm *cluster.VM, r placement.Result, err error) {
+func (f *Frontend) resolve(cs *customerState, vm *cluster.VM, r placement.Result, err error) {
 	f.inFlight--
 	now := f.gateway.Now()
 	submitted := f.submitAt[vm.ID]
@@ -346,11 +446,7 @@ func (f *Frontend) resolve(vm *cluster.VM, r placement.Result, err error) {
 	}
 	f.placed.Inc()
 	f.latency.RecordDuration(now - submitted)
-	cs := f.state(vm.Customer)
-	cs.live = append(cs.live, vm.ID)
-	for i := len(cs.live) - 1; i > 0 && cs.live[i-1] > cs.live[i]; i-- {
-		cs.live[i-1], cs.live[i] = cs.live[i], cs.live[i-1]
-	}
+	cs.push(vm.ID)
 	if hasSpan {
 		f.gwObs.End(now, obs.KindBoot, span, int64(vm.ID), int64(r.Server))
 	}
@@ -360,14 +456,11 @@ func (f *Frontend) resolve(vm *cluster.VM, r placement.Result, err error) {
 // reservation. It reports the VM and the server whose capacity it freed;
 // ok is false (a counted miss) when the customer has nothing running.
 func (f *Frontend) Terminate(customer string) (id cluster.VMID, server int, ok bool) {
-	cs := f.state(customer)
-	if len(cs.live) == 0 {
+	id, ok = f.state(customer).pop()
+	if !ok {
 		f.termMisses.Inc()
 		return 0, -1, false
 	}
-	id = cs.live[0]
-	copy(cs.live, cs.live[1:])
-	cs.live = cs.live[:len(cs.live)-1]
 	server, _ = f.cl.Terminate(id)
 	if f.cache != nil {
 		f.cache.Freed(customer, server)

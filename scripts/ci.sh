@@ -63,13 +63,15 @@ echo "== queue, inbox, shell, memo and search model equivalence -race"
 go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestAnycastSearchMatchesScan' \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
-# Twelve gates that must have run and passed by name, not merely not failed
-# (a renamed or skipped test fails the count). Seven are exact under
+# Thirteen gates that must have run and passed by name, not merely not failed
+# (a renamed or skipped test fails the count). Eight are exact under
 # AllocsPerRun: a 256-hop spill walk allocates no more than a boot admitted
-# at its rendezvous; a warm BandwidthSatisfaction sweep, a SetLocal+Global
-# pair on a subscribed topic, a warm round of 4096 five-minute tickers and a
-# warm aggregation round of unchanged values allocate nothing (a round of
-# changed values: one fold list a re-folded subtree); each node past 4096 of
+# at its rendezvous; a warm serving step (a boot, its query's completion and
+# two terminates, under each of the four cache/batch settings), a warm
+# BandwidthSatisfaction sweep, a SetLocal+Global pair on a subscribed topic,
+# a warm round of 4096 five-minute tickers and a warm aggregation round of
+# unchanged values allocate nothing (a round of changed values: one fold
+# list a re-folded subtree); each node past 4096 of
 # an overlay costs a slab chunk's share of an object (under 0.02), and
 # core.New a twentieth of one a server beyond the overlay. Three are what
 # every server holds of each layer, to the byte: the node comes out of one
@@ -77,10 +79,10 @@ go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|Test
 # API to its callers: every field of a Config, Options or …Params struct is
 # set somewhere besides its own withDefaults, and every export of internal/
 # is used somewhere besides its own package's tests.
-echo "== allocation, size, knob and export gates, PASS by name (12)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller)$' \
-	./internal/placement/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 12
+echo "== allocation, size, knob and export gates, PASS by name (13)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller)$' \
+	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 13
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
