@@ -178,10 +178,19 @@ type globalVal struct {
 	g    Global
 }
 
-// attrCallbacks collects the subscriber callbacks for one attribute.
-type attrCallbacks struct {
+// Listener hears a subscribed attribute's new global values.
+type Listener interface {
+	// GlobalChanged receives every new global value the root publishes.
+	GlobalChanged(Global)
+}
+
+// listener is one subscription's Listener, chained per topic in subscription
+// order. Records come out of a per-engine slab: a server's subscriptions cost
+// no object of their own.
+type listener struct {
 	attr string
-	fns  []func(Global)
+	l    Listener
+	next *listener
 }
 
 // topicState is this node's view of one aggregation topic.
@@ -200,10 +209,9 @@ type topicState struct {
 	// aggregates, breaking run-to-run reproducibility).
 	children []childAggregates
 	lastSent attrList
-	// flushFn is the flush thunk bound once at subscribe time; every
-	// markDirty reuses it instead of allocating a fresh closure per
-	// scheduled flush.
-	flushFn func()
+	// m is the topic's manager: the topic is the handler of its own flush
+	// event (Fire), so scheduling a flush binds nothing.
+	m *Manager
 
 	// cached is the memoized subtree fold; cacheOK marks it current. The
 	// cache is invalidated only when a fold input actually changes — a local
@@ -215,8 +223,8 @@ type topicState struct {
 	// to the old one).
 	cached attrList
 
-	global   []globalVal
-	onGlobal []attrCallbacks
+	global    []globalVal
+	listeners *listener
 
 	// probeStamp is the leaf-send time that triggered the pending flush
 	// (probeValid marks it set), used by the root to measure leaf-to-root
@@ -225,6 +233,8 @@ type topicState struct {
 
 	// The flags sit together so that they share one word.
 	sentOnce, flushing, cacheOK, hasGlobal, probeValid bool
+	// globalShared marks global as a published list (applyGlobal).
+	globalShared bool
 }
 
 // maxRootLatencySamples bounds the per-root latency record.
@@ -242,28 +252,32 @@ type Manager struct {
 	// the inline backing array for the common one- or two-topic node.
 	topics    []*topicState
 	topicsBuf [2]*topicState
-	ticker    *sim.Ticker
+	// ticker runs tick every update interval (managerTick).
+	ticker sim.Ticker
 
 	// rootLatencies collects leaf-to-root latencies observed while this
 	// node is a topic root (Fig. 14's raw line).
 	rootLatencies []time.Duration
-
-	// obs is the node's flight-recorder source (nil when tracing is off).
-	obs *obs.Source
+	// refolds counts the subtree folds the cache could not answer, each of
+	// which makes one fold list: the warm-round allocation gate holds a
+	// round's objects to it.
+	refolds int
 }
 
-// managerSlabs and topicSlabs are where New and SubscribeAttr carve their
-// Managers and topicStates: one slab an engine each, so a ring's managers and
-// subscriptions cost an allocation a chunk, not one a node.
+// managerSlabs, topicSlabs and listenerSlabs are where New and SubscribeAttr
+// carve their Managers, topicStates and listener records: one slab an engine
+// each, so a ring's managers and subscriptions cost an allocation a chunk,
+// not one a node.
 var (
-	managerSlabs = sim.NewLocal[sim.Slab[Manager]]()
-	topicSlabs   = sim.NewLocal[sim.Slab[topicState]]()
+	managerSlabs  = sim.NewLocal[sim.Slab[Manager]]()
+	topicSlabs    = sim.NewLocal[sim.Slab[topicState]]()
+	listenerSlabs = sim.NewLocal[sim.Slab[listener]]()
 )
 
 // New creates the aggregation manager for the given Scribe instance.
 func New(sc *scribe.Scribe, cfg Config) *Manager {
 	m := managerSlabs.Of(sc.Node().Engine()).New()
-	*m = Manager{sc: sc, cfg: cfg.withDefaults(), obs: sc.Node().Obs()}
+	*m = Manager{sc: sc, cfg: cfg.withDefaults()}
 	m.topics = m.topicsBuf[:0]
 	sc.SetTreeListener(m)
 	return m
@@ -285,6 +299,18 @@ func (m *Manager) ChildDropped(group, _ ids.Id) {
 func (m *Manager) ParentData(group ids.Id, payload simnet.Message, from pastry.NodeHandle) {
 	if st := m.topic(group); st != nil {
 		m.onChildUpdate(st, payload, from)
+	}
+}
+
+// MemberData implements scribe.TreeListener: a global disseminated down the
+// tree of a subscribed topic. Anything else is not the aggregation layer's.
+func (m *Manager) MemberData(group ids.Id, payload simnet.Message, _ pastry.NodeHandle) {
+	gm, ok := payload.(*globalMsg)
+	if !ok {
+		return
+	}
+	if st := m.topic(group); st != nil {
+		m.applyGlobal(st, gm.Values)
 	}
 }
 
@@ -313,37 +339,38 @@ func (m *Manager) topic(key ids.Id) *topicState {
 // Scribe returns the underlying Scribe instance.
 func (m *Manager) Scribe() *scribe.Scribe { return m.sc }
 
-// Subscribe joins the topic's tree and registers an optional callback fired
-// on every new global value of the default attribute. All servers in a
-// v-Bundle cluster subscribe to every topic they participate in.
-func (m *Manager) Subscribe(name string, onGlobal func(Global)) {
-	m.SubscribeAttr(name, DefaultAttr, onGlobal)
+// Subscribe joins the topic's tree and registers an optional listener to
+// every new global value of the default attribute. All servers in a v-Bundle
+// cluster subscribe to every topic they participate in.
+func (m *Manager) Subscribe(name string, l Listener) {
+	m.SubscribeAttr(name, DefaultAttr, l)
 }
 
-// SubscribeAttr joins the topic's tree and registers an optional callback
-// for one attribute's global updates.
-func (m *Manager) SubscribeAttr(name, attr string, onGlobal func(Global)) {
+// SubscribeAttr joins the topic's tree and registers an optional listener to
+// one attribute's global updates. The globals of the topic reach the Manager
+// as the scribe node's tree listener (MemberData), so the join binds nothing.
+func (m *Manager) SubscribeAttr(name, attr string, l Listener) {
+	eng := m.sc.Node().Engine()
 	st := m.topicNamed(name)
 	if st == nil {
 		key := scribe.GroupKey(name)
-		st = topicSlabs.Of(m.sc.Node().Engine()).New()
-		*st = topicState{key: key, name: name}
+		st = topicSlabs.Of(eng).New()
+		*st = topicState{key: key, name: name, m: m}
 		st.local = st.localBuf[:0]
-		st.flushFn = func() { m.flush(st) }
 		i := sort.Search(len(m.topics), func(i int) bool { return !m.topics[i].key.Less(key) })
 		m.topics = append(m.topics, nil)
 		copy(m.topics[i+1:], m.topics[i:])
 		m.topics[i] = st
-		m.sc.Join(key, scribe.Handlers{OnMulticast: m.onGlobalMsg})
+		m.sc.Join(key, scribe.Handlers{})
 	}
-	if onGlobal != nil {
-		for i := range st.onGlobal {
-			if st.onGlobal[i].attr == attr {
-				st.onGlobal[i].fns = append(st.onGlobal[i].fns, onGlobal)
-				return
-			}
+	if l != nil {
+		rec := listenerSlabs.Of(eng).New()
+		rec.attr, rec.l = attr, l
+		tail := &st.listeners
+		for *tail != nil {
+			tail = &(*tail).next
 		}
-		st.onGlobal = append(st.onGlobal, attrCallbacks{attr: attr, fns: []func(Global){onGlobal}})
+		*tail = rec
 	}
 }
 
@@ -390,20 +417,18 @@ func (m *Manager) GlobalAttr(name, attr string) (Global, bool) {
 
 // Start begins the periodic cycle: roots disseminate their current global
 // aggregates every update interval, and every node refreshes its upward
-// path.
-func (m *Manager) Start() {
-	if m.ticker != nil {
-		return
-	}
-	m.ticker = m.sc.Node().Engine().Every(m.cfg.UpdateInterval, m.tick)
-}
+// path. Starting a running cycle does nothing.
+func (m *Manager) Start() { m.ticker.Start((*managerTick)(m)) }
 
 // Stop halts the periodic cycle.
-func (m *Manager) Stop() {
-	if m.ticker != nil {
-		m.ticker.Stop()
-		m.ticker = nil
-	}
+func (m *Manager) Stop() { m.ticker.Stop() }
+
+// managerTick is the Manager as what its ticker runs.
+type managerTick Manager
+
+func (t *managerTick) Fire() { (*Manager)(t).tick() }
+func (t *managerTick) Period() (*sim.Engine, time.Duration) {
+	return t.sc.Node().Engine(), t.cfg.UpdateInterval
 }
 
 func (m *Manager) tick() {
@@ -439,6 +464,7 @@ func (m *Manager) subtreeAggregates(st *topicState) attrList {
 	if st.cacheOK {
 		return st.cached
 	}
+	m.refolds++
 	// A fresh list every re-fold: the previous one may still be referenced
 	// by an in-flight upMsg, and agg must not alias localBuf either.
 	// Exact capacity: a child almost never brings an attribute the node
@@ -473,8 +499,11 @@ func (m *Manager) markDirty(st *topicState, probeStamp time.Duration) {
 		return
 	}
 	st.flushing = true
-	m.sc.Node().Engine().After(processingDelay, st.flushFn)
+	m.sc.Node().Engine().AfterHandler(processingDelay, st)
 }
+
+// Fire implements sim.Handler: the topic's scheduled flush.
+func (st *topicState) Fire() { st.m.flush(st) }
 
 func (m *Manager) flush(st *topicState) {
 	st.flushing = false
@@ -498,7 +527,7 @@ func (m *Manager) flush(st *topicState) {
 	up := shells.get()
 	up.Topic, up.Values, up.LeafSentAt = st.key, agg, stamp
 	if m.sc.SendToParent(up) {
-		m.obs.Instant(m.now(), obs.KindAggUpdate, obs.NoRef, int64(len(st.children)), int64(len(agg)))
+		m.sc.Node().Obs().Instant(m.now(), obs.KindAggUpdate, obs.NoRef, int64(len(st.children)), int64(len(agg)))
 		st.lastSent, st.sentOnce = agg, true
 		return
 	}
@@ -508,7 +537,7 @@ func (m *Manager) flush(st *topicState) {
 	// tree converges would never reach the root.
 	st.probeStamp, st.probeValid = stamp, true
 	st.flushing = true
-	m.sc.Node().Engine().After(flushRetryDelay, st.flushFn)
+	m.sc.Node().Engine().AfterHandler(flushRetryDelay, st)
 }
 
 // flushRetryDelay paces upward-push retries while the topic tree is still
@@ -559,18 +588,22 @@ func (m *Manager) publish(st *topicState) {
 	m.applyGlobal(st, globals)
 }
 
-// onGlobalMsg receives a disseminated global via the scribe tree.
-func (m *Manager) onGlobalMsg(group ids.Id, payload simnet.Message, _ pastry.NodeHandle) {
-	gm, ok := payload.(*globalMsg)
-	if !ok {
+// applyGlobal takes in a published list of globals, sorted by attribute,
+// and tells the listeners, one attribute at a time. A one-attribute list that
+// names the topic's only attribute becomes the topic's list as it is: a
+// published list is never written, and every member of the tree then shares
+// the one the root made. Any other list is merged into a list of the topic's
+// own, copied first if it is still a published one.
+func (m *Manager) applyGlobal(st *topicState, globals []globalVal) {
+	if len(globals) == 1 && (len(st.global) == 0 || len(st.global) == 1 && st.global[0].attr == globals[0].attr) {
+		st.global, st.globalShared = globals, true
+		m.notify(st, globals[0])
+		st.hasGlobal = true
 		return
 	}
-	if st := m.topic(group); st != nil {
-		m.applyGlobal(st, gm.Values)
+	if st.globalShared {
+		st.global, st.globalShared = slices.Clone(st.global), false
 	}
-}
-
-func (m *Manager) applyGlobal(st *topicState, globals []globalVal) {
 	for _, gv := range globals {
 		i := sort.Search(len(st.global), func(i int) bool { return st.global[i].attr >= gv.attr })
 		if i < len(st.global) && st.global[i].attr == gv.attr {
@@ -580,15 +613,18 @@ func (m *Manager) applyGlobal(st *topicState, globals []globalVal) {
 			copy(st.global[i+1:], st.global[i:])
 			st.global[i] = gv
 		}
-		for _, cb := range st.onGlobal {
-			if cb.attr == gv.attr {
-				for _, fn := range cb.fns {
-					fn(gv.g)
-				}
-			}
-		}
+		m.notify(st, gv)
 	}
 	st.hasGlobal = true
+}
+
+// notify hands one attribute's new global to its listeners.
+func (m *Manager) notify(st *topicState, gv globalVal) {
+	for rec := st.listeners; rec != nil; rec = rec.next {
+		if rec.attr == gv.attr {
+			rec.l.GlobalChanged(gv.g)
+		}
+	}
 }
 
 // RootLatencies returns the leaf-to-root aggregation latencies this node

@@ -13,6 +13,11 @@ import (
 	"vbundle/internal/topology"
 )
 
+// listenerFunc adapts a func to Listener for the tests' subscriptions.
+type listenerFunc func(Global)
+
+func (f listenerFunc) GlobalChanged(g Global) { f(g) }
+
 type fixture struct {
 	engine   *sim.Engine
 	ring     *pastry.Ring
@@ -166,7 +171,7 @@ func TestOnGlobalCallbackFires(t *testing.T) {
 	fired := make([]int, len(f.managers))
 	for i, m := range f.managers {
 		i := i
-		m.Subscribe(topic, func(Global) { fired[i]++ })
+		m.Subscribe(topic, listenerFunc(func(Global) { fired[i]++ }))
 		m.SetLocal(topic, 2)
 	}
 	f.engine.Run()
@@ -184,7 +189,7 @@ func TestPeriodicTickerPublishes(t *testing.T) {
 	got := 0
 	for i, m := range f.managers {
 		if i == 0 {
-			m.Subscribe(topic, func(Global) { got++ })
+			m.Subscribe(topic, listenerFunc(func(Global) { got++ }))
 		} else {
 			m.Subscribe(topic, nil)
 		}
@@ -352,8 +357,8 @@ func TestAttrCallbacksFirePerAttribute(t *testing.T) {
 	var aFired, bFired int
 	for i, m := range f.managers {
 		if i == 0 {
-			m.SubscribeAttr(topic, "a", func(Global) { aFired++ })
-			m.SubscribeAttr(topic, "b", func(Global) { bFired++ })
+			m.SubscribeAttr(topic, "a", listenerFunc(func(Global) { aFired++ }))
+			m.SubscribeAttr(topic, "b", listenerFunc(func(Global) { bFired++ }))
 		} else {
 			m.Subscribe(topic, nil)
 		}
@@ -525,5 +530,29 @@ func BenchmarkGlobalLookup(b *testing.B) {
 		if _, ok := m.Global("BW_Demand"); !ok {
 			b.Fatal("no global")
 		}
+	}
+}
+
+// TestPublishedGlobalsAreNeverWritten: a one-attribute topic keeps the
+// published list it was handed, which every member of the tree shares, so a
+// later list that brings another attribute must be merged into a copy, and
+// the first list must read what the root published.
+func TestPublishedGlobalsAreNeverWritten(t *testing.T) {
+	var m Manager
+	st := &topicState{}
+	g := func(v float64) Global { return Global{Aggregate: Sample(v)} }
+	first := []globalVal{{attr: "a", g: g(1)}}
+	m.applyGlobal(st, first)
+	if &st.global[0] != &first[0] {
+		t.Fatal("a one-attribute topic copied the published list")
+	}
+	m.applyGlobal(st, []globalVal{{attr: "a", g: g(2)}, {attr: "b", g: g(3)}})
+	m.applyGlobal(st, []globalVal{{attr: "a", g: g(4)}})
+	if first[0].g != g(1) {
+		t.Fatalf("the first published list now reads %v", first[0].g)
+	}
+	want := []globalVal{{attr: "a", g: g(4)}, {attr: "b", g: g(3)}}
+	if len(st.global) != len(want) || st.global[0] != want[0] || st.global[1] != want[1] {
+		t.Fatalf("globals %v, want %v", st.global, want)
 	}
 }

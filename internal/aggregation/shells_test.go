@@ -31,21 +31,18 @@ func TestWarmRoundAllocatesNoMessages(t *testing.T) {
 	}
 	f.engine.Run()
 
-	// A subtree is re-folded exactly when a flush finds its cache invalid:
-	// count those from outside, through the flush thunk.
-	refolds := 0
+	// A subtree is re-folded exactly when a flush finds its cache invalid;
+	// each Manager counts those.
+	totalRefolds := func() (n int) {
+		for _, m := range f.managers {
+			n += m.refolds
+		}
+		return n
+	}
 	for _, m := range f.managers {
 		// A root appends one latency sample a flush; give the record its room
 		// now so that growing it is not mistaken for a message.
 		m.rootLatencies = make([]time.Duration, 0, 4096)
-		for _, st := range m.topics {
-			st.flushFn = func() {
-				if !st.cacheOK {
-					refolds++
-				}
-				m.flush(st)
-			}
-		}
 	}
 
 	v := 0.0
@@ -88,10 +85,12 @@ func TestWarmRoundAllocatesNoMessages(t *testing.T) {
 	}
 
 	before = sent()
+	refolds := 0
 	changed := testing.AllocsPerRun(rounds, func() {
-		refolds = 0
+		from := totalRefolds()
 		setAll()
 		f.engine.RunFor(interval)
+		refolds = totalRefolds() - from
 	})
 	pushes = (sent() - before) / (rounds + 1)
 	if refolds < len(shellTopics)*len(f.managers) {

@@ -273,7 +273,8 @@ type VBundle struct {
 	// self-repair posture as its peers.
 	maintOn        bool
 	maintHeartbeat time.Duration
-	peerTicker     *sim.Ticker
+	// peerTicker runs checkpointLivePeers in the global band (peerCheckpoint).
+	peerTicker sim.Ticker
 }
 
 // New builds a v-Bundle instance: NewOverlay, then everything above it. The
@@ -505,14 +506,25 @@ func (vb *VBundle) StartMaintenance(heartbeat time.Duration) {
 	// Routing state drifts under maintenance (failures heal, rejoiners are
 	// re-adopted), so refresh every live node's durable peer snapshot
 	// periodically in the global band.
-	if vb.opts.Store != nil && vb.peerTicker == nil {
-		vb.peerTicker = vb.Engine.EveryGlobal(peerCheckpointInterval, func() {
-			for i := 0; i < vb.Ring.Size(); i++ {
-				if vb.Ring.Network().Alive(simnet.Addr(i)) {
-					vb.checkpointPeers(i)
-				}
-			}
-		})
+	if vb.opts.Store != nil {
+		vb.peerTicker.StartGlobal((*peerCheckpoint)(vb))
+	}
+}
+
+// peerCheckpoint is the instance as what its peer ticker runs.
+type peerCheckpoint VBundle
+
+func (p *peerCheckpoint) Fire() { (*VBundle)(p).checkpointLivePeers() }
+func (p *peerCheckpoint) Period() (*sim.Engine, time.Duration) {
+	return p.Engine, peerCheckpointInterval
+}
+
+// checkpointLivePeers refreshes every live node's durable peer snapshot.
+func (vb *VBundle) checkpointLivePeers() {
+	for i := 0; i < vb.Ring.Size(); i++ {
+		if vb.Ring.Network().Alive(simnet.Addr(i)) {
+			vb.checkpointPeers(i)
+		}
 	}
 }
 
@@ -523,10 +535,7 @@ func (vb *VBundle) StopMaintenance() {
 	for _, s := range vb.Scribes {
 		s.StopMaintenance()
 	}
-	if vb.peerTicker != nil {
-		vb.peerTicker.Stop()
-		vb.peerTicker = nil
-	}
+	vb.peerTicker.Stop()
 }
 
 // RunFor advances virtual time by d, executing everything scheduled within.

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"vbundle/internal/cluster"
 	"vbundle/internal/pastry"
 	"vbundle/internal/rebalance"
+	"vbundle/internal/sim"
 	"vbundle/internal/tcshape"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
@@ -214,7 +216,7 @@ func TestPastryDigitWidth(t *testing.T) {
 }
 
 // TestBadCadencesAndLossAreErrors: a negative aggregation or rebalance
-// period (which made StartServices panic in sim's Every), a negative lease
+// period (which made StartServices panic in sim's ticker), a negative lease
 // (which was accepted) and a loss rate outside [0, 1), the range
 // simnet.WithDropRate allows (which was accepted), are configuration errors
 // New returns, naming the field; NewOverlay returns the two it reads.
@@ -422,3 +424,59 @@ func TestCoreConstructionAllocatesPerLayer(t *testing.T) {
 		t.Fatalf("New allocates %.4f objects a server beyond the overlay; the ceiling is %v", perServer, ceiling)
 	}
 }
+
+// TestStartServicesAllocatesOnlyMessages: starting a server's services — two
+// aggregation subscriptions, the aggregation ticker and the agent's update and
+// rebalance tickers — allocates its join messages and nothing of its own
+// plumbing: every ticker is embedded in its owner and is its own event's
+// handler, a topic is its flush's handler, and the subscriptions and tickers
+// dispatch through named pointer types over their owners. What is left a
+// server is two join messages, their two routed envelopes and the second
+// group's state, five objects; a closure or a method value a server anywhere
+// in the start path fails it. On a warm engine, a handler event and an
+// embedded ticker's start and stop allocate nothing.
+func TestStartServicesAllocatesOnlyMessages(t *testing.T) {
+	const small, large, ceiling = 1024, 2048, 5.1
+	start := func(servers int) float64 {
+		vb, err := New(Options{Topology: smallSpec(servers/32, 32), Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		vb.StartServices()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(vb)
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	a, b := start(small), start(large)
+	perServer := (b - a) / (large - small)
+	t.Logf("StartServices: %.0f objects at %d servers, %.0f at %d: %.2f a server", a, small, b, large, perServer)
+	if perServer > ceiling {
+		t.Fatalf("StartServices allocates %.2f objects a server; the ceiling is %v", perServer, ceiling)
+	}
+
+	vb, err := New(Options{Topology: smallSpec(1, 32), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tk sim.Ticker
+	h := &nopTick{vb.Engine}
+	warm := func() {
+		vb.Engine.AfterHandler(time.Second, h)
+		tk.Start(h)
+		tk.Stop()
+		vb.Engine.Run()
+	}
+	warm()
+	if n := testing.AllocsPerRun(100, warm); n != 0 {
+		t.Fatalf("a handler event and an embedded ticker's start and stop allocate %v objects on a warm engine", n)
+	}
+}
+
+// nopTick is a sim.Periodic that does nothing every second.
+type nopTick struct{ e *sim.Engine }
+
+func (*nopTick) Fire()                                  {}
+func (t *nopTick) Period() (*sim.Engine, time.Duration) { return t.e, time.Second }

@@ -75,7 +75,7 @@ func TestUpkeepStateIsLazy(t *testing.T) {
 	if !rebuilt.Joined() {
 		t.Fatal("node did not rejoin")
 	}
-	if len(rebuilt.up.pendingPings) != 0 || len(rebuilt.up.suspicion) != 0 || rebuilt.up.maintenance != nil || rebuilt.up.pingSeq != 0 {
+	if len(rebuilt.up.pendingPings) != 0 || len(rebuilt.up.suspicion) != 0 || rebuilt.up.maintenance.Running() || rebuilt.up.pingSeq != 0 {
 		t.Fatalf("rejoined node inherited failure-detector state: %+v", rebuilt.up)
 	}
 }

@@ -110,7 +110,8 @@ type upkeep struct {
 	// received message clears it.
 	suspicion map[simnet.Addr]int
 
-	maintenance *sim.Ticker
+	// maintenance runs maintenanceRound (maintenanceTick).
+	maintenance sim.Ticker
 
 	// probeScratch and seenScratch are per-call buffers reused across
 	// maintenance rounds and rare-case routing scans. The engine is
@@ -376,6 +377,12 @@ func (n *Node) leafInsert(id ids.Id, ref int32) {
 
 func (n *Node) insertSortedByDist(list []int32, id ids.Id, ref int32, max int, dist func(ids.Id) ids.Id) []int32 {
 	d := dist(id)
+	// A full half whose farthest entry is strictly nearer than the candidate
+	// keeps its list: the insertion would land past the end and be cut off.
+	// Most peers a node hears of are that far, so settle them first.
+	if len(list) >= max && len(list) > 0 && dist(n.ring.dir[list[len(list)-1]]).Less(d) {
+		return list
+	}
 	pos := sort.Search(len(list), func(i int) bool {
 		return !dist(n.ring.dir[list[i]]).Less(d)
 	})
@@ -669,19 +676,22 @@ func (n *Node) handleLeafExchange(m *leafExchange) {
 // StartMaintenance begins periodic leaf-set exchange and liveness probing.
 // It is idempotent.
 func (n *Node) StartMaintenance() {
-	up := n.upkeepState()
-	if up.maintenance != nil {
-		return
-	}
-	up.maintenance = n.engine.Every(maintenanceInterval, n.maintenanceRound)
+	n.upkeepState().maintenance.Start((*maintenanceTick)(n))
 }
 
 // StopMaintenance halts periodic maintenance.
 func (n *Node) StopMaintenance() {
-	if n.up != nil && n.up.maintenance != nil {
+	if n.up != nil {
 		n.up.maintenance.Stop()
-		n.up.maintenance = nil
 	}
+}
+
+// maintenanceTick is the node as what its maintenance ticker runs.
+type maintenanceTick Node
+
+func (t *maintenanceTick) Fire() { (*Node)(t).maintenanceRound() }
+func (t *maintenanceTick) Period() (*sim.Engine, time.Duration) {
+	return t.engine, maintenanceInterval
 }
 
 func (n *Node) maintenanceRound() {

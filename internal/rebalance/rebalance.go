@@ -219,7 +219,7 @@ func NewCoordinator(ring *pastry.Ring, cl *cluster.Cluster, mig *migration.Manag
 	c.agents = make([]*Agent, ring.Size())
 	for i := range c.agents {
 		c.agents[i] = &agents[i]
-		agents[i].init(c, i, ring.Node(i), managers[i])
+		agents[i].init(c, ring.Node(i), managers[i])
 	}
 	return c
 }
@@ -246,7 +246,7 @@ func (c *Coordinator) SetStore(st *store.MemStore) { c.store = st }
 func (c *Coordinator) ReplaceAgent(i int, node *pastry.Node, agg *aggregation.Manager) *Agent {
 	c.agents[i].stop()
 	a := new(Agent)
-	a.init(c, i, node, agg)
+	a.init(c, node, agg)
 	c.agents[i] = a
 	if c.started {
 		a.start()
@@ -353,10 +353,10 @@ func (c *Coordinator) ReserveStats() ReserveStats {
 // Agent is the per-server rebalancing logic.
 type Agent struct {
 	pastry.BaseApp
-	coord  *Coordinator
-	server int
-	node   *pastry.Node
-	agg    *aggregation.Manager
+	coord *Coordinator
+	// node is the server's node; its address is the server's index.
+	node *pastry.Node
+	agg  *aggregation.Manager
 
 	role Role
 	// means holds the last computed cluster mean per kind, indexed by
@@ -389,17 +389,16 @@ type Agent struct {
 	// It is nil until the agent sends its first release.
 	releaseAwait map[releaseKey]bool
 
-	updateTicker, rebalanceTicker *sim.Ticker
+	// updateTicker runs publishLocal (updateTick), rebalanceTicker
+	// rebalanceRound (rebalanceTick).
+	updateTicker, rebalanceTicker sim.Ticker
 
 	migrationsTriggered obs.Counter
 	queriesSent         obs.Counter
 	vetoedByCost        obs.Counter
 
-	// obs is the node's flight-recorder source; expiredScratch is reused by
-	// sweepLeases to collect reclaimed holds for their lease-end events
-	// (sweeps run on every utilization read, so no per-sweep allocation).
-	obs            *obs.Source
-	expiredScratch []reservation
+	// obs is the node's flight-recorder source.
+	obs *obs.Source
 	// leaseHold records each hold's grant-to-end duration (nil when
 	// tracing is off; Record on nil is a no-op).
 	leaseHold *obs.Histogram
@@ -455,14 +454,13 @@ func (a *Agent) shedDestOf(vm cluster.VMID) (pastry.NodeHandle, bool) {
 
 // init makes a server's agent on node and registers it there, where scribe
 // also finds it as the node's OrphanAcceptor.
-func (a *Agent) init(coord *Coordinator, server int, node *pastry.Node, agg *aggregation.Manager) {
+func (a *Agent) init(coord *Coordinator, node *pastry.Node, agg *aggregation.Manager) {
 	*a = Agent{
-		coord:  coord,
-		server: server,
-		node:   node,
-		agg:    agg,
-		role:   RoleNeutral,
-		obs:    node.Obs(),
+		coord: coord,
+		node:  node,
+		agg:   agg,
+		role:  RoleNeutral,
+		obs:   node.Obs(),
 	}
 	if reg := node.Network().Trace().Registry(); reg != nil {
 		reg.Register("rebalance/migrations_triggered", &a.migrationsTriggered)
@@ -474,30 +472,47 @@ func (a *Agent) init(coord *Coordinator, server int, node *pastry.Node, agg *agg
 	node.Register(AppName, a)
 }
 
+// server is the index of the agent's server: its node's address.
+func (a *Agent) server() int { return int(a.node.Addr()) }
+
 // Role returns the agent's current self-identification.
 func (a *Agent) Role() Role { return a.role }
 
+// The agent as the listener of its subscriptions and as what its two tickers
+// run: a named pointer type a role, so each has its own methods and none
+// binds an object.
+type (
+	reevaluator   Agent
+	updateTick    Agent
+	rebalanceTick Agent
+)
+
+func (r *reevaluator) GlobalChanged(aggregation.Global) { (*Agent)(r).reevaluate() }
+
+func (u *updateTick) Fire() { (*Agent)(u).publishLocal() }
+func (u *updateTick) Period() (*sim.Engine, time.Duration) {
+	return u.node.Engine(), u.coord.cfg.UpdateInterval
+}
+
+func (r *rebalanceTick) Fire() { (*Agent)(r).rebalanceRound() }
+func (r *rebalanceTick) Period() (*sim.Engine, time.Duration) {
+	return r.node.Engine(), r.coord.cfg.RebalanceInterval
+}
+
 func (a *Agent) start() {
 	for _, k := range a.coord.cfg.Kinds {
-		a.agg.Subscribe(topicCapacityFor(k), func(aggregation.Global) { a.reevaluate() })
-		a.agg.Subscribe(topicDemandFor(k), func(aggregation.Global) { a.reevaluate() })
+		a.agg.Subscribe(topicCapacityFor(k), (*reevaluator)(a))
+		a.agg.Subscribe(topicDemandFor(k), (*reevaluator)(a))
 	}
 	a.publishLocal()
 	a.agg.Start()
-	cfg := a.coord.cfg
-	a.updateTicker = a.node.Engine().Every(cfg.UpdateInterval, a.publishLocal)
-	a.rebalanceTicker = a.node.Engine().Every(cfg.RebalanceInterval, a.rebalanceRound)
+	a.updateTicker.Start((*updateTick)(a))
+	a.rebalanceTicker.Start((*rebalanceTick)(a))
 }
 
 func (a *Agent) stop() {
-	if a.updateTicker != nil {
-		a.updateTicker.Stop()
-		a.updateTicker = nil
-	}
-	if a.rebalanceTicker != nil {
-		a.rebalanceTicker.Stop()
-		a.rebalanceTicker = nil
-	}
+	a.updateTicker.Stop()
+	a.rebalanceTicker.Stop()
 	a.agg.Stop()
 	a.leaveGroup()
 }
@@ -506,7 +521,7 @@ func (a *Agent) stop() {
 // tracked kind into the aggregation trees (the periodic leaf update of
 // §III.C step 1).
 func (a *Agent) publishLocal() {
-	srv := a.coord.cl.Server(a.server)
+	srv := a.coord.cl.Server(a.server())
 	for _, k := range a.coord.cfg.Kinds {
 		a.agg.SetLocal(topicCapacityFor(k), srv.Capacity.Get(k))
 		a.agg.SetLocal(topicDemandFor(k), srv.DemandOf(k))
@@ -550,6 +565,12 @@ func (a *Agent) HoldCount() int { return a.reserved.len() }
 
 // sweepLeases reclaims holds whose lease ran out; every read of the
 // reservation table goes through here, so expiry needs no engine events.
+// expiredScratch is where sweepLeases collects the reclaimed holds of a
+// traced run for their lease-end events: one list an engine, reused by every
+// sweep of its agents (sweeps run on every utilization read, so no per-sweep
+// allocation).
+var expiredScratch = sim.NewLocal[[]reservation]()
+
 func (a *Agent) sweepLeases() {
 	now := a.node.Engine().Now()
 	if !a.obs.Enabled() {
@@ -559,11 +580,12 @@ func (a *Agent) sweepLeases() {
 		}
 		return
 	}
-	a.expiredScratch = a.expiredScratch[:0]
-	n := a.reserved.sweep(now, &a.expiredScratch)
+	expired := expiredScratch.Of(a.node.Engine())
+	*expired = (*expired)[:0]
+	n := a.reserved.sweep(now, expired)
 	a.reserveStats.Expired += n
-	for i := range a.expiredScratch {
-		e := &a.expiredScratch[i]
+	for i := range *expired {
+		e := &(*expired)[i]
 		// The hold ended when the lease ran out, not when this lazy sweep
 		// noticed: expires-granted is the true (and sweep-schedule
 		// independent) hold duration.
@@ -594,8 +616,8 @@ func (a *Agent) persistLeases() {
 			Expires:     e.expires,
 		})
 	}
-	if err := st.SaveLeases(a.server, recs); err != nil {
-		panic(fmt.Sprintf("rebalance: persisting leases of node %d: %v", a.server, err))
+	if err := st.SaveLeases(a.server(), recs); err != nil {
+		panic(fmt.Sprintf("rebalance: persisting leases of node %d: %v", a.server(), err))
 	}
 }
 
@@ -611,7 +633,7 @@ func (a *Agent) AdoptLeases(recs []store.LeaseRecord, rejoin obs.Ref) (adopted, 
 		vm := cluster.VMID(r.VM)
 		keep := r.Expires > now && a.coord.mig.InFlight(vm)
 		if keep {
-			if srv, placed := a.coord.cl.LocationOf(vm); placed && srv == a.server {
+			if srv, placed := a.coord.cl.LocationOf(vm); placed && srv == a.server() {
 				keep = false // already arrived; its demand counts directly now
 			}
 		}
@@ -640,7 +662,7 @@ func (a *Agent) AdoptLeases(recs []store.LeaseRecord, rejoin obs.Ref) (adopted, 
 // utilizationOf is the server's utilization for one kind, including
 // resources held for in-flight arrivals.
 func (a *Agent) utilizationOf(k cluster.Kind) float64 {
-	srv := a.coord.cl.Server(a.server)
+	srv := a.coord.cl.Server(a.server())
 	cap := srv.Capacity.Get(k)
 	if cap == 0 {
 		return 0
@@ -741,7 +763,7 @@ func (a *Agent) considerQuery(_ ids.Id, payload simnet.Message, _ pastry.NodeHan
 	if a.role != RoleReceiver || !a.haveMean {
 		return false
 	}
-	srv := a.coord.cl.Server(a.server)
+	srv := a.coord.cl.Server(a.server())
 	thr := a.coord.cfg.Threshold
 	// Bundle semantics: only borrow from the same customer's idle
 	// instances on this server.
@@ -788,7 +810,7 @@ func (a *Agent) considerQuery(_ ids.Id, payload simnet.Message, _ pastry.NodeHan
 // whose purchased-but-unused capacity covers the incoming demand for every
 // tracked kind.
 func (a *Agent) hasCustomerSlack(customer string, demand cluster.Resources) bool {
-	srv := a.coord.cl.Server(a.server)
+	srv := a.coord.cl.Server(a.server())
 	var reserved, used cluster.Resources
 	found := false
 	for _, vm := range srv.VMs() {
@@ -836,7 +858,7 @@ func (a *Agent) hottestKind() (cluster.Kind, float64) {
 // projectedUtilOf is the utilization for one kind once committed
 // evacuations leave.
 func (a *Agent) projectedUtilOf(k cluster.Kind) float64 {
-	srv := a.coord.cl.Server(a.server)
+	srv := a.coord.cl.Server(a.server())
 	cap := srv.Capacity.Get(k)
 	if cap == 0 {
 		return 0
@@ -1003,7 +1025,7 @@ func AppendClasses(buf []tcshape.Class, srv *cluster.Server) []tcshape.Class {
 // deliveredBW runs the server's tc shaper to find how much bandwidth the
 // VM actually receives right now (the cost-benefit baseline).
 func (a *Agent) deliveredBW(vm *cluster.VM) float64 {
-	srv := a.coord.cl.Server(a.server)
+	srv := a.coord.cl.Server(a.server())
 	vms := srv.VMs()
 	idx := slices.IndexFunc(vms, func(v *cluster.VM) bool { return v.ID == vm.ID })
 	if idx < 0 {
@@ -1017,7 +1039,7 @@ func (a *Agent) deliveredBW(vm *cluster.VM) float64 {
 // largest effective demand in the hottest kind, not already committed
 // (moving the biggest load first needs the fewest migrations).
 func (a *Agent) pickVictim(k cluster.Kind) *cluster.VM {
-	srv := a.coord.cl.Server(a.server)
+	srv := a.coord.cl.Server(a.server())
 	var best *cluster.VM
 	for _, vm := range srv.VMs() {
 		if a.isShedding(vm.ID) || a.coord.mig.InFlight(vm.ID) {

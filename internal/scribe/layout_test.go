@@ -115,6 +115,7 @@ type dropLog struct{ children []ids.Id }
 
 func (d *dropLog) ChildDropped(_, child ids.Id)                         { d.children = append(d.children, child) }
 func (d *dropLog) ParentData(ids.Id, simnet.Message, pastry.NodeHandle) {}
+func (d *dropLog) MemberData(ids.Id, simnet.Message, pastry.NodeHandle) {}
 
 // TestChildRefsMatchHandleModel drives the ref table and the handle model
 // with the same random puts and drops on a ring with random identifiers,

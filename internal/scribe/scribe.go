@@ -220,16 +220,15 @@ type Scribe struct {
 	AnycastRetries int
 
 	// tree hears of the node's tree edges: a child edge removed (leave,
-	// failure, stale-edge prune) and a push from a child. It is the
-	// aggregation manager, which invalidates the cached subtree folds that
-	// included the child and folds the pushes.
+	// failure, stale-edge prune), a push from a child and a multicast to a
+	// member. It is the aggregation manager, which invalidates the cached
+	// subtree folds that included the child, folds the pushes and applies
+	// the disseminated globals.
 	tree TreeListener
 
-	maintenance *sim.Ticker
-
-	// keyScratch is reused by sortedGroupKeys to snapshot the group keys
-	// before walks that may prune entries mid-iteration.
-	keyScratch []ids.Id
+	// up is nil until the node first starts maintenance or hears of a
+	// death: most Scribes never repair a tree.
+	up *upkeep
 
 	// stats for the overhead experiments
 	joinsHandled      obs.Counter
@@ -256,16 +255,36 @@ func (s *Scribe) group(id ids.Id) *groupState {
 	return nil
 }
 
+// upkeep is what only tree repair needs: the maintenance ticker, its period,
+// and the scratch of the repair walks.
+type upkeep struct {
+	// maintenance runs maintenanceRound every interval (maintenanceTick).
+	maintenance sim.Ticker
+	interval    time.Duration
+	// keyScratch is reused by sortedGroupKeys to snapshot the group keys
+	// before walks that may prune entries mid-iteration.
+	keyScratch []ids.Id
+}
+
+// upkeepState returns the Scribe's upkeep state, making it on first use.
+func (s *Scribe) upkeepState() *upkeep {
+	if s.up == nil {
+		s.up = new(upkeep)
+	}
+	return s.up
+}
+
 // sortedGroupKeys snapshots the group keys in identifier order, in a
 // scratch slice owned by s (valid until the next call). The slice is
 // already sorted; the copy exists so callers can prune groups while
 // iterating.
 func (s *Scribe) sortedGroupKeys() []ids.Id {
-	out := s.keyScratch[:0]
+	up := s.upkeepState()
+	out := up.keyScratch[:0]
 	for _, g := range s.groups {
 		out = append(out, g.group)
 	}
-	s.keyScratch = out
+	up.keyScratch = out
 	return out
 }
 
@@ -462,8 +481,13 @@ func (s *Scribe) Multicast(group ids.Id, payload simnet.Message) {
 // children.
 func (s *Scribe) disseminate(g *groupState, m *multicastDown) {
 	s.multicastsRelayed.Inc()
-	if g.member && g.handlers.OnMulticast != nil {
-		g.handlers.OnMulticast(g.group, m.Payload, m.From)
+	if g.member {
+		if g.handlers.OnMulticast != nil {
+			g.handlers.OnMulticast(g.group, m.Payload, m.From)
+		}
+		if s.tree != nil {
+			s.tree.MemberData(g.group, m.Payload, m.From)
+		}
 	}
 	for _, ref := range g.children {
 		s.node.SendDirect(s.node.HandleOf(ref), AppName, m)
@@ -938,6 +962,9 @@ type TreeListener interface {
 	// ParentData receives a payload a child pushed up with SendToParent, in
 	// a tree this node is still in.
 	ParentData(group ids.Id, payload simnet.Message, from pastry.NodeHandle)
+	// MemberData receives every multicast delivered to this node as a member
+	// of group, after the group's own OnMulticast handler, if it has one.
+	MemberData(group ids.Id, payload simnet.Message, from pastry.NodeHandle)
 }
 
 // SetTreeListener installs the node's one tree listener, or clears it with
@@ -1008,51 +1035,63 @@ func (s *Scribe) NodeDead(h pastry.NodeHandle) {
 // children every interval; a child missing three beats re-joins through
 // routing, repairing stale tree edges that Pastry's failure detector missed.
 func (s *Scribe) StartMaintenance(interval time.Duration) {
-	if s.maintenance != nil {
+	up := s.upkeepState()
+	if up.maintenance.Running() {
 		return
 	}
-	s.maintenance = s.node.Engine().Every(interval, func() {
-		for _, key := range s.sortedGroupKeys() {
-			g := s.group(key)
-			if g == nil {
-				continue
-			}
-			if len(g.children) > 0 {
-				// One heartbeat value per group per round; the message is
-				// immutable so every child can share it.
-				hb := &heartbeat{Group: g.group}
-				for _, ref := range g.children {
-					s.node.SendDirect(s.node.HandleOf(ref), AppName, hb)
-				}
-			}
-			switch {
-			case g.root:
-				// Verify key ownership: routing may have healed around a
-				// root promoted during a failure-detector mistake.
-				s.node.Route(g.group, AppName, &rootProbe{Group: g.group, From: s.node.Handle()})
-			case g.parent.IsNil():
-				// A join (or its ack) was lost in flight: retry so the
-				// node does not stay detached forever.
-				if g.member || len(g.children) > 0 {
-					s.sendJoin(g)
-				}
-			default:
-				g.missedBeats++
-				if g.missedBeats >= 3 {
-					g.missedBeats = 0
-					g.parent = pastry.NoHandle
-					s.sendJoin(g)
-				}
+	up.interval = interval
+	up.maintenance.Start((*maintenanceTick)(s))
+}
+
+// maintenanceTick is the Scribe as what its maintenance ticker runs.
+type maintenanceTick Scribe
+
+func (t *maintenanceTick) Fire() { (*Scribe)(t).maintenanceRound() }
+func (t *maintenanceTick) Period() (*sim.Engine, time.Duration) {
+	return t.node.Engine(), t.up.interval
+}
+
+// maintenanceRound is one heartbeat round over the node's groups.
+func (s *Scribe) maintenanceRound() {
+	for _, key := range s.sortedGroupKeys() {
+		g := s.group(key)
+		if g == nil {
+			continue
+		}
+		if len(g.children) > 0 {
+			// One heartbeat value per group per round; the message is
+			// immutable so every child can share it.
+			hb := &heartbeat{Group: g.group}
+			for _, ref := range g.children {
+				s.node.SendDirect(s.node.HandleOf(ref), AppName, hb)
 			}
 		}
-	})
+		switch {
+		case g.root:
+			// Verify key ownership: routing may have healed around a
+			// root promoted during a failure-detector mistake.
+			s.node.Route(g.group, AppName, &rootProbe{Group: g.group, From: s.node.Handle()})
+		case g.parent.IsNil():
+			// A join (or its ack) was lost in flight: retry so the
+			// node does not stay detached forever.
+			if g.member || len(g.children) > 0 {
+				s.sendJoin(g)
+			}
+		default:
+			g.missedBeats++
+			if g.missedBeats >= 3 {
+				g.missedBeats = 0
+				g.parent = pastry.NoHandle
+				s.sendJoin(g)
+			}
+		}
+	}
 }
 
 // StopMaintenance halts the heartbeat protocol.
 func (s *Scribe) StopMaintenance() {
-	if s.maintenance != nil {
-		s.maintenance.Stop()
-		s.maintenance = nil
+	if s.up != nil {
+		s.up.maintenance.Stop()
 	}
 }
 

@@ -442,10 +442,11 @@ func (p *testPush) TreeGroup() ids.Id { return p.group }
 func (p *testPush) WireSize() int     { return TreeEdgeWireBytes + len(p.body) }
 
 // pushLog is a tree listener that hands every push to a function and
-// ignores child drops.
+// ignores child drops and multicasts.
 type pushLog func(group ids.Id, payload simnet.Message, from pastry.NodeHandle)
 
-func (pushLog) ChildDropped(_, _ ids.Id) {}
+func (pushLog) ChildDropped(_, _ ids.Id)                             {}
+func (pushLog) MemberData(ids.Id, simnet.Message, pastry.NodeHandle) {}
 func (f pushLog) ParentData(group ids.Id, payload simnet.Message, from pastry.NodeHandle) {
 	f(group, payload, from)
 }

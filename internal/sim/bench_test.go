@@ -52,7 +52,7 @@ func BenchmarkEnginePeriodicTimers(b *testing.B) {
 	ticks := 0
 	for i := 0; i < 8192; i++ {
 		for _, period := range []time.Duration{time.Minute, 5 * time.Minute, 25 * time.Minute} {
-			e.Every(period, func() { ticks++ })
+			every(e, period, func() { ticks++ })
 		}
 	}
 	e.RunFor(25 * time.Minute)

@@ -141,7 +141,7 @@ func TestPeriodicTimersAllocateNothing(t *testing.T) {
 	const period = 5 * time.Minute
 	ticks := 0
 	for i := 0; i < 4096; i++ {
-		e.Every(period, func() { ticks++ })
+		every(e, period, func() { ticks++ })
 	}
 	e.RunFor(3 * period)
 	if allocs := testing.AllocsPerRun(20, func() { e.RunFor(period) }); allocs != 0 {

@@ -151,12 +151,12 @@ type staging struct {
 type stagedEvent struct {
 	at  time.Duration
 	key uint64
-	fn  func()
+	h   Handler
 }
 
-func (g *staging) add(at time.Duration, key uint64, fn func()) {
+func (g *staging) add(at time.Duration, key uint64, h Handler) {
 	g.mu.Lock()
-	g.evs = append(g.evs, stagedEvent{at: at, key: key, fn: fn})
+	g.evs = append(g.evs, stagedEvent{at: at, key: key, h: h})
 	g.mu.Unlock()
 }
 
@@ -261,6 +261,18 @@ func (r *Engine) mergeStaged() {
 		r.staging.giveBack(evs)
 		return
 	}
+	// Of one ticker's staged ticks only the last can be live, and only if
+	// no Stop came after it (the ticker still reads tickStaged): a backward
+	// pass keeps that one and points the others at stoppedTick.
+	for i := len(evs) - 1; i >= 0; i-- {
+		if t, ok := evs[i].h.(*Ticker); ok {
+			if t.queued == &tickStaged {
+				t.queued = &tickMerging
+			} else {
+				evs[i].h = stoppedTick{}
+			}
+		}
+	}
 	sort.SliceStable(evs, func(i, j int) bool {
 		if evs[i].at != evs[j].at {
 			return evs[i].at < evs[j].at
@@ -272,8 +284,12 @@ func (r *Engine) mergeStaged() {
 		if ev.key >= keyKeyed && ev.at < r.now {
 			panic(fmt.Sprintf("sim: keyed event staged at %v behind the root clock %v (lookahead violation: keyed completions must be scheduled at least one window ahead)", ev.at, r.now))
 		}
-		r.push(ev.at, ev.key, ev.fn)
-		ev.fn = nil
+		if t, ok := ev.h.(*Ticker); ok {
+			t.queued = r.push(ev.at, ev.key, t)
+		} else {
+			r.push(ev.at, ev.key, ev.h)
+		}
+		ev.h = nil
 	}
 	r.staging.giveBack(evs[:0])
 }

@@ -45,10 +45,10 @@ import (
 //     order is a property of the trace, not of which engine ran it. The
 //     event carries no callback: the engine hands the payload to its one
 //     delivery handler (SetDeliveryHandler).
-//   - band 1 — plain At/After/Every. The payload is constant; same-instant
-//     order falls to the per-engine sequence counter. Band-1 events are
-//     node-local by contract (they never race across shards), which is why a
-//     per-engine tiebreak suffices.
+//   - band 1 — plain At/After and node-band Tickers. The payload is
+//     constant; same-instant order falls to the per-engine sequence counter.
+//     Band-1 events are node-local by contract (they never race across
+//     shards), which is why a per-engine tiebreak suffices.
 //   - band 2 — AtGlobal/AfterGlobal/EveryGlobal: experiment drivers,
 //     samplers, fault injectors. They run on the root engine, after all
 //     same-instant node work, at every shard count.
@@ -159,8 +159,22 @@ type event struct {
 	at  time.Duration
 	key uint64
 	seq uint64
-	fn  func()
+	h   Handler
 }
+
+// Handler is what an event runs. Every band-1, -2 and -3 event carries one; a
+// delivery event (band 0) carries none and runs the engine's delivery handler.
+// An owner that schedules the same work again and again implements Handler
+// once, on itself or on a named pointer type over itself, where a func()
+// would bind a closure or a method value a scheduling site.
+type Handler interface{ Fire() }
+
+// funcHandler adapts a func() to Handler. A func value is one pointer, so the
+// conversion allocates nothing: the func-taking entry points are adapters
+// onto the one Handler path.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // before is the engine's total event order: timestamp, then key band/payload,
 // then scheduling order. seq values are only comparable within one engine,
@@ -183,13 +197,16 @@ func (e *Engine) mustInit() {
 	}
 }
 
-// push schedules fn with an explicit key, clamping past times to Now.
-func (e *Engine) push(t time.Duration, key uint64, fn func()) {
+// push schedules h with an explicit key, clamping past times to Now, and
+// returns the queued event.
+func (e *Engine) push(t time.Duration, key uint64, h Handler) *event {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.events.push(e.newEvent(t, key, fn))
+	ev := e.newEvent(t, key, h)
+	e.events.push(ev)
+	return ev
 }
 
 // At schedules fn to run at absolute virtual time t. Times in the past run
@@ -199,12 +216,15 @@ func (e *Engine) push(t time.Duration, key uint64, fn func()) {
 // scheduling context (AtGlobal for drivers, AtKeyed for domain-keyed
 // completions) so that same-instant ordering does not depend on the shard
 // count.
-func (e *Engine) At(t time.Duration, fn func()) {
+func (e *Engine) At(t time.Duration, fn func()) { e.at(t, funcHandler(fn)) }
+
+// at is At for a Handler: the one band-1 scheduling path.
+func (e *Engine) at(t time.Duration, h Handler) {
 	e.mustInit()
 	if len(e.shards) > 1 {
 		panic("sim: At on a sharded root engine; use AtGlobal/AfterGlobal/EveryGlobal (drivers) or AtKeyed (keyed completions)")
 	}
-	e.push(t, keyLocal, fn)
+	e.push(t, keyLocal, h)
 }
 
 // SetDeliveryHandler installs the function every delivery event of this
@@ -239,7 +259,7 @@ func (e *Engine) AtDelivery(t time.Duration, key uint64) {
 // K. On a root of K ≥ 2 the event is staged (safe to call from shard context)
 // and merged at the next barrier.
 func (e *Engine) AtGlobal(t time.Duration, fn func()) {
-	e.atRoot(t, keyGlobal, fn, "global")
+	e.atRoot(t, keyGlobal, funcHandler(fn), "global")
 }
 
 // AfterGlobal schedules a global event delay after the root clock. It must
@@ -261,29 +281,29 @@ func (e *Engine) AfterGlobal(delay time.Duration, fn func()) {
 // practice migration durations are orders of magnitude larger), which keeps
 // it beyond every shard's window horizon.
 func (e *Engine) AtKeyed(t time.Duration, key uint64, fn func()) {
-	e.atRoot(t, keyKeyed|(key&keyPayloadMax), fn, "keyed")
+	e.atRoot(t, keyKeyed|(key&keyPayloadMax), funcHandler(fn), "keyed")
 }
 
 // atRoot schedules a band-2 or band-3 event on the root. A one-shard engine
 // runs everything on its own goroutine and pushes it straight into its queue;
 // a root of K ≥ 2 stages it, since the call may come from any shard.
-func (e *Engine) atRoot(t time.Duration, key uint64, fn func(), band string) {
+func (e *Engine) atRoot(t time.Duration, key uint64, h Handler, band string) {
 	e.mustInit()
 	r := e.Root()
 	if len(r.shards) == 1 {
-		r.push(t, key, fn)
+		r.push(t, key, h)
 		return
 	}
 	if e != r {
 		e.noteStaged(t, band)
 	}
-	r.staging.add(t, key, fn)
+	r.staging.add(t, key, h)
 }
 
 // newEvent takes an event from the free list, or carves one from the slab
 // when the list is empty. The free list is bounded by the peak number of
 // pending events.
-func (e *Engine) newEvent(at time.Duration, key uint64, fn func()) *event {
+func (e *Engine) newEvent(at time.Duration, key uint64, h Handler) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -291,71 +311,160 @@ func (e *Engine) newEvent(at time.Duration, key uint64, fn func()) *event {
 	} else {
 		ev = e.slab.New()
 	}
-	ev.at, ev.key, ev.seq, ev.fn = at, key, e.seq, fn
+	ev.at, ev.key, ev.seq, ev.h = at, key, e.seq, h
 	return ev
 }
 
 // After schedules fn to run delay after the current virtual time. Negative
 // delays are treated as zero.
-func (e *Engine) After(delay time.Duration, fn func()) {
-	e.At(e.now+delay, fn)
+func (e *Engine) After(delay time.Duration, fn func()) { e.at(e.now+delay, funcHandler(fn)) }
+
+// AfterHandler is After for a Handler: an owner that schedules the same work
+// again and again passes itself instead of binding a func each time.
+func (e *Engine) AfterHandler(delay time.Duration, h Handler) { e.at(e.now+delay, h) }
+
+// Periodic is what a Ticker runs: Fire is one tick's work, and Period names
+// the engine the ticks run on and how far apart they are. An owner
+// implements it on itself, or on a named pointer type over itself, and reads
+// both from state it holds anyway (its node's engine, its configuration), so
+// its Ticker keeps no copy of them.
+type Periodic interface {
+	Handler
+	Period() (on *Engine, every time.Duration)
 }
 
-// Ticker repeatedly invokes a callback at a fixed virtual-time interval
-// until stopped.
+// Ticker runs a Periodic until stopped. It is a value its owner embeds, three
+// words, and it is its own tick event's handler, so starting, stopping and
+// restarting one allocates nothing. The zero value is stopped; a started
+// Ticker must not be copied.
+//
+// Restart rule: a tick queued before a Stop never fires the ticker, however
+// soon it is restarted, in the same instant as a tick included. Stop points
+// the queued tick at a handler that does nothing, so the event still runs in
+// its place, and the queue holds the events one fresh ticker a start would
+// have scheduled. A global tick that a root of K ≥ 2 has staged and not yet
+// merged is settled at the merge instead: of one ticker's staged ticks only
+// the last can be live, and it is live unless a Stop came after it.
 type Ticker struct {
-	stopped bool
+	p Periodic
+	// queued is the live tick's event, whose key also records the band the
+	// ticker runs in. While no tick of a running ticker is in a queue it is
+	// a sentinel: tickFiring while p's Fire runs, tickStaged while a root of
+	// K ≥ 2 holds the tick for its next merge and tickMerging during the
+	// merge. It is nil when the ticker is stopped.
+	queued *event
 }
+
+var tickFiring, tickStaged, tickMerging event
+
+// Start runs p every period in the node band (as After would), the first
+// time one full period from now. It panics if the period is not positive,
+// and does nothing if t is running.
+func (t *Ticker) Start(p Periodic) { t.start(p, keyLocal) }
+
+// StartGlobal is Start in the global band: the ticks run on the root after
+// all same-instant node work (as AfterGlobal would).
+func (t *Ticker) StartGlobal(p Periodic) { t.start(p, keyGlobal) }
+
+func (t *Ticker) start(p Periodic, band uint64) {
+	if t.queued != nil {
+		return
+	}
+	t.p = p
+	t.schedule(band)
+}
+
+// Running reports whether t is started and not stopped.
+func (t *Ticker) Running() bool { return t.queued != nil }
 
 // Stop cancels future ticks. It is safe to call multiple times and from
-// within the tick callback.
-func (t *Ticker) Stop() { t.stopped = true }
-
-func (e *Engine) every(interval time.Duration, fn func(), schedule func(time.Duration, func())) *Ticker {
-	if interval <= 0 {
-		panic("sim: Every with non-positive interval")
+// within the tick's handler.
+func (t *Ticker) Stop() {
+	if q := t.queued; q != nil && q != &tickFiring && q != &tickStaged {
+		q.h = stoppedTick{}
 	}
-	t := &Ticker{}
-	var tick func()
-	tick = func() {
-		if t.stopped {
-			return
-		}
-		fn()
-		if !t.stopped {
-			schedule(interval, tick)
-		}
-	}
-	schedule(interval, tick)
-	return t
+	t.queued = nil
 }
 
-// Every schedules fn to run every interval, with the first invocation after
-// one full interval. It panics if interval is not positive.
-func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
-	return e.every(interval, fn, e.After)
+// schedule queues the next tick one period from now, in band.
+func (t *Ticker) schedule(band uint64) {
+	e, every := t.p.Period()
+	if every <= 0 {
+		panic("sim: a ticker with a non-positive period")
+	}
+	if band == keyLocal {
+		e.mustInit()
+		if len(e.shards) > 1 {
+			panic("sim: a node-band ticker on a sharded root engine; use StartGlobal")
+		}
+		t.queued = e.push(e.now+every, keyLocal, t)
+		return
+	}
+	r := e.Root()
+	r.mustInit()
+	if len(r.shards) == 1 {
+		t.queued = r.push(r.now+every, keyGlobal, t)
+		return
+	}
+	t.queued = &tickStaged
+	e.atRoot(r.now+every, keyGlobal, t, "global")
 }
 
-// EveryGlobal is Every in the global band: the ticker's callbacks run after
-// all same-instant node work. Experiment samplers use it so their
-// observations are taken at identical points at every shard count.
+// Fire implements Handler: one tick. Only the live tick reaches it. It runs
+// p's Fire, then queues the next tick unless that stopped or restarted t.
+// The band is read from the event that is running: runEvent has put it on
+// the free list, and nothing reuses it before this returns or schedules.
+func (t *Ticker) Fire() {
+	band := t.queued.key
+	t.queued = &tickFiring
+	t.p.Fire()
+	if t.queued == &tickFiring {
+		t.schedule(band)
+	}
+}
+
+// stoppedTick is what a tick queued before its ticker's Stop runs: nothing.
+type stoppedTick struct{}
+
+func (stoppedTick) Fire() {}
+
+// funcTicker is a Periodic over a func, for EveryGlobal.
+type funcTicker struct {
+	t     Ticker
+	e     *Engine
+	every time.Duration
+	fn    func()
+}
+
+func (f *funcTicker) Fire()                            { f.fn() }
+func (f *funcTicker) Period() (*Engine, time.Duration) { return f.e, f.every }
+
+// EveryGlobal runs fn every interval in the global band, the first time one
+// full interval from now: the ticker's callbacks run after all same-instant
+// node work. Experiment samplers use it so their observations are taken at
+// identical points at every shard count. It panics if interval is not
+// positive.
 func (e *Engine) EveryGlobal(interval time.Duration, fn func()) *Ticker {
-	return e.every(interval, fn, e.AfterGlobal)
+	f := &funcTicker{e: e, every: interval, fn: fn}
+	f.t.StartGlobal(f)
+	return &f.t
 }
 
 // runEvent advances the clock to ev.at and executes it, recycling the event
-// first (it is fully consumed, and fn may itself schedule and reuse it). A
-// delivery event has no fn; its key, band 0, is the handler's payload as is.
+// first (it is fully consumed, and its handler may itself schedule and reuse
+// it; until then its fields stay as they are, which is where a Ticker reads
+// its band). A delivery event has no handler; its key, band 0, is the
+// delivery handler's payload as is.
 func (e *Engine) runEvent(ev *event) {
 	e.now = ev.at
-	fn, key := ev.fn, ev.key
-	ev.fn = nil
+	h, key := ev.h, ev.key
+	ev.h = nil
 	e.free = append(e.free, ev)
-	if fn == nil {
+	if h == nil {
 		e.deliver(key)
 		return
 	}
-	fn()
+	h.Fire()
 }
 
 // runDue executes the earliest pending event if its timestamp is at or

@@ -66,7 +66,7 @@ func TestPastEventsClampToNow(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := NewEngine(1)
 	var ticks []time.Duration
-	tk := e.Every(10*time.Millisecond, func() {
+	tk := every(e, 10*time.Millisecond, func() {
 		ticks = append(ticks, e.Now())
 	})
 	e.RunUntil(35 * time.Millisecond)
@@ -86,7 +86,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
 	var tk *Ticker
-	tk = e.Every(time.Millisecond, func() {
+	tk = every(e, time.Millisecond, func() {
 		n++
 		if n == 2 {
 			tk.Stop()
@@ -101,10 +101,10 @@ func TestTickerStopFromCallback(t *testing.T) {
 func TestEveryPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Every(0) did not panic")
+			t.Fatal("a ticker of interval 0 did not panic")
 		}
 	}()
-	NewEngine(1).Every(0, func() {})
+	every(NewEngine(1), 0, func() {})
 }
 
 func TestRunUntilAdvancesClock(t *testing.T) {

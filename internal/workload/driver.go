@@ -19,8 +19,10 @@ type Driver struct {
 	// in an order fixed by the bindings alone: a generator that keeps state
 	// or draws from a shared source sees the same sequence on every run of
 	// a seed.
-	gens   []binding
-	ticker *sim.Ticker
+	gens []binding
+	// ticker runs Refresh every interval in the global band (refresher).
+	ticker   sim.Ticker
+	interval time.Duration
 }
 
 // binding is one VM's generator.
@@ -59,17 +61,19 @@ func (d *Driver) Refresh() {
 
 // Start refreshes immediately and then every interval. It is idempotent.
 func (d *Driver) Start(interval time.Duration) {
-	if d.ticker != nil {
+	if d.ticker.Running() {
 		return
 	}
 	d.Refresh()
-	d.ticker = d.engine.EveryGlobal(interval, d.Refresh)
+	d.interval = interval
+	d.ticker.StartGlobal((*refresher)(d))
 }
 
 // Stop halts periodic refreshes.
-func (d *Driver) Stop() {
-	if d.ticker != nil {
-		d.ticker.Stop()
-		d.ticker = nil
-	}
-}
+func (d *Driver) Stop() { d.ticker.Stop() }
+
+// refresher is the driver as what its ticker runs.
+type refresher Driver
+
+func (r *refresher) Fire()                                { (*Driver)(r).Refresh() }
+func (r *refresher) Period() (*sim.Engine, time.Duration) { return r.engine, r.interval }

@@ -57,14 +57,15 @@ go test -race ./internal/sim/ ./internal/simnet/
 # container/heap for the timing wheel, the whole-inbox scan for the
 # due-ordered inbox), the recycled push shells under loss, a crash and a
 # leave on four shard goroutines, two pushes of one sender on the wire
-# together, the consider memo against the full inserts, and the any-cast's
-# child search against the scan: all seeds, never from the test cache.
-echo "== queue, inbox, shell, memo and search model equivalence -race"
-go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestAnycastSearchMatchesScan' \
+# together, the consider memo against the full inserts, the leaf-set insert
+# against the search-insert-truncate it replaced, and the any-cast's child
+# search against the scan: all seeds, never from the test cache.
+echo "== queue, inbox, shell, memo, leaf and search model equivalence -race"
+go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan' \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
-# Thirteen gates that must have run and passed by name, not merely not failed
-# (a renamed or skipped test fails the count). Eight are exact under
+# Fourteen gates that must have run and passed by name, not merely not failed
+# (a renamed or skipped test fails the count). Nine are exact under
 # AllocsPerRun: a 256-hop spill walk allocates no more than a boot admitted
 # at its rendezvous; a warm serving step (a boot, its query's completion and
 # two terminates, under each of the four cache/batch settings), a warm
@@ -73,16 +74,19 @@ go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|Test
 # unchanged values allocate nothing (a round of changed values: one fold
 # list a re-folded subtree); each node past 4096 of
 # an overlay costs a slab chunk's share of an object (under 0.02), and
-# core.New a twentieth of one a server beyond the overlay. Three are what
+# core.New a twentieth of one a server beyond the overlay; StartServices
+# allocates a server's join messages and none of its plumbing (at most 5.1
+# objects a server between 1024 and 2048 servers), and a handler event and
+# an embedded ticker's start and stop allocate nothing. Three are what
 # every server holds of each layer, to the byte: the node comes out of one
 # []Node, the Scribe and the topic out of their engine's slabs. Two hold the
 # API to its callers: every field of a Config, Options or …Params struct is
 # set somewhere besides its own withDefaults, and every export of internal/
 # is used somewhere besides its own package's tests.
-echo "== allocation, size, knob and export gates, PASS by name (13)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller)$' \
+echo "== allocation, size, knob and export gates, PASS by name (14)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 13
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 14
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
