@@ -295,10 +295,12 @@ func (m *Manager) ChildDropped(group, _ ids.Id) {
 
 // ParentData implements scribe.TreeListener: a child's push up the tree of a
 // subscribed topic. A push for a group this node holds no topic of is
-// dropped.
+// dropped, and its shell banked.
 func (m *Manager) ParentData(group ids.Id, payload simnet.Message, from pastry.NodeHandle) {
 	if st := m.topic(group); st != nil {
 		m.onChildUpdate(st, payload, from)
+	} else {
+		simnet.Recycle(m.sc.Node().Engine(), payload)
 	}
 }
 
@@ -670,16 +672,20 @@ func (u *upMsg) WireSize() int {
 // again 1.5 ms after its next child reports, while its previous push is still
 // a network hop from arriving: the two must not share values or stamp. A push
 // that is dropped, lost with a crashed inbox or delivered to a node that has
-// left the tree is never banked; the collector takes it. What stays banked is
-// one round's shells, which the next round sends again.
-type upShellList struct{ top *upMsg }
+// left the tree is banked where it ends (Recycle). A cold list carves its
+// shells from its slab, so the first round costs an allocation a chunk; what
+// stays banked is one round's shells, which the next round sends again.
+type upShellList struct {
+	top  *upMsg
+	slab sim.Slab[upMsg]
+}
 
 var upShells = sim.NewLocal[upShellList]()
 
 func (l *upShellList) get() *upMsg {
 	u := l.top
 	if u == nil {
-		return &upMsg{}
+		return l.slab.New()
 	}
 	l.top, u.next = u.next, nil
 	return u
@@ -692,7 +698,13 @@ func (l *upShellList) put(u *upMsg) {
 	l.top = u
 }
 
-// globalMsg carries the published global aggregates down the tree.
+// Recycle implements simnet.Recycler: the push ended on engine e's goroutine
+// without reaching onChildUpdate.
+func (u *upMsg) Recycle(e *sim.Engine) { upShells.Of(e).put(u) }
+
+// globalMsg carries the published global aggregates down the tree. One
+// message goes to every child, so it is no shell: it must never implement
+// simnet.Recycler.
 type globalMsg struct {
 	Topic  ids.Id
 	Values []globalVal

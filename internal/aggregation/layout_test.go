@@ -13,12 +13,12 @@ import (
 )
 
 // TestTopicStateSizeCeiling pins what one subscribed topic costs a server:
-// 248 bytes. SubscribeAttr carves the topics from their engine's slab, so
+// 232 bytes. SubscribeAttr carves the topics from their engine's slab, so
 // there is no size class to absorb a word and the ceiling is the size itself.
 // A second inline attribute slot, or flags spread over separate words, cost
 // 48 or 24 bytes more.
 func TestTopicStateSizeCeiling(t *testing.T) {
-	const ceiling = 248
+	const ceiling = 232
 	size := unsafe.Sizeof(topicState{})
 	if size > ceiling {
 		t.Fatalf("aggregation.topicState is %d bytes (it would fall into the %d-byte size class of its own); the ceiling is %d",

@@ -227,11 +227,12 @@ func walkShellLists(t *testing.T, engine *sim.Engine) map[*upMsg]bool {
 // TestShellsAreBankedOnce runs twenty rounds on a sharded ring that loses 2 %
 // of its messages, crashes an interior node while its children's pushes are
 // parked in its inbox, and has a leaf leave the group with its push in flight
-// (and go on flushing into a tree it is no longer in). A push that is never
-// delivered must go to the collector and one that is must be banked exactly
-// once, on the receiver's list: afterwards every list is walked — no shell
-// twice, none holding values — and then every push still in an inbox is
-// delivered to a recorder: none of them may be a banked shell.
+// (and go on flushing into a tree it is no longer in). A push must be banked
+// exactly once, where it ends: on the receiver's list when it is delivered,
+// on the dropping goroutine's when the network loses it: afterwards every
+// list is walked — no shell twice, none holding values — and then every push
+// still in an inbox is delivered to a recorder: none of them may be a banked
+// shell.
 func TestShellsAreBankedOnce(t *testing.T) {
 	const interval = time.Minute
 	engine := sim.NewShardedEngine(5, 4)

@@ -430,13 +430,14 @@ func TestCoreConstructionAllocatesPerLayer(t *testing.T) {
 // rebalance tickers — allocates its join messages and nothing of its own
 // plumbing: every ticker is embedded in its owner and is its own event's
 // handler, a topic is its flush's handler, and the subscriptions and tickers
-// dispatch through named pointer types over their owners. What is left a
-// server is two join messages, their two routed envelopes and the second
-// group's state, five objects; a closure or a method value a server anywhere
-// in the start path fails it. On a warm engine, a handler event and an
+// dispatch through named pointer types over their owners. The join messages
+// are the group key the server already holds and their routed envelopes come
+// out of the engine's slab, so what is left a server is the second group's
+// state, one object (five before the slab); a closure, a method value or a
+// message object a server anywhere in the start path fails it. On a warm engine, a handler event and an
 // embedded ticker's start and stop allocate nothing.
 func TestStartServicesAllocatesOnlyMessages(t *testing.T) {
-	const small, large, ceiling = 1024, 2048, 5.1
+	const small, large, ceiling = 1024, 2048, 1.1
 	start := func(servers int) float64 {
 		vb, err := New(Options{Topology: smallSpec(servers/32, 32), Seed: 1})
 		if err != nil {

@@ -37,27 +37,31 @@ func (e *directEnvelope) WireSize() int {
 // envPool recycles consumed envelopes among the nodes that run on one engine
 // goroutine: every node of a serial ring, one shard's nodes of a sharded one.
 // An envelope has a single owner at all times — created at Route/SendDirect,
-// handed to the network, consumed exactly once at delivery — so the final
-// recipient can bank the husk for the next send of any node on its goroutine
-// (the exclusive instants of a sharded run touch a pool only while its shard
-// is parked). A free list per node never paid back: the nodes that consume
-// (a tree parent, a key's owner) are rarely the ones that send next. The two
-// stacks are threaded through the husks themselves (next), so banking a
-// hundred thousand of them while a tree forms grows nothing.
+// handed to the network, consumed exactly once at delivery or dropped by the
+// network (Recycle) — so whoever ends it can bank the husk for the next send
+// of any node on its goroutine (the exclusive instants of a sharded run touch
+// a pool only while its shard is parked). A free list per node never paid
+// back: the nodes that consume (a tree parent, a key's owner) are rarely the
+// ones that send next. The two stacks are threaded through the husks
+// themselves (next), so banking a hundred thousand of them while a tree forms
+// grows nothing, and a cold pool carves its husks from the pool's slabs: the
+// first burst of a run costs an allocation a chunk, not one an envelope.
 type envPool struct {
-	env *envelope
-	dir *directEnvelope
+	env     *envelope
+	dir     *directEnvelope
+	envSlab sim.Slab[envelope]
+	dirSlab sim.Slab[directEnvelope]
 }
 
 // envPools keeps one envPool an engine; a node holds a pointer to its own.
 var envPools = sim.NewLocal[envPool]()
 
-// getEnv takes the most recently banked envelope husk, or allocates one when
+// getEnv takes the most recently banked envelope husk, or carves one when
 // none is banked.
 func (p *envPool) getEnv() *envelope {
 	e := p.env
 	if e == nil {
-		return new(envelope)
+		return p.envSlab.New()
 	}
 	p.env, e.next = e.next, nil
 	return e
@@ -74,7 +78,7 @@ func (p *envPool) putEnv(e *envelope) {
 func (p *envPool) getDir() *directEnvelope {
 	e := p.dir
 	if e == nil {
-		return new(directEnvelope)
+		return p.dirSlab.New()
 	}
 	p.dir, e.next = e.next, nil
 	return e
@@ -83,6 +87,20 @@ func (p *envPool) getDir() *directEnvelope {
 func (p *envPool) putDir(e *directEnvelope) {
 	e.Payload, e.next = nil, p.dir
 	p.dir = e
+}
+
+// Recycle implements simnet.Recycler: the network dropped the envelope on
+// engine e's goroutine, and with it the payload, which is banked too when it
+// is a shell of its own.
+func (e *envelope) Recycle(eng *sim.Engine) {
+	simnet.Recycle(eng, e.Payload)
+	envPools.Of(eng).putEnv(e)
+}
+
+// Recycle implements simnet.Recycler, as envelope's does.
+func (e *directEnvelope) Recycle(eng *sim.Engine) {
+	simnet.Recycle(eng, e.Payload)
+	envPools.Of(eng).putDir(e)
 }
 
 // joinForward routes a join request toward the joiner's own identifier,

@@ -116,10 +116,12 @@ type App interface {
 	// Deliver is invoked on the node whose identifier is numerically
 	// closest to the message key.
 	Deliver(key ids.Id, payload simnet.Message, info RouteInfo)
-	// Forward is invoked on every intermediate node before the message is
-	// forwarded to next. Returning false consumes the message (it is not
-	// forwarded further); Scribe uses this to graft multicast-tree joins.
-	Forward(key ids.Id, payload simnet.Message, next NodeHandle) bool
+	// Forward is invoked on every node the message leaves — its source and
+	// each intermediate node — before it is forwarded to next; src is the
+	// node that routed it (RouteInfo.Source on delivery). Returning false
+	// consumes the message (it is not forwarded further); Scribe uses this
+	// to graft multicast-tree joins, whose child is the route's source.
+	Forward(key ids.Id, payload simnet.Message, src, next NodeHandle) bool
 	// HandleDirect is invoked for point-to-point messages sent with
 	// SendDirect, outside key-based routing.
 	HandleDirect(from NodeHandle, payload simnet.Message)
@@ -133,7 +135,7 @@ type BaseApp struct{}
 func (BaseApp) Deliver(ids.Id, simnet.Message, RouteInfo) {}
 
 // Forward implements App; it lets routing continue.
-func (BaseApp) Forward(ids.Id, simnet.Message, NodeHandle) bool { return true }
+func (BaseApp) Forward(ids.Id, simnet.Message, NodeHandle, NodeHandle) bool { return true }
 
 // HandleDirect implements App; it discards the message.
 func (BaseApp) HandleDirect(NodeHandle, simnet.Message) {}

@@ -347,7 +347,7 @@ type consumingApp struct {
 	consumed int
 }
 
-func (c *consumingApp) Forward(ids.Id, simnet.Message, NodeHandle) bool {
+func (c *consumingApp) Forward(ids.Id, simnet.Message, NodeHandle, NodeHandle) bool {
 	c.consumed++
 	return false
 }

@@ -30,7 +30,7 @@ func (n *Node) routeEnvelope(env *envelope) {
 			continue
 		}
 		if app, ok := n.app(env.App); ok {
-			if !app.Forward(env.Key, env.Payload, next) {
+			if !app.Forward(env.Key, env.Payload, env.Source, next) {
 				n.pool.putEnv(env) // application consumed the message
 				return
 			}

@@ -15,20 +15,34 @@ import (
 	"vbundle/internal/topology"
 )
 
-// TestScribeSizeCeiling pins what one Scribe costs every server: 288 bytes.
+// TestScribeSizeCeiling pins what one Scribe costs every server: 264 bytes.
 // New carves the Scribes from their engine's slab, so there is no size class
 // to absorb a word — every byte is one more a server — and the ceiling is the
 // size itself. State that only an any-cast originator needs belongs in
 // originator, not here, and what a layer above wants to hear is a method of
 // its own object (TreeListener, OrphanAcceptor), not a func field.
 func TestScribeSizeCeiling(t *testing.T) {
-	const ceiling = 288
+	const ceiling = 264
 	size := unsafe.Sizeof(Scribe{})
 	if size > ceiling {
 		t.Fatalf("scribe.Scribe is %d bytes (it would fall into the %d-byte size class of its own); the ceiling is %d",
 			size, sizeclass.Of(size), ceiling)
 	}
 	t.Logf("scribe.Scribe: %d bytes, %d-byte size class", size, sizeclass.Of(size))
+}
+
+// TestKeyOnlyMessagesKeepTheirWireSize: a join, a leave and a join ack are
+// the bare group key in memory, the child or parent being the envelope's
+// sender, but on the wire each is still what it models, a key and a handle:
+// 36 bytes, so bytes_sent does not move.
+func TestKeyOnlyMessagesKeepTheirWireSize(t *testing.T) {
+	const want = 36
+	group := GroupKey("wire")
+	for _, m := range []simnet.WireSizer{(*joinMsg)(&group), (*leaveMsg)(&group), (*joinAck)(&group)} {
+		if got := m.WireSize(); got != want {
+			t.Errorf("%T: WireSize %d, want %d", m, got, want)
+		}
+	}
 }
 
 // TestOriginatorStateIsLazy: tree members, forwarders, acceptors and

@@ -10,10 +10,12 @@ import (
 const handleWireBytes = 20
 
 // joinMsg is routed toward the groupId and grafted at the first tree node.
-type joinMsg struct {
-	Group ids.Id
-	Child pastry.NodeHandle
-}
+// Like joinAck it is the group key and nothing more: the child is the route's
+// source, which the envelope carries (Forward's src, RouteInfo.Source on
+// delivery), so a join points at the joiner's own copy of the key
+// (groupState.group, written once) and costs no object. On the wire it is
+// still a key and a handle.
+type joinMsg ids.Id
 
 // WireSize implements simnet.WireSizer.
 func (m *joinMsg) WireSize() int { return ids.Bytes + handleWireBytes }
@@ -28,11 +30,10 @@ type joinAck ids.Id
 // WireSize implements simnet.WireSizer.
 func (m *joinAck) WireSize() int { return ids.Bytes + handleWireBytes }
 
-// leaveMsg prunes a childless, memberless node from the tree.
-type leaveMsg struct {
-	Group ids.Id
-	Child pastry.NodeHandle
-}
+// leaveMsg prunes a childless, memberless node from the tree, or tells a
+// sender to drop a stale edge. It is the group key, as joinAck is: the
+// departing child is the direct envelope's sender.
+type leaveMsg ids.Id
 
 // WireSize implements simnet.WireSizer.
 func (m *leaveMsg) WireSize() int { return ids.Bytes + handleWireBytes }

@@ -439,7 +439,13 @@ func (s *Scribe) stateFor(group ids.Id) *groupState {
 
 func (s *Scribe) sendJoin(g *groupState) {
 	g.joining = true
-	s.node.Route(g.group, AppName, &joinMsg{Group: g.group, Child: s.node.Handle()})
+	s.node.Route(g.group, AppName, (*joinMsg)(&g.group))
+}
+
+// sendLeave tells to — the parent, or a node holding a stale edge — that
+// this node is no longer its child in g's tree.
+func (s *Scribe) sendLeave(to pastry.NodeHandle, g *groupState) {
+	s.node.SendDirect(to, AppName, (*leaveMsg)(&g.group))
 }
 
 // Leave unsubscribes this node from group. The node remains a silent
@@ -462,7 +468,7 @@ func (s *Scribe) maybePrune(g *groupState) {
 		return
 	}
 	if !g.parent.IsNil() {
-		s.node.SendDirect(g.parent, AppName, &leaveMsg{Group: g.group, Child: s.node.Handle()})
+		s.sendLeave(g.parent, g)
 	}
 	if i := sort.Search(len(s.groups), func(i int) bool { return !s.groups[i].group.Less(g.group) }); i < len(s.groups) && s.groups[i] == g {
 		s.groups = append(s.groups[:i], s.groups[i+1:]...)
@@ -819,11 +825,11 @@ func (s *Scribe) Deliver(key ids.Id, payload simnet.Message, info pastry.RouteIn
 	switch m := payload.(type) {
 	case *joinMsg:
 		// We are the rendezvous point for this group.
-		g := s.stateFor(m.Group)
+		g := s.stateFor(ids.Id(*m))
 		g.root = true
 		g.parent = pastry.NoHandle
 		g.joining = false
-		s.addChild(g, m.Child)
+		s.addChild(g, info.Source)
 	case *multicastMsg:
 		g := s.stateFor(m.Group)
 		g.root = true
@@ -847,22 +853,23 @@ func (s *Scribe) Deliver(key ids.Id, payload simnet.Message, info pastry.RouteIn
 }
 
 // Forward implements pastry.App: intercept tree-building and anycast
-// messages at nodes already in the tree.
-func (s *Scribe) Forward(key ids.Id, payload simnet.Message, next pastry.NodeHandle) bool {
+// messages at nodes already in the tree. A join's child is the route's
+// source: a forwarder that grafts it sends a join of its own.
+func (s *Scribe) Forward(key ids.Id, payload simnet.Message, src, next pastry.NodeHandle) bool {
 	switch m := payload.(type) {
 	case *joinMsg:
-		if m.Child.Id == s.node.ID() {
+		if src.Id == s.node.ID() {
 			return true // our own join leaving the node; let it route
 		}
-		g := s.group(m.Group)
+		g := s.group(ids.Id(*m))
 		if g != nil && !g.joining {
-			s.addChild(g, m.Child)
+			s.addChild(g, src)
 			return false // grafted; stop routing
 		}
 		// Not in the tree: become a forwarder, adopt the child, and send
 		// our own join onward (standard Scribe graft).
-		g = s.stateFor(m.Group)
-		s.addChild(g, m.Child)
+		g = s.stateFor(ids.Id(*m))
+		s.addChild(g, src)
 		if !g.joining {
 			s.sendJoin(g)
 		}
@@ -887,8 +894,8 @@ func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 		g.joining = false
 		g.missedBeats = 0
 	case *leaveMsg:
-		if g := s.group(m.Group); g != nil {
-			s.dropChildOf(g, m.Child.Id)
+		if g := s.group(ids.Id(*m)); g != nil {
+			s.dropChildOf(g, from.Id)
 			s.maybePrune(g)
 		}
 	case *multicastDown:
@@ -900,7 +907,7 @@ func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 		// lossy re-graft would otherwise deliver duplicates. The sender is
 		// told to drop the edge.
 		if !g.parent.IsNil() && g.parent.Id != from.Id && !g.root {
-			s.node.SendDirect(from, AppName, &leaveMsg{Group: m.Group, Child: s.node.Handle()})
+			s.sendLeave(from, g)
 			return
 		}
 		g.missedBeats = 0
@@ -924,7 +931,7 @@ func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 		case g.root:
 			// The rendezvous point takes no parent; tell the sender to
 			// drop its stale edge.
-			s.node.SendDirect(from, AppName, &leaveMsg{Group: m.Group, Child: s.node.Handle()})
+			s.sendLeave(from, g)
 		case g.parent.IsNil():
 			// A lost join ack left us detached while the sender adopted
 			// us. Adopting it back is safe only along the routing
@@ -939,14 +946,17 @@ func (s *Scribe) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 			g.missedBeats = 0
 		default:
 			// Heartbeat from a stale former parent: prune its edge.
-			s.node.SendDirect(from, AppName, &leaveMsg{Group: m.Group, Child: s.node.Handle()})
+			s.sendLeave(from, g)
 		}
 	case Upward:
 		// The one interface case, behind every concrete one: a push that finds
-		// no tree here (this node left it), or no listener, is dropped with its
-		// payload.
+		// no tree here (this node left it), or no listener, ends here, and a
+		// payload that is a shell of its own is banked as the network banks
+		// one it drops.
 		if group := m.TreeGroup(); s.tree != nil && s.group(group) != nil {
 			s.tree.ParentData(group, m, from)
+		} else {
+			simnet.Recycle(s.node.Engine(), m)
 		}
 	}
 }

@@ -48,7 +48,9 @@ func (l Local[T]) Of(e *Engine) *T {
 // as the engine they belong to: a per-node object made at construction costs
 // one allocation a chunk instead of one a node. Nothing is ever given back,
 // so a slab is for what is never dropped before its engine — an object that
-// is replaced (a rebuilt node's) simply stays in its chunk. Chunks double in
+// is replaced (a rebuilt node's) simply stays in its chunk — or for the cold
+// refill of a free list that every value returns to (a message shell is
+// banked by whoever ends it, the network included: simnet.Recycler). Chunks double in
 // length from slabMinLen up to slabMaxBytes, so what an engine leaves unfilled
 // is at most one chunk a type, however small the run. A per-node constructor
 // keeps its slab in a Local of the node's engine (and so carves on the

@@ -51,6 +51,27 @@ func WireSize(msg Message) int {
 	return DefaultWireSize
 }
 
+// Recycler is implemented by a message shell that lives on a free list of
+// the engine goroutine that banks it. A delivered shell is banked by the
+// handler that consumes it; one the network drops — its sender is dead, the
+// drop draw or a link fault loses it, or its destination is dead when it
+// arrives — is handed to Recycle on the engine of the goroutine that drops
+// it, so that a shell carved from a slab is never stranded in its chunk. A
+// message that is shared (one value sent to many) or owned by someone other
+// than the network while it is in flight must not implement it.
+type Recycler interface {
+	Recycle(e *sim.Engine)
+}
+
+// Recycle banks msg on e's free list when it is a Recycler: what the network
+// does with a message it drops, and what a layer above does with one that
+// ends unconsumed.
+func Recycle(e *sim.Engine, msg Message) {
+	if r, ok := msg.(Recycler); ok {
+		r.Recycle(e)
+	}
+}
+
 // Handler receives messages delivered to a node.
 type Handler interface {
 	HandleMessage(from Addr, msg Message)
@@ -671,7 +692,7 @@ func (n *Network) Alive(addr Addr) bool {
 // Send delivers msg from src to dst after the topology latency. Sends from
 // or to dead nodes are silently dropped, as are a dropRate fraction of all
 // messages. Send is charged to the sender's counters even if the message is
-// later dropped (the bytes left the NIC).
+// later dropped (the bytes left the NIC). A dropped message is recycled.
 func (n *Network) Send(src, dst Addr, msg Message) {
 	n.check(src)
 	n.check(dst)
@@ -680,6 +701,7 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 		n.counters[src].MsgsSent++
 		n.counters[src].BytesSent += size
 	} else {
+		Recycle(n.engineFor(src), msg)
 		return
 	}
 	idx := n.sendSeq[src]
@@ -692,6 +714,7 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 		// Recorded on the sender: the drop decision is made here, with the
 		// sender's clock, identically in every engine mode.
 		n.obsSrc[src].Instant(n.engineFor(src).Now(), obs.KindDrop, obs.NoRef, int64(dst), int64(size))
+		Recycle(n.engineFor(src), msg)
 		return
 	}
 	delay := n.latency(src, dst)
@@ -723,7 +746,7 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 // virtual time, in delivery-key order — per-source send order, sources
 // interleaved by (source, send index), identical in serial and sharded runs.
 // Liveness is re-checked before each message, so a handler that kills dst
-// mid-batch stops the remainder of the batch.
+// mid-batch stops the remainder of the batch, which is recycled.
 func (n *Network) flushInbox(key uint64) {
 	dst := Addr(key)
 	sh := 0
@@ -746,6 +769,8 @@ func (n *Network) flushInbox(key uint64) {
 			n.counters[dst].MsgsReceived++
 			n.counters[dst].BytesReceived += p.size
 			s.handler.HandleMessage(sourceOf(p.key), p.msg)
+		} else {
+			Recycle(n.engineFor(dst), p.msg)
 		}
 		*p = pending{} // release message references
 	}

@@ -19,18 +19,21 @@ import (
 // shared box is not (bytes move in their last two digits).
 //
 // 2048 servers on the serial engine is the cheapest rung that still builds a
-// real multi-rack ring: 14.7k objects and 5.22 MB (2548 B/server), object
+// real multi-rack ring: 2.38k objects and 5.04 MB (2460 B/server), object
 // ceiling a third above. It catches a reintroduced per-node map, closure or
 // object (2048 objects each), a table entry grown back from a 4-byte ref to
 // a 24-byte handle, or an eight-slot inbox chunk.
 //
-// 32768 servers on four shards is 231.1k objects and 2735 B/server (engine +
+// 32768 servers on four shards is 34.5k objects and 2622 B/server (engine +
 // topology + pastry's four-byte-a-peer ref arena, sized to the rows the ring
 // fills, and identifier directory + simnet's two-slot inbox slab + one
-// []Node of 360-byte nodes + each shard's slabs of 288-byte scribes, managers,
-// 248-byte topics and events + the run's message traffic), object ceiling a
+// []Node of 360-byte nodes + each shard's slabs of 264-byte scribes, managers,
+// 232-byte topics and events + the run's message traffic), object ceiling a
 // fifth above. Before the slabs it was 394.3k objects and 2827 B/server: one
-// Scribe, Manager, topicState, parent-data closure and event a server.
+// Scribe, Manager, topicState, parent-data closure and event a server. Before
+// the message shells came out of slabs and joins became the group key it was
+// 10.6k and 165.4k objects: an envelope, a join, a direct envelope and a push
+// shell a server in flight together in the first round.
 //
 // The byte ceilings are the ones set when the arena reserved a routing row
 // no node filled, lowered by that row (64 B/server): 6.78 MB and
@@ -48,8 +51,8 @@ func TestFig14BytesPerServerCeiling(t *testing.T) {
 		servers, shards      int
 		maxMallocs, maxBytes uint64
 	}{
-		{servers: 2048, shards: 0, maxMallocs: 19650, maxBytes: 6910000 - 64*2048},
-		{servers: 32768, shards: 4, maxMallocs: 277300, maxBytes: (3770 - 64) * 32768},
+		{servers: 2048, shards: 0, maxMallocs: 3180, maxBytes: 6910000 - 64*2048},
+		{servers: 32768, shards: 4, maxMallocs: 41400, maxBytes: (3770 - 64) * 32768},
 	} {
 		t.Run(fmt.Sprintf("servers=%d", c.servers), func(t *testing.T) {
 			if c.servers > 2048 && testing.Short() {

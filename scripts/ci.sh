@@ -58,35 +58,40 @@ go test -race ./internal/sim/ ./internal/simnet/
 # due-ordered inbox), the recycled push shells under loss, a crash and a
 # leave on four shard goroutines, two pushes of one sender on the wire
 # together, the consider memo against the full inserts, the leaf-set insert
-# against the search-insert-truncate it replaced, and the any-cast's child
-# search against the scan: all seeds, never from the test cache.
-echo "== queue, inbox, shell, memo, leaf and search model equivalence -race"
-go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan' \
+# against the search-insert-truncate it replaced, the any-cast's child
+# search against the scan, a run with every banked envelope and push shell
+# overwritten after every event against the same run untouched, and 400
+# lossy rounds that must bank what the network drops: all seeds, never from
+# the test cache.
+echo "== queue, inbox, shell, memo, leaf, search and poison model equivalence -race"
+go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan|TestPoisonedBanksChangeNothing|TestLossyRoundsKeepShellsBounded' \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
-# Fourteen gates that must have run and passed by name, not merely not failed
-# (a renamed or skipped test fails the count). Nine are exact under
-# AllocsPerRun: a 256-hop spill walk allocates no more than a boot admitted
-# at its rendezvous; a warm serving step (a boot, its query's completion and
-# two terminates, under each of the four cache/batch settings), a warm
-# BandwidthSatisfaction sweep, a SetLocal+Global pair on a subscribed topic,
-# a warm round of 4096 five-minute tickers and a warm aggregation round of
-# unchanged values allocate nothing (a round of changed values: one fold
-# list a re-folded subtree); each node past 4096 of
-# an overlay costs a slab chunk's share of an object (under 0.02), and
-# core.New a twentieth of one a server beyond the overlay; StartServices
-# allocates a server's join messages and none of its plumbing (at most 5.1
-# objects a server between 1024 and 2048 servers), and a handler event and
-# an embedded ticker's start and stop allocate nothing. Three are what
-# every server holds of each layer, to the byte: the node comes out of one
-# []Node, the Scribe and the topic out of their engine's slabs. Two hold the
-# API to its callers: every field of a Config, Options or …Params struct is
-# set somewhere besides its own withDefaults, and every export of internal/
-# is used somewhere besides its own package's tests.
-echo "== allocation, size, knob and export gates, PASS by name (14)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller)$' \
+# Fifteen gates that must have run and passed by name, not merely not failed
+# (a renamed or skipped test fails the count). Ten count objects: a 256-hop
+# spill walk allocates no more than a boot admitted at its rendezvous; a warm
+# serving step (a boot, its query's completion and two terminates, under each
+# of the four cache/batch settings), a warm BandwidthSatisfaction sweep, a
+# SetLocal+Global pair on a subscribed topic, a warm round of 4096
+# five-minute tickers and a warm aggregation round of unchanged values
+# allocate nothing (a round of changed values: one fold list a re-folded
+# subtree); a cold tree build and first round allocate a server's fold list
+# and none of its messages (at most 1.1 objects a server past 4096); each
+# node past 4096 of an overlay costs a slab chunk's share of an object (under
+# 0.02), and core.New a twentieth of one a server beyond the overlay;
+# StartServices allocates a server's second group state and none of its
+# plumbing or messages (at most 1.1 objects a server between 1024 and 2048
+# servers), and a handler event and an embedded ticker's start and stop
+# allocate nothing. Three are what every server holds of each layer, to the
+# byte: the node comes out of one []Node, the Scribe and the topic out of
+# their engine's slabs. Two hold the API to its callers: every field of a
+# Config, Options or …Params struct is set somewhere besides its own
+# withDefaults, and every export of internal/ is used somewhere besides its
+# own package's tests.
+echo "== allocation, size, knob and export gates, PASS by name (15)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 14
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 15
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
