@@ -388,7 +388,7 @@ func BenchmarkFig14Sharded(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-					Sizes: []int{8192}, Seed: int64(i), Parallelism: 1, Shards: shards,
+					Sizes: []int{8192}, Seed: int64(i), Parallelism: 1, RunConfig: experiments.RunConfig{Shards: shards},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -426,7 +426,7 @@ func BenchmarkFig14Scale32768(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-			Sizes: []int{32768}, Seed: int64(i), Parallelism: 1, Shards: 4,
+			Sizes: []int{32768}, Seed: int64(i), Parallelism: 1, RunConfig: experiments.RunConfig{Shards: 4},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -450,7 +450,7 @@ func benchFig14Point(b *testing.B, servers int) {
 	}
 	for i := 0; i < b.N; i++ {
 		out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-			Sizes: []int{servers}, Seed: int64(i), Parallelism: 1, Shards: 4,
+			Sizes: []int{servers}, Seed: int64(i), Parallelism: 1, RunConfig: experiments.RunConfig{Shards: 4},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -735,7 +735,7 @@ func bootServeParams(servers int, rate float64, cache, batch bool, shards int, s
 		Cache:      cache,
 		Batch:      batch,
 		Seed:       seed,
-		Shards:     shards,
+		RunConfig:  experiments.RunConfig{Shards: shards},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFlagsMatchParent walks every subcommand's flag set, as -h prints it
@@ -122,6 +123,59 @@ func TestExitStatus(t *testing.T) {
 			t.Errorf("vb %s: exit status %d, stdout %q, stderr %q; want %d, %q, %q",
 				c.args, code, stdout, stderr, c.code, c.stdout, c.stderr)
 		}
+	}
+}
+
+// TestBadConfigs: a value no run can mean is an error naming its flag or
+// field, exit status 1, and never a hang or a panic. -hours under 8 ns looped
+// forever in vb sim, -rate -1 held vb serve at one virtual instant,
+// -max-batch -1 panicked in the front end's flush, and the rest ran.
+func TestBadConfigs(t *testing.T) {
+	for _, c := range []struct{ args, name string }{
+		{"sim -hours 0", "-hours"},
+		{"sim -hours 1e-12", "-hours"},
+		{"serve -servers 64 -rate -1", "RatePerSec"},
+		{"serve -servers 64 -batch -max-batch -1", "MaxBatch"},
+		{"serve -servers 64 -max-inflight -1", "MaxInFlight"},
+		{"serve -servers 64 -duration -1s", "Duration"},
+		{"serve -servers 64 -prewarm -1", "Prewarm"},
+		{"placement -servers -5", "-servers"},
+		{"placement -vms -1", "VMsPerWavePerCustomer"},
+		{"placement -waves -1", "Waves"},
+		{"churn -hours -1", "Duration"},
+		{"rebalance -vms-per-server -1", "VMsPerServer"},
+		{"rebalance -duration -5", "Duration"},
+		{"faults -crash -restart-after -1", "RestartAfter"},
+		{"qos -hosts -1", "Hosts"},
+		{"overhead -fig 1 -iterations -1", "Iterations"},
+	} {
+		t.Run(c.args, func(t *testing.T) {
+			type result struct {
+				stderr   string
+				code     int
+				panicked any
+			}
+			done := make(chan result, 1)
+			go func() {
+				var r result
+				defer func() {
+					r.panicked = recover()
+					done <- r
+				}()
+				_, r.stderr, r.code = vb(strings.Fields(c.args)...)
+			}()
+			select {
+			case r := <-done:
+				if r.panicked != nil {
+					t.Fatalf("vb %s panicked: %v", c.args, r.panicked)
+				}
+				if r.code != 1 || !strings.Contains(r.stderr, c.name) {
+					t.Errorf("vb %s: exit status %d, stderr %q; want 1 and an error naming %s", c.args, r.code, r.stderr, c.name)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("vb %s: still running after 10s", c.args)
+			}
+		})
 	}
 }
 

@@ -22,55 +22,41 @@ import (
 // gates on full recovery — no VM lost, no reservation leaked across the
 // restart — and fails if any run misses it.
 func runFaults(e *env, args []string) error {
+	var p experiments.FaultParams
+	e.fs.IntVar(&p.VMsPerServer, "vms-per-server", 10, "VMs per server")
+	e.fs.Float64Var(&p.Threshold, "threshold", 0.183, "rebalancing threshold")
+	e.fs.IntVar(&p.Victims, "kill", 1, "receivers to kill mid-run")
+	e.fs.IntVar(&p.Shards, "shards", 0, "engine shards per run (0 = serial reference engine)")
+	e.fs.BoolVar(&p.Crash, "crash", false, "crash receivers for real (blank handler + durable-store reboot) instead of pausing them")
+	e.fs.IntVar(&p.CrashForever, "crash-forever", 0, "additional receivers crashed with no restart at all")
 	var (
-		servers   = e.fs.Int("servers", 300, "approximate server count")
-		perServer = e.fs.Int("vms-per-server", 10, "VMs per server")
-		threshold = e.fs.Float64("threshold", 0.183, "rebalancing threshold")
-		duration  = e.fs.Int("duration", 75, "virtual experiment length in minutes")
-		lease     = e.fs.Int("lease", 10, "reservation lease duration in minutes")
-		rates     = e.fs.String("drop-rates", "0,0.01,0.02,0.05", "comma-separated message loss probabilities")
-		kill      = e.fs.Int("kill", 1, "receivers to kill mid-run")
-		killAt    = e.fs.Int("kill-at", 0, "kill time in minutes (0 = duration/3)")
-		workers   = e.fs.Int("workers", 0, "concurrent sweep variants (0 = all cores, 1 = sequential)")
-		shards    = e.fs.Int("shards", 0, "engine shards per run (0 = serial reference engine)")
-		verbose   = e.fs.Bool("v", false, "print the full per-run report, not just the sweep table")
-
-		crash        = e.fs.Bool("crash", false, "crash receivers for real (blank handler + durable-store reboot) instead of pausing them")
+		servers      = e.fs.Int("servers", 300, "approximate server count")
+		duration     = e.fs.Int("duration", 75, "virtual experiment length in minutes")
+		lease        = e.fs.Int("lease", 10, "reservation lease duration in minutes")
+		rates        = e.fs.String("drop-rates", "0,0.01,0.02,0.05", "comma-separated message loss probabilities")
+		killAt       = e.fs.Int("kill-at", 0, "kill time in minutes (0 = duration/3)")
 		restartAfter = e.fs.Int("restart-after", 0, "crash downtime in minutes before the reboot (0 = 2x update interval)")
-		crashForever = e.fs.Int("crash-forever", 0, "additional receivers crashed with no restart at all")
+		workers      = e.fs.Int("workers", 0, "concurrent sweep variants (0 = all cores, 1 = sequential)")
+		verbose      = e.fs.Bool("v", false, "print the full per-run report, not just the sweep table")
 	)
-	if err := e.parse(args); err != nil {
+	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
 	drops, err := parseRates(*rates)
 	if err != nil {
 		return err
 	}
+	if p.Spec, err = scaledSpec(*servers); err != nil {
+		return err
+	}
 	minutes := func(n int) time.Duration { return time.Duration(n) * time.Minute }
-
+	p.Duration, p.LeaseDuration, p.At, p.RestartAfter = minutes(*duration), minutes(*lease), minutes(*killAt), minutes(*restartAfter)
 	variants := make([]experiments.FaultParams, len(drops))
 	for i, d := range drops {
-		variants[i] = experiments.FaultParams{
-			RebalanceParams: experiments.RebalanceParams{
-				Spec:         experiments.ScaledSpec(*servers),
-				VMsPerServer: *perServer,
-				Threshold:    *threshold,
-				Duration:     minutes(*duration),
-				Seed:         e.seed,
-				Shards:       *shards,
-				Obs:          e.obs.Config(),
-				Audit:        e.audit.Config(),
-			},
-			LeaseDuration: minutes(*lease),
-			DropRate:      d,
-			Victims:       *kill,
-			At:            minutes(*killAt),
-			Crash:         *crash,
-			CrashForever:  *crashForever,
-			RestartAfter:  minutes(*restartAfter),
-		}
+		variants[i] = p
+		variants[i].DropRate = d
 	}
-	outs, err := experiments.RunFaultsSweep(variants, *workers)
+	outs, err := fanOut(variants, *workers, experiments.RunFaults)
 	if err != nil {
 		return err
 	}
@@ -81,9 +67,9 @@ func runFaults(e *env, args []string) error {
 		if *verbose {
 			out.Write(e.stdout)
 		}
-		e.collect(out.Trace, out.Audit)
+		e.collect(out.Artifacts)
 		leaked += out.Leaked
-		if *crash && !out.GatePassed() {
+		if p.Crash && !out.GatePassed() {
 			failed++
 			fmt.Fprintf(e.stderr, "vb faults: gate FAILED at %.1f%% loss: lost VMs=%d, lost placements=%d, leaked=%d\n",
 				out.Params.DropRate*100, out.LostVMs, out.Recovery.LostPlacements, out.Leaked)
@@ -93,7 +79,7 @@ func runFaults(e *env, args []string) error {
 	switch {
 	case failed != 0:
 		return fmt.Errorf("%d of %d crash-restart runs failed the recovery gate", failed, len(outs))
-	case *crash:
+	case p.Crash:
 		e.printf("every crash-restart run recovered fully: no VM lost, no reservation leaked\n")
 	case leaked != 0:
 		return fmt.Errorf("%d reservations leaked across the sweep", leaked)

@@ -16,46 +16,41 @@ import (
 // With -dots the raw scatter (rack, slot, customer) is printed so the figure
 // can be plotted externally.
 func runPlacement(e *env, args []string) error {
+	var p experiments.PlacementParams
+	e.fs.IntVar(&p.Waves, "waves", 1, "provisioning waves (1 = Fig 7, 2 = Fig 8)")
+	e.fs.IntVar(&p.VMsPerWavePerCustomer, "vms", 1000, "VMs per customer per wave")
+	e.fs.IntVar(&p.Shards, "shards", 0, "engine shards per trial (0 = serial reference engine)")
 	var (
 		engine  = e.fs.String("engine", "dht", "placement engine: dht, greedy or random")
-		waves   = e.fs.Int("waves", 1, "provisioning waves (1 = Fig 7, 2 = Fig 8)")
-		vms     = e.fs.Int("vms", 1000, "VMs per customer per wave")
 		servers = e.fs.Int("servers", 3000, "approximate server count")
-		trials  = e.fs.Int("trials", 1, "independent trials at seeds seed..seed+trials-1")
+		n       = e.fs.Int("trials", 1, "independent trials at seeds seed..seed+trials-1")
 		workers = e.fs.Int("workers", 0, "concurrent trials (0 = all cores, 1 = sequential)")
-		shards  = e.fs.Int("shards", 0, "engine shards per trial (0 = serial reference engine)")
 		dots    = e.fs.Bool("dots", false, "print the raw scatter points")
 		svgDir  = e.fs.String("svg", "", "directory to write SVG figures into")
 		jsonOut = e.fs.String("json", "", "file to write the outcome as JSON")
 	)
-	if err := e.parse(args); err != nil {
+	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
-	kind, err := parseEngine(*engine)
+	var err error
+	if p.Engine, err = parseEngine(*engine); err != nil {
+		return err
+	}
+	if p.Spec, err = scaledSpec(*servers); err != nil {
+		return err
+	}
+	ps, err := trials(p, *n, func(p *experiments.PlacementParams) *int64 { return &p.Seed })
 	if err != nil {
 		return err
 	}
-	seeds, err := trialSeeds(e.seed, *trials)
-	if err != nil {
-		return err
-	}
-	outs, err := experiments.RunPlacementTrials(experiments.PlacementParams{
-		Spec:                  experiments.ScaledSpec(*servers),
-		VMsPerWavePerCustomer: *vms,
-		Waves:                 *waves,
-		Engine:                kind,
-		Seed:                  e.seed,
-		Shards:                *shards,
-		Obs:                   e.obs.Config(),
-		Audit:                 e.audit.Config(),
-	}, seeds, *workers)
+	outs, err := fanOut(ps, *workers, experiments.RunPlacement)
 	if err != nil {
 		return err
 	}
 	// The written trace, the figures and the scatter are the last trial's.
 	for _, o := range outs {
 		o.Report(e.stdout)
-		e.collect(o.Trace, o.Audit)
+		e.collect(o.Artifacts)
 	}
 	out := outs[len(outs)-1]
 	var payload any = out
@@ -71,8 +66,8 @@ func runPlacement(e *env, args []string) error {
 	if *dots {
 		last := out.Waves[len(out.Waves)-1]
 		e.printf("# rack slot customer\n")
-		for _, p := range last.Snapshot.Points() {
-			e.printf("%g %g %s\n", p.X, p.Y, p.Series)
+		for _, pt := range last.Snapshot.Points() {
+			e.printf("%g %g %s\n", pt.X, pt.Y, pt.Series)
 		}
 	}
 	return nil
@@ -84,39 +79,35 @@ func runPlacement(e *env, args []string) error {
 // adjacent in keys have space to grow or shrink" claim) versus the greedy
 // baseline, which fragments permanently.
 func runChurn(e *env, args []string) error {
+	var p experiments.ChurnParams
+	e.fs.Float64Var(&p.ArrivalsPerMinute, "arrivals-per-min", 2, "mean VM arrivals per minute per customer")
+	e.fs.IntVar(&p.Shards, "shards", 0, "engine shards per trial (0 = serial reference engine)")
 	var (
 		engine   = e.fs.String("engine", "dht", "placement engine: dht, greedy or random")
 		servers  = e.fs.Int("servers", 300, "approximate server count")
 		hours    = e.fs.Float64("hours", 4, "virtual hours of churn")
-		arrivals = e.fs.Float64("arrivals-per-min", 2, "mean VM arrivals per minute per customer")
 		lifetime = e.fs.Float64("lifetime-min", 30, "mean VM lifetime in minutes")
-		trials   = e.fs.Int("trials", 1, "independent trials at seeds seed..seed+trials-1")
+		n        = e.fs.Int("trials", 1, "independent trials at seeds seed..seed+trials-1")
 		workers  = e.fs.Int("workers", 0, "concurrent trials (0 = all cores, 1 = sequential)")
-		shards   = e.fs.Int("shards", 0, "engine shards per trial (0 = serial reference engine)")
 		jsonOut  = e.fs.String("json", "", "file to write the outcome as JSON")
 	)
-	if err := e.parse(args); err != nil {
+	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
-	kind, err := parseEngine(*engine)
+	var err error
+	if p.Engine, err = parseEngine(*engine); err != nil {
+		return err
+	}
+	if p.Spec, err = scaledSpec(*servers); err != nil {
+		return err
+	}
+	p.MeanLifetime = time.Duration(*lifetime * float64(time.Minute))
+	p.Duration = time.Duration(*hours * float64(time.Hour))
+	ps, err := trials(p, *n, func(p *experiments.ChurnParams) *int64 { return &p.Seed })
 	if err != nil {
 		return err
 	}
-	seeds, err := trialSeeds(e.seed, *trials)
-	if err != nil {
-		return err
-	}
-	outs, err := experiments.RunChurnTrials(experiments.ChurnParams{
-		Spec:              experiments.ScaledSpec(*servers),
-		ArrivalsPerMinute: *arrivals,
-		MeanLifetime:      time.Duration(*lifetime * float64(time.Minute)),
-		Duration:          time.Duration(*hours * float64(time.Hour)),
-		Engine:            kind,
-		Seed:              e.seed,
-		Shards:            *shards,
-		Obs:               e.obs.Config(),
-		Audit:             e.audit.Config(),
-	}, seeds, *workers)
+	outs, err := fanOut(ps, *workers, experiments.RunChurn)
 	if err != nil {
 		return err
 	}
@@ -125,7 +116,7 @@ func runChurn(e *env, args []string) error {
 	for _, out := range outs {
 		out.Report(e.stdout)
 		meanLoc += out.MeanLocality
-		e.collect(out.Trace, out.Audit)
+		e.collect(out.Artifacts)
 	}
 	var payload any = outs[0]
 	if len(outs) > 1 {
@@ -140,29 +131,25 @@ func runChurn(e *env, args []string) error {
 // Fig. 10 (utilization standard deviation over time at two cluster scales)
 // and Fig. 11 (total demand versus actually satisfied bandwidth over time).
 func runRebalance(e *env, args []string) error {
+	var p experiments.RebalanceParams
+	e.fs.IntVar(&p.VMsPerServer, "vms-per-server", 25, "VMs per server")
+	e.fs.Float64Var(&p.Threshold, "threshold", 0, "rebalancing threshold (0 = figure default)")
+	e.fs.IntVar(&p.Shards, "shards", 0, "engine shards per run (0 = serial reference engine)")
 	var (
-		fig       = e.fs.Int("fig", 9, "figure to regenerate: 9, 10 or 11")
-		servers   = e.fs.Int("servers", 3000, "approximate server count")
-		perServer = e.fs.Int("vms-per-server", 25, "VMs per server")
-		threshold = e.fs.Float64("threshold", 0, "rebalancing threshold (0 = figure default)")
-		duration  = e.fs.Int("duration", 75, "virtual experiment length in minutes")
-		svgDir    = e.fs.String("svg", "", "directory to write SVG figures into")
-		workers   = e.fs.Int("workers", 0, "concurrent sweep variants (0 = all cores, 1 = sequential)")
-		shards    = e.fs.Int("shards", 0, "engine shards per run (0 = serial reference engine)")
+		fig      = e.fs.Int("fig", 9, "figure to regenerate: 9, 10 or 11")
+		servers  = e.fs.Int("servers", 3000, "approximate server count")
+		duration = e.fs.Int("duration", 75, "virtual experiment length in minutes")
+		svgDir   = e.fs.String("svg", "", "directory to write SVG figures into")
+		workers  = e.fs.Int("workers", 0, "concurrent sweep variants (0 = all cores, 1 = sequential)")
 	)
-	if err := e.parse(args); err != nil {
+	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
-	base := experiments.RebalanceParams{
-		Spec:         experiments.ScaledSpec(*servers),
-		VMsPerServer: *perServer,
-		Threshold:    *threshold,
-		Duration:     time.Duration(*duration) * time.Minute,
-		Seed:         e.seed,
-		Shards:       *shards,
-		Obs:          e.obs.Config(),
-		Audit:        e.audit.Config(),
+	var err error
+	if p.Spec, err = scaledSpec(*servers); err != nil {
+		return err
 	}
+	p.Duration = time.Duration(*duration) * time.Minute
 
 	// Sweeps run several variants, each labelled by a chart-name suffix; the
 	// trace written at exit is the last variant's (pass -threshold to trace
@@ -175,11 +162,11 @@ func runRebalance(e *env, args []string) error {
 		// The paper shows two threshold settings side by side; the variants
 		// are independent trials, so they run concurrently.
 		thresholds := []float64{0.3, 0.1}
-		if *threshold != 0 {
-			thresholds = []float64{*threshold}
+		if p.Threshold != 0 {
+			thresholds = []float64{p.Threshold}
 		}
 		for _, thr := range thresholds {
-			v := base
+			v := p
 			v.Threshold = thr
 			variants = append(variants, v)
 			suffixes = append(suffixes, fmt.Sprintf("-thr%g", thr))
@@ -188,7 +175,7 @@ func runRebalance(e *env, args []string) error {
 	case 10:
 		// Two scales, same threshold: convergence time is scale-free.
 		for _, n := range []int{30, *servers} {
-			v := base
+			v := p
 			v.Spec = experiments.ScaledSpec(n)
 			if v.Threshold == 0 {
 				v.Threshold = 0.183
@@ -198,12 +185,12 @@ func runRebalance(e *env, args []string) error {
 		}
 		write = (*experiments.RebalanceOutcome).WriteFig10
 	case 11:
-		variants, suffixes = []experiments.RebalanceParams{base}, []string{""}
+		variants, suffixes = []experiments.RebalanceParams{p}, []string{""}
 		write = (*experiments.RebalanceOutcome).WriteFig11
 	default:
 		return fmt.Errorf("unknown figure %d (want 9, 10 or 11)", *fig)
 	}
-	outs, err := experiments.RunRebalanceSweep(variants, *workers)
+	outs, err := fanOut(variants, *workers, experiments.RunRebalance)
 	if err != nil {
 		return err
 	}
@@ -213,7 +200,7 @@ func runRebalance(e *env, args []string) error {
 		for stem, chart := range out.Charts() {
 			charts[stem+suffixes[i]] = chart
 		}
-		e.collect(out.Trace, out.Audit)
+		e.collect(out.Artifacts)
 	}
 	return e.writeSVGs(*svgDir, charts)
 }
@@ -223,32 +210,26 @@ func runRebalance(e *env, args []string) error {
 // response-time CDF before versus after). -fig 0 (the default) prints both
 // figures from a single run, which is how the paper gathered them.
 func runQoS(e *env, args []string) error {
+	var p experiments.QoSParams
+	e.fs.IntVar(&p.Hosts, "hosts", 15, "physical hosts")
+	e.fs.IntVar(&p.VMsPerHost, "vms-per-host", 15, "VMs per host")
+	e.fs.IntVar(&p.Shards, "shards", 0, "engine shards (0 = serial reference engine)")
 	var (
 		fig     = e.fs.Int("fig", 0, "figure to print: 12, 13, or 0 for both")
-		hosts   = e.fs.Int("hosts", 15, "physical hosts")
-		perHost = e.fs.Int("vms-per-host", 15, "VMs per host")
-		shards  = e.fs.Int("shards", 0, "engine shards (0 = serial reference engine)")
 		svgDir  = e.fs.String("svg", "", "directory to write SVG figures into")
 		jsonOut = e.fs.String("json", "", "file to write the outcome as JSON")
 	)
-	if err := e.parse(args); err != nil {
+	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
 	if *fig != 0 && *fig != 12 && *fig != 13 {
 		return fmt.Errorf("unknown figure %d (want 12, 13 or 0)", *fig)
 	}
-	out, err := experiments.RunQoS(experiments.QoSParams{
-		Hosts:      *hosts,
-		VMsPerHost: *perHost,
-		Seed:       e.seed,
-		Shards:     *shards,
-		Obs:        e.obs.Config(),
-		Audit:      e.audit.Config(),
-	})
+	out, err := experiments.RunQoS(p)
 	if err != nil {
 		return err
 	}
-	e.collect(out.Trace, out.Audit)
+	e.collect(out.Artifacts)
 	if *fig != 13 {
 		out.WriteFig12(e.stdout)
 	}
@@ -267,62 +248,64 @@ func runQoS(e *env, args []string) error {
 // messages per round). -fig 0 (the default) prints everything.
 func runOverhead(e *env, args []string) error {
 	var (
-		fig     = e.fs.Int("fig", 0, "what to print: 14, 15, 1 (Table I), or 0 for all")
-		maxN    = e.fs.Int("max-servers", 1024, "largest ring size to sweep")
-		minN    = e.fs.Int("min-servers", 16, "smallest ring size to sweep (CI uses min=max to gate one big rung without paying for the whole ladder)")
-		iters   = e.fs.Int("iterations", 1000, "Table I iterations per operation")
-		svgDir  = e.fs.String("svg", "", "directory to write SVG figures into")
-		workers = e.fs.Int("workers", 0, "concurrent sweep points (0 = all cores, 1 = sequential)")
-		shards  = e.fs.Int("shards", 0, "engine shards per run (0 = serial reference engine)")
+		agg experiments.AggLatencyParams
+		t1  experiments.Table1Params
 	)
-	if err := e.parse(args); err != nil {
+	e.fs.IntVar(&t1.Iterations, "iterations", 1000, "Table I iterations per operation")
+	e.fs.IntVar(&agg.Parallelism, "workers", 0, "concurrent sweep points (0 = all cores, 1 = sequential)")
+	e.fs.IntVar(&agg.Shards, "shards", 0, "engine shards per run (0 = serial reference engine)")
+	var (
+		fig    = e.fs.Int("fig", 0, "what to print: 14, 15, 1 (Table I), or 0 for all")
+		maxN   = e.fs.Int("max-servers", 1024, "largest ring size to sweep")
+		minN   = e.fs.Int("min-servers", 16, "smallest ring size to sweep (CI uses min=max to gate one big rung without paying for the whole ladder)")
+		svgDir = e.fs.String("svg", "", "directory to write SVG figures into")
+	)
+	if err := e.parseRun(args, &agg.Seed, &agg.RunConfig); err != nil {
 		return err
 	}
-	var sizes, big []int
+	var big []int
 	for n := 16; n <= *maxN; n *= 2 {
 		if n < *minN {
 			continue
 		}
-		sizes = append(sizes, n)
+		agg.Sizes = append(agg.Sizes, n)
 		if n >= 256 {
 			big = append(big, n)
 		}
 	}
-	if len(sizes) == 0 {
+	if len(agg.Sizes) == 0 {
 		return fmt.Errorf("empty sweep: no power of two in [%d, %d]", *minN, *maxN)
 	}
 	if len(big) == 0 {
-		big = sizes
+		big = agg.Sizes
 	}
 	charts := map[string]*report.Chart{}
 
 	if *fig == 0 || *fig == 1 {
-		out, err := experiments.RunTable1(experiments.Table1Params{
-			Servers:    min(512, *maxN),
-			Iterations: *iters,
-			Seed:       e.seed,
-		})
+		t1.Servers, t1.Seed = min(512, *maxN), agg.Seed
+		out, err := experiments.RunTable1(t1)
 		if err != nil {
 			return err
 		}
 		out.Report(e.stdout)
 	}
 	if *fig == 0 || *fig == 14 {
-		out, err := experiments.RunAggLatency(experiments.AggLatencyParams{Sizes: sizes, Seed: e.seed, Parallelism: *workers, Shards: *shards, Obs: e.obs.Config(), Audit: e.audit.Config()})
+		out, err := experiments.RunAggLatency(agg)
 		if err != nil {
 			return err
 		}
 		out.Report(e.stdout)
-		e.collect(out.Trace, out.Audit)
+		e.collect(out.Artifacts)
 		maps.Copy(charts, out.Charts())
 	}
 	if *fig == 0 || *fig == 15 {
-		out, err := experiments.RunMessageOverhead(experiments.MessageOverheadParams{Sizes: big, Seed: e.seed, Parallelism: *workers, Shards: *shards, Obs: e.obs.Config(), Audit: e.audit.Config()})
+		out, err := experiments.RunMessageOverhead(experiments.MessageOverheadParams{
+			Sizes: big, Seed: agg.Seed, Parallelism: agg.Parallelism, RunConfig: agg.RunConfig})
 		if err != nil {
 			return err
 		}
 		out.Report(e.stdout)
-		e.collect(out.Trace, out.Audit)
+		e.collect(out.Artifacts)
 		maps.Copy(charts, out.Charts())
 	}
 	return e.writeSVGs(*svgDir, charts)

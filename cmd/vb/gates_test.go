@@ -128,6 +128,10 @@ var gates = []gate{
 	// README's reproduction table, at sizes that run in milliseconds.
 	{name: "placement", args: "placement", golden: true},
 	{name: "placement-fig8b", args: "placement -waves 2 -engine greedy", golden: true},
+	// Three seeds fanned out, printed in seed order at any worker count; the
+	// golden was printed by the tree whose experiments package ran the trials.
+	{name: "placement-trials", args: "placement -trials 3", golden: true,
+		variants: []string{"-workers 1"}},
 	{name: "qos", args: "qos", golden: true},
 	{name: "churn-100", args: "churn -servers 100 -hours 1", golden: true},
 	{name: "sim-100", args: "sim -servers 100 -hours 1", golden: true},

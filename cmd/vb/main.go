@@ -32,8 +32,10 @@ import (
 	"vbundle/internal/core"
 	"vbundle/internal/experiments"
 	"vbundle/internal/obs"
+	"vbundle/internal/parallel"
 	"vbundle/internal/profiling"
 	"vbundle/internal/report"
+	"vbundle/internal/topology"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -134,12 +136,22 @@ func (e *env) usage(text string) error {
 	return status(2)
 }
 
-// collect keeps one run's trace and auditor for the epilogue.
-func (e *env) collect(t *obs.Trace, a *audit.Auditor) {
-	if t != nil {
-		e.trace = t
+// parseRun is parse for a subcommand that runs an experiment: it hands
+// -seed to seed and the observer flags to rc.
+func (e *env) parseRun(args []string, seed *int64, rc *experiments.RunConfig) error {
+	if err := e.parse(args); err != nil {
+		return err
 	}
-	e.audits = append(e.audits, a)
+	*seed, rc.Obs, rc.Audit = e.seed, e.obs.Config(), e.audit.Config()
+	return nil
+}
+
+// collect keeps one run's trace and auditor for the epilogue.
+func (e *env) collect(a experiments.Artifacts) {
+	if a.Trace != nil {
+		e.trace = a.Trace
+	}
+	e.audits = append(e.audits, a.Audit)
 }
 
 // finish is the epilogue of every subcommand, reached on every path: write
@@ -202,14 +214,31 @@ func parseEngine(name string) (core.EngineKind, error) {
 	return 0, fmt.Errorf("unknown engine %q", name)
 }
 
-// trialSeeds is the seed list of a -trials sweep: seed, seed+1, ...
-func trialSeeds(seed int64, trials int) ([]int64, error) {
-	if trials < 1 {
-		return nil, fmt.Errorf("-trials %d: want at least 1", trials)
+// scaledSpec is the datacenter of -servers n.
+func scaledSpec(n int) (topology.Spec, error) {
+	if n < 1 {
+		return topology.Spec{}, fmt.Errorf("-servers %d: want at least 1", n)
 	}
-	seeds := make([]int64, trials)
-	for i := range seeds {
-		seeds[i] = seed + int64(i)
+	return experiments.ScaledSpec(n), nil
+}
+
+// trials is p once per trial of a -trials sweep, the i-th at p's seed + i;
+// seed is where a P keeps its seed.
+func trials[P any](p P, n int, seed func(*P) *int64) ([]P, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("-trials %d: want at least 1", n)
 	}
-	return seeds, nil
+	ps := make([]P, n)
+	for i := range ps {
+		ps[i] = p
+		*seed(&ps[i]) += int64(i)
+	}
+	return ps, nil
+}
+
+// fanOut runs each of ps across workers goroutines (0 = all cores, 1 =
+// sequential). Every run owns its stack, so each outcome, in ps order, is
+// the one a run of its own gives.
+func fanOut[P, O any](ps []P, workers int, run func(P) (O, error)) ([]O, error) {
+	return parallel.Map(len(ps), workers, func(i int) (O, error) { return run(ps[i]) })
 }

@@ -11,7 +11,6 @@ import (
 	"vbundle/internal/costbenefit"
 	"vbundle/internal/experiments"
 	"vbundle/internal/metrics"
-	"vbundle/internal/rebalance"
 	"vbundle/internal/workload"
 )
 
@@ -21,54 +20,57 @@ import (
 // balance and bandwidth satisfaction as the run goes and at its end.
 func runSim(e *env, args []string) error {
 	var (
-		servers      = e.fs.Int("servers", 300, "approximate server count")
-		customers    = e.fs.Int("customers", 5, "number of customers")
-		vms          = e.fs.Int("vms", 100, "VMs per customer")
-		engine       = e.fs.String("engine", "dht", "placement engine: dht, greedy or random")
-		threshold    = e.fs.Float64("threshold", 0.183, "rebalancing threshold")
-		hours        = e.fs.Float64("hours", 2, "virtual hours to simulate")
-		multiKind    = e.fs.Bool("multi-resource", false, "rebalance on CPU+memory+bandwidth (§VII extension)")
-		sameCustomer = e.fs.Bool("same-customer", false, "restrict exchanges to each customer's own bundle")
-		costBenefit  = e.fs.Bool("cost-benefit", false, "veto migrations whose cost exceeds the recovered bandwidth")
-		loss         = e.fs.Float64("loss", 0, "overlay message loss probability")
-		shards       = e.fs.Int("shards", 0, "engine shards (0 = serial reference engine)")
+		opts core.Options
+		rc   experiments.RunConfig
 	)
-	if err := e.parse(args); err != nil {
+	e.fs.Float64Var(&opts.Rebalance.Threshold, "threshold", 0.183, "rebalancing threshold")
+	e.fs.BoolVar(&opts.Rebalance.SameCustomerOnly, "same-customer", false, "restrict exchanges to each customer's own bundle")
+	e.fs.Float64Var(&opts.MessageLoss, "loss", 0, "overlay message loss probability")
+	e.fs.IntVar(&opts.Shards, "shards", 0, "engine shards (0 = serial reference engine)")
+	var (
+		servers     = e.fs.Int("servers", 300, "approximate server count")
+		customers   = e.fs.Int("customers", 5, "number of customers")
+		vms         = e.fs.Int("vms", 100, "VMs per customer")
+		engine      = e.fs.String("engine", "dht", "placement engine: dht, greedy or random")
+		hours       = e.fs.Float64("hours", 2, "virtual hours to simulate")
+		multiKind   = e.fs.Bool("multi-resource", false, "rebalance on CPU+memory+bandwidth (§VII extension)")
+		costBenefit = e.fs.Bool("cost-benefit", false, "veto migrations whose cost exceeds the recovered bandwidth")
+	)
+	if err := e.parseRun(args, &opts.Seed, &rc); err != nil {
 		return err
 	}
-	kind, err := parseEngine(*engine)
-	if err != nil {
+	var err error
+	if opts.Engine, err = parseEngine(*engine); err != nil {
 		return err
 	}
-
-	rebalCfg := rebalance.Config{Threshold: *threshold, SameCustomerOnly: *sameCustomer}
+	if opts.Topology, err = scaledSpec(*servers); err != nil {
+		return err
+	}
+	// The run reports at eight even steps, so it must span eight nanoseconds.
+	duration := time.Duration(*hours * float64(time.Hour))
+	step := duration / 8
+	if step <= 0 {
+		return fmt.Errorf("-hours %g: want a run of at least 8ns", *hours)
+	}
 	if *multiKind {
-		rebalCfg.Kinds = []cluster.Kind{cluster.KindBandwidth, cluster.KindCPU, cluster.KindMemory}
+		opts.Rebalance.Kinds = []cluster.Kind{cluster.KindBandwidth, cluster.KindCPU, cluster.KindMemory}
 	}
 	if *costBenefit {
-		rebalCfg.CostBenefit = &costbenefit.Config{}
+		opts.Rebalance.CostBenefit = &costbenefit.Config{}
 	}
-	trace := e.obs.Config().New()
-	vb, err := core.New(core.Options{
-		Topology:    experiments.ScaledSpec(*servers),
-		Seed:        e.seed,
-		Shards:      *shards,
-		Engine:      kind,
-		Rebalance:   rebalCfg,
-		MessageLoss: *loss,
-		Trace:       trace,
-	})
+	opts.Trace = rc.Obs.New()
+	vb, err := core.New(opts)
 	if err != nil {
 		return err
 	}
-	e.collect(trace, vb.AttachAudit(e.audit.Config()))
-	if *loss > 0 {
+	e.collect(experiments.Artifacts{Trace: opts.Trace, Audit: vb.AttachAudit(rc.Audit)})
+	if opts.MessageLoss > 0 {
 		vb.StartMaintenance(30 * time.Second)
 	}
 
 	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: 20}
 	lim := cluster.Resources{CPU: 4, MemMB: 128, BandwidthMbps: vb.Topo.NICMbps()}
-	rng := rand.New(rand.NewSource(e.seed))
+	rng := rand.New(rand.NewSource(opts.Seed))
 	booted, failed := 0, 0
 	for c := 0; c < *customers; c++ {
 		name := fmt.Sprintf("customer-%02d", c)
@@ -99,8 +101,6 @@ func runSim(e *env, args []string) error {
 	vb.Workloads.Start(5 * time.Minute)
 	vb.StartServices()
 
-	duration := time.Duration(*hours * float64(time.Hour))
-	step := duration / 8
 	for t := step; t <= duration; t += step {
 		vb.RunFor(step)
 		rep := vb.BandwidthSatisfaction()

@@ -1,16 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
-	"vbundle/internal/parallel"
 	"vbundle/internal/placement"
 	"vbundle/internal/topology"
 )
@@ -38,14 +36,7 @@ type ChurnParams struct {
 	Engine core.EngineKind
 	// Seed drives arrivals and lifetimes.
 	Seed int64
-	// Shards is the engine's shard count, as in core.Options; virtual-time
-	// results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	RunConfig
 }
 
 func (p ChurnParams) withDefaults() ChurnParams {
@@ -73,6 +64,12 @@ func (p ChurnParams) withDefaults() ChurnParams {
 	return p
 }
 
+func (p ChurnParams) check() error {
+	return errors.Join(notNegative("InitialVMsPerCustomer", p.InitialVMsPerCustomer),
+		notNegative("ArrivalsPerMinute", p.ArrivalsPerMinute), notNegative("MeanLifetime", p.MeanLifetime),
+		notNegative("Duration", p.Duration), notNegative("SampleEvery", p.SampleEvery))
+}
+
 // ChurnOutcome reports locality under continuous arrivals and departures.
 type ChurnOutcome struct {
 	Params ChurnParams
@@ -85,28 +82,20 @@ type ChurnOutcome struct {
 	Arrived, Departed, Rejected int
 	// MeanLocality averages the sampled locality over the whole run.
 	MeanLocality float64
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Artifacts
 }
 
 // RunChurn executes the churn experiment.
 func RunChurn(p ChurnParams) (*ChurnOutcome, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
-		Topology: p.Spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Engine:   p.Engine,
-		Trace:    trace,
-	})
+	vb, art, err := p.build(core.Options{Topology: p.Spec, Seed: p.Seed, Engine: p.Engine})
 	if err != nil {
 		return nil, err
 	}
-	out := &ChurnOutcome{Params: p, Engine: vb.Placer.Name(), Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &ChurnOutcome{Params: p, Engine: vb.Placer.Name(), Artifacts: art}
 	rng := vb.Engine.Rand()
 
 	scheduleDeath := func(id cluster.VMID) {
@@ -178,17 +167,6 @@ func RunChurn(p ChurnParams) (*ChurnOutcome, error) {
 		out.MeanLocality = sum / float64(n)
 	}
 	return out, nil
-}
-
-// RunChurnTrials repeats the churn experiment once per seed across workers
-// goroutines (0 = GOMAXPROCS, 1 = sequential), for confidence intervals on
-// the locality-under-churn claim. Outcomes are ordered by seed index.
-func RunChurnTrials(p ChurnParams, seeds []int64, workers int) ([]*ChurnOutcome, error) {
-	return parallel.Map(len(seeds), workers, func(i int) (*ChurnOutcome, error) {
-		q := p
-		q.Seed = seeds[i]
-		return RunChurn(q)
-	})
 }
 
 // Report renders the churn outcome.

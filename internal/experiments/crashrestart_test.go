@@ -21,8 +21,7 @@ func smallCrashRestart(servers int, seed int64, shards int, cfg obs.Config) Faul
 			Duration:          30 * time.Minute,
 			SampleEvery:       2 * time.Minute,
 			Seed:              seed,
-			Shards:            shards,
-			Obs:               cfg,
+			RunConfig:         RunConfig{Shards: shards, Obs: cfg},
 		},
 		LeaseDuration: 5 * time.Minute,
 		Heartbeat:     time.Minute,

@@ -14,6 +14,7 @@ import (
 
 	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
+	"vbundle/internal/core"
 	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/topology"
@@ -47,31 +48,73 @@ func ScaledSpec(servers int) topology.Spec {
 	return spec
 }
 
+// RunConfig is how a run executes and who watches it. Nothing in it moves a
+// virtual-time value: a run prints the same figures at any setting.
+type RunConfig struct {
+	// Shards is the engine's shard count, as in core.Options.
+	Shards int
+	// Obs configures the flight recorder. The zero value records nothing.
+	Obs obs.Config
+	// Audit configures the online invariant auditor (Every <= 0 disables);
+	// its sweeps only read the stack.
+	Audit audit.Config
+}
+
+// Artifacts is what a run leaves besides its figures.
+type Artifacts struct {
+	// Trace is the run's flight recorder (nil when Obs is disabled).
+	Trace *obs.Trace `json:"-"`
+	// Audit is the run's auditor (nil when Audit is disabled).
+	Audit *audit.Auditor `json:"-"`
+}
+
+// build makes the run's recorder, the stack opts describes on c's shards,
+// and the auditor that watches it.
+func (c RunConfig) build(opts core.Options) (*core.VBundle, Artifacts, error) {
+	opts.Shards, opts.Trace = c.Shards, c.Obs.New()
+	vb, err := core.New(opts)
+	if err != nil {
+		return nil, Artifacts{}, err
+	}
+	return vb, Artifacts{Trace: opts.Trace, Audit: vb.AttachAudit(c.Audit)}, nil
+}
+
 // sweepSizes measures one point per ring size across workers goroutines
-// (0 = GOMAXPROCS, 1 = sequential), in size order. Only the largest size
-// records and is audited — its trace and auditor are the ones returned —
-// since tracing the smaller points would retain their whole stacks (the
-// registry gauges hold the network) for nothing.
-func sweepSizes[P any](sizes []int, workers int, oc obs.Config, au audit.Config,
-	point func(n int, tr *obs.Trace, au audit.Config) (P, *audit.Auditor, error)) ([]P, *obs.Trace, *audit.Auditor, error) {
+// (0 = GOMAXPROCS, 1 = sequential), in size order; a size below one is an
+// error. Only the largest size records and is audited — its artifacts are
+// the ones returned — since tracing the smaller points would retain their
+// whole stacks (the registry gauges hold the network) for nothing.
+func sweepSizes[P any](sizes []int, workers int, c RunConfig,
+	point func(n int, c RunConfig) (P, Artifacts, error)) ([]P, Artifacts, error) {
 	largest := 0
 	for i, n := range sizes {
+		if n < 1 {
+			return nil, Artifacts{}, fmt.Errorf("experiments: Sizes holds %d, want ring sizes of at least 1", n)
+		}
 		if n > sizes[largest] {
 			largest = i
 		}
 	}
-	trace := oc.New()
-	var auditor *audit.Auditor
+	var art Artifacts
 	points, err := parallel.Map(len(sizes), workers, func(i int) (P, error) {
 		if i != largest {
-			pt, _, err := point(sizes[i], nil, audit.Config{})
+			pt, _, err := point(sizes[i], RunConfig{Shards: c.Shards})
 			return pt, err
 		}
-		pt, a, err := point(sizes[i], trace, au)
-		auditor = a
+		pt, a, err := point(sizes[i], c)
+		art = a
 		return pt, err
 	})
-	return points, trace, auditor, err
+	return points, art, err
+}
+
+// notNegative is the error of a …Params field below zero (or NaN), nil
+// for any other value.
+func notNegative[T ~int | ~int64 | ~float64](field string, v T) error {
+	if v >= 0 {
+		return nil
+	}
+	return fmt.Errorf("experiments: %s = %v, must not be negative", field, v)
 }
 
 // Customers are the five tenants of Fig. 7/8.

@@ -1,15 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
-	"vbundle/internal/parallel"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/store"
 )
@@ -83,6 +81,12 @@ func (p FaultParams) withDefaults() FaultParams {
 	return p
 }
 
+func (p FaultParams) check() error {
+	return errors.Join(p.RebalanceParams.check(), notNegative("LeaseDuration", p.LeaseDuration),
+		notNegative("Heartbeat", p.Heartbeat), notNegative("Victims", p.Victims), notNegative("At", p.At),
+		notNegative("CrashForever", p.CrashForever), notNegative("RestartAfter", p.RestartAfter))
+}
+
 // FaultOutcome reports convergence, leak and recovery accounting for one run.
 type FaultOutcome struct {
 	Params FaultParams
@@ -125,10 +129,7 @@ type FaultOutcome struct {
 	// FailedDead pair counts migrations aborted against dead endpoints.
 	Migrations, MigrationsCompleted  int
 	FailedDeadDest, FailedDeadSource int
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Artifacts
 }
 
 // liveSD is the utilization standard deviation over servers still alive.
@@ -186,9 +187,12 @@ func (o *FaultOutcome) inject(vb *core.VBundle) {
 
 // RunFaults executes one fault-injection run.
 func RunFaults(p FaultParams) (*FaultOutcome, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
-	out := &FaultOutcome{Params: p, Trace: p.Obs.New()}
-	r := p.spine(out.Trace)
+	out := &FaultOutcome{Params: p}
+	r := p.spine()
 	r.opts.MessageLoss = p.DropRate
 	r.opts.Rebalance.LeaseDuration = p.LeaseDuration
 	if p.Crash {
@@ -216,11 +220,11 @@ func RunFaults(p FaultParams) (*FaultOutcome, error) {
 			vb.RunFor(rest)
 		}
 	}
-	vb, auditor, err := r.run()
+	vb, art, err := r.run()
 	if err != nil {
 		return nil, err
 	}
-	out.Audit = auditor
+	out.Artifacts = art
 
 	out.AfterSD = liveSD(vb)
 	out.VMsAfter = vb.Cluster.NumVMs()
@@ -268,14 +272,6 @@ func convergencePoint(series metrics.TimeSeries, final float64) (bool, time.Dura
 		return false, 0
 	}
 	return true, pts[settle].T
-}
-
-// RunFaultsSweep runs one RunFaults per variant (typically a loss sweep)
-// across workers goroutines, preserving variant order.
-func RunFaultsSweep(variants []FaultParams, workers int) ([]*FaultOutcome, error) {
-	return parallel.Map(len(variants), workers, func(i int) (*FaultOutcome, error) {
-		return RunFaults(variants[i])
-	})
 }
 
 // GatePassed reports whether the run met the recovery gate: every VM

@@ -1,15 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
@@ -29,14 +28,7 @@ type QoSParams struct {
 	Duration time.Duration
 	// Seed drives jitter.
 	Seed int64
-	// Shards is the engine's shard count, as in core.Options; virtual-time
-	// results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	RunConfig
 }
 
 func (p QoSParams) withDefaults() QoSParams {
@@ -50,6 +42,11 @@ func (p QoSParams) withDefaults() QoSParams {
 		p.Duration = 500 * time.Second
 	}
 	return p
+}
+
+func (p QoSParams) check() error {
+	return errors.Join(notNegative("Hosts", p.Hosts), notNegative("VMsPerHost", p.VMsPerHost),
+		notNegative("Duration", p.Duration))
 }
 
 // The testbed's fixed settings. iperfOnSIPpHost Iperf VMs offering
@@ -80,14 +77,14 @@ type QoSOutcome struct {
 	Migrations int
 	// TotalOffered and TotalFailed are SIPp call totals.
 	TotalOffered, TotalFailed int
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Artifacts
 }
 
 // RunQoS executes the testbed reproduction.
 func RunQoS(p QoSParams) (*QoSOutcome, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	// 15 hosts over 4 edge switches, as in §IV's hardware description.
 	spec := topology.Spec{
@@ -99,12 +96,9 @@ func RunQoS(p QoSParams) (*QoSOutcome, error) {
 		LANHop:           time.Millisecond,
 		LocalDelivery:    50 * time.Microsecond,
 	}
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
+	vb, art, err := p.build(core.Options{
 		Topology: spec,
 		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Trace:    trace,
 		Rebalance: rebalance.Config{
 			Threshold:         qosThreshold,
 			UpdateInterval:    qosUpdateInterval,
@@ -118,8 +112,7 @@ func RunQoS(p QoSParams) (*QoSOutcome, error) {
 		return nil, err
 	}
 
-	out := &QoSOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &QoSOutcome{Params: p, Artifacts: art}
 	sipp := workload.NewSIPp(p.Seed + 7)
 
 	// The SIPp VM: modest reservation, generous ceiling — QoS depends on

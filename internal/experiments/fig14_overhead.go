@@ -8,7 +8,6 @@ import (
 	"vbundle/internal/audit"
 	"vbundle/internal/core"
 	"vbundle/internal/ids"
-	"vbundle/internal/obs"
 	"vbundle/internal/pastry"
 	"vbundle/internal/scribe"
 	"vbundle/internal/sim"
@@ -26,17 +25,9 @@ type AggLatencyParams struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Every sweep point builds its own
 	// engine and ring, so results are identical at any setting.
 	Parallelism int
-	// Shards is each sweep point's engine shard count, as in core.Options;
-	// virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder. Only the largest sweep point
-	// records (its trace is the one the outcome keeps). Recording never
-	// changes the measured latency.
-	Obs obs.Config
-	// Audit configures the online invariant auditor. Like the trace, only
-	// the largest sweep point is audited; sweeps never change the measured
-	// latency.
-	Audit audit.Config
+	// RunConfig applies to every sweep point, but only the largest records
+	// and is audited.
+	RunConfig
 }
 
 func (p AggLatencyParams) withDefaults() AggLatencyParams {
@@ -78,12 +69,8 @@ type AggLatencyPoint struct {
 type AggLatencyOutcome struct {
 	Params AggLatencyParams
 	Points []AggLatencyPoint
-	// Trace is the largest sweep point's flight recorder (nil when
-	// Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the largest sweep point's auditor (nil when Params.Audit is
-	// disabled).
-	Audit *audit.Auditor `json:"-"`
+	// Artifacts are the largest sweep point's.
+	Artifacts
 }
 
 // RunAggLatency executes the Fig. 14 sweep. Sweep points are independent
@@ -92,33 +79,32 @@ type AggLatencyOutcome struct {
 // sequential loop.
 func RunAggLatency(p AggLatencyParams) (*AggLatencyOutcome, error) {
 	p = p.withDefaults()
-	points, trace, auditor, err := sweepSizes(p.Sizes, p.Parallelism, p.Obs, p.Audit,
-		func(n int, tr *obs.Trace, au audit.Config) (AggLatencyPoint, *audit.Auditor, error) {
-			return aggLatencyPoint(p, n, tr, au)
-		})
+	points, art, err := sweepSizes(p.Sizes, p.Parallelism, p.RunConfig,
+		func(n int, c RunConfig) (AggLatencyPoint, Artifacts, error) { return aggLatencyPoint(p.Seed, n, c) })
 	if err != nil {
 		return nil, err
 	}
-	return &AggLatencyOutcome{Params: p, Points: points, Trace: trace, Audit: auditor}, nil
+	return &AggLatencyOutcome{Params: p, Points: points, Artifacts: art}, nil
 }
 
 // aggLatencyPoint measures one ring size on a private overlay.
-func aggLatencyPoint(p AggLatencyParams, n int, tr *obs.Trace, au audit.Config) (AggLatencyPoint, *audit.Auditor, error) {
+func aggLatencyPoint(seed int64, n int, c RunConfig) (AggLatencyPoint, Artifacts, error) {
 	const topic = "BW_Demand"
 	spec := ScaledSpec(n)
 	spec.LANHop = aggLANHop
-	ov, err := core.NewOverlay(core.Options{Topology: spec, Seed: p.Seed, Shards: p.Shards, Trace: tr})
+	art := Artifacts{Trace: c.Obs.New()}
+	ov, err := core.NewOverlay(core.Options{Topology: spec, Seed: seed, Shards: c.Shards, Trace: art.Trace})
 	if err != nil {
-		return AggLatencyPoint{}, nil, err
+		return AggLatencyPoint{}, art, err
 	}
 	engine, managers := ov.Engine, ov.Aggs
 	// An overlay has no cluster or rebalancer; the auditor gets the check
 	// its targets support (routing-liveness coherence).
-	auditor := audit.Attach(au, audit.Targets{
+	art.Audit = audit.Attach(c.Audit, audit.Targets{
 		Engine:  engine,
 		Network: ov.Ring.Network(),
 		Ring:    ov.Ring,
-		Trace:   tr,
+		Trace:   art.Trace,
 	})
 	for _, m := range managers {
 		m.Subscribe(topic, nil)
@@ -147,7 +133,7 @@ func aggLatencyPoint(p AggLatencyParams, n int, tr *obs.Trace, au audit.Config) 
 	pt.WithInterval = pt.RawMean + aggSendInterval
 	pt.TreeHeight = treeHeight(ov.Scribes, scribe.GroupKey(topic))
 	pt.ShardWork = engine.ShardWork()
-	return pt, auditor, nil
+	return pt, art, nil
 }
 
 // treeHeight computes the depth of the Scribe tree rooted at the topic's

@@ -1,14 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
 	"vbundle/internal/rebalance"
 )
 
@@ -29,15 +28,9 @@ type MessageOverheadParams struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Every sweep point builds its own
 	// full v-Bundle stack, so results are identical at any setting.
 	Parallelism int
-	// Shards is each sweep point's engine shard count, as in core.Options;
-	// virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder. Only the largest sweep point
-	// records (its trace is the one the outcome keeps).
-	Obs obs.Config
-	// Audit configures the online invariant auditor; like the trace, only
-	// the largest sweep point is audited.
-	Audit audit.Config
+	// RunConfig applies to every sweep point, but only the largest records
+	// and is audited.
+	RunConfig
 }
 
 func (p MessageOverheadParams) withDefaults() MessageOverheadParams {
@@ -53,6 +46,10 @@ func (p MessageOverheadParams) withDefaults() MessageOverheadParams {
 	return p
 }
 
+func (p MessageOverheadParams) check() error {
+	return errors.Join(notNegative("Round", p.Round), notNegative("VMsPerServer", p.VMsPerServer))
+}
+
 // MessageOverheadPoint is one ring size's per-host distribution.
 type MessageOverheadPoint struct {
 	Servers int
@@ -64,42 +61,39 @@ type MessageOverheadPoint struct {
 type MessageOverheadOutcome struct {
 	Params MessageOverheadParams
 	Points []MessageOverheadPoint
-	// Trace is the largest sweep point's flight recorder (nil when
-	// Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the largest sweep point's auditor (nil when Params.Audit is
-	// disabled).
-	Audit *audit.Auditor `json:"-"`
+	// Artifacts are the largest sweep point's.
+	Artifacts
 }
 
 // RunMessageOverhead executes the sweep. Ring sizes are independent trials
 // on private stacks, so they run concurrently under internal/parallel with
 // results bit-identical to the sequential loop.
 func RunMessageOverhead(p MessageOverheadParams) (*MessageOverheadOutcome, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
-	points, trace, auditor, err := sweepSizes(p.Sizes, p.Parallelism, p.Obs, p.Audit,
-		func(n int, tr *obs.Trace, au audit.Config) (MessageOverheadPoint, *audit.Auditor, error) {
-			return messageOverheadPoint(p, n, tr, au)
+	points, art, err := sweepSizes(p.Sizes, p.Parallelism, p.RunConfig,
+		func(n int, c RunConfig) (MessageOverheadPoint, Artifacts, error) {
+			return messageOverheadPoint(p, n, c)
 		})
 	if err != nil {
 		return nil, err
 	}
-	return &MessageOverheadOutcome{Params: p, Points: points, Trace: trace, Audit: auditor}, nil
+	return &MessageOverheadOutcome{Params: p, Points: points, Artifacts: art}, nil
 }
 
 // messageOverheadPoint measures one ring size: the skewed-load run with a
 // modest load, Pastry's ring maintenance beside the services, and one round
 // counted once trees are built and roles have settled.
-func messageOverheadPoint(p MessageOverheadParams, n int, tr *obs.Trace, au audit.Config) (MessageOverheadPoint, *audit.Auditor, error) {
+func messageOverheadPoint(p MessageOverheadParams, n int, c RunConfig) (MessageOverheadPoint, Artifacts, error) {
 	spec := ScaledSpec(n)
 	spec.LANHop = time.Millisecond
 	var pt MessageOverheadPoint
-	_, auditor, err := skewedRun{
+	_, art, err := skewedRun{
 		opts: core.Options{
 			Topology: spec,
 			Seed:     p.Seed,
-			Shards:   p.Shards,
-			Trace:    tr,
 			Rebalance: rebalance.Config{
 				Threshold:         0.183,
 				UpdateInterval:    p.Round,
@@ -110,7 +104,7 @@ func messageOverheadPoint(p MessageOverheadParams, n int, tr *obs.Trace, au audi
 		meanUtil:     0.6,
 		spread:       0.4,
 		loadSeed:     p.Seed + int64(n),
-		audit:        au,
+		rc:           c,
 		// Pastry ring maintenance participates in the per-round budget.
 		repair: func(vb *core.VBundle) func() {
 			vb.Ring.StartMaintenance()
@@ -127,7 +121,7 @@ func messageOverheadPoint(p MessageOverheadParams, n int, tr *obs.Trace, au audi
 			}
 		},
 	}.run()
-	return pt, auditor, err
+	return pt, art, err
 }
 
 // Report renders the Fig. 15 percentiles.

@@ -1,15 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
-	"vbundle/internal/parallel"
 	"vbundle/internal/placement"
 	"vbundle/internal/topology"
 )
@@ -29,14 +27,7 @@ type PlacementParams struct {
 	Engine core.EngineKind
 	// Seed drives all randomness.
 	Seed int64
-	// Shards is the engine's shard count, as in core.Options; virtual-time
-	// results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	RunConfig
 }
 
 func (p PlacementParams) withDefaults() PlacementParams {
@@ -53,6 +44,10 @@ func (p PlacementParams) withDefaults() PlacementParams {
 		p.Engine = core.EngineDHT
 	}
 	return p
+}
+
+func (p PlacementParams) check() error {
+	return errors.Join(notNegative("VMsPerWavePerCustomer", p.VMsPerWavePerCustomer), notNegative("Waves", p.Waves))
 }
 
 // WaveOutcome captures the state after one provisioning wave.
@@ -75,28 +70,20 @@ type PlacementOutcome struct {
 	Params PlacementParams
 	Waves  []WaveOutcome
 	Engine string
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Artifacts
 }
 
 // RunPlacement executes the placement experiment.
 func RunPlacement(p PlacementParams) (*PlacementOutcome, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
-		Topology: p.Spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Engine:   p.Engine,
-		Trace:    trace,
-	})
+	vb, art, err := p.build(core.Options{Topology: p.Spec, Seed: p.Seed, Engine: p.Engine})
 	if err != nil {
 		return nil, err
 	}
-	out := &PlacementOutcome{Params: p, Engine: vb.Placer.Name(), Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &PlacementOutcome{Params: p, Engine: vb.Placer.Name(), Artifacts: art}
 
 	for wave := 0; wave < p.Waves; wave++ {
 		wo := WaveOutcome{}
@@ -127,19 +114,6 @@ func RunPlacement(p PlacementParams) (*PlacementOutcome, error) {
 		out.Waves = append(out.Waves, wo)
 	}
 	return out, nil
-}
-
-// RunPlacementTrials repeats the multi-wave placement experiment once per
-// seed, farming the trials out over workers goroutines (0 = GOMAXPROCS,
-// 1 = sequential). Outcomes are ordered by seed index and each trial is
-// bit-identical to a standalone RunPlacement with that seed, so aggregate
-// statistics over seeds are reproducible at any parallelism.
-func RunPlacementTrials(p PlacementParams, seeds []int64, workers int) ([]*PlacementOutcome, error) {
-	return parallel.Map(len(seeds), workers, func(i int) (*PlacementOutcome, error) {
-		q := p
-		q.Seed = seeds[i]
-		return RunPlacement(q)
-	})
 }
 
 // Report renders the outcome in the paper's terms: per-customer rack

@@ -1,17 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
-	"vbundle/internal/parallel"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/sim"
 	"vbundle/internal/topology"
@@ -37,15 +35,7 @@ type RebalanceParams struct {
 	SampleEvery time.Duration
 	// Seed drives the synthetic load.
 	Seed int64
-	// Shards is the engine's shard count, as in core.Options; virtual-time
-	// results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	// Sweeps are read-only and never change experiment metrics.
-	Audit audit.Config
+	RunConfig
 }
 
 func (p RebalanceParams) withDefaults() RebalanceParams {
@@ -73,6 +63,11 @@ func (p RebalanceParams) withDefaults() RebalanceParams {
 	return p
 }
 
+func (p RebalanceParams) check() error {
+	return errors.Join(notNegative("VMsPerServer", p.VMsPerServer), notNegative("Threshold", p.Threshold),
+		notNegative("Duration", p.Duration), notNegative("SampleEvery", p.SampleEvery))
+}
+
 // RebalanceOutcome carries the series behind Figs. 9, 10 and 11.
 type RebalanceOutcome struct {
 	Params RebalanceParams
@@ -88,10 +83,7 @@ type RebalanceOutcome struct {
 	Migrations, Queries int
 	// MigrationsCompleted counts arrivals.
 	MigrationsCompleted int
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Artifacts
 }
 
 // The paper's skewed load (Fig. 9): each server's utilization is drawn
@@ -134,14 +126,14 @@ func seedSkewedLoad(vb *core.VBundle, vmsPerServer int, meanUtil, spread float64
 // experiment and Fig. 15's message count are this run with different
 // options, observers and windows.
 type skewedRun struct {
-	// opts builds the stack; Rebalance.UpdateInterval is also the workload
-	// refresh period.
+	// opts builds the stack on rc; Rebalance.UpdateInterval is also the
+	// workload refresh period.
 	opts core.Options
+	rc   RunConfig
 	// vmsPerServer, meanUtil, spread and loadSeed shape the load.
 	vmsPerServer     int
 	meanUtil, spread float64
 	loadSeed         int64
-	audit            audit.Config
 	// before, when set, sees the seeded stack with nothing switched on.
 	before func(vb *core.VBundle)
 	// sample, when set, runs once behind before and then every sampleEvery
@@ -159,16 +151,15 @@ type skewedRun struct {
 	quiesce time.Duration
 }
 
-func (r skewedRun) run() (*core.VBundle, *audit.Auditor, error) {
-	vb, err := core.New(r.opts)
+func (r skewedRun) run() (*core.VBundle, Artifacts, error) {
+	vb, art, err := r.rc.build(r.opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, art, err
 	}
 	rng := rand.New(rand.NewSource(r.loadSeed))
 	if err := seedSkewedLoad(vb, r.vmsPerServer, r.meanUtil, r.spread, rng); err != nil {
-		return nil, nil, err
+		return nil, art, err
 	}
-	auditor := vb.AttachAudit(r.audit)
 	if r.before != nil {
 		r.before(vb)
 	}
@@ -196,18 +187,16 @@ func (r skewedRun) run() (*core.VBundle, *audit.Auditor, error) {
 	} else {
 		vb.Engine.Run()
 	}
-	return vb, auditor, nil
+	return vb, art, nil
 }
 
-// spine is the run every RebalanceParams field but Duration and SampleEvery
-// describes; the caller adds its observers and its window.
-func (p RebalanceParams) spine(trace *obs.Trace) skewedRun {
+// spine is the run every RebalanceParams field but Duration describes; the
+// caller adds its observers and its window.
+func (p RebalanceParams) spine() skewedRun {
 	return skewedRun{
 		opts: core.Options{
 			Topology: p.Spec,
 			Seed:     p.Seed,
-			Shards:   p.Shards,
-			Trace:    trace,
 			Rebalance: rebalance.Config{
 				Threshold:         p.Threshold,
 				UpdateInterval:    p.UpdateInterval,
@@ -218,16 +207,19 @@ func (p RebalanceParams) spine(trace *obs.Trace) skewedRun {
 		meanUtil:     paperMeanUtil,
 		spread:       paperUtilSpread,
 		loadSeed:     p.Seed + 1,
-		audit:        p.Audit,
+		rc:           p.RunConfig,
 		sampleEvery:  p.SampleEvery,
 	}
 }
 
 // RunRebalance executes the resource-shuffling experiment.
 func RunRebalance(p RebalanceParams) (*RebalanceOutcome, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
-	out := &RebalanceOutcome{Params: p, Trace: p.Obs.New()}
-	r := p.spine(out.Trace)
+	out := &RebalanceOutcome{Params: p}
+	r := p.spine()
 	r.before = func(vb *core.VBundle) {
 		out.Before = vb.UtilizationSnapshot()
 		out.MeanUtil = vb.Cluster.MeanUtilizationBW()
@@ -240,27 +232,16 @@ func RunRebalance(p RebalanceParams) (*RebalanceOutcome, error) {
 		out.Satisfied.Add(now, rep.SatisfiedMbps)
 	}
 	r.window = func(vb *core.VBundle) { vb.RunFor(p.Duration) }
-	vb, auditor, err := r.run()
+	vb, art, err := r.run()
 	if err != nil {
 		return nil, err
 	}
-	out.Audit = auditor
+	out.Artifacts = art
 	out.After = vb.UtilizationSnapshot()
 	out.Migrations = vb.Rebalancer.MigrationsTriggered()
 	out.Queries = vb.Rebalancer.QueriesSent()
 	out.MigrationsCompleted = vb.Migration.Stats().Completed
 	return out, nil
-}
-
-// RunRebalanceSweep runs one RunRebalance per variant — the paper's
-// threshold comparison of Fig. 9 or the scale comparison of Fig. 10 —
-// across workers goroutines (0 = GOMAXPROCS, 1 = sequential). Each variant
-// owns a full private stack, so outcomes match the sequential loop exactly
-// and arrive in variant order.
-func RunRebalanceSweep(variants []RebalanceParams, workers int) ([]*RebalanceOutcome, error) {
-	return parallel.Map(len(variants), workers, func(i int) (*RebalanceOutcome, error) {
-		return RunRebalance(variants[i])
-	})
 }
 
 // CountAbove returns how many values exceed the limit.

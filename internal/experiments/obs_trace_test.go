@@ -16,8 +16,7 @@ func tracedRebalanceParams(shards int, cfg obs.Config) RebalanceParams {
 		VMsPerServer:   4,
 		UpdateInterval: 2 * time.Minute, RebalanceInterval: 6 * time.Minute,
 		Duration: 20 * time.Minute, SampleEvery: 2 * time.Minute,
-		Seed: 7, Shards: shards,
-		Obs: cfg,
+		Seed: 7, RunConfig: RunConfig{Shards: shards, Obs: cfg},
 	}
 }
 

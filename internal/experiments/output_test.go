@@ -96,3 +96,36 @@ func TestRebalanceChartsComplete(t *testing.T) {
 		t.Error("missing fig15 chart")
 	}
 }
+
+// TestOutcomeJSONKeepsFlatParams: RunConfig and Artifacts are embedded, so
+// an outcome's JSON carries Seed, Shards, Obs and Audit side by side under
+// Params, as when each …Params declared them, and no run artifact.
+func TestOutcomeJSONKeepsFlatParams(t *testing.T) {
+	for _, o := range []any{&PlacementOutcome{}, &ChurnOutcome{}, &RebalanceOutcome{}, &QoSOutcome{},
+		&AggLatencyOutcome{}, &MessageOverheadOutcome{}, &FaultOutcome{}, &ServeOutcome{}} {
+		raw, err := json.Marshal(o)
+		if err != nil {
+			t.Fatalf("%T: %v", o, err)
+		}
+		var top, params map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &top); err != nil {
+			t.Fatalf("%T: %v", o, err)
+		}
+		if err := json.Unmarshal(top["Params"], &params); err != nil {
+			t.Fatalf("%T: Params: %v", o, err)
+		}
+		for _, k := range []string{"Seed", "Shards", "Obs", "Audit"} {
+			if _, ok := params[k]; !ok {
+				t.Errorf("%T: no %s under Params in %s", o, k, raw)
+			}
+		}
+		if _, ok := top["Audit"]; ok {
+			t.Errorf("%T: JSON has an outcome-level Audit key: %s", o, raw)
+		}
+		for _, k := range []string{`"RunConfig"`, `"Artifacts"`, `"Trace"`} {
+			if strings.Contains(string(raw), k) {
+				t.Errorf("%T: JSON has a %s key: %s", o, k, raw)
+			}
+		}
+	}
+}

@@ -69,49 +69,3 @@ func TestFig14ParallelMatchesSequential(t *testing.T) {
 		t.Errorf("parallel Fig 14 report differs from sequential:\n--- seq\n%s--- par\n%s", sb.String(), pb.String())
 	}
 }
-
-func TestRebalanceSweepMatchesIndividualRuns(t *testing.T) {
-	variants := []RebalanceParams{smallRebalance(0.1), smallRebalance(0.3)}
-	swept, err := RunRebalanceSweep(variants, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(swept) != len(variants) {
-		t.Fatalf("sweep returned %d outcomes, want %d", len(swept), len(variants))
-	}
-	for i, v := range variants {
-		solo, err := RunRebalance(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a, b bytes.Buffer
-		solo.WriteFig9(&a)
-		swept[i].WriteFig9(&b)
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("variant %d (thr=%g): sweep outcome differs from standalone run:\n--- solo\n%s--- sweep\n%s",
-				i, v.Threshold, a.String(), b.String())
-		}
-	}
-}
-
-func TestPlacementTrialsOrderedBySeed(t *testing.T) {
-	p := smallPlacement(0, 1)
-	p.Spec = ScaledSpec(64)
-	p.VMsPerWavePerCustomer = 20
-	seeds := []int64{2, 5, 9}
-	outs, err := RunPlacementTrials(p, seeds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(seeds) {
-		t.Fatalf("got %d outcomes, want %d", len(outs), len(seeds))
-	}
-	for i, out := range outs {
-		if out.Params.Seed != seeds[i] {
-			t.Errorf("outcome %d has seed %d, want %d", i, out.Params.Seed, seeds[i])
-		}
-		if out.Waves[0].Placed == 0 {
-			t.Errorf("outcome %d placed no VMs", i)
-		}
-	}
-}

@@ -7,9 +7,7 @@ import (
 	"math/rand"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/core"
-	"vbundle/internal/obs"
 	"vbundle/internal/placement"
 	"vbundle/internal/serve"
 	"vbundle/internal/topology"
@@ -63,13 +61,7 @@ type ServeParams struct {
 	Rebalance bool
 	// Seed drives all randomness.
 	Seed int64
-	// Shards is the engine's shard count, as in core.Options; virtual-time
-	// results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	RunConfig
 }
 
 func (p ServeParams) withDefaults() ServeParams {
@@ -100,6 +92,13 @@ func (p ServeParams) withDefaults() ServeParams {
 		p.TerminateFraction = 0.9
 	}
 	return p
+}
+
+// check leaves MaxInFlight and MaxBatch to serve.New.
+func (p ServeParams) check() error {
+	return errors.Join(notNegative("RatePerSec", p.RatePerSec), notNegative("FlashMultiplier", p.FlashMultiplier),
+		notNegative("FlashStart", p.FlashStart), notNegative("FlashLength", p.FlashLength),
+		notNegative("Prewarm", p.Prewarm), notNegative("Duration", p.Duration), notNegative("Drain", p.Drain))
 }
 
 // DefaultServeMix is the standard mixed-size customer population: two large
@@ -153,22 +152,16 @@ type ServeOutcome struct {
 	LeakedReservations, Unresolved int
 	// VirtualEnd is the clock at the end of the run.
 	VirtualEnd time.Duration
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Artifacts
 }
 
 // RunServe executes the serving experiment.
 func RunServe(p ServeParams) (*ServeOutcome, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
-		Topology: p.Spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Trace:    trace,
-	})
+	vb, art, err := p.build(core.Options{Topology: p.Spec, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -185,8 +178,7 @@ func RunServe(p ServeParams) (*ServeOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &ServeOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &ServeOutcome{Params: p, Artifacts: art}
 
 	// Standing population: boot Prewarm VMs per customer and let them
 	// settle before the stream begins.

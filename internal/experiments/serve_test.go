@@ -35,7 +35,7 @@ func serveTestParams(shards int) ServeParams {
 		Batch:           true,
 		MaxInFlight:     64,
 		Seed:            7,
-		Shards:          shards,
+		RunConfig:       RunConfig{Shards: shards},
 	}
 }
 

@@ -36,7 +36,7 @@ func stripShardWork(out *AggLatencyOutcome) {
 func TestShardedEquivalence(t *testing.T) {
 	t.Run("Fig14AggLatency", func(t *testing.T) {
 		params := func(shards int) AggLatencyParams {
-			return AggLatencyParams{Sizes: []int{64, 128}, Seed: 7, Parallelism: 1, Shards: shards}
+			return AggLatencyParams{Sizes: []int{64, 128}, Seed: 7, Parallelism: 1, RunConfig: RunConfig{Shards: shards}}
 		}
 		ref, err := RunAggLatency(params(0))
 		if err != nil {
@@ -64,7 +64,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Skip("large-ring equivalence matrix skipped with -short")
 		}
 		params := func(shards int) AggLatencyParams {
-			return AggLatencyParams{Sizes: []int{512, 2048}, Seed: 11, Parallelism: 1, Shards: shards}
+			return AggLatencyParams{Sizes: []int{512, 2048}, Seed: 11, Parallelism: 1, RunConfig: RunConfig{Shards: shards}}
 		}
 		ref, err := RunAggLatency(params(0))
 		if err != nil {
@@ -87,7 +87,7 @@ func TestShardedEquivalence(t *testing.T) {
 	t.Run("Fig15MessageOverhead", func(t *testing.T) {
 		params := func(shards int) MessageOverheadParams {
 			return MessageOverheadParams{Sizes: []int{64}, Round: 30 * time.Second,
-				VMsPerServer: 3, Seed: 7, Parallelism: 1, Shards: shards}
+				VMsPerServer: 3, Seed: 7, Parallelism: 1, RunConfig: RunConfig{Shards: shards}}
 		}
 		ref, err := RunMessageOverhead(params(0))
 		if err != nil {
@@ -112,7 +112,7 @@ func TestShardedEquivalence(t *testing.T) {
 				VMsPerServer:   4,
 				UpdateInterval: 2 * time.Minute, RebalanceInterval: 6 * time.Minute,
 				Duration: 20 * time.Minute, SampleEvery: 2 * time.Minute,
-				Seed: 7, Shards: shards,
+				Seed: 7, RunConfig: RunConfig{Shards: shards},
 			}
 		}
 		ref, err := RunRebalance(params(0))
@@ -142,7 +142,7 @@ func TestShardedEquivalence(t *testing.T) {
 					VMsPerServer:   4,
 					UpdateInterval: 2 * time.Minute, RebalanceInterval: 6 * time.Minute,
 					Duration: 24 * time.Minute, SampleEvery: 2 * time.Minute,
-					Seed: 7, Shards: shards,
+					Seed: 7, RunConfig: RunConfig{Shards: shards},
 				},
 				LeaseDuration: 5 * time.Minute, Heartbeat: time.Minute,
 				DropRate: 0.05, Victims: 2,

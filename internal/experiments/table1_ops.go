@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -37,6 +38,10 @@ func (p Table1Params) withDefaults() Table1Params {
 	return p
 }
 
+func (p Table1Params) check() error {
+	return errors.Join(notNegative("Servers", p.Servers), notNegative("Iterations", p.Iterations))
+}
+
 // Table1Row is one measured operation.
 type Table1Row struct {
 	Operation string
@@ -55,6 +60,9 @@ type Table1Outcome struct {
 
 // RunTable1 executes the micro-measurements.
 func RunTable1(p Table1Params) (*Table1Outcome, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
 	spec := ScaledSpec(p.Servers)
 	spec.LANHop = time.Millisecond

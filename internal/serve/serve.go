@@ -223,6 +223,12 @@ func New(vb *core.VBundle, cfg Config) (*Frontend, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: front end requires the DHT engine, got %s", vb.Placer.Name())
 	}
+	switch {
+	case cfg.MaxBatch < 0:
+		return nil, fmt.Errorf("serve: MaxBatch = %d, must not be negative (0 for the default)", cfg.MaxBatch)
+	case cfg.MaxInFlight < 0:
+		return nil, fmt.Errorf("serve: MaxInFlight = %d, must not be negative (0 for no cap)", cfg.MaxInFlight)
+	}
 	cfg = cfg.withDefaults()
 	gw := dht.Gateway()
 	f := &Frontend{

@@ -62,7 +62,7 @@ func TestFig14BytesPerServerCeiling(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-				Sizes: []int{c.servers}, Seed: 1, Parallelism: 1, Shards: c.shards,
+				Sizes: []int{c.servers}, Seed: 1, Parallelism: 1, RunConfig: experiments.RunConfig{Shards: c.shards},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -67,7 +67,7 @@ echo "== queue, inbox, shell, memo, leaf, search and poison model equivalence -r
 go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan|TestPoisonedBanksChangeNothing|TestLossyRoundsKeepShellsBounded' \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
-# Fifteen gates that must have run and passed by name, not merely not failed
+# Sixteen gates that must have run and passed by name, not merely not failed
 # (a renamed or skipped test fails the count). Ten count objects: a 256-hop
 # spill walk allocates no more than a boot admitted at its rendezvous; a warm
 # serving step (a boot, its query's completion and two terminates, under each
@@ -87,11 +87,13 @@ go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|Test
 # their engine's slabs. Two hold the API to its callers: every field of a
 # Config, Options or …Params struct is set somewhere besides its own
 # withDefaults, and every export of internal/ is used somewhere besides its
-# own package's tests.
-echo "== allocation, size, knob and export gates, PASS by name (15)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller)$' \
+# own package's tests. One holds vb to its inputs: every nonsense value a
+# bug once hung, panicked or silently ran on exits 1 naming its flag or
+# field.
+echo "== allocation, size, knob, export and bad-config gates, PASS by name (16)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ . | grep -c '^--- PASS')" -eq 15
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 16
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
