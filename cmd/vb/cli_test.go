@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"encoding/xml"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -90,6 +93,86 @@ func TestFig14TraceCarriesSeries(t *testing.T) {
 	}
 }
 
+// TestFigureFiles: -svg writes one well-formed SVG a chart, named by the
+// chart's stem, and -json a document encoding/json reads back.
+func TestFigureFiles(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args  string
+		stems []string
+	}{
+		{"qos -svg $DIR/qos -json $DIR/qos.json", []string{"fig12-failed-calls", "fig13-rt-cdf"}},
+		{"rebalance -fig 9 -servers 256 -svg $DIR/rebalance", []string{"fig9-utilization-thr0.1", "fig9-utilization-thr0.3"}},
+		{"placement -svg $DIR/placement -json $DIR/placement.json", []string{"placement-wave1-vbundle-dht"}},
+	} {
+		args := strings.Fields(strings.ReplaceAll(c.args, "$DIR", dir))
+		if _, errs, code := vb(args...); code != 0 {
+			t.Fatalf("vb %s: exit status %d\n%s", c.args, code, errs)
+		}
+		svgDir := filepath.Join(dir, args[0])
+		for _, stem := range c.stems {
+			if _, err := os.Stat(filepath.Join(svgDir, stem+".svg")); err != nil {
+				t.Errorf("vb %s: no chart %s: %v", c.args, stem, err)
+			}
+		}
+		svgs, err := filepath.Glob(filepath.Join(svgDir, "*.svg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range svgs {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				XMLName xml.Name
+			}
+			if err := xml.Unmarshal(data, &doc); err != nil || doc.XMLName.Local != "svg" {
+				t.Errorf("%s: root %q, error %v; want a well-formed svg document", filepath.Base(path), doc.XMLName.Local, err)
+			}
+		}
+	}
+	for _, name := range []string{"qos.json", "placement.json"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil || doc["Params"] == nil {
+			t.Errorf("%s: error %v, keys %d; want an object with its Params", name, err, len(doc))
+		}
+	}
+}
+
+// TestTraceExplainsCrashes records the crash sweep of faults-64-crash and
+// reads it back through every trace reader: the node left down forever is
+// explained as such, a migration is traced to the any-cast that caused it.
+func TestTraceExplainsCrashes(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.json")
+	if _, errs, code := vb("faults", "-crash", "-servers", "64", "-duration", "30", "-lease", "4", "-drop-rates", "0,0.02",
+		"-kill", "2", "-crash-forever", "1", "-restart-after", "5", "-seed", "5", "-workers", "1",
+		"-trace", trace, "-sample-every", "1m"); code != 0 {
+		t.Fatalf("vb faults: exit status %d\n%s", code, errs)
+	}
+	for _, c := range []struct {
+		args string
+		want string // multi-line regexp
+	}{
+		{"trace explain -crashes", `(?m)^crash node 2 at 10m0s\n  never restarted`},
+		{"trace explain", `caused by anycast`},
+		{"trace summary", `(?m)^events by kind:`},
+		{"trace tail", `node`},
+		{"trace series", `^t_ns,`},
+	} {
+		stdout, errs, code := vb(append(strings.Fields(c.args), trace)...)
+		if code != 0 {
+			t.Errorf("vb %s: exit status %d\n%s", c.args, code, errs)
+		} else if !regexp.MustCompile(c.want).MatchString(stdout) {
+			t.Errorf("vb %s: no match for %q in\n%s", c.args, c.want, stdout)
+		}
+	}
+}
+
 func TestExitStatus(t *testing.T) {
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
@@ -129,7 +212,8 @@ func TestExitStatus(t *testing.T) {
 // TestBadConfigs: a value no run can mean is an error naming its flag or
 // field, exit status 1, and never a hang or a panic. -hours under 8 ns looped
 // forever in vb sim, -rate -1 held vb serve at one virtual instant,
-// -max-batch -1 panicked in the front end's flush, and the rest ran.
+// -max-batch -1 panicked in the front end's flush, vb overhead -fig 7 printed
+// nothing and exited 0, and the rest ran.
 func TestBadConfigs(t *testing.T) {
 	for _, c := range []struct{ args, name string }{
 		{"sim -hours 0", "-hours"},
@@ -148,6 +232,10 @@ func TestBadConfigs(t *testing.T) {
 		{"faults -crash -restart-after -1", "RestartAfter"},
 		{"qos -hosts -1", "Hosts"},
 		{"overhead -fig 1 -iterations -1", "Iterations"},
+		{"overhead -fig 7", "unknown figure 7 (want 1, 14, 15 or 0)"},
+		{"sim -threshold -1", "Rebalance.Threshold"},
+		{"sim -customers -3", "-customers"},
+		{"sim -vms -3", "-vms"},
 	} {
 		t.Run(c.args, func(t *testing.T) {
 			type result struct {

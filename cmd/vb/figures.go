@@ -263,6 +263,9 @@ func runOverhead(e *env, args []string) error {
 	if err := e.parseRun(args, &agg.Seed, &agg.RunConfig); err != nil {
 		return err
 	}
+	if *fig != 0 && *fig != 1 && *fig != 14 && *fig != 15 {
+		return fmt.Errorf("unknown figure %d (want 1, 14, 15 or 0)", *fig)
+	}
 	var big []int
 	for n := 16; n <= *maxN; n *= 2 {
 		if n < *minN {

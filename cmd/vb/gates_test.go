@@ -135,6 +135,11 @@ var gates = []gate{
 	{name: "qos", args: "qos", golden: true},
 	{name: "churn-100", args: "churn -servers 100 -hours 1", golden: true},
 	{name: "sim-100", args: "sim -servers 100 -hours 1", golden: true},
+	// The four extension flags together. The sim workload loads bandwidth
+	// alone and DHT placement leaves the veto nothing to refuse, so random
+	// placement is what makes the cost-benefit check fire. The golden was
+	// printed by the tree before the row existed.
+	{name: "sim-100-extensions", args: "sim -servers 100 -hours 1 -engine random -same-customer -multi-resource -cost-benefit", golden: true},
 }
 
 // vb runs one command line in-process.

@@ -46,6 +46,12 @@ func runSim(e *env, args []string) error {
 	if opts.Topology, err = scaledSpec(*servers); err != nil {
 		return err
 	}
+	if *customers < 0 {
+		return fmt.Errorf("-customers %d: must not be negative", *customers)
+	}
+	if *vms < 0 {
+		return fmt.Errorf("-vms %d: must not be negative", *vms)
+	}
 	// The run reports at eight even steps, so it must span eight nanoseconds.
 	duration := time.Duration(*hours * float64(time.Hour))
 	step := duration / 8

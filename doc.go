@@ -10,8 +10,9 @@
 // alone, New everything above it); the runnable entry point is cmd/vb, one
 // binary with a subcommand per experiment family (vb placement, vb
 // rebalance, vb qos, vb overhead, vb churn, vb faults, vb serve, vb sim)
-// plus vb trace and vb metrics over the recordings they write, next to the
-// examples under examples/. The benchmark suite in bench_test.go
+// plus vb trace and vb metrics over the recordings they write; core,
+// rebalance and aggregation carry the paper's worked examples as package
+// Examples. The benchmark suite in bench_test.go
 // regenerates every table and figure of the paper's evaluation; expected
 // versus measured results are recorded in EXPERIMENTS.md.
 package vbundle

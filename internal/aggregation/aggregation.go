@@ -65,14 +65,6 @@ func (a Aggregate) Fold(b Aggregate) Aggregate {
 // Sample builds the aggregate of one sample.
 func Sample(v float64) Aggregate { return Aggregate{Sum: v, Count: 1, Min: v, Max: v} }
 
-// Mean returns Sum/Count, or zero for the empty aggregate.
-func (a Aggregate) Mean() float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	return a.Sum / float64(a.Count)
-}
-
 // Global is a root-published aggregate with its publication time.
 type Global struct {
 	Aggregate

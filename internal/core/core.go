@@ -1,8 +1,8 @@
 // Package core assembles the full v-Bundle system: the simulated datacenter
 // (topology + cluster), the Pastry overlay with hierarchy-assigned nodeIds,
 // Scribe and the aggregation trees, the topology-aware placement engine,
-// and the decentralized rebalancer. It is the public entry point examples,
-// command-line tools and the experiment harnesses build on, and the one
+// and the decentralized rebalancer. It is the public entry point the
+// command-line tool and the experiment harnesses build on, and the one
 // place a stack is constructed: NewOverlay for the overlay alone, New for
 // everything.
 //
@@ -281,6 +281,9 @@ type VBundle struct {
 // instance is ready to place VMs.
 func New(opts Options) (*VBundle, error) {
 	opts = opts.withDefaults()
+	if opts.Rebalance.Threshold < 0 {
+		return nil, fmt.Errorf("core: Rebalance.Threshold = %g, must not be negative (0 for the default)", opts.Rebalance.Threshold)
+	}
 	if opts.Rebalance.RebalanceInterval < 0 {
 		return nil, fmt.Errorf("core: Rebalance.RebalanceInterval = %v, must not be negative (0 for the default)", opts.Rebalance.RebalanceInterval)
 	}

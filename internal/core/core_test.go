@@ -217,7 +217,7 @@ func TestPastryDigitWidth(t *testing.T) {
 
 // TestBadCadencesAndLossAreErrors: a negative aggregation or rebalance
 // period (which made StartServices panic in sim's ticker), a negative lease
-// (which was accepted) and a loss rate outside [0, 1), the range
+// or threshold (each accepted) and a loss rate outside [0, 1), the range
 // simnet.WithDropRate allows (which was accepted), are configuration errors
 // New returns, naming the field; NewOverlay returns the two it reads.
 func TestBadCadencesAndLossAreErrors(t *testing.T) {
@@ -229,6 +229,7 @@ func TestBadCadencesAndLossAreErrors(t *testing.T) {
 		{func(o *Options) { o.Rebalance.UpdateInterval = -time.Minute }, "Rebalance.UpdateInterval", true},
 		{func(o *Options) { o.Rebalance.RebalanceInterval = -time.Minute }, "Rebalance.RebalanceInterval", false},
 		{func(o *Options) { o.Rebalance.LeaseDuration = -time.Second }, "Rebalance.LeaseDuration", false},
+		{func(o *Options) { o.Rebalance.Threshold = -1 }, "Rebalance.Threshold", false},
 		{func(o *Options) { o.MessageLoss = 1 }, "MessageLoss", true},
 		{func(o *Options) { o.MessageLoss = -0.1 }, "MessageLoss", true},
 	} {
