@@ -366,7 +366,7 @@ func BenchmarkFig15Scale(b *testing.B) {
 // on the single 8192-server Fig. 14 point — the
 // workload the sharded engine exists for: one big run that previously owned
 // exactly one core. The virtual-time output is bit-identical at every shard
-// count (TestShardedEquivalence); only the wall-clock may differ, and the
+// count (the -shards variants of TestGates); only the wall-clock may differ, and the
 // sub-benchmark ratio serial/shards=4 is the speedup-vs-shards table in
 // EXPERIMENTS.md. On a single-core machine the sharded variants measure pure
 // coordination overhead instead — there, shards=4 runs *slower* than serial

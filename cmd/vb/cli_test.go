@@ -159,6 +159,7 @@ func TestTraceExplainsCrashes(t *testing.T) {
 		want string // multi-line regexp
 	}{
 		{"trace explain -crashes", `(?m)^crash node 2 at 10m0s\n  never restarted`},
+		{"trace explain -crashes", `rejoin from durable state found`},
 		{"trace explain", `caused by anycast`},
 		{"trace summary", `(?m)^events by kind:`},
 		{"trace tail", `node`},
@@ -213,7 +214,8 @@ func TestExitStatus(t *testing.T) {
 // field, exit status 1, and never a hang or a panic. -hours under 8 ns looped
 // forever in vb sim, -rate -1 held vb serve at one virtual instant,
 // -max-batch -1 panicked in the front end's flush, vb overhead -fig 7 printed
-// nothing and exited 0, and the rest ran.
+// nothing and exited 0, a 0 the …Params read as "the default" ran the
+// default, and the rest ran.
 func TestBadConfigs(t *testing.T) {
 	for _, c := range []struct{ args, name string }{
 		{"sim -hours 0", "-hours"},
@@ -236,6 +238,13 @@ func TestBadConfigs(t *testing.T) {
 		{"sim -threshold -1", "Rebalance.Threshold"},
 		{"sim -customers -3", "-customers"},
 		{"sim -vms -3", "-vms"},
+		{"serve -rate 0", "-rate"},
+		{"serve -duration 0", "-duration"},
+		{"qos -hosts 0", "-hosts"},
+		{"qos -vms-per-host 0", "-vms-per-host"},
+		{"placement -waves 0", "-waves"},
+		{"faults -lease 0", "-lease"},
+		{"churn -lifetime-min 0", "-lifetime-min"},
 	} {
 		t.Run(c.args, func(t *testing.T) {
 			type result struct {

@@ -42,6 +42,9 @@ func runFaults(e *env, args []string) error {
 	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
+	if err := notZero("-lease", *lease == 0); err != nil {
+		return err
+	}
 	drops, err := parseRates(*rates)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -30,6 +31,9 @@ func runPlacement(e *env, args []string) error {
 		jsonOut = e.fs.String("json", "", "file to write the outcome as JSON")
 	)
 	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
+		return err
+	}
+	if err := notZero("-waves", p.Waves == 0); err != nil {
 		return err
 	}
 	var err error
@@ -102,6 +106,9 @@ func runChurn(e *env, args []string) error {
 		return err
 	}
 	p.MeanLifetime = time.Duration(*lifetime * float64(time.Minute))
+	if err := notZero("-lifetime-min", p.MeanLifetime == 0); err != nil {
+		return err
+	}
 	p.Duration = time.Duration(*hours * float64(time.Hour))
 	ps, err := trials(p, *n, func(p *experiments.ChurnParams) *int64 { return &p.Seed })
 	if err != nil {
@@ -224,6 +231,9 @@ func runQoS(e *env, args []string) error {
 	}
 	if *fig != 0 && *fig != 12 && *fig != 13 {
 		return fmt.Errorf("unknown figure %d (want 12, 13 or 0)", *fig)
+	}
+	if err := errors.Join(notZero("-hosts", p.Hosts == 0), notZero("-vms-per-host", p.VMsPerHost == 0)); err != nil {
+		return err
 	}
 	out, err := experiments.RunQoS(p)
 	if err != nil {

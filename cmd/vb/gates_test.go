@@ -24,12 +24,14 @@ type gate struct {
 	// args is the base command line. "$TMP/x" names a file in a fresh
 	// directory; every such file must be non-empty once the run is over.
 	args string
-	// variants are extra flags, each appended to args in a run of its own
-	// that must print the base run's stdout to the byte: observers (auditor,
-	// recorder, sampler) watch the simulation and never take part in it, and
-	// shard and worker counts change the schedule on the host, not one event
-	// in virtual time. A later flag overrides an earlier one, so a row whose
-	// args turn an observer on can turn it off again here.
+	// variants are extra flags, each appended to args in a run of its own,
+	// with $TMP a fresh directory, that must print the base run's stdout to
+	// the byte, and write each file the base run wrote in $TMP byte for byte
+	// or not at all: observers (auditor, recorder, sampler) watch the
+	// simulation and never take part in it, and shard and worker counts
+	// change the schedule on the host, not one event in virtual time. A later
+	// flag overrides an earlier one, so a row whose args turn an observer on
+	// can turn it off again here.
 	variants []string
 	// golden: the base run must print testdata/<name>.golden.
 	golden bool
@@ -55,14 +57,14 @@ const (
 
 var gates = []gate{
 	// Fig 14's ladder across shard counts: a lost event, a reordered merge or
-	// a stray rand draw diverges here before the slower equivalence property
-	// tests would see it. 2048 servers at 8 shards stretches the
+	// a stray rand draw diverges here. 2048 servers at 8 shards stretches the
 	// dynamically-sized drain windows furthest. -shards 1 is the base run's
-	// engine itself, so no row repeats it as a variant.
+	// engine itself, so no row repeats it as a variant. -workers 0 runs the
+	// sweep's sizes concurrently, each on a stack of its own.
 	{name: "fig14-512", args: "overhead -fig 14 -max-servers 512 -workers 1", golden: true,
 		variants: []string{"-shards 4"}},
 	{name: "fig14-2048", args: "overhead -fig 14 -max-servers 2048 -workers 1", golden: true,
-		variants: []string{"-shards 4", "-shards 8", "-workers 0"}},
+		variants: []string{"-shards 2", "-shards 4", "-shards 8", "-workers 0"}},
 	// The smallest of the big rungs, one point via -min-servers: ≈ 17 s and
 	// ≈ 1.5 GB for the pair.
 	{name: "fig14-524288", args: "overhead -fig 14 -min-servers 524288 -max-servers 524288 -shards 1 -workers 1", golden: true,
@@ -84,10 +86,14 @@ var gates = []gate{
 
 	// The shuffling loop end to end — aggregation rounds, any-cast, leases,
 	// migrations, the per-minute shaper accounting behind Fig 11 — serial
-	// and sharded. Fig 10's ten rounds of pushes cross shards: recycled
-	// shells are banked on the receiving shard's list.
-	{name: "fig9-256", args: "rebalance -fig 9 -servers 256", golden: true,
-		variants: []string{"-shards 4", "-workers 1"}},
+	// and sharded. fig9-256 records and samples the run, and its golden was
+	// printed with neither: the recorded trace and its series must not move
+	// with shards or workers, and the recorder off, a ring recorder that
+	// evicts, the sampler alone and the auditor must not move stdout. Fig
+	// 10's ten rounds of pushes cross shards: recycled shells are banked on
+	// the receiving shard's list.
+	{name: "fig9-256", args: "rebalance -fig 9 -servers 256 -trace $TMP/t.json -sample-every 2m", golden: true,
+		variants: []string{"-shards 4", "-workers 1", "-trace=", "-trace= -trace-ring 256", "-trace= -audit -audit-every 30s"}},
 	{name: "fig10-256", args: "rebalance -fig 10 -servers 256", golden: true,
 		variants: []string{"-shards 4"}},
 	{name: "fig11-256", args: "rebalance -fig 11 -servers 256", golden: true,
@@ -95,30 +101,37 @@ var gates = []gate{
 
 	// One small fault sweep, then the same with true crashes (blank handler,
 	// durable-store reboot, rejoin) and one node left dead: vb exits nonzero
-	// if a run leaks a reservation or loses a VM across the restart.
+	// if a run leaks a reservation or loses a VM across the restart. The
+	// crash sweep is recorded and sampled as fig9-256 is: crash, rejoin and
+	// reconcile run at global instants, so its trace must not move with
+	// shards either.
 	{name: "faults-64", args: "faults -servers 64 -duration 30 -lease 4 -drop-rates 0,0.02 -seed 5", golden: true,
-		variants: []string{"-workers 1"}, stdout: []string{`^no reservations leaked at quiesce in any run$`}},
-	{name: "faults-64-crash", args: "faults -crash -servers 64 -duration 30 -lease 4 -drop-rates 0,0.02 -kill 2 -crash-forever 1 -restart-after 5 -seed 5 -workers 1", golden: true,
-		variants: []string{"-shards 4"}, stdout: []string{`recovered fully`}},
+		variants: []string{"-workers 1", "-shards 4"}, stdout: []string{`^no reservations leaked at quiesce in any run$`}},
+	{name: "faults-64-crash", args: "faults -crash -servers 64 -duration 30 -lease 4 -drop-rates 0,0.02 -kill 2 -crash-forever 1 -restart-after 5 -seed 5 -workers 1 -trace $TMP/t.json -sample-every 2m", golden: true,
+		variants: []string{"-shards 4", "-trace=", "-trace= -trace-ring 4096"}, stdout: []string{`recovered fully`}},
 	// The same two with -v: the per-run reports, which the sweep tables above
 	// do not show, printed by the parent of PR 23 before the pause and crash
 	// experiments were merged into one.
 	{name: "faults-64-v", args: "faults -servers 64 -duration 30 -lease 4 -drop-rates 0,0.02 -seed 5 -v", golden: true},
 	{name: "faults-64-crash-v", args: "faults -crash -servers 64 -duration 30 -lease 4 -drop-rates 0,0.02 -kill 2 -crash-forever 1 -restart-after 5 -seed 5 -workers 1 -v", golden: true,
 		variants: []string{"-shards 4"}},
+	// The crash line at 2048 servers, printed by the tree before the
+	// row existed.
+	{name: "faults-2048-crash", args: "faults -crash -servers 2048 -duration 30 -lease 4 -drop-rates 0,0.02 -kill 2 -crash-forever 1 -restart-after 5 -seed 5 -workers 1", golden: true,
+		variants: []string{"-shards 4"}, stdout: []string{`recovered fully`}, long: true},
 
 	// The serving path: a Poisson stream and a flash crowd. vb exits nonzero
 	// on a leaked reservation or an unresolved boot; the hygiene lines are
 	// matched as well so a change to the exit status cannot weaken the row.
 	{name: "serve-512", args: serve512, golden: true,
-		variants: []string{"-shards 4"}, stdout: []string{noLeak, noOrphan}},
+		variants: []string{"-shards 4", "-trace-ring 4096"}, stdout: []string{noLeak, noOrphan}},
 	// The same stream with the cache off, printed by the parent of the PR that
 	// made the spill walk resumable: what the walk memo rides on the cache
 	// gate for. With the gate off nothing of the walk may move.
 	{name: "serve-512-routed", args: "serve -servers 512 -rate 100 -duration 20s -prewarm 2 -batch -seed 7", golden: true,
 		variants: []string{"-shards 4"}, stdout: []string{noLeak, noOrphan}},
 	{name: "serve-512-flash", args: "serve -servers 512 -rate 100 -duration 20s -prewarm 2 -cache -batch -flash-mult 10 -flash-start 6s -flash-len 5s -max-inflight 64 -seed 7", golden: true,
-		stdout: []string{`flash window: requests=[0-9]* shed=[1-9]`, noLeak, noOrphan}},
+		variants: []string{"-shards 4"}, stdout: []string{`flash window: requests=[0-9]* shed=[1-9]`, noLeak, noOrphan}},
 	{name: "serve-512-audit", args: serve512 + " -audit", golden: true,
 		variants: []string{"-audit=false"}, stderr: []string{auditLine}},
 	// Rate 200: long enough a run for a 1 s sampling cadence to show.
@@ -155,12 +168,16 @@ func TestGates(t *testing.T) {
 			if g.long && testing.Short() {
 				t.Skip("long row; run without -short")
 			}
-			tmp := t.TempDir()
-			args := strings.Fields(strings.ReplaceAll(g.args, "$TMP", tmp))
-			base, errs, code := vb(args...)
-			if code != 0 {
-				t.Fatalf("vb %s: exit status %d\n%s", g.args, code, errs)
+			// runIn runs args with $TMP a fresh directory, which it returns.
+			runIn := func(args string) (stdout, stderr, tmp string) {
+				tmp = t.TempDir()
+				stdout, stderr, code := vb(strings.Fields(strings.ReplaceAll(args, "$TMP", tmp))...)
+				if code != 0 {
+					t.Fatalf("vb %s: exit status %d\n%s", args, code, stderr)
+				}
+				return stdout, stderr, tmp
 			}
+			base, errs, tmp := runIn(g.args)
 			if g.golden {
 				want, err := os.ReadFile(filepath.Join("testdata", g.name+".golden"))
 				if err != nil {
@@ -192,15 +209,23 @@ func TestGates(t *testing.T) {
 				}
 			}
 			for _, v := range g.variants {
-				got, errs, code := vb(slices.Concat(args, strings.Fields(v))...)
-				if code != 0 {
-					t.Fatalf("vb %s %s: exit status %d\n%s", g.args, v, code, errs)
-				}
+				got, _, vtmp := runIn(g.args + " " + v)
 				if got != base {
 					t.Errorf("vb %s: stdout changes with %s\nwithout:\n%s\nwith:\n%s", g.args, v, base, got)
 				}
+				written, err := os.ReadDir(vtmp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range written {
+					want, err := os.ReadFile(filepath.Join(tmp, f.Name()))
+					if got, gerr := os.ReadFile(filepath.Join(vtmp, f.Name())); err != nil || gerr != nil || !bytes.Equal(got, want) {
+						t.Errorf("vb %s: $TMP/%s changes with %s (%v, %v)", g.args, f.Name(), v, err, gerr)
+					}
+				}
 			}
 			if g.timed && !testing.Short() {
+				args := strings.Fields(strings.ReplaceAll(g.args, "$TMP", tmp))
 				with := slices.Concat(args, strings.Fields(g.variants[0]))
 				minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
 				for i := 0; i < 5; i++ {

@@ -222,6 +222,16 @@ func scaledSpec(n int) (topology.Spec, error) {
 	return experiments.ScaledSpec(n), nil
 }
 
+// notZero is the error of a flag whose value reaches its …Params field as 0,
+// which the experiment would read as "run the default": vb runs what its
+// command line says or nothing.
+func notZero(flag string, zero bool) error {
+	if !zero {
+		return nil
+	}
+	return fmt.Errorf("%s: want a positive value (0 would run the default)", flag)
+}
+
 // trials is p once per trial of a -trials sweep, the i-th at p's seed + i;
 // seed is where a P keeps its seed.
 func trials[P any](p P, n int, seed func(*P) *int64) ([]P, error) {

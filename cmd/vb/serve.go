@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -32,6 +33,9 @@ func runServe(e *env, args []string) error {
 	servers := e.fs.Int("servers", 512, "approximate server count")
 	jsonOut := e.fs.String("json", "", "file to write the outcome as JSON")
 	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
+		return err
+	}
+	if err := errors.Join(notZero("-rate", p.RatePerSec == 0), notZero("-duration", p.Duration == 0)); err != nil {
 		return err
 	}
 	var err error

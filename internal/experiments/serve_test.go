@@ -111,7 +111,6 @@ func TestServeTraceRecordsBootSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := obs.NewIndex(out.Trace.Events())
 	boots := 0
 	for _, ev := range out.Trace.Events() {
 		if ev.Kind == obs.KindBoot && ev.Phase == obs.PhaseBegin {
@@ -121,7 +120,6 @@ func TestServeTraceRecordsBootSpans(t *testing.T) {
 	if boots == 0 {
 		t.Fatal("no boot spans in trace")
 	}
-	_ = ix
 	counters := out.Trace.Registry().Snapshot()
 	if counters["serve/placed"] != int64(out.Stats.Placed) {
 		t.Fatalf("serve/placed counter = %d; stats say %d", counters["serve/placed"], out.Stats.Placed)

@@ -8,63 +8,67 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== gofmt, go vet"
+# step closes the step before it with its elapsed seconds and opens the next;
+# the wall time of a CI run is read from these lines and the CI OK line.
+start=$(date +%s) t=$start name=
+step() {
+	now=$(date +%s)
+	if [ -n "$name" ]; then echo "-- $name: $((now - t)) s"; fi
+	t=$now name=$1
+	if [ -n "$1" ]; then echo "== $1"; fi
+}
+
+step "gofmt, go vet"
 test -z "$(gofmt -l .)"
 go vet ./...
 
-echo "== go build"
+step "go build"
 go build ./...
 
 # The constructor rule (DESIGN.md): every stack above pastry is built by
 # core.NewOverlay or core.New; only layer tests below core build by hand.
-echo "== one stack constructor"
+step "one stack constructor"
 if grep -rn 'pastry.NewRing(' --include='*.go' internal cmd |
 	grep -v _test.go | grep -vE '^internal/(pastry|core)/'; then exit 1; fi
 
 # Includes the gates table with its long rows (the 524288-server shard pair,
 # ≈ 17 s and ≈ 1.5 GB; the 32768-server heap-profile row), the two Fig 14
 # allocation ceilings in memregress_test.go and the fuzz targets' seeds.
-echo "== go test"
+step "go test"
 go test ./...
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never reaches it: vet and test it here, against this tree's internal/
 # packages, or an API change there breaks the gate's own binary unseen.
-echo "== benchmark module: go vet + go test"
+step "benchmark module: go vet + go test"
 go vet -C benchmark ./...
 go test -C benchmark ./...
 
-# -short skips the gates table's long rows and the 32768-server ceilings.
-echo "== go test -race -short"
-go test -race -short ./...
-
-# The fault-injection paths (lease expiry, release retry, anycast retry,
-# orphan release, crash-restart rejoin) under the race detector, explicitly
-# and un-shortened. internal/store (the MemStore contract) and internal/core
-# ride along for the durable-store and restarter paths.
-echo "== resilience tests -race"
-go test -race -run 'Resilience|NoLeak|LeaseExpiry|Orphan|Anycast|Fault|Dead|Death|Crash|Restart|Rejoin|Adopt|Store' \
-	./internal/rebalance/ ./internal/scribe/ ./internal/simnet/ \
-	./internal/migration/ ./internal/experiments/ ./internal/store/ \
-	./internal/core/
-
-# The sharded engine and shard-aware delivery, un-shortened: the packages
-# where a data race would also be a determinism bug.
-echo "== shard packages -race"
-go test -race ./internal/sim/ ./internal/simnet/
-
 # The two structures under every event against the models that pin them (a
 # container/heap for the timing wheel, the whole-inbox scan for the
-# due-ordered inbox), the recycled push shells under loss, a crash and a
+# due-ordered inbox), the network sharded and batched against serial and
+# per-message delivery, the recycled push shells under loss, a crash and a
 # leave on four shard goroutines, two pushes of one sender on the wire
 # together, the consider memo against the full inserts, the leaf-set insert
 # against the search-insert-truncate it replaced, the any-cast's child
 # search against the scan, a run with every banked envelope and push shell
 # overwritten after every event against the same run untouched, and 400
-# lossy rounds that must bank what the network drops: all seeds, never from
-# the test cache.
-echo "== queue, inbox, shell, memo, leaf, search and poison model equivalence -race"
-go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan|TestPoisonedBanksChangeNothing|TestLossyRoundsKeepShellsBounded' \
+# lossy rounds that must bank what the network drops. They run once under
+# the race detector, in their own step below: in full (six of them do less,
+# or nothing, under -short), all seeds, never from the test cache. -race
+# -short skips them.
+models='TestQueueEquivalence|TestBucketQueueMillionEventBacklog|TestInboxMatchesScanModel|TestShardedDeliveryEquivalence|TestDeliveryModeEquivalence|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan|TestPoisonedBanksChangeNothing|TestLossyRoundsKeepShellsBounded'
+
+# -short skips the gates table's long rows and the 32768-server ceilings.
+# Every determinism property (shards, workers, recorder, sampler, auditor)
+# is checked here through the gates table's short rows (DESIGN.md's
+# property × scenario matrix names each one's row) and the experiment
+# package's tests of the same properties on its Go API.
+step "go test -race -short"
+go test -race -short -skip "$models" ./...
+
+step "queue, inbox, delivery, shell, memo, leaf, search and poison model equivalence -race"
+go test -race -count=1 -run "$models" \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
 
 # Sixteen gates that must have run and passed by name, not merely not failed
@@ -90,14 +94,15 @@ go test -race -count=1 -run 'TestQueueEquivalence|TestInboxMatchesScanModel|Test
 # own package's tests. One holds vb to its inputs: every nonsense value a
 # bug once hung, panicked or silently ran on exits 1 naming its flag or
 # field.
-echo "== allocation, size, knob, export and bad-config gates, PASS by name (16)"
+step "allocation, size, knob, export and bad-config gates, PASS by name (16)"
 test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
 	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 16
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
-echo "== bench smoke (-benchtime 1x)"
+step "bench smoke (-benchtime 1x)"
 go test -short -run '^$' -bench . -benchtime 1x ./... > /dev/null
 
-echo "CI OK"
+step ""
+echo "CI OK in $((t - start)) s"
