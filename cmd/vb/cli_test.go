@@ -245,6 +245,15 @@ func TestBadConfigs(t *testing.T) {
 		{"placement -waves 0", "-waves"},
 		{"faults -lease 0", "-lease"},
 		{"churn -lifetime-min 0", "-lifetime-min"},
+		{"placement -vms 0", "-vms"},
+		{"churn -hours 0", "-hours"},
+		{"churn -arrivals-per-min 0", "-arrivals-per-min"},
+		{"rebalance -vms-per-server 0", "-vms-per-server"},
+		{"rebalance -duration 0", "-duration"},
+		{"faults -duration 0", "-duration"},
+		{"faults -vms-per-server 0", "-vms-per-server"},
+		{"overhead -fig 1 -iterations 0", "-iterations"},
+		{"serve -terminate-frac 0", "-terminate-frac"},
 	} {
 		t.Run(c.args, func(t *testing.T) {
 			type result struct {

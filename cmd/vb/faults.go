@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -42,7 +43,8 @@ func runFaults(e *env, args []string) error {
 	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
-	if err := notZero("-lease", *lease == 0); err != nil {
+	if err := errors.Join(notZero("-lease", *lease == 0), notZero("-duration", *duration == 0),
+		notZero("-vms-per-server", p.VMsPerServer == 0)); err != nil {
 		return err
 	}
 	drops, err := parseRates(*rates)

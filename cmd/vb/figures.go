@@ -33,7 +33,7 @@ func runPlacement(e *env, args []string) error {
 	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
-	if err := notZero("-waves", p.Waves == 0); err != nil {
+	if err := errors.Join(notZero("-waves", p.Waves == 0), notZero("-vms", p.VMsPerWavePerCustomer == 0)); err != nil {
 		return err
 	}
 	var err error
@@ -106,10 +106,11 @@ func runChurn(e *env, args []string) error {
 		return err
 	}
 	p.MeanLifetime = time.Duration(*lifetime * float64(time.Minute))
-	if err := notZero("-lifetime-min", p.MeanLifetime == 0); err != nil {
+	p.Duration = time.Duration(*hours * float64(time.Hour))
+	if err := errors.Join(notZero("-lifetime-min", p.MeanLifetime == 0), notZero("-hours", p.Duration == 0),
+		notZero("-arrivals-per-min", p.ArrivalsPerMinute == 0)); err != nil {
 		return err
 	}
-	p.Duration = time.Duration(*hours * float64(time.Hour))
 	ps, err := trials(p, *n, func(p *experiments.ChurnParams) *int64 { return &p.Seed })
 	if err != nil {
 		return err
@@ -157,6 +158,9 @@ func runRebalance(e *env, args []string) error {
 		return err
 	}
 	p.Duration = time.Duration(*duration) * time.Minute
+	if err := errors.Join(notZero("-vms-per-server", p.VMsPerServer == 0), notZero("-duration", p.Duration == 0)); err != nil {
+		return err
+	}
 
 	// Sweeps run several variants, each labelled by a chart-name suffix; the
 	// trace written at exit is the last variant's (pass -threshold to trace
@@ -275,6 +279,9 @@ func runOverhead(e *env, args []string) error {
 	}
 	if *fig != 0 && *fig != 1 && *fig != 14 && *fig != 15 {
 		return fmt.Errorf("unknown figure %d (want 1, 14, 15 or 0)", *fig)
+	}
+	if err := notZero("-iterations", t1.Iterations == 0); err != nil {
+		return err
 	}
 	var big []int
 	for n := 16; n <= *maxN; n *= 2 {

@@ -35,7 +35,8 @@ func runServe(e *env, args []string) error {
 	if err := e.parseRun(args, &p.Seed, &p.RunConfig); err != nil {
 		return err
 	}
-	if err := errors.Join(notZero("-rate", p.RatePerSec == 0), notZero("-duration", p.Duration == 0)); err != nil {
+	if err := errors.Join(notZero("-rate", p.RatePerSec == 0), notZero("-duration", p.Duration == 0),
+		notZero("-terminate-frac", p.TerminateFraction == 0)); err != nil {
 		return err
 	}
 	var err error

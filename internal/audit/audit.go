@@ -16,6 +16,7 @@ package audit
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"vbundle/internal/cluster"
@@ -47,10 +48,16 @@ const (
 	// CheckLiveness verifies the ring's cached liveness bitmap (which
 	// routing decisions consult) against the network's ground truth.
 	CheckLiveness
+	// CheckDemandLedger verifies every server's cached bandwidth-demand sum
+	// that claims to be current against a fresh re-sum of its VMs, bit for
+	// bit: a mutation that forgot to move the server's generation (or a
+	// demand written past Cluster.SetDemandBW) leaves a stale sum looking
+	// current.
+	CheckDemandLedger
 )
 
 // checkSlots sizes per-check arrays indexed directly by Check.
-const checkSlots = int(CheckLiveness) + 1
+const checkSlots = int(CheckDemandLedger) + 1
 
 // String names the check for reports and fail-fast panics.
 func (c Check) String() string {
@@ -63,6 +70,8 @@ func (c Check) String() string {
 		return "lease_expiry"
 	case CheckLiveness:
 		return "liveness_coherence"
+	case CheckDemandLedger:
+		return "demand_ledger"
 	default:
 		return "unknown"
 	}
@@ -237,6 +246,7 @@ func (a *Auditor) sweep(now time.Duration) {
 	}
 	if a.t.Cluster != nil {
 		a.checkPlacement(now)
+		a.checkDemandLedger(now)
 	}
 	if a.t.Ring != nil && a.t.Network != nil {
 		a.checkLiveness(now)
@@ -324,6 +334,27 @@ func (a *Auditor) checkPlacement(now time.Duration) {
 	if placed != listed {
 		a.report(now, CheckPlacement, -1, -1,
 			"%d VMs placed in the location map, %d listed on servers", placed, listed)
+	}
+}
+
+// checkDemandLedger compares each server's cached bandwidth-demand sum, when
+// it claims to be current, with a fresh re-sum in the same VM-id order. It
+// reads the cache through CachedDemandBW and so never fills it: a sweep
+// leaves every stale sum stale.
+func (a *Auditor) checkDemandLedger(now time.Duration) {
+	for _, srv := range a.t.Cluster.Servers() {
+		cached, clean := srv.CachedDemandBW()
+		if !clean {
+			continue
+		}
+		var sum float64
+		for _, vm := range srv.VMs() {
+			sum += vm.EffectiveDemandBW()
+		}
+		if math.Float64bits(sum) != math.Float64bits(cached) {
+			a.report(now, CheckDemandLedger, srv.Index, -1,
+				"cached bandwidth demand %g is marked current, its VMs sum to %g", cached, sum)
+		}
 	}
 }
 

@@ -172,6 +172,44 @@ func TestAuditDetectsPlacementCorruption(t *testing.T) {
 	}
 }
 
+// TestAuditDetectsStaleDemandSum: a sum the setter marked stale stays stale
+// across sweeps, because the demand-ledger check reads the cache without
+// filling it; a demand written past Cluster.SetDemandBW leaves the cached
+// sum marked current but wrong, and the check blames its server.
+func TestAuditDetectsStaleDemandSum(t *testing.T) {
+	vb, err := core.New(core.Options{Topology: smallSpec(1, 4), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, res, err := vb.BootVM("Tenant", bwRes(50), bwRes(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := vb.Cluster.Server(res.Server)
+	vb.Cluster.SetDemandBW(vm, 100)
+	a := vb.AttachAudit(audit.Config{Every: time.Second})
+	vb.RunFor(3 * time.Second)
+	if _, clean := srv.CachedDemandBW(); clean {
+		t.Fatal("an audit sweep filled a stale demand sum")
+	}
+	if a.Violations() != 0 {
+		t.Fatalf("%d violations before anything went wrong", a.Violations())
+	}
+
+	if got := srv.DemandBW(); got != 100 {
+		t.Fatalf("DemandBW = %g, want 100", got)
+	}
+	vm.Demand.BandwidthMbps = 300 // past the setter: the sum still claims 100
+	vb.RunFor(3 * time.Second)
+	d := a.Detail()
+	if len(d) == 0 {
+		t.Fatal("a stale demand sum marked current went undetected")
+	}
+	if d[0].Check != audit.CheckDemandLedger || d[0].Node != res.Server {
+		t.Errorf("first violation is %v on node %d, want demand_ledger on %d", d[0].Check, d[0].Node, res.Server)
+	}
+}
+
 func TestAuditFailFastPanics(t *testing.T) {
 	vb, err := core.New(core.Options{Topology: smallSpec(1, 4), Seed: 1})
 	if err != nil {

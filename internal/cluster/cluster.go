@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -61,7 +62,12 @@ type VM struct {
 	Key         ids.Id
 	Reservation Resources
 	Limit       Resources
-	Demand      Resources
+	// Demand is the offered load. Write it directly only before the VM is
+	// placed; once it is, change its bandwidth through
+	// Cluster.SetDemandBW, which marks the hosting server's cached sums
+	// stale. A direct write after placement leaves them stale, and the
+	// auditor's demand-ledger check reports it.
+	Demand Resources
 }
 
 // Name returns the VM's display name, "<customer>-vm<id>". It is formatted
@@ -82,6 +88,28 @@ type Server struct {
 	// than a map makes every per-server sum fold in a fixed order, so
 	// repeated runs produce bit-identical floating-point results.
 	vms []*VM
+	// gen counts the changes to what is derived from vms: Admit, Remove
+	// and a Cluster.SetDemandBW that changes a hosted VM's bandwidth
+	// demand each bump it. Anything cached from the VM list is current
+	// while its recorded gen equals this one (core's bandwidth ledger is
+	// keyed on it). Reservations are not cached: Reserved() is read from
+	// a migration source's shard about the destination, which would make
+	// a fill there a race.
+	gen uint32
+	// bwGen is the gen bwSum was filled at, and bwSum the effective
+	// bandwidth demand then. DemandBW fills it on read when stale, always
+	// as a full re-sum in VM-id order, so it holds the bits the loop
+	// would give. Filled on read, not on write: a caller may write Demand
+	// straight after Place while seeding, and nothing reads the sum before
+	// seeding ends.
+	//
+	// Who may fill: in shard context only the server's own agent reads
+	// it (the rebalance agent's utilizationOf, publishLocal, considerQuery
+	// and projectedUtilOf, all on the server's shard); every other reader
+	// runs in the serial band. A reader on another server's shard would
+	// make the fill a race.
+	bwGen uint32
+	bwSum float64
 }
 
 // find locates id in the sorted vms slice, returning its position (or the
@@ -125,6 +153,7 @@ func (s *Server) Admit(vm *VM) error {
 	s.vms = append(s.vms, nil)
 	copy(s.vms[i+1:], s.vms[i:])
 	s.vms[i] = vm
+	s.gen++
 	return nil
 }
 
@@ -135,6 +164,7 @@ func (s *Server) Remove(id VMID) bool {
 		return false
 	}
 	s.vms = append(s.vms[:i], s.vms[i+1:]...)
+	s.gen++
 	return true
 }
 
@@ -146,14 +176,27 @@ func (s *Server) NumVMs() int { return len(s.vms) }
 // Admit/Remove calls.
 func (s *Server) VMs() []*VM { return s.vms }
 
+// Generation returns the server's change count: it moves whenever the VM
+// set or a hosted VM's bandwidth demand changes (see Server.gen).
+func (s *Server) Generation() uint32 { return s.gen }
+
 // DemandBW returns the total effective bandwidth demand on this server.
+// It re-sums the VMs only when one was admitted, removed or given a new
+// demand since the last call (see Server.bwSum for who may call it).
 func (s *Server) DemandBW() float64 {
-	var sum float64
-	for _, vm := range s.vms {
-		sum += vm.EffectiveDemandBW()
+	if s.bwGen != s.gen {
+		var sum float64
+		for _, vm := range s.vms {
+			sum += vm.EffectiveDemandBW()
+		}
+		s.bwSum, s.bwGen = sum, s.gen
 	}
-	return sum
+	return s.bwSum
 }
+
+// CachedDemandBW returns the cached bandwidth-demand sum and whether it is
+// current, without filling it: the auditor's read.
+func (s *Server) CachedDemandBW() (sum float64, clean bool) { return s.bwSum, s.bwGen == s.gen }
 
 // ReservedBW returns the total reserved bandwidth.
 func (s *Server) ReservedBW() float64 { return s.Reserved().BandwidthMbps }
@@ -463,6 +506,20 @@ func (c *Cluster) Customers() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// SetDemandBW sets the VM's bandwidth demand: the one writer of a placed
+// VM's demand. A value with new bits marks the hosting server changed; the
+// same bits change nothing, so a flat generator's refresh dirties no
+// server.
+func (c *Cluster) SetDemandBW(vm *VM, mbps float64) {
+	if math.Float64bits(vm.Demand.BandwidthMbps) == math.Float64bits(mbps) {
+		return
+	}
+	vm.Demand.BandwidthMbps = mbps
+	if i := c.slot(vm.ID); i >= 0 && c.location[i] >= 0 {
+		c.servers[c.location[i]].gen++
+	}
 }
 
 // TotalDemandBW sums effective bandwidth demand across all servers.

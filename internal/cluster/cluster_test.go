@@ -145,12 +145,23 @@ func TestDemandAndUtilization(t *testing.T) {
 	if err := c.Place(vm2, 0); err != nil {
 		t.Fatal(err)
 	}
-	vm1.Demand.BandwidthMbps = 500 // above limit: capped at 200
-	vm2.Demand.BandwidthMbps = 50
+	c.SetDemandBW(vm1, 500) // above limit: capped at 200
+	c.SetDemandBW(vm2, 50)
 	s := c.Server(0)
 	if got := s.DemandBW(); got != 250 {
 		t.Fatalf("DemandBW = %g, want 250", got)
 	}
+	// The cached sum follows the setter; the same bits again change nothing.
+	gen := s.Generation()
+	c.SetDemandBW(vm2, 50)
+	if s.Generation() != gen {
+		t.Fatal("an unchanged demand moved the generation")
+	}
+	c.SetDemandBW(vm2, 80)
+	if got := s.DemandBW(); got != 280 {
+		t.Fatalf("DemandBW after SetDemandBW = %g, want 280", got)
+	}
+	c.SetDemandBW(vm2, 50)
 	if got := s.UtilizationBW(); got != 250.0/400.0 {
 		t.Fatalf("UtilizationBW = %g", got)
 	}

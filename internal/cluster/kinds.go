@@ -67,8 +67,13 @@ func (v *VM) EffectiveDemand(k Kind) float64 {
 	return minF(v.Demand.Get(k), v.Limit.Get(k))
 }
 
-// DemandOf sums the effective demand for a kind over hosted VMs.
+// DemandOf sums the effective demand for a kind over hosted VMs. The
+// bandwidth sum is DemandBW's cached one; CPU and memory, read only by
+// multi-kind runs, are summed on every call.
 func (s *Server) DemandOf(k Kind) float64 {
+	if k == KindBandwidth {
+		return s.DemandBW()
+	}
 	var sum float64
 	for _, vm := range s.vms {
 		sum += vm.EffectiveDemand(k)

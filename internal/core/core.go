@@ -265,9 +265,11 @@ type VBundle struct {
 	Recovery RecoveryStats
 
 	// shaper and classes are BandwidthSatisfaction's scratch, reused across
-	// servers and samples.
+	// servers and samples; ledger is its per-server result, made by its
+	// first call.
 	shaper  tcshape.Shaper
 	classes []tcshape.Class
+	ledger  []ledgerEntry
 
 	// maintenance bookkeeping so a restarted node rejoins with the same
 	// self-repair posture as its peers.
@@ -566,21 +568,42 @@ type BandwidthReport struct {
 	SatisfiedMbps float64
 }
 
+// ledgerEntry is one server's shaped bandwidth as of its generation gen
+// (cluster.Server.Generation).
+type ledgerEntry struct {
+	gen               uint32
+	satisfied, wanted float64
+}
+
 // BandwidthSatisfaction runs the tc-style allocator on every server and
-// aggregates delivered versus demanded bandwidth. It reuses one class
-// buffer and one shaper held on the VBundle, so it must only be called
+// aggregates delivered versus demanded bandwidth. A server is re-shaped
+// only when its generation moved since the last call — a VM arrived or
+// left, or a hosted VM's demand changed — and always in full; the sum then
+// runs over every server in index order, so the report has the bits a
+// sweep shaping every server would give. It reuses one class buffer, one
+// shaper and the ledger held on the VBundle, so it must only be called
 // from the serial band — an EveryGlobal sampler, or a main between runs —
 // never from per-node events that shards execute concurrently.
 func (vb *VBundle) BandwidthSatisfaction() BandwidthReport {
+	servers := vb.Cluster.Servers()
+	if vb.ledger == nil {
+		vb.ledger = make([]ledgerEntry, len(servers))
+	}
 	var rep BandwidthReport
-	for _, srv := range vb.Cluster.Servers() {
+	for i, srv := range servers {
 		if srv.NumVMs() == 0 {
 			continue
 		}
-		vb.classes = rebalance.AppendClasses(vb.classes[:0], srv)
-		got, want := vb.shaper.Satisfied(srv.Capacity.BandwidthMbps, vb.classes)
-		rep.SatisfiedMbps += got
-		rep.DemandMbps += want
+		// An entry starts at generation 0, which a server holding VMs has
+		// left: its first Admit moved it.
+		e := &vb.ledger[i]
+		if gen := srv.Generation(); e.gen != gen {
+			vb.classes = rebalance.AppendClasses(vb.classes[:0], srv)
+			e.satisfied, e.wanted = vb.shaper.Satisfied(srv.Capacity.BandwidthMbps, vb.classes)
+			e.gen = gen
+		}
+		rep.SatisfiedMbps += e.satisfied
+		rep.DemandMbps += e.wanted
 	}
 	return rep
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -12,9 +11,7 @@ import (
 
 	"vbundle/internal/cluster"
 	"vbundle/internal/pastry"
-	"vbundle/internal/rebalance"
 	"vbundle/internal/sim"
-	"vbundle/internal/tcshape"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
 )
@@ -319,8 +316,8 @@ func TestAvailableBandwidthProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hog.Demand.BandwidthMbps = 900
-	victim.Demand.BandwidthMbps = 10 // current demand tiny...
+	vb.Cluster.SetDemandBW(hog, 900)
+	vb.Cluster.SetDemandBW(victim, 10) // current demand tiny...
 	avail := vb.AvailableBandwidth(victim.ID)
 	// ...but the probe asks at the limit: guarantees 100 + equal surplus.
 	if avail < 100 {
@@ -347,17 +344,20 @@ func TestBandwidthReportGap(t *testing.T) {
 }
 
 // TestBandwidthSatisfactionAllocatesNothing: the per-sample accounting
-// reuses the VBundle's class buffer and shaper, so after one warm call a
-// sweep over every server allocates nothing — and reuse across servers of
-// different widths leaks no stale class or share: the report is bit for bit
-// the one a fresh tcshape.Allocate per server gives (itself pinned to the
-// pre-scratch allocator by tcshape's TestShaperMatchesAllocateReference).
+// reuses the VBundle's class buffer, shaper and ledger, so after one warm
+// call a sweep over every server allocates nothing — also when a migration
+// since the last sweep makes it re-shape two servers — and reuse across
+// servers of different widths leaks no stale class or share: the report is
+// bit for bit FullSweep's, a fresh tcshape.Allocate per server (itself
+// pinned to the pre-scratch allocator by tcshape's
+// TestShaperMatchesAllocateReference).
 func TestBandwidthSatisfactionAllocatesNothing(t *testing.T) {
 	vb, err := New(Options{Topology: smallSpec(8, 8), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
+	var moving *cluster.VM
 	for s := 0; s < vb.Cluster.Size(); s++ {
 		// 0–13 VMs a server: empty servers, and past the sort's
 		// insertion-sort cutoff of 12.
@@ -371,31 +371,41 @@ func TestBandwidthSatisfactionAllocatesNothing(t *testing.T) {
 			}
 			// A coarse grid, so tied headrooms are common; some servers end
 			// up over-subscribed, some idle.
-			vm.Demand.BandwidthMbps = float64(rng.Intn(12)) * 25
+			vb.Cluster.SetDemandBW(vm, float64(rng.Intn(12))*25)
+			moving = vm
 		}
-	}
-
-	var want BandwidthReport
-	for _, srv := range vb.Cluster.Servers() {
-		classes := rebalance.AppendClasses(nil, srv)
-		var got, wanted float64
-		for i, a := range tcshape.Allocate(srv.Capacity.BandwidthMbps, classes) {
-			got += a
-			wanted += math.Min(classes[i].Demand, classes[i].Ceil)
-		}
-		want.SatisfiedMbps += got
-		want.DemandMbps += wanted
 	}
 
 	rep := vb.BandwidthSatisfaction() // warm: grows the scratch to the widest server
-	if rep != want || rep.Gap() <= 0 {
+	if want := FullSweep(vb.Cluster); rep != want || rep.Gap() <= 0 {
 		t.Fatalf("report %+v, reference %+v (gap must be positive for the test to mean anything)", rep, want)
 	}
 	if n := testing.AllocsPerRun(20, func() { rep = vb.BandwidthSatisfaction() }); n != 0 {
 		t.Fatalf("BandwidthSatisfaction on warm scratch: %v allocs/op, want 0", n)
 	}
-	if rep != want {
+	if want := FullSweep(vb.Cluster); rep != want {
 		t.Fatalf("report changed across calls: %+v, reference %+v", rep, want)
+	}
+
+	// The last VM seeded moves between its server and server 0 (empty or
+	// not, its list has room for one more after the first move) before
+	// every sweep: two entries re-shaped a call, none of it allocated.
+	home, _ := vb.Cluster.LocationOf(moving.ID)
+	to := 0
+	if home == 0 {
+		to = 1
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := vb.Cluster.Migrate(moving.ID, to); err != nil {
+			t.Fatal(err)
+		}
+		home, to = to, home
+		rep = vb.BandwidthSatisfaction()
+	}); n != 0 {
+		t.Fatalf("BandwidthSatisfaction after a migration: %v allocs/op, want 0", n)
+	}
+	if want := FullSweep(vb.Cluster); rep != want {
+		t.Fatalf("report after migrations %+v, reference %+v", rep, want)
 	}
 }
 

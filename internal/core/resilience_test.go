@@ -29,7 +29,7 @@ func seedImbalance(t *testing.T, vb *VBundle) {
 			if err := vb.Cluster.Place(vm, s); err != nil {
 				t.Fatal(err)
 			}
-			vm.Demand.BandwidthMbps = per
+			vb.Cluster.SetDemandBW(vm, per)
 			vb.Workloads.Attach(vm.ID, workload.Flat(per))
 		}
 	}

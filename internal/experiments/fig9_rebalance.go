@@ -110,10 +110,12 @@ func seedSkewedLoad(vb *core.VBundle, vmsPerServer int, meanUtil, spread float64
 			if err != nil {
 				return err
 			}
+			// Demand is written before Place: once placed, only
+			// Cluster.SetDemandBW may change it.
+			vm.Demand.BandwidthMbps = perVM
 			if err := vb.Cluster.Place(vm, s); err != nil {
 				return err
 			}
-			vm.Demand.BandwidthMbps = perVM
 			vb.Workloads.Attach(vm.ID, workload.Flat(perVM))
 		}
 	}

@@ -60,10 +60,10 @@ func placeVM(t *testing.T, w *world, server int, demand cluster.Resources) *clus
 	if err != nil {
 		t.Fatal(err)
 	}
+	vm.Demand = demand // before Place: a placed VM's demand has one writer
 	if err := w.cl.Place(vm, server); err != nil {
 		t.Fatal(err)
 	}
-	vm.Demand = demand
 	return vm
 }
 
@@ -193,7 +193,7 @@ func TestCostBenefitVetoesMarginalMoves(t *testing.T) {
 			if err := w.cl.Place(vm, s); err != nil {
 				t.Fatal(err)
 			}
-			vm.Demand.BandwidthMbps = per
+			w.cl.SetDemandBW(vm, per)
 		}
 	}
 	w.coord.Start()

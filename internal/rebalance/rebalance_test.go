@@ -98,7 +98,7 @@ func loadVM(t *testing.T, w *world, server int, demandMbps float64) *cluster.VM 
 	if err := w.cl.Place(vm, server); err != nil {
 		t.Fatal(err)
 	}
-	vm.Demand.BandwidthMbps = demandMbps
+	w.cl.SetDemandBW(vm, demandMbps)
 	return vm
 }
 

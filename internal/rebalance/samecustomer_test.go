@@ -20,7 +20,7 @@ func bundleVM(t *testing.T, w *world, customer string, server int, rsvMbps, dema
 	if err := w.cl.Place(vm, server); err != nil {
 		t.Fatal(err)
 	}
-	vm.Demand.BandwidthMbps = demandMbps
+	w.cl.SetDemandBW(vm, demandMbps)
 	return vm
 }
 

@@ -49,12 +49,13 @@ func (d *Driver) Attach(id cluster.VMID, gen Generator) {
 }
 
 // Refresh sets every attached VM's bandwidth demand to its generator value
-// at the current virtual time.
+// at the current virtual time, through Cluster.SetDemandBW: a value that
+// did not change marks no server changed.
 func (d *Driver) Refresh() {
 	now := d.engine.Now()
 	for _, b := range d.gens {
 		if vm := d.cl.VM(b.id); vm != nil {
-			vm.Demand.BandwidthMbps = b.gen.DemandAt(now)
+			d.cl.SetDemandBW(vm, b.gen.DemandAt(now))
 		}
 	}
 }

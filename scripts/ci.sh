@@ -52,12 +52,14 @@ go test -C benchmark ./...
 # together, the consider memo against the full inserts, the leaf-set insert
 # against the search-insert-truncate it replaced, the any-cast's child
 # search against the scan, a run with every banked envelope and push shell
-# overwritten after every event against the same run untouched, and 400
-# lossy rounds that must bank what the network drops. They run once under
-# the race detector, in their own step below: in full (six of them do less,
-# or nothing, under -short), all seeds, never from the test cache. -race
-# -short skips them.
-models='TestQueueEquivalence|TestBucketQueueMillionEventBacklog|TestInboxMatchesScanModel|TestShardedDeliveryEquivalence|TestDeliveryModeEquivalence|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan|TestPoisonedBanksChangeNothing|TestLossyRoundsKeepShellsBounded'
+# overwritten after every event against the same run untouched, 400 lossy
+# rounds that must bank what the network drops, and the bandwidth ledger and
+# cached demand sums against the full sweep through a churning run whose
+# agents fill their servers' sums from two shard goroutines. They run once
+# under the race detector, in their own step below: in full (six of them do
+# less, or nothing, under -short), all seeds, never from the test cache.
+# -race -short skips them.
+models='TestQueueEquivalence|TestBucketQueueMillionEventBacklog|TestInboxMatchesScanModel|TestShardedDeliveryEquivalence|TestDeliveryModeEquivalence|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan|TestPoisonedBanksChangeNothing|TestLossyRoundsKeepShellsBounded|TestLedgerMatchesFullSweep'
 
 # -short skips the gates table's long rows and the 32768-server ceilings.
 # Every determinism property (shards, workers, recorder, sampler, auditor)
@@ -67,11 +69,11 @@ models='TestQueueEquivalence|TestBucketQueueMillionEventBacklog|TestInboxMatches
 step "go test -race -short"
 go test -race -short -skip "$models" ./...
 
-step "queue, inbox, delivery, shell, memo, leaf, search and poison model equivalence -race"
+step "queue, inbox, delivery, shell, memo, leaf, search, poison and ledger model equivalence -race"
 go test -race -count=1 -run "$models" \
-	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/
+	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/
 
-# Sixteen gates that must have run and passed by name, not merely not failed
+# Eighteen gates that must have run and passed by name, not merely not failed
 # (a renamed or skipped test fails the count). Ten count objects: a 256-hop
 # spill walk allocates no more than a boot admitted at its rendezvous; a warm
 # serving step (a boot, its query's completion and two terminates, under each
@@ -86,18 +88,21 @@ go test -race -count=1 -run "$models" \
 # StartServices allocates a server's second group state and none of its
 # plumbing or messages (at most 1.1 objects a server between 1024 and 2048
 # servers), and a handler event and an embedded ticker's start and stop
-# allocate nothing. Three are what every server holds of each layer, to the
-# byte: the node comes out of one []Node, the Scribe and the topic out of
-# their engine's slabs. Two hold the API to its callers: every field of a
+# allocate nothing. Four are what every server holds of each layer, to the
+# byte: the node and the server record come out of one slice each, the
+# Scribe and the topic out of their engine's slabs. One holds the bandwidth
+# ledger and the cached demand sums to the full sweep they replaced, bit for
+# bit, through migrations, boots, terminates, refreshes and a crash-restart.
+# Two hold the API to its callers: every field of a
 # Config, Options or …Params struct is set somewhere besides its own
 # withDefaults, and every export of internal/ is used somewhere besides its
 # own package's tests. One holds vb to its inputs: every nonsense value a
 # bug once hung, panicked or silently ran on exits 1 naming its flag or
 # field.
-step "allocation, size, knob, export and bad-config gates, PASS by name (16)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
+step "allocation, size, ledger, knob, export and bad-config gates, PASS by name (18)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 16
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 18
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
