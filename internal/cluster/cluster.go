@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"vbundle/internal/ids"
 	"vbundle/internal/topology"
@@ -142,13 +143,20 @@ func (s *Server) CanAdmitOnTop(reserved Resources, vm *VM) bool {
 }
 
 // Admit places the VM on the server, enforcing the reservation rule.
-func (s *Server) Admit(vm *VM) error {
+func (s *Server) Admit(vm *VM) error { return s.admit(vm, nil) }
+
+// admit is Admit; a full VM list grows into a backing from spares when it
+// is non-nil (the cluster's pool), by append otherwise.
+func (s *Server) admit(vm *VM, spares *vmSpares) error {
 	i, dup := s.find(vm.ID)
 	if dup {
 		return fmt.Errorf("cluster: vm %d already on server %d", vm.ID, s.Index)
 	}
 	if !s.CanAdmit(vm) {
 		return fmt.Errorf("cluster: server %d cannot reserve %+v for vm %d", s.Index, vm.Reservation, vm.ID)
+	}
+	if spares != nil && len(s.vms) == cap(s.vms) {
+		s.vms = spares.grow(s.vms)
 	}
 	s.vms = append(s.vms, nil)
 	copy(s.vms[i+1:], s.vms[i:])
@@ -276,6 +284,41 @@ type Cluster struct {
 	// migration). The durability layer checkpoints per-server placement
 	// maps here.
 	onServerChange func(server int)
+	// spares is where a server's full VM list finds its next backing.
+	spares vmSpares
+}
+
+// vmSpares hands a server's full VM list a backing of twice its capacity
+// and keeps the one the list leaves: one idle backing a size class, the
+// timing wheel's spare idiom with a depth of one. Seeding fills the servers
+// one after another, so a list grows 1, 2, 4, 8, 16 through the backings the
+// server before it left, and only the last is new: one allocation a server
+// instead of five. Placements on two shards may grow lists at once, hence
+// the lock; which backing a list gets never shows in what it holds.
+type vmSpares struct {
+	mu    sync.Mutex
+	spare [32][]*VM // spare[c] is nil or an empty backing of capacity 1<<c
+}
+
+// grow returns a backing of twice vms' capacity (at least 1) holding vms,
+// and banks vms' own backing, cleared, when its class slot is free.
+func (p *vmSpares) grow(vms []*VM) []*VM {
+	c := bits.Len(uint(max(2*cap(vms), 1))) - 1
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	grown := p.spare[c]
+	p.spare[c] = nil
+	if grown == nil {
+		grown = make([]*VM, 0, 1<<c)
+	}
+	grown = append(grown, vms...)
+	if old := cap(vms); old > 0 && old&(old-1) == 0 {
+		if oc := bits.Len(uint(old)) - 1; p.spare[oc] == nil {
+			clear(vms)
+			p.spare[oc] = vms[:0]
+		}
+	}
+	return grown
 }
 
 // OnServerChange installs the hook observing placement-map mutations; fn is
@@ -401,7 +444,7 @@ func (c *Cluster) Place(vm *VM, server int) error {
 	if cur := c.location[i]; cur >= 0 {
 		return fmt.Errorf("cluster: vm %d already placed on server %d", vm.ID, cur)
 	}
-	if err := c.servers[server].Admit(vm); err != nil {
+	if err := c.servers[server].admit(vm, &c.spares); err != nil {
 		return err
 	}
 	c.location[i] = int32(server)
@@ -421,7 +464,7 @@ func (c *Cluster) Migrate(id VMID, to int) error {
 		return nil
 	}
 	vm := c.VM(id)
-	if err := c.servers[to].Admit(vm); err != nil {
+	if err := c.servers[to].admit(vm, &c.spares); err != nil {
 		return err
 	}
 	c.servers[from].Remove(id)

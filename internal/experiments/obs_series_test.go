@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/obs"
 )
 
@@ -44,53 +43,6 @@ func TestSeriesShardInvariance(t *testing.T) {
 		if got := renderCSV(k); !bytes.Equal(ref, got) {
 			t.Errorf("shards %d: series CSV differs from the serial reference:\nserial:\n%s\nshards %d:\n%s",
 				k, ref, k, got)
-		}
-	}
-}
-
-// TestSamplingAndAuditDoNotChangeMetrics is the zero-interference gate for
-// the two new observers: every experiment metric must be bit-identical
-// whether the virtual-time sampler and the invariant auditor are off, on
-// individually, or on together. Both run at sampling boundaries between
-// events, touch no rng, and schedule no engine events; this test is what
-// keeps it that way.
-func TestSamplingAndAuditDoNotChangeMetrics(t *testing.T) {
-	render := func(cfg obs.Config, au audit.Config) ([]byte, *audit.Auditor) {
-		p := tracedRebalanceParams(0, cfg)
-		p.Audit = au
-		out, err := RunRebalance(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		out.WriteFig9(&buf)
-		out.WriteFig10(&buf)
-		out.WriteFig11(&buf)
-		return buf.Bytes(), out.Audit
-	}
-	off, _ := render(obs.Config{}, audit.Config{})
-	for _, tc := range []struct {
-		name string
-		cfg  obs.Config
-		au   audit.Config
-	}{
-		{"sampling", obs.Config{Stream: true, SampleEvery: time.Minute}, audit.Config{}},
-		{"audit", obs.Config{}, audit.Config{Every: 30 * time.Second}},
-		{"both", obs.Config{Stream: true, SampleEvery: time.Minute}, audit.Config{Every: 30 * time.Second}},
-	} {
-		got, a := render(tc.cfg, tc.au)
-		if !bytes.Equal(off, got) {
-			t.Errorf("%s changed experiment metrics:\noff:\n%s\n%s:\n%s", tc.name, off, tc.name, got)
-		}
-		if tc.au.Every > 0 {
-			if a.Sweeps() == 0 {
-				t.Errorf("%s: auditor attached but never swept", tc.name)
-			}
-			if a.Violations() != 0 {
-				var buf bytes.Buffer
-				a.Report(&buf)
-				t.Errorf("%s: clean rebalance run reported violations:\n%s", tc.name, buf.String())
-			}
 		}
 	}
 }

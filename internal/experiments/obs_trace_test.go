@@ -52,36 +52,6 @@ func TestTraceShardInvariance(t *testing.T) {
 	}
 }
 
-// TestTracingDoesNotChangeMetrics is the zero-interference gate: every
-// experiment metric must be bit-identical whether recording is off, ring-
-// bounded, or streaming. Recording touches no rng and schedules no engine
-// events; this test is what keeps it that way.
-func TestTracingDoesNotChangeMetrics(t *testing.T) {
-	render := func(cfg obs.Config) []byte {
-		out, err := RunRebalance(tracedRebalanceParams(0, cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		out.WriteFig9(&buf)
-		out.WriteFig10(&buf)
-		out.WriteFig11(&buf)
-		return buf.Bytes()
-	}
-	off := render(obs.Config{})
-	for _, tc := range []struct {
-		name string
-		cfg  obs.Config
-	}{
-		{"ring", obs.Config{Ring: 256}},
-		{"stream", obs.Config{Stream: true}},
-	} {
-		if got := render(tc.cfg); !bytes.Equal(off, got) {
-			t.Errorf("%s recording changed experiment metrics:\noff:\n%s\n%s:\n%s", tc.name, off, tc.name, got)
-		}
-	}
-}
-
 // TestTraceCausalChain asserts that a real experiment's trace links a
 // migration back through the lease to the anycast that discovered the
 // receiver — the property vb trace explain relies on.

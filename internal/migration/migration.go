@@ -99,7 +99,30 @@ type Manager struct {
 	// deterministic for any shard count). The serving layer registers one to
 	// evict its customer→rendezvous cache when a VM moves.
 	hooks []CompletionHook
+	// flights banks the flight records of finished migrations, under mu: a
+	// start takes one, its completion gives it back, so the bank is bounded
+	// by the peak number of migrations in flight.
+	flights sim.Bank[flight]
 }
+
+// flight is one migration between its start and its completion, and the
+// handler of its keyed completion event.
+type flight struct {
+	m        *Manager
+	vm       *cluster.VM
+	src, dst int
+	d        time.Duration
+	span     obs.Ref
+	onDone   Done
+}
+
+// Done hears how a migration ended (nil: the VM now runs on the destination).
+type Done interface{ MigrationDone(err error) }
+
+// doneFunc adapts a func to Done.
+type doneFunc func(err error)
+
+func (f doneFunc) MigrationDone(err error) { f(err) }
 
 // CompletionHook observes a finished migration attempt: the VM, where it
 // moved from and to, and the outcome (nil = the VM now runs on dst).
@@ -169,7 +192,11 @@ func (m *Manager) InFlight(id cluster.VMID) bool {
 // the VM is unknown, unplaced, already migrating, or the destination cannot
 // admit it right now.
 func (m *Manager) Migrate(id cluster.VMID, dst int, onDone func(error)) error {
-	return m.MigrateTraced(nil, obs.NoRef, id, dst, onDone)
+	var done Done
+	if onDone != nil {
+		done = doneFunc(onDone)
+	}
+	return m.MigrateTraced(nil, obs.NoRef, id, dst, done)
 }
 
 // MigrateTraced is Migrate with flight-recorder context: rec is the
@@ -177,7 +204,7 @@ func (m *Manager) Migrate(id cluster.VMID, dst int, onDone func(error)) error {
 // caused this move — the anycast that discovered the receiver. The
 // migration span begins on the caller's stream and ends on the root stream
 // (where completions execute); the shared span ref joins the two halves.
-func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID, dst int, onDone func(error)) error {
+func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID, dst int, onDone Done) error {
 	vm := m.cluster.VM(id)
 	if vm == nil {
 		return fmt.Errorf("migration: unknown vm %d", id)
@@ -202,6 +229,7 @@ func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID
 	}
 	m.inFlight[id] = true
 	m.stats.Started++
+	f := m.flights.Take()
 	m.mu.Unlock()
 	d := Duration(vm.Reservation.MemMB)
 	// The completion mutates shared cluster state, so it runs in the keyed
@@ -210,58 +238,66 @@ func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID
 	// the source server's shard clock under sharding.
 	caller := m.engineOf(src)
 	span := rec.Begin(caller.Now(), obs.KindMigration, parent, int64(id), int64(dst))
-	caller.AtKeyed(caller.Now()+d, uint64(id), func() {
-		m.mu.Lock()
-		delete(m.inFlight, id)
-		m.mu.Unlock()
-		// Re-check endpoint liveness and admission at arrival: either
-		// server may have died, or capacity may have been consumed by a
-		// concurrent migration. On any failure the VM stays at its source.
-		var err error
-		switch {
-		case !m.serverAlive(dst):
-			err = fmt.Errorf("migration: vm %d: %w", id, ErrDestinationDead)
-		case !m.serverAlive(src):
-			err = fmt.Errorf("migration: vm %d: %w", id, ErrSourceDead)
-		default:
-			err = m.cluster.Migrate(id, dst)
-		}
-		m.mu.Lock()
-		switch {
-		case errors.Is(err, ErrDestinationDead):
-			m.stats.FailedDeadDest++
-		case errors.Is(err, ErrSourceDead):
-			m.stats.FailedDeadSource++
-		}
-		if err != nil {
-			m.stats.Failed++
-		} else {
-			m.stats.Completed++
-			m.stats.MovedMemMB += vm.Reservation.MemMB
-			m.stats.BusyTime += d
-		}
-		m.mu.Unlock()
-		var outcome int64
-		switch {
-		case errors.Is(err, ErrDestinationDead):
-			outcome = 1
-		case errors.Is(err, ErrSourceDead):
-			outcome = 2
-		case err != nil:
-			outcome = 3
-		}
-		if outcome == 0 {
-			m.durHist.RecordDuration(d)
-		}
-		if span != obs.NoRef {
-			m.rootObs.End(m.engine.Now(), obs.KindMigration, span, int64(id), outcome)
-		}
-		for _, h := range m.hooks {
-			h(vm, src, dst, err)
-		}
-		if onDone != nil {
-			onDone(err)
-		}
-	})
+	*f = flight{m: m, vm: vm, src: src, dst: dst, d: d, span: span, onDone: onDone}
+	caller.AtKeyedHandler(caller.Now()+d, uint64(id), f)
 	return nil
+}
+
+// Fire implements sim.Handler: the migration's completion.
+func (f *flight) Fire() {
+	m, vm, src, dst, d, span, onDone := f.m, f.vm, f.src, f.dst, f.d, f.span, f.onDone
+	id := vm.ID
+	m.mu.Lock()
+	delete(m.inFlight, id)
+	*f = flight{}
+	m.flights.Put(f)
+	m.mu.Unlock()
+	// Re-check endpoint liveness and admission at arrival: either
+	// server may have died, or capacity may have been consumed by a
+	// concurrent migration. On any failure the VM stays at its source.
+	var err error
+	switch {
+	case !m.serverAlive(dst):
+		err = fmt.Errorf("migration: vm %d: %w", id, ErrDestinationDead)
+	case !m.serverAlive(src):
+		err = fmt.Errorf("migration: vm %d: %w", id, ErrSourceDead)
+	default:
+		err = m.cluster.Migrate(id, dst)
+	}
+	m.mu.Lock()
+	switch {
+	case errors.Is(err, ErrDestinationDead):
+		m.stats.FailedDeadDest++
+	case errors.Is(err, ErrSourceDead):
+		m.stats.FailedDeadSource++
+	}
+	if err != nil {
+		m.stats.Failed++
+	} else {
+		m.stats.Completed++
+		m.stats.MovedMemMB += vm.Reservation.MemMB
+		m.stats.BusyTime += d
+	}
+	m.mu.Unlock()
+	var outcome int64
+	switch {
+	case errors.Is(err, ErrDestinationDead):
+		outcome = 1
+	case errors.Is(err, ErrSourceDead):
+		outcome = 2
+	case err != nil:
+		outcome = 3
+	}
+	if outcome == 0 {
+		m.durHist.RecordDuration(d)
+	}
+	if span != obs.NoRef {
+		m.rootObs.End(m.engine.Now(), obs.KindMigration, span, int64(id), outcome)
+	}
+	for _, h := range m.hooks {
+		h(vm, src, dst, err)
+	}
+	if onDone != nil {
+		onDone.MigrationDone(err)
+	}
 }

@@ -136,6 +136,21 @@ type ReserveStats struct {
 	Adopted int
 }
 
+// reserveCounts is ReserveStats as an agent keeps it: an agent is a record
+// every server has, and a count of one agent's holds fits 32 bits.
+type reserveCounts struct {
+	Accepted, Renewed, Released, Expired                      int32
+	UnknownRelease, DuplicateRelease, OrphanReleases, Adopted int32
+}
+
+func (c reserveCounts) stats() ReserveStats {
+	return ReserveStats{
+		Accepted: int(c.Accepted), Renewed: int(c.Renewed), Released: int(c.Released), Expired: int(c.Expired),
+		UnknownRelease: int(c.UnknownRelease), DuplicateRelease: int(c.DuplicateRelease),
+		OrphanReleases: int(c.OrphanReleases), Adopted: int(c.Adopted),
+	}
+}
+
 func (s ReserveStats) add(o ReserveStats) ReserveStats {
 	s.Accepted += o.Accepted
 	s.Renewed += o.Renewed

@@ -345,7 +345,7 @@ func (c *Coordinator) LeakedReservations() int {
 func (c *Coordinator) ReserveStats() ReserveStats {
 	var s ReserveStats
 	for _, a := range c.agents {
-		s = s.add(a.reserveStats)
+		s = s.add(a.reserveStats.stats())
 	}
 	return s
 }
@@ -372,7 +372,7 @@ type Agent struct {
 	// record per VM under an expiring lease so a lost release or a dead
 	// shedder cannot strand the hold forever.
 	reserved     reservationTable
-	reserveStats ReserveStats
+	reserveStats reserveCounts
 	// recentReleases remembers the last few released VM ids so a retried
 	// release whose ack was lost is counted as a duplicate, not unknown.
 	recentReleases []cluster.VMID
@@ -383,11 +383,14 @@ type Agent struct {
 	// maps: entries number at most MaxShedsPerRound, so a linear scan is
 	// cheaper than hashing and the state is two pointers, not two tables.
 	sheds []shedState
-	// releaseAwait tracks releases sent but not yet acknowledged, keyed by
-	// (vm, receiver) so concurrent releases of one VM to different
+	// releaseAwait is the set of releases sent but not yet acknowledged,
+	// keyed by (vm, receiver) so concurrent releases of one VM to different
 	// receivers (live exchange plus an orphaned accept) stay independent.
-	// It is nil until the agent sends its first release.
-	releaseAwait map[releaseKey]bool
+	// A handful at most, so a slice, kept with its capacity.
+	releaseAwait []releaseKey
+	// onAnycast is considerQuery bound once, at the agent's first join, for
+	// every later join of the Less-Loaded group.
+	onAnycast func(ids.Id, simnet.Message, pastry.NodeHandle) bool
 
 	// updateTicker runs publishLocal (updateTick), rebalanceTicker
 	// rebalanceRound (rebalanceTick).
@@ -432,6 +435,9 @@ func (a *Agent) shedEntry(vm cluster.VMID) *shedState {
 func (a *Agent) isShedding(vm cluster.VMID) bool { return a.shedEntry(vm) != nil }
 
 func (a *Agent) addShed(vm cluster.VMID) {
+	if cap(a.sheds) == 0 {
+		a.sheds = shedLists.Of(a.node.Engine()).New()[:0]
+	}
 	a.sheds = append(a.sheds, shedState{vm: vm})
 }
 
@@ -545,7 +551,7 @@ func (a *Agent) HeldLeases() int {
 
 // Stats returns a copy of the agent's reservation-protocol counters.
 // Read-only; the online auditor balances them against the live table.
-func (a *Agent) Stats() ReserveStats { return a.reserveStats }
+func (a *Agent) Stats() ReserveStats { return a.reserveStats.stats() }
 
 // EachHold calls fn for every reservation currently in the table, in VM-id
 // order, including lazily-unswept expired entries. Strictly read-only — no
@@ -575,7 +581,7 @@ func (a *Agent) sweepLeases() {
 	now := a.node.Engine().Now()
 	if !a.obs.Enabled() {
 		if n := a.reserved.sweep(now, nil); n > 0 {
-			a.reserveStats.Expired += n
+			a.reserveStats.Expired += int32(n)
 			a.persistLeases()
 		}
 		return
@@ -583,7 +589,7 @@ func (a *Agent) sweepLeases() {
 	expired := expiredScratch.Of(a.node.Engine())
 	*expired = (*expired)[:0]
 	n := a.reserved.sweep(now, expired)
-	a.reserveStats.Expired += n
+	a.reserveStats.Expired += int32(n)
 	for i := range *expired {
 		e := &(*expired)[i]
 		// The hold ended when the lease ran out, not when this lazy sweep
@@ -643,7 +649,7 @@ func (a *Agent) AdoptLeases(recs []store.LeaseRecord, rejoin obs.Ref) (adopted, 
 			continue
 		}
 		demand := cluster.Resources{CPU: r.DemandCPU, MemMB: r.DemandMemMB, BandwidthMbps: r.DemandBW}
-		a.reserved.upsert(vm, demand, now, r.Expires)
+		a.hold(vm, demand, now, r.Expires)
 		a.reserveStats.Adopted++
 		if a.obs.Enabled() {
 			// The pre-crash span is lost with the node; the adopted hold
@@ -740,9 +746,10 @@ func (a *Agent) joinGroup() {
 		return
 	}
 	a.inGroup = true
-	a.scribe().Join(lessLoadedKey, scribe.Handlers{
-		OnAnycast: a.considerQuery,
-	})
+	if a.onAnycast == nil {
+		a.onAnycast = a.considerQuery
+	}
+	a.scribe().Join(lessLoadedKey, scribe.Handlers{OnAnycast: a.onAnycast})
 }
 
 func (a *Agent) leaveGroup() {
@@ -789,7 +796,7 @@ func (a *Agent) considerQuery(_ ids.Id, payload simnet.Message, _ pastry.NodeHan
 	// One record per VM: a duplicate accept of a retried query refreshes
 	// the existing hold instead of double-counting its demand.
 	now := a.node.Engine().Now()
-	if a.reserved.upsert(q.VMID, q.Demand, now, now+a.coord.cfg.LeaseDuration) {
+	if a.hold(q.VMID, q.Demand, now, now+a.coord.cfg.LeaseDuration) {
 		a.reserveStats.Accepted++
 		if a.obs.Enabled() {
 			// Parent the hold to the any-cast walk that is asking right now,
@@ -906,37 +913,92 @@ func (a *Agent) shedChain(budget int) {
 		Reservation: vm.Reservation,
 		Demand:      effectiveDemand(vm),
 	}
-	a.scribe().Anycast(lessLoadedKey, q, func(res scribe.AnycastResult) {
-		if !res.Accepted {
-			a.dropShed(vm.ID)
-			return // no receiver this round; retry next interval
-		}
-		dst := int(res.By.Addr)
-		if e := a.shedEntry(vm.ID); e != nil {
-			e.dest, e.haveDest = res.By, true
-		}
-		a.migrationsTriggered.Inc()
-		// The migration span is parented to the any-cast that discovered
-		// the receiver, completing the anycast -> lease -> migration chain.
-		err := a.coord.mig.MigrateTraced(a.obs, res.Trace, vm.ID, dst, func(merr error) {
-			a.dropShed(vm.ID)
-			// Whatever the outcome, release the receiver's hold: on
-			// success the VM's demand now counts directly there; on
-			// failure (dead endpoint included) nothing will arrive.
-			a.sendRelease(res.By, vm.ID)
-			if cb := a.coord.onMigrated; cb != nil {
-				cb(vm, merr)
-			}
-		})
-		if err != nil {
-			a.dropShed(vm.ID)
-			a.sendRelease(res.By, vm.ID)
-			return
-		}
-		a.renewWhileInFlight(res.By, vm.ID, q.Demand)
-		// Keep shedding within this round if still over target.
-		a.shedChain(budget - 1)
-	})
+	ex := shuffleBanks.Of(a.node.Engine()).sheds.Take()
+	*ex = shedExchange{a: a, vm: vm, demand: q.Demand, budget: budget, holds: 1}
+	a.scribe().AnycastWith(lessLoadedKey, q, ex)
+}
+
+// shedExchange is one outbound shed from its query on: the any-cast's
+// verdict, the migration's completion and the lease-renew timer are its
+// methods, so a shed binds no closure. It comes from the shedder's engine's
+// bank and goes back there once no role holds it. The query itself is not in
+// it: an orphaned verdict may still carry it after the exchange is over.
+type shedExchange struct {
+	a      *Agent
+	vm     *cluster.VM
+	demand cluster.Resources
+	by     pastry.NodeHandle
+	budget int
+	// holds counts the roles still to run: the verdict, then the completion
+	// and the renew timer.
+	holds int
+}
+
+// release drops one role, banking the exchange with the last.
+func (ex *shedExchange) release() {
+	if ex.holds--; ex.holds == 0 {
+		b := shuffleBanks.Of(ex.a.node.Engine())
+		*ex = shedExchange{}
+		b.sheds.Put(ex)
+	}
+}
+
+// AnycastDone implements scribe.AnycastCaller: the verdict on the query.
+func (ex *shedExchange) AnycastDone(res scribe.AnycastResult) {
+	defer ex.release()
+	a, vm := ex.a, ex.vm
+	if !res.Accepted {
+		a.dropShed(vm.ID)
+		return // no receiver this round; retry next interval
+	}
+	dst := int(res.By.Addr)
+	if e := a.shedEntry(vm.ID); e != nil {
+		e.dest, e.haveDest = res.By, true
+	}
+	a.migrationsTriggered.Inc()
+	ex.by = res.By
+	// The migration span is parented to the any-cast that discovered the
+	// receiver, completing the anycast -> lease -> migration chain.
+	if err := a.coord.mig.MigrateTraced(a.obs, res.Trace, vm.ID, dst, ex); err != nil {
+		a.dropShed(vm.ID)
+		a.sendRelease(res.By, vm.ID)
+		return
+	}
+	// Keep the receiver's lease alive for as long as the migration runs, so
+	// a slow transfer is never reclaimed out from under a live exchange.
+	ex.holds += 2
+	a.node.Engine().AfterHandler(a.coord.cfg.LeaseDuration/3, ex)
+	// Keep shedding within this round if still over target.
+	a.shedChain(ex.budget - 1)
+}
+
+// MigrationDone implements migration.Done: the migration ended.
+func (ex *shedExchange) MigrationDone(merr error) {
+	a, vm := ex.a, ex.vm
+	a.dropShed(vm.ID)
+	// Whatever the outcome, release the receiver's hold: on success the
+	// VM's demand now counts directly there; on failure (dead endpoint
+	// included) nothing will arrive.
+	a.sendRelease(ex.by, vm.ID)
+	if cb := a.coord.onMigrated; cb != nil {
+		cb(vm, merr)
+	}
+	ex.release()
+}
+
+// Fire implements sim.Handler: one lease renewal while the migration is in
+// flight.
+func (ex *shedExchange) Fire() {
+	a, vm := ex.a, ex.vm.ID
+	cur, live := a.shedDestOf(vm)
+	if !live || cur.Id != ex.by.Id || !a.coord.mig.InFlight(vm) {
+		ex.release()
+		return
+	}
+	m := shuffleBanks.Of(a.node.Engine()).renews.Take()
+	*m = renewMsg{VMID: vm, Demand: ex.demand}
+	a.node.SendDirect(ex.by, AppName, m)
+	a.node.Engine().AfterHandler(a.coord.cfg.LeaseDuration/3, ex)
 }
 
 // sendRelease starts the acknowledged release exchange: the message is
@@ -945,40 +1007,90 @@ func (a *Agent) shedChain(budget int) {
 // the backstop beyond that point).
 func (a *Agent) sendRelease(to pastry.NodeHandle, vm cluster.VMID) {
 	key := releaseKey{vm: vm, addr: to.Addr}
-	if a.releaseAwait == nil {
-		a.releaseAwait = make(map[releaseKey]bool)
+	if !a.awaiting(key) {
+		if cap(a.releaseAwait) == 0 {
+			a.releaseAwait = awaitLists.Of(a.node.Engine()).New()[:0]
+		}
+		a.releaseAwait = append(a.releaseAwait, key)
 	}
-	a.releaseAwait[key] = true
-	a.trySendRelease(to, key, releaseRetries, releaseRetryInterval)
+	r := shuffleBanks.Of(a.node.Engine()).releases.Take()
+	*r = releaseRetry{a: a, to: to, key: key, retriesLeft: releaseRetries, backoff: releaseRetryInterval}
+	r.Fire()
 }
 
-func (a *Agent) trySendRelease(to pastry.NodeHandle, key releaseKey, retriesLeft int, backoff time.Duration) {
-	if !a.releaseAwait[key] {
+// awaiting reports whether a release under key is still unacknowledged.
+func (a *Agent) awaiting(key releaseKey) bool { return slices.Contains(a.releaseAwait, key) }
+
+// unawait ends the wait for key's ack.
+func (a *Agent) unawait(key releaseKey) {
+	if i := slices.Index(a.releaseAwait, key); i >= 0 {
+		a.releaseAwait = slices.Delete(a.releaseAwait, i, i+1)
+	}
+}
+
+// releaseRetry is one chain of release sends, and the handler of its backoff
+// timer. Chains of one key share its wait: the first ack, or the first chain
+// to spend its budget, ends them all. It comes from the agent's engine's
+// bank and goes back there when the chain stops.
+type releaseRetry struct {
+	a           *Agent
+	to          pastry.NodeHandle
+	key         releaseKey
+	retriesLeft int
+	backoff     time.Duration
+}
+
+// Fire implements sim.Handler: one send of the release, unless acknowledged.
+func (r *releaseRetry) Fire() {
+	a := r.a
+	if !a.awaiting(r.key) {
+		r.bank()
 		return // acknowledged
 	}
-	a.node.SendDirect(to, AppName, &releaseMsg{VMID: key.vm})
-	if retriesLeft <= 0 {
-		delete(a.releaseAwait, key)
+	m := shuffleBanks.Of(a.node.Engine()).rels.Take()
+	*m = releaseMsg{VMID: r.key.vm}
+	a.node.SendDirect(r.to, AppName, m)
+	if r.retriesLeft <= 0 {
+		a.unawait(r.key)
+		r.bank()
 		return
 	}
-	a.node.Engine().After(backoff, func() {
-		a.trySendRelease(to, key, retriesLeft-1, backoff*2)
-	})
+	d := r.backoff
+	r.retriesLeft--
+	r.backoff *= 2
+	a.node.Engine().AfterHandler(d, r)
 }
 
-// renewWhileInFlight keeps the receiver's lease alive for as long as the
-// migration is still running, so slow transfers are never reclaimed out
-// from under a live exchange.
-func (a *Agent) renewWhileInFlight(to pastry.NodeHandle, vm cluster.VMID, demand cluster.Resources) {
-	a.node.Engine().After(a.coord.cfg.LeaseDuration/3, func() {
-		cur, live := a.shedDestOf(vm)
-		if !live || cur.Id != to.Id || !a.coord.mig.InFlight(vm) {
-			return
-		}
-		a.node.SendDirect(to, AppName, &renewMsg{VMID: vm, Demand: demand})
-		a.renewWhileInFlight(to, vm, demand)
-	})
+func (r *releaseRetry) bank() {
+	b := shuffleBanks.Of(r.a.node.Engine())
+	*r = releaseRetry{}
+	b.releases.Put(r)
 }
+
+// shuffleBank is an engine's banks of the shuffle's records and message
+// shells. A record is banked on its agent's engine by whoever ends it (a
+// migration completion runs on the root, while that engine is parked); a
+// message shell by the agent that consumes it, or by the network on a drop
+// (simnet.Recycler).
+type shuffleBank struct {
+	sheds    sim.Bank[shedExchange]
+	releases sim.Bank[releaseRetry]
+	rels     sim.Bank[releaseMsg]
+	acks     sim.Bank[releaseAckMsg]
+	renews   sim.Bank[renewMsg]
+}
+
+var (
+	shuffleBanks = sim.NewLocal[shuffleBank]()
+	// shedLists, holdLists, awaitLists and releaseLists carve an agent's
+	// first backing of its sheds, holds, unacknowledged releases and
+	// released-VM history: an agent's first shed, hold or release costs a
+	// chunk's share of an allocation.
+	shedLists    = sim.NewLocal[sim.Slab[[4]shedState]]()
+	holdLists    = sim.NewLocal[sim.Slab[[4]reservation]]()
+	awaitLists   = sim.NewLocal[sim.Slab[[2]releaseKey]]()
+	releaseLists = sim.NewLocal[sim.Slab[[8]cluster.VMID]]()
+)
 
 // OrphanAccepted implements scribe.OrphanAcceptor: it releases reservations
 // made for accepts the any-cast layer had already given up on — a verdict
@@ -1081,15 +1193,19 @@ func (a *Agent) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 		}
 		// Always acknowledge, duplicates included: the shedder retries
 		// until it hears this, and the operation is idempotent.
-		a.node.SendDirect(from, AppName, &releaseAckMsg{VMID: m.VMID})
+		ack := shuffleBanks.Of(a.node.Engine()).acks.Take()
+		*ack = releaseAckMsg{VMID: m.VMID}
+		a.node.SendDirect(from, AppName, ack)
+		m.Recycle(a.node.Engine())
 	case *releaseAckMsg:
-		delete(a.releaseAwait, releaseKey{vm: m.VMID, addr: from.Addr})
+		a.unawait(releaseKey{vm: m.VMID, addr: from.Addr})
+		m.Recycle(a.node.Engine())
 	case *renewMsg:
 		a.sweepLeases()
 		// Upsert rather than refresh-if-present: a renew that raced with
 		// expiry restores the hold, demand vector and all.
 		now := a.node.Engine().Now()
-		if a.reserved.upsert(m.VMID, m.Demand, now, now+a.coord.cfg.LeaseDuration) {
+		if a.hold(m.VMID, m.Demand, now, now+a.coord.cfg.LeaseDuration) {
 			a.reserveStats.Accepted++
 			if a.obs.Enabled() {
 				// A renew that restored a lapsed hold opens a fresh span:
@@ -1103,6 +1219,7 @@ func (a *Agent) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 			}
 		}
 		a.persistLeases()
+		m.Recycle(a.node.Engine())
 	}
 }
 
@@ -1111,10 +1228,24 @@ func (a *Agent) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 const releaseHistory = 64
 
 func (a *Agent) rememberRelease(vm cluster.VMID) {
-	a.recentReleases = append(a.recentReleases, vm)
-	if len(a.recentReleases) > releaseHistory {
-		a.recentReleases = a.recentReleases[1:]
+	if cap(a.recentReleases) == 0 {
+		a.recentReleases = releaseLists.Of(a.node.Engine()).New()[:0]
 	}
+	if len(a.recentReleases) == releaseHistory {
+		// Forget the oldest in place: the backing keeps its capacity.
+		copy(a.recentReleases, a.recentReleases[1:])
+		a.recentReleases = a.recentReleases[:releaseHistory-1]
+	}
+	a.recentReleases = append(a.recentReleases, vm)
+}
+
+// hold installs or refreshes vm's reservation (reservationTable.upsert); the
+// table's first backing is carved from the engine's slab.
+func (a *Agent) hold(vm cluster.VMID, demand cluster.Resources, granted, expires time.Duration) bool {
+	if cap(a.reserved.entries) == 0 {
+		a.reserved.entries = holdLists.Of(a.node.Engine()).New()[:0]
+	}
+	return a.reserved.upsert(vm, demand, granted, expires)
 }
 
 func (a *Agent) wasReleased(vm cluster.VMID) bool {
@@ -1149,6 +1280,10 @@ type releaseMsg struct {
 // WireSize implements simnet.WireSizer.
 func (releaseMsg) WireSize() int { return 8 }
 
+// Recycle implements simnet.Recycler: the receiver consumed the release, or
+// the network dropped it, on engine e's goroutine.
+func (m *releaseMsg) Recycle(e *sim.Engine) { shuffleBanks.Of(e).rels.Put(m) }
+
 // releaseAckMsg confirms a release was processed (duplicates included).
 type releaseAckMsg struct {
 	VMID cluster.VMID
@@ -1156,6 +1291,9 @@ type releaseAckMsg struct {
 
 // WireSize implements simnet.WireSizer.
 func (releaseAckMsg) WireSize() int { return 8 }
+
+// Recycle implements simnet.Recycler, as releaseMsg's does.
+func (m *releaseAckMsg) Recycle(e *sim.Engine) { shuffleBanks.Of(e).acks.Put(m) }
 
 // renewMsg refreshes the receiver's lease while the VM is in flight. It
 // carries the demand vector so a hold lost to a premature expiry is
@@ -1167,3 +1305,6 @@ type renewMsg struct {
 
 // WireSize implements simnet.WireSizer.
 func (renewMsg) WireSize() int { return 8 + 3*8 }
+
+// Recycle implements simnet.Recycler, as releaseMsg's does.
+func (m *renewMsg) Recycle(e *sim.Engine) { shuffleBanks.Of(e).renews.Put(m) }

@@ -4,6 +4,7 @@ import (
 	"vbundle/internal/ids"
 	"vbundle/internal/obs"
 	"vbundle/internal/pastry"
+	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
 
@@ -74,7 +75,10 @@ type Upward interface {
 // payload's content: the group key and the sender's handle.
 const TreeEdgeWireBytes = ids.Bytes + handleWireBytes
 
-// anycastMsg performs the depth-first search of the tree.
+// anycastMsg performs the depth-first search of the tree. It is a shell: one
+// walk carries it from node to node, the node where the walk ends banks it
+// (finishAnycast), and the network banks one it drops. Visited keeps its
+// backing from walk to walk.
 type anycastMsg struct {
 	Group   ids.Id
 	Payload simnet.Message
@@ -92,6 +96,23 @@ func (m *anycastMsg) WireSize() int {
 	return ids.Bytes*(1+len(m.Visited)) + handleWireBytes + 8 + simnet.WireSize(m.Payload)
 }
 
+// anycastShells and verdictShells are the engines' banks of any-cast and
+// verdict shells.
+var (
+	anycastShells = sim.NewLocal[sim.Bank[anycastMsg]]()
+	verdictShells = sim.NewLocal[sim.Bank[anycastVerdict]]()
+	// visitedLists carves a shell's first Visited backing, which most walks
+	// never outgrow.
+	visitedLists = sim.NewLocal[sim.Slab[[4]ids.Id]]()
+)
+
+// Recycle implements simnet.Recycler: the walk ended on engine e's goroutine.
+// The payload is dropped so that a banked shell does not pin the query.
+func (m *anycastMsg) Recycle(e *sim.Engine) {
+	m.Payload = nil
+	anycastShells.Of(e).Put(m)
+}
+
 func (m *anycastMsg) visited(id ids.Id) bool {
 	for _, v := range m.Visited {
 		if v == id {
@@ -101,7 +122,8 @@ func (m *anycastMsg) visited(id ids.Id) bool {
 	return false
 }
 
-// anycastVerdict reports the search outcome to the originator. Group and
+// anycastVerdict reports the search outcome to the originator, in a shell
+// the node that ends the walk takes and the originator banks. Group and
 // Payload echo the query so an originator that already gave up on the
 // sequence number (timeout, retry already resolved) can still identify the
 // accepted work and hand it to its orphan handler instead of stranding the
@@ -121,6 +143,13 @@ type anycastVerdict struct {
 // WireSize implements simnet.WireSizer.
 func (m *anycastVerdict) WireSize() int {
 	return 8 + 1 + handleWireBytes + 4 + ids.Bytes + simnet.WireSize(m.Payload)
+}
+
+// Recycle implements simnet.Recycler: the verdict ended on engine e's
+// goroutine, read by its originator or dropped by the network.
+func (m *anycastVerdict) Recycle(e *sim.Engine) {
+	m.Payload = nil
+	verdictShells.Of(e).Put(m)
 }
 
 // heartbeat keeps tree edges fresh; children re-join after missing several.

@@ -23,6 +23,7 @@ package scribe
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -142,12 +143,23 @@ func (g *groupState) dropChild(n *pastry.Node, id ids.Id) bool {
 	return true
 }
 
+// AnycastCaller hears the verdict of an any-cast it launched (AnycastWith):
+// a record of the caller's own, so a tracked query binds nothing.
+type AnycastCaller interface{ AnycastDone(AnycastResult) }
+
+// anycastFunc adapts Anycast's func to AnycastCaller; a func value is one
+// pointer, so the conversion allocates nothing.
+type anycastFunc func(AnycastResult)
+
+func (f anycastFunc) AnycastDone(r AnycastResult) { f(r) }
+
 // pendingAnycast is one originator-side in-flight any-cast: its callback,
 // enough of the query to resend it, and the retry budget left.
 type pendingAnycast struct {
+	seq     uint64
 	group   ids.Id
 	payload simnet.Message
-	cb      func(AnycastResult) // nil when the caller did not ask for a verdict
+	cb      AnycastCaller
 	// attemptsLeft counts resends remaining; nextTimeout doubles per retry.
 	attemptsLeft int
 	nextTimeout  time.Duration
@@ -167,12 +179,19 @@ type wheelEntry struct {
 
 // originator is what a node needs to track the any-casts it launched: the
 // pending queries, their timeout wheel and their latency histograms. Only a
-// node that calls Anycast with a callback has one.
+// node that calls Anycast with a callback has one, carved from its engine's
+// slab; its three lists start in the arrays beside them, which hold what a
+// shedder has in flight: one query at a time, and at most one resolved
+// deadline the wheel has yet to prune.
 type originator struct {
 	// seq numbers the tracked queries from 1; a fire-and-forget query
 	// carries 0, which therefore never matches a pending entry.
-	seq     uint64
-	pending map[uint64]pendingAnycast
+	seq uint64
+	// pending holds the tracked queries in seq order (they are appended as
+	// they are numbered): a node has a handful at most, so a scan replaces
+	// the map that cost an allocation an originator.
+	pending    []pendingAnycast
+	pendingBuf [1]pendingAnycast
 
 	// wheel holds the pending any-cast deadlines in push order. One armed
 	// engine event at the earliest live deadline serves the whole wheel, so
@@ -180,6 +199,8 @@ type originator struct {
 	// queue (8k-server runs used to carry thousands through it).
 	wheel        []wheelEntry
 	wheelDue     []wheelEntry // scratch for wheelFire, reused across fires
+	wheelBuf     [2]wheelEntry
+	wheelDueBuf  [1]wheelEntry
 	wheelArmed   bool
 	wheelArmedAt time.Duration
 	wheelEpoch   uint64
@@ -189,6 +210,37 @@ type originator struct {
 	// are nil when tracing is off.
 	lat       *obs.Histogram
 	retryWait *obs.Histogram
+}
+
+// find returns the index of seq's pending entry.
+func (o *originator) find(seq uint64) (int, bool) {
+	for i := range o.pending {
+		if o.pending[i].seq == seq {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// wheelTimer is one armed wheel event and its handler: the epoch it was
+// armed at tells a superseded event from the live one. Timers come from
+// their engine's bank and go back to it when they fire.
+type wheelTimer struct {
+	s     *Scribe
+	epoch uint64
+}
+
+var wheelTimers = sim.NewLocal[sim.Bank[wheelTimer]]()
+
+// Fire implements sim.Handler.
+func (t *wheelTimer) Fire() {
+	s, epoch := t.s, t.epoch
+	*t = wheelTimer{}
+	wheelTimers.Of(s.node.Engine()).Put(t)
+	if epoch != s.orig.wheelEpoch {
+		return // superseded by a re-arm at an earlier deadline
+	}
+	s.wheelFire()
 }
 
 // Scribe runs group communication for one Pastry node.
@@ -423,18 +475,78 @@ func (s *Scribe) stateFor(group ids.Id) *groupState {
 	var g *groupState
 	if !s.g0used {
 		// First group ever: use the state embedded in the Scribe. The slot
-		// is claimed permanently — a pruned-then-rejoined group gets a heap
-		// object instead, which keeps ownership trivially single.
+		// is claimed permanently — a pruned group's state goes to its
+		// engine's bank, and this one is never banked.
 		s.g0used = true
 		g = &s.g0
 		*g = groupState{group: group, parent: pastry.NoHandle}
 	} else {
-		g = &groupState{group: group, parent: pastry.NoHandle}
+		g = groupBanks.Of(s.node.Engine()).take(group)
+	}
+	if len(s.groups) == cap(s.groups) && cap(s.groups) == len(s.groupsBuf) {
+		// A third group: the list moves to an array carved from the
+		// engine's slab, which holds the common three-group node for good.
+		grown := groupLists.Of(s.node.Engine()).New()[:len(s.groups)]
+		copy(grown, s.groups)
+		s.groups = grown
 	}
 	s.groups = append(s.groups, nil)
 	copy(s.groups[i+1:], s.groups[i:])
 	s.groups[i] = g
 	return g
+}
+
+// groupBank keeps an engine's pruned group states, one stack a group key,
+// for the next node of the engine that enters the same tree. The key
+// decides because in-flight joins, leaves and acks point at their sender's
+// copy of it (groupState.group): a state is only ever taken again for the
+// key it holds, and take leaves that field as it is, so a message still on
+// the wire reads the key it was sent with. A slab refills an empty stack.
+type groupBank struct {
+	keys  []ids.Id
+	free  [][]*groupState
+	carve sim.Slab[groupState]
+}
+
+var (
+	groupBanks = sim.NewLocal[groupBank]()
+	// groupLists carves a node's group list once it outgrows groupsBuf.
+	groupLists = sim.NewLocal[sim.Slab[[4]*groupState]]()
+)
+
+// take returns a blank state for group: a banked one of the same key, or a
+// new one.
+func (b *groupBank) take(group ids.Id) *groupState {
+	for k, key := range b.keys {
+		if key != group {
+			continue
+		}
+		if n := len(b.free[k]); n > 0 {
+			g := b.free[k][n-1]
+			b.free[k] = b.free[k][:n-1]
+			children := g.children[:0]
+			// Every field but group, which in-flight messages may be reading.
+			g.member, g.root, g.parent = false, false, pastry.NoHandle
+			g.children, g.handlers, g.joining, g.missedBeats = children, Handlers{}, false, 0
+			return g
+		}
+		break
+	}
+	g := b.carve.New()
+	*g = groupState{group: group, parent: pastry.NoHandle}
+	return g
+}
+
+// put banks a pruned state under its key.
+func (b *groupBank) put(g *groupState) {
+	for k, key := range b.keys {
+		if key == g.group {
+			b.free[k] = append(b.free[k], g)
+			return
+		}
+	}
+	b.keys = append(b.keys, g.group)
+	b.free = append(b.free, []*groupState{g})
 }
 
 func (s *Scribe) sendJoin(g *groupState) {
@@ -472,6 +584,9 @@ func (s *Scribe) maybePrune(g *groupState) {
 	}
 	if i := sort.Search(len(s.groups), func(i int) bool { return !s.groups[i].group.Less(g.group) }); i < len(s.groups) && s.groups[i] == g {
 		s.groups = append(s.groups[:i], s.groups[i+1:]...)
+		if g != &s.g0 {
+			groupBanks.Of(s.node.Engine()).put(g)
+		}
 	}
 }
 
@@ -541,6 +656,16 @@ func (s *Scribe) SendToParent(payload Upward) bool {
 // never going to act on it.
 func (s *Scribe) Anycast(group ids.Id, payload simnet.Message, onResult func(AnycastResult)) {
 	if onResult == nil {
+		s.AnycastWith(group, payload, nil)
+		return
+	}
+	s.AnycastWith(group, payload, anycastFunc(onResult))
+}
+
+// AnycastWith is Anycast for a caller that hears the verdict as a record of
+// its own: the one path both take.
+func (s *Scribe) AnycastWith(group ids.Id, payload simnet.Message, caller AnycastCaller) {
+	if caller == nil {
 		s.sendAnycast(group, payload, 0, obs.NoRef)
 		return
 	}
@@ -548,30 +673,38 @@ func (s *Scribe) Anycast(group ids.Id, payload simnet.Message, onResult func(Any
 	o.seq++
 	seq := o.seq
 	trace := s.obs.Begin(s.node.Engine().Now(), obs.KindAnycast, obs.NoRef, int64(seq), 0)
-	o.pending[seq] = pendingAnycast{
+	o.pending = append(o.pending, pendingAnycast{
+		seq:          seq,
 		group:        group,
 		payload:      payload,
-		cb:           onResult,
+		cb:           caller,
 		attemptsLeft: s.AnycastRetries,
 		nextTimeout:  s.AnycastTimeout,
 		launched:     s.node.Engine().Now(),
 		trace:        trace,
-	}
+	})
 	s.wheelPush(s.node.Engine().Now()+s.AnycastTimeout, seq)
 	s.sendAnycast(group, payload, seq, trace)
 }
 
+// originators is where originate carves the originator states, one slab an
+// engine.
+var originators = sim.NewLocal[sim.Slab[originator]]()
+
 // originate returns the node's originator state, making it on first use.
 func (s *Scribe) originate() *originator {
 	if s.orig == nil {
-		s.orig = &originator{pending: make(map[uint64]pendingAnycast)}
+		o := originators.Of(s.node.Engine()).New()
+		o.pending, o.wheel, o.wheelDue = o.pendingBuf[:0], o.wheelBuf[:0], o.wheelDueBuf[:0]
+		s.orig = o
 	}
 	return s.orig
 }
 
 // sendAnycast launches (or relaunches) the DFS for one attempt.
 func (s *Scribe) sendAnycast(group ids.Id, payload simnet.Message, seq uint64, trace obs.Ref) {
-	m := &anycastMsg{Group: group, Payload: payload, Origin: s.node.Handle(), Seq: seq, Trace: trace}
+	m := anycastShells.Of(s.node.Engine()).Take()
+	*m = anycastMsg{Group: group, Payload: payload, Origin: s.node.Handle(), Seq: seq, Visited: m.Visited[:0], Trace: trace}
 	// Fast path: if we are already in the tree, start the DFS locally.
 	if s.group(group) != nil {
 		s.anycastStep(m)
@@ -600,7 +733,7 @@ func (s *Scribe) armWheel() {
 	w := 0
 	min := time.Duration(-1)
 	for _, e := range o.wheel {
-		if _, live := o.pending[e.seq]; !live {
+		if _, live := o.find(e.seq); !live {
 			continue // resolved: drop the entry, never arm for it
 		}
 		o.wheel[w] = e
@@ -618,13 +751,9 @@ func (s *Scribe) armWheel() {
 	}
 	o.wheelArmed, o.wheelArmedAt = true, min
 	o.wheelEpoch++
-	epoch := o.wheelEpoch
-	s.node.Engine().At(min, func() {
-		if epoch != o.wheelEpoch {
-			return // superseded by a re-arm at an earlier deadline
-		}
-		s.wheelFire()
-	})
+	t := wheelTimers.Of(s.node.Engine()).Take()
+	*t = wheelTimer{s: s, epoch: o.wheelEpoch}
+	s.node.Engine().AtHandler(min, t)
 }
 
 // wheelFire handles every deadline due at the current instant, then re-arms
@@ -655,14 +784,15 @@ func (s *Scribe) wheelFire() {
 // budget lasts, report failure once it is spent.
 func (s *Scribe) expireAnycast(seq uint64) {
 	o := s.orig
-	p, ok := o.pending[seq]
+	i, ok := o.find(seq)
 	if !ok {
 		return // resolved before its deadline
 	}
+	p := o.pending[i]
 	if p.attemptsLeft > 0 {
 		p.attemptsLeft--
 		p.nextTimeout *= 2
-		o.pending[seq] = p
+		o.pending[i] = p
 		s.anycastsRetried.Inc()
 		now := s.node.Engine().Now()
 		o.retryWait.RecordDuration(now - p.launched)
@@ -671,12 +801,10 @@ func (s *Scribe) expireAnycast(seq uint64) {
 		s.sendAnycast(p.group, p.payload, seq, p.trace)
 		return
 	}
-	delete(o.pending, seq)
+	o.pending = slices.Delete(o.pending, i, i+1)
 	o.lat.RecordDuration(s.node.Engine().Now() - p.launched)
 	s.obs.End(s.node.Engine().Now(), obs.KindAnycast, p.trace, 0, 0)
-	if p.cb != nil {
-		p.cb(AnycastResult{Trace: p.trace})
-	}
+	p.cb.AnycastDone(AnycastResult{Trace: p.trace})
 }
 
 // anycastStep runs the DFS decision at this node.
@@ -691,6 +819,9 @@ func (s *Scribe) anycastStep(m *anycastMsg) {
 	}
 	self := s.node.Handle().Id
 	if !m.visited(self) {
+		if cap(m.Visited) == 0 {
+			m.Visited = visitedLists.Of(s.node.Engine()).New()[:0]
+		}
 		m.Visited = append(m.Visited, self)
 		if g.member && g.handlers.OnAnycast != nil {
 			// Expose the walk's span while the member decides, so an accept
@@ -767,27 +898,35 @@ func (s *Scribe) nextChild(g *groupState, m *anycastMsg) pastry.NodeHandle {
 	return next
 }
 
+// finishAnycast ends the walk at this node: the message is banked here, and
+// the verdict resolves the query locally or travels in a shell of its own.
 func (s *Scribe) finishAnycast(m *anycastMsg, accepted bool, by pastry.NodeHandle) {
-	if m.Origin.Addr == s.node.Addr() {
+	seq, group, payload, visited, trace, origin := m.Seq, m.Group, m.Payload, len(m.Visited), m.Trace, m.Origin
+	m.Recycle(s.node.Engine())
+	if origin.Addr == s.node.Addr() {
 		// Local resolution: no wire verdict needed.
-		s.resolveAnycast(m.Seq, m.Group, m.Payload, accepted, by, len(m.Visited), m.Trace)
+		s.resolveAnycast(seq, group, payload, accepted, by, visited, trace)
 		return
 	}
-	s.node.SendDirect(m.Origin, AppName, &anycastVerdict{
-		Seq: m.Seq, Accepted: accepted, By: by, Visited: len(m.Visited),
-		Group: m.Group, Payload: m.Payload, Trace: m.Trace,
-	})
+	v := verdictShells.Of(s.node.Engine()).Take()
+	*v = anycastVerdict{
+		Seq: seq, Accepted: accepted, By: by, Visited: visited,
+		Group: group, Payload: payload, Trace: trace,
+	}
+	s.node.SendDirect(origin, AppName, v)
 }
 
+// handleVerdict resolves the query a verdict answers and banks the verdict.
 func (s *Scribe) handleVerdict(v *anycastVerdict) {
-	s.resolveAnycast(v.Seq, v.Group, v.Payload, v.Accepted, v.By, v.Visited, v.Trace)
+	seq, group, payload, accepted, by, visited, trace := v.Seq, v.Group, v.Payload, v.Accepted, v.By, v.Visited, v.Trace
+	v.Recycle(s.node.Engine())
+	s.resolveAnycast(seq, group, payload, accepted, by, visited, trace)
 }
 
 func (s *Scribe) resolveAnycast(seq uint64, group ids.Id, payload simnet.Message, accepted bool, by pastry.NodeHandle, visited int, trace obs.Ref) {
-	var p pendingAnycast
-	ok := false
+	i, ok := 0, false
 	if s.orig != nil {
-		p, ok = s.orig.pending[seq]
+		i, ok = s.orig.find(seq)
 	}
 	if !ok {
 		// No pending entry: the query was fire-and-forget, the originator
@@ -805,16 +944,15 @@ func (s *Scribe) resolveAnycast(seq uint64, group ids.Id, payload simnet.Message
 		}
 		return
 	}
-	delete(s.orig.pending, seq)
+	p := s.orig.pending[i]
+	s.orig.pending = slices.Delete(s.orig.pending, i, i+1)
 	var acceptedArg int64
 	if accepted {
 		acceptedArg = 1
 	}
 	s.orig.lat.RecordDuration(s.node.Engine().Now() - p.launched)
 	s.obs.End(s.node.Engine().Now(), obs.KindAnycast, p.trace, int64(visited), acceptedArg)
-	if p.cb != nil {
-		p.cb(AnycastResult{Accepted: accepted, By: by, Visited: visited, Trace: p.trace})
-	}
+	p.cb.AnycastDone(AnycastResult{Accepted: accepted, By: by, Visited: visited, Trace: p.trace})
 }
 
 // --- pastry up-calls ---------------------------------------------------------

@@ -78,3 +78,32 @@ func (s *Slab[T]) New() *T {
 	s.free = s.free[1:]
 	return v
 }
+
+// Bank is a free list over a Slab, for records and message shells that have
+// one owner at a time: Take hands out a banked value, or carves one when none
+// is banked, and whoever ends the value Puts it back. Keep a bank in a Local,
+// so that it is touched only by the goroutine that runs its engine (or while
+// the engine is parked), or behind a lock; what it holds is then bounded by
+// the peak number of values in use, not by how many were ever used. A taken value
+// holds whatever its last owner, or a test poisoning the bank, left in it:
+// the taker writes every field it reads. The zero value is ready to use.
+type Bank[T any] struct {
+	free []*T
+	slab Slab[T]
+}
+
+// Take returns a banked value, or a new zeroed one when none is banked.
+func (b *Bank[T]) Take() *T {
+	if n := len(b.free); n > 0 {
+		v := b.free[n-1]
+		b.free = b.free[:n-1]
+		return v
+	}
+	return b.slab.New()
+}
+
+// Put banks v, which no one may read or write until Take returns it again.
+func (b *Bank[T]) Put(v *T) { b.free = append(b.free, v) }
+
+// Banked returns the values the bank holds, for a test that poisons them.
+func (b *Bank[T]) Banked() []*T { return b.free }

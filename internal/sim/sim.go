@@ -218,6 +218,10 @@ func (e *Engine) push(t time.Duration, key uint64, h Handler) *event {
 // count.
 func (e *Engine) At(t time.Duration, fn func()) { e.at(t, funcHandler(fn)) }
 
+// AtHandler is At for a Handler: an owner that schedules the same work
+// again and again passes a record instead of binding a func each time.
+func (e *Engine) AtHandler(t time.Duration, h Handler) { e.at(t, h) }
+
 // at is At for a Handler: the one band-1 scheduling path.
 func (e *Engine) at(t time.Duration, h Handler) {
 	e.mustInit()
@@ -281,7 +285,14 @@ func (e *Engine) AfterGlobal(delay time.Duration, fn func()) {
 // practice migration durations are orders of magnitude larger), which keeps
 // it beyond every shard's window horizon.
 func (e *Engine) AtKeyed(t time.Duration, key uint64, fn func()) {
-	e.atRoot(t, keyKeyed|(key&keyPayloadMax), funcHandler(fn), "keyed")
+	e.AtKeyedHandler(t, key, funcHandler(fn))
+}
+
+// AtKeyedHandler is AtKeyed for a Handler: an owner that keeps its
+// completion's state in a record of its own passes the record instead of
+// binding a closure over the state.
+func (e *Engine) AtKeyedHandler(t time.Duration, key uint64, h Handler) {
+	e.atRoot(t, keyKeyed|(key&keyPayloadMax), h, "keyed")
 }
 
 // atRoot schedules a band-2 or band-3 event on the root. A one-shard engine

@@ -191,3 +191,31 @@ func TestDropProbabilityFoldsIndependently(t *testing.T) {
 		t.Fatalf("combined drop probability = %g, want 0.75", got)
 	}
 }
+
+// TestUntracedNetworkKeepsNoSources: with the recorder off the network holds
+// no recorder source a node, TraceSource returns nil for every address, and
+// every emit site — kill, revive, crash, restart and a send the drop draw
+// loses — runs on the nil source without a panic.
+func TestUntracedNetworkKeepsNoSources(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := New(e, 3, flatLatency(time.Millisecond), WithDropRate(1))
+	if n.obsSrc != nil {
+		t.Fatalf("an untraced network holds %d recorder sources", len(n.obsSrc))
+	}
+	for a := Addr(0); a < 3; a++ {
+		n.Attach(a, HandlerFunc(func(Addr, Message) {}))
+		if s := n.TraceSource(a); s != nil {
+			t.Fatalf("TraceSource(%d) = %p on an untraced network, want nil", a, s)
+		}
+	}
+	n.SetRestarter(func(a Addr) { n.Attach(a, HandlerFunc(func(Addr, Message) {})) })
+	n.Kill(1)
+	n.Revive(1)
+	n.Crash(2)
+	n.Restart(2)
+	n.Send(0, 1, "lost")
+	e.Run()
+	if c := n.CountersOf(0); c.MsgsSent != 1 || n.CountersOf(1).MsgsReceived != 0 {
+		t.Fatalf("the lossy send was counted %+v at the sender and delivered %d times", c, n.CountersOf(1).MsgsReceived)
+	}
+}

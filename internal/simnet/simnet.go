@@ -203,8 +203,9 @@ type Network struct {
 	linkFaults []LinkFault
 
 	// trace is the run's flight recorder (nil when disabled). obsSrc caches
-	// one recorder source per address; with recording off every entry is nil
-	// and each emit site costs a single nil-receiver branch.
+	// one recorder source per address; with recording off it is nil, and
+	// every read goes through source, which then returns the nil no-op
+	// recorder.
 	trace  *obs.Trace
 	obsSrc []*obs.Source
 }
@@ -465,8 +466,8 @@ func New(engine *sim.Engine, size int, latency LatencyFunc, opts ...Option) *Net
 	for _, o := range opts {
 		o(n)
 	}
-	n.obsSrc = make([]*obs.Source, size)
 	if n.trace != nil {
+		n.obsSrc = make([]*obs.Source, size)
 		for a := range n.obsSrc {
 			n.obsSrc[a] = n.trace.Source(int32(a))
 		}
@@ -596,6 +597,14 @@ func (n *Network) Trace() *obs.Trace { return n.trace }
 // disabled, so callers cache and use it unconditionally.
 func (n *Network) TraceSource(addr Addr) *obs.Source {
 	n.check(addr)
+	return n.source(addr)
+}
+
+// source is addr's recorder source, nil when tracing is off.
+func (n *Network) source(addr Addr) *obs.Source {
+	if n.obsSrc == nil {
+		return nil
+	}
 	return n.obsSrc[addr]
 }
 
@@ -620,7 +629,7 @@ func (n *Network) Kill(addr Addr) {
 	if was {
 		// Fault injections run at exclusive global instants (or from idle
 		// test code), so writing the victim's own source is race-free.
-		n.obsSrc[addr].Instant(n.engine.Now(), obs.KindKill, obs.NoRef, 0, 0)
+		n.source(addr).Instant(n.engine.Now(), obs.KindKill, obs.NoRef, 0, 0)
 	}
 	n.notifyLiveness(addr, was, false)
 }
@@ -643,7 +652,7 @@ func (n *Network) Crash(addr Addr) {
 	if was {
 		// Fault injections run at exclusive global instants (or from idle
 		// test code), so writing the victim's own source is race-free.
-		n.obsSrc[addr].Instant(n.engine.Now(), obs.KindCrash, obs.NoRef, 0, 0)
+		n.source(addr).Instant(n.engine.Now(), obs.KindCrash, obs.NoRef, 0, 0)
 	}
 	n.notifyLiveness(addr, was, false)
 }
@@ -661,7 +670,7 @@ func (n *Network) Restart(addr Addr) {
 	if n.restarter == nil {
 		panic(fmt.Sprintf("simnet: Restart(%d) without a restarter (SetRestarter)", addr))
 	}
-	n.obsSrc[addr].Instant(n.engine.Now(), obs.KindRestart, obs.NoRef, 0, 0)
+	n.source(addr).Instant(n.engine.Now(), obs.KindRestart, obs.NoRef, 0, 0)
 	n.restarter(addr)
 	if n.nodes[addr].handler == nil || !n.nodes[addr].alive {
 		panic(fmt.Sprintf("simnet: restarter left node %d without a live handler", addr))
@@ -679,7 +688,7 @@ func (n *Network) Revive(addr Addr) {
 	was := n.nodes[addr].alive
 	n.nodes[addr].alive = true
 	if !was {
-		n.obsSrc[addr].Instant(n.engine.Now(), obs.KindRevive, obs.NoRef, 0, 0)
+		n.source(addr).Instant(n.engine.Now(), obs.KindRevive, obs.NoRef, 0, 0)
 	}
 	n.notifyLiveness(addr, was, true)
 }
@@ -713,7 +722,7 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 	if drop > 0 && n.dropDraw(src, idx) < drop {
 		// Recorded on the sender: the drop decision is made here, with the
 		// sender's clock, identically in every engine mode.
-		n.obsSrc[src].Instant(n.engineFor(src).Now(), obs.KindDrop, obs.NoRef, int64(dst), int64(size))
+		n.source(src).Instant(n.engineFor(src).Now(), obs.KindDrop, obs.NoRef, int64(dst), int64(size))
 		Recycle(n.engineFor(src), msg)
 		return
 	}

@@ -52,7 +52,10 @@ go test -C benchmark ./...
 # together, the consider memo against the full inserts, the leaf-set insert
 # against the search-insert-truncate it replaced, the any-cast's child
 # search against the scan, a run with every banked envelope and push shell
-# overwritten after every event against the same run untouched, 400 lossy
+# overwritten after every event against the same run untouched (and a lossy
+# shuffle with every banked any-cast shell, verdict, wheel timer, group
+# state, shed exchange, release chain and release, ack and renew shell
+# overwritten; migration flights and VM-list spares likewise), 400 lossy
 # rounds that must bank what the network drops, and the bandwidth ledger and
 # cached demand sums against the full sweep through a churning run whose
 # agents fill their servers' sums from two shard goroutines. They run once
@@ -71,10 +74,11 @@ go test -race -short -skip "$models" ./...
 
 step "queue, inbox, delivery, shell, memo, leaf, search, poison and ledger model equivalence -race"
 go test -race -count=1 -run "$models" \
-	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/
+	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/ \
+	./internal/rebalance/ ./internal/migration/ ./internal/cluster/
 
-# Eighteen gates that must have run and passed by name, not merely not failed
-# (a renamed or skipped test fails the count). Ten count objects: a 256-hop
+# Nineteen gates that must have run and passed by name, not merely not failed
+# (a renamed or skipped test fails the count). Eleven count objects: a 256-hop
 # spill walk allocates no more than a boot admitted at its rendezvous; a warm
 # serving step (a boot, its query's completion and two terminates, under each
 # of the four cache/batch settings), a warm BandwidthSatisfaction sweep, a
@@ -85,10 +89,12 @@ go test -race -count=1 -run "$models" \
 # and none of its messages (at most 1.1 objects a server past 4096); each
 # node past 4096 of an overlay costs a slab chunk's share of an object (under
 # 0.02), and core.New a twentieth of one a server beyond the overlay;
-# StartServices allocates a server's second group state and none of its
-# plumbing or messages (at most 1.1 objects a server between 1024 and 2048
-# servers), and a handler event and an embedded ticker's start and stop
-# allocate nothing. Four are what every server holds of each layer, to the
+# StartServices allocates none of its plumbing or messages (at most 0.1
+# objects a server between 1024 and 2048 servers: the second group's state
+# comes out of a slab), and a handler event and an embedded ticker's
+# start and stop allocate nothing; three warm shuffle rounds allocate at most
+# 16 objects a migration (the shed records, shells and timers are banked).
+# Four are what every server holds of each layer, to the
 # byte: the node and the server record come out of one slice each, the
 # Scribe and the topic out of their engine's slabs. One holds the bandwidth
 # ledger and the cached demand sums to the full sweep they replaced, bit for
@@ -99,10 +105,10 @@ go test -race -count=1 -run "$models" \
 # own package's tests. One holds vb to its inputs: every nonsense value a
 # bug once hung, panicked or silently ran on exits 1 naming its flag or
 # field.
-step "allocation, size, ledger, knob, export and bad-config gates, PASS by name (18)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
+step "allocation, size, ledger, knob, export and bad-config gates, PASS by name (19)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 18
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 19
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
