@@ -517,15 +517,14 @@ func (m *Manager) flush(st *topicState) {
 		st.lastSent, st.sentOnce = agg, true
 		return
 	}
-	shells := upShells.Of(m.sc.Node().Engine())
-	up := shells.get()
+	up := upShells.Of(m.sc.Node().Engine()).Take()
 	up.Topic, up.Values, up.LeafSentAt = st.key, agg, stamp
 	if m.sc.SendToParent(up) {
 		m.sc.Node().Obs().Instant(m.now(), obs.KindAggUpdate, obs.NoRef, int64(len(st.children)), int64(len(agg)))
 		st.lastSent, st.sentOnce = agg, true
 		return
 	}
-	shells.put(up) // never sent: still ours
+	bankShell(m.sc.Node().Engine(), up) // never sent: still ours
 	// The tree parent is not known yet (join still in flight). Keep the
 	// probe stamp and retry shortly; without this, values set before the
 	// tree converges would never reach the root.
@@ -566,7 +565,7 @@ func (m *Manager) onChildUpdate(st *topicState, payload simnet.Message, from pas
 	m.markDirty(st, up.LeafSentAt)
 	// This is the push's one point of consumption, and nothing above kept the
 	// *upMsg: the info base holds the list Values pointed at, not the shell.
-	upShells.Of(m.sc.Node().Engine()).put(up)
+	bankShell(m.sc.Node().Engine(), up)
 }
 
 // publish computes the root's full aggregates and disseminates them down
@@ -636,12 +635,11 @@ func (m *Manager) childID(ref int32) ids.Id { return m.sc.Node().HandleOf(ref).I
 
 // upMsg carries a subtree's per-attribute aggregates one edge toward the
 // root. Values is the sender's cached fold list, shared and never written;
-// the shell around it is recycled (upShellList).
+// the shell around it is recycled (upShells).
 type upMsg struct {
 	Topic      ids.Id
 	Values     attrList
 	LeafSentAt time.Duration
-	next       *upMsg // the shell below this one while it lies in an upShellList
 }
 
 // TreeGroup implements scribe.Upward.
@@ -656,43 +654,30 @@ func (u *upMsg) WireSize() int {
 	return size
 }
 
-// upShellList recycles upMsg shells among the nodes of one engine goroutine,
+// upShells recycles upMsg shells among the nodes of one engine goroutine,
 // under the rule pastry's envPool follows: a push has one owner at a time —
 // flush takes a shell and hands it to the network, onChildUpdate consumes it
-// exactly once and banks it on the receiver's list, last in first out. A
+// exactly once and banks it on the receiver's bank, last in first out. A
 // shell is per message, not per sender, because an interior node flushes
 // again 1.5 ms after its next child reports, while its previous push is still
 // a network hop from arriving: the two must not share values or stamp. A push
 // that is dropped, lost with a crashed inbox or delivered to a node that has
-// left the tree is banked where it ends (Recycle). A cold list carves its
+// left the tree is banked where it ends (Recycle). A cold bank carves its
 // shells from its slab, so the first round costs an allocation a chunk; what
 // stays banked is one round's shells, which the next round sends again.
-type upShellList struct {
-	top  *upMsg
-	slab sim.Slab[upMsg]
-}
+// Whoever banks a shell clears Values first (bankShell), so that a banked
+// shell does not pin a fold list its subtree has since replaced.
+var upShells = sim.NewLocal[sim.Bank[upMsg]]()
 
-var upShells = sim.NewLocal[upShellList]()
-
-func (l *upShellList) get() *upMsg {
-	u := l.top
-	if u == nil {
-		return l.slab.New()
-	}
-	l.top, u.next = u.next, nil
-	return u
-}
-
-// put banks a shell; Values is dropped so that a banked shell does not pin a
-// fold list its subtree has since replaced.
-func (l *upShellList) put(u *upMsg) {
-	u.Values, u.next = nil, l.top
-	l.top = u
+// bankShell banks u on e's bank, dropping its fold list.
+func bankShell(e *sim.Engine, u *upMsg) {
+	u.Values = nil
+	upShells.Of(e).Put(u)
 }
 
 // Recycle implements simnet.Recycler: the push ended on engine e's goroutine
 // without reaching onChildUpdate.
-func (u *upMsg) Recycle(e *sim.Engine) { upShells.Of(e).put(u) }
+func (u *upMsg) Recycle(e *sim.Engine) { bankShell(e, u) }
 
 // globalMsg carries the published global aggregates down the tree. One
 // message goes to every child, so it is no shell: it must never implement

@@ -205,19 +205,19 @@ func TestOverlappingPushesKeepTheirValues(t *testing.T) {
 }
 
 // walkShellLists returns every banked shell of every engine goroutine, and
-// fails on a shell that is banked twice (on one list, which makes it a cycle,
-// or on two) or that still points at a fold list.
+// fails on a shell that is banked twice (on one bank or on two) or that
+// still points at a fold list.
 func walkShellLists(t *testing.T, engine *sim.Engine) map[*upMsg]bool {
 	t.Helper()
 	banked := make(map[*upMsg]bool)
 	for i := 0; i < engine.ShardCount(); i++ {
-		for u := upShells.Of(engine.Shard(i)).top; u != nil; u = u.next {
+		for _, u := range upShells.Of(engine.Shard(i)).Banked() {
 			if banked[u] {
-				t.Fatalf("shell %p is banked twice (met again on the list of shard %d)", u, i)
+				t.Fatalf("shell %p is banked twice (met again on the bank of shard %d)", u, i)
 			}
 			banked[u] = true
 			if u.Values != nil {
-				t.Errorf("banked shell %p on the list of shard %d still holds %d values", u, i, len(u.Values))
+				t.Errorf("banked shell %p on the bank of shard %d still holds %d values", u, i, len(u.Values))
 			}
 		}
 	}

@@ -22,10 +22,8 @@ import (
 	"vbundle/internal/cluster"
 	"vbundle/internal/migration"
 	"vbundle/internal/obs"
-	"vbundle/internal/pastry"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/sim"
-	"vbundle/internal/simnet"
 )
 
 // Check identifies one invariant the auditor sweeps.
@@ -45,9 +43,6 @@ const (
 	// in the past, expiry after grant, and no expiry further out than one
 	// full lease from now.
 	CheckLeaseExpiry
-	// CheckLiveness verifies the ring's cached liveness bitmap (which
-	// routing decisions consult) against the network's ground truth.
-	CheckLiveness
 	// CheckDemandLedger verifies every server's cached bandwidth-demand sum
 	// that claims to be current against a fresh re-sum of its VMs, bit for
 	// bit: a mutation that forgot to move the server's generation (or a
@@ -68,8 +63,6 @@ func (c Check) String() string {
 		return "placement_agreement"
 	case CheckLeaseExpiry:
 		return "lease_expiry"
-	case CheckLiveness:
-		return "liveness_coherence"
 	case CheckDemandLedger:
 		return "demand_ledger"
 	default:
@@ -96,8 +89,6 @@ type Config struct {
 // aggregation overhead rig) simply gets the checks its targets support.
 type Targets struct {
 	Engine     *sim.Engine
-	Network    *simnet.Network
-	Ring       *pastry.Ring
 	Cluster    *cluster.Cluster
 	Rebalancer *rebalance.Coordinator
 	Migration  *migration.Manager
@@ -248,9 +239,6 @@ func (a *Auditor) sweep(now time.Duration) {
 		a.checkPlacement(now)
 		a.checkDemandLedger(now)
 	}
-	if a.t.Ring != nil && a.t.Network != nil {
-		a.checkLiveness(now)
-	}
 }
 
 // checkLeases runs CheckLeaseBalance and CheckLeaseExpiry over every
@@ -354,20 +342,6 @@ func (a *Auditor) checkDemandLedger(now time.Duration) {
 		if math.Float64bits(sum) != math.Float64bits(cached) {
 			a.report(now, CheckDemandLedger, srv.Index, -1,
 				"cached bandwidth demand %g is marked current, its VMs sum to %g", cached, sum)
-		}
-	}
-}
-
-// checkLiveness verifies the ring's liveness bitmap against the network.
-func (a *Auditor) checkLiveness(now time.Duration) {
-	net := a.t.Network
-	ring := a.t.Ring
-	n := ring.Size()
-	for i := 0; i < n; i++ {
-		truth := net.Alive(simnet.Addr(i))
-		if ring.LiveBit(i) != truth {
-			a.report(now, CheckLiveness, i, -1,
-				"ring liveness bit %v, network says %v", !truth, truth)
 		}
 	}
 }

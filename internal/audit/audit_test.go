@@ -85,8 +85,8 @@ func TestHealthyRunCleanAudit(t *testing.T) {
 	}
 }
 
-// TestAuditCoherentUnderFailures kills and revives a node mid-run: the
-// liveness check must track the transitions without false positives.
+// TestAuditCoherentUnderFailures kills and revives a node mid-run: a dead
+// node's leases and placements must not read as violations to any check.
 func TestAuditCoherentUnderFailures(t *testing.T) {
 	vb, err := core.New(core.Options{Topology: smallSpec(2, 4), Seed: 3})
 	if err != nil {

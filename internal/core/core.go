@@ -453,8 +453,6 @@ func (vb *VBundle) Options() Options { return vb.opts }
 func (vb *VBundle) AttachAudit(cfg audit.Config) *audit.Auditor {
 	return audit.Attach(cfg, audit.Targets{
 		Engine:     vb.Engine,
-		Network:    vb.Ring.Network(),
-		Ring:       vb.Ring,
 		Cluster:    vb.Cluster,
 		Rebalancer: vb.Rebalancer,
 		Migration:  vb.Migration,

@@ -98,13 +98,11 @@ func aggLatencyPoint(seed int64, n int, c RunConfig) (AggLatencyPoint, Artifacts
 		return AggLatencyPoint{}, art, err
 	}
 	engine, managers := ov.Engine, ov.Aggs
-	// An overlay has no cluster or rebalancer; the auditor gets the check
-	// its targets support (routing-liveness coherence).
+	// An overlay has no cluster or rebalancer, so no check applies: the
+	// auditor only counts its sweeps.
 	art.Audit = audit.Attach(c.Audit, audit.Targets{
-		Engine:  engine,
-		Network: ov.Ring.Network(),
-		Ring:    ov.Ring,
-		Trace:   art.Trace,
+		Engine: engine,
+		Trace:  art.Trace,
 	})
 	for _, m := range managers {
 		m.Subscribe(topic, nil)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -17,11 +16,6 @@ import (
 type MessageOverheadParams struct {
 	// Sizes are the ring sizes to sweep (paper: 512 and 1024).
 	Sizes []int
-	// Round is the measurement window; maintenance and aggregation are
-	// aligned to it.
-	Round time.Duration
-	// VMsPerServer seeds a modest load so the rebalancer has work.
-	VMsPerServer int
 	// Seed drives the synthetic load.
 	Seed int64
 	// Parallelism caps the worker goroutines running the Sizes sweep
@@ -37,18 +31,16 @@ func (p MessageOverheadParams) withDefaults() MessageOverheadParams {
 	if len(p.Sizes) == 0 {
 		p.Sizes = []int{512, 1024}
 	}
-	if p.Round == 0 {
-		p.Round = time.Minute
-	}
-	if p.VMsPerServer == 0 {
-		p.VMsPerServer = 5
-	}
 	return p
 }
 
-func (p MessageOverheadParams) check() error {
-	return errors.Join(notNegative("Round", p.Round), notNegative("VMsPerServer", p.VMsPerServer))
-}
+// The Fig. 15 run's fixed inputs: the measurement window, to which
+// maintenance and aggregation are aligned, and a modest load so the
+// rebalancer has work.
+const (
+	overheadRound        = time.Minute
+	overheadVMsPerServer = 5
+)
 
 // MessageOverheadPoint is one ring size's per-host distribution.
 type MessageOverheadPoint struct {
@@ -69,9 +61,6 @@ type MessageOverheadOutcome struct {
 // on private stacks, so they run concurrently under internal/parallel with
 // results bit-identical to the sequential loop.
 func RunMessageOverhead(p MessageOverheadParams) (*MessageOverheadOutcome, error) {
-	if err := p.check(); err != nil {
-		return nil, err
-	}
 	p = p.withDefaults()
 	points, art, err := sweepSizes(p.Sizes, p.Parallelism, p.RunConfig,
 		func(n int, c RunConfig) (MessageOverheadPoint, Artifacts, error) {
@@ -96,11 +85,11 @@ func messageOverheadPoint(p MessageOverheadParams, n int, c RunConfig) (MessageO
 			Seed:     p.Seed,
 			Rebalance: rebalance.Config{
 				Threshold:         0.183,
-				UpdateInterval:    p.Round,
-				RebalanceInterval: 5 * p.Round,
+				UpdateInterval:    overheadRound,
+				RebalanceInterval: 5 * overheadRound,
 			},
 		},
-		vmsPerServer: p.VMsPerServer,
+		vmsPerServer: overheadVMsPerServer,
 		meanUtil:     0.6,
 		spread:       0.4,
 		loadSeed:     p.Seed + int64(n),
@@ -111,9 +100,9 @@ func messageOverheadPoint(p MessageOverheadParams, n int, c RunConfig) (MessageO
 			return vb.Ring.StopMaintenance
 		},
 		window: func(vb *core.VBundle) {
-			vb.RunFor(3 * p.Round)
+			vb.RunFor(3 * overheadRound)
 			vb.Ring.Network().ResetCounters()
-			vb.RunFor(p.Round)
+			vb.RunFor(overheadRound)
 			pt.Servers = vb.Topo.Servers()
 			for _, c := range vb.Ring.Network().AllCounters() {
 				pt.Msgs.Add(float64(c.MsgsSent))
@@ -126,7 +115,7 @@ func messageOverheadPoint(p MessageOverheadParams, n int, c RunConfig) (MessageO
 
 // Report renders the Fig. 15 percentiles.
 func (o *MessageOverheadOutcome) Report(w io.Writer) {
-	writeHeader(w, "Fig 15", fmt.Sprintf("per-host overhead per %s round (maintenance + aggregation + v-Bundle)", o.Params.Round))
+	writeHeader(w, "Fig 15", fmt.Sprintf("per-host overhead per %s round (maintenance + aggregation + v-Bundle)", overheadRound))
 	fmt.Fprintf(w, "%-8s %-10s %-10s %-10s %-10s %-10s\n", "servers", "msg p50", "msg p90", "msg p99", "KB p50", "KB p90")
 	for i := range o.Points {
 		pt := &o.Points[i]

@@ -86,8 +86,8 @@ func TestShardedEquivalence(t *testing.T) {
 
 	t.Run("Fig15MessageOverhead", func(t *testing.T) {
 		params := func(shards int) MessageOverheadParams {
-			return MessageOverheadParams{Sizes: []int{64}, Round: 30 * time.Second,
-				VMsPerServer: 3, Seed: 7, Parallelism: 1, RunConfig: RunConfig{Shards: shards}}
+			return MessageOverheadParams{Sizes: []int{64}, Seed: 7, Parallelism: 1,
+				RunConfig: RunConfig{Shards: shards}}
 		}
 		ref, err := RunMessageOverhead(params(0))
 		if err != nil {

@@ -3,6 +3,7 @@ package pastry
 import (
 	"vbundle/internal/ids"
 	"vbundle/internal/sim"
+	"vbundle/internal/simnet"
 )
 
 // poisonKey is the all-ones identifier the poison hooks write.
@@ -12,38 +13,36 @@ var poisonKey = ids.New(^uint64(0), ^uint64(0))
 // it, so an envelope read after it was banked delivers nothing.
 type poisonPayload struct{}
 
-// PoisonBanked overwrites every field but the stack link of every envelope
-// and direct envelope banked on e's pool: a key and identifiers of all ones,
-// App "poisoned", Hops -1, sender address 0 and a poisonPayload. A husk is
-// banked once nothing reads it any more, so poisoning the banks between any
-// two events must change nothing a run computes. It returns how many husks
-// it poisoned, and panics on a stack that loops (a husk banked twice).
+// PoisonBanked overwrites every field of every envelope and direct envelope
+// banked on e's pool: a key and identifiers of all ones, App "poisoned", a
+// poisonPayload, and the call's stamp, a negative number, as a routed
+// envelope's Hops and a direct one's sender address. A husk is banked once
+// nothing reads it any more, so poisoning the banks between any two events
+// must change nothing a run computes. It returns how many husks it poisoned,
+// and panics on a husk listed twice: the second visit finds the stamp the
+// first one wrote. (A map as the seen-set costs more than the run it
+// watches: the poison runs after every event.)
 func PoisonBanked(e *sim.Engine) (husks int) {
 	p := envPools.Of(e)
-	bad := NodeHandle{Id: poisonKey, Addr: 0}
-	husks += walkBanked(p.env, func(env *envelope) *envelope { return env.next }, func(env *envelope) {
-		env.Key, env.App, env.Hops, env.Source, env.Payload = poisonKey, "poisoned", -1, bad, poisonPayload{}
-	})
-	husks += walkBanked(p.dir, func(env *directEnvelope) *directEnvelope { return env.next }, func(env *directEnvelope) {
-		env.App, env.From, env.Payload = "poisoned", bad, poisonPayload{}
-	})
+	poisonStamp--
+	stamp := poisonStamp
+	for _, env := range p.env.Banked() {
+		if env.Hops == int(stamp) {
+			panic("pastry: a husk is banked twice")
+		}
+		env.Key, env.App, env.Hops, env.Payload = poisonKey, "poisoned", int(stamp), poisonPayload{}
+		env.Source = NodeHandle{Id: poisonKey, Addr: simnet.Addr(stamp)}
+		husks++
+	}
+	for _, env := range p.dir.Banked() {
+		if env.From.Addr == simnet.Addr(stamp) {
+			panic("pastry: a husk is banked twice")
+		}
+		env.App, env.From, env.Payload = "poisoned", NodeHandle{Id: poisonKey, Addr: simnet.Addr(stamp)}, poisonPayload{}
+		husks++
+	}
 	return husks
 }
 
-// walkBanked calls poison on every husk of the stack from top and returns
-// how many there were. A second cursor runs the stack at twice the pace: on a
-// stack that loops (a husk banked twice) the two meet, and it panics.
-func walkBanked[T comparable](top T, next func(T) T, poison func(T)) (n int) {
-	var none T
-	for slow, fast := top, top; slow != none; n++ {
-		poison(slow)
-		slow = next(slow)
-		for i := 0; i < 2 && fast != none; i++ {
-			fast = next(fast)
-		}
-		if slow != none && slow == fast {
-			panic("pastry: a husk is banked twice")
-		}
-	}
-	return n
-}
+// poisonStamp is the last PoisonBanked call's stamp.
+var poisonStamp int32

@@ -13,7 +13,6 @@ type envelope struct {
 	Hops    int
 	Source  NodeHandle
 	Payload simnet.Message
-	next    *envelope // the husk below this one while it lies in an envPool
 }
 
 // WireSize implements simnet.WireSizer.
@@ -26,7 +25,6 @@ type directEnvelope struct {
 	App     string
 	From    NodeHandle
 	Payload simnet.Message
-	next    *directEnvelope // the husk below this one while it lies in an envPool
 }
 
 // WireSize implements simnet.WireSizer.
@@ -42,65 +40,30 @@ func (e *directEnvelope) WireSize() int {
 // of any node on its goroutine (the exclusive instants of a sharded run touch
 // a pool only while its shard is parked). A free list per node never paid
 // back: the nodes that consume (a tree parent, a key's owner) are rarely the
-// ones that send next. The two stacks are threaded through the husks
-// themselves (next), so banking a hundred thousand of them while a tree forms
-// grows nothing, and a cold pool carves its husks from the pool's slabs: the
-// first burst of a run costs an allocation a chunk, not one an envelope.
+// ones that send next. Whoever banks a husk clears its Payload first, so that
+// husks do not pin application messages.
 type envPool struct {
-	env     *envelope
-	dir     *directEnvelope
-	envSlab sim.Slab[envelope]
-	dirSlab sim.Slab[directEnvelope]
+	env sim.Bank[envelope]
+	dir sim.Bank[directEnvelope]
 }
 
 // envPools keeps one envPool an engine; a node holds a pointer to its own.
 var envPools = sim.NewLocal[envPool]()
-
-// getEnv takes the most recently banked envelope husk, or carves one when
-// none is banked.
-func (p *envPool) getEnv() *envelope {
-	e := p.env
-	if e == nil {
-		return p.envSlab.New()
-	}
-	p.env, e.next = e.next, nil
-	return e
-}
-
-// putEnv banks a fully consumed envelope. The payload is dropped so that
-// husks do not pin application messages.
-func (p *envPool) putEnv(e *envelope) {
-	e.Payload, e.next = nil, p.env
-	p.env = e
-}
-
-// getDir and putDir are getEnv and putEnv for direct envelopes.
-func (p *envPool) getDir() *directEnvelope {
-	e := p.dir
-	if e == nil {
-		return p.dirSlab.New()
-	}
-	p.dir, e.next = e.next, nil
-	return e
-}
-
-func (p *envPool) putDir(e *directEnvelope) {
-	e.Payload, e.next = nil, p.dir
-	p.dir = e
-}
 
 // Recycle implements simnet.Recycler: the network dropped the envelope on
 // engine e's goroutine, and with it the payload, which is banked too when it
 // is a shell of its own.
 func (e *envelope) Recycle(eng *sim.Engine) {
 	simnet.Recycle(eng, e.Payload)
-	envPools.Of(eng).putEnv(e)
+	e.Payload = nil
+	envPools.Of(eng).env.Put(e)
 }
 
 // Recycle implements simnet.Recycler, as envelope's does.
 func (e *directEnvelope) Recycle(eng *sim.Engine) {
 	simnet.Recycle(eng, e.Payload)
-	envPools.Of(eng).putDir(e)
+	e.Payload = nil
+	envPools.Of(eng).dir.Put(e)
 }
 
 // joinForward routes a join request toward the joiner's own identifier,

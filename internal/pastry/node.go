@@ -553,7 +553,8 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
 		if app, ok := n.app(m.App); ok {
 			app.HandleDirect(m.From, m.Payload)
 		}
-		n.pool.putDir(m)
+		m.Payload = nil
+		n.pool.dir.Put(m)
 	case *joinForward:
 		n.handleJoinForward(m)
 	case *joinReply:
@@ -582,7 +583,7 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
 // SendDirect delivers payload to app on the node named by to, bypassing
 // key-based routing (one network hop).
 func (n *Node) SendDirect(to NodeHandle, app string, payload simnet.Message) {
-	env := n.pool.getDir()
+	env := n.pool.dir.Take()
 	env.App, env.From, env.Payload = app, n.handle, payload
 	n.ring.net.Send(n.handle.Addr, to.Addr, env)
 }

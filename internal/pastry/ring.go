@@ -3,7 +3,6 @@ package pastry
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -60,11 +59,6 @@ type Ring struct {
 	byID      []int
 	pos       []int
 	sortedIDs []ids.Id
-	// liveWords is a bitmap over ranks (identifier order): bit p set means
-	// the node at rank p is alive. The network's liveness hook keeps it
-	// current, turning ClosestLive from an O(n) scan into a binary search
-	// plus a word-wise scan for the nearest live neighbor.
-	liveWords []uint64
 }
 
 // NewRing creates the network and one node per server. Nodes are not joined:
@@ -123,33 +117,7 @@ func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdA
 		r.nodes[i] = &nodes[i]
 		r.nodes[i].init(r, simnet.Addr(i), arena, rows)
 	}
-	// Snapshot current liveness (every node was just attached, so alive),
-	// then track transitions through the network's hook.
-	r.liveWords = make([]uint64, (n+63)/64)
-	for i := 0; i < n; i++ {
-		if net.Alive(simnet.Addr(i)) {
-			p := r.pos[i]
-			r.liveWords[p>>6] |= 1 << uint(p&63)
-		}
-	}
-	net.OnLivenessChange(func(addr simnet.Addr, alive bool) {
-		p := r.pos[addr]
-		if alive {
-			r.liveWords[p>>6] |= 1 << uint(p&63)
-		} else {
-			r.liveWords[p>>6] &^= 1 << uint(p&63)
-		}
-	})
 	return r
-}
-
-// LiveBit reports the ring's cached liveness bit for node i — the bitmap
-// backing ClosestLive. The online auditor cross-checks it against the
-// network's ground truth (Network().Alive), which the liveness hook must
-// keep it coherent with.
-func (r *Ring) LiveBit(i int) bool {
-	p := r.pos[i]
-	return r.liveWords[p>>6]&(1<<uint(p&63)) != 0
 }
 
 // Network returns the underlying transport.
@@ -175,57 +143,33 @@ func (r *Ring) Nodes() []*Node { return r.nodes }
 // The closest live node is always the nearest live neighbor of key in ring
 // order on one side or the other (any third live node is circularly farther
 // on its side, hence strictly more distant), so the query is a binary search
-// for key's rank plus a bitmap scan to the first live rank each way — O(log
-// n) against the O(n) scan the experiments' verification passes used to pay
-// per query (the index equivalence test replays against that scan).
+// for key's rank plus a walk through the ranks each way, asking the network,
+// to the first live node — O(log n) while most nodes are alive, against the
+// O(n) scan the index equivalence test replays against.
 func (r *Ring) ClosestLive(key ids.Id) *Node {
 	n := len(r.nodes)
-	if n == 0 {
-		return nil
-	}
 	at := sort.Search(n, func(k int) bool { return !r.sortedIDs[k].Less(key) })
-	cw := r.nextLive(at % n)
+	cw := r.firstLive(at, 1)
 	if cw < 0 {
 		return nil // no live nodes at all
 	}
-	ccw := r.prevLive((at - 1 + n) % n)
 	a := r.nodes[r.byID[cw]]
-	b := r.nodes[r.byID[ccw]]
+	b := r.nodes[r.byID[r.firstLive(at-1, -1)]]
 	if a == b || ids.CloserTo(key, a.ID(), b.ID()) {
 		return a
 	}
 	return b
 }
 
-// nextLive returns the first live rank at or clockwise of start, or -1 when
-// no node is alive. One full pass over the bitmap words, not the nodes.
-func (r *Ring) nextLive(start int) int {
-	words := len(r.liveWords)
-	w := start >> 6
-	if masked := r.liveWords[w] & (^uint64(0) << uint(start&63)); masked != 0 {
-		return w<<6 + bits.TrailingZeros64(masked)
-	}
-	for k := 1; k <= words; k++ {
-		i := (w + k) % words
-		if r.liveWords[i] != 0 {
-			return i<<6 + bits.TrailingZeros64(r.liveWords[i])
-		}
-	}
-	return -1
-}
-
-// prevLive returns the first live rank at or counter-clockwise of start, or
-// -1 when no node is alive.
-func (r *Ring) prevLive(start int) int {
-	words := len(r.liveWords)
-	w := start >> 6
-	if masked := r.liveWords[w] & (^uint64(0) >> uint(63-start&63)); masked != 0 {
-		return w<<6 + 63 - bits.LeadingZeros64(masked)
-	}
-	for k := 1; k <= words; k++ {
-		i := ((w-k)%words + words) % words
-		if r.liveWords[i] != 0 {
-			return i<<6 + 63 - bits.LeadingZeros64(r.liveWords[i])
+// firstLive returns the first rank, from start (taken modulo the ring)
+// stepping by step (+1 clockwise, -1 counter-clockwise), whose node the
+// network reports alive, or -1 when none is.
+func (r *Ring) firstLive(start, step int) int {
+	n := len(r.byID)
+	for k := 0; k < n; k++ {
+		p := ((start+k*step)%n + n) % n
+		if r.net.Alive(simnet.Addr(r.byID[p])) {
+			return p
 		}
 	}
 	return -1

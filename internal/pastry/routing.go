@@ -9,7 +9,7 @@ import (
 // Route sends payload toward key; it is delivered to the app of the same
 // name on the live node whose identifier is numerically closest to key.
 func (n *Node) Route(key ids.Id, app string, payload simnet.Message) {
-	env := n.pool.getEnv()
+	env := n.pool.env.Take()
 	*env = envelope{Key: key, App: app, Source: n.handle, Payload: payload}
 	n.routeEnvelope(env)
 }
@@ -31,7 +31,8 @@ func (n *Node) routeEnvelope(env *envelope) {
 		}
 		if app, ok := n.app(env.App); ok {
 			if !app.Forward(env.Key, env.Payload, env.Source, next) {
-				n.pool.putEnv(env) // application consumed the message
+				env.Payload = nil // application consumed the message
+				n.pool.env.Put(env)
 				return
 			}
 		}
@@ -50,7 +51,8 @@ func (n *Node) deliver(env *envelope) {
 	if app, ok := n.app(env.App); ok {
 		app.Deliver(env.Key, env.Payload, RouteInfo{Hops: env.Hops, Source: env.Source})
 	}
-	n.pool.putEnv(env)
+	env.Payload = nil
+	n.pool.env.Put(env)
 }
 
 // NextHop computes the Pastry routing decision for key: the zero handle

@@ -187,8 +187,8 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 		t.Fatal("no query timed out: the loss never left an answer late")
 	}
 	seen := make(map[*flight]bool)
-	for fl := fe.flights; fl != nil; fl = fl.next {
-		if seen[fl] || len(seen) > fe.nflights {
+	for _, fl := range fe.flights.Banked() {
+		if seen[fl] {
 			t.Fatalf("a record lies on the free list twice (%d records made)", fe.nflights)
 		}
 		seen[fl] = true

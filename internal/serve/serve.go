@@ -141,15 +141,14 @@ func (cs *customerState) pop() (id cluster.VMID, ok bool) {
 // flight is the front end's record of one launched placement query: the
 // VMs it carries and how many of them are still unanswered. Records come
 // from Frontend.flights and go back once the last VM resolves, and each
-// binds its resolved method once, when made, so launching a query allocates
-// neither a closure nor a slice.
+// binds its resolved method once, when carved, so launching a query
+// allocates neither a closure nor a slice.
 type flight struct {
 	f         *Frontend
 	cs        *customerState
 	batch     []*cluster.VM
 	remaining int
 	done      func(int, placement.Result, error) // resolved, bound once
-	next      *flight                            // the record below this one on Frontend.flights
 }
 
 // resolved is the query's completion callback: DHT.PlaceBatch calls it once
@@ -189,14 +188,14 @@ type Frontend struct {
 	// admitted is Boot's scratch list of the request's admitted VMs; submit
 	// copies it into cs.queued or into flights, so it is reused.
 	admitted []*cluster.VM
-	// flights is the stack of idle flight records, threaded through
-	// flight.next; nflights counts every record made. Unlike DHT.free it is
-	// never cut when the gateway goes idle: a DHT envelope keeps the room of
-	// the longest walk it carried (kilobytes), a flight record only the
-	// batch it carried (at most MaxBatch pointers, about 100 B a typical
-	// record), so the list is bounded by the peak number of queries in
-	// flight at a cost too small to give back.
-	flights   *flight
+	// flights banks the idle flight records; nflights counts every record
+	// made. Unlike DHT.free it is never cut when the gateway goes idle: a
+	// DHT envelope keeps the room of the longest walk it carried
+	// (kilobytes), a flight record only the batch it carried (at most
+	// MaxBatch pointers, about 100 B a typical record), so the bank is
+	// bounded by the peak number of queries in flight at a cost too small
+	// to give back.
+	flights   sim.Bank[flight]
 	nflights  int
 	submitAt  map[cluster.VMID]time.Duration
 	bootSpans map[cluster.VMID]obs.Ref
@@ -396,13 +395,11 @@ func clearVMs(vms []*cluster.VM) []*cluster.VM {
 // acquireFlight takes an idle flight record, or makes one, and loads it with
 // a copy of vms.
 func (f *Frontend) acquireFlight(cs *customerState, vms []*cluster.VM) *flight {
-	fl := f.flights
-	if fl == nil {
-		fl = &flight{f: f}
+	fl := f.flights.Take()
+	if fl.done == nil { // fresh from the slab
+		fl.f = f
 		fl.done = fl.resolved
 		f.nflights++
-	} else {
-		f.flights, fl.next = fl.next, nil
 	}
 	fl.cs = cs
 	fl.batch = append(fl.batch, vms...)
@@ -414,8 +411,7 @@ func (f *Frontend) acquireFlight(cs *customerState, vms []*cluster.VM) *flight {
 func (f *Frontend) releaseFlight(fl *flight) {
 	fl.batch = clearVMs(fl.batch)
 	fl.cs = nil
-	fl.next = f.flights
-	f.flights = fl
+	f.flights.Put(fl)
 }
 
 // launch starts the placement query of a loaded flight record. The query

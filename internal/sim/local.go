@@ -54,8 +54,8 @@ func (l Local[T]) Of(e *Engine) *T {
 // length from slabMinLen up to slabMaxBytes, so what an engine leaves unfilled
 // is at most one chunk a type, however small the run. A per-node constructor
 // keeps its slab in a Local of the node's engine (and so carves on the
-// goroutine that runs the engine, or while it is parked); the engine keeps its
-// events' in a field. The zero value is ready to use.
+// goroutine that runs the engine, or while it is parked); the engine's event
+// bank holds its own. The zero value is ready to use.
 type Slab[T any] struct {
 	free []T // the current chunk's unused tail
 	n    int // the current chunk's length
@@ -83,27 +83,72 @@ func (s *Slab[T]) New() *T {
 // one owner at a time: Take hands out a banked value, or carves one when none
 // is banked, and whoever ends the value Puts it back. Keep a bank in a Local,
 // so that it is touched only by the goroutine that runs its engine (or while
-// the engine is parked), or behind a lock; what it holds is then bounded by
-// the peak number of values in use, not by how many were ever used. A taken value
-// holds whatever its last owner, or a test poisoning the bank, left in it:
-// the taker writes every field it reads. The zero value is ready to use.
+// the engine is parked); in a struct that one goroutine owns, as the engine's
+// event bank and serve's frontend flight records are; or behind a lock. What
+// it holds is then bounded by the peak number of values in use, not by how
+// many were ever used. A taken value holds whatever its last owner, or a test
+// poisoning the bank, left in it: the taker writes every field it reads. The
+// zero value is ready to use.
+//
+// The list is a stack of chunks that double in length from slabMinLen up to
+// bankChunkLen, never one slice that grows: a tree build banks a hundred
+// thousand shells at once, and regrowing one backing to that size would
+// allocate five times what it ends up holding. A chunk that Take empties is
+// kept for the Put that needs it next, so a bank that drains and refills
+// below its peak allocates nothing.
 type Bank[T any] struct {
-	free []*T
-	slab Slab[T]
+	free   []*T   // the top chunk, the last value banked at its end
+	full   [][]*T // the full chunks below it
+	spares [][]*T // the chunks Take emptied, the last emptied last
+	listed []*T   // Banked's list, reused from call to call
+	slab   Slab[T]
 }
+
+// bankChunkLen caps a bank's chunks at 32 KB of pointers, a slab's largest
+// chunk: a hundred thousand banked shells cost some thirty chunks.
+const bankChunkLen = 4096
 
 // Take returns a banked value, or a new zeroed one when none is banked.
 func (b *Bank[T]) Take() *T {
-	if n := len(b.free); n > 0 {
-		v := b.free[n-1]
-		b.free = b.free[:n-1]
-		return v
+	if len(b.free) == 0 {
+		n := len(b.full)
+		if n == 0 {
+			return b.slab.New()
+		}
+		b.spares = append(b.spares, b.free)
+		b.free, b.full = b.full[n-1], b.full[:n-1]
 	}
-	return b.slab.New()
+	n := len(b.free) - 1
+	v := b.free[n]
+	b.free = b.free[:n]
+	return v
 }
 
 // Put banks v, which no one may read or write until Take returns it again.
-func (b *Bank[T]) Put(v *T) { b.free = append(b.free, v) }
+// It makes no call, so that it inlines.
+func (b *Bank[T]) Put(v *T) {
+	if len(b.free) == cap(b.free) {
+		var next []*T
+		if n := len(b.spares); n > 0 {
+			next, b.spares = b.spares[n-1], b.spares[:n-1]
+		} else {
+			next = make([]*T, 0, min(max(2*cap(b.free), slabMinLen), bankChunkLen))
+		}
+		if cap(b.free) > 0 {
+			b.full = append(b.full, b.free)
+		}
+		b.free = next
+	}
+	b.free = append(b.free, v)
+}
 
-// Banked returns the values the bank holds, for a test that poisons them.
-func (b *Bank[T]) Banked() []*T { return b.free }
+// Banked returns the values the bank holds, first banked first, for a test
+// that poisons them. The list is valid until the next call.
+func (b *Bank[T]) Banked() []*T {
+	b.listed = b.listed[:0]
+	for _, c := range b.full {
+		b.listed = append(b.listed, c...)
+	}
+	b.listed = append(b.listed, b.free...)
+	return b.listed
+}

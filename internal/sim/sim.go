@@ -76,14 +76,13 @@ type Engine struct {
 	events *bucketQueue
 	rng    *rand.Rand
 	seed   int64
-	// free recycles popped events: every scheduled callback would otherwise
-	// heap-allocate one *event, and large experiments schedule millions.
-	// Events are strictly owned by the engine (never escape to callers), so
-	// a popped event can be reused as soon as its callback is extracted. An
-	// event the list cannot supply is carved from slab: every event comes
-	// back to free when it runs, so none is dropped and none pins a chunk.
-	free []*event
-	slab Slab[event]
+	// free recycles popped events: every scheduled callback would
+	// otherwise heap-allocate one *event, and large experiments schedule
+	// millions. Events are strictly owned by the engine (never escape to
+	// callers), so a popped event can be banked as soon as its callback is
+	// extracted; every event comes back when it runs, so none is dropped and
+	// none pins its slab chunk.
+	free Bank[event]
 	// locals holds the goroutine-local values of the layers above, one slot a
 	// Local; see local.go.
 	locals []any
@@ -311,17 +310,10 @@ func (e *Engine) atRoot(t time.Duration, key uint64, h Handler, band string) {
 	r.staging.add(t, key, h)
 }
 
-// newEvent takes an event from the free list, or carves one from the slab
-// when the list is empty. The free list is bounded by the peak number of
-// pending events.
+// newEvent takes a banked event, or carves one when none is banked. The
+// bank is bounded by the peak number of pending events.
 func (e *Engine) newEvent(at time.Duration, key uint64, h Handler) *event {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		ev = e.slab.New()
-	}
+	ev := e.free.Take()
 	ev.at, ev.key, ev.seq, ev.h = at, key, e.seq, h
 	return ev
 }
@@ -470,7 +462,7 @@ func (e *Engine) runEvent(ev *event) {
 	e.now = ev.at
 	h, key := ev.h, ev.key
 	ev.h = nil
-	e.free = append(e.free, ev)
+	e.free.Put(ev)
 	if h == nil {
 		e.deliver(key)
 		return

@@ -189,10 +189,6 @@ type Network struct {
 	shardID  []int32
 	outboxes [][]outMsg
 
-	// onLiveness observers are told about every alive↔dead transition;
-	// pastry.Ring maintains its live-node bitmap through this hook.
-	onLiveness []func(addr Addr, alive bool)
-
 	// restarter rebuilds a crashed node's stack when Restart fires. It must
 	// end by attaching a handler for the address (a rebuilt pastry node does
 	// this in its constructor); Restart panics otherwise.
@@ -257,23 +253,6 @@ func (n *Network) dropProbability(src, dst Addr) float64 {
 		}
 	}
 	return 1 - keep
-}
-
-// OnLivenessChange registers fn to be called whenever a node transitions
-// between alive and dead (via Attach, Kill, Revive, Crash or Restart). No-op
-// transitions (killing a dead node, attaching over a live one) are not
-// reported.
-func (n *Network) OnLivenessChange(fn func(addr Addr, alive bool)) {
-	n.onLiveness = append(n.onLiveness, fn)
-}
-
-func (n *Network) notifyLiveness(addr Addr, was, now bool) {
-	if was == now {
-		return
-	}
-	for _, fn := range n.onLiveness {
-		fn(addr, now)
-	}
 }
 
 type slot struct {
@@ -615,9 +594,7 @@ func (n *Network) Attach(addr Addr, handler Handler) {
 	if handler == nil {
 		panic("simnet: Attach with nil handler")
 	}
-	was := n.nodes[addr].alive
 	n.nodes[addr] = slot{handler: handler, alive: true}
-	n.notifyLiveness(addr, was, true)
 }
 
 // Kill marks the node dead: all traffic to or from it is dropped until
@@ -631,7 +608,6 @@ func (n *Network) Kill(addr Addr) {
 		// test code), so writing the victim's own source is race-free.
 		n.source(addr).Instant(n.engine.Now(), obs.KindKill, obs.NoRef, 0, 0)
 	}
-	n.notifyLiveness(addr, was, false)
 }
 
 // SetRestarter registers the rebuild hook Restart invokes for crashed
@@ -654,7 +630,6 @@ func (n *Network) Crash(addr Addr) {
 		// test code), so writing the victim's own source is race-free.
 		n.source(addr).Instant(n.engine.Now(), obs.KindCrash, obs.NoRef, 0, 0)
 	}
-	n.notifyLiveness(addr, was, false)
 }
 
 // Restart reboots a crashed (or killed) node through the registered
@@ -690,7 +665,6 @@ func (n *Network) Revive(addr Addr) {
 	if !was {
 		n.source(addr).Instant(n.engine.Now(), obs.KindRevive, obs.NoRef, 0, 0)
 	}
-	n.notifyLiveness(addr, was, true)
 }
 
 // Alive reports whether the node is attached and not killed.

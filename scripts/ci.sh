@@ -47,16 +47,17 @@ go test -C benchmark ./...
 # The two structures under every event against the models that pin them (a
 # container/heap for the timing wheel, the whole-inbox scan for the
 # due-ordered inbox), the network sharded and batched against serial and
-# per-message delivery, the recycled push shells under loss, a crash and a
-# leave on four shard goroutines, two pushes of one sender on the wire
-# together, the consider memo against the full inserts, the leaf-set insert
-# against the search-insert-truncate it replaced, the any-cast's child
-# search against the scan, a run with every banked envelope and push shell
-# overwritten after every event against the same run untouched (and a lossy
-# shuffle with every banked any-cast shell, verdict, wheel timer, group
-# state, shed exchange, release chain and release, ack and renew shell
-# overwritten; migration flights and VM-list spares likewise), 400 lossy
-# rounds that must bank what the network drops, and the bandwidth ledger and
+# per-message delivery, the push shells' sim.Banks under loss, a crash and a
+# leave on four shard goroutines (no shell in two banks, or twice in one),
+# two pushes of one sender on the wire together, the consider memo against
+# the full inserts, the leaf-set insert against the search-insert-truncate
+# it replaced, the any-cast's child search against the scan, a run with
+# every envelope and push shell in its bank overwritten after every event
+# against the same run untouched (and a lossy shuffle with every banked
+# any-cast shell, verdict, wheel timer, group state, shed exchange, release
+# chain and release, ack and renew shell overwritten; migration flights and
+# VM-list spares likewise), 400 lossy rounds that must bank what the
+# network drops, and the bandwidth ledger and
 # cached demand sums against the full sweep through a churning run whose
 # agents fill their servers' sums from two shard goroutines. They run once
 # under the race detector, in their own step below: in full (six of them do
