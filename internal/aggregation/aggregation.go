@@ -155,12 +155,52 @@ func (l attrList) equal(o attrList) bool {
 	return true
 }
 
+// foldList is a subtree fold as its readers share it: the sender's cache
+// (topicState.cached) and the list it last sent (lastSent), the push that
+// carries it (upMsg.Values) and the parent's info-base entry
+// (childAggregates.vals) all point at one list and each hold a reader. No
+// reader ever writes it; whoever drops the last reader banks it on its own
+// engine's bank (foldLists), and the next re-fold on that engine takes it
+// again. The embedded attrList starts in buf, which holds the common
+// one-attribute fold; a second attribute moves it to the heap, where it stays
+// for the list's later folds.
+type foldList struct {
+	readers sim.Readers
+	attrList
+	buf [1]attrVal
+}
+
+// foldLists is each engine's bank of fold lists.
+var foldLists = sim.NewLocal[sim.Bank[foldList]]()
+
+// newFoldList takes an empty list from e's bank with one reader, its taker's.
+func newFoldList(e *sim.Engine) *foldList {
+	l := foldLists.Of(e).Take()
+	l.readers.Set(1)
+	if l.attrList == nil {
+		l.attrList = l.buf[:0]
+	}
+	l.attrList = l.attrList[:0]
+	return l
+}
+
+// drop gives up one reader of l, banking l on e's bank with the last.
+func (l *foldList) drop(e *sim.Engine) {
+	if l.readers.Drop() {
+		foldLists.Of(e).Put(l)
+	}
+}
+
+// equal reports whether two lists hold the same aggregates.
+func (l *foldList) equal(o *foldList) bool { return l == o || l.attrList.equal(o.attrList) }
+
 // childAggregates is one child's contribution to the info base. ref is the
 // child's address — the ref scribe holds for the same tree edge; the node's
-// directory resolves its identifier.
+// directory resolves its identifier. vals is the fold list of the child's
+// last push, of which the entry holds a reader.
 type childAggregates struct {
 	ref  int32
-	vals attrList
+	vals *foldList
 }
 
 // globalVal is one published (attributeName, global) pair; globals travel
@@ -200,20 +240,23 @@ type topicState struct {
 	// map-ordered fold would leak randomized iteration order into the
 	// aggregates, breaking run-to-run reproducibility).
 	children []childAggregates
-	lastSent attrList
+	// lastSent is the fold list of the last push (or, at the root, the last
+	// fold that reached it), of which the topic holds a reader.
+	lastSent *foldList
 	// m is the topic's manager: the topic is the handler of its own flush
 	// event (Fire), so scheduling a flush binds nothing.
 	m *Manager
 
-	// cached is the memoized subtree fold; cacheOK marks it current. The
-	// cache is invalidated only when a fold input actually changes — a local
-	// tuple takes a new value, a child pushes different values, or a child
-	// leaves the tree (reported by the scribe child-drop hook) — so the
-	// periodic refresh of an unchanged subtree costs O(1) instead of
-	// re-folding every child. Cached lists are never mutated in place; a
-	// re-fold always builds a fresh list (receivers of upMsg hold references
-	// to the old one).
-	cached attrList
+	// cached is the memoized subtree fold, of which the topic holds a
+	// reader; cacheOK marks it current. The cache is invalidated only when a
+	// fold input actually changes — a local tuple takes a new value, a child
+	// pushes different values, or a child leaves the tree (reported by the
+	// scribe child-drop hook) — so the periodic refresh of an unchanged
+	// subtree costs O(1) instead of re-folding every child. A list is never
+	// written once folded: a re-fold takes another from the engine's bank and
+	// drops the topic's reader of the old one, which pushes, lastSent or a
+	// parent's info base may still read.
+	cached *foldList
 
 	global    []globalVal
 	listeners *listener
@@ -251,8 +294,9 @@ type Manager struct {
 	// node is a topic root (Fig. 14's raw line).
 	rootLatencies []time.Duration
 	// refolds counts the subtree folds the cache could not answer, each of
-	// which makes one fold list: the warm-round allocation gate holds a
-	// round's objects to it.
+	// which takes one fold list from the bank: the warm-round allocation gate
+	// checks that a round with every value changed re-folds, and still
+	// allocates nothing.
 	refolds int
 }
 
@@ -454,30 +498,33 @@ func (m *Manager) PublishNow(name string) {
 // fold cache: the periodic upward refresh of a quiescent subtree then costs
 // nothing per child, so a round's total fold work scales with how much
 // actually changed, not with the tree size.
-func (m *Manager) subtreeAggregates(st *topicState) attrList {
+func (m *Manager) subtreeAggregates(st *topicState) *foldList {
 	if st.cacheOK {
 		return st.cached
 	}
 	m.refolds++
-	// A fresh list every re-fold: the previous one may still be referenced
-	// by an in-flight upMsg, and agg must not alias localBuf either.
-	// Exact capacity: a child almost never brings an attribute the node
-	// itself does not hold, and one that does pays the append.
-	agg := make(attrList, len(st.local))
-	copy(agg, st.local)
+	e := m.sc.Node().Engine()
+	agg := newFoldList(e)
+	agg.attrList = append(agg.attrList, st.local...)
 	// The info base is already sorted by child identifier, so the fold
-	// order is fixed; departed children are compacted out in place.
+	// order is fixed; departed children are compacted out in place, and
+	// their entries' readers dropped.
 	kept := st.children[:0]
 	for _, c := range st.children {
 		if !m.sc.HasChild(st.key, m.childID(c.ref)) {
+			c.vals.drop(e)
 			continue
 		}
 		kept = append(kept, c)
-		for _, cv := range c.vals {
+		for _, cv := range c.vals.attrList {
 			agg.fold(cv.attr, cv.agg)
 		}
 	}
+	clear(st.children[len(kept):])
 	st.children = kept
+	if st.cached != nil {
+		st.cached.drop(e)
+	}
 	st.cached, st.cacheOK = agg, true
 	return agg
 }
@@ -514,14 +561,15 @@ func (m *Manager) flush(st *topicState) {
 		if len(m.rootLatencies) < maxRootLatencySamples {
 			m.rootLatencies = append(m.rootLatencies, m.now()-stamp)
 		}
-		st.lastSent, st.sentOnce = agg, true
+		m.setLastSent(st, agg)
 		return
 	}
 	up := upShells.Of(m.sc.Node().Engine()).Take()
+	agg.readers.Add() // the push's
 	up.Topic, up.Values, up.LeafSentAt = st.key, agg, stamp
 	if m.sc.SendToParent(up) {
-		m.sc.Node().Obs().Instant(m.now(), obs.KindAggUpdate, obs.NoRef, int64(len(st.children)), int64(len(agg)))
-		st.lastSent, st.sentOnce = agg, true
+		m.sc.Node().Obs().Instant(m.now(), obs.KindAggUpdate, obs.NoRef, int64(len(st.children)), int64(len(agg.attrList)))
+		m.setLastSent(st, agg)
 		return
 	}
 	bankShell(m.sc.Node().Engine(), up) // never sent: still ours
@@ -533,6 +581,20 @@ func (m *Manager) flush(st *topicState) {
 	m.sc.Node().Engine().AfterHandler(flushRetryDelay, st)
 }
 
+// setLastSent records agg as the topic's last sent list: the topic's reader
+// moves from the list it replaces to agg, unless an unchanged fold was sent
+// again.
+func (m *Manager) setLastSent(st *topicState, agg *foldList) {
+	if st.lastSent != agg {
+		agg.readers.Add()
+		if st.lastSent != nil {
+			st.lastSent.drop(m.sc.Node().Engine())
+		}
+		st.lastSent = agg
+	}
+	st.sentOnce = true
+}
+
 // flushRetryDelay paces upward-push retries while the topic tree is still
 // converging.
 const flushRetryDelay = 250 * time.Millisecond
@@ -542,13 +604,19 @@ func (m *Manager) onChildUpdate(st *topicState, payload simnet.Message, from pas
 	if !ok {
 		return
 	}
+	// The push's reader of its list passes to the info base.
+	e := m.sc.Node().Engine()
+	vals := up.Values
+	up.Values = nil
 	ref := int32(from.Addr)
 	i := sort.Search(len(st.children), func(i int) bool { return !m.childID(st.children[i].ref).Less(from.Id) })
 	if i < len(st.children) && st.children[i].ref == ref {
-		if !st.children[i].vals.equal(up.Values) {
+		old := st.children[i].vals
+		if !old.equal(vals) {
 			st.cacheOK = false
 		}
-		st.children[i].vals = up.Values
+		st.children[i].vals = vals
+		old.drop(e)
 	} else {
 		if len(st.children) == cap(st.children) {
 			// Grow once to the tree's fan-in instead of doubling up to it: a
@@ -559,13 +627,13 @@ func (m *Manager) onChildUpdate(st *topicState, payload simnet.Message, from pas
 		}
 		st.children = append(st.children, childAggregates{})
 		copy(st.children[i+1:], st.children[i:])
-		st.children[i] = childAggregates{ref: ref, vals: up.Values}
+		st.children[i] = childAggregates{ref: ref, vals: vals}
 		st.cacheOK = false
 	}
 	m.markDirty(st, up.LeafSentAt)
 	// This is the push's one point of consumption, and nothing above kept the
 	// *upMsg: the info base holds the list Values pointed at, not the shell.
-	bankShell(m.sc.Node().Engine(), up)
+	bankShell(e, up)
 }
 
 // publish computes the root's full aggregates and disseminates them down
@@ -573,8 +641,8 @@ func (m *Manager) onChildUpdate(st *topicState, payload simnet.Message, from pas
 func (m *Manager) publish(st *topicState) {
 	now := m.now()
 	agg := m.subtreeAggregates(st)
-	globals := make([]globalVal, 0, len(agg))
-	for _, av := range agg {
+	globals := make([]globalVal, 0, len(agg.attrList))
+	for _, av := range agg.attrList {
 		globals = append(globals, globalVal{attr: av.attr, g: Global{Aggregate: av.agg, PublishedAt: now}})
 	}
 	m.sc.SendToChildren(st.key, &globalMsg{Topic: st.key, Values: globals})
@@ -634,11 +702,13 @@ func (m *Manager) now() time.Duration { return m.sc.Node().Engine().Now() }
 func (m *Manager) childID(ref int32) ids.Id { return m.sc.Node().HandleOf(ref).Id }
 
 // upMsg carries a subtree's per-attribute aggregates one edge toward the
-// root. Values is the sender's cached fold list, shared and never written;
-// the shell around it is recycled (upShells).
+// root. Values is the sender's cached fold list, of which the push holds a
+// reader: onChildUpdate passes it to the parent's info base, and a push that
+// ends anywhere else drops it with its shell (bankShell). The shell around it
+// is recycled (upShells).
 type upMsg struct {
 	Topic      ids.Id
-	Values     attrList
+	Values     *foldList
 	LeafSentAt time.Duration
 }
 
@@ -648,7 +718,7 @@ func (u *upMsg) TreeGroup() ids.Id { return u.Topic }
 // WireSize implements simnet.WireSizer.
 func (u *upMsg) WireSize() int {
 	size := scribe.TreeEdgeWireBytes + ids.Bytes + 8
-	for _, av := range u.Values {
+	for _, av := range u.Values.attrList {
 		size += len(av.attr) + 4*8
 	}
 	return size
@@ -665,13 +735,17 @@ func (u *upMsg) WireSize() int {
 // left the tree is banked where it ends (Recycle). A cold bank carves its
 // shells from its slab, so the first round costs an allocation a chunk; what
 // stays banked is one round's shells, which the next round sends again.
-// Whoever banks a shell clears Values first (bankShell), so that a banked
-// shell does not pin a fold list its subtree has since replaced.
+// Whoever banks a shell drops its reader of Values and clears it first
+// (bankShell), so that a banked shell neither pins a fold list nor keeps one
+// from its bank.
 var upShells = sim.NewLocal[sim.Bank[upMsg]]()
 
-// bankShell banks u on e's bank, dropping its fold list.
+// bankShell banks u on e's bank, dropping its reader of its fold list.
 func bankShell(e *sim.Engine, u *upMsg) {
-	u.Values = nil
+	if u.Values != nil {
+		u.Values.drop(e)
+		u.Values = nil
+	}
 	upShells.Of(e).Put(u)
 }
 
@@ -694,4 +768,52 @@ func (g *globalMsg) WireSize() int {
 		size += len(gv.attr) + 5*8
 	}
 	return size
+}
+
+// FoldReaderCheck holds the fold lists the managers keep to their reader
+// counts: a list that a topic caches, last sent or keeps in its info base
+// has a reader count above 0 and at least one reader for each such reference
+// the check finds across all the managers (a push in flight holds one more,
+// which it cannot see). A list banked while someone still reads it fails it.
+// The zero value is ready to use; it keeps its map from run to run.
+type FoldReaderCheck struct {
+	refs map[*foldList]int
+}
+
+// Run walks every topic of every manager and calls bad once for each list
+// that fails, in the order the walk first meets them, with that holder's
+// address and topic, the list's reader count and the references found. Run
+// it while every engine is parked.
+func (c *FoldReaderCheck) Run(managers []*Manager, bad func(node int, topic string, readers, refs int)) {
+	if c.refs == nil {
+		c.refs = make(map[*foldList]int)
+	}
+	clear(c.refs)
+	walk := func(see func(l *foldList, node int, topic string)) {
+		for _, m := range managers {
+			node := int(m.sc.Node().Addr())
+			for _, st := range m.topics {
+				see(st.cached, node, st.name)
+				see(st.lastSent, node, st.name)
+				for _, ch := range st.children {
+					see(ch.vals, node, st.name)
+				}
+			}
+		}
+	}
+	walk(func(l *foldList, _ int, _ string) {
+		if l != nil {
+			c.refs[l]++
+		}
+	})
+	walk(func(l *foldList, node int, topic string) {
+		refs := c.refs[l]
+		if l == nil || refs == 0 {
+			return // no list, or met before
+		}
+		c.refs[l] = 0
+		if n := int(l.readers.Count()); n < refs { // refs >= 1: n > 0 too
+			bad(node, topic, n, refs)
+		}
+	})
 }

@@ -66,17 +66,18 @@ func firstRound(t *testing.T, servers int) (mallocs uint64, bytes int, root Aggr
 }
 
 // TestFirstRoundAllocatesOnlyFolds is the allocation gate of a cold round:
-// the tree build and the first leaf-to-root round, with every free list
-// empty, at 4096 and at 8192 servers. Every message of the burst is in
-// flight at once, so none of them can reuse another's shell; the envelope
-// pools and the push shell lists refill from their engine's slabs, a join
+// the tree build and the first leaf-to-root round, with every bank empty, at
+// 4096 and at 8192 servers. Every message of the burst is in flight at once,
+// so none of them can reuse another's shell, and every server keeps its
+// subtree fold, so none can reuse another's list: the envelope pools, the
+// push shells and the fold lists all refill from their engine's slabs, a join
 // and a leave are the group key the joiner already holds, and what a server
-// past 4096 still costs is its fold list (real data: the cached subtree
-// fold its push carries) and a slab chunk's share. Before the slabs it was
-// 5.01 objects a server: a routed envelope, the join inside it, a direct
-// envelope and a push shell besides the fold.
+// past 4096 still costs is the slab chunks' share, 0.02 objects. Before the
+// slabs it was 5.01 objects a server: a routed envelope, the join inside it,
+// a direct envelope and a push shell besides the fold list, which cost one
+// object a server until the lists were banked.
 func TestFirstRoundAllocatesOnlyFolds(t *testing.T) {
-	const small, large, ceiling = 4096, 8192, 1.1
+	const small, large, ceiling = 4096, 8192, 0.05
 	a, bytes, rootA := firstRound(t, small)
 	b, _, rootB := firstRound(t, large)
 	if rootA.Count != small || rootB.Count != large {

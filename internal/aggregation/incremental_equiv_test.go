@@ -26,7 +26,7 @@ func refold(m *Manager, st *topicState, buf attrList) attrList {
 				j++
 			}
 			if j < len(st.children) && st.children[j].ref == int32(h.Addr) {
-				for _, cv := range st.children[j].vals {
+				for _, cv := range st.children[j].vals.attrList {
 					agg.fold(cv.attr, cv.agg)
 				}
 				j++
@@ -59,7 +59,7 @@ func runChurn(t *testing.T, racks, perRack int, faults bool, stride int) (compar
 					continue
 				}
 				compared++
-				if buf = refold(m, st, buf); !buf.equal(st.cached) {
+				if buf = refold(m, st, buf); !buf.equal(st.cached.attrList) {
 					t.Fatalf("at %v node %d topic %s: cached fold %v, full re-fold %v", f.engine.Now(), i, st.name, st.cached, buf)
 				}
 			}

@@ -12,19 +12,27 @@ import (
 	"vbundle/internal/topology"
 )
 
-// TestTopicStateSizeCeiling pins what one subscribed topic costs a server:
-// 232 bytes. SubscribeAttr carves the topics from their engine's slab, so
-// there is no size class to absorb a word and the ceiling is the size itself.
-// A second inline attribute slot, or flags spread over separate words, cost
-// 48 or 24 bytes more.
+// TestTopicStateSizeCeiling pins what one subscribed topic costs a server,
+// 200 bytes, and what one fold list costs, 80. SubscribeAttr carves the
+// topics and the fold lists come out of their engine's bank, so there is no
+// size class to absorb a word and each ceiling is the size itself. A second
+// inline attribute slot, or flags spread over separate words, cost 48 or 24
+// bytes more; the cache and the last sent list as slices instead of fold
+// list pointers, 32.
 func TestTopicStateSizeCeiling(t *testing.T) {
-	const ceiling = 232
-	size := unsafe.Sizeof(topicState{})
-	if size > ceiling {
-		t.Fatalf("aggregation.topicState is %d bytes (it would fall into the %d-byte size class of its own); the ceiling is %d",
-			size, sizeclass.Of(size), ceiling)
+	for _, c := range []struct {
+		name          string
+		size, ceiling uintptr
+	}{
+		{"topicState", unsafe.Sizeof(topicState{}), 200},
+		{"foldList", unsafe.Sizeof(foldList{}), 80},
+	} {
+		if c.size > c.ceiling {
+			t.Fatalf("aggregation.%s is %d bytes (it would fall into the %d-byte size class of its own); the ceiling is %d",
+				c.name, c.size, sizeclass.Of(c.size), c.ceiling)
+		}
+		t.Logf("aggregation.%s: %d bytes, %d-byte size class", c.name, c.size, sizeclass.Of(c.size))
 	}
-	t.Logf("aggregation.topicState: %d bytes, %d-byte size class", size, sizeclass.Of(size))
 }
 
 // TestConstructionAllocatesPerLayer: building the overlay — NewRing,

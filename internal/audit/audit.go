@@ -19,6 +19,7 @@ import (
 	"math"
 	"time"
 
+	"vbundle/internal/aggregation"
 	"vbundle/internal/cluster"
 	"vbundle/internal/migration"
 	"vbundle/internal/obs"
@@ -49,10 +50,15 @@ const (
 	// demand written past Cluster.SetDemandBW) leaves a stale sum looking
 	// current.
 	CheckDemandLedger
+	// CheckFoldReaders verifies every fold list an aggregation manager
+	// caches, last sent or keeps in its info base: its reader count is above
+	// 0 and no lower than the references the sweep finds across all the
+	// managers, so no list is banked while someone still reads it.
+	CheckFoldReaders
 )
 
 // checkSlots sizes per-check arrays indexed directly by Check.
-const checkSlots = int(CheckDemandLedger) + 1
+const checkSlots = int(CheckFoldReaders) + 1
 
 // String names the check for reports and fail-fast panics.
 func (c Check) String() string {
@@ -65,6 +71,8 @@ func (c Check) String() string {
 		return "lease_expiry"
 	case CheckDemandLedger:
 		return "demand_ledger"
+	case CheckFoldReaders:
+		return "fold_readers"
 	default:
 		return "unknown"
 	}
@@ -92,6 +100,10 @@ type Targets struct {
 	Cluster    *cluster.Cluster
 	Rebalancer *rebalance.Coordinator
 	Migration  *migration.Manager
+	// Aggs are the aggregation managers, one a node, whose fold lists
+	// CheckFoldReaders sweeps. The auditor reads the slice at every sweep,
+	// so a manager a restart puts in place of another is swept.
+	Aggs []*aggregation.Manager
 	// Trace, when non-nil, receives a KindAuditViolation instant on the
 	// root source per violation and the audit/* counters in its registry.
 	Trace *obs.Trace
@@ -133,6 +145,8 @@ type Auditor struct {
 	// so a release legitimately in transit at one boundary is forgiven.
 	suspects map[suspectKey]int
 	scratch  map[suspectKey]bool
+
+	folds aggregation.FoldReaderCheck
 }
 
 // Attach builds an auditor over t and schedules its sweeps every cfg.Every
@@ -238,6 +252,12 @@ func (a *Auditor) sweep(now time.Duration) {
 	if a.t.Cluster != nil {
 		a.checkPlacement(now)
 		a.checkDemandLedger(now)
+	}
+	if len(a.t.Aggs) > 0 {
+		a.folds.Run(a.t.Aggs, func(node int, topic string, readers, refs int) {
+			a.report(now, CheckFoldReaders, node, -1,
+				"a fold list of topic %s has %d readers, %d holders are in view", topic, readers, refs)
+		})
 	}
 }
 

@@ -456,6 +456,7 @@ func (vb *VBundle) AttachAudit(cfg audit.Config) *audit.Auditor {
 		Cluster:    vb.Cluster,
 		Rebalancer: vb.Rebalancer,
 		Migration:  vb.Migration,
+		Aggs:       vb.Aggs,
 		Trace:      vb.opts.Trace,
 	})
 }

@@ -98,10 +98,11 @@ func aggLatencyPoint(seed int64, n int, c RunConfig) (AggLatencyPoint, Artifacts
 		return AggLatencyPoint{}, art, err
 	}
 	engine, managers := ov.Engine, ov.Aggs
-	// An overlay has no cluster or rebalancer, so no check applies: the
-	// auditor only counts its sweeps.
+	// An overlay has no cluster or rebalancer: the auditor sweeps the fold
+	// lists of its aggregation managers.
 	art.Audit = audit.Attach(c.Audit, audit.Targets{
 		Engine: engine,
+		Aggs:   managers,
 		Trace:  art.Trace,
 	})
 	for _, m := range managers {

@@ -20,9 +20,10 @@ var (
 // record was banked twice.
 var poisonStamp int
 
-// PoisonBanked overwrites every shed exchange, release chain and release,
-// ack and renew shell banked on e's shuffle bank with garbage: nil agent and
-// VM, NaN demands, a handle of all ones, negative budgets and VM ids. A
+// PoisonBanked overwrites every shed exchange, shed query, release chain and
+// release, ack and renew shell banked on e's shuffle bank with garbage: nil
+// agent, VM and query, NaN demands and reservations, a handle of all ones, a
+// customer no VM has, negative budgets and VM ids. A
 // record or shell is banked once nothing reads it any more, so poisoning the
 // banks between any two events must change nothing a run computes. It
 // returns how many it poisoned, and panics on one banked twice.
@@ -37,6 +38,13 @@ func PoisonBanked(e *sim.Engine) (n int) {
 			twice()
 		}
 		*ex = shedExchange{demand: poisonDemand, by: poisonHandle, budget: stamp, holds: stamp}
+		n++
+	}
+	for _, q := range b.queries.Banked() {
+		if q.VMID == vm {
+			twice()
+		}
+		*q = shedQuery{VMID: vm, Customer: "poisoned", Reservation: poisonDemand, Demand: poisonDemand}
 		n++
 	}
 	for _, r := range b.releases.Banked() {

@@ -90,7 +90,8 @@ func shuffleRun(t *testing.T, shards int, poison func(*sim.Engine) int) (string,
 
 // TestPoisonedBanksChangeNothing holds the shuffle's banks to their rule: a
 // record or shell is banked only once nothing reads it. Every shed exchange,
-// release chain and release, ack and renew shell banked on every engine is
+// shed query, release chain and release, ack and renew shell banked on every
+// engine is
 // overwritten with garbage after every event of a lossy shuffle, on one
 // shard and on two, and the run must compute what it computes unpoisoned.
 func TestPoisonedBanksChangeNothing(t *testing.T) {

@@ -907,25 +907,31 @@ func (a *Agent) shedChain(budget int) {
 	}
 	a.addShed(vm.ID)
 	a.queriesSent.Inc()
-	q := &shedQuery{
+	b := shuffleBanks.Of(a.node.Engine())
+	q := b.queries.Take()
+	*q = shedQuery{
 		VMID:        vm.ID,
 		Customer:    vm.Customer,
 		Reservation: vm.Reservation,
 		Demand:      effectiveDemand(vm),
 	}
-	ex := shuffleBanks.Of(a.node.Engine()).sheds.Take()
-	*ex = shedExchange{a: a, vm: vm, demand: q.Demand, budget: budget, holds: 1}
+	q.readers.Set(1) // the exchange's
+	ex := b.sheds.Take()
+	*ex = shedExchange{a: a, vm: vm, q: q, demand: q.Demand, budget: budget, holds: 1}
 	a.scribe().AnycastWith(lessLoadedKey, q, ex)
 }
 
 // shedExchange is one outbound shed from its query on: the any-cast's
 // verdict, the migration's completion and the lease-renew timer are its
 // methods, so a shed binds no closure. It comes from the shedder's engine's
-// bank and goes back there once no role holds it. The query itself is not in
-// it: an orphaned verdict may still carry it after the exchange is over.
+// bank and goes back there once no role holds it. It holds a reader of its
+// query until the verdict, as the any-cast's resends need; the walks and
+// verdicts that carry the query hold their own, since an orphaned verdict may
+// still carry it after the exchange is over.
 type shedExchange struct {
 	a      *Agent
 	vm     *cluster.VM
+	q      *shedQuery
 	demand cluster.Resources
 	by     pastry.NodeHandle
 	budget int
@@ -947,6 +953,8 @@ func (ex *shedExchange) release() {
 func (ex *shedExchange) AnycastDone(res scribe.AnycastResult) {
 	defer ex.release()
 	a, vm := ex.a, ex.vm
+	ex.q.Release(a.node.Engine())
+	ex.q = nil
 	if !res.Accepted {
 		a.dropShed(vm.ID)
 		return // no receiver this round; retry next interval
@@ -1074,6 +1082,7 @@ func (r *releaseRetry) bank() {
 // (simnet.Recycler).
 type shuffleBank struct {
 	sheds    sim.Bank[shedExchange]
+	queries  sim.Bank[shedQuery]
 	releases sim.Bank[releaseRetry]
 	rels     sim.Bank[releaseMsg]
 	acks     sim.Bank[releaseAckMsg]
@@ -1260,7 +1269,11 @@ func (a *Agent) wasReleased(vm cluster.VMID) bool {
 var _ pastry.App = (*Agent)(nil)
 
 // shedQuery is the load-balance query the shedder any-casts (§III.C step 1).
+// It is a scribe.SharedPayload: its exchange and every walk and verdict that
+// carries it hold a reader, and whoever drops the last banks it on the
+// shuffle bank of its own engine.
 type shedQuery struct {
+	readers     sim.Readers
 	VMID        cluster.VMID
 	Customer    string
 	Reservation cluster.Resources
@@ -1268,7 +1281,17 @@ type shedQuery struct {
 }
 
 // WireSize implements simnet.WireSizer.
-func (q shedQuery) WireSize() int { return 8 + len(q.Customer) + 2*3*8 }
+func (q *shedQuery) WireSize() int { return 8 + len(q.Customer) + 2*3*8 }
+
+// Hold implements scribe.SharedPayload.
+func (q *shedQuery) Hold() { q.readers.Add() }
+
+// Release implements scribe.SharedPayload.
+func (q *shedQuery) Release(e *sim.Engine) {
+	if q.readers.Drop() {
+		shuffleBanks.Of(e).queries.Put(q)
+	}
+}
 
 // releaseMsg tells a receiver to stop holding resources for a VM. It is
 // idempotent and resent until acknowledged; the per-VM reservation record

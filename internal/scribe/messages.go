@@ -107,8 +107,10 @@ var (
 )
 
 // Recycle implements simnet.Recycler: the walk ended on engine e's goroutine.
-// The payload is dropped so that a banked shell does not pin the query.
+// The payload is dropped, its reader with it, so that a banked shell does not
+// pin the query.
 func (m *anycastMsg) Recycle(e *sim.Engine) {
+	releasePayload(e, m.Payload)
 	m.Payload = nil
 	anycastShells.Of(e).Put(m)
 }
@@ -148,8 +150,34 @@ func (m *anycastVerdict) WireSize() int {
 // Recycle implements simnet.Recycler: the verdict ended on engine e's
 // goroutine, read by its originator or dropped by the network.
 func (m *anycastVerdict) Recycle(e *sim.Engine) {
+	releasePayload(e, m.Payload)
 	m.Payload = nil
 	verdictShells.Of(e).Put(m)
+}
+
+// SharedPayload is an any-cast payload counted by its readers (a
+// sim.Readers) and banked by whoever drops the last. Each walk that carries
+// it and each verdict that echoes it holds one: scribe adds it when it sends
+// the walk and drops it with Release, on the engine where the walk or its
+// verdict ends. The caller holds one of its own from AnycastWith to its
+// AnycastDone, which covers the pending query's resends.
+type SharedPayload interface {
+	Hold()
+	Release(e *sim.Engine)
+}
+
+// holdPayload adds a reader to p when it is a SharedPayload.
+func holdPayload(p simnet.Message) {
+	if sp, ok := p.(SharedPayload); ok {
+		sp.Hold()
+	}
+}
+
+// releasePayload drops a reader of p on e when it is a SharedPayload.
+func releasePayload(e *sim.Engine, p simnet.Message) {
+	if sp, ok := p.(SharedPayload); ok {
+		sp.Release(e)
+	}
 }
 
 // heartbeat keeps tree edges fresh; children re-join after missing several.

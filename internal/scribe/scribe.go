@@ -663,7 +663,9 @@ func (s *Scribe) Anycast(group ids.Id, payload simnet.Message, onResult func(Any
 }
 
 // AnycastWith is Anycast for a caller that hears the verdict as a record of
-// its own: the one path both take.
+// its own: the one path both take. A retry resends payload, so the caller
+// keeps it readable until its verdict: a SharedPayload, by holding a reader
+// of its own until AnycastDone.
 func (s *Scribe) AnycastWith(group ids.Id, payload simnet.Message, caller AnycastCaller) {
 	if caller == nil {
 		s.sendAnycast(group, payload, 0, obs.NoRef)
@@ -703,6 +705,7 @@ func (s *Scribe) originate() *originator {
 
 // sendAnycast launches (or relaunches) the DFS for one attempt.
 func (s *Scribe) sendAnycast(group ids.Id, payload simnet.Message, seq uint64, trace obs.Ref) {
+	holdPayload(payload) // the walk's
 	m := anycastShells.Of(s.node.Engine()).Take()
 	*m = anycastMsg{Group: group, Payload: payload, Origin: s.node.Handle(), Seq: seq, Visited: m.Visited[:0], Trace: trace}
 	// Fast path: if we are already in the tree, start the DFS locally.
@@ -900,12 +903,15 @@ func (s *Scribe) nextChild(g *groupState, m *anycastMsg) pastry.NodeHandle {
 
 // finishAnycast ends the walk at this node: the message is banked here, and
 // the verdict resolves the query locally or travels in a shell of its own.
+// The walk's reader of a SharedPayload passes to the verdict.
 func (s *Scribe) finishAnycast(m *anycastMsg, accepted bool, by pastry.NodeHandle) {
 	seq, group, payload, visited, trace, origin := m.Seq, m.Group, m.Payload, len(m.Visited), m.Trace, m.Origin
+	m.Payload = nil
 	m.Recycle(s.node.Engine())
 	if origin.Addr == s.node.Addr() {
 		// Local resolution: no wire verdict needed.
 		s.resolveAnycast(seq, group, payload, accepted, by, visited, trace)
+		releasePayload(s.node.Engine(), payload)
 		return
 	}
 	v := verdictShells.Of(s.node.Engine()).Take()
@@ -917,10 +923,14 @@ func (s *Scribe) finishAnycast(m *anycastMsg, accepted bool, by pastry.NodeHandl
 }
 
 // handleVerdict resolves the query a verdict answers and banks the verdict.
+// The verdict's reader of a SharedPayload lasts until the resolution, the
+// orphan handler's included, is over.
 func (s *Scribe) handleVerdict(v *anycastVerdict) {
 	seq, group, payload, accepted, by, visited, trace := v.Seq, v.Group, v.Payload, v.Accepted, v.By, v.Visited, v.Trace
+	v.Payload = nil
 	v.Recycle(s.node.Engine())
 	s.resolveAnycast(seq, group, payload, accepted, by, visited, trace)
+	releasePayload(s.node.Engine(), payload)
 }
 
 func (s *Scribe) resolveAnycast(seq uint64, group ids.Id, payload simnet.Message, accepted bool, by pastry.NodeHandle, visited int, trace obs.Ref) {

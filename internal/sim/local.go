@@ -152,3 +152,37 @@ func (b *Bank[T]) Banked() []*T {
 	b.listed = append(b.listed, b.free...)
 	return b.listed
 }
+
+// Readers is the reader count of a banked record that several holders read at
+// once, where a Bank's one owner does not fit: a fold list is the sender's
+// cache, the push that carries it and the parent's info-base entry together.
+// The taker sets the count to its own holds, each new holder adds one, and
+// whoever drops the last banks the record on its own engine's bank — which
+// may be another engine's than the one it was taken from, as with a message
+// shell. Holders sit on different shards, so the count is atomic. Two shards
+// that drop their readers in one window may race to the last one, so which
+// bank a record lands on can differ from run to run; a taker writes every
+// field it reads, so nothing a run computes depends on it. The zero value
+// holds no reader.
+type Readers struct{ n atomic.Int32 }
+
+// Set sets the count: the taker's holds, before anyone else sees the record.
+func (r *Readers) Set(n int32) { r.n.Store(n) }
+
+// Add adds one reader. The caller must hold a reader already.
+func (r *Readers) Add() { r.n.Add(1) }
+
+// Drop gives up one reader and reports whether it was the last, in which case
+// the caller banks the record. Dropping more readers than were added panics:
+// the record may already have been banked and taken again.
+func (r *Readers) Drop() bool {
+	n := r.n.Add(-1)
+	if n < 0 {
+		panic("sim: a record dropped more readers than it had")
+	}
+	return n == 0
+}
+
+// Count returns the readers the record has, for a check that compares it
+// with the holders it can see. Read it while every engine is parked.
+func (r *Readers) Count() int32 { return r.n.Load() }

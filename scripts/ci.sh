@@ -52,11 +52,12 @@ go test -C benchmark ./...
 # two pushes of one sender on the wire together, the consider memo against
 # the full inserts, the leaf-set insert against the search-insert-truncate
 # it replaced, the any-cast's child search against the scan, a run with
-# every envelope and push shell in its bank overwritten after every event
-# against the same run untouched (and a lossy shuffle with every banked
-# any-cast shell, verdict, wheel timer, group state, shed exchange, release
-# chain and release, ack and renew shell overwritten; migration flights and
-# VM-list spares likewise), 400 lossy rounds that must bank what the
+# every envelope, push shell and fold list in its bank overwritten after
+# every event, on one shard and on two, against the same run untouched (and
+# a lossy shuffle with every banked any-cast shell, verdict, wheel timer,
+# group state, shed exchange, shed query, release chain and release, ack and
+# renew shell overwritten; migration flights and VM-list spares likewise),
+# 400 lossy rounds that must bank what the
 # network drops, and the bandwidth ledger and
 # cached demand sums against the full sweep through a churning run whose
 # agents fill their servers' sums from two shard goroutines. They run once
@@ -78,26 +79,30 @@ go test -race -count=1 -run "$models" \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/ \
 	./internal/rebalance/ ./internal/migration/ ./internal/cluster/
 
-# Nineteen gates that must have run and passed by name, not merely not failed
+# Twenty gates that must have run and passed by name, not merely not failed
 # (a renamed or skipped test fails the count). Eleven count objects: a 256-hop
 # spill walk allocates no more than a boot admitted at its rendezvous; a warm
 # serving step (a boot, its query's completion and two terminates, under each
 # of the four cache/batch settings), a warm BandwidthSatisfaction sweep, a
 # SetLocal+Global pair on a subscribed topic, a warm round of 4096
-# five-minute tickers and a warm aggregation round of unchanged values
-# allocate nothing (a round of changed values: one fold list a re-folded
-# subtree); a cold tree build and first round allocate a server's fold list
-# and none of its messages (at most 1.1 objects a server past 4096); each
+# five-minute tickers and a warm aggregation round, of unchanged values or
+# of changed ones whose subtrees re-fold into banked fold lists, allocate
+# nothing; a cold tree build and first round allocate neither a server's
+# fold list nor its messages, only slab chunks (at most 0.05 objects a
+# server past 4096); each
 # node past 4096 of an overlay costs a slab chunk's share of an object (under
 # 0.02), and core.New a twentieth of one a server beyond the overlay;
 # StartServices allocates none of its plumbing or messages (at most 0.1
 # objects a server between 1024 and 2048 servers: the second group's state
 # comes out of a slab), and a handler event and an embedded ticker's
 # start and stop allocate nothing; three warm shuffle rounds allocate at most
-# 16 objects a migration (the shed records, shells and timers are banked).
-# Four are what every server holds of each layer, to the
+# 3 objects a migration (the shed records, queries, shells, timers and fold
+# lists are banked). Four are what every server holds of each layer, to the
 # byte: the node and the server record come out of one slice each, the
-# Scribe and the topic out of their engine's slabs. One holds the bandwidth
+# Scribe and the topic out of their engine's slabs, and a fold list out of
+# its engine's bank. One holds the auditor's fold_readers check to what it
+# must find: nothing in a sound lossy run, and a list one reader short. One
+# holds the bandwidth
 # ledger and the cached demand sums to the full sweep they replaced, bit for
 # bit, through migrations, boots, terminates, refreshes and a crash-restart.
 # Two hold the API to its callers: every field of a
@@ -106,10 +111,10 @@ go test -race -count=1 -run "$models" \
 # own package's tests. One holds vb to its inputs: every nonsense value a
 # bug once hung, panicked or silently ran on exits 1 naming its flag or
 # field.
-step "allocation, size, ledger, knob, export and bad-config gates, PASS by name (19)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
+step "allocation, size, ledger, fold-reader, knob, export and bad-config gates, PASS by name (20)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 19
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 20
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
