@@ -139,7 +139,8 @@ var gates = []gate{
 		variants: []string{"-sample-every 1s"}, timed: true},
 
 	// README's reproduction table, at sizes that run in milliseconds.
-	{name: "placement", args: "placement", golden: true},
+	{name: "placement", args: "placement", golden: true,
+		variants: []string{"-shards 4"}},
 	{name: "placement-fig8b", args: "placement -waves 2 -engine greedy", golden: true},
 	// Three seeds fanned out, printed in seed order at any worker count; the
 	// golden was printed by the tree whose experiments package ran the trials.
@@ -147,7 +148,10 @@ var gates = []gate{
 		variants: []string{"-workers 1"}},
 	{name: "qos", args: "qos", golden: true},
 	{name: "churn-100", args: "churn -servers 100 -hours 1", golden: true},
-	{name: "sim-100", args: "sim -servers 100 -hours 1", golden: true},
+	// A Step-driven run (core.BootVM steps each boot to its answer) with
+	// work started between the steps, on whichever shard owns the node.
+	{name: "sim-100", args: "sim -servers 100 -hours 1", golden: true,
+		variants: []string{"-shards 4"}},
 	// The four extension flags together. The sim workload loads bandwidth
 	// alone and DHT placement leaves the veto nothing to refuse, so random
 	// placement is what makes the cost-benefit check fire. The golden was

@@ -16,12 +16,17 @@ import (
 // run is quiet, a leaf's fold list — its cache, its last sent list and its
 // parent's info-base entry, three readers — that loses one reader is
 // reported, once, at the leaf: the state a release that banks one reader
-// early leaves behind. The engine is serial: a value set between the steps
-// of a sharded one is scheduled at its shard's own clock.
+// early leaves behind. It runs on one shard and on two.
 func TestFoldReaderCheckFindsAnEarlyDrop(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		foldReaderCheckFindsAnEarlyDrop(t, shards)
+	}
+}
+
+func foldReaderCheckFindsAnEarlyDrop(t *testing.T, shards int) {
 	const topic = "BW_Demand"
 	key := scribe.GroupKey(topic)
-	engine := sim.NewEngine(3)
+	engine := sim.NewShardedEngine(3, shards)
 	f := newFixtureOn(t, engine, 8, 8, Config{UpdateInterval: time.Minute}, simnet.WithDropRate(0.02))
 	for i, m := range f.managers {
 		m.Subscribe(topic, nil)
@@ -62,7 +67,7 @@ func TestFoldReaderCheckFindsAnEarlyDrop(t *testing.T) {
 		}
 	}
 	if len(failed) > 0 {
-		t.Fatalf("the check failed %d lists of a sound run over %d events, the first %+v", len(failed), events, failed[0])
+		t.Fatalf("%d shard(s): the check failed %d lists of a sound run over %d events, the first %+v", shards, len(failed), events, failed[0])
 	}
 
 	for _, m := range f.managers {
@@ -79,18 +84,18 @@ func TestFoldReaderCheckFindsAnEarlyDrop(t *testing.T) {
 		}
 	}
 	if leaf == nil {
-		t.Fatal("no leaf holds one list as its cache, its last sent list and its parent's entry")
+		t.Fatalf("%d shard(s): no leaf holds one list as its cache, its last sent list and its parent's entry", shards)
 	}
 	l := leaf.topic(key).cached
 	l.readers.Drop()
 	run()
 	want := failure{int(leaf.sc.Node().Addr()), topic, 2, 3}
 	if len(failed) != 1 || failed[0] != want {
-		t.Fatalf("with one reader dropped early the check reported %+v, want [%+v]", failed, want)
+		t.Fatalf("%d shard(s): with one reader dropped early the check reported %+v, want [%+v]", shards, failed, want)
 	}
 	l.readers.Add()
 	failed = failed[:0]
 	if run(); len(failed) != 0 {
-		t.Fatalf("with the reader back the check reported %+v", failed)
+		t.Fatalf("%d shard(s): with the reader back the check reported %+v", shards, failed)
 	}
 }

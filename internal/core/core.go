@@ -79,15 +79,9 @@ type Options struct {
 	Engine EngineKind
 	// Rebalance tunes the resource-shuffling algorithm.
 	Rebalance rebalance.Config
-	// ProtocolJoin builds the overlay with message-driven joins instead of
-	// static construction. Slower; used when join behaviour itself is
-	// under study.
-	ProtocolJoin bool
 	// MessageLoss drops each overlay message independently with this
 	// probability in [0, 1), for robustness studies (0 = reliable network).
 	MessageLoss float64
-	// JoinStagger is the delay between successive protocol joins.
-	JoinStagger time.Duration
 	// Shards is the engine's shard count K: 0 (the default) and 1 both run
 	// the one-shard engine; K ≥ 2 runs K shards in parallel windows, and
 	// needs a positive Topology.LANHop as its lookahead. Any K produces
@@ -100,11 +94,10 @@ type Options struct {
 	Trace *obs.Trace
 	// Store, when set, gives every node a durable store: placement maps,
 	// lease tables and peer snapshots are written through as they change,
-	// and a crash (simnet.NodeFault{Crash: true} or Network.Crash) is a
-	// real crash — the restarted node rebuilds a blank stack from whatever
-	// the store held and reconciles with the live ring. Nil keeps nodes
-	// purely in-memory; crash-restart schedules then panic for want of a
-	// restarter.
+	// and a crash (simnet.Network.Crash) is a real crash — Network.Restart
+	// rebuilds a blank stack from whatever the store held and reconciles it
+	// with the live ring. Nil keeps nodes purely in-memory; a Restart then
+	// panics for want of a restarter.
 	Store *store.MemStore
 }
 
@@ -119,9 +112,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Engine == 0 {
 		o.Engine = EngineDHT
-	}
-	if o.JoinStagger == 0 {
-		o.JoinStagger = 500 * time.Millisecond
 	}
 	return o
 }
@@ -165,9 +155,9 @@ type Overlay struct {
 }
 
 // NewOverlay builds the overlay-only stack from the options that concern it
-// (Topology, Seed, Pastry, ProtocolJoin, JoinStagger, MessageLoss, Shards,
-// Trace, and Rebalance.UpdateInterval as the aggregation period). The ring
-// is constructed immediately, statically by default.
+// (Topology, Seed, Pastry, MessageLoss, Shards, Trace, and
+// Rebalance.UpdateInterval as the aggregation period). The ring's tables are
+// filled at once by pastry.Ring.BuildStatic.
 func NewOverlay(opts Options) (*Overlay, error) {
 	opts = opts.withDefaults()
 	switch opts.Pastry.B {
@@ -208,15 +198,7 @@ func NewOverlay(opts Options) (*Overlay, error) {
 		netOpts = append(netOpts, simnet.WithTrace(opts.Trace))
 	}
 	ring := pastry.NewRing(engine, topo, opts.Pastry, pastry.HierarchyAssigner, netOpts...)
-	if opts.ProtocolJoin {
-		done := ring.JoinAll(opts.JoinStagger)
-		engine.RunUntil(time.Duration(ring.Size())*opts.JoinStagger + time.Minute)
-		if !done() {
-			return nil, fmt.Errorf("core: overlay join did not converge for %d nodes", ring.Size())
-		}
-	} else {
-		ring.BuildStatic()
-	}
+	ring.BuildStatic()
 	ov := &Overlay{
 		Engine:  engine,
 		Topo:    topo,

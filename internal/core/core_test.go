@@ -95,21 +95,6 @@ func TestEngineSelection(t *testing.T) {
 	}
 }
 
-func TestProtocolJoinOption(t *testing.T) {
-	vb, err := New(Options{Topology: smallSpec(2, 4), ProtocolJoin: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range vb.Ring.Nodes() {
-		if !n.Joined() {
-			t.Fatalf("node %d not joined", i)
-		}
-	}
-	if _, _, err := vb.BootVM("A", bwRes(10), bwRes(20)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ringHash folds every node's routing state — leaf sets, routing table,
 // neighbourhood set, in Peers order — into one value.
 func ringHash(ring *pastry.Ring) uint64 {
@@ -129,13 +114,11 @@ func ringHash(ring *pastry.Ring) uint64 {
 
 // TestNewOverlayBuildsTheRingNewBuilds holds the constructor to itself: New
 // is NewOverlay plus the layers above, so the same options must give the
-// same ring, scribes and managers — statically built, sharded, or joined
-// by protocol.
+// same ring, scribes and managers, on one shard or two.
 func TestNewOverlayBuildsTheRingNewBuilds(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"static":  {Topology: smallSpec(4, 8), Seed: 3},
 		"sharded": {Topology: smallSpec(4, 8), Seed: 3, Shards: 2},
-		"join":    {Topology: smallSpec(2, 6), Seed: 5, ProtocolJoin: true, JoinStagger: 20 * time.Millisecond},
 	} {
 		ov, err := NewOverlay(opts)
 		if err != nil {

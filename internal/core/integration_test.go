@@ -8,6 +8,8 @@ import (
 	"vbundle/internal/cluster"
 	"vbundle/internal/costbenefit"
 	"vbundle/internal/rebalance"
+	"vbundle/internal/simnet"
+	"vbundle/internal/store"
 	"vbundle/internal/workload"
 )
 
@@ -166,12 +168,34 @@ func keys(m map[int]bool) []int {
 	return out
 }
 
-// TestConcurrentJoinsConverge stresses the join protocol with zero stagger:
-// every node joins at the same instant through the same bootstrap chain.
+// TestConcurrentJoinsConverge crashes every fourth node and restarts them
+// all at one instant through core's restarter: each rebuilt node rejoins from
+// its checkpoint while its fellow victims rejoin beside it. Every victim
+// comes back knowing peers, and boots still route.
 func TestConcurrentJoinsConverge(t *testing.T) {
-	vb, err := New(Options{Topology: smallSpec(3, 8), ProtocolJoin: true, JoinStagger: time.Millisecond})
+	vb, err := New(Options{Topology: smallSpec(3, 8), Store: store.NewMem()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	net := vb.Ring.Network()
+	var victims []simnet.Addr
+	for i := 0; i < vb.Ring.Size(); i += 4 {
+		victims = append(victims, simnet.Addr(i))
+		net.Crash(simnet.Addr(i))
+	}
+	vb.Engine.AtGlobal(vb.Now()+time.Second, func() {
+		for _, a := range victims {
+			net.Restart(a)
+		}
+	})
+	vb.RunFor(2 * time.Second)
+	if vb.Recovery.Restarts != len(victims) {
+		t.Fatalf("Recovery.Restarts = %d, want %d", vb.Recovery.Restarts, len(victims))
+	}
+	for _, a := range victims {
+		if !net.Alive(a) || len(vb.Ring.Node(int(a)).Peers()) == 0 {
+			t.Fatalf("victim %d did not rejoin: alive %v, %d peers", a, net.Alive(a), len(vb.Ring.Node(int(a)).Peers()))
+		}
 	}
 	// Routing works end to end after the storm.
 	for i := 0; i < 10; i++ {

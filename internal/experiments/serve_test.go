@@ -246,7 +246,7 @@ func churnPropertyRun(t *testing.T, servers int, seed int64, cache, faults bool)
 	var faultWindows []window
 	if faults {
 		const downtime = 30 * time.Second
-		var fs simnet.FaultSchedule
+		net := vb.Ring.Network()
 		n := vb.Ring.Size()
 		for k, f := range []struct {
 			at    time.Duration
@@ -259,15 +259,15 @@ func churnPropertyRun(t *testing.T, servers int, seed int64, cache, faults bool)
 		} {
 			// Distinct non-gateway victims (the gateway at node 0 holds the
 			// boot path's query state).
-			fs.Nodes = append(fs.Nodes, simnet.NodeFault{
-				Addr:         simnet.Addr(1 + (k*37+11)%(n-1)),
-				At:           f.at,
-				RestartAfter: downtime,
-				Crash:        f.crash,
-			})
+			addr := simnet.Addr(1 + (k*37+11)%(n-1))
+			down, up := net.Kill, net.Revive
+			if f.crash {
+				down, up = net.Crash, net.Restart
+			}
+			vb.Engine.AtGlobal(f.at, func() { down(addr) })
+			vb.Engine.AtGlobal(f.at+downtime, func() { up(addr) })
 			faultWindows = append(faultWindows, window{f.at, f.at + downtime})
 		}
-		vb.Ring.Network().ScheduleFaults(fs)
 		vb.StartMaintenance(time.Minute)
 	}
 

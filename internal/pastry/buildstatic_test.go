@@ -37,7 +37,6 @@ func buildStaticOracle(r *Ring) {
 		}
 		candScratch = oracleNeighborhood(r, node, candScratch)
 		node.lastConsidered = noRef
-		node.joined = true
 	}
 	oracleRoutingTables(r)
 }
@@ -139,7 +138,7 @@ func oracleNeighborhood(r *Ring, node *Node, cands []oracleCandidate) []oracleCa
 func tableDigest(r *Ring) uint64 {
 	h := fnv.New64a()
 	for _, node := range r.nodes {
-		fmt.Fprintf(h, "%d|%v|", node.rtRows, node.joined)
+		fmt.Fprintf(h, "%d|", node.rtRows)
 		for _, t := range [][]int32{node.leafCW, node.leafCCW, node.neighbors, node.rt} {
 			fmt.Fprintf(h, "%d/%d:%v;", len(t), cap(t), t[:cap(t)])
 		}

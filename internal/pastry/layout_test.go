@@ -72,9 +72,6 @@ func TestUpkeepStateIsLazy(t *testing.T) {
 	// is the scan scratch, not a probe, that makes the state here.
 	rebuilt.Rejoin(peers)
 	engine.RunFor(time.Second)
-	if !rebuilt.Joined() {
-		t.Fatal("node did not rejoin")
-	}
 	if len(rebuilt.up.pendingPings) != 0 || len(rebuilt.up.suspicion) != 0 || rebuilt.up.maintenance.Running() || rebuilt.up.pingSeq != 0 {
 		t.Fatalf("rejoined node inherited failure-detector state: %+v", rebuilt.up)
 	}

@@ -66,36 +66,8 @@ func (e *directEnvelope) Recycle(eng *sim.Engine) {
 	envPools.Of(eng).dir.Put(e)
 }
 
-// joinForward routes a join request toward the joiner's own identifier,
-// accumulating routing-table rows from each node on the path.
-type joinForward struct {
-	Joiner NodeHandle
-	Hops   int
-	Rows   []NodeHandle // flattened entries harvested along the route
-}
-
-// WireSize implements simnet.WireSizer.
-func (m *joinForward) WireSize() int {
-	return handleWireBytes*(1+len(m.Rows)) + 4
-}
-
-// joinReply is sent by the node numerically closest to the joiner; it
-// carries the accumulated routing state plus the closest node's leaf set.
-type joinReply struct {
-	From    NodeHandle
-	Rows    []NodeHandle
-	LeafCW  []NodeHandle
-	LeafCCW []NodeHandle
-	Hops    int
-}
-
-// WireSize implements simnet.WireSizer.
-func (m *joinReply) WireSize() int {
-	return handleWireBytes*(1+len(m.Rows)+len(m.LeafCW)+len(m.LeafCCW)) + 4
-}
-
-// announce tells existing nodes about a freshly joined node so they can fold
-// it into their own tables.
+// announce tells existing nodes about a rejoined node so they can fold it
+// into their own tables.
 type announce struct {
 	From NodeHandle
 }

@@ -69,7 +69,6 @@ type Node struct {
 	leafCCW   []int32 // predecessors, sorted by counter-clockwise distance
 	neighbors []int32 // sorted by proximity to self
 
-	joined bool
 	// lastConsidered is the ref consider folded in last, while no table has
 	// been written since (noRef otherwise: the zero value is a real ref).
 	// Traffic comes in runs from one sender — a spill walk's hops, a gateway's
@@ -137,8 +136,8 @@ func (n *Node) upkeepState() *upkeep {
 const noRef int32 = -1
 
 // init makes n ring r's node at the given address and attaches it to the
-// network. The node is not joined yet: call Join (or let Ring.BuildStatic
-// populate its tables). NewRing inits the nodes of one []Node in place,
+// network. Its tables are blank: Ring.BuildStatic fills them, or Rejoin
+// after a crash. NewRing inits the nodes of one []Node in place,
 // RebuildNode a node of its own. The leaf halves, the neighborhood set and
 // the first rtRows routing-table rows are carved out of ar; a nil arena
 // (RebuildNode) allocates them privately.
@@ -253,9 +252,6 @@ func FindApp[T any](n *Node) (T, bool) {
 	var none T
 	return none, false
 }
-
-// Joined reports whether the node has completed its join.
-func (n *Node) Joined() bool { return n.joined }
 
 // --- table maintenance ---------------------------------------------------
 
@@ -502,11 +498,10 @@ func (n *Node) Peers() []NodeHandle {
 	return out
 }
 
-// Rejoin bootstraps a rebuilt node from a peer checkpoint instead of a full
-// protocol join: fold every checkpointed peer that is still alive into the
-// fresh tables, announce ourselves to each node now known (so their tables
-// re-adopt us, mirroring the announce fan-out at the end of a normal join),
-// and mark the node joined. Peers that died while we were down are skipped
+// Rejoin is the ring's one join: it bootstraps a rebuilt node from a peer
+// checkpoint. It folds every checkpointed peer that is still alive into the
+// fresh tables and announces the node to each node now known, so that their
+// tables re-adopt it. Peers that died while we were down are skipped
 // here and never enter the fresh tables; whatever the checkpoint missed,
 // the periodic leaf/routing-table exchanges repair. A checkpoint is input
 // from outside the ring: a peer the directory does not name is skipped as
@@ -526,7 +521,6 @@ func (n *Node) Rejoin(peers []NodeHandle) (foreign int) {
 	n.knownNodes(func(h NodeHandle) {
 		n.ring.net.Send(n.handle.Addr, h.Addr, announce{From: n.handle})
 	})
-	n.joined = true
 	return foreign
 }
 
@@ -555,10 +549,6 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) {
 		}
 		m.Payload = nil
 		n.pool.dir.Put(m)
-	case *joinForward:
-		n.handleJoinForward(m)
-	case *joinReply:
-		n.handleJoinReply(m)
 	case announce:
 		n.consider(m.From)
 	case *leafExchange:

@@ -223,65 +223,6 @@ func TestNeighborhoodPrefersSameRack(t *testing.T) {
 	}
 }
 
-func TestProtocolJoinConvergesToCorrectRouting(t *testing.T) {
-	engine := sim.NewEngine(7)
-	ring := NewRing(engine, testTopo(t, 5, 8), Config{}, RandomAssigner) // 40 nodes
-	done := ring.JoinAll(500 * time.Millisecond)
-	engine.RunUntil(time.Duration(ring.Size())*500*time.Millisecond + 30*time.Second)
-	if !done() {
-		t.Fatal("not all nodes joined")
-	}
-	// A few maintenance rounds to polish tables.
-	ring.StartMaintenance()
-	engine.RunFor(3 * 30 * time.Second)
-	ring.StopMaintenance()
-
-	sink := make(map[ids.Id][]deliveryRec)
-	for _, n := range ring.Nodes() {
-		newCollector(n, sink)
-	}
-	rng := engine.Rand()
-	keys := make([]ids.Id, 100)
-	for i := range keys {
-		keys[i] = ids.Random(rng)
-		ring.Node(rng.Intn(ring.Size())).Route(keys[i], "test", i)
-	}
-	engine.Run()
-	for _, key := range keys {
-		recs := sink[key]
-		if len(recs) != 1 {
-			t.Fatalf("key %s delivered %d times", key.Short(), len(recs))
-		}
-		want := ring.ClosestLive(key)
-		if recs[0].addr != want.Addr() {
-			t.Errorf("key %s delivered at %d, want %d", key.Short(), recs[0].addr, want.Addr())
-		}
-	}
-}
-
-func TestProtocolJoinLeafSetsMatchGroundTruth(t *testing.T) {
-	engine := sim.NewEngine(3)
-	ring := NewRing(engine, testTopo(t, 3, 8), Config{}, HierarchyAssigner) // 24 nodes
-	ring.JoinAll(500 * time.Millisecond)
-	engine.RunUntil(time.Duration(ring.Size())*500*time.Millisecond + 30*time.Second)
-	ring.StartMaintenance()
-	engine.RunFor(3 * 30 * time.Second)
-	ring.StopMaintenance()
-	engine.Run()
-	for i, n := range ring.Nodes() {
-		_, ccw, cw := adjacentHandles(n)
-		if len(cw) == 0 || len(ccw) == 0 {
-			t.Fatalf("node %d leaf sides empty after join", i)
-		}
-		wantCW := ring.Node((i + 1) % ring.Size()).ID()
-		wantCCW := ring.Node((i - 1 + ring.Size()) % ring.Size()).ID()
-		if cw[0].Id != wantCW || ccw[0].Id != wantCCW {
-			t.Errorf("node %d ring neighbors wrong: cw=%s want %s, ccw=%s want %s",
-				i, cw[0].Id.Short(), wantCW.Short(), ccw[0].Id.Short(), wantCCW.Short())
-		}
-	}
-}
-
 func TestFailureRepairRestoresRouting(t *testing.T) {
 	ring, sink := buildStaticRing(t, 4, 8, HierarchyAssigner)
 	engine := ring.Engine()

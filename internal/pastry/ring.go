@@ -61,10 +61,10 @@ type Ring struct {
 	sortedIDs []ids.Id
 }
 
-// NewRing creates the network and one node per server. Nodes are not joined:
-// call JoinAll for the message-driven protocol or BuildStatic to populate
-// tables directly (used by the large-scale experiments, where running 3 000
-// individual joins is not the phenomenon under study).
+// NewRing creates the network and one node per server, with blank tables:
+// BuildStatic fills them from global knowledge, the state a converged join
+// protocol reaches (running 3 000 individual joins is not the phenomenon
+// under study). A crashed node comes back through RebuildNode and Rejoin.
 func NewRing(engine *sim.Engine, topo *topology.Topology, cfg Config, assign IdAssigner, opts ...simnet.Option) *Ring {
 	if assign == nil {
 		assign = HierarchyAssigner
@@ -175,33 +175,6 @@ func (r *Ring) firstLive(start, step int) int {
 	return -1
 }
 
-// JoinAll schedules the message-driven join of every node, staggered so the
-// ring stabilizes incrementally: node 0 bootstraps the ring and each later
-// node joins through its physical predecessor. The returned function
-// reports whether all nodes have joined; callers typically RunUntil it.
-func (r *Ring) JoinAll(stagger time.Duration) (allJoined func() bool) {
-	for i, node := range r.nodes {
-		i, node := i, node
-		// Joining is node-local work: schedule it on the node's own engine so
-		// it runs on the node's shard like any other node event.
-		node.Engine().After(time.Duration(i)*stagger, func() {
-			if i == 0 {
-				node.Join(simnet.Nowhere)
-				return
-			}
-			node.Join(r.nodes[i-1].Addr())
-		})
-	}
-	return func() bool {
-		for _, n := range r.nodes {
-			if !n.Joined() {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // RebuildNode replaces server i's crashed node with a brand-new one
 // carrying the same identifier and address: blank tables, blank app
 // registry, fresh recycler pools. The constructor's Attach brings the
@@ -233,9 +206,8 @@ func (r *Ring) StopMaintenance() {
 }
 
 // BuildStatic populates every node's leaf set, routing table and
-// neighborhood set directly from global knowledge, bypassing the join
-// protocol. The resulting state is exactly what a converged ring reaches;
-// overlay unit tests assert the equivalence on small rings. It fills the
+// neighborhood set directly from global knowledge: the state a converged
+// join protocol reaches, and the one way the ring is built. It fills the
 // blank tables of a ring NewRing has just made.
 func (r *Ring) BuildStatic() {
 	n := len(r.nodes)
@@ -266,7 +238,6 @@ func (r *Ring) BuildStatic() {
 		// Neighborhood set: physically closest servers.
 		cands, sorted = r.fillNeighborhood(node, cands, sorted)
 		node.lastConsidered = noRef
-		node.joined = true
 	}
 	// Routing tables: one recursive prefix partition of the identifier
 	// space fills every node's table, instead of per-(node,row,col) binary

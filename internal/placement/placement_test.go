@@ -8,6 +8,7 @@ import (
 	"vbundle/internal/cluster"
 	"vbundle/internal/pastry"
 	"vbundle/internal/sim"
+	"vbundle/internal/simnet"
 	"vbundle/internal/topology"
 )
 
@@ -38,7 +39,7 @@ func newWorld(t *testing.T, racks, perRack int, nicMbps float64) *world {
 	return newWorldOn(t, sim.NewEngine(21), racks, perRack, nicMbps)
 }
 
-func newWorldOn(t *testing.T, engine *sim.Engine, racks, perRack int, nicMbps float64) *world {
+func newWorldOn(t *testing.T, engine *sim.Engine, racks, perRack int, nicMbps float64, opts ...simnet.Option) *world {
 	t.Helper()
 	tp, err := topology.New(topology.Spec{
 		Racks:            racks,
@@ -52,7 +53,7 @@ func newWorldOn(t *testing.T, engine *sim.Engine, racks, perRack int, nicMbps fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner)
+	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner, opts...)
 	ring.BuildStatic()
 	cl := cluster.New(tp, cluster.Resources{CPU: 64, MemMB: 1 << 20})
 	return &world{engine: engine, topo: tp, ring: ring, cl: cl}

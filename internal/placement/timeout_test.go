@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
 
@@ -52,10 +53,7 @@ func TestTimeoutQueueIsFIFOAcrossChunks(t *testing.T) {
 // every query that leaves the gateway times out: each exactly once, in launch
 // order, over more queries than one chunk of the timeout queue holds.
 func TestQueryTimeoutsFireInLaunchOrder(t *testing.T) {
-	w := newWorld(t, 4, 8, 1000)
-	w.ring.Network().ScheduleFaults(simnet.FaultSchedule{Links: []simnet.LinkFault{
-		{From: simnet.Nowhere, To: simnet.Nowhere, End: time.Hour, Rate: 1},
-	}})
+	w := newWorldOn(t, sim.NewEngine(21), 4, 8, 1000, simnet.WithDropRate(1))
 	d := NewDHT(w.ring, w.cl, DHTConfig{QueryTimeout: 2 * time.Second})
 	const n = 2*tqChunk + 300
 	var timedOut []int

@@ -86,11 +86,13 @@ func TestAnycastRetryRecoversFromLoss(t *testing.T) {
 
 	origin := f.scribes[5]
 	origin.AnycastTimeout = 50 * time.Millisecond
-	// Everything the originator sends in the first 25ms is lost: attempt 1
-	// vanishes, the retry at 50ms sails through.
-	f.ring.Network().ScheduleFaults(simnet.FaultSchedule{Links: []simnet.LinkFault{
-		{From: origin.Node().Addr(), To: simnet.Nowhere, Start: 0, End: 25 * time.Millisecond, Rate: 1},
-	}})
+	// The originator is down for the first 25ms, so everything it sends is
+	// lost: attempt 1 vanishes, the retry at 50ms sails through.
+	net := f.ring.Network()
+	addr := origin.Node().Addr()
+	start := f.engine.Now()
+	net.Kill(addr)
+	f.engine.AtGlobal(start+25*time.Millisecond, func() { net.Revive(addr) })
 
 	var result *AnycastResult
 	origin.Anycast(group, "q", func(r AnycastResult) { result = &r })

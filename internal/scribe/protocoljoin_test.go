@@ -14,14 +14,14 @@ import (
 )
 
 // protocolTreeDigest is the FNV-1a digest of the (parent, child) address
-// pairs of the tree below, sorted, as the commit before a join became the
-// bare group key built it.
-const protocolTreeDigest = 0x1b150018f7b7b8f4
+// pairs of the tree below, sorted.
+const protocolTreeDigest = 0x64928ed32bc63c4b
 
-// TestProtocolJoinGraftsTheRouteSource builds a ring by the join protocol
-// (Ring.JoinAll, no BuildStatic: tables as the protocol leaves them, not the
-// converged ones) and has 64 of its 256 nodes join one group, so that most
-// joins are grafted at forwarders. A join carries no child: the node that
+// TestProtocolJoinGraftsTheRouteSource builds a static ring, crashes every
+// fourth of its 256 nodes and rejoins them one by one, each from its own
+// checkpoint while the victims after it are still down, so that their tables
+// are not the converged ones. Then those 64 nodes join one group, and their
+// first hops, off unconverged tables, graft some of the joins at forwarders. A join carries no child: the node that
 // grafts it reads the child off the route. Every routed hop of the run is a
 // join, and a join is grafted at the first node it reaches, so the child
 // edges must be exactly the routed hops (sender → grafting node), every
@@ -37,12 +37,17 @@ func TestProtocolJoinGraftsTheRouteSource(t *testing.T) {
 	}
 	engine := sim.NewEngine(13)
 	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.HierarchyAssigner)
-	const stagger = 10 * time.Millisecond
-	done := ring.JoinAll(stagger)
-	engine.RunUntil(time.Duration(ring.Size())*stagger + time.Minute)
-	if !done() {
-		t.Fatal("the ring did not finish joining")
+	ring.BuildStatic()
+	net := ring.Network()
+	checkpoints := make(map[int][]pastry.NodeHandle)
+	for i := 0; i < ring.Size(); i += 4 {
+		checkpoints[i] = ring.Node(i).Peers()
+		net.Crash(ring.Node(i).Addr())
 	}
+	for i := 0; i < ring.Size(); i += 4 {
+		ring.RebuildNode(i).Rejoin(checkpoints[i])
+	}
+	engine.Run()
 	scribes := make([]*Scribe, ring.Size())
 	for i, n := range ring.Nodes() {
 		scribes[i] = New(n)
@@ -52,7 +57,6 @@ func TestProtocolJoinGraftsTheRouteSource(t *testing.T) {
 	// network hop (the node that sent it, the node that received it).
 	type edge struct{ parent, child simnet.Addr }
 	hops := make(map[edge]bool)
-	net := ring.Network()
 	for _, n := range ring.Nodes() {
 		n := n
 		net.Attach(n.Addr(), simnet.HandlerFunc(func(from simnet.Addr, msg simnet.Message) {

@@ -93,7 +93,7 @@ func TestBankedListsWhatIsBanked(t *testing.T) {
 // it next.
 func TestBankRefillingAllocatesNothing(t *testing.T) {
 	var b Bank[slabbed]
-	for len(b.full) < 3 || len(b.free) != 1 {
+	for b.n < 4 || b.top != 1 { // three full chunks, one value in a fourth
 		b.Put(new(slabbed))
 	}
 	vs := make([]*slabbed, 0, len(b.Banked()))

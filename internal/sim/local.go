@@ -93,13 +93,15 @@ func (s *Slab[T]) New() *T {
 // The list is a stack of chunks that double in length from slabMinLen up to
 // bankChunkLen, never one slice that grows: a tree build banks a hundred
 // thousand shells at once, and regrowing one backing to that size would
-// allocate five times what it ends up holding. A chunk that Take empties is
-// kept for the Put that needs it next, so a bank that drains and refills
-// below its peak allocates nothing.
+// allocate five times what it ends up holding. The chunks below the top one
+// are full; the ones above it are the ones Take emptied, kept for the Put
+// that needs one next, so a bank that drains and refills below its peak
+// allocates nothing.
 type Bank[T any] struct {
-	free   []*T   // the top chunk, the last value banked at its end
-	full   [][]*T // the full chunks below it
-	spares [][]*T // the chunks Take emptied, the last emptied last
+	free   []*T   // the top chunk, banked values in free[:top]
+	top    int    // how many values free holds, the last banked last
+	chunks [][]*T // every chunk made, in stack order
+	n      int    // the chunks in use: free is chunks[n-1]
 	listed []*T   // Banked's list, reused from call to call
 	slab   Slab[T]
 }
@@ -108,48 +110,50 @@ type Bank[T any] struct {
 // chunk: a hundred thousand banked shells cost some thirty chunks.
 const bankChunkLen = 4096
 
-// Take returns a banked value, or a new zeroed one when none is banked.
+// Take returns a banked value, or a new zeroed one when none is banked. The
+// pop off the top chunk is all it does itself, so that it inlines.
 func (b *Bank[T]) Take() *T {
-	if len(b.free) == 0 {
-		n := len(b.full)
-		if n == 0 {
-			return b.slab.New()
-		}
-		b.spares = append(b.spares, b.free)
-		b.free, b.full = b.full[n-1], b.full[:n-1]
+	if b.top == 0 {
+		return b.refill()
 	}
-	n := len(b.free) - 1
-	v := b.free[n]
-	b.free = b.free[:n]
-	return v
+	b.top--
+	return b.free[b.top]
+}
+
+// refill is Take on an empty top chunk: it steps down to the full chunk
+// below and takes its last value, or carves a new value when there is none.
+func (b *Bank[T]) refill() *T {
+	if b.n <= 1 {
+		return b.slab.New()
+	}
+	b.n--
+	b.free = b.chunks[b.n-1]
+	b.top = len(b.free) - 1
+	return b.free[b.top]
 }
 
 // Put banks v, which no one may read or write until Take returns it again.
 // It makes no call, so that it inlines.
 func (b *Bank[T]) Put(v *T) {
-	if len(b.free) == cap(b.free) {
-		var next []*T
-		if n := len(b.spares); n > 0 {
-			next, b.spares = b.spares[n-1], b.spares[:n-1]
-		} else {
-			next = make([]*T, 0, min(max(2*cap(b.free), slabMinLen), bankChunkLen))
+	if b.top == len(b.free) {
+		if b.n == len(b.chunks) {
+			b.chunks = append(b.chunks, make([]*T, min(max(2*len(b.free), slabMinLen), bankChunkLen)))
 		}
-		if cap(b.free) > 0 {
-			b.full = append(b.full, b.free)
-		}
-		b.free = next
+		b.free, b.top = b.chunks[b.n], 0
+		b.n++
 	}
-	b.free = append(b.free, v)
+	b.free[b.top] = v
+	b.top++
 }
 
 // Banked returns the values the bank holds, first banked first, for a test
 // that poisons them. The list is valid until the next call.
 func (b *Bank[T]) Banked() []*T {
 	b.listed = b.listed[:0]
-	for _, c := range b.full {
+	for _, c := range b.chunks[:max(b.n-1, 0)] {
 		b.listed = append(b.listed, c...)
 	}
-	b.listed = append(b.listed, b.free...)
+	b.listed = append(b.listed, b.free[:b.top]...)
 	return b.listed
 }
 

@@ -56,14 +56,7 @@ func (e *Engine) fireSamplers(bound time.Duration) {
 		if next > bound {
 			return
 		}
-		if e.now < next {
-			e.now = next
-		}
-		for _, s := range e.shards {
-			if s.now < next {
-				s.now = next
-			}
-		}
+		e.raiseClocks(next)
 		// Fire every sampler due at this boundary in registration order,
 		// advancing each so one boundary never fires twice.
 		for i := range e.samplers {

@@ -451,9 +451,19 @@ func (r *Engine) runWindows(deadline time.Duration) {
 		// reaches them: an idle stretch still produces samples.
 		r.fireSamplers(deadline)
 	}
-	r.now = max(r.now, deadline)
+	r.raiseClocks(deadline)
+}
+
+// raiseClocks brings the root's clock and every shard's clock up to t. Every
+// instant that runs outside a window goes through it before anything at t
+// can read a clock: an exclusive instant, a sampler boundary, a Step, and
+// the end of a run. A shard left behind would stamp the work started from
+// outside the engine (a send, a timer) with a time the other shards have
+// passed.
+func (r *Engine) raiseClocks(t time.Duration) {
+	r.now = max(r.now, t)
 	for _, s := range r.shards {
-		s.now = max(s.now, deadline)
+		s.now = max(s.now, t)
 	}
 }
 
@@ -509,14 +519,7 @@ func (r *Engine) openWindows(deadline time.Duration, rootEv *event) {
 // precisely the serial pop order at g: band 0/1 events, then bands 2 and 3
 // by key.
 func (r *Engine) runInstant(g time.Duration) {
-	if r.now < g {
-		r.now = g
-	}
-	for _, s := range r.shards {
-		if s.now < g {
-			s.now = g
-		}
-	}
+	r.raiseClocks(g)
 	for {
 		if r.anyShardAt(g) {
 			r.dispatch(shardCmd{limit: g, instant: true}, func(s *Engine) bool {
@@ -535,10 +538,13 @@ func (r *Engine) runInstant(g time.Duration) {
 	}
 }
 
-// Step executes the single earliest pending event, advancing the clock to its
-// timestamp, and reports whether there was one. It pops the globally earliest
-// event across the root and all shards and runs it on the caller's goroutine
-// (no workers), which is how placement queries are driven to resolution.
+// Step executes the single earliest pending event, advancing every clock to
+// its timestamp, and reports whether there was one. It pops the globally
+// earliest event across the root and all shards and runs it on the caller's
+// goroutine (no workers), which is how placement queries are driven to
+// resolution. Every shard's clock, not only the owner's, stands at the
+// event's time, so what the caller starts on any node between two steps is
+// stamped with the time a serial engine would give it.
 // Cross-engine ties are decided by (at, key); the remaining tie (same
 // instant, same key on two engines) is broken by engine order, which is
 // deterministic for a fixed shard count. Step-driven phases are exclusive by
@@ -564,10 +570,8 @@ func (r *Engine) Step() bool {
 	if len(r.samplers) > 0 {
 		r.fireSamplers(best.at)
 	}
+	r.raiseClocks(best.at)
 	owner.runDue(best.at)
-	if r.now < owner.now {
-		r.now = owner.now
-	}
 	r.mergeStaged()
 	r.runBarriers()
 	return true

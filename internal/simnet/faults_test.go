@@ -7,65 +7,16 @@ import (
 	"vbundle/internal/sim"
 )
 
-func TestLinkFaultWindowDropsOnlyInside(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := New(e, 2, flatLatency(time.Millisecond))
-	rx := &recorder{eng: e}
-	n.Attach(0, HandlerFunc(func(Addr, Message) {}))
-	n.Attach(1, rx)
-	n.ScheduleFaults(FaultSchedule{Links: []LinkFault{
-		{From: 0, To: 1, Start: 10 * time.Millisecond, End: 20 * time.Millisecond, Rate: 1},
-	}})
-
-	// One send before, one inside, one after the window.
-	n.Send(0, 1, "before")
-	e.RunUntil(15 * time.Millisecond)
-	n.Send(0, 1, "inside")
-	e.RunUntil(30 * time.Millisecond)
-	n.Send(0, 1, "after")
-	e.Run()
-
-	if len(rx.msgs) != 2 || rx.msgs[0] != "before" || rx.msgs[1] != "after" {
-		t.Fatalf("delivered %v, want [before after]", rx.msgs)
-	}
-	// Sends are still charged to the sender even when the window eats them.
-	if c := n.CountersOf(0); c.MsgsSent != 3 {
-		t.Fatalf("sender counted %d sends, want 3", c.MsgsSent)
-	}
-}
-
-func TestLinkFaultWildcardAndDirection(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := New(e, 3, flatLatency(time.Millisecond))
-	rx1 := &recorder{eng: e}
-	rx2 := &recorder{eng: e}
-	n.Attach(0, HandlerFunc(func(Addr, Message) {}))
-	n.Attach(1, rx1)
-	n.Attach(2, rx2)
-	// Everything INTO node 1 is lost for the first second; node 2 is fine.
-	n.ScheduleFaults(FaultSchedule{Links: []LinkFault{
-		{From: Nowhere, To: 1, Start: 0, End: time.Second, Rate: 1},
-	}})
-	n.Send(0, 1, "x")
-	n.Send(0, 2, "y")
-	e.Run()
-	if len(rx1.msgs) != 0 {
-		t.Fatalf("node 1 received %v during its blackout", rx1.msgs)
-	}
-	if len(rx2.msgs) != 1 {
-		t.Fatalf("node 2 received %v, want [y]", rx2.msgs)
-	}
-}
-
+// TestNodeFaultKillsAndRestarts pauses a node with Kill and brings it back
+// with Revive, both scheduled in the global band.
 func TestNodeFaultKillsAndRestarts(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, 2, flatLatency(time.Millisecond))
 	rx := &recorder{eng: e}
 	n.Attach(0, HandlerFunc(func(Addr, Message) {}))
 	n.Attach(1, rx)
-	n.ScheduleFaults(FaultSchedule{Nodes: []NodeFault{
-		{Addr: 1, At: 10 * time.Millisecond, RestartAfter: 20 * time.Millisecond},
-	}})
+	e.AtGlobal(10*time.Millisecond, func() { n.Kill(1) })
+	e.AtGlobal(30*time.Millisecond, func() { n.Revive(1) })
 
 	e.RunUntil(15 * time.Millisecond)
 	if n.Alive(1) {
@@ -74,7 +25,7 @@ func TestNodeFaultKillsAndRestarts(t *testing.T) {
 	n.Send(0, 1, "lost")
 	e.RunUntil(40 * time.Millisecond)
 	if !n.Alive(1) {
-		t.Fatal("node 1 not revived after RestartAfter")
+		t.Fatal("node 1 not revived")
 	}
 	n.Send(0, 1, "kept")
 	e.Run()
@@ -83,15 +34,23 @@ func TestNodeFaultKillsAndRestarts(t *testing.T) {
 	}
 }
 
+// TestNodeFaultWithoutRestartStaysDead: a crash with no Restart after it is
+// permanent, even on a network that has a restarter, and traffic to the
+// node is dropped.
 func TestNodeFaultWithoutRestartStaysDead(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, 2, flatLatency(time.Millisecond))
 	n.Attach(0, HandlerFunc(func(Addr, Message) {}))
 	n.Attach(1, HandlerFunc(func(Addr, Message) {}))
-	n.ScheduleFaults(FaultSchedule{Nodes: []NodeFault{{Addr: 1, At: time.Millisecond}}})
+	n.SetRestarter(func(a Addr) { n.Attach(a, HandlerFunc(func(Addr, Message) {})) })
+	e.AtGlobal(time.Millisecond, func() { n.Crash(1) })
+	e.At(2*time.Millisecond, func() { n.Send(0, 1, "lost") })
 	e.RunFor(time.Hour)
 	if n.Alive(1) {
-		t.Fatal("node 1 restarted without a RestartAfter")
+		t.Fatal("node 1 came back without a Restart")
+	}
+	if got := n.CountersOf(1).MsgsReceived; got != 0 {
+		t.Fatalf("the crashed node received %d messages", got)
 	}
 }
 
@@ -123,16 +82,15 @@ func TestCrashDiscardsSoftState(t *testing.T) {
 	})
 
 	n.Send(0, 1, "pre-crash")
-	n.ScheduleFaults(FaultSchedule{Nodes: []NodeFault{
-		{Addr: 1, At: 10 * time.Millisecond, RestartAfter: 20 * time.Millisecond, Crash: true},
-	}})
+	e.AtGlobal(10*time.Millisecond, func() { n.Crash(1) })
+	e.AtGlobal(30*time.Millisecond, func() { n.Restart(1) })
 	e.RunUntil(15 * time.Millisecond)
 	if n.Alive(1) {
 		t.Fatal("node 1 alive inside its crash window")
 	}
 	e.RunUntil(40 * time.Millisecond)
 	if !n.Alive(1) {
-		t.Fatal("node 1 not restarted after RestartAfter")
+		t.Fatal("node 1 not restarted")
 	}
 	if rebuilt == nil {
 		t.Fatal("restarter never invoked")
@@ -179,17 +137,6 @@ func TestRestartWithoutRestarterPanics(t *testing.T) {
 		}
 	}()
 	n.Restart(0)
-}
-
-func TestDropProbabilityFoldsIndependently(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := New(e, 2, flatLatency(time.Millisecond), WithDropRate(0.5))
-	n.ScheduleFaults(FaultSchedule{Links: []LinkFault{
-		{From: Nowhere, To: Nowhere, Start: 0, End: time.Second, Rate: 0.5},
-	}})
-	if got := n.dropProbability(0, 1); got != 0.75 {
-		t.Fatalf("combined drop probability = %g, want 0.75", got)
-	}
 }
 
 // TestUntracedNetworkKeepsNoSources: with the recorder off the network holds

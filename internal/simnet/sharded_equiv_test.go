@@ -18,13 +18,12 @@ type shardedTraceResult struct {
 }
 
 // runShardedTrace drives one network through a pseudo-random trace of send
-// bursts, liveness flips, and a randomized fault schedule (link-loss windows
-// plus node crash/restart events) on an engine of shards shards; 0 and 1 are
-// the one-shard reference. The trace is constructed identically for every
-// shard count: sends are injected as node-local
-// events on the sending node's own engine, liveness flips and the fault
-// schedule go through the global band, so the observable outcome must be
-// bit-identical at any shard count.
+// bursts, liveness flips, and randomized node faults (pauses and crashes,
+// some with a restart) on an engine of shards shards; 0 and 1 are the
+// one-shard reference. The trace is constructed identically for every shard
+// count: sends are injected as node-local events on the sending node's own
+// engine, liveness flips and faults go through the global band, so the
+// observable outcome must be bit-identical at any shard count.
 func runShardedTrace(seed int64, shards int) shardedTraceResult {
 	return runShardedTraceOn(seed, shards, nil)
 }
@@ -56,34 +55,23 @@ func runShardedTraceOn(seed int64, shards int, prepare func(*Network)) shardedTr
 	// Crashed nodes come back through the restarter, re-attaching the same
 	// recording handler (the real stack would rebuild a node here).
 	net.SetRestarter(func(addr Addr) { net.Attach(addr, handlers[addr]) })
-	// Randomized fault schedule: a couple of link-loss windows (including a
-	// wildcard one) and node faults — pauses and true crashes, some with
-	// restarts. Fault targets come from the lower half of the address space
-	// (each distinct) and random liveness flips from the upper half, so a
-	// blind Revive never races a crash that discarded the handler.
-	var fs FaultSchedule
-	for i := 0; i < 3; i++ {
-		from, to := Addr(rng.Intn(size)), Nowhere
-		if rng.Intn(2) == 0 {
-			from, to = Nowhere, Addr(rng.Intn(size))
-		}
-		start := time.Duration(rng.Intn(2000)) * 10 * time.Microsecond
-		fs.Links = append(fs.Links, LinkFault{
-			From: from, To: to,
-			Start: start, End: start + time.Duration(rng.Intn(800)+100)*10*time.Microsecond,
-			Rate: 0.5 + 0.5*rng.Float64(),
-		})
-	}
+	// Randomized node faults: pauses (Kill, then maybe Revive) and true
+	// crashes (Crash, then maybe Restart). Fault targets come from the lower
+	// half of the address space (each distinct) and random liveness flips
+	// from the upper half, so a blind Revive never races a crash that
+	// discarded the handler.
 	for _, a := range rng.Perm(size / 2)[:3] {
-		f := NodeFault{Addr: Addr(a),
-			At:    time.Duration(rng.Intn(2500)) * 10 * time.Microsecond,
-			Crash: rng.Intn(2) == 0}
+		addr := Addr(a)
+		at := time.Duration(rng.Intn(2500)) * 10 * time.Microsecond
+		down, up := net.Kill, net.Revive
 		if rng.Intn(2) == 0 {
-			f.RestartAfter = time.Duration(rng.Intn(500)+1) * 10 * time.Microsecond
+			down, up = net.Crash, net.Restart
 		}
-		fs.Nodes = append(fs.Nodes, f)
+		eng.AtGlobal(at, func() { down(addr) })
+		if rng.Intn(2) == 0 {
+			eng.AtGlobal(at+time.Duration(rng.Intn(500)+1)*10*time.Microsecond, func() { up(addr) })
+		}
 	}
-	net.ScheduleFaults(fs)
 	for op := 0; op < 400; op++ {
 		at := time.Duration(rng.Intn(3000)) * 10 * time.Microsecond
 		switch rng.Intn(8) {
@@ -115,8 +103,8 @@ func runShardedTraceOn(seed int64, shards int, prepare func(*Network)) shardedTr
 }
 
 // TestShardedDeliveryEquivalence replays identical randomized traces — send
-// bursts, 20% base loss, link-fault windows, node pauses and true crashes
-// with restarts — through the one-shard engine and the sharded engine at
+// bursts, 20% base loss, node pauses and true crashes with restarts —
+// through the one-shard engine and the sharded engine at
 // K ∈ {2, 4, 8}. Every node's delivery sequence (order, timestamps, senders)
 // and every traffic counter must be identical at every shard count.
 func TestShardedDeliveryEquivalence(t *testing.T) {

@@ -4,9 +4,11 @@
 // asynchronously through the discrete-event engine, and per-node traffic
 // counters feed the paper's overhead experiments (Table I, Fig. 15).
 //
-// The transport also supports failure injection (killed nodes silently drop
-// traffic, like a crashed server) and probabilistic message loss, which the
-// overlay's self-repair tests exercise.
+// A fault is one of the network's four primitives: Kill pauses a node (its
+// traffic is dropped, its handler kept) until Revive, and Crash discards the
+// handler until Restart rebuilds it through the registered restarter. A
+// caller schedules them in the engine's global band (sim.Engine.AtGlobal).
+// Message loss is one base rate (WithDropRate).
 package simnet
 
 import (
@@ -54,11 +56,11 @@ func WireSize(msg Message) int {
 // Recycler is implemented by a message shell that lives on a free list of
 // the engine goroutine that banks it. A delivered shell is banked by the
 // handler that consumes it; one the network drops — its sender is dead, the
-// drop draw or a link fault loses it, or its destination is dead when it
-// arrives — is handed to Recycle on the engine of the goroutine that drops
-// it, so that a shell carved from a slab is never stranded in its chunk. A
-// message that is shared (one value sent to many) or owned by someone other
-// than the network while it is in flight must not implement it.
+// drop draw loses it, or its destination is dead when it arrives — is handed
+// to Recycle on the engine of the goroutine that drops it, so that a shell
+// carved from a slab is never stranded in its chunk. A message that is shared
+// (one value sent to many) or owned by someone other than the network while
+// it is in flight must not implement it.
 type Recycler interface {
 	Recycle(e *sim.Engine)
 }
@@ -96,56 +98,6 @@ type Counters struct {
 	MsgsSent, MsgsReceived int
 	// BytesSent and BytesReceived use WireSizer sizes when available.
 	BytesSent, BytesReceived int
-}
-
-// LinkFault is a scheduled window of elevated loss on matching links: every
-// message sent from From to To inside [Start, End) is dropped with
-// probability Rate, on top of the network's base drop rate. Nowhere acts as
-// a wildcard on either endpoint, so {Nowhere, Nowhere} degrades the whole
-// fabric for the window.
-type LinkFault struct {
-	From, To   Addr
-	Start, End time.Duration
-	Rate       float64
-}
-
-// matches reports whether the fault applies to a src→dst send at time now.
-func (f LinkFault) matches(src, dst Addr, now time.Duration) bool {
-	if now < f.Start || now >= f.End {
-		return false
-	}
-	if f.From != Nowhere && f.From != src {
-		return false
-	}
-	if f.To != Nowhere && f.To != dst {
-		return false
-	}
-	return true
-}
-
-// NodeFault schedules a fault of one address at a virtual-clock instant,
-// with an optional restart after RestartAfter (0 = stays dead).
-//
-// Crash selects true crash semantics: the handler is discarded at At, so
-// the node loses every piece of soft state, and the restart goes through
-// the registered restarter (SetRestarter) which must rebuild the node from
-// scratch plus whatever durable state it persisted. Crash=false is a pause
-// ("the process froze and thawed", a partition, churn): the old handler
-// survives and Revive reattaches it. The two are distinct faults, not an old
-// and a new model of one: a pause keeps soft state that a crash loses.
-type NodeFault struct {
-	Addr         Addr
-	At           time.Duration
-	RestartAfter time.Duration
-	Crash        bool
-}
-
-// FaultSchedule groups timed fault injections for resilience experiments:
-// per-link loss windows and server crash/restart events, all on the
-// engine's virtual clock.
-type FaultSchedule struct {
-	Links []LinkFault
-	Nodes []NodeFault
 }
 
 // Network is a simulated datagram network. It must be driven by exactly one
@@ -194,10 +146,6 @@ type Network struct {
 	// this in its constructor); Restart panics otherwise.
 	restarter func(addr Addr)
 
-	// linkFaults holds the scheduled loss windows; Send consults them only
-	// while the slice is non-empty, so fault-free runs pay nothing.
-	linkFaults []LinkFault
-
 	// trace is the run's flight recorder (nil when disabled). obsSrc caches
 	// one recorder source per address; with recording off it is nil, and
 	// every read goes through source, which then returns the nil no-op
@@ -211,48 +159,6 @@ type Network struct {
 type outMsg struct {
 	dst Addr
 	p   pending
-}
-
-// ScheduleFaults registers the schedule: loss windows become active link
-// rules and node faults become Kill (and, when RestartAfter is set, Revive)
-// events on the engine's virtual clock. It may be called before or during a
-// run; instants already in the past execute immediately.
-func (n *Network) ScheduleFaults(s FaultSchedule) {
-	n.linkFaults = append(n.linkFaults, s.Links...)
-	for _, f := range s.Nodes {
-		addr := f.Addr
-		n.check(addr)
-		// Kills, crashes and restarts mutate cross-node state (liveness is
-		// read by every sender, a restart rebuilds a whole node), so they run
-		// in the global band: after all node work at their instant, with
-		// every shard idle.
-		if f.Crash {
-			n.engine.AtGlobal(f.At, func() { n.Crash(addr) })
-			if f.RestartAfter > 0 {
-				n.engine.AtGlobal(f.At+f.RestartAfter, func() { n.Restart(addr) })
-			}
-			continue
-		}
-		n.engine.AtGlobal(f.At, func() { n.Kill(addr) })
-		if f.RestartAfter > 0 {
-			n.engine.AtGlobal(f.At+f.RestartAfter, func() { n.Revive(addr) })
-		}
-	}
-}
-
-// dropProbability folds the base drop rate with every active link fault for
-// a src→dst send right now, treating the loss sources as independent. "Now"
-// is the sender's clock: under sharding that is the sender shard's clock,
-// which during a window is exactly the sending event's timestamp.
-func (n *Network) dropProbability(src, dst Addr) float64 {
-	keep := 1 - n.dropRate
-	now := n.engineFor(src).Now()
-	for _, f := range n.linkFaults {
-		if f.matches(src, dst, now) {
-			keep *= 1 - f.Rate
-		}
-	}
-	return 1 - keep
 }
 
 type slot struct {
@@ -414,7 +320,8 @@ func (b *inbox) extract(t time.Duration, dst []pending) []pending {
 type Option func(*Network)
 
 // WithDropRate makes the network drop each message independently with
-// probability p (0 <= p < 1), drawn from the engine's random source.
+// probability p (0 <= p <= 1; at 1 nothing is delivered), by a draw hashed
+// from the engine's seed and the message's source and send index.
 func WithDropRate(p float64) Option {
 	return func(n *Network) { n.dropRate = p }
 }
@@ -541,14 +448,25 @@ func (n *Network) EngineFor(a Addr) *sim.Engine {
 // order across outboxes is immaterial: the set of (destination, instant)
 // flush events does not depend on it, and each batch is sorted by delivery
 // key at flush time.
+//
+// A message due before its destination shard's clock panics: the engine
+// would clamp its flush to the clock, and the flush, which takes only what
+// is due at its own instant, would leave the message at the head of the
+// inbox for good, and every later message to that node behind it. The
+// lookahead rules it out in a window; outside one it means a shard's clock
+// was not raised with the others.
 func (n *Network) mergeOutboxes() {
 	for sh := range n.outboxes {
 		out := n.outboxes[sh]
 		for i := range out {
 			m := &out[i]
+			eng := n.engines[m.dst]
+			if m.p.at < eng.Now() {
+				panic(fmt.Sprintf("simnet: a cross-shard message to node %d is due at %v, behind its shard's clock %v", m.dst, m.p.at, eng.Now()))
+			}
 			box := &n.inboxes[m.dst]
 			if !box.hasDue(m.p.at) {
-				n.engineFor(m.dst).AtDelivery(m.p.at, uint64(m.dst))
+				eng.AtDelivery(m.p.at, uint64(m.dst))
 			}
 			box.push(m.p)
 			out[i] = outMsg{}
@@ -689,11 +607,7 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 	}
 	idx := n.sendSeq[src]
 	n.sendSeq[src]++
-	drop := n.dropRate
-	if len(n.linkFaults) > 0 {
-		drop = n.dropProbability(src, dst)
-	}
-	if drop > 0 && n.dropDraw(src, idx) < drop {
+	if n.dropRate > 0 && n.dropDraw(src, idx) < n.dropRate {
 		// Recorded on the sender: the drop decision is made here, with the
 		// sender's clock, identically in every engine mode.
 		n.source(src).Instant(n.engineFor(src).Now(), obs.KindDrop, obs.NoRef, int64(dst), int64(size))

@@ -58,13 +58,15 @@ go test -C benchmark ./...
 # group state, shed exchange, shed query, release chain and release, ack and
 # renew shell overwritten; migration flights and VM-list spares likewise),
 # 400 lossy rounds that must bank what the
-# network drops, and the bandwidth ledger and
+# network drops, the bandwidth ledger and
 # cached demand sums against the full sweep through a churning run whose
-# agents fill their servers' sums from two shard goroutines. They run once
+# agents fill their servers' sums from two shard goroutines, and an
+# aggregation driven by Step on two and four shards, with values set between
+# the steps, against the serial engine's deliveries. They run once
 # under the race detector, in their own step below: in full (six of them do
 # less, or nothing, under -short), all seeds, never from the test cache.
 # -race -short skips them.
-models='TestQueueEquivalence|TestBucketQueueMillionEventBacklog|TestInboxMatchesScanModel|TestShardedDeliveryEquivalence|TestDeliveryModeEquivalence|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan|TestPoisonedBanksChangeNothing|TestLossyRoundsKeepShellsBounded|TestLedgerMatchesFullSweep'
+models='TestQueueEquivalence|TestBucketQueueMillionEventBacklog|TestInboxMatchesScanModel|TestShardedDeliveryEquivalence|TestDeliveryModeEquivalence|TestShellsAreBankedOnce|TestOverlappingPushesKeepTheirValues|TestConsiderMemoMatchesFullConsider|TestLeafInsertMatchesSortedModel|TestAnycastSearchMatchesScan|TestPoisonedBanksChangeNothing|TestLossyRoundsKeepShellsBounded|TestLedgerMatchesFullSweep|TestStepDrivenShardsMatchSerial'
 
 # -short skips the gates table's long rows and the 32768-server ceilings.
 # Every determinism property (shards, workers, recorder, sampler, auditor)
@@ -74,7 +76,7 @@ models='TestQueueEquivalence|TestBucketQueueMillionEventBacklog|TestInboxMatches
 step "go test -race -short"
 go test -race -short -skip "$models" ./...
 
-step "queue, inbox, delivery, shell, memo, leaf, search, poison and ledger model equivalence -race"
+step "queue, inbox, delivery, shell, memo, leaf, search, poison, ledger and Step-driven shard model equivalence -race"
 go test -race -count=1 -run "$models" \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/ \
 	./internal/rebalance/ ./internal/migration/ ./internal/cluster/
