@@ -206,24 +206,15 @@ func TestOverlappingPushesKeepTheirValues(t *testing.T) {
 	}
 }
 
-// walkShellLists returns every banked shell of every engine goroutine, and
-// fails on a shell that is banked twice (on one bank or on two) or that
-// still points at a fold list.
-func walkShellLists(t *testing.T, engine *sim.Engine) map[*upMsg]bool {
-	t.Helper()
-	banked := make(map[*upMsg]bool)
+// poisonShellLists poisons every banked shell of every engine goroutine
+// with stamp and returns how many it poisoned: a shell banked twice (on one
+// bank or on two) panics, and so does one that still holds a fold list
+// (upMsg.Poison).
+func poisonShellLists(engine *sim.Engine, stamp uint64) (n int) {
 	for i := 0; i < engine.ShardCount(); i++ {
-		for _, u := range upShells.Of(engine.Shard(i)).Banked() {
-			if banked[u] {
-				t.Fatalf("shell %p is banked twice (met again on the bank of shard %d)", u, i)
-			}
-			banked[u] = true
-			if u.Values != nil {
-				t.Errorf("banked shell %p on the bank of shard %d still holds a fold list", u, i)
-			}
-		}
+		n += upShells.Of(engine.Shard(i)).Poison(stamp)
 	}
-	return banked
+	return n
 }
 
 // TestShellsAreBankedOnce runs twenty rounds on a sharded ring that loses 2 %
@@ -232,9 +223,9 @@ func walkShellLists(t *testing.T, engine *sim.Engine) map[*upMsg]bool {
 // (and go on flushing into a tree it is no longer in). A push must be banked
 // exactly once, where it ends: on the receiver's list when it is delivered,
 // on the dropping goroutine's when the network loses it: afterwards every
-// list is walked — no shell twice, none holding values — and then every push
-// still in an inbox is delivered to a recorder: none of them may be a banked
-// shell.
+// banked shell is poisoned — no shell twice, none holding values — and then
+// every push still in an inbox is delivered to a recorder: none of them may
+// be a poisoned shell.
 func TestShellsAreBankedOnce(t *testing.T) {
 	const interval = time.Minute
 	engine := sim.NewShardedEngine(5, 4)
@@ -304,8 +295,7 @@ func TestShellsAreBankedOnce(t *testing.T) {
 	// flight, no flush is pending but the leaver's retries (which take a shell
 	// and put it back), and the lists hold what the rounds before consumed.
 	engine.RunUntil(start + 21*interval + 5*time.Millisecond)
-	banked := walkShellLists(t, engine)
-	if len(banked) == 0 {
+	if poisonShellLists(engine, 1) == 0 {
 		t.Fatal("twenty rounds banked no shell")
 	}
 
@@ -328,7 +318,7 @@ func TestShellsAreBankedOnce(t *testing.T) {
 				t.Errorf("shell %p was delivered twice", u)
 			}
 			inFlight[u] = true
-			if banked[u] {
+			if u.LeafSentAt == -1 { // poisoned by the stamp-1 sweep
 				t.Errorf("shell %p was on a free list while it was in an inbox", u)
 			}
 			if u.Values == nil {
@@ -339,5 +329,5 @@ func TestShellsAreBankedOnce(t *testing.T) {
 	if len(inFlight) < len(f.managers)/2 {
 		t.Fatalf("only %d pushes were in flight after the last tick", len(inFlight))
 	}
-	walkShellLists(t, engine) // the leaver's retries put back what they took
+	poisonShellLists(engine, 2) // the leaver's retries put back what they took
 }

@@ -2,6 +2,7 @@ package migration
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,20 +14,13 @@ import (
 	"vbundle/internal/topology"
 )
 
-// poisonDone is what a poisoned flight reports to: a completion read after
-// its flight was banked leaves a line no untouched run writes.
-type poisonDone struct{ log *strings.Builder }
-
-func (p poisonDone) MigrationDone(error) { p.log.WriteString("poisoned completion\n") }
-
 // TestPoisonedBanksChangeNothing holds the flight bank to its rule: a flight
 // is banked only once nothing reads it. Waves of migrations of different
-// lengths, some refused at arrival, run one event at a time, and after every
-// event every banked flight is overwritten with garbage (no manager, VM or
-// span, negative servers and duration, a completion that logs itself); the
-// completions must be what they are untouched.
+// lengths, some refused at arrival, run one event at a time. Poisoned,
+// every banked flight is overwritten after every event, and the completions
+// must be what they are untouched.
 func TestPoisonedBanksChangeNothing(t *testing.T) {
-	run := func(poison bool) (string, int) {
+	sim.CheckPoisoned(t, []int{1}, func(_ int, p *sim.Poisoner) string {
 		tp, err := topology.New(topology.Spec{Racks: 2, ServersPerRack: 4, NICMbps: 400})
 		if err != nil {
 			t.Fatal(err)
@@ -34,6 +28,7 @@ func TestPoisonedBanksChangeNothing(t *testing.T) {
 		engine := sim.NewEngine(1)
 		cl := cluster.New(tp, cluster.Resources{CPU: 16, MemMB: 1024})
 		m := New(engine, cl)
+		p.Watch(&m.flights)
 		var log strings.Builder
 		rng := rand.New(rand.NewSource(3))
 		var vms []*cluster.VM
@@ -56,25 +51,8 @@ func TestPoisonedBanksChangeNothing(t *testing.T) {
 				}
 			})
 		}
-		poisoned := 0
-		for engine.Step() {
-			if !poison {
-				continue
-			}
-			for _, f := range m.flights.Banked() {
-				*f = flight{src: -1, dst: -1, d: -1, span: ^obs.Ref(0), onDone: poisonDone{&log}}
-				poisoned++
-			}
-		}
+		p.RunUntil(engine, math.MaxInt64)
 		fmt.Fprintf(&log, "%+v\n", m.Stats())
-		return log.String(), poisoned
-	}
-	want, _ := run(false)
-	got, poisoned := run(true)
-	if poisoned == 0 {
-		t.Fatal("no flight was ever banked")
-	}
-	if got != want {
-		t.Errorf("poisoned run logged\n%s\nthe untouched one\n%s", got, want)
-	}
+		return log.String()
+	})
 }

@@ -6,74 +6,53 @@ import (
 	"vbundle/internal/cluster"
 	"vbundle/internal/ids"
 	"vbundle/internal/pastry"
-	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
 
+// A poisoned record or shell (sim.CheckPoisoned) holds a nil agent, VM and
+// query, NaN demands and reservations, a handle of all ones, a customer no
+// VM has, and minus the stamp as its budgets and VM ids.
 var (
 	poisonHandle = pastry.NodeHandle{Id: ids.New(^uint64(0), ^uint64(0)), Addr: simnet.Addr(0)}
 	poisonDemand = cluster.Resources{CPU: math.NaN(), MemMB: math.NaN(), BandwidthMbps: math.NaN()}
 )
 
-// poisonStamp numbers the PoisonBanked calls; a call writes its stamp into
-// every record it poisons, so meeting the stamp again in one call means a
-// record was banked twice.
-var poisonStamp int
+// Poison poisons every bank of the shuffle.
+func (b *shuffleBank) Poison(stamp uint64) int {
+	return b.sheds.Poison(stamp) + b.queries.Poison(stamp) + b.releases.Poison(stamp) +
+		b.rels.Poison(stamp) + b.acks.Poison(stamp) + b.renews.Poison(stamp)
+}
 
-// PoisonBanked overwrites every shed exchange, shed query, release chain and
-// release, ack and renew shell banked on e's shuffle bank with garbage: nil
-// agent, VM and query, NaN demands and reservations, a handle of all ones, a
-// customer no VM has, negative budgets and VM ids. A
-// record or shell is banked once nothing reads it any more, so poisoning the
-// banks between any two events must change nothing a run computes. It
-// returns how many it poisoned, and panics on one banked twice.
-func PoisonBanked(e *sim.Engine) (n int) {
-	poisonStamp++
-	stamp := -poisonStamp
-	vm := cluster.VMID(stamp)
-	twice := func() { panic("rebalance: a record is banked twice") }
-	b := shuffleBanks.Of(e)
-	for _, ex := range b.sheds.Banked() {
-		if ex.budget == stamp {
-			twice()
-		}
-		*ex = shedExchange{demand: poisonDemand, by: poisonHandle, budget: stamp, holds: stamp}
-		n++
-	}
-	for _, q := range b.queries.Banked() {
-		if q.VMID == vm {
-			twice()
-		}
-		*q = shedQuery{VMID: vm, Customer: "poisoned", Reservation: poisonDemand, Demand: poisonDemand}
-		n++
-	}
-	for _, r := range b.releases.Banked() {
-		if r.retriesLeft == stamp {
-			twice()
-		}
-		*r = releaseRetry{to: poisonHandle, key: releaseKey{vm: vm, addr: poisonHandle.Addr}, retriesLeft: stamp, backoff: -1}
-		n++
-	}
-	for _, m := range b.rels.Banked() {
-		if m.VMID == vm {
-			twice()
-		}
-		m.VMID = vm
-		n++
-	}
-	for _, m := range b.acks.Banked() {
-		if m.VMID == vm {
-			twice()
-		}
-		m.VMID = vm
-		n++
-	}
-	for _, m := range b.renews.Banked() {
-		if m.VMID == vm {
-			twice()
-		}
-		*m = renewMsg{VMID: vm, Demand: poisonDemand}
-		n++
-	}
-	return n
+func (ex *shedExchange) Poison(stamp uint64) (twice bool) {
+	twice = ex.budget == -int(stamp)
+	*ex = shedExchange{demand: poisonDemand, by: poisonHandle, budget: -int(stamp), holds: -int(stamp)}
+	return twice
+}
+
+func (q *shedQuery) Poison(stamp uint64) (twice bool) {
+	twice = q.VMID == cluster.VMID(-int(stamp))
+	*q = shedQuery{VMID: cluster.VMID(-int(stamp)), Customer: "poisoned", Reservation: poisonDemand, Demand: poisonDemand}
+	return twice
+}
+
+func (r *releaseRetry) Poison(stamp uint64) (twice bool) {
+	twice = r.retriesLeft == -int(stamp)
+	*r = releaseRetry{to: poisonHandle, key: releaseKey{vm: cluster.VMID(-int(stamp)), addr: poisonHandle.Addr}, retriesLeft: -int(stamp), backoff: -1}
+	return twice
+}
+
+func (m *releaseMsg) Poison(stamp uint64) (twice bool) {
+	twice, m.VMID = m.VMID == cluster.VMID(-int(stamp)), cluster.VMID(-int(stamp))
+	return twice
+}
+
+func (m *releaseAckMsg) Poison(stamp uint64) (twice bool) {
+	twice, m.VMID = m.VMID == cluster.VMID(-int(stamp)), cluster.VMID(-int(stamp))
+	return twice
+}
+
+func (m *renewMsg) Poison(stamp uint64) (twice bool) {
+	twice = m.VMID == cluster.VMID(-int(stamp))
+	*m = renewMsg{VMID: cluster.VMID(-int(stamp)), Demand: poisonDemand}
+	return twice
 }

@@ -8,77 +8,65 @@ import (
 	"vbundle/internal/simnet"
 )
 
+// A poisoned record (sim.CheckPoisoned) holds keys and handles of all ones,
+// a poisonPayload, which no member expects, and poisonHandlers, which accept
+// every any-cast, so a banked group state read as a member's takes the walk.
 var (
-	poisonKey    = ids.New(^uint64(0), ^uint64(0))
-	poisonHandle = pastry.NodeHandle{Id: poisonKey, Addr: 0}
-	// poisonAccept accepts every any-cast: a banked group state read as a
-	// member's takes the walk.
+	poisonKey      = ids.New(^uint64(0), ^uint64(0))
+	poisonHandle   = pastry.NodeHandle{Id: poisonKey, Addr: 0}
 	poisonHandlers = Handlers{
 		OnAnycast:   func(ids.Id, simnet.Message, pastry.NodeHandle) bool { return true },
 		OnMulticast: func(ids.Id, simnet.Message, pastry.NodeHandle) {},
 	}
 )
 
-// poisonPayload is what a poisoned shell carries: no member expects it.
 type poisonPayload struct{}
 
-// poisonStamp numbers the PoisonBanked calls; a call writes its stamp into
-// every record it poisons, so meeting the stamp again in one call means a
-// record was banked twice.
-var poisonStamp uint64
+// Poison overwrites a banked any-cast shell, Visited filled to its capacity
+// with poisonKey and the stamp's complement as Seq.
+func (m *anycastMsg) Poison(stamp uint64) (twice bool) {
+	visited := m.Visited[:cap(m.Visited)]
+	for i := range visited {
+		visited[i] = poisonKey
+	}
+	twice = m.Seq == ^stamp
+	*m = anycastMsg{Group: poisonKey, Payload: poisonPayload{}, Origin: poisonHandle, Seq: ^stamp, Visited: visited, Trace: obs.Ref(stamp)}
+	return twice
+}
 
-// PoisonBanked overwrites with garbage every any-cast and verdict shell,
-// every wheel timer and every pruned group state banked on e: keys and
-// handles of all ones, a poisonPayload, Visited and children filled to their
-// capacity with the all-ones key and address -1, a nil Scribe, a member that
-// accepts everything. A group state keeps its key, which in-flight joins and
-// leaves read. A record is banked once nothing reads it any more, so
-// poisoning the banks between any two events must change nothing a run
-// computes. It returns how many records it poisoned, and panics on one
-// banked twice.
-func PoisonBanked(e *sim.Engine) (n int) {
-	poisonStamp++
-	stamp := ^poisonStamp
-	twice := func(kind string) { panic("scribe: a " + kind + " is banked twice") }
-	for _, m := range anycastShells.Of(e).Banked() {
-		if m.Seq == stamp {
-			twice("any-cast shell")
-		}
-		visited := m.Visited[:cap(m.Visited)]
-		for i := range visited {
-			visited[i] = poisonKey
-		}
-		*m = anycastMsg{Group: poisonKey, Payload: poisonPayload{}, Origin: poisonHandle, Seq: stamp, Visited: visited, Trace: obs.Ref(stamp)}
-		n++
+// Poison overwrites a banked verdict shell, the stamp's complement as Seq.
+func (v *anycastVerdict) Poison(stamp uint64) (twice bool) {
+	twice = v.Seq == ^stamp
+	*v = anycastVerdict{Seq: ^stamp, Accepted: true, By: poisonHandle, Visited: -1, Group: poisonKey, Payload: poisonPayload{}, Trace: obs.Ref(stamp)}
+	return twice
+}
+
+// Poison overwrites a banked wheel timer: a nil Scribe, the stamp's
+// complement as its epoch.
+func (t *wheelTimer) Poison(stamp uint64) (twice bool) {
+	twice = t.epoch == ^stamp
+	*t = wheelTimer{epoch: ^stamp}
+	return twice
+}
+
+// Poison overwrites a pruned group state: a member of every any-cast,
+// children -1 to their capacity, minus the stamp as its missed beats. It
+// keeps its key, which in-flight joins and leaves read.
+func (g *groupState) Poison(stamp uint64) (twice bool) {
+	children := g.children[:cap(g.children)]
+	for i := range children {
+		children[i] = -1
 	}
-	for _, v := range verdictShells.Of(e).Banked() {
-		if v.Seq == stamp {
-			twice("verdict")
-		}
-		*v = anycastVerdict{Seq: stamp, Accepted: true, By: poisonHandle, Visited: -1, Group: poisonKey, Payload: poisonPayload{}, Trace: obs.Ref(stamp)}
-		n++
-	}
-	for _, t := range wheelTimers.Of(e).Banked() {
-		if t.epoch == stamp {
-			twice("wheel timer")
-		}
-		*t = wheelTimer{epoch: stamp}
-		n++
-	}
-	b := groupBanks.Of(e)
+	twice = g.missedBeats == -int(stamp)
+	g.member, g.root, g.parent, g.children = true, true, poisonHandle, children
+	g.handlers, g.joining, g.missedBeats = poisonHandlers, true, -int(stamp)
+	return twice
+}
+
+// Poison poisons every stack of the bank.
+func (b *groupBank) Poison(stamp uint64) (n int) {
 	for _, stack := range b.free {
-		for _, g := range stack {
-			if g.missedBeats == -int(poisonStamp) {
-				twice("group state")
-			}
-			children := g.children[:cap(g.children)]
-			for i := range children {
-				children[i] = -1
-			}
-			g.member, g.root, g.parent, g.children = true, true, poisonHandle, children
-			g.handlers, g.joining, g.missedBeats = poisonHandlers, true, -int(poisonStamp)
-			n++
-		}
+		n += sim.PoisonEach(stack, stamp)
 	}
 	return n
 }

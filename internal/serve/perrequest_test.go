@@ -10,6 +10,7 @@ import (
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/placement"
+	"vbundle/internal/sim"
 )
 
 // streamStep returns one step of a continuous serving stream over eight
@@ -154,44 +155,55 @@ func TestLiveQueueMatchesSortedModel(t *testing.T) {
 
 // TestFlightRecordsRecycleOnceUnderLoss churns a cached, batched front end
 // on a lossy network, so queries time out and their late answers arrive
-// after the record went back. Every boot is accounted for once, and after
-// the drain every record made lies on the free list exactly once, emptied.
+// after the record went back. The churn is Step-driven, and poisoned, every
+// banked record is overwritten after every event: a record read after it
+// went back, or banked twice, changes what the run computes or panics.
+// Every boot is accounted for once, and after the drain of the untouched
+// run every record made lies on the free list, emptied.
 func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
-	vb, err := core.New(core.Options{Topology: testSpec(64), Seed: 3, MessageLoss: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := New(vb, Config{Cache: true, Batch: true, MaxBatch: 4, MaxInFlight: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 3000; i++ {
-		vb.RunFor(time.Duration(1+rng.Intn(100)) * time.Millisecond)
-		c := fmt.Sprintf("tenant-%d", rng.Intn(12))
-		fe.Boot(c, 1+rng.Intn(3), testRes, testLim) // a shed is counted, not fatal
-		for fe.Live(c) > 6 {
-			fe.Terminate(c)
+	var untouched *Frontend
+	sim.CheckPoisoned(t, []int{1}, func(_ int, p *sim.Poisoner) string {
+		vb, err := core.New(core.Options{Topology: testSpec(64), Seed: 3, MessageLoss: 0.05})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	vb.RunFor(2 * time.Minute)
+		fe, err := New(vb, Config{Cache: true, Batch: true, MaxBatch: 4, MaxInFlight: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Watch(&fe.flights)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 3000; i++ {
+			p.RunUntil(vb.Engine, vb.Now()+time.Duration(1+rng.Intn(100))*time.Millisecond)
+			c := fmt.Sprintf("tenant-%d", rng.Intn(12))
+			fe.Boot(c, 1+rng.Intn(3), testRes, testLim) // a shed is counted, not fatal
+			for fe.Live(c) > 6 {
+				fe.Terminate(c)
+			}
+		}
+		p.RunUntil(vb.Engine, vb.Now()+2*time.Minute)
 
-	s := fe.Stats()
-	if s.Placed+s.Failed+s.Shed != s.Requested {
-		t.Fatalf("placed %d + failed %d + shed %d != requested %d", s.Placed, s.Failed, s.Shed, s.Requested)
-	}
-	if fe.Unresolved() != 0 {
-		t.Fatalf("unresolved = %d after the drain", fe.Unresolved())
-	}
-	if fe.dht.Timeouts() == 0 {
-		t.Fatal("no query timed out: the loss never left an answer late")
-	}
-	seen := make(map[*flight]bool)
-	for _, fl := range fe.flights.Banked() {
-		if seen[fl] {
-			t.Fatalf("a record lies on the free list twice (%d records made)", fe.nflights)
+		s := fe.Stats()
+		if s.Placed+s.Failed+s.Shed != s.Requested {
+			t.Fatalf("placed %d + failed %d + shed %d != requested %d", s.Placed, s.Failed, s.Shed, s.Requested)
 		}
-		seen[fl] = true
+		if fe.Unresolved() != 0 {
+			t.Fatalf("unresolved = %d after the drain", fe.Unresolved())
+		}
+		if fe.dht.Timeouts() == 0 {
+			t.Fatal("no query timed out: the loss never left an answer late")
+		}
+		if untouched == nil {
+			untouched = fe
+		}
+		return fmt.Sprintf("%+v\n%d records made\n", s, fe.nflights)
+	})
+	fe := untouched
+	for i := range fe.nflights {
+		fl := fe.flights.Take()
+		if fl.done == nil {
+			t.Fatalf("%d records on the free list, %d made", i, fe.nflights)
+		}
 		if len(fl.batch) != 0 || fl.cs != nil || fl.remaining != 0 {
 			t.Fatalf("banked record not emptied: %d VMs, cs %v, %d remaining", len(fl.batch), fl.cs, fl.remaining)
 		}
@@ -200,9 +212,6 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 				t.Fatalf("banked record still holds vm %d", vm.ID)
 			}
 		}
-	}
-	if len(seen) != fe.nflights {
-		t.Fatalf("%d records on the free list, %d made", len(seen), fe.nflights)
 	}
 	if fe.nflights < 2 {
 		t.Fatalf("%d records made: the churn never had two queries in flight", fe.nflights)

@@ -102,7 +102,6 @@ type Bank[T any] struct {
 	top    int    // how many values free holds, the last banked last
 	chunks [][]*T // every chunk made, in stack order
 	n      int    // the chunks in use: free is chunks[n-1]
-	listed []*T   // Banked's list, reused from call to call
 	slab   Slab[T]
 }
 
@@ -144,17 +143,6 @@ func (b *Bank[T]) Put(v *T) {
 	}
 	b.free[b.top] = v
 	b.top++
-}
-
-// Banked returns the values the bank holds, first banked first, for a test
-// that poisons them. The list is valid until the next call.
-func (b *Bank[T]) Banked() []*T {
-	b.listed = b.listed[:0]
-	for _, c := range b.chunks[:max(b.n-1, 0)] {
-		b.listed = append(b.listed, c...)
-	}
-	b.listed = append(b.listed, b.free[:b.top]...)
-	return b.listed
 }
 
 // Readers is the reader count of a banked record that several holders read at

@@ -51,12 +51,10 @@ go test -C benchmark ./...
 # leave on four shard goroutines (no shell in two banks, or twice in one),
 # two pushes of one sender on the wire together, the consider memo against
 # the full inserts, the leaf-set insert against the search-insert-truncate
-# it replaced, the any-cast's child search against the scan, a run with
-# every envelope, push shell and fold list in its bank overwritten after
-# every event, on one shard and on two, against the same run untouched (and
-# a lossy shuffle with every banked any-cast shell, verdict, wheel timer,
-# group state, shed exchange, shed query, release chain and release, ack and
-# renew shell overwritten; migration flights and VM-list spares likewise),
+# it replaced, the any-cast's child search against the scan, six scenarios
+# of the one poison harness, sim.CheckPoisoned (every record banked on every
+# engine overwritten through its type's Poison after every event, on one
+# shard and on two, against the same run untouched),
 # 400 lossy rounds that must bank what the
 # network drops, the bandwidth ledger and
 # cached demand sums against the full sweep through a churning run whose
