@@ -563,7 +563,7 @@ func BenchmarkAblationLeafSetSize(b *testing.B) {
 				b.Fatal(err)
 			}
 			engine := sim.NewEngine(1)
-			ring := pastry.NewRing(engine, topo, pastry.Config{LeafSize: leaf}, pastry.RandomAssigner)
+			ring := pastry.NewRing(engine, topo, pastry.Config{LeafSize: leaf}, randomAssigner)
 			ring.BuildStatic()
 			hops := routeSample(b, engine, ring, 500)
 			b.ReportMetric(hops, "meanHops")
@@ -581,15 +581,10 @@ func BenchmarkAblationDigitWidth(b *testing.B) {
 				b.Fatal(err)
 			}
 			engine := sim.NewEngine(1)
-			ring := pastry.NewRing(engine, topo, pastry.Config{B: width}, pastry.RandomAssigner)
+			ring := pastry.NewRing(engine, topo, pastry.Config{B: width}, randomAssigner)
 			ring.BuildStatic()
 			hops := routeSample(b, engine, ring, 500)
 			b.ReportMetric(hops, "meanHops")
-			var slots int
-			for _, n := range ring.Nodes() {
-				slots += n.RoutingTableSize()
-			}
-			b.ReportMetric(float64(slots)/float64(ring.Size()), "rtEntries")
 		})
 	}
 }
@@ -813,7 +808,7 @@ func BenchmarkBootServeFlash(b *testing.B) {
 
 // BenchmarkOverlayBuild measures ring construction at the paper's scale.
 func BenchmarkOverlayBuild(b *testing.B) {
-	spec := experiments.PaperSpec()
+	spec := topology.DefaultSpec()
 	topo, err := topology.New(spec)
 	if err != nil {
 		b.Fatal(err)
@@ -824,4 +819,10 @@ func BenchmarkOverlayBuild(b *testing.B) {
 		ring := pastry.NewRing(engine, topo, pastry.Config{}, pastry.HierarchyAssigner)
 		ring.BuildStatic()
 	}
+}
+
+// randomAssigner derives a pseudo-random identifier per server (classic
+// Pastry, no topology awareness): the baseline against HierarchyAssigner.
+func randomAssigner(index, total int) ids.Id {
+	return ids.HashString(fmt.Sprintf("node-%d/%d", index, total))
 }

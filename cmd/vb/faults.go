@@ -11,15 +11,15 @@ import (
 )
 
 // runFaults runs the Fig. 9 rebalancing scenario under injected faults: a
-// sweep of message-loss rates with receivers killed mid-run. For each loss
-// rate it reports the convergence (settling) time of the utilization
-// standard deviation and the number of receiver-side reservations still held
-// once the protocol stops and every lease has had time to expire — the leak
-// counter, which must read zero.
+// sweep of message-loss rates with receivers crashed mid-run for good. For
+// each loss rate it reports the convergence (settling) time of the
+// utilization standard deviation and the number of receiver-side
+// reservations still held once the protocol stops and every lease has had
+// time to expire — the leak counter, which must read zero.
 //
-// With -crash the kills become true crashes: each victim's handler and all
-// its soft state are discarded, and the node reboots -restart-after minutes
-// later from its durable store, rejoining the live ring. The sweep then
+// With -crash the victims reboot: each victim's handler and all its soft
+// state are gone, and the node comes back -restart-after minutes later from
+// its durable store, rejoining the live ring. The sweep then
 // gates on full recovery — no VM lost, no reservation leaked across the
 // restart — and fails if any run misses it.
 func runFaults(e *env, args []string) error {
@@ -28,7 +28,7 @@ func runFaults(e *env, args []string) error {
 	e.fs.Float64Var(&p.Threshold, "threshold", 0.183, "rebalancing threshold")
 	e.fs.IntVar(&p.Victims, "kill", 1, "receivers to kill mid-run")
 	e.fs.IntVar(&p.Shards, "shards", 0, "engine shards per run (0 = serial reference engine)")
-	e.fs.BoolVar(&p.Crash, "crash", false, "crash receivers for real (blank handler + durable-store reboot) instead of pausing them")
+	e.fs.BoolVar(&p.Crash, "crash", false, "reboot crashed receivers from their durable store instead of leaving them down")
 	e.fs.IntVar(&p.CrashForever, "crash-forever", 0, "additional receivers crashed with no restart at all")
 	var (
 		servers      = e.fs.Int("servers", 300, "approximate server count")

@@ -142,6 +142,9 @@ var gates = []gate{
 	{name: "placement", args: "placement", golden: true,
 		variants: []string{"-shards 4"}},
 	{name: "placement-fig8b", args: "placement -waves 2 -engine greedy", golden: true},
+	// -dots prints the last wave's raw scatter points; the golden was
+	// printed by the tree before the row existed.
+	{name: "placement-dots", args: "placement -servers 100 -vms 10 -dots", golden: true},
 	// Three seeds fanned out, printed in seed order at any worker count; the
 	// golden was printed by the tree whose experiments package ran the trials.
 	{name: "placement-trials", args: "placement -trials 3", golden: true,

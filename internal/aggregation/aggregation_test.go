@@ -228,7 +228,7 @@ func TestDeadLeafDropsOutOfAggregate(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no leaf found")
 	}
-	f.ring.Network().Kill(f.ring.Node(victim).Addr())
+	f.ring.Network().Crash(f.ring.Node(victim).Addr())
 
 	// Let Pastry detect the failure and Scribe drop the child edge. The
 	// detector needs probeRetries consecutive misses, so give it several

@@ -136,13 +136,13 @@ func runChurn(t *testing.T, racks, perRack int, faults bool, stride int) (compar
 			if victim == nil {
 				t.Fatal("no leaf in its parent's leaf set to kill")
 			}
-			f.ring.Network().Kill(victim.Addr())
+			f.ring.Network().Crash(victim.Addr())
 		}
 		if faults && round == 6 {
 			if f.managers[parent.Addr()].Scribe().HasChild(key, victim.ID()) {
 				t.Fatal("the killed leaf was never dropped: the failure path would be vacuous")
 			}
-			f.ring.Network().Revive(victim.Addr())
+			f.ring.Network().Attach(victim.Addr(), victim)
 		}
 	}
 	runUntil(10 * interval)

@@ -1,10 +1,12 @@
 package aggregation
 
 import (
+	"fmt"
 	"testing"
 	"time"
 	"unsafe"
 
+	"vbundle/internal/ids"
 	"vbundle/internal/pastry"
 	"vbundle/internal/scribe"
 	"vbundle/internal/sim"
@@ -83,7 +85,7 @@ func TestInfoBaseFollowsScribeChildren(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := sim.NewEngine(5)
-	ring := pastry.NewRing(engine, tp, pastry.Config{}, pastry.RandomAssigner)
+	ring := pastry.NewRing(engine, tp, pastry.Config{}, randomAssigner)
 	ring.BuildStatic()
 	managers := make([]*Manager, ring.Size())
 	for i, n := range ring.Nodes() {
@@ -133,4 +135,10 @@ func TestInfoBaseFollowsScribeChildren(t *testing.T) {
 	if interior < 2 {
 		t.Fatalf("only %d interior nodes: the tree is too flat to test anything", interior)
 	}
+}
+
+// randomAssigner derives a pseudo-random identifier per server (classic
+// Pastry, no topology awareness): the baseline against HierarchyAssigner.
+func randomAssigner(index, total int) ids.Id {
+	return ids.HashString(fmt.Sprintf("node-%d/%d", index, total))
 }

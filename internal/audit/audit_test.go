@@ -94,9 +94,9 @@ func TestAuditCoherentUnderFailures(t *testing.T) {
 	}
 	a := vb.AttachAudit(audit.Config{Every: time.Second})
 	vb.RunFor(3 * time.Second)
-	vb.Ring.Network().Kill(simnet.Addr(5))
+	vb.Ring.Network().Crash(simnet.Addr(5))
 	vb.RunFor(3 * time.Second)
-	vb.Ring.Network().Revive(simnet.Addr(5))
+	vb.Ring.Network().Attach(simnet.Addr(5), vb.Ring.Node(5))
 	vb.RunFor(3 * time.Second)
 	if a.Sweeps() == 0 {
 		t.Fatal("no sweeps ran")

@@ -71,10 +71,6 @@ type VM struct {
 	Demand Resources
 }
 
-// Name returns the VM's display name, "<customer>-vm<id>". It is formatted
-// on demand: nothing on a boot path reads it.
-func (v *VM) Name() string { return fmt.Sprintf("%s-vm%d", v.Customer, v.ID) }
-
 // EffectiveDemandBW is the bandwidth the VM would consume if unconstrained
 // by its server: its demand capped by its limit.
 func (v *VM) EffectiveDemandBW() float64 {
@@ -205,9 +201,6 @@ func (s *Server) DemandBW() float64 {
 // CachedDemandBW returns the cached bandwidth-demand sum and whether it is
 // current, without filling it: the auditor's read.
 func (s *Server) CachedDemandBW() (sum float64, clean bool) { return s.bwSum, s.bwGen == s.gen }
-
-// ReservedBW returns the total reserved bandwidth.
-func (s *Server) ReservedBW() float64 { return s.Reserved().BandwidthMbps }
 
 // UtilizationBW returns effective demand over NIC capacity; values above 1
 // mean the server is over-committed on bandwidth.

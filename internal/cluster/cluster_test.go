@@ -52,9 +52,6 @@ func TestCreateVMValidation(t *testing.T) {
 	if vm.ID == 0 {
 		t.Error("VM id not assigned")
 	}
-	if vm.Name() != "ibm-vm1" {
-		t.Errorf("VM name %q, want ibm-vm1", vm.Name())
-	}
 	if c.VM(vm.ID) != vm {
 		t.Error("registry lookup failed")
 	}
@@ -80,8 +77,8 @@ func TestAdmissionByReservation(t *testing.T) {
 	if placed != 4 { // 4 × 100 Mbps reservations fill the 400 Mbps NIC
 		t.Fatalf("placed %d VMs, want 4", placed)
 	}
-	if got := s.ReservedBW(); got != 400 {
-		t.Fatalf("ReservedBW = %g", got)
+	if got := s.Reserved().BandwidthMbps; got != 400 {
+		t.Fatalf("reserved bandwidth = %g", got)
 	}
 }
 

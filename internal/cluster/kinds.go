@@ -85,12 +85,3 @@ func (s *Server) DemandOf(k Kind) float64 {
 func (s *Server) ReservedOf(k Kind) float64 {
 	return s.Reserved().Get(k)
 }
-
-// UtilizationOf is effective demand over capacity for a kind.
-func (s *Server) UtilizationOf(k Kind) float64 {
-	cap := s.Capacity.Get(k)
-	if cap == 0 {
-		return 0
-	}
-	return s.DemandOf(k) / cap
-}

@@ -91,3 +91,12 @@ func TestUtilizationOfZeroCapacity(t *testing.T) {
 		t.Fatal("zero capacity should be zero utilization")
 	}
 }
+
+// UtilizationOf is effective demand over capacity for a kind.
+func (s *Server) UtilizationOf(k Kind) float64 {
+	cap := s.Capacity.Get(k)
+	if cap == 0 {
+		return 0
+	}
+	return s.DemandOf(k) / cap
+}

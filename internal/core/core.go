@@ -289,7 +289,7 @@ func New(opts Options) (*VBundle, error) {
 		Cluster:   cl,
 		Migration: migration.New(engine, cl),
 	}
-	// Killed servers abort their in-flight migrations instead of landing
+	// Crashed servers abort their in-flight migrations instead of landing
 	// VMs on (or streaming them from) dead hardware.
 	vb.Migration.SetLiveness(func(s int) bool { return ring.Network().Alive(simnet.Addr(s)) })
 	// Migration start times are read from the source server's clock — its

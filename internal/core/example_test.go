@@ -62,7 +62,7 @@ func Example() {
 		vms = append(vms, vm)
 		rack := vb.Topo.RackOf(res.Server)
 		fmt.Printf("booted %-10s on server %2d (rack %d) after %d query hops\n",
-			vm.Name(), res.Server, rack, res.Hops)
+			fmt.Sprintf("%s-vm%d", vm.Customer, vm.ID), res.Server, rack, res.Hops)
 	}
 	q := vb.PlacementQuality()
 	fmt.Printf("\nplacement quality: IBM spans %d rack(s), same-rack chatting fraction %.2f\n\n",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func TestDayInTheLife(t *testing.T) {
 			all = append(all, vm)
 			// Staggered daily cycles: each customer peaks at a different
 			// time, the workload variation v-Bundle monetizes.
-			vb.Workloads.Attach(vm.ID, workload.Sine(
+			vb.Workloads.Attach(vm.ID, sine(
 				60, 55, 4*time.Hour, float64(ci)*1.3+rng.Float64()*0.3))
 		}
 	}
@@ -67,8 +68,8 @@ func TestDayInTheLife(t *testing.T) {
 		// Invariant 1: reservations never overcommitted anywhere.
 		for s := 0; s < vb.Cluster.Size(); s++ {
 			srv := vb.Cluster.Server(s)
-			if srv.ReservedBW() > srv.Capacity.BandwidthMbps+1e-9 {
-				t.Fatalf("hour %d: server %d reservations %.0f over capacity", hour, s, srv.ReservedBW())
+			if r := srv.Reserved().BandwidthMbps; r > srv.Capacity.BandwidthMbps+1e-9 {
+				t.Fatalf("hour %d: server %d reservations %.0f over capacity", hour, s, r)
 			}
 		}
 		// Invariant 2: every VM is placed exactly once.
@@ -104,9 +105,8 @@ func TestDayInTheLife(t *testing.T) {
 	if vb.Migration.Stats().Completed == 0 {
 		t.Error("a full day of swinging load produced no migrations")
 	}
-	t.Logf("day summary: %d migrations, %d queries, %d cost vetoes, worst SD %.3f, satisfaction %.3f",
-		vb.Migration.Stats().Completed, vb.Rebalancer.QueriesSent(),
-		vb.Rebalancer.VetoedByCost(), worstSD, sumSat/sumDem)
+	t.Logf("day summary: %d migrations, %d queries, worst SD %.3f, satisfaction %.3f",
+		vb.Migration.Stats().Completed, vb.Rebalancer.QueriesSent(), worstSD, sumSat/sumDem)
 }
 
 // TestManyTenantsIsolation verifies that same-customer bundle mode keeps
@@ -140,7 +140,7 @@ func TestManyTenantsIsolation(t *testing.T) {
 			if tenant == "y" {
 				phase = 3.14
 			}
-			vb.Workloads.Attach(vm.ID, workload.Sine(80, 70, 2*time.Hour, phase))
+			vb.Workloads.Attach(vm.ID, sine(80, 70, 2*time.Hour, phase))
 		}
 	}
 	vb.Workloads.Start(2 * time.Minute)
@@ -204,4 +204,17 @@ func TestConcurrentJoinsConverge(t *testing.T) {
 			t.Fatalf("boot after join storm: %v", err)
 		}
 	}
+}
+
+// sine oscillates a VM's demand around base with the given amplitude and
+// period; phase shifts the cycle so different VMs peak at different times.
+// Values are clamped at zero.
+func sine(base, amplitude float64, period time.Duration, phase float64) workload.Generator {
+	return workload.GeneratorFunc(func(t time.Duration) float64 {
+		v := base + amplitude*math.Sin(2*math.Pi*(t.Seconds()/period.Seconds())+phase)
+		if v < 0 {
+			v = 0
+		}
+		return v
+	})
 }

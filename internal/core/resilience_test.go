@@ -70,8 +70,8 @@ func TestRebalancingSurvivesServerFailures(t *testing.T) {
 	before := liveSD(vb)
 	vb.RunFor(10 * time.Minute)
 	// Two servers die mid-run (not the hot ones, so the workload remains).
-	vb.Ring.Network().Kill(vb.Ring.Node(5).Addr())
-	vb.Ring.Network().Kill(vb.Ring.Node(9).Addr())
+	vb.Ring.Network().Crash(vb.Ring.Node(5).Addr())
+	vb.Ring.Network().Crash(vb.Ring.Node(9).Addr())
 	vb.RunFor(50 * time.Minute)
 
 	vb.StopServices()

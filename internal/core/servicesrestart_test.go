@@ -8,7 +8,6 @@ import (
 	"vbundle/internal/cluster"
 	"vbundle/internal/obs"
 	"vbundle/internal/rebalance"
-	"vbundle/internal/workload"
 )
 
 // TestServicesRestartMidRun stops and restarts every server's services twice
@@ -43,7 +42,7 @@ func TestServicesRestartMidRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("boot %s #%d: %v", customer, v, err)
 			}
-			vb.Workloads.Attach(vm.ID, workload.Sine(80, 70, 2*time.Hour, float64(ci)*2.1))
+			vb.Workloads.Attach(vm.ID, sine(80, 70, 2*time.Hour, float64(ci)*2.1))
 		}
 	}
 	vb.Workloads.Start(5 * time.Minute)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -57,63 +55,6 @@ func TestCrashRestartRecoveryGate(t *testing.T) {
 		}
 		if out.Recovery.VerifiedPlacements == 0 {
 			t.Fatalf("seed %d: restarts verified no placements; the reconcile path would be vacuous", seed)
-		}
-	}
-}
-
-// TestCrashRestartTracingInvariance: recording off, ring-bounded or
-// streaming must not change a single recovery metric, and the streamed
-// trace must explain the crash→rejoin chain.
-func TestCrashRestartTracingInvariance(t *testing.T) {
-	render := func(cfg obs.Config) ([]byte, *FaultOutcome) {
-		out, err := RunFaults(smallCrashRestart(7, cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		out.Write(&buf)
-		WriteFaultTable(&buf, []*FaultOutcome{out})
-		return buf.Bytes(), out
-	}
-	off, _ := render(obs.Config{})
-	if !strings.Contains(string(off), "gate PASS") {
-		t.Fatalf("reference run failed its own gate:\n%s", off)
-	}
-	var traced *FaultOutcome
-	for _, tc := range []struct {
-		name string
-		cfg  obs.Config
-	}{
-		{"ring", obs.Config{Ring: 4096}},
-		{"stream", obs.Config{Stream: true}},
-	} {
-		got, out := render(tc.cfg)
-		if !bytes.Equal(off, got) {
-			t.Errorf("%s recording changed recovery metrics:\noff:\n%s\n%s:\n%s", tc.name, off, tc.name, got)
-		}
-		if tc.name == "stream" {
-			traced = out
-		}
-	}
-
-	// The streamed trace must carry the crash→restart→rejoin→lease_adopt
-	// chain and the explainer must walk it.
-	events := traced.Trace.Events()
-	counts := map[obs.Kind]int{}
-	for _, ev := range events {
-		counts[ev.Kind]++
-	}
-	if counts[obs.KindCrash] == 0 || counts[obs.KindRestart] == 0 || counts[obs.KindRejoin] == 0 {
-		t.Fatalf("trace lacks the recovery chain: crash=%d restart=%d rejoin=%d",
-			counts[obs.KindCrash], counts[obs.KindRestart], counts[obs.KindRejoin])
-	}
-	var buf bytes.Buffer
-	if n := obs.NewIndex(events).ExplainCrashes(&buf, -1, 10); n == 0 {
-		t.Fatal("ExplainCrashes found no crashes in a run that had them")
-	}
-	for _, want := range []string{"rejoin", "durable state found"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("crash explanation lacks %q:\n%s", want, buf.String())
 		}
 	}
 }

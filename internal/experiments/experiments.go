@@ -20,10 +20,6 @@ import (
 	"vbundle/internal/topology"
 )
 
-// PaperSpec returns the simulated datacenter of §IV: ≈3000 servers across
-// 70 racks, 1 Gbps NICs, 8:1 oversubscription.
-func PaperSpec() topology.Spec { return topology.DefaultSpec() }
-
 // ScaledSpec returns a topology with approximately the requested number of
 // servers, keeping the paper's rack width where possible. Small counts get
 // proportionally smaller racks so experiments remain meaningful.

@@ -8,6 +8,7 @@ import (
 
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
+	"vbundle/internal/topology"
 )
 
 func TestScaledSpec(t *testing.T) {
@@ -16,6 +17,22 @@ func TestScaledSpec(t *testing.T) {
 		got := spec.Racks * spec.ServersPerRack
 		if got < n || got > n+spec.ServersPerRack {
 			t.Errorf("ScaledSpec(%d) yields %d servers", n, got)
+		}
+	}
+}
+
+// TestScaledSpecSmall: at the small server counts the package's tests run,
+// ScaledSpec must return a spec that builds, with at least the servers
+// asked for (a test must not silently shrink to a trivial topology).
+func TestScaledSpecSmall(t *testing.T) {
+	for _, n := range []int{64, 80, 128} {
+		spec := ScaledSpec(n)
+		topo, err := topology.New(spec)
+		if err != nil {
+			t.Fatalf("ScaledSpec(%d): %v", n, err)
+		}
+		if topo.Servers() < n {
+			t.Fatalf("ScaledSpec(%d) yields %d servers", n, topo.Servers())
 		}
 	}
 }

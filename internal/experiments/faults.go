@@ -18,12 +18,11 @@ import (
 // the shed/receive protocol neither stalls nor leaks receiver-side
 // reservations when messages vanish and servers fail.
 //
-// A victim is paused by default (simnet Kill: the node falls silent with its
-// soft state intact and stays down). With Crash the fault is a true crash:
-// the victim's handler, leaf sets, lease tables and placement maps are
-// discarded, and the node reboots from its durable store and reconciles
-// with the live ring. That run's verdict is the recovery gate: no VM lost,
-// no reservation leaked across the restart.
+// A victim is crashed (simnet Crash: its handler, leaf sets, lease tables and
+// placement maps are discarded) and by default stays down. With Crash the
+// first Victims reboot from their durable store and reconcile with the live
+// ring. That run's verdict is the recovery gate: no VM lost, no reservation
+// leaked across the restart.
 type FaultParams struct {
 	// RebalanceParams is the experiment underneath. Two defaults differ: a
 	// ≈300-server slice and 10 VMs a server, so a whole loss sweep stays
@@ -41,8 +40,8 @@ type FaultParams struct {
 	Victims int
 	// At is when the victims go down; defaults to Duration/3.
 	At time.Duration
-	// Crash makes the fault a crash-restart instead of a pause. Victims then
-	// defaults to 1 when CrashForever is zero too.
+	// Crash makes the fault a crash-restart instead of a crash that stays
+	// down. Victims then defaults to 1 when CrashForever is zero too.
 	Crash bool
 	// CrashForever (Crash only) is how many additional nodes to crash with
 	// no restart at all — they stay down, exercising the store-backed lease
@@ -143,9 +142,9 @@ func liveSD(vb *core.VBundle) float64 {
 	return s.Std()
 }
 
-// inject takes the run's victims down. A pause takes current receivers in
-// ring order. A crash takes the nodes whose durable state is worth
-// reconciling: first any node still holding reservation leases (the crash
+// inject takes the run's victims down. By default it takes current receivers
+// in ring order. A crash-restart run takes the nodes whose durable state is
+// worth reconciling: first any node still holding reservation leases (the crash
 // orphans them — the rejoin, or for dead nodes the store-backed audit, must
 // clean up), then current receivers, then any live node so small topologies
 // still run the full schedule; the DHT gateway at node 0 is never crashed,
@@ -169,16 +168,14 @@ func (o *FaultOutcome) inject(vb *core.VBundle) {
 			if !net.Alive(addr) || !eligible(i) {
 				continue
 			}
+			net.Crash(addr)
 			switch {
 			case !p.Crash:
-				net.Kill(addr)
 				o.Victims = append(o.Victims, i)
 			case len(o.Victims) < p.Victims:
-				net.Crash(addr)
 				o.Victims = append(o.Victims, i)
 				vb.Engine.AtGlobal(vb.Now()+p.RestartAfter, func() { net.Restart(addr) })
 			default:
-				net.Crash(addr)
 				o.Dead = append(o.Dead, i)
 			}
 		}

@@ -32,7 +32,7 @@ type PlacementParams struct {
 
 func (p PlacementParams) withDefaults() PlacementParams {
 	if p.Spec.Racks == 0 {
-		p.Spec = PaperSpec()
+		p.Spec = topology.DefaultSpec()
 	}
 	if p.VMsPerWavePerCustomer == 0 {
 		p.VMsPerWavePerCustomer = 1000

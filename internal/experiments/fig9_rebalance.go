@@ -40,7 +40,7 @@ type RebalanceParams struct {
 
 func (p RebalanceParams) withDefaults() RebalanceParams {
 	if p.Spec.Racks == 0 {
-		p.Spec = PaperSpec()
+		p.Spec = topology.DefaultSpec()
 	}
 	if p.VMsPerServer == 0 {
 		p.VMsPerServer = 25

@@ -46,6 +46,11 @@ func reportOf(t *testing.T, o *ServeOutcome) []byte {
 	return buf.Bytes()
 }
 
+// shardCounts is the equivalence matrix: the one-shard engine is the
+// reference (K = 1 is that engine itself), every K ≥ 2 must reproduce it
+// bit-identically.
+var shardCounts = []int{2, 4, 8}
+
 // TestServeShardedEquivalence replays the serving stream on the sharded
 // engine at K ∈ {2, 4, 8}: every virtual-time metric and the rendered
 // report must match the serial reference byte for byte.
@@ -238,10 +243,10 @@ func churnPropertyRun(t *testing.T, servers int, seed int64, cache, faults bool)
 	lim := cluster.Resources{CPU: 2, MemMB: 128, BandwidthMbps: 200}
 
 	// The fault variant runs the same churn over a network where non-gateway
-	// nodes blip (kill/revive: soft state kept) and truly crash (blank
-	// handler, reboot from the durable store) at fixed virtual times; the
-	// resolution cache must keep matching the uncached run through every
-	// invalidation the recoveries cause.
+	// nodes blip (a crash whose old handler is re-attached: soft state kept)
+	// and truly crash (blank handler, reboot from the durable store) at fixed
+	// virtual times; the resolution cache must keep matching the uncached
+	// run through every invalidation the recoveries cause.
 	type window struct{ start, end time.Duration }
 	var faultWindows []window
 	if faults {
@@ -260,12 +265,13 @@ func churnPropertyRun(t *testing.T, servers int, seed int64, cache, faults bool)
 			// Distinct non-gateway victims (the gateway at node 0 holds the
 			// boot path's query state).
 			addr := simnet.Addr(1 + (k*37+11)%(n-1))
-			down, up := net.Kill, net.Revive
+			node := vb.Ring.Node(int(addr))
+			up := func() { net.Attach(addr, node) }
 			if f.crash {
-				down, up = net.Crash, net.Restart
+				up = func() { net.Restart(addr) }
 			}
-			vb.Engine.AtGlobal(f.at, func() { down(addr) })
-			vb.Engine.AtGlobal(f.at+downtime, func() { up(addr) })
+			vb.Engine.AtGlobal(f.at, func() { net.Crash(addr) })
+			vb.Engine.AtGlobal(f.at+downtime, up)
 			faultWindows = append(faultWindows, window{f.at, f.at + downtime})
 		}
 		vb.StartMaintenance(time.Minute)

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"encoding/json"
-	"time"
-)
+import "encoding/json"
 
 // MarshalJSON renders the series as an array of {t_min, v} objects, with
 // time in minutes (the unit of the paper's plots).
@@ -17,26 +14,6 @@ func (ts *TimeSeries) MarshalJSON() ([]byte, error) {
 		out[i] = pt{TMin: p.T.Minutes(), V: p.V}
 	}
 	return json.Marshal(out)
-}
-
-// UnmarshalJSON accepts the format produced by MarshalJSON.
-func (ts *TimeSeries) UnmarshalJSON(data []byte) error {
-	type pt struct {
-		TMin float64 `json:"t_min"`
-		V    float64 `json:"v"`
-	}
-	var in []pt
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	ts.points = ts.points[:0]
-	for _, p := range in {
-		ts.points = append(ts.points, TimePoint{
-			T: time.Duration(p.TMin * float64(time.Minute)),
-			V: p.V,
-		})
-	}
-	return nil
 }
 
 // MarshalJSON renders the CDF as its (value, fraction) curve.

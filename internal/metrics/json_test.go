@@ -67,3 +67,23 @@ func TestEmptyCollectionsMarshal(t *testing.T) {
 		}
 	}
 }
+
+// UnmarshalJSON accepts the format produced by MarshalJSON.
+func (ts *TimeSeries) UnmarshalJSON(data []byte) error {
+	type pt struct {
+		TMin float64 `json:"t_min"`
+		V    float64 `json:"v"`
+	}
+	var in []pt
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	ts.points = ts.points[:0]
+	for _, p := range in {
+		ts.points = append(ts.points, TimePoint{
+			T: time.Duration(p.TMin * float64(time.Minute)),
+			V: p.V,
+		})
+	}
+	return nil
+}

@@ -3,8 +3,24 @@ package migration
 import (
 	"time"
 
+	"vbundle/internal/cluster"
 	"vbundle/internal/obs"
 )
+
+// migrate is MigrateTraced with no recorder, and onDone, if non-nil, as the
+// completion.
+func (m *Manager) migrate(id cluster.VMID, dst int, onDone func(error)) error {
+	var done Done
+	if onDone != nil {
+		done = doneFunc(onDone)
+	}
+	return m.MigrateTraced(nil, obs.NoRef, id, dst, done)
+}
+
+// doneFunc adapts a func to Done.
+type doneFunc func(err error)
+
+func (f doneFunc) MigrationDone(err error) { f(err) }
 
 // poisonDone is the completion of a poisoned flight: read after its flight
 // was banked, it panics.

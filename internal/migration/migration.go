@@ -63,13 +63,13 @@ type Stats struct {
 
 // Manager executes migrations on a cluster over virtual time.
 //
-// Under a sharded engine, Migrate is called from shard context (rebalance
-// agents) while completions run exclusively on the root in the keyed band,
-// ordered by VM id — so the cluster mutation order is deterministic for any
-// shard count. mu guards the small shared bookkeeping (inFlight, stats)
-// against concurrent starts; the cluster state read by the start-side checks
-// only changes at exclusive instants, so those reads are stable within a
-// window.
+// Under a sharded engine, MigrateTraced is called from shard context
+// (rebalance agents) while completions run exclusively on the root in the
+// keyed band, ordered by VM id — so the cluster mutation order is
+// deterministic for any shard count. mu guards the small shared bookkeeping
+// (inFlight, stats) against concurrent starts; the cluster state read by the
+// start-side checks only changes at exclusive instants, so those reads are
+// stable within a window.
 type Manager struct {
 	engine  *sim.Engine
 	cluster *cluster.Cluster
@@ -119,11 +119,6 @@ type flight struct {
 // Done hears how a migration ended (nil: the VM now runs on the destination).
 type Done interface{ MigrationDone(err error) }
 
-// doneFunc adapts a func to Done.
-type doneFunc func(err error)
-
-func (f doneFunc) MigrationDone(err error) { f(err) }
-
 // CompletionHook observes a finished migration attempt: the VM, where it
 // moved from and to, and the outcome (nil = the VM now runs on dst).
 type CompletionHook func(vm *cluster.VM, src, dst int, err error)
@@ -138,7 +133,7 @@ func New(engine *sim.Engine, cl *cluster.Cluster) *Manager {
 }
 
 // SetLiveness installs the server-liveness oracle consulted at migration
-// start and arrival; core wires it to the simulated network so killed
+// start and arrival; core wires it to the simulated network so crashed
 // servers abort their in-flight migrations.
 func (m *Manager) SetLiveness(alive func(server int) bool) { m.alive = alive }
 
@@ -186,24 +181,17 @@ func (m *Manager) InFlight(id cluster.VMID) bool {
 	return m.inFlight[id]
 }
 
-// Migrate starts moving the VM to server dst. onDone, if non-nil, is called
-// when the migration completes or fails; a nil error means the VM now runs
-// on dst. The call itself fails fast (synchronously returned error) when
-// the VM is unknown, unplaced, already migrating, or the destination cannot
-// admit it right now.
-func (m *Manager) Migrate(id cluster.VMID, dst int, onDone func(error)) error {
-	var done Done
-	if onDone != nil {
-		done = doneFunc(onDone)
-	}
-	return m.MigrateTraced(nil, obs.NoRef, id, dst, done)
-}
-
-// MigrateTraced is Migrate with flight-recorder context: rec is the
-// caller's recorder source (the shedding node) and parent the span that
-// caused this move — the anycast that discovered the receiver. The
-// migration span begins on the caller's stream and ends on the root stream
-// (where completions execute); the shared span ref joins the two halves.
+// MigrateTraced starts moving the VM to server dst. onDone, if non-nil,
+// hears when the migration completes or fails; a nil error means the VM now
+// runs on dst. The call itself fails fast (synchronously returned error)
+// when the VM is unknown, unplaced, already migrating, or the destination
+// cannot admit it right now.
+//
+// rec is the caller's recorder source (the shedding node) and parent the
+// span that caused this move — the anycast that discovered the receiver.
+// The migration span begins on the caller's stream and ends on the root
+// stream (where completions execute); the shared span ref joins the two
+// halves.
 func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID, dst int, onDone Done) error {
 	vm := m.cluster.VM(id)
 	if vm == nil {

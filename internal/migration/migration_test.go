@@ -40,7 +40,7 @@ func TestMigrateMovesVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done error = errSentinel
-	if err := mgr.Migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
+	if err := mgr.migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
 		t.Fatal(err)
 	}
 	if !mgr.InFlight(vm.ID) {
@@ -75,16 +75,16 @@ func (*sentinelError) Error() string { return "sentinel" }
 func TestMigrateFastFailures(t *testing.T) {
 	_, cl, mgr := newWorld(t)
 	vm, _ := cl.CreateVM("a", res(128, 50), res(128, 100))
-	if err := mgr.Migrate(vm.ID, 1, nil); err == nil {
+	if err := mgr.migrate(vm.ID, 1, nil); err == nil {
 		t.Fatal("unplaced VM migrated")
 	}
 	if err := cl.Place(vm, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Migrate(vm.ID, 0, nil); err == nil {
+	if err := mgr.migrate(vm.ID, 0, nil); err == nil {
 		t.Fatal("self-migration accepted")
 	}
-	if err := mgr.Migrate(cluster.VMID(999), 1, nil); err == nil {
+	if err := mgr.migrate(cluster.VMID(999), 1, nil); err == nil {
 		t.Fatal("unknown VM migrated")
 	}
 	// Fill destination so it cannot admit.
@@ -94,14 +94,14 @@ func TestMigrateFastFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := mgr.Migrate(vm.ID, 1, nil); err == nil {
+	if err := mgr.migrate(vm.ID, 1, nil); err == nil {
 		t.Fatal("migration to full server accepted")
 	}
 	// Double migration rejected while in flight.
-	if err := mgr.Migrate(vm.ID, 2, nil); err != nil {
+	if err := mgr.migrate(vm.ID, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Migrate(vm.ID, 3, nil); err == nil {
+	if err := mgr.migrate(vm.ID, 3, nil); err == nil {
 		t.Fatal("concurrent migration accepted")
 	}
 }
@@ -118,10 +118,10 @@ func TestMigrateRaceFailsAtArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	var errs []error
-	if err := mgr.Migrate(vm1.ID, 2, func(err error) { errs = append(errs, err) }); err != nil {
+	if err := mgr.migrate(vm1.ID, 2, func(err error) { errs = append(errs, err) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Migrate(vm2.ID, 2, func(err error) { errs = append(errs, err) }); err != nil {
+	if err := mgr.migrate(vm2.ID, 2, func(err error) { errs = append(errs, err) }); err != nil {
 		t.Fatal(err)
 	}
 	engine.Run()
@@ -151,7 +151,7 @@ func TestNoAccountingByDefault(t *testing.T) {
 	if err := cl.Place(vm, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Migrate(vm.ID, 2, nil); err != nil {
+	if err := mgr.migrate(vm.ID, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	engine.RunFor(time.Second)
@@ -183,7 +183,7 @@ func TestMigrateToDeadDestinationFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead[3] = true
-	err := mgr.Migrate(vm.ID, 3, nil)
+	err := mgr.migrate(vm.ID, 3, nil)
 	if !errors.Is(err, ErrDestinationDead) {
 		t.Fatalf("err = %v, want ErrDestinationDead", err)
 	}
@@ -203,7 +203,7 @@ func TestDestinationDeathMidFlightAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done error = errSentinel
-	if err := mgr.Migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
+	if err := mgr.migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
 		t.Fatal(err)
 	}
 	// The destination crashes while the transfer is running.
@@ -224,7 +224,7 @@ func TestDestinationDeathMidFlightAborts(t *testing.T) {
 	}
 	// The VM is migratable again once the destination recovers.
 	dead[3] = false
-	if err := mgr.Migrate(vm.ID, 3, nil); err != nil {
+	if err := mgr.migrate(vm.ID, 3, nil); err != nil {
 		t.Fatalf("retry after revive: %v", err)
 	}
 	engine.Run()
@@ -240,7 +240,7 @@ func TestSourceDeathMidFlightAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done error = errSentinel
-	if err := mgr.Migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
+	if err := mgr.migrate(vm.ID, 3, func(err error) { done = err }); err != nil {
 		t.Fatal(err)
 	}
 	engine.After(100*time.Millisecond, func() { dead[0] = true })

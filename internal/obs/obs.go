@@ -79,9 +79,6 @@ const (
 	// KindDrop is a message lost to the drop rate or a link fault
 	// (A = destination address, B = wire size).
 	KindDrop
-	// KindKill and KindRevive are node fault injections.
-	KindKill
-	KindRevive
 	// KindBoot spans one boot request through the serving layer, from
 	// submission to placement or failure (A = VM id; B at begin: 1 if the
 	// resolution cache was hot for the customer; B at end: accepting server,
@@ -95,9 +92,9 @@ const (
 	// KindTerminate is a serve-layer terminate request (A = VM id,
 	// B = the server whose capacity it freed, -1 on a miss).
 	KindTerminate
-	// KindCrash is a node crash: unlike KindKill the handler is discarded,
-	// so the node loses all soft state and can only come back through
-	// KindRestart plus whatever its durable store held.
+	// KindCrash is a node crash: the handler is discarded, so the node
+	// loses all soft state and can only come back through KindRestart plus
+	// whatever its durable store held.
 	KindCrash
 	// KindRestart is a crashed node rebooting with a blank handler, emitted
 	// just before the restarter rebuilds the stack.
@@ -144,10 +141,6 @@ func (k Kind) String() string {
 		return "migration"
 	case KindDrop:
 		return "drop"
-	case KindKill:
-		return "kill"
-	case KindRevive:
-		return "revive"
 	case KindBoot:
 		return "boot"
 	case KindBootShed:
@@ -183,7 +176,7 @@ func (k Kind) Subsystem() string {
 		return "rebalance"
 	case KindMigration:
 		return "migration"
-	case KindDrop, KindKill, KindRevive, KindCrash, KindRestart:
+	case KindDrop, KindCrash, KindRestart:
 		return "net"
 	case KindBoot, KindBootShed, KindTerminate:
 		return "serve"

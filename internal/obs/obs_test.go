@@ -100,7 +100,7 @@ func TestRingWraparound(t *testing.T) {
 	// A ring that never fills behaves like a stream.
 	tr2 := NewRing(8)
 	s2 := tr2.Source(0)
-	s2.Instant(time.Millisecond, KindKill, NoRef, 0, 0)
+	s2.Instant(time.Millisecond, KindCrash, NoRef, 0, 0)
 	if evs := tr2.Events(); len(evs) != 1 || s2.Dropped() != 0 {
 		t.Errorf("unfilled ring: %d events, %d dropped", len(evs), s2.Dropped())
 	}

@@ -1,9 +1,28 @@
 package pastry
 
 import (
+	"fmt"
+
 	"vbundle/internal/ids"
 	"vbundle/internal/simnet"
 )
+
+// RandomAssigner derives a pseudo-random identifier per server (classic
+// Pastry, no topology awareness): the baseline against HierarchyAssigner.
+func RandomAssigner(index, total int) ids.Id {
+	return ids.HashString(fmt.Sprintf("node-%d/%d", index, total))
+}
+
+// RoutingTableSize returns the number of populated routing-table slots.
+func (n *Node) RoutingTableSize() int {
+	var c int
+	for _, ref := range n.rt {
+		if ref >= 0 {
+			c++
+		}
+	}
+	return c
+}
 
 // poisonKey is the all-ones identifier a poisoned envelope carries, with a
 // poisonPayload, which no application expects.

@@ -310,17 +310,6 @@ func (n *Node) rtGet(l, d int) NodeHandle {
 	return NoHandle
 }
 
-// RoutingTableSize returns the number of populated routing-table slots.
-func (n *Node) RoutingTableSize() int {
-	var c int
-	for _, ref := range n.rt {
-		if ref >= 0 {
-			c++
-		}
-	}
-	return c
-}
-
 // consider folds a discovered handle into the node's routing state: the
 // routing table (kept proximity-optimal), the leaf set, and the neighborhood
 // set. It is cheap and idempotent; every protocol message that carries

@@ -229,7 +229,7 @@ func TestFailureRepairRestoresRouting(t *testing.T) {
 	ring.StartMaintenance()
 
 	victim := ring.Node(13)
-	ring.Network().Kill(victim.Addr())
+	ring.Network().Crash(victim.Addr())
 	// Let several maintenance rounds detect the failure and repair.
 	engine.RunFor(5 * 30 * time.Second)
 
@@ -267,7 +267,7 @@ func TestOnNodeDeadFires(t *testing.T) {
 	observer := ring.Node(5)
 	observer.Register("observer", deathApp{dead: func(h NodeHandle) { deadSeen = append(deadSeen, h) }})
 	victim := ring.Node(6) // ring neighbor of observer
-	ring.Network().Kill(victim.Addr())
+	ring.Network().Crash(victim.Addr())
 	ring.StartMaintenance()
 	// The prober picks random leaf-set members; give it enough rounds that
 	// the victim is chosen with near-certainty.
@@ -354,7 +354,7 @@ func TestPing(t *testing.T) {
 	engine := ring.Engine()
 	alive := make(map[string]bool)
 	ring.Node(0).Ping(ring.Node(1).Handle(), func(ok bool) { alive["live"] = ok })
-	ring.Network().Kill(ring.Node(2).Addr())
+	ring.Network().Crash(ring.Node(2).Addr())
 	ring.Node(0).Ping(ring.Node(2).Handle(), func(ok bool) { alive["dead"] = ok })
 	engine.Run()
 	if !alive["live"] {

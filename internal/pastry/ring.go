@@ -1,7 +1,6 @@
 package pastry
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -19,12 +18,6 @@ type IdAssigner func(index, total int) ids.Id
 // §II.B): identifiers are spaced evenly around the ring in server-enumeration
 // order, so ring adjacency mirrors physical adjacency.
 func HierarchyAssigner(index, total int) ids.Id { return ids.Scaled(index, total) }
-
-// RandomAssigner derives a pseudo-random identifier per server (classic
-// Pastry, no topology awareness); used as a baseline and in overlay tests.
-func RandomAssigner(index, total int) ids.Id {
-	return ids.HashString(fmt.Sprintf("node-%d/%d", index, total))
-}
 
 // Ring bundles a full overlay: one Pastry node per server of a topology,
 // connected through a simulated network whose latencies follow that

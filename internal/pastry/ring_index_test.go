@@ -57,20 +57,21 @@ func TestClosestLiveMatchesScan(t *testing.T) {
 				}
 			}
 			check()
-			// Kill random subsets, re-check, revive some, re-check.
+			// Crash random subsets, re-check, re-attach some, re-check.
 			for round := 0; round < 10; round++ {
 				for i := 0; i < 8; i++ {
-					ring.Network().Kill(simnet.Addr(rng.Intn(ring.Size())))
+					ring.Network().Crash(simnet.Addr(rng.Intn(ring.Size())))
 				}
 				check()
 				for i := 0; i < 4; i++ {
-					ring.Network().Revive(simnet.Addr(rng.Intn(ring.Size())))
+					j := rng.Intn(ring.Size())
+					ring.Network().Attach(simnet.Addr(j), ring.Node(j))
 				}
 				check()
 			}
 			// All dead: both must report no node.
 			for i := 0; i < ring.Size(); i++ {
-				ring.Network().Kill(simnet.Addr(i))
+				ring.Network().Crash(simnet.Addr(i))
 			}
 			if got := ring.ClosestLive(ids.Random(rng)); got != nil {
 				t.Fatalf("ClosestLive on dead ring = %v, want nil", got.Handle())
@@ -93,7 +94,7 @@ func BenchmarkClosestLive(b *testing.B) {
 	ring := NewRing(engine, topo, Config{}, HierarchyAssigner)
 	rng := engine.Rand()
 	for i := 0; i < ring.Size()/4; i++ {
-		ring.Network().Kill(simnet.Addr(rng.Intn(ring.Size())))
+		ring.Network().Crash(simnet.Addr(rng.Intn(ring.Size())))
 	}
 	keys := make([]ids.Id, 1024)
 	for i := range keys {

@@ -250,14 +250,14 @@ func TestInvalidateDropsTheWalkMemo(t *testing.T) {
 	if frontier == r.d.Gateway().Addr() || frontier == r.memo("Accolade").visited.At(0) {
 		t.Fatalf("frontier %d is the gateway or the rendezvous: the scenario tests nothing", frontier)
 	}
-	r.ring.Network().Kill(frontier)
+	r.ring.Network().Crash(frontier)
 	if s, _ := r.boot(t, "Accolade", 1); s[0] != -1 {
 		t.Fatalf("a boot sent to a dead frontier landed on server %d", s[0])
 	}
 	if r.d.Timeouts() != 1 || r.memo("Accolade") != nil {
 		t.Fatalf("%d timeouts, memo kept = %v; want the timeout to drop the entry", r.d.Timeouts(), r.memo("Accolade") != nil)
 	}
-	r.ring.Network().Revive(frontier)
+	r.ring.Network().Attach(frontier, r.ring.Node(int(frontier)))
 	if s, _ := r.boot(t, "Accolade", 1); s[0] < 0 {
 		t.Fatal("the boot after the timeout failed")
 	}

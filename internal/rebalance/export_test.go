@@ -56,3 +56,12 @@ func (m *renewMsg) Poison(stamp uint64) (twice bool) {
 	*m = renewMsg{VMID: cluster.VMID(-int(stamp)), Demand: poisonDemand}
 	return twice
 }
+
+// VetoedByCost sums the shed attempts abandoned by the cost-benefit module.
+func (c *Coordinator) VetoedByCost() int {
+	total := 0
+	for _, a := range c.agents {
+		total += int(a.vetoedByCost.Value())
+	}
+	return total
+}

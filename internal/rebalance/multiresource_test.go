@@ -104,7 +104,7 @@ func TestCPUHotServerShedsEvenWithIdleNetwork(t *testing.T) {
 	if w.coord.MigrationsTriggered() == 0 {
 		t.Fatal("CPU pressure triggered no migrations")
 	}
-	if got := w.cl.Server(0).UtilizationOf(cluster.KindCPU); got > 0.7 {
+	if got := utilization(w.cl.Server(0), cluster.KindCPU); got > 0.7 {
 		t.Errorf("server 0 CPU still at %.2f", got)
 	}
 }
@@ -135,7 +135,7 @@ func TestReceiverChecksEveryKind(t *testing.T) {
 	// Receivers' memory untouched.
 	for s := 1; s < w.cl.Size(); s++ {
 		memMean, _ := w.coord.Agent(s).MeanFor(cluster.KindMemory)
-		if u := w.cl.Server(s).UtilizationOf(cluster.KindMemory); u > memMean+0.1 {
+		if u := utilization(w.cl.Server(s), cluster.KindMemory); u > memMean+0.1 {
 			t.Errorf("server %d memory at %.3f above the band (mean %.3f)", s, u, memMean)
 		}
 	}
@@ -238,3 +238,6 @@ func TestCostBenefitApprovesClearWins(t *testing.T) {
 		t.Errorf("server 0 still saturated at %.0f Mbps", got)
 	}
 }
+
+// utilization is a server's effective demand over its capacity for one kind.
+func utilization(s *cluster.Server, k cluster.Kind) float64 { return s.DemandOf(k) / s.Capacity.Get(k) }

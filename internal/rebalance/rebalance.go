@@ -295,15 +295,6 @@ func (c *Coordinator) QueriesSent() int {
 	return total
 }
 
-// VetoedByCost sums the shed attempts abandoned by the cost-benefit module.
-func (c *Coordinator) VetoedByCost() int {
-	total := 0
-	for _, a := range c.agents {
-		total += int(a.vetoedByCost.Value())
-	}
-	return total
-}
-
 // LeakedReservations counts resource holds still live across all agents.
 // Once a run quiesces (no in-flight migrations, one lease period of grace)
 // it must read zero: every hold was either released by its shedder or

@@ -200,8 +200,8 @@ func TestReceiverNeverOvercommitsReservations(t *testing.T) {
 	w.engine.Run()
 	for s := 0; s < w.cl.Size(); s++ {
 		srv := w.cl.Server(s)
-		if srv.ReservedBW() > srv.Capacity.BandwidthMbps {
-			t.Errorf("server %d reservations %.0f exceed capacity", s, srv.ReservedBW())
+		if r := srv.Reserved().BandwidthMbps; r > srv.Capacity.BandwidthMbps {
+			t.Errorf("server %d reservations %.0f exceed capacity", s, r)
 		}
 	}
 }

@@ -23,10 +23,10 @@ func TestAdoptLeasesReconciles(t *testing.T) {
 	settled := loadVM(t, w, 0, 100)  // not migrating at all: hold is an orphan
 
 	w.engine.RunFor(time.Minute)
-	if err := w.mig.Migrate(inflight.ID, 1, nil); err != nil {
+	if err := w.mig.MigrateTraced(nil, obs.NoRef, inflight.ID, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.mig.Migrate(arrived.ID, 2, nil); err != nil {
+	if err := w.mig.MigrateTraced(nil, obs.NoRef, arrived.ID, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +91,7 @@ func TestLeakedReservationsAuditsDeadNodeStore(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	w.ring.Network().Kill(simnet.Addr(0))
+	w.ring.Network().Crash(simnet.Addr(0))
 
 	if got := w.coord.LeakedReservations(); got != 1 {
 		t.Fatalf("leak audit of dead node = %d, want 1 (one unexpired persisted hold)", got)

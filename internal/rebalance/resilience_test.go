@@ -70,7 +70,7 @@ func TestNoLeakUnderLossAndReceiverKill(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no receiver to kill")
 	}
-	w.ring.Network().Kill(simnet.Addr(victim))
+	w.ring.Network().Crash(simnet.Addr(victim))
 
 	// Several more rounds around the dead receiver, then quiesce: stop the
 	// protocol and give in-flight releases and leases time to settle.

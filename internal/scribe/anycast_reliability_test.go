@@ -91,8 +91,8 @@ func TestAnycastRetryRecoversFromLoss(t *testing.T) {
 	net := f.ring.Network()
 	addr := origin.Node().Addr()
 	start := f.engine.Now()
-	net.Kill(addr)
-	f.engine.AtGlobal(start+25*time.Millisecond, func() { net.Revive(addr) })
+	net.Crash(addr)
+	f.engine.AtGlobal(start+25*time.Millisecond, func() { net.Attach(addr, origin.Node()) })
 
 	var result *AnycastResult
 	origin.Anycast(group, "q", func(r AnycastResult) { result = &r })
@@ -145,7 +145,9 @@ func TestResolvedAnycastsLeaveNoDeadTimers(t *testing.T) {
 	}
 	// One armed wheel event at most may linger; the old per-any-cast timers
 	// would leave one dead event in the queue for each resolved query.
-	if p := f.engine.Pending(); p > 1 {
+	before := f.engine.ShardWork()[0].Events
+	f.engine.Run()
+	if p := f.engine.ShardWork()[0].Events - before; p > 1 {
 		t.Fatalf("%d events pending after %d resolved any-casts, want <= 1", p, n)
 	}
 }

@@ -1,6 +1,7 @@
 package scribe
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -46,7 +47,7 @@ func TestAnycastSearchMatchesScan(t *testing.T) {
 	for _, a := range []struct {
 		name   string
 		assign pastry.IdAssigner
-	}{{"hierarchy", pastry.HierarchyAssigner}, {"random", pastry.RandomAssigner}} {
+	}{{"hierarchy", pastry.HierarchyAssigner}, {"random", randomAssigner}} {
 		t.Run(a.name, func(t *testing.T) {
 			ring := pastry.NewRing(sim.NewEngine(5), tp, pastry.Config{}, a.assign)
 			ring.BuildStatic()
@@ -105,4 +106,10 @@ func TestAnycastSearchMatchesScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// randomAssigner derives a pseudo-random identifier per server (classic
+// Pastry, no topology awareness): the baseline against HierarchyAssigner.
+func randomAssigner(index, total int) ids.Id {
+	return ids.HashString(fmt.Sprintf("node-%d/%d", index, total))
 }

@@ -143,7 +143,7 @@ func TestChildRefsMatchHandleModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := pastry.NewRing(sim.NewEngine(11), tp, pastry.Config{}, pastry.RandomAssigner)
+	ring := pastry.NewRing(sim.NewEngine(11), tp, pastry.Config{}, randomAssigner)
 	ring.BuildStatic()
 	ordered := true
 	for i := 1; i < ring.Size(); i++ {

@@ -399,7 +399,7 @@ func TestTreeRepairAfterNodeFailure(t *testing.T) {
 	if victim == nil {
 		t.Skip("tree has no interior non-root node")
 	}
-	f.ring.Network().Kill(victim.Node().Addr())
+	f.ring.Network().Crash(victim.Node().Addr())
 
 	// Run heartbeat maintenance long enough for orphans to re-join.
 	for _, s := range f.scribes {
@@ -490,7 +490,7 @@ func TestSendToParentAndChildren(t *testing.T) {
 		}
 	}))
 	push := &testPush{group: group, body: "partial-sum"}
-	sent := func() int { return f.ring.Network().CountersOf(child.Node().Addr()).BytesSent }
+	sent := func() int { return f.ring.Network().AllCounters()[child.Node().Addr()].BytesSent }
 	before := sent()
 	if !child.SendToParent(push) {
 		t.Fatal("SendToParent returned false for attached child")

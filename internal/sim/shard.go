@@ -45,11 +45,11 @@ import (
 //   - Parking a cross-shard send arriving at a: the earliest consequence
 //     for the sender (a reply, or a longer causal chain) is a+L, so the
 //     shard caps its window at a+L.
-//   - Staging a root event at g (AtGlobal/AtKeyed from shard context): the
-//     root event must run exclusively before any node work at or after g,
-//     so the shard caps at g. Other shards are protected by the staging
-//     contract g ≥ now+L (enforced at the call site): their horizons are
-//     at most m_i + L ≤ now_i + L ≤ g.
+//   - Staging a root event at g (AtGlobal/AtKeyedHandler from shard
+//     context): the root event must run exclusively before any node work at
+//     or after g, so the shard caps at g. Other shards are protected by the
+//     staging contract g ≥ now+L (enforced at the call site): their horizons
+//     are at most m_i + L ≤ now_i + L ≤ g.
 //
 // At K ≥ 2 windows still end at the next root-engine event (global drivers,
 // keyed completions): those run exclusively between windows, with every
@@ -140,7 +140,7 @@ func (e *Engine) noteStaged(at time.Duration, band string) {
 }
 
 // staging collects events scheduled onto the root from shard context
-// (AtGlobal/AtKeyed during a window). It is the only cross-goroutine
+// (AtGlobal/AtKeyedHandler during a window). It is the only cross-goroutine
 // scheduling path, and the only mutex in the engine.
 type staging struct {
 	mu    sync.Mutex
@@ -158,12 +158,6 @@ func (g *staging) add(at time.Duration, key uint64, h Handler) {
 	g.mu.Lock()
 	g.evs = append(g.evs, stagedEvent{at: at, key: key, h: h})
 	g.mu.Unlock()
-}
-
-func (g *staging) len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.evs)
 }
 
 // take swaps out the staged batch (the caller processes it outside the lock)

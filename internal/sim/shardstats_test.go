@@ -83,7 +83,7 @@ func TestOneShardIsTheSerialEngine(t *testing.T) {
 		e.At(time.Duration(i)*time.Second, func() {})
 	}
 	e.AtGlobal(time.Second, func() {})
-	e.AtKeyed(2*time.Second, 7, func() {})
+	e.AtKeyedHandler(2*time.Second, 7, funcHandler(func() {}))
 	if got := e.Pending(); got != 7 {
 		t.Fatalf("Pending = %d, want 7", got)
 	}

@@ -52,10 +52,10 @@ import (
 //   - band 2 — AtGlobal/AfterGlobal/EveryGlobal: experiment drivers,
 //     samplers, fault injectors. They run on the root engine, after all
 //     same-instant node work, at every shard count.
-//   - band 3 — AtKeyed: domain-keyed completions (e.g. a migration keyed by
-//     VM id) scheduled from shard context onto the root engine. The caller's
-//     key makes the merge order deterministic regardless of which shard
-//     staged first.
+//   - band 3 — AtKeyedHandler: domain-keyed completions (e.g. a migration
+//     keyed by VM id) scheduled from shard context onto the root engine. The
+//     caller's key makes the merge order deterministic regardless of which
+//     shard staged first.
 const (
 	keyBandShift         = 62
 	keyDelivery   uint64 = 0 << keyBandShift
@@ -212,7 +212,7 @@ func (e *Engine) push(t time.Duration, key uint64, h Handler) *event {
 // at the current instant (they are clamped to Now).
 //
 // On a root of K ≥ 2 shards At panics: work on the root must declare its
-// scheduling context (AtGlobal for drivers, AtKeyed for domain-keyed
+// scheduling context (AtGlobal for drivers, AtKeyedHandler for domain-keyed
 // completions) so that same-instant ordering does not depend on the shard
 // count.
 func (e *Engine) At(t time.Duration, fn func()) { e.at(t, funcHandler(fn)) }
@@ -225,7 +225,7 @@ func (e *Engine) AtHandler(t time.Duration, h Handler) { e.at(t, h) }
 func (e *Engine) at(t time.Duration, h Handler) {
 	e.mustInit()
 	if len(e.shards) > 1 {
-		panic("sim: At on a sharded root engine; use AtGlobal/AfterGlobal/EveryGlobal (drivers) or AtKeyed (keyed completions)")
+		panic("sim: At on a sharded root engine; use AtGlobal/AfterGlobal/EveryGlobal (drivers) or AtKeyedHandler (keyed completions)")
 	}
 	e.push(t, keyLocal, h)
 }
@@ -274,22 +274,16 @@ func (e *Engine) AfterGlobal(delay time.Duration, fn func()) {
 	e.AtGlobal(r.now+delay, fn)
 }
 
-// AtKeyed schedules a domain-keyed event (key band 3) on the root engine:
-// same-instant keyed events run after all node and global work, ordered by
-// the caller's key, so the execution order is identical however many shards
-// staged them. The canonical user is migration completion, keyed by VM id.
+// AtKeyedHandler schedules a domain-keyed event (key band 3) on the root
+// engine: same-instant keyed events run after all node and global work,
+// ordered by the caller's key, so the execution order is identical however
+// many shards staged them. The canonical user is migration completion, keyed
+// by VM id, whose flight record is the handler.
 //
 // At K ≥ 2 an event staged from shard context mid-window must lie at least
 // one lookahead beyond the staging shard's clock (enforced by a panic; in
 // practice migration durations are orders of magnitude larger), which keeps
 // it beyond every shard's window horizon.
-func (e *Engine) AtKeyed(t time.Duration, key uint64, fn func()) {
-	e.AtKeyedHandler(t, key, funcHandler(fn))
-}
-
-// AtKeyedHandler is AtKeyed for a Handler: an owner that keeps its
-// completion's state in a record of its own passes the record instead of
-// binding a closure over the state.
 func (e *Engine) AtKeyedHandler(t time.Duration, key uint64, h Handler) {
 	e.atRoot(t, keyKeyed|(key&keyPayloadMax), h, "keyed")
 }
@@ -498,17 +492,3 @@ func (e *Engine) RunUntil(deadline time.Duration) { e.runWindows(deadline) }
 
 // RunFor executes events for d of virtual time from the current instant.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
-
-// Pending returns the number of events waiting to run, including staged
-// cross-shard events not yet merged.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, s := range e.shards {
-		n += s.events.len()
-	}
-	if len(e.shards) > 1 {
-		// A root of K ≥ 2 keeps its own queue beside its shards'.
-		n += e.events.len() + e.staging.len()
-	}
-	return n
-}

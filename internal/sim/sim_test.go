@@ -235,3 +235,23 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	}()
 	fn()
 }
+
+// Pending returns the number of events waiting to run, including staged
+// cross-shard events not yet merged.
+func (e *Engine) Pending() int {
+	n := 0
+	for _, s := range e.shards {
+		n += s.events.len()
+	}
+	if len(e.shards) > 1 {
+		// A root of K ≥ 2 keeps its own queue beside its shards'.
+		n += e.events.len() + e.staging.len()
+	}
+	return n
+}
+
+func (g *staging) len() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.evs)
+}

@@ -29,7 +29,7 @@ func sendPerMessage(n *Network, src, dst Addr, msg Message) {
 	if n.dropRate > 0 && n.dropDraw(src, idx) < n.dropRate {
 		return
 	}
-	n.engine.AtKeyed(n.engine.Now()+n.latency(src, dst), deliveryKey(src, idx), func() {
+	n.engine.AtKeyedHandler(n.engine.Now()+n.latency(src, dst), deliveryKey(src, idx), fire(func() {
 		s := n.nodes[dst]
 		if !s.alive {
 			return
@@ -37,8 +37,13 @@ func sendPerMessage(n *Network, src, dst Addr, msg Message) {
 		n.counters[dst].MsgsReceived++
 		n.counters[dst].BytesReceived += size
 		s.handler.HandleMessage(src, msg)
-	})
+	}))
 }
+
+// fire adapts a func to sim.Handler.
+type fire func()
+
+func (f fire) Fire() { f() }
 
 // sendFunc is one of the two delivery schemes under comparison.
 type sendFunc func(n *Network, src, dst Addr, msg Message)
@@ -76,11 +81,11 @@ func (l *rxLog) handler(dst Addr) Handler {
 }
 
 // runDeliveryTrace drives one network through a pseudo-random trace of
-// sends, kills and revives. The trace generator uses its own rand.Rand so
+// sends, crashes and restarts. The trace generator uses its own rand.Rand so
 // both delivery schemes execute byte-identical send sequences (send order is
 // fixed by the trace's timer events, which never depend on deliveries), and
 // therefore draw byte-identical drop decisions.
-// Kill/revive times carry a +1ns offset while all deliveries land on exact
+// Crash/restart times carry a +1ns offset while all deliveries land on exact
 // microsecond multiples, so liveness flips never tie with deliveries — the
 // one interleaving batching does not preserve (a liveness flip whose
 // timestamp exactly equals a delivery's may order differently relative to
@@ -97,15 +102,18 @@ func runDeliveryTrace(seed int64, send sendFunc) (*rxLog, []Counters) {
 	for i := 0; i < size; i++ {
 		net.Attach(Addr(i), log.handler(Addr(i)))
 	}
+	// A restart re-attaches the node's recording handler; restarting a live
+	// node is a no-op.
+	net.SetRestarter(func(a Addr) { net.Attach(a, log.handler(a)) })
 	for op := 0; op < 400; op++ {
 		at := time.Duration(rng.Intn(3000)) * 10 * time.Microsecond
 		switch rng.Intn(8) {
 		case 0: // liveness flip, offset off the delivery grid
 			target := Addr(rng.Intn(size))
 			if rng.Intn(2) == 0 {
-				eng.At(at+1, func() { net.Kill(target) })
+				eng.At(at+1, func() { net.Crash(target) })
 			} else {
-				eng.At(at+1, func() { net.Revive(target) })
+				eng.At(at+1, func() { net.Restart(target) })
 			}
 		default: // burst of sends at one instant (ties are the common case)
 			k := rng.Intn(4) + 1
@@ -126,7 +134,7 @@ func runDeliveryTrace(seed int64, send sendFunc) (*rxLog, []Counters) {
 }
 
 // TestDeliveryModeEquivalence replays identical randomized traces — sends,
-// drops (25%), kills and revives — through batched and per-message delivery.
+// drops (25%), crashes and restarts — through batched and per-message delivery.
 // Every node's delivery sequence and every traffic counter must be
 // byte-identical.
 func TestDeliveryModeEquivalence(t *testing.T) {
@@ -160,7 +168,7 @@ func TestDeliveryModeEquivalence(t *testing.T) {
 }
 
 // TestMidBatchKill pins the semantics both schemes must share when a handler
-// kills its own node partway through a same-instant batch: messages already
+// crashes its own node partway through a same-instant batch: messages already
 // delivered stay delivered, the remainder of the batch is dropped, and the
 // counters record exactly the delivered prefix.
 func TestMidBatchKill(t *testing.T) {
@@ -170,7 +178,7 @@ func TestMidBatchKill(t *testing.T) {
 		log := newRxLog(eng, 2)
 		log.onMsg = func(dst Addr, msg Message) {
 			if msg == "poison" {
-				net.Kill(dst)
+				net.Crash(dst)
 			}
 		}
 		net.Attach(0, log.handler(0))
@@ -183,12 +191,12 @@ func TestMidBatchKill(t *testing.T) {
 			t.Fatalf("%s: delivered %d messages (%v), want 2",
 				scheme.name, got, log.seen[1])
 		}
-		c := net.CountersOf(1)
+		c := net.AllCounters()[1]
 		if c.MsgsReceived != 2 || c.BytesReceived != 2*DefaultWireSize {
 			t.Fatalf("%s: counters %+v, want 2 msgs / %d bytes",
 				scheme.name, c, 2*DefaultWireSize)
 		}
-		if s := net.CountersOf(0); s.MsgsSent != 3 {
+		if s := net.AllCounters()[0]; s.MsgsSent != 3 {
 			t.Fatalf("%s: sender counters %+v, want 3 sent", scheme.name, s)
 		}
 	}
@@ -205,11 +213,11 @@ func TestBatchedCoalescesEvents(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		net.Send(0, 1, i)
 	}
-	if got := eng.Pending(); got != 1 {
-		t.Fatalf("8 same-instant sends scheduled %d events, want 1", got)
-	}
 	eng.Run()
-	if c := net.CountersOf(1); c.MsgsReceived != 8 {
+	if got := eng.ShardWork()[0].Events; got != 1 {
+		t.Fatalf("8 same-instant sends ran %d events, want 1", got)
+	}
+	if c := net.AllCounters()[1]; c.MsgsReceived != 8 {
 		t.Fatalf("delivered %d of 8 coalesced messages", c.MsgsReceived)
 	}
 }

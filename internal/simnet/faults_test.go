@@ -7,16 +7,18 @@ import (
 	"vbundle/internal/sim"
 )
 
-// TestNodeFaultKillsAndRestarts pauses a node with Kill and brings it back
-// with Revive, both scheduled in the global band.
+// TestNodeFaultKillsAndRestarts crashes a node and restarts it through a
+// restarter that re-attaches the saved handler, both scheduled in the global
+// band.
 func TestNodeFaultKillsAndRestarts(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, 2, flatLatency(time.Millisecond))
 	rx := &recorder{eng: e}
 	n.Attach(0, HandlerFunc(func(Addr, Message) {}))
 	n.Attach(1, rx)
-	e.AtGlobal(10*time.Millisecond, func() { n.Kill(1) })
-	e.AtGlobal(30*time.Millisecond, func() { n.Revive(1) })
+	n.SetRestarter(func(a Addr) { n.Attach(a, rx) })
+	e.AtGlobal(10*time.Millisecond, func() { n.Crash(1) })
+	e.AtGlobal(30*time.Millisecond, func() { n.Restart(1) })
 
 	e.RunUntil(15 * time.Millisecond)
 	if n.Alive(1) {
@@ -25,7 +27,7 @@ func TestNodeFaultKillsAndRestarts(t *testing.T) {
 	n.Send(0, 1, "lost")
 	e.RunUntil(40 * time.Millisecond)
 	if !n.Alive(1) {
-		t.Fatal("node 1 not revived")
+		t.Fatal("node 1 not restarted")
 	}
 	n.Send(0, 1, "kept")
 	e.Run()
@@ -49,7 +51,7 @@ func TestNodeFaultWithoutRestartStaysDead(t *testing.T) {
 	if n.Alive(1) {
 		t.Fatal("node 1 came back without a Restart")
 	}
-	if got := n.CountersOf(1).MsgsReceived; got != 0 {
+	if got := n.AllCounters()[1].MsgsReceived; got != 0 {
 		t.Fatalf("the crashed node received %d messages", got)
 	}
 }
@@ -65,9 +67,9 @@ func (h *statefulHandler) HandleMessage(from Addr, msg Message) {
 }
 
 // TestCrashDiscardsSoftState is the regression test for the fake-restart
-// bug: Revive used to resurrect a killed node with its old handler — leaf
-// sets, lease tables and placement maps fully intact. A crash-restart must
-// come back with a blank handler instead; the pre-crash soft state is gone.
+// bug: a restart used to resurrect a node with its old handler — leaf sets,
+// lease tables and placement maps fully intact. A crash-restart must come
+// back with a blank handler instead; the pre-crash soft state is gone.
 func TestCrashDiscardsSoftState(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, 2, flatLatency(time.Millisecond))
@@ -108,22 +110,6 @@ func TestCrashDiscardsSoftState(t *testing.T) {
 	}
 }
 
-// TestReviveRefusesCrashedNode pins the asymmetry: Revive is for pauses,
-// and a crashed node (handler discarded) must not be revivable into a
-// handlerless zombie.
-func TestReviveRefusesCrashedNode(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := New(e, 1, flatLatency(time.Millisecond))
-	n.Attach(0, HandlerFunc(func(Addr, Message) {}))
-	n.Crash(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Revive of a crashed node did not panic")
-		}
-	}()
-	n.Revive(0)
-}
-
 // TestRestartWithoutRestarterPanics: a crash-restart schedule on a network
 // with no registered rebuild hook is a configuration bug, caught loudly.
 func TestRestartWithoutRestarterPanics(t *testing.T) {
@@ -141,8 +127,8 @@ func TestRestartWithoutRestarterPanics(t *testing.T) {
 
 // TestUntracedNetworkKeepsNoSources: with the recorder off the network holds
 // no recorder source a node, TraceSource returns nil for every address, and
-// every emit site — kill, revive, crash, restart and a send the drop draw
-// loses — runs on the nil source without a panic.
+// every emit site — crash, restart and a send the drop draw loses — runs on
+// the nil source without a panic.
 func TestUntracedNetworkKeepsNoSources(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, 3, flatLatency(time.Millisecond), WithDropRate(1))
@@ -156,13 +142,11 @@ func TestUntracedNetworkKeepsNoSources(t *testing.T) {
 		}
 	}
 	n.SetRestarter(func(a Addr) { n.Attach(a, HandlerFunc(func(Addr, Message) {})) })
-	n.Kill(1)
-	n.Revive(1)
 	n.Crash(2)
 	n.Restart(2)
 	n.Send(0, 1, "lost")
 	e.Run()
-	if c := n.CountersOf(0); c.MsgsSent != 1 || n.CountersOf(1).MsgsReceived != 0 {
-		t.Fatalf("the lossy send was counted %+v at the sender and delivered %d times", c, n.CountersOf(1).MsgsReceived)
+	if c := n.AllCounters(); c[0].MsgsSent != 1 || c[1].MsgsReceived != 0 {
+		t.Fatalf("the lossy send was counted %+v at the sender and delivered %d times", c[0], c[1].MsgsReceived)
 	}
 }

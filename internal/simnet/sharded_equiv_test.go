@@ -18,8 +18,8 @@ type shardedTraceResult struct {
 }
 
 // runShardedTrace drives one network through a pseudo-random trace of send
-// bursts, liveness flips, and randomized node faults (pauses and crashes,
-// some with a restart) on an engine of shards shards; 0 and 1 are the
+// bursts, liveness flips, and randomized node crashes (some with a
+// restart) on an engine of shards shards; 0 and 1 are the
 // one-shard reference. The trace is constructed identically for every shard
 // count: sends are injected as node-local events on the sending node's own
 // engine, liveness flips and faults go through the global band, so the
@@ -55,21 +55,15 @@ func runShardedTraceOn(seed int64, shards int, prepare func(*Network)) shardedTr
 	// Crashed nodes come back through the restarter, re-attaching the same
 	// recording handler (the real stack would rebuild a node here).
 	net.SetRestarter(func(addr Addr) { net.Attach(addr, handlers[addr]) })
-	// Randomized node faults: pauses (Kill, then maybe Revive) and true
-	// crashes (Crash, then maybe Restart). Fault targets come from the lower
-	// half of the address space (each distinct) and random liveness flips
-	// from the upper half, so a blind Revive never races a crash that
-	// discarded the handler.
+	// Randomized node faults: a crash, then maybe a restart. Fault targets
+	// come from the lower half of the address space (each distinct) and
+	// random liveness flips from the upper half.
 	for _, a := range rng.Perm(size / 2)[:3] {
 		addr := Addr(a)
 		at := time.Duration(rng.Intn(2500)) * 10 * time.Microsecond
-		down, up := net.Kill, net.Revive
+		eng.AtGlobal(at, func() { net.Crash(addr) })
 		if rng.Intn(2) == 0 {
-			down, up = net.Crash, net.Restart
-		}
-		eng.AtGlobal(at, func() { down(addr) })
-		if rng.Intn(2) == 0 {
-			eng.AtGlobal(at+time.Duration(rng.Intn(500)+1)*10*time.Microsecond, func() { up(addr) })
+			eng.AtGlobal(at+time.Duration(rng.Intn(500)+1)*10*time.Microsecond, func() { net.Restart(addr) })
 		}
 	}
 	for op := 0; op < 400; op++ {
@@ -78,9 +72,9 @@ func runShardedTraceOn(seed int64, shards int, prepare func(*Network)) shardedTr
 		case 0: // liveness flip in the global band (cross-node state)
 			target := Addr(size/2 + rng.Intn(size/2))
 			if rng.Intn(2) == 0 {
-				eng.AtGlobal(at, func() { net.Kill(target) })
+				eng.AtGlobal(at, func() { net.Crash(target) })
 			} else {
-				eng.AtGlobal(at, func() { net.Revive(target) })
+				eng.AtGlobal(at, func() { net.Restart(target) })
 			}
 		default: // burst of sends from one source at one instant
 			src := Addr(rng.Intn(size))
@@ -103,7 +97,7 @@ func runShardedTraceOn(seed int64, shards int, prepare func(*Network)) shardedTr
 }
 
 // TestShardedDeliveryEquivalence replays identical randomized traces — send
-// bursts, 20% base loss, node pauses and true crashes with restarts —
+// bursts, 20% base loss, and crashes with restarts —
 // through the one-shard engine and the sharded engine at
 // K ∈ {2, 4, 8}. Every node's delivery sequence (order, timestamps, senders)
 // and every traffic counter must be identical at every shard count.

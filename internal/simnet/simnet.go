@@ -4,10 +4,10 @@
 // asynchronously through the discrete-event engine, and per-node traffic
 // counters feed the paper's overhead experiments (Table I, Fig. 15).
 //
-// A fault is one of the network's four primitives: Kill pauses a node (its
-// traffic is dropped, its handler kept) until Revive, and Crash discards the
-// handler until Restart rebuilds it through the registered restarter. A
-// caller schedules them in the engine's global band (sim.Engine.AtGlobal).
+// A fault is one of the network's two primitives: Crash drops a node's
+// traffic and discards its handler, and Restart rebuilds it through the
+// registered restarter; a node crashed with no Restart after it stays down.
+// A caller schedules them in the engine's global band (sim.Engine.AtGlobal).
 // Message loss is one base rate (WithDropRate).
 package simnet
 
@@ -111,7 +111,7 @@ type Counters struct {
 // event and zero per-message closures instead of k closure allocations and
 // k queue operations. Messages within a batch are delivered in send order
 // and liveness and counter checks happen per message at delivery time, so
-// drop, kill and accounting semantics are those of one event per message
+// drop, crash and accounting semantics are those of one event per message
 // (the reference model the delivery-mode equivalence tests compare against).
 type Network struct {
 	engine   *sim.Engine
@@ -515,30 +515,16 @@ func (n *Network) Attach(addr Addr, handler Handler) {
 	n.nodes[addr] = slot{handler: handler, alive: true}
 }
 
-// Kill marks the node dead: all traffic to or from it is dropped until
-// Revive. Killing a dead node is a no-op.
-func (n *Network) Kill(addr Addr) {
-	n.check(addr)
-	was := n.nodes[addr].alive
-	n.nodes[addr].alive = false
-	if was {
-		// Fault injections run at exclusive global instants (or from idle
-		// test code), so writing the victim's own source is race-free.
-		n.source(addr).Instant(n.engine.Now(), obs.KindKill, obs.NoRef, 0, 0)
-	}
-}
-
 // SetRestarter registers the rebuild hook Restart invokes for crashed
 // nodes. There is one restarter per network: crash recovery is a property
 // of the stack above, not of an individual fault site.
 func (n *Network) SetRestarter(fn func(addr Addr)) { n.restarter = fn }
 
-// Crash kills the node AND discards its handler: every piece of in-memory
-// state the handler closed over — leaf sets, lease tables, placement maps —
-// is unreachable from the network's point of view. The node can only come
-// back through Restart (or a fresh Attach), never through Revive. Crashing
-// a dead node still discards the handler; crashing a crashed node is a
-// no-op.
+// Crash marks the node dead and discards its handler: all traffic to or
+// from it is dropped, and every piece of in-memory state the handler closed
+// over — leaf sets, lease tables, placement maps — is unreachable from the
+// network's point of view. The node comes back only through Restart (or a
+// fresh Attach). Crashing a crashed node is a no-op.
 func (n *Network) Crash(addr Addr) {
 	n.check(addr)
 	was := n.nodes[addr].alive
@@ -550,11 +536,11 @@ func (n *Network) Crash(addr Addr) {
 	}
 }
 
-// Restart reboots a crashed (or killed) node through the registered
-// restarter: the restarter rebuilds the node's stack from scratch — plus
-// whatever its durable store held — and attaches the new handler.
-// Restarting a live node is a no-op; restarting without a restarter, or
-// with a restarter that fails to attach a live handler, panics.
+// Restart reboots a crashed node through the registered restarter: the
+// restarter rebuilds the node's stack from scratch — plus whatever its
+// durable store held — and attaches the new handler. Restarting a live node
+// is a no-op; restarting without a restarter, or with a restarter that fails
+// to attach a live handler, panics.
 func (n *Network) Restart(addr Addr) {
 	n.check(addr)
 	if n.nodes[addr].alive {
@@ -570,22 +556,7 @@ func (n *Network) Restart(addr Addr) {
 	}
 }
 
-// Revive brings a previously killed node back online with its old handler.
-// It panics if the node was never attached — or crashed, in which case the
-// old handler is deliberately gone and recovery must go through Restart.
-func (n *Network) Revive(addr Addr) {
-	n.check(addr)
-	if n.nodes[addr].handler == nil {
-		panic(fmt.Sprintf("simnet: Revive(%d) with no handler (never attached, or crashed — use Restart)", addr))
-	}
-	was := n.nodes[addr].alive
-	n.nodes[addr].alive = true
-	if !was {
-		n.source(addr).Instant(n.engine.Now(), obs.KindRevive, obs.NoRef, 0, 0)
-	}
-}
-
-// Alive reports whether the node is attached and not killed.
+// Alive reports whether the node is attached and not crashed.
 func (n *Network) Alive(addr Addr) bool {
 	return addr >= 0 && int(addr) < len(n.nodes) && n.nodes[addr].alive
 }
@@ -642,7 +613,7 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 // the flush event. It delivers every message due for dst at the current
 // virtual time, in delivery-key order — per-source send order, sources
 // interleaved by (source, send index), identical in serial and sharded runs.
-// Liveness is re-checked before each message, so a handler that kills dst
+// Liveness is re-checked before each message, so a handler that crashes dst
 // mid-batch stops the remainder of the batch, which is recycled.
 func (n *Network) flushInbox(key uint64) {
 	dst := Addr(key)
@@ -672,12 +643,6 @@ func (n *Network) flushInbox(key uint64) {
 		*p = pending{} // release message references
 	}
 	n.scratches[sh] = batch[:0]
-}
-
-// CountersOf returns a copy of the traffic counters for addr.
-func (n *Network) CountersOf(addr Addr) Counters {
-	n.check(addr)
-	return n.counters[addr]
 }
 
 // AllCounters returns a copy of every node's counters, indexed by address.

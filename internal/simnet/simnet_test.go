@@ -65,19 +65,19 @@ func TestDeadNodesDropTraffic(t *testing.T) {
 	n.Attach(1, rx)
 	// Node 2 never attached: send from it is dropped.
 	n.Send(2, 1, "ghost")
-	// Kill receiver: message in flight is dropped at delivery time.
+	// Crash the receiver: the message in flight is dropped at delivery time.
 	n.Send(0, 1, "casualty")
-	n.Kill(1)
+	n.Crash(1)
 	e.Run()
 	if len(rx.msgs) != 0 {
 		t.Fatalf("dead node received %v", rx.msgs)
 	}
-	// Revive and verify delivery resumes.
-	n.Revive(1)
+	// Re-attach the saved handler and verify delivery resumes.
+	n.Attach(1, rx)
 	n.Send(0, 1, "back")
 	e.Run()
 	if len(rx.msgs) != 1 || rx.msgs[0] != "back" {
-		t.Fatalf("revive delivery: %v", rx.msgs)
+		t.Fatalf("delivery after re-attach: %v", rx.msgs)
 	}
 }
 
@@ -91,9 +91,9 @@ func TestAliveReflectsState(t *testing.T) {
 	if !n.Alive(0) {
 		t.Fatal("attached node reported dead")
 	}
-	n.Kill(0)
+	n.Crash(0)
 	if n.Alive(0) {
-		t.Fatal("killed node reported alive")
+		t.Fatal("crashed node reported alive")
 	}
 	if n.Alive(Nowhere) {
 		t.Fatal("Nowhere reported alive")
@@ -112,7 +112,8 @@ func TestCounters(t *testing.T) {
 	n.Send(0, 1, "x")          // default size
 	n.Send(0, 1, sized{n: 10}) // explicit size
 	e.Run()
-	c0, c1 := n.CountersOf(0), n.CountersOf(1)
+	c := n.AllCounters()
+	c0, c1 := c[0], c[1]
 	if c0.MsgsSent != 2 || c0.BytesSent != DefaultWireSize+10 {
 		t.Fatalf("sender counters: %+v", c0)
 	}
@@ -124,7 +125,7 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("AllCounters mismatch")
 	}
 	n.ResetCounters()
-	if n.CountersOf(0) != (Counters{}) {
+	if n.AllCounters()[0] != (Counters{}) {
 		t.Fatal("ResetCounters did not zero")
 	}
 }
@@ -135,7 +136,7 @@ func TestSendFromDeadNotCounted(t *testing.T) {
 	n.Attach(1, HandlerFunc(func(Addr, Message) {}))
 	n.Send(0, 1, "x") // node 0 never attached
 	e.Run()
-	if c := n.CountersOf(0); c.MsgsSent != 0 {
+	if c := n.AllCounters()[0]; c.MsgsSent != 0 {
 		t.Fatalf("dead sender counted: %+v", c)
 	}
 }
@@ -155,7 +156,7 @@ func TestDropRate(t *testing.T) {
 		t.Fatalf("drop rate 0.5 delivered %d of %d", received, total)
 	}
 	// Sender is still charged for all messages.
-	if c := n.CountersOf(0); c.MsgsSent != total {
+	if c := n.AllCounters()[0]; c.MsgsSent != total {
 		t.Fatalf("sender counted %d, want %d", c.MsgsSent, total)
 	}
 }
@@ -189,8 +190,8 @@ func TestPanicsOnBadAddress(t *testing.T) {
 		func() { n.Attach(5, HandlerFunc(func(Addr, Message) {})) },
 		func() { n.Attach(0, nil) },
 		func() { n.Send(0, 9, "x") },
-		func() { n.Revive(0) }, // never attached
-		func() { n.CountersOf(-2) },
+		func() { n.Crash(3) },
+		func() { n.TraceSource(-2) },
 	} {
 		func() {
 			defer func() {

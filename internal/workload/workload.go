@@ -1,10 +1,9 @@
 // Package workload generates the VM bandwidth demands that drive the
-// v-Bundle experiments: simple analytic generators (flat, sine,
-// bursty) for the large-scale rebalancing simulations, and models of the
-// two applications the paper's testbed evaluation runs — SIPp, a SIP call
-// generator whose QoS (failed calls, response time) degrades when starved
-// of bandwidth, and Iperf, a greedy bulk-traffic source used to create
-// contention (§V.A).
+// v-Bundle experiments: simple analytic generators (flat, bursty) for the
+// large-scale rebalancing simulations, and models of the two applications
+// the paper's testbed evaluation runs — SIPp, a SIP call generator whose QoS
+// (failed calls, response time) degrades when starved of bandwidth, and
+// Iperf, a greedy bulk-traffic source used to create contention (§V.A).
 package workload
 
 import (
@@ -30,19 +29,6 @@ var _ Generator = GeneratorFunc(nil)
 // Flat returns a constant demand.
 func Flat(mbps float64) Generator {
 	return GeneratorFunc(func(time.Duration) float64 { return mbps })
-}
-
-// Sine oscillates around base with the given amplitude and period; phase
-// shifts the cycle so different VMs peak at different times. Values are
-// clamped at zero.
-func Sine(base, amplitude float64, period time.Duration, phase float64) Generator {
-	return GeneratorFunc(func(t time.Duration) float64 {
-		v := base + amplitude*math.Sin(2*math.Pi*(t.Seconds()/period.Seconds())+phase)
-		if v < 0 {
-			v = 0
-		}
-		return v
-	})
 }
 
 // Bursty alternates between a low and a high demand with the given period

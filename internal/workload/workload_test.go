@@ -218,3 +218,16 @@ func TestDriverRefreshOrder(t *testing.T) {
 		}
 	}
 }
+
+// Sine oscillates around base with the given amplitude and period; phase
+// shifts the cycle so different VMs peak at different times. Values are
+// clamped at zero.
+func Sine(base, amplitude float64, period time.Duration, phase float64) Generator {
+	return GeneratorFunc(func(t time.Duration) float64 {
+		v := base + amplitude*math.Sin(2*math.Pi*(t.Seconds()/period.Seconds())+phase)
+		if v < 0 {
+			v = 0
+		}
+		return v
+	})
+}

@@ -1,12 +1,16 @@
 package vbundle
 
 import (
+	"bufio"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
@@ -203,8 +207,195 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
+// reachAllowed names the functions under internal/ that no gate runs, each
+// with the reason it stays: an error or injection path, a String or Error,
+// a caller only in benchmark/, a test harness or oracle shared across
+// packages, or a safety path no command line reaches. It only shrinks: a new
+// unreached function is deleted or pinned by a TestGates row, and an entry
+// whose function a gate comes to run goes.
+var reachAllowed = map[string]string{
+	"aggregation.Manager.PublishNow":       "benchmark/ only: the ladder workload's forced round",
+	"audit.Auditor.report":                 "error path: a check that fails; the audit package's injection tests run it",
+	"audit.nodeOrVM":                       "error path: report's violation instant",
+	"cluster.Server.Admit":                 "injection: audit's tests list a VM on a roster behind the cluster's back",
+	"cluster.Cluster.Unplace":              "test harness shared across packages: placement's and core's fixtures free a server and re-place the same VM",
+	"cluster.Kind.String":                  "String",
+	"core.EngineKind.String":               "String",
+	"ids.Random":                           "benchmark/ only: the route kernel's keys",
+	"ids.Id.String":                        "String",
+	"ids.Id.Short":                         "String: the short form Node.String and Scribe.String print",
+	"pastry.BaseApp.Deliver":               "benchmark/ only: its sink app embeds BaseApp",
+	"pastry.BaseApp.HandleDirect":          "benchmark/ only: its sink app embeds BaseApp",
+	"pastry.Ring.Topology":                 "benchmark/ only: its stacks read the ring's topology",
+	"pastry.Ring.ClosestLive":              "test oracle shared across packages: the routing ground truth",
+	"pastry.Ring.firstLive":                "test oracle shared across packages: ClosestLive's walk",
+	"pastry.Node.String":                   "String",
+	"placement.ResolutionCache.Invalidate": "safety path: vb serve -cache -rebalance completes no migration (served VMs carry no demand; -servers 256 -rate 5 -duration 30m) and no serve command line crashes a rendezvous",
+	"rebalance.Role.String":                "String",
+	"rebalance.Agent.OrphanAccepted":       "safety path: a verdict past every retry; vb faults -servers 64 -lease 1 -drop-rates 0,0.1 (and 0.2,0.4, and the -crash line at 0.3) delivers none",
+	"rebalance.renewMsg.WireSize":          "safety path: lease renewal fires at lease/3 (10 s at least) and a 128-MB migration takes 1.4 s; vb faults -lease 1 sends none",
+	"rebalance.renewMsg.Recycle":           "safety path: lease renewal, as renewMsg.WireSize",
+	"scribe.anycastFunc.AnycastDone":       "benchmark/ only: its any-cast kernel hears verdicts through a func",
+	"scribe.Scribe.InTree":                 "test oracle shared across packages: the tree's shape",
+	"scribe.Scribe.Children":               "test oracle shared across packages: the tree's shape",
+	"scribe.Scribe.Parent":                 "test oracle shared across packages: the tree's shape",
+	"scribe.Scribe.String":                 "String",
+	"serve.OverloadError.Error":            "Error",
+	"sim.CheckPoisoned":                    "test harness shared across packages: the poison-on-bank runs",
+	"sim.PoisonEach":                       "test harness shared across packages: the poison-on-bank runs",
+	"sim.Poisoner.Watch":                   "test harness shared across packages: the poison-on-bank runs",
+	"sim.Poisoner.RunUntil":                "test harness shared across packages: the poison-on-bank runs",
+	"sim.Bank.Poison":                      "test harness shared across packages: the poison-on-bank runs",
+	"sim.Engine.At":                        "benchmark/ only: the engine kernel",
+	"simnet.HandlerFunc.HandleMessage":     "benchmark/ only: the network kernel's sink",
+	"topology.Tier.String":                 "String",
+}
+
+// TestEveryFunctionRunsInAGate holds the rule "a function stays in the
+// binary only if a gate runs it, or reachAllowed says why not". It runs the
+// gates under coverage — go test -short ./cmd/vb with every internal/
+// package instrumented — and fails on a function under internal/ none of
+// whose blocks ran and that reachAllowed does not name, and on an entry of
+// reachAllowed whose function ran or no longer exists. Delete an unreached
+// function, or pin it with a TestGates row.
+func TestEveryFunctionRunsInAGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the gates under coverage (≈ 20 s)")
+	}
+	prof := filepath.Join(t.TempDir(), "c.out")
+	cmd := exec.Command("go", "test", "-short", "./cmd/vb", "-coverpkg=vbundle/internal/...", "-coverprofile="+prof)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("the gates under coverage failed: %v\n%s", err, out)
+	}
+	blocks, err := readProfile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, stmts, covered := reachOf(loadModule(t), blocks)
+	// Guard against a vacuous pass: the stack's constructor must be seen,
+	// and seen run.
+	if !ran["core.New"] {
+		t.Fatal("core.New not seen reached: the profile or the walk missed the gates")
+	}
+	t.Logf("reach %.1f%% (%d of %d statements); %d functions, %d allow-listed",
+		100*float64(covered)/float64(stmts), covered, stmts, len(ran), len(reachAllowed))
+	var unreached, stale []string
+	for name, ok := range ran {
+		if _, allowed := reachAllowed[name]; !ok && !allowed {
+			unreached = append(unreached, name)
+		}
+	}
+	for name := range reachAllowed {
+		if ok, found := ran[name]; !found || ok {
+			stale = append(stale, fmt.Sprintf("%s (reached %v, found %v)", name, ok, found))
+		}
+	}
+	sort.Strings(unreached)
+	sort.Strings(stale)
+	if len(unreached) > 0 {
+		t.Errorf("%d functions run in no gate; delete each, or pin it with a TestGates row:\n%s",
+			len(unreached), strings.Join(unreached, "\n"))
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d reachAllowed entries are stale; remove each:\n%s", len(stale), strings.Join(stale, "\n"))
+	}
+}
+
+// coverBlock is one basic block of a cover profile: where it starts in a
+// file of the module, its statements and how often it ran.
+type coverBlock struct {
+	file                  string // relative to the module root
+	line0, col0, stmts, n int
+}
+
+// readProfile parses a go test -coverprofile file.
+func readProfile(name string) ([]coverBlock, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var blocks []coverBlock
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "mode:") {
+			continue
+		}
+		var b coverBlock
+		var line1, col1 int
+		colon := strings.LastIndexByte(line, ':')
+		if colon < 0 {
+			return nil, fmt.Errorf("cover profile: bad line %q", line)
+		}
+		if _, err := fmt.Sscanf(line[colon+1:], "%d.%d,%d.%d %d %d", &b.line0, &b.col0, &line1, &col1, &b.stmts, &b.n); err != nil {
+			return nil, fmt.Errorf("cover profile: %q: %v", line, err)
+		}
+		b.file = strings.TrimPrefix(line[:colon], "vbundle/")
+		blocks = append(blocks, b)
+	}
+	return blocks, sc.Err()
+}
+
+// reachOf maps every function declared in a non-test file under internal/ —
+// pkg.Func, or pkg.Recv.Method — to whether any of its blocks ran, and
+// counts the statements the profile holds and those that ran.
+func reachOf(l *knobLoader, blocks []coverBlock) (ran map[string]bool, stmts, covered int) {
+	byFile := map[string][]coverBlock{}
+	for _, b := range blocks {
+		byFile[b.file] = append(byFile[b.file], b)
+		stmts += b.stmts
+		if b.n > 0 {
+			covered += b.stmts
+		}
+	}
+	ran = map[string]bool{}
+	for p, d := range l.pkgs {
+		if !strings.HasPrefix(p, "vbundle/internal/") {
+			continue
+		}
+		for _, f := range d.files {
+			file := filepath.ToSlash(l.fset.File(f.Pos()).Name())
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				name := path.Base(p) + "." + fd.Name.Name
+				if fd.Recv != nil {
+					name = path.Base(p) + "." + recvIdent(fd.Recv.List[0].Type).Name + "." + fd.Name.Name
+				}
+				from, to := l.fset.Position(fd.Pos()), l.fset.Position(fd.End())
+				for _, b := range byFile[file] {
+					if within(b.line0, b.col0, from, to) {
+						ran[name] = ran[name] || b.n > 0
+					}
+				}
+			}
+		}
+	}
+	return ran, stmts, covered
+}
+
+// within reports whether line.col lies in [from, to).
+func within(line, col int, from, to token.Position) bool {
+	after := line > from.Line || line == from.Line && col >= from.Column
+	before := line < to.Line || line == to.Line && col < to.Column
+	return after && before
+}
+
 // recvType returns the type a method's receiver expression names.
 func recvType(e ast.Expr, info *types.Info) *types.TypeName {
+	if id := recvIdent(e); id != nil {
+		tn, _ := info.Uses[id].(*types.TypeName)
+		return tn
+	}
+	return nil
+}
+
+// recvIdent returns the identifier of the type a method's receiver
+// expression names.
+func recvIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch x := e.(type) {
 		case *ast.StarExpr:
@@ -216,8 +407,7 @@ func recvType(e ast.Expr, info *types.Info) *types.TypeName {
 		case *ast.IndexListExpr:
 			e = x.X
 		case *ast.Ident:
-			tn, _ := info.Uses[x].(*types.TypeName)
-			return tn
+			return x
 		default:
 			return nil
 		}

@@ -79,7 +79,7 @@ go test -race -count=1 -run "$models" \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/ \
 	./internal/rebalance/ ./internal/migration/ ./internal/cluster/
 
-# Twenty gates that must have run and passed by name, not merely not failed
+# Twenty-one gates that must have run and passed by name, not merely not failed
 # (a renamed or skipped test fails the count). Eleven count objects: a 256-hop
 # spill walk allocates no more than a boot admitted at its rendezvous; a warm
 # serving step (a boot, its query's completion and two terminates, under each
@@ -105,16 +105,18 @@ go test -race -count=1 -run "$models" \
 # holds the bandwidth
 # ledger and the cached demand sums to the full sweep they replaced, bit for
 # bit, through migrations, boots, terminates, refreshes and a crash-restart.
-# Two hold the API to its callers: every field of a
+# Three hold the API to its callers: every field of a
 # Config, Options or …Params struct is set somewhere besides its own
-# withDefaults, and every export of internal/ is used somewhere besides its
-# own package's tests. One holds vb to its inputs: every nonsense value a
+# withDefaults, every export of internal/ is used somewhere besides its
+# own package's tests, and every function under internal/ runs in the gates
+# (go test -short ./cmd/vb under coverage) or is allow-listed with a reason.
+# One holds vb to its inputs: every nonsense value a
 # bug once hung, panicked or silently ran on exits 1 naming its flag or
 # field.
-step "allocation, size, ledger, fold-reader, knob, export and bad-config gates, PASS by name (20)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestBadConfigs)$' \
+step "allocation, size, ledger, fold-reader, knob, export, reach and bad-config gates, PASS by name (21)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestEveryFunctionRunsInAGate|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 20
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 21
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
