@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"vbundle/internal/ids"
+	"vbundle/internal/sim"
 	"vbundle/internal/topology"
 )
 
@@ -281,35 +282,27 @@ type Cluster struct {
 	spares vmSpares
 }
 
-// vmSpares hands a server's full VM list a backing of twice its capacity
-// and keeps the one the list leaves: one idle backing a size class, the
-// timing wheel's spare idiom with a depth of one. Seeding fills the servers
-// one after another, so a list grows 1, 2, 4, 8, 16 through the backings the
-// server before it left, and only the last is new: one allocation a server
-// instead of five. Placements on two shards may grow lists at once, hence
-// the lock; which backing a list gets never shows in what it holds.
+// vmSpares hands a server's full VM list a backing of twice its capacity,
+// from a sim.Pool, and banks the one the list leaves. Servers that grow at
+// once, as a serving stream's rendezvous servers do, take the backings the
+// ones before them left and carve the rest from the pool's slab chunks: an
+// allocation a chunk, not one a list growth. Placements on two shards may
+// grow lists at once, hence the lock; which backing a list gets never shows
+// in what it holds.
 type vmSpares struct {
-	mu    sync.Mutex
-	spare [32][]*VM // spare[c] is nil or an empty backing of capacity 1<<c
+	mu   sync.Mutex
+	pool sim.Pool[*VM]
 }
 
 // grow returns a backing of twice vms' capacity (at least 1) holding vms,
-// and banks vms' own backing, cleared, when its class slot is free.
+// and banks vms' own backing. A list Server.Admit grew by append past a
+// power of two is left to the collector.
 func (p *vmSpares) grow(vms []*VM) []*VM {
-	c := bits.Len(uint(max(2*cap(vms), 1))) - 1
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	grown := p.spare[c]
-	p.spare[c] = nil
-	if grown == nil {
-		grown = make([]*VM, 0, 1<<c)
-	}
-	grown = append(grown, vms...)
+	grown := append(p.pool.Get(2*cap(vms)), vms...)
 	if old := cap(vms); old > 0 && old&(old-1) == 0 {
-		if oc := bits.Len(uint(old)) - 1; p.spare[oc] == nil {
-			clear(vms)
-			p.spare[oc] = vms[:0]
-		}
+		p.pool.Put(vms)
 	}
 	return grown
 }

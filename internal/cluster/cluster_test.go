@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"vbundle/internal/ids"
@@ -296,5 +297,48 @@ func TestCreateVMKeysEveryVMByItsCustomer(t *testing.T) {
 		if want := ids.HashString(customer); vm.Key != want {
 			t.Fatalf("vm %d of %q: key %v, want %v", vm.ID, customer, vm.Key, want)
 		}
+	}
+}
+
+// TestInterleavedFillAllocatesOnlyPooledChunks is the VM lists' allocation
+// gate: 2048 servers filled interleaved, one VM on every server a round for
+// sixteen rounds, so every list grows in the same round as all the others,
+// take their backings from the cluster's pool. It carves them from its slab
+// chunks and banks the ones the lists leave; a backing a list growth, which
+// a depth-one spare gave whenever servers grew at once, made five objects a
+// server.
+func TestInterleavedFillAllocatesOnlyPooledChunks(t *testing.T) {
+	const servers, rounds, ceiling = 2048, 16, 0.1
+	tp, err := topology.New(topology.Spec{Racks: servers / 32, ServersPerRack: 32, NICMbps: 1000, Oversubscription: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(tp, Resources{CPU: 64, MemMB: 1 << 20})
+	vms := make([]*VM, 0, servers*rounds)
+	for range servers * rounds {
+		vm, err := c.CreateVM("tenant", Resources{CPU: 1, MemMB: 1}, Resources{CPU: 1, MemMB: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, vm := range vms {
+		if err := c.Place(vm, i%servers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	for _, s := range c.Servers() {
+		if s.NumVMs() != rounds {
+			t.Fatalf("server %d hosts %d VMs, want %d", s.Index, s.NumVMs(), rounds)
+		}
+	}
+	objects := after.Mallocs - before.Mallocs
+	perServer := float64(objects) / servers
+	t.Logf("%d servers filled to %d VMs interleaved: %d objects, %.3f a server", servers, rounds, objects, perServer)
+	if perServer > ceiling {
+		t.Fatalf("an interleaved fill costs %.3f objects a server; the ceiling is %v", perServer, ceiling)
 	}
 }

@@ -1,6 +1,9 @@
 package serve
 
-import "vbundle/internal/cluster"
+import (
+	"vbundle/internal/cluster"
+	"vbundle/internal/sim"
+)
 
 var poisonVM, poisonCustomer = &cluster.VM{ID: -1}, &customerState{}
 
@@ -17,4 +20,18 @@ func (fl *flight) Poison(stamp uint64) (twice bool) {
 	twice = fl.remaining == -int(stamp)
 	fl.batch, fl.cs, fl.remaining = full[:0], poisonCustomer, -int(stamp)
 	return twice
+}
+
+// ringPoisoner poisons the front end's pool of live-queue rings
+// (sim.CheckPoisoned): every banked ring filled with a VM id no boot made.
+// poisoned counts the rings it filled, sweep after sweep.
+type ringPoisoner struct {
+	pool     *sim.Pool[cluster.VMID]
+	poisoned int
+}
+
+func (p *ringPoisoner) Poison(uint64) int {
+	n := p.pool.Poison(poisonVM.ID)
+	p.poisoned += n
+	return n
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -61,12 +62,68 @@ func TestBootPathAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFreshCustomersAllocateOnlySlabChunks is the customer bookkeeping's
+// allocation gate: customers the front end has not met, one after another,
+// each running up to twice its record's inline slots plus one VMs and
+// terminating back down, cost a slab chunk's share of an object each. The
+// records come out of the front end's slab, and a live queue that outgrows
+// its inline slots takes its ring from the front end's pool and banks it
+// when it drains, for the next customer. Measured as the objects each
+// customer past 2048 adds, up to 4096, so what a front end costs once drops
+// out.
+func TestFreshCustomersAllocateOnlySlabChunks(t *testing.T) {
+	const small, large, peak, ceiling = 2048, 4096, 2*liveInline + 1, 0.05
+	objects := func(customers int) uint64 {
+		vb, fe := newFrontend(t, 64, Config{})
+		names := make([]string, customers)
+		vms := make([]*cluster.VM, 0, customers*peak)
+		for i := range names {
+			names[i] = fmt.Sprintf("tenant-%d", i)
+			for range peak {
+				vm, err := vb.Cluster.CreateVM(names[i], testRes, testLim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vms = append(vms, vm)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, name := range names {
+			cs := fe.state(name)
+			for _, vm := range vms[i*peak : (i+1)*peak] {
+				fe.inFlight++
+				fe.resolve(cs, vm, placement.Result{}, nil)
+			}
+			if len(cs.live) <= liveInline {
+				t.Fatalf("%s runs %d VMs in a ring of %d", name, cs.n, len(cs.live))
+			}
+			for range peak {
+				if _, _, ok := fe.Terminate(name); !ok {
+					t.Fatalf("%s: a terminate missed", name)
+				}
+			}
+			if &cs.live[0] != &cs.inline[0] {
+				t.Fatalf("%s drained and kept a pooled ring of %d", name, len(cs.live))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	a, b := objects(small), objects(large)
+	perCustomer := float64(b-a) / (large - small)
+	t.Logf("%d objects for %d customers, %d for %d: %.4f a customer past %d", a, small, b, large, perCustomer, small)
+	if perCustomer > ceiling {
+		t.Fatalf("each fresh customer past %d costs %.4f objects; the ceiling is %v", small, perCustomer, ceiling)
+	}
+}
+
 // TestLiveQueueMatchesSortedModel holds the head-indexed live queue to the
 // shape it replaced, a sorted slice whose front Terminate removed: seeded
 // interleavings of completions (in any order, so a VM can resolve after a
 // younger one was already terminated) and terminates free the same VMs in
-// the same order and miss as often. The queue's capacity stays within twice
-// the peak running count plus one.
+// the same order and miss as often. The queue's capacity stays within the
+// inline slots or twice the peak running count plus one, whichever is more.
 func TestLiveQueueMatchesSortedModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		vb, fe := newFrontend(t, 16, Config{})
@@ -118,8 +175,8 @@ func TestLiveQueueMatchesSortedModel(t *testing.T) {
 			if fe.Live("acme") != len(model) {
 				t.Fatalf("seed %d step %d: %d live, model %d", seed, step, fe.Live("acme"), len(model))
 			}
-			if cap(cs.live) > 2*peak+1 {
-				t.Fatalf("seed %d step %d: cap(live) %d over 2 × peak %d + 1", seed, step, cap(cs.live), peak)
+			if cap(cs.live) > max(liveInline, 2*peak+1) {
+				t.Fatalf("seed %d step %d: cap(live) %d over max(%d inline slots, 2 × peak %d + 1)", seed, step, cap(cs.live), liveInline, peak)
 			}
 		}
 		if got := fe.Stats().TerminateMisses; got != misses {
@@ -129,8 +186,8 @@ func TestLiveQueueMatchesSortedModel(t *testing.T) {
 			t.Fatalf("seed %d: no completion arrived after a younger VM was terminated", seed)
 		}
 		// A customer whose running count r holds steady reuses its queue in
-		// place: a boot and a terminate a round reallocate nothing once the
-		// queue has had r rounds to reach its 2r slots.
+		// place: a boot and a terminate a round move it into no other ring
+		// once the first round has settled it, pooled or inline.
 		for _, vm := range pending {
 			fe.resolve(cs, vm, placement.Result{}, nil)
 		}
@@ -172,12 +229,20 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Watch(&fe.flights)
+		rings := &ringPoisoner{pool: &fe.backings}
+		p.Watch(rings)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 3000; i++ {
 			p.RunUntil(vb.Engine, vb.Now()+time.Duration(1+rng.Intn(100))*time.Millisecond)
 			c := fmt.Sprintf("tenant-%d", rng.Intn(12))
 			fe.Boot(c, 1+rng.Intn(3), testRes, testLim) // a shed is counted, not fatal
-			for fe.Live(c) > 6 {
+			// Tenants keep up to twelve VMs for 250 boots, then two, so
+			// live queues outgrow their inline slots and drain back.
+			keep := 12
+			if i/250%2 == 1 {
+				keep = 2
+			}
+			for fe.Live(c) > keep {
 				fe.Terminate(c)
 			}
 		}
@@ -195,6 +260,8 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 		}
 		if untouched == nil {
 			untouched = fe
+		} else {
+			t.Logf("%d live-queue rings poisoned", rings.poisoned)
 		}
 		return fmt.Sprintf("%+v\n%d records made\n", s, fe.nflights)
 	})

@@ -90,52 +90,74 @@ type Stats struct {
 	Queries, Batches, BatchedVMs int
 }
 
-// customerState is the per-customer serving record.
+// liveInline is how many running VMs a customer's record holds in place; a
+// live queue that outgrows them moves into a backing from Frontend.backings.
+const liveInline = 8
+
+// customerState is the per-customer serving record, carved from
+// Frontend.records.
 type customerState struct {
 	// queued boots await coalescing onto the next query.
 	queued []*cluster.VM
+	// live is a ring of the customer's running VMs ordered by id, the
+	// oldest at live[head] and the i-th at live[(head+i)&(len(live)-1)],
+	// i < n, so terminates free the oldest VM regardless of query
+	// completion order and a terminate costs O(1). Its length is a power of
+	// two: the record's inline slots, or a pooled backing twice the running
+	// count it outgrew.
+	live    []cluster.VMID
+	head, n int32
 	// inFlightQueries counts this customer's outstanding queries; with
 	// batching on it stays ≤ 1 and arrivals beyond it queue.
-	inFlightQueries int
-	// live[head:] holds the customer's running VMs ordered by id, so
-	// terminates free the oldest VM regardless of query completion order.
-	// It is a queue: Terminate takes live[head] and advances head, and slides
-	// the rest down only once head reaches half of len(live), so a terminate
-	// costs amortised O(1) where shifting the whole list cost O(live).
-	live []cluster.VMID
-	head int
+	inFlightQueries int32
+	inline          [liveInline]cluster.VMID
 }
 
 // push inserts a resolved VM into the live queue in id order. Completions
 // arrive out of order, so it sorts backwards from the tail, never past head:
 // a late completion older than every VM still running is next to go. A full
-// queue is reallocated at twice its running VMs, dropping the terminated
-// prefix, so cap(live) stays within 2 × the peak running count + 1.
-func (cs *customerState) push(id cluster.VMID) {
-	if len(cs.live) == cap(cs.live) {
-		running := cs.live[cs.head:]
-		grown := make([]cluster.VMID, len(running), 2*len(running)+1)
-		copy(grown, running)
-		cs.live, cs.head = grown, 0
+// queue moves into a pooled backing of twice its length, so len(live) stays
+// within twice the peak running count, or at the inline slots.
+func (cs *customerState) push(id cluster.VMID, pool *sim.Pool[cluster.VMID]) {
+	if int(cs.n) == len(cs.live) {
+		cs.move(pool.Get(2*len(cs.live)), pool)
 	}
-	cs.live = append(cs.live, id)
-	for i := len(cs.live) - 1; i > cs.head && cs.live[i-1] > cs.live[i]; i-- {
-		cs.live[i-1], cs.live[i] = cs.live[i], cs.live[i-1]
+	mask := int32(len(cs.live) - 1)
+	i := cs.head + cs.n
+	for ; i > cs.head && cs.live[(i-1)&mask] > id; i-- {
+		cs.live[i&mask] = cs.live[(i-1)&mask]
 	}
+	cs.live[i&mask] = id
+	cs.n++
 }
 
-// pop takes the oldest running VM; ok is false when nothing runs.
-func (cs *customerState) pop() (id cluster.VMID, ok bool) {
-	if cs.head == len(cs.live) {
+// pop takes the oldest running VM; ok is false when nothing runs. A queue
+// that drains to half the inline slots moves back into them and banks its
+// pooled backing; the slack keeps a count that wavers around the inline
+// slots from moving at every boot and terminate.
+func (cs *customerState) pop(pool *sim.Pool[cluster.VMID]) (id cluster.VMID, ok bool) {
+	if cs.n == 0 {
 		return 0, false
 	}
 	id = cs.live[cs.head]
-	cs.head++
-	if 2*cs.head >= len(cs.live) {
-		n := copy(cs.live, cs.live[cs.head:])
-		cs.live, cs.head = cs.live[:n], 0
+	cs.head = (cs.head + 1) & int32(len(cs.live)-1)
+	cs.n--
+	if cs.n <= liveInline/2 && len(cs.live) > liveInline {
+		cs.move(cs.inline[:0], pool)
 	}
 	return id, true
+}
+
+// move copies the running VMs, oldest first, into the empty backing to and
+// banks the backing they leave, unless it is the record's inline one.
+func (cs *customerState) move(to []cluster.VMID, pool *sim.Pool[cluster.VMID]) {
+	to = to[:cap(to)]
+	tail := copy(to, cs.live[cs.head:min(int(cs.head+cs.n), len(cs.live))])
+	copy(to[tail:cs.n], cs.live)
+	if &cs.live[0] != &cs.inline[0] {
+		pool.Put(cs.live)
+	}
+	cs.live, cs.head = to, 0
 }
 
 // flight is the front end's record of one launched placement query: the
@@ -183,8 +205,13 @@ type Frontend struct {
 	gateway *sim.Engine
 	cache   *placement.ResolutionCache
 
-	inFlight  int
+	inFlight int
+	// customers finds a customer's record by name, as Boot and Terminate
+	// are called; records carves the records and backings lends the live
+	// queues that outgrow their inline slots their rings.
 	customers map[string]*customerState
+	records   sim.Slab[customerState]
+	backings  sim.Pool[cluster.VMID]
 	// admitted is Boot's scratch list of the request's admitted VMs; submit
 	// copies it into cs.queued or into flights, so it is reused.
 	admitted []*cluster.VM
@@ -297,7 +324,8 @@ func (f *Frontend) Stats() Stats {
 func (f *Frontend) state(customer string) *customerState {
 	cs, ok := f.customers[customer]
 	if !ok {
-		cs = &customerState{}
+		cs = f.records.New()
+		cs.live = cs.inline[:]
 		f.customers[customer] = cs
 	}
 	return cs
@@ -448,7 +476,7 @@ func (f *Frontend) resolve(cs *customerState, vm *cluster.VM, r placement.Result
 	}
 	f.placed.Inc()
 	f.latency.RecordDuration(now - submitted)
-	cs.push(vm.ID)
+	cs.push(vm.ID, &f.backings)
 	if hasSpan {
 		f.gwObs.End(now, obs.KindBoot, span, int64(vm.ID), int64(r.Server))
 	}
@@ -458,7 +486,9 @@ func (f *Frontend) resolve(cs *customerState, vm *cluster.VM, r placement.Result
 // reservation. It reports the VM and the server whose capacity it freed;
 // ok is false (a counted miss) when the customer has nothing running.
 func (f *Frontend) Terminate(customer string) (id cluster.VMID, server int, ok bool) {
-	id, ok = f.state(customer).pop()
+	if cs := f.customers[customer]; cs != nil {
+		id, ok = cs.pop(&f.backings)
+	}
 	if !ok {
 		f.termMisses.Inc()
 		return 0, -1, false

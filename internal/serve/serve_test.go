@@ -17,7 +17,7 @@ var testLim = cluster.Resources{CPU: 2, MemMB: 256, BandwidthMbps: 200}
 // Live counts the customer's running VMs.
 func (f *Frontend) Live(customer string) int {
 	if cs, ok := f.customers[customer]; ok {
-		return len(cs.live) - cs.head
+		return int(cs.n)
 	}
 	return 0
 }

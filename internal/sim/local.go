@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 )
@@ -143,6 +144,88 @@ func (b *Bank[T]) Put(v *T) {
 	}
 	b.free[b.top] = v
 	b.top++
+}
+
+// Pool banks power-of-two backings for slices that grow by doubling, where a
+// Bank's one fixed-size value does not fit: a server's VM list, a customer's
+// live queue. Get hands out an empty backing of the size class a length asks
+// for, from the class's free stack, or carved from the class's slab, whose
+// chunks hold many backings in one allocation; Put banks a backing its owner
+// has moved off, for the next Get of its class. A backing has one owner at a
+// time, as a banked value has, and what a class holds is bounded by the peak
+// number of its backings in use. Backings over poolMaxBytes are made and
+// dropped, not pooled. The pool takes no lock: keep it in a struct that one
+// goroutine owns, or behind a lock. The zero value is ready to use.
+type Pool[T any] struct {
+	classes [poolClasses]poolClass[T]
+}
+
+// poolMaxBytes caps a pooled backing. A larger one is rare (a server or a
+// customer past a hundred VMs), the pushes that filled the backing it grew
+// from pay for its allocation, and banked it would keep its bytes once its
+// owner outgrew it, with no owner of its size left to take it.
+const poolMaxBytes = 1 << 10
+
+// poolClasses is one class more than a one-byte T can pool.
+const poolClasses = 11
+
+// poolClass holds one size class: backings of 1<<c elements.
+type poolClass[T any] struct {
+	free  []*T // the banked backings, each by its first element
+	chunk []T  // the current slab chunk's uncarved tail
+	n     int  // the current chunk's length, in backings
+}
+
+// pooled returns the class of a backing of size elements, a power of two,
+// and whether the pool keeps backings of that size.
+func (p *Pool[T]) pooled(size int) (c int, ok bool) {
+	var zero T
+	c = bits.Len(uint(size)) - 1
+	return c, c < poolClasses && size*int(unsafe.Sizeof(zero)) <= poolMaxBytes
+}
+
+// Get returns an empty backing whose capacity is the smallest power of two
+// not below n (1 for n below 1). Chunks double in backings from slabMinLen
+// up to slabMaxBytes, as a Slab's do.
+func (p *Pool[T]) Get(n int) []T {
+	size := 1 << bits.Len(uint(max(n, 1)-1))
+	c, ok := p.pooled(size)
+	if !ok {
+		return make([]T, 0, size)
+	}
+	pc := &p.classes[c]
+	if k := len(pc.free); k > 0 {
+		first := pc.free[k-1]
+		pc.free = pc.free[:k-1]
+		return unsafe.Slice(first, size)[:0]
+	}
+	if len(pc.chunk) == 0 {
+		var zero T
+		most := max(1, slabMaxBytes/max(1, size*int(unsafe.Sizeof(zero))))
+		pc.n = min(max(2*pc.n, slabMinLen), most)
+		pc.chunk = make([]T, pc.n*size)
+	}
+	b := pc.chunk[:0:size]
+	pc.chunk = pc.chunk[size:]
+	return b
+}
+
+// Put clears b's backing and banks it, or leaves it to the collector when it
+// is over poolMaxBytes. Its capacity must be a power of two, and no one may
+// read or write it until Get returns it again: pass only a backing Get
+// returned, or one no one else holds.
+func (p *Pool[T]) Put(b []T) {
+	size := cap(b)
+	if size == 0 || size&(size-1) != 0 {
+		panic("sim: a pooled backing's capacity is a power of two")
+	}
+	c, ok := p.pooled(size)
+	if !ok {
+		return
+	}
+	b = b[:size]
+	clear(b)
+	p.classes[c].free = append(p.classes[c].free, &b[0])
 }
 
 // Readers is the reader count of a banked record that several holders read at

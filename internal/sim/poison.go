@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Poisoner steps a CheckPoisoned scenario. The poisoned run sweeps after each
@@ -80,6 +81,22 @@ func PoisonEach[T any](vs []*T, stamp uint64) int {
 		}
 	}
 	return len(vs)
+}
+
+// Poison fills every banked backing to its capacity with v and returns how
+// many it filled, for the Poison a CheckPoisoned scenario hands to Watch: the
+// pool cannot make a T no owner would write, its caller can.
+func (p *Pool[T]) Poison(v T) (n int) {
+	for c := range p.classes {
+		for _, first := range p.classes[c].free {
+			b := unsafe.Slice(first, 1<<c)
+			for i := range b {
+				b[i] = v
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // Poison poisons what the bank holds (PoisonEach), for CheckPoisoned.

@@ -143,3 +143,60 @@ func TestShardsCarveFromTheirOwnSlabs(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolBacksEachClassOnce: Get hands out empty backings of the power of
+// two a length asks for, no two of them sharing an element while they are
+// out; Put clears a backing and the next Get of its class returns it; a
+// backing over poolMaxBytes is made and never banked; and a capacity that is
+// no power of two is refused.
+func TestPoolBacksEachClassOnce(t *testing.T) {
+	var p Pool[*slabbed]
+	for _, c := range []struct{ n, size int }{{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32}, {128, 128}, {129, 256}} {
+		if b := p.Get(c.n); len(b) != 0 || cap(b) != c.size {
+			t.Fatalf("Get(%d): len %d cap %d, want 0 and %d", c.n, len(b), cap(b), c.size)
+		}
+	}
+	mark := &slabbed{id: 1}
+	out := make(map[**slabbed]bool)
+	var held [][]*slabbed
+	for i := 0; i < 300; i++ {
+		b := p.Get(1 + i%9)[:1+i%9]
+		for k := range b {
+			if b[k] != nil || out[&b[k]] {
+				t.Fatalf("backing %d: element %d is written or handed out twice", i, k)
+			}
+			out[&b[k]] = true
+			b[k] = mark
+		}
+		held = append(held, b)
+	}
+	for _, b := range held {
+		p.Put(b)
+		for k := range b {
+			if b[k] != nil {
+				t.Fatalf("a banked backing still holds element %d", k)
+			}
+		}
+	}
+	if n := p.Poison(mark); n != len(held) {
+		t.Fatalf("%d backings banked, %d put", n, len(held))
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		b := held[i]
+		got := p.Get(len(b))
+		if &got[:1][0] != &b[0] {
+			t.Fatalf("backing %d: Get of its class returned another", i)
+		}
+	}
+	big := p.Get(poolMaxBytes) // 8 bytes an element: over the cap
+	p.Put(big)
+	if n := p.Poison(mark); n != 0 {
+		t.Fatalf("%d backings banked after a backing over poolMaxBytes was put", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put of a 3-element backing did not panic")
+		}
+	}()
+	p.Put(make([]*slabbed, 0, 3))
+}

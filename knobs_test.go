@@ -246,6 +246,7 @@ var reachAllowed = map[string]string{
 	"sim.Poisoner.Watch":                   "test harness shared across packages: the poison-on-bank runs",
 	"sim.Poisoner.RunUntil":                "test harness shared across packages: the poison-on-bank runs",
 	"sim.Bank.Poison":                      "test harness shared across packages: the poison-on-bank runs",
+	"sim.Pool.Poison":                      "test harness shared across packages: the poison-on-bank runs",
 	"sim.Engine.At":                        "benchmark/ only: the engine kernel",
 	"simnet.HandlerFunc.HandleMessage":     "benchmark/ only: the network kernel's sink",
 	"topology.Tier.String":                 "String",

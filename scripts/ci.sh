@@ -79,17 +79,17 @@ go test -race -count=1 -run "$models" \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/ \
 	./internal/rebalance/ ./internal/migration/ ./internal/cluster/
 
-# Twenty-one gates that must have run and passed by name, not merely not failed
-# (a renamed or skipped test fails the count). Eleven count objects: a 256-hop
-# spill walk allocates no more than a boot admitted at its rendezvous; a warm
-# serving step (a boot, its query's completion and two terminates, under each
-# of the four cache/batch settings), a warm BandwidthSatisfaction sweep, a
-# SetLocal+Global pair on a subscribed topic, a warm round of 4096
-# five-minute tickers and a warm aggregation round, of unchanged values or
-# of changed ones whose subtrees re-fold into banked fold lists, allocate
-# nothing; a cold tree build and first round allocate neither a server's
-# fold list nor its messages, only slab chunks (at most 0.05 objects a
-# server past 4096); each
+# Twenty-four gates that must have run and passed by name, not merely not
+# failed (a renamed or skipped test fails the count). Thirteen count objects:
+# a 256-hop spill walk allocates no more than a boot admitted at its
+# rendezvous; a warm serving step (a boot, its query's completion and two
+# terminates, under each of the four cache/batch settings), a warm
+# BandwidthSatisfaction sweep, a SetLocal+Global pair on a subscribed topic,
+# a warm round of 4096 five-minute tickers and a warm aggregation round, of
+# unchanged values or of changed ones whose subtrees re-fold into banked fold
+# lists, allocate nothing; a cold tree build and first round allocate neither
+# a server's fold list nor its messages, only slab chunks (at most 0.05
+# objects a server past 4096); each
 # node past 4096 of an overlay costs a slab chunk's share of an object (under
 # 0.02), and core.New a twentieth of one a server beyond the overlay;
 # StartServices allocates none of its plumbing or messages (at most 0.1
@@ -97,10 +97,16 @@ go test -race -count=1 -run "$models" \
 # comes out of a slab), and a handler event and an embedded ticker's
 # start and stop allocate nothing; three warm shuffle rounds allocate at most
 # 3 objects a migration (the shed records, queries, shells, timers and fold
-# lists are banked). Four are what every server holds of each layer, to the
-# byte: the node and the server record come out of one slice each, the
-# Scribe and the topic out of their engine's slabs, and a fold list out of
-# its engine's bank. One holds the auditor's fold_readers check to what it
+# lists are banked); each fresh customer of the serving front end past 2048,
+# running up past its record's inline slots and back down, costs at most
+# 0.05 objects (the record comes out of a slab, the live queue's ring out of
+# a pool), and 2048 servers filled interleaved allocate at most 0.1 objects a
+# server (their VM lists' backings come out of the cluster's pool). Five are
+# what every server or customer holds of each layer, to the byte: the node
+# and the server record come out of one slice each, the Scribe and the topic
+# out of their engine's slabs, a fold list out of its engine's bank, and a
+# customer's serving record out of its front end's slab. One holds the
+# auditor's fold_readers check to what it
 # must find: nothing in a sound lossy run, and a list one reader short. One
 # holds the bandwidth
 # ledger and the cached demand sums to the full sweep they replaced, bit for
@@ -113,10 +119,10 @@ go test -race -count=1 -run "$models" \
 # One holds vb to its inputs: every nonsense value a
 # bug once hung, panicked or silently ran on exits 1 naming its flag or
 # field.
-step "allocation, size, ledger, fold-reader, knob, export, reach and bad-config gates, PASS by name (21)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestEveryFunctionRunsInAGate|TestBadConfigs)$' \
+step "allocation, size, ledger, fold-reader, knob, export, reach and bad-config gates, PASS by name (24)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestFreshCustomersAllocateOnlySlabChunks|TestInterleavedFillAllocatesOnlyPooledChunks|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestCustomerStateSizeCeiling|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestEveryFunctionRunsInAGate|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 21
+	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 24
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
