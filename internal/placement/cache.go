@@ -162,7 +162,7 @@ func (c *ResolutionCache) remember(q *bootQuery, allPlaced bool) {
 		// the memo did not hold may be what stands last in the list.
 		m.frontier = q.Stops[len(q.Stops)-1]
 	}
-	m.visited.copyFrom(&q.Visited)
+	m.visited.copyFrom(&q.Visited, nil)
 }
 
 // Invalidate drops the customer's entry, walk memo included. Idempotent:

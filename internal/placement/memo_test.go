@@ -53,13 +53,13 @@ func (r *memoRig) launch(t *testing.T, customer string, n int) (servers []int, h
 		vms[i], servers[i] = vm, -2
 	}
 	hops = new(int)
-	r.d.PlaceBatch(vms, func(i int, res Result, err error) {
+	r.d.PlaceBatch(vms, resolveFunc(func(i int, res Result, err error) {
 		servers[i] = -1
 		if err == nil {
 			servers[i] = res.Server
 			*hops += res.Hops
 		}
-	})
+	}))
 	return servers, hops
 }
 

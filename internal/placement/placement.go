@@ -24,6 +24,7 @@ import (
 	"vbundle/internal/ids"
 	"vbundle/internal/obs"
 	"vbundle/internal/pastry"
+	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
 
@@ -38,6 +39,14 @@ type Engine interface {
 	Place(vm *cluster.VM, onDone func(Result, error))
 	// Name identifies the engine in experiment output.
 	Name() string
+}
+
+// Resolver hears the answers of a batch query (DHT.PlaceBatch): Resolve is
+// called once per VM of the batch, in batch order, when the query resolves.
+// An interface rather than a func, so that a caller's per-query record can
+// hear its own answers without a closure bound to it.
+type Resolver interface {
+	Resolve(i int, r Result, err error)
 }
 
 // Result describes a successful placement.
@@ -164,13 +173,21 @@ type DHT struct {
 
 	seq     uint64
 	pending map[uint64]pendingQuery
-	// free is the stack of recycled boot envelopes, threaded through the
-	// envelopes (bootQuery.next). It is read and written where pending is —
-	// Place and PlaceBatch take an envelope, finish hands it back at the
-	// gateway — and so needs no more synchronisation than that map has. It
-	// holds what the queries in flight together have needed; once nothing is
-	// in flight it is cut to one envelope (releaseQuery).
-	free *bootQuery
+	// envelopes banks the boot envelopes' headers, carved from its slab;
+	// backings lends their variable-size parts. Both are read and written
+	// where pending is — Place and PlaceBatch take an envelope, finish banks
+	// it at the gateway — and so need no more synchronisation than that map
+	// has; a walk that outgrows a backing away from the gateway makes its
+	// own. A banked envelope keeps its backings, and so the room of the
+	// longest walk it carried. outgrown lists, once each, the banked
+	// envelopes that hold a backing the pools would not keep (over 1 KB):
+	// the answer that leaves nothing in flight takes those backings from
+	// them (releaseQuery), so that a gateway does not carry its busiest
+	// moment's walks for good. carved counts the headers ever made.
+	envelopes sim.Bank[bootQuery]
+	backings  queryBackings
+	outgrown  []*bootQuery
+	carved    int
 
 	// Timeout wheel: queries share one outstanding timer. QueryTimeout is
 	// constant, so deadlines are FIFO; completed queries are skipped lazily
@@ -217,46 +234,54 @@ type qTimeout struct {
 	at  time.Duration
 }
 
-// tqChunk is how many deadlines one chunk of a timeoutQueue holds.
-const tqChunk = 1024
+// tqChunk is how many deadlines one chunk of a timeoutQueue holds: 16 KB.
+const tqChunk = 2048
 
 // timeoutQueue is a FIFO of deadlines in fixed-size chunks. A deadline waits
 // a whole QueryTimeout before the timer looks at it, so under a steady stream
 // the queue holds every query of the last half minute: one slice grown by
 // append paid five times its final size in copies (Go grows a large slice by
 // a quarter at a time), chunks are allocated once and handed back as the head
-// passes them.
+// passes them. Every launch pushes its query's deadline, in sequence order,
+// so an entry's query is the head's plus the entry's distance from the head,
+// and only the deadline is stored.
 type timeoutQueue struct {
-	chunks [][]qTimeout // all but the last are full
-	head   int          // next unread entry of chunks[0]
-	spare  []qTimeout   // one drained chunk, kept for the next push that needs one
+	chunks [][]time.Duration // all but the last are full
+	head   int               // next unread entry of chunks[0]
+	seq    uint64            // the query of that entry
+	spare  []time.Duration   // one drained chunk, kept for the next push that needs one
 }
 
+// push queues t, whose query must follow the last one queued.
 func (q *timeoutQueue) push(t qTimeout) {
 	last := len(q.chunks) - 1
+	if last < 0 {
+		q.seq = t.seq
+	}
 	if last < 0 || len(q.chunks[last]) == tqChunk {
 		c := q.spare[:0]
 		q.spare = nil
 		if cap(c) == 0 {
-			c = make([]qTimeout, 0, tqChunk)
+			c = make([]time.Duration, 0, tqChunk)
 		}
 		q.chunks = append(q.chunks, c)
 		last++
 	}
-	q.chunks[last] = append(q.chunks[last], t)
+	q.chunks[last] = append(q.chunks[last], t.at)
 }
 
 // peek returns the oldest deadline; ok is false on an empty queue.
 func (q *timeoutQueue) peek() (t qTimeout, ok bool) {
-	if len(q.chunks) == 0 || q.head == len(q.chunks[0]) {
+	if len(q.chunks) == 0 {
 		return qTimeout{}, false
 	}
-	return q.chunks[0][q.head], true
+	return qTimeout{seq: q.seq, at: q.chunks[0][q.head]}, true
 }
 
 // pop drops the oldest deadline, handing its chunk back once it is drained.
 func (q *timeoutQueue) pop() {
 	q.head++
+	q.seq++
 	if q.head == len(q.chunks[0]) { // full and read through, or the last one and the queue is empty
 		q.spare = q.chunks[0]
 		q.chunks[0] = nil
@@ -269,7 +294,7 @@ func (q *timeoutQueue) pop() {
 // of single/batch is set.
 type pendingQuery struct {
 	single   func(Result, error)
-	batch    func(int, Result, error)
+	batch    Resolver
 	customer string
 	n        int
 	direct   bool // served via the cache fast path (evict on timeout)
@@ -277,7 +302,7 @@ type pendingQuery struct {
 
 func (pq pendingQuery) deliver(i int, r Result, err error) {
 	if pq.batch != nil {
-		pq.batch(i, r, err)
+		pq.batch.Resolve(i, r, err)
 		return
 	}
 	pq.single(r, err)
@@ -341,7 +366,7 @@ func (d *DHT) SetCache(c *ResolutionCache) { d.cache = c }
 
 // Place implements Engine: route a boot query toward hash(customer).
 func (d *DHT) Place(vm *cluster.VM, onDone func(Result, error)) {
-	q := d.acquireQuery()
+	q := d.acquireQuery(1)
 	q.VMs = append(q.VMs, vm)
 	q.Servers = append(q.Servers, vmUnplaced)
 	q.HopsAt = append(q.HopsAt, 0)
@@ -350,14 +375,14 @@ func (d *DHT) Place(vm *cluster.VM, onDone func(Result, error)) {
 
 // PlaceBatch admits a batch of VMs — all belonging to one customer — along a
 // single query walk: the walk admits as many VMs as each visited server can
-// take and keeps spilling while any remain. onDone fires once per VM, in
-// batch order, when the query resolves. Panics on an empty batch or mixed
+// take and keeps spilling while any remain. onDone hears each VM's answer,
+// in batch order, when the query resolves. Panics on an empty batch or mixed
 // customers (a programming error: batches coalesce one customer's boots).
-func (d *DHT) PlaceBatch(vms []*cluster.VM, onDone func(int, Result, error)) {
+func (d *DHT) PlaceBatch(vms []*cluster.VM, onDone Resolver) {
 	if len(vms) == 0 {
 		panic("placement: empty batch")
 	}
-	q := d.acquireQuery()
+	q := d.acquireQuery(len(vms))
 	for _, vm := range vms {
 		if vm.Customer != vms[0].Customer {
 			panic("placement: batch mixes customers")
@@ -398,7 +423,8 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 				// flight and each must resume — the freed list is taken, so
 				// one query goes back for each hole.
 				q.Resumed = true
-				q.Visited.copyFrom(&m.visited)
+				q.Visited.copyFrom(&m.visited, &d.backings.keys)
+				q.Stops = regrow(&d.backings.addrs, q.Stops, len(m.freed)+1)
 				q.Stops = append(append(q.Stops, m.freed...), m.frontier)
 				m.freed = m.freed[:0]
 				first = gateway.HandleOf(int32(q.Stops[0]))
@@ -574,7 +600,9 @@ func (d *DHT) finish(q *bootQuery) {
 // envelope carries the per-VM answers back to the origin. The VM pointers
 // are an in-process simulation shortcut for the attribute bundles a real
 // query would serialize. Envelopes are recycled: the final replier hands the
-// envelope back to the gateway, which banks it after the callbacks run.
+// envelope back to the gateway, which banks it after the callbacks run. The
+// struct is the envelope's fixed-size header, carved from DHT.envelopes; its
+// slices and visited set take power-of-two backings from DHT.backings.
 type bootQuery struct {
 	Seq      uint64
 	Customer string
@@ -603,7 +631,50 @@ type bootQuery struct {
 	RouteHops int // of the hops, those the overlay route took
 	Wasted    int // visits that admitted nothing
 
-	next *bootQuery // the envelope below this one while it lies in DHT.free
+	banked   bool // lies in DHT.envelopes
+	outgrown bool // listed in DHT.outgrown
+}
+
+// queryBackings lends boot envelopes the backings of their variable-size
+// parts, one pool an element type.
+type queryBackings struct {
+	vms   sim.Pool[*cluster.VM]
+	ints  sim.Pool[int32]       // Servers and HopsAt
+	addrs sim.Pool[simnet.Addr] // Stops
+	keys  sim.Pool[uint32]      // the visited list and its table
+}
+
+// outgrows reports whether q holds a backing the pools would not keep.
+func (b *queryBackings) outgrows(q *bootQuery) bool {
+	return !b.vms.Keeps(cap(q.VMs)) || !b.ints.Keeps(cap(q.Servers)) || !b.ints.Keeps(cap(q.HopsAt)) ||
+		!b.addrs.Keeps(cap(q.Stops)) || !b.keys.Keeps(cap(q.Visited.list)) || !b.keys.Keeps(cap(q.Visited.slots))
+}
+
+// regrow returns b emptied when it has room for n, or else an empty backing
+// with that room: from pool, or made to length n when the pool would not
+// keep it or there is no pool (the walk memo's). A b the pool keeps goes
+// back to it.
+func regrow[T any](pool *sim.Pool[T], b []T, n int) []T {
+	switch {
+	case cap(b) >= n:
+		return b[:0]
+	case pool == nil:
+		return make([]T, 0, n)
+	case cap(b) > 0 && pool.Keeps(cap(b)):
+		pool.Put(b)
+	}
+	if !pool.Keeps(n) {
+		return make([]T, 0, n)
+	}
+	return pool.Get(n)
+}
+
+// kept returns b when pool would keep it, nil when it is one to let go.
+func kept[T any](pool *sim.Pool[T], b []T) []T {
+	if pool.Keeps(cap(b)) {
+		return b
+	}
+	return nil
 }
 
 // Values of bootQuery.Servers for a VM no server has admitted.
@@ -622,52 +693,60 @@ func (q *bootQuery) WireSize() int {
 	return 64 + 20 + 24*len(q.VMs) + 16*q.Visited.Len() + 20*(len(q.Stops)-q.stop)
 }
 
-// acquireQuery takes the most recently banked boot envelope, or makes one.
-// Pre-sizing Visited for a typical walk and the VM vectors for a typical batch
-// makes the steady-state boot path allocation-free (a longer walk grows its
-// envelope once, and the envelope keeps the room). An envelope whose answer
-// is lost is never banked; the collector takes it.
-func (d *DHT) acquireQuery() *bootQuery {
-	q := d.free
-	if q == nil {
-		return &bootQuery{
-			VMs:     make([]*cluster.VM, 0, 8),
-			Servers: make([]int32, 0, 8),
-			HopsAt:  make([]int32, 0, 8),
-			Visited: newVisitedSet(),
-		}
+// acquireQuery takes a banked boot envelope, or carves one, with room for n
+// VMs. A taker writes every field it reads: the header is set here, and the
+// backings a banked envelope keeps — emptied, its visited table cleared,
+// when it was banked — are regrown from the pools only when they are too
+// small, so a warm gateway's boots allocate nothing. An envelope whose
+// answer is lost is never banked; the collector takes it.
+func (d *DHT) acquireQuery(n int) *bootQuery {
+	q := d.envelopes.Take()
+	if !q.banked {
+		d.carved++
 	}
-	d.free, q.next = q.next, nil
+	b := &d.backings
+	*q = bootQuery{
+		VMs:      regrow(&b.vms, q.VMs, n),
+		Servers:  regrow(&b.ints, q.Servers, n),
+		HopsAt:   regrow(&b.ints, q.HopsAt, n),
+		Visited:  q.Visited,
+		Stops:    q.Stops[:0],
+		outgrown: q.outgrown,
+	}
+	q.Visited.ready(&b.keys)
 	return q
 }
 
+// releaseQuery banks an answered envelope with its backings. The answer that
+// leaves nothing in flight ends a burst: the other banked envelopes listed
+// as outgrown then give up their backings over 1 KB (an envelope keeps the
+// room of the longest walk it carried, 7 KB on average where regions are
+// full) and keep their headers and the rest for the next burst. The
+// answering envelope keeps all of its room, for a gateway whose boots
+// arrive one at a time; it is listed, and gives its outgrown backings up at
+// the next idle answer but its own.
 func (d *DHT) releaseQuery(q *bootQuery) {
-	for i := range q.VMs {
-		q.VMs[i] = nil
-	}
-	q.VMs = q.VMs[:0]
-	q.Servers = q.Servers[:0]
-	q.HopsAt = q.HopsAt[:0]
+	clear(q.VMs)
 	q.Visited.reset()
-	q.Stops = q.Stops[:0]
-	q.stop, q.Resumed, q.Detour, q.RouteHops, q.Wasted = 0, false, 0, 0, 0
-	q.Seq = 0
-	q.Customer = ""
-	q.Key = ids.Id{}
-	q.Origin = pastry.NoHandle
-	q.Home = pastry.NoHandle
-	q.Routed = false
-	q.Done = false
-	q.Spill = 0
-	// An envelope keeps the room of the longest walk it has carried (7 KB on
-	// average where regions are full), so a list that only grew would hold a
-	// burst's worth of them for good. The last answer of a burst ends it: with
-	// nothing in flight the envelopes below are let go, and the one kept
-	// serves a gateway whose boots arrive one at a time.
-	if len(d.pending) > 0 {
-		q.next = d.free
+	if len(d.pending) == 0 {
+		b := &d.backings
+		for i, o := range d.outgrown {
+			if o.banked { // not q, nor a lost or late envelope still walking
+				o.VMs, o.Servers, o.HopsAt = kept(&b.vms, o.VMs), kept(&b.ints, o.Servers), kept(&b.ints, o.HopsAt)
+				o.Stops = kept(&b.addrs, o.Stops)
+				o.Visited.list, o.Visited.slots = kept(&b.keys, o.Visited.list), kept(&b.keys, o.Visited.slots)
+			}
+			o.outgrown = false
+			d.outgrown[i] = nil
+		}
+		d.outgrown = d.outgrown[:0]
 	}
-	d.free = q
+	q.banked = true
+	if !q.outgrown && d.backings.outgrows(q) {
+		q.outgrown = true
+		d.outgrown = append(d.outgrown, q)
+	}
+	d.envelopes.Put(q)
 }
 
 // dhtAgent is the per-server protocol handler.

@@ -59,6 +59,11 @@ func newWorldOn(t *testing.T, engine *sim.Engine, racks, perRack int, nicMbps fl
 	return &world{engine: engine, topo: tp, ring: ring, cl: cl}
 }
 
+// resolveFunc adapts a function to Resolver.
+type resolveFunc func(int, Result, error)
+
+func (f resolveFunc) Resolve(i int, r Result, err error) { f(i, r, err) }
+
 func bwRes(mbps float64) cluster.Resources {
 	return cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: mbps}
 }
@@ -372,52 +377,94 @@ func TestSnapshotCollapsesDuplicates(t *testing.T) {
 	}
 }
 
-// TestIdleGatewayKeepsOneEnvelope: the free list of boot envelopes holds what
-// a burst of concurrent queries needed while the burst lasts — a second wave
-// inside it allocates no envelope — and is cut to one envelope by the answer
-// that leaves nothing in flight, so a gateway does not carry its busiest
-// moment's envelopes for good.
-func TestIdleGatewayKeepsOneEnvelope(t *testing.T) {
-	w := newWorld(t, 8, 8, 1000)
+// bankedEnvelopes takes the n envelopes the bank must hold and banks them
+// again in the same order.
+func bankedEnvelopes(t *testing.T, d *DHT, n int) []*bootQuery {
+	t.Helper()
+	qs := make([]*bootQuery, n)
+	for i := range qs {
+		if qs[i] = d.envelopes.Take(); !qs[i].banked {
+			t.Fatalf("the bank holds %d envelopes, want %d", i, n)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		d.envelopes.Put(qs[i])
+	}
+	return qs
+}
+
+// TestIdleGatewayKeepsItsEnvelopes: the boot envelopes a burst of concurrent
+// queries needed stay banked once the gateway goes idle, so a second burst
+// carves none, and keep their backings but for those over 1 KB. Each query
+// carries 200 VMs, whose VM list (2 KB) outgrows the pools' largest class:
+// banked envelopes keep it while the burst lasts, and the answer that
+// leaves nothing in flight takes it from all but its own envelope, so a
+// gateway does not carry its busiest moment's longest walks for good. Their
+// answer vectors (1 KB) stay.
+func TestIdleGatewayKeepsItsEnvelopes(t *testing.T) {
+	w := newWorld(t, 16, 8, 1000)
 	d := NewDHT(w.ring, w.cl, DHTConfig{})
-	banked := func() (n int) {
-		for q := d.free; q != nil; q = q.next {
-			n++
+	const burst, batch = 16, 200
+	outgrown := func(qs []*bootQuery) (n int) {
+		for _, q := range qs {
+			if d.backings.outgrows(q) {
+				n++
+			}
 		}
 		return n
 	}
-	const burst = 16
-	answered := 0
-	place := func(customer string) {
-		vm, err := w.cl.CreateVM(customer, bwRes(10), bwRes(20))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Place(vm, func(_ Result, err error) {
-			if err != nil {
-				t.Errorf("place %s: %v", customer, err)
-			}
-			answered++
-			if answered == burst/2 {
-				// Half-way through the burst the answered half's envelopes are
-				// banked, the other half is in flight.
-				if got := banked(); got != burst/2-1 {
-					t.Errorf("%d envelopes banked behind the %d-th answer of %d, want %d", got, answered, burst, burst/2-1)
+	wave := func(round int) {
+		answered := 0
+		for i := 0; i < burst; i++ {
+			vms := make([]*cluster.VM, batch)
+			for k := range vms {
+				vm, err := w.cl.CreateVM(fmt.Sprintf("customer-%d-%d", round, i), bwRes(1), bwRes(2))
+				if err != nil {
+					t.Fatal(err)
 				}
+				vms[k] = vm
 			}
-		})
+			d.PlaceBatch(vms, resolveFunc(func(k int, _ Result, err error) {
+				if err != nil {
+					t.Errorf("round %d, query %d, VM %d: %v", round, i, k, err)
+				}
+				if k < batch-1 {
+					return
+				}
+				if answered++; answered == burst/2 {
+					// Half-way through the burst the answered half's envelopes
+					// are banked with every backing they grew, the other half
+					// is in flight.
+					if got := outgrown(bankedEnvelopes(t, d, answered-1)); got != answered-1 {
+						t.Errorf("round %d: %d of %d banked envelopes keep their VM lists mid-burst", round, got, answered-1)
+					}
+				}
+			}))
+		}
+		if len(d.pending) != burst {
+			t.Fatalf("round %d: %d queries in flight, want %d", round, len(d.pending), burst)
+		}
+		w.engine.Run()
+		if answered != burst || len(d.pending) != 0 {
+			t.Fatalf("round %d: %d of %d answered, %d pending", round, answered, burst, len(d.pending))
+		}
+		// The last answer's envelope is the first the bank hands out.
+		qs := bankedEnvelopes(t, d, burst)
+		if got := outgrown(qs[1:]); got != 0 || !d.backings.outgrows(qs[0]) || len(d.outgrown) != 1 {
+			t.Fatalf("round %d: an idle gateway banks %d envelopes besides the last answer's with a backing over 1 KB, %d listed", round, got, len(d.outgrown))
+		}
+		for _, q := range qs[1:] {
+			if cap(q.VMs) != 0 || cap(q.Servers) < batch || cap(q.HopsAt) < batch {
+				t.Fatalf("round %d: an idle envelope holds room for %d VMs and %d, %d answers", round, cap(q.VMs), cap(q.Servers), cap(q.HopsAt))
+			}
+		}
 	}
-	for i := 0; i < burst; i++ {
-		place(fmt.Sprintf("customer-%d", i))
+	wave(0)
+	if d.carved != burst {
+		t.Fatalf("a burst of %d queries carved %d envelopes", burst, d.carved)
 	}
-	if got := banked(); got != 0 {
-		t.Fatalf("%d envelopes banked with %d queries in flight", got, burst)
-	}
-	w.engine.Run()
-	if answered != burst || len(d.pending) != 0 {
-		t.Fatalf("%d of %d answered, %d pending", answered, burst, len(d.pending))
-	}
-	if got := banked(); got != 1 {
-		t.Fatalf("an idle gateway banks %d envelopes, want 1", got)
+	wave(1)
+	if d.carved != burst {
+		t.Fatalf("a second burst after idle carved %d envelopes more", d.carved-burst)
 	}
 }

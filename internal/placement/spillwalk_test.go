@@ -171,7 +171,7 @@ type trackedQuery struct {
 // launch is PlaceBatch with the envelope kept in hand, so the walk can be
 // read off it when the answer arrives (and while it is still under way).
 func (w *walkWorld) launch(vms []*cluster.VM) *trackedQuery {
-	tq := &trackedQuery{q: w.d.acquireQuery(), vms: vms, rec: &walkRecord{
+	tq := &trackedQuery{q: w.d.acquireQuery(len(vms)), vms: vms, rec: &walkRecord{
 		Customer: vms[0].Customer,
 		Results:  make([]Result, len(vms)),
 		Failed:   make([]bool, len(vms)),
@@ -181,7 +181,7 @@ func (w *walkWorld) launch(vms []*cluster.VM) *trackedQuery {
 		tq.q.Servers = append(tq.q.Servers, -1)
 		tq.q.HopsAt = append(tq.q.HopsAt, 0)
 	}
-	w.d.launch(tq.q, pendingQuery{batch: func(i int, r Result, err error) {
+	w.d.launch(tq.q, pendingQuery{batch: resolveFunc(func(i int, r Result, err error) {
 		if !tq.done { // first callback: the envelope is released after the last
 			tq.done = true
 			for k := 0; k < tq.q.Visited.Len(); k++ {
@@ -190,7 +190,7 @@ func (w *walkWorld) launch(vms []*cluster.VM) *trackedQuery {
 			tq.rec.Wire = tq.q.WireSize()
 		}
 		tq.rec.Results[i], tq.rec.Failed[i] = r, err != nil
-	}})
+	})})
 	return tq
 }
 
@@ -374,7 +374,7 @@ func newSpillFixture(tb testing.TB, hops int) *spillFixture {
 	// path does not depend on who is full, so freeing that server leaves
 	// the walk up to it unchanged.
 	f.d.cfg.MaxSpillHops = hops + 16 // the bound counts the route's hops too
-	q := f.d.acquireQuery()
+	q := f.d.acquireQuery(1)
 	q.VMs = append(q.VMs, vm)
 	q.Servers = append(q.Servers, -1)
 	q.HopsAt = append(q.HopsAt, 0)

@@ -2,9 +2,11 @@ package placement
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"vbundle/internal/cluster"
 	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
@@ -131,7 +133,62 @@ func TestTimedOutQueryStopsWalking(t *testing.T) {
 	if after := msgs() - atDeadline; after > 8 {
 		t.Fatalf("%d messages sent after the deadline on a ring of %d, want a handful", after, w.cl.Size())
 	}
-	if d.free == nil || len(d.pending) != 0 {
-		t.Fatalf("envelope banked = %v, %d pending: the zombie never came home", d.free != nil, len(d.pending))
+	if d.carved != 1 || len(d.pending) != 0 {
+		t.Fatalf("%d envelopes carved, %d pending", d.carved, len(d.pending))
+	}
+	bankedEnvelopes(t, d, 1) // the zombie came home
+}
+
+// TestLossyBootsKeepEnvelopesBounded: a boot envelope whose message the
+// network drops is never banked. It goes to the collector with its
+// backings, though its header keeps its slab chunk alive until the chunk's
+// other envelopes are lost too, and the bank carves a new one in its place.
+// What lost envelopes cost must stay bounded, not pile up: a stream of boots
+// at 5 % loss, one in eight lost and timed out, may grow the heap after
+// a forced collection by at most the ceiling from the 4,000th boot to the
+// 40,000th. The VMs are all made before the first checkpoint, since a
+// cluster keeps every VM it ever made.
+func TestLossyBootsKeepEnvelopesBounded(t *testing.T) {
+	const first, last, ceiling = 4000, 40000, 256 << 10
+	engine := sim.NewEngine(5)
+	w := newWorldOn(t, engine, 16, 8, 1000, simnet.WithDropRate(0.05))
+	d := NewDHT(w.ring, w.cl, DHTConfig{QueryTimeout: time.Second})
+	vms := make([]*cluster.VM, last)
+	for i := range vms {
+		vm, err := w.cl.CreateVM(fmt.Sprintf("c%d", i%64), bwRes(1), bwRes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms[i] = vm
+	}
+	boots, failed := 0, 0
+	heapAt := func(n int) uint64 {
+		for ; boots < n; boots++ {
+			vm := vms[boots]
+			vms[boots] = nil
+			d.Place(vm, func(_ Result, err error) {
+				if err != nil {
+					failed++
+				}
+				w.cl.Destroy(vm.ID)
+			})
+			engine.RunFor(5 * time.Millisecond)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	from := heapAt(first)
+	to := heapAt(last)
+	runtime.KeepAlive(d)
+	growth := int64(to) - int64(from)
+	t.Logf("%d boots, %d timed out, %d envelopes carved; heap %d B at boot %d, %d B at boot %d: %+d B",
+		boots, d.Timeouts(), d.carved, from, first, to, last, growth)
+	if failed != d.Timeouts() || d.Timeouts() < last/10 {
+		t.Fatalf("%d of %d boots failed, %d timed out: the loss lost too little", failed, last, d.Timeouts())
+	}
+	if growth > ceiling {
+		t.Fatalf("the heap grew %d B from boot %d to boot %d; the ceiling is %d", growth, first, last, ceiling)
 	}
 }

@@ -5,8 +5,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"vbundle/internal/sim"
 	"vbundle/internal/simnet"
 )
+
+// newVisitedSet is an envelope's set as acquireQuery readies it.
+func newVisitedSet(pool *sim.Pool[uint32]) visitedSet {
+	var v visitedSet
+	v.ready(pool)
+	return v
+}
 
 // TestVisitedSetMatchesMap drives the set through walks of random length
 // over clustered and scattered addresses — growth included — against a map,
@@ -14,7 +22,7 @@ import (
 // slot would make a later walk skip a server it never visited.
 func TestVisitedSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	v := newVisitedSet()
+	v := newVisitedSet(new(sim.Pool[uint32]))
 	for round := 0; round < 200; round++ {
 		want := make(map[simnet.Addr]bool)
 		var order []simnet.Addr
@@ -81,12 +89,14 @@ func FuzzVisitedSet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type model struct {
 			set   visitedSet
+			pool  *sim.Pool[uint32]
 			has   map[simnet.Addr]bool
 			order []simnet.Addr
 		}
+		pool := new(sim.Pool[uint32])
 		sets := [2]*model{
-			{set: newVisitedSet(), has: map[simnet.Addr]bool{}},
-			{has: map[simnet.Addr]bool{}}, // the zero value, as a fresh walk memo holds it
+			{set: newVisitedSet(pool), pool: pool, has: map[simnet.Addr]bool{}}, // an envelope's
+			{has: map[simnet.Addr]bool{}},                                       // the zero value, as a fresh walk memo holds it
 		}
 		check := func(m *model) {
 			t.Helper()
@@ -135,7 +145,7 @@ func FuzzVisitedSet(f *testing.F) {
 				m.has, m.order = map[simnet.Addr]bool{}, nil
 				check(m)
 			case 3:
-				m.set.copyFrom(&other.set)
+				m.set.copyFrom(&other.set, m.pool)
 				m.has = map[simnet.Addr]bool{}
 				for a := range other.has {
 					m.has[a] = true

@@ -62,6 +62,56 @@ func TestBootPathAllocatesNothing(t *testing.T) {
 	}
 }
 
+// idleGapStep returns one step of a serving stream that drains the gateway
+// to idle between bursts over eight customers: boots for the next four in
+// turn at one instant, a second of virtual time in which every query
+// resolves, and terminates down to four VMs for each customer that holds
+// more.
+func idleGapStep(t *testing.T, vb *core.VBundle, fe *Frontend) func() {
+	customers := make([]string, 8)
+	for i := range customers {
+		customers[i] = fmt.Sprintf("tenant-%d", i)
+	}
+	next := 0
+	return func() {
+		for range 4 {
+			if _, err := fe.Boot(customers[next%len(customers)], 1, testRes, testLim); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		vb.RunFor(time.Second)
+		if fe.Unresolved() != 0 {
+			t.Fatalf("%d boots unresolved a second after their burst", fe.Unresolved())
+		}
+		for _, c := range customers {
+			for fe.Live(c) > 4 {
+				fe.Terminate(c)
+			}
+		}
+	}
+}
+
+// TestIdleGapBootsAllocateNothing is the serving request's allocation gate
+// for a gateway that goes idle between bursts: once warm, a burst of four
+// concurrent boots, their queries' completions and the terminates after
+// allocate nothing, whichever optimizations are on. The boot envelopes the
+// burst needs stay banked across the idle gap with their backings.
+func TestIdleGapBootsAllocateNothing(t *testing.T) {
+	for _, cfg := range []Config{{}, {Cache: true}, {Batch: true}, {Cache: true, Batch: true}} {
+		t.Run(fmt.Sprintf("cache=%t,batch=%t", cfg.Cache, cfg.Batch), func(t *testing.T) {
+			vb, fe := newFrontend(t, 64, cfg)
+			step := idleGapStep(t, vb, fe)
+			for i := 0; i < 1000; i++ {
+				step()
+			}
+			if got := testing.AllocsPerRun(1000, step); got != 0 {
+				t.Errorf("a warm burst with an idle gap allocates %v objects; want 0", got)
+			}
+		})
+	}
+}
+
 // TestFreshCustomersAllocateOnlySlabChunks is the customer bookkeeping's
 // allocation gate: customers the front end has not met, one after another,
 // each running up to twice its record's inline slots plus one VMs and
@@ -214,7 +264,10 @@ func TestLiveQueueMatchesSortedModel(t *testing.T) {
 // on a lossy network, so queries time out and their late answers arrive
 // after the record went back. The churn is Step-driven, and poisoned, every
 // banked record is overwritten after every event: a record read after it
-// went back, or banked twice, changes what the run computes or panics.
+// went back, or banked twice, changes what the run computes or panics. The
+// sweeps take the flight records, their batches' pool and the live queues'
+// pool, the DHT's boot envelopes and its backing pools (DHT.Poison), and
+// every engine Local, among them the network's pools of inbox rings.
 // Every boot is accounted for once, and after the drain of the untouched
 // run every record made lies on the free list, emptied.
 func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
@@ -229,8 +282,12 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Watch(&fe.flights)
-		rings := &ringPoisoner{pool: &fe.backings}
-		p.Watch(rings)
+		rings := &counted{poison: func(uint64) int { return fe.backings.Poison(poisonVM.ID) }}
+		batches := &counted{poison: func(uint64) int { return fe.batchBackings.Poison(poisonVM) }}
+		envelopes := &counted{poison: fe.dht.Poison}
+		for _, c := range []*counted{rings, batches, envelopes} {
+			p.Watch(c)
+		}
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 3000; i++ {
 			p.RunUntil(vb.Engine, vb.Now()+time.Duration(1+rng.Intn(100))*time.Millisecond)
@@ -261,23 +318,18 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 		if untouched == nil {
 			untouched = fe
 		} else {
-			t.Logf("%d live-queue rings poisoned", rings.poisoned)
+			t.Logf("%d live-queue rings, %d flight batches, %d boot envelopes and their backings poisoned", rings.poisoned, batches.poisoned, envelopes.poisoned)
 		}
 		return fmt.Sprintf("%+v\n%d records made\n", s, fe.nflights)
 	})
 	fe := untouched
 	for i := range fe.nflights {
 		fl := fe.flights.Take()
-		if fl.done == nil {
+		if fl.f == nil {
 			t.Fatalf("%d records on the free list, %d made", i, fe.nflights)
 		}
-		if len(fl.batch) != 0 || fl.cs != nil || fl.remaining != 0 {
-			t.Fatalf("banked record not emptied: %d VMs, cs %v, %d remaining", len(fl.batch), fl.cs, fl.remaining)
-		}
-		for _, vm := range fl.batch[:cap(fl.batch)] {
-			if vm != nil {
-				t.Fatalf("banked record still holds vm %d", vm.ID)
-			}
+		if fl.batch != nil || fl.cs != nil || fl.remaining != 0 {
+			t.Fatalf("banked record not emptied: a batch of %d, cs %v, %d remaining", len(fl.batch), fl.cs, fl.remaining)
 		}
 	}
 	if fe.nflights < 2 {

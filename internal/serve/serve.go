@@ -162,23 +162,23 @@ func (cs *customerState) move(to []cluster.VMID, pool *sim.Pool[cluster.VMID]) {
 
 // flight is the front end's record of one launched placement query: the
 // VMs it carries and how many of them are still unanswered. Records come
-// from Frontend.flights and go back once the last VM resolves, and each
-// binds its resolved method once, when carved, so launching a query
-// allocates neither a closure nor a slice.
+// from Frontend.flights and go back once the last VM resolves, their
+// batches' backings from Frontend.batchBackings and back with them, and a
+// record hears its query's answers itself (placement.Resolver), so
+// launching a query allocates neither a closure nor a slice.
 type flight struct {
-	f         *Frontend
+	f         *Frontend // set when carved
 	cs        *customerState
 	batch     []*cluster.VM
 	remaining int
-	done      func(int, placement.Result, error) // resolved, bound once
 }
 
-// resolved is the query's completion callback: DHT.PlaceBatch calls it once
+// Resolve is the query's completion callback: DHT.PlaceBatch calls it once
 // per VM. The last call hands the record back before flushing the
 // customer's queue, so the next query can ride the same record. The DHT
 // drops an answer whose query has timed out, so no call reaches a record
 // after it went back.
-func (fl *flight) resolved(i int, r placement.Result, err error) {
+func (fl *flight) Resolve(i int, r placement.Result, err error) {
 	f, cs := fl.f, fl.cs
 	f.resolve(cs, fl.batch[i], r, err)
 	fl.remaining--
@@ -215,17 +215,16 @@ type Frontend struct {
 	// admitted is Boot's scratch list of the request's admitted VMs; submit
 	// copies it into cs.queued or into flights, so it is reused.
 	admitted []*cluster.VM
-	// flights banks the idle flight records; nflights counts every record
-	// made. Unlike DHT.free it is never cut when the gateway goes idle: a
-	// DHT envelope keeps the room of the longest walk it carried
-	// (kilobytes), a flight record only the batch it carried (at most
-	// MaxBatch pointers, about 100 B a typical record), so the bank is
-	// bounded by the peak number of queries in flight at a cost too small
-	// to give back.
-	flights   sim.Bank[flight]
-	nflights  int
-	submitAt  map[cluster.VMID]time.Duration
-	bootSpans map[cluster.VMID]obs.Ref
+	// flights banks the idle flight records and batchBackings their
+	// batches' backings; nflights counts every record made. Both are
+	// bounded by the peak number of queries in flight, and neither is cut
+	// when the gateway goes idle: a record is 48 B, and a batch at most
+	// MaxBatch pointers.
+	flights       sim.Bank[flight]
+	batchBackings sim.Pool[*cluster.VM]
+	nflights      int
+	submitAt      map[cluster.VMID]time.Duration
+	bootSpans     map[cluster.VMID]obs.Ref
 
 	// latency is the virtual-time placement latency distribution
 	// (submission to admission, nanoseconds, successful placements only).
@@ -421,23 +420,23 @@ func clearVMs(vms []*cluster.VM) []*cluster.VM {
 }
 
 // acquireFlight takes an idle flight record, or makes one, and loads it with
-// a copy of vms.
+// a copy of vms in a pooled backing.
 func (f *Frontend) acquireFlight(cs *customerState, vms []*cluster.VM) *flight {
 	fl := f.flights.Take()
-	if fl.done == nil { // fresh from the slab
+	if fl.f == nil { // fresh from the slab
 		fl.f = f
-		fl.done = fl.resolved
 		f.nflights++
 	}
 	fl.cs = cs
-	fl.batch = append(fl.batch, vms...)
+	fl.batch = append(f.batchBackings.Get(len(vms)), vms...)
 	fl.remaining = len(vms)
 	return fl
 }
 
-// releaseFlight empties a record whose every VM has resolved and banks it.
+// releaseFlight banks a record whose every VM has resolved, and its batch.
 func (f *Frontend) releaseFlight(fl *flight) {
-	fl.batch = clearVMs(fl.batch)
+	f.batchBackings.Put(fl.batch)
+	fl.batch = nil
 	fl.cs = nil
 	f.flights.Put(fl)
 }
@@ -452,7 +451,7 @@ func (f *Frontend) launch(fl *flight) {
 		f.batchedVMs.Add(int64(n))
 	}
 	fl.cs.inFlightQueries++
-	f.dht.PlaceBatch(fl.batch, fl.done)
+	f.dht.PlaceBatch(fl.batch, fl)
 }
 
 // resolve finishes one boot VM: stats, latency, live list — or destroy on

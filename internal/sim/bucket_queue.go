@@ -43,9 +43,10 @@ import (
 // which is already execution order, and sortEvents finds that in one pass.
 //
 // Backings. An empty slot holds no memory. Slot and cur backings come from
-// and return to spare, a pool by size class, so a slot that grows takes the
-// backing some drained slot left behind and nothing is dropped and regrown: a
-// warm queue allocates nothing, whatever the timers' periods
+// and return to a pool by size class (up to 1 KB a Pool, whose chunks hold
+// many backings an allocation, and spare above), so a slot that grows takes
+// the backing some drained slot left behind and nothing is dropped and
+// regrown: a warm queue allocates nothing, whatever the timers' periods
 // (TestPeriodicTimersAllocateNothing), and holds what its fullest instant
 // needed, not what each slot ever saw.
 const (
@@ -84,8 +85,11 @@ type bucketQueue struct {
 	levels  [wheelLevels]*wheel
 	inWheel int
 
-	// spare[c] holds the idle backings of capacity in [2^c, 2^(c+1)), all
-	// entries nil; 2^48 pointers are more than an address space holds.
+	// pool lends slots and cur their backings up to poolMaxBytes, carved
+	// from its chunks, and banks them again; spare[c] holds the idle larger
+	// backings of capacity 2^c, all entries nil, which the pool would let
+	// go. 2^48 pointers are more than an address space holds.
+	pool  Pool[*event]
 	spare [48][][]*event
 }
 
@@ -281,15 +285,17 @@ func (q *bucketQueue) add(s []*event, ev *event) []*event {
 }
 
 // grow moves a full slot's events to a backing of twice the capacity, from
-// the pool if it has one, and gives the pool the old one.
+// spare if it has one, else from the pool, which makes one over its largest
+// class, and gives the old one back.
 func (q *bucketQueue) grow(s []*event) []*event {
-	c := bits.Len(uint(max(2*cap(s), minBacking))) - 1
+	size := max(2*cap(s), minBacking)
+	c := bits.Len(uint(size)) - 1
 	var grown []*event
 	if n := len(q.spare[c]); n > 0 {
 		grown = q.spare[c][n-1]
 		q.spare[c] = q.spare[c][:n-1]
 	} else {
-		grown = make([]*event, 0, 1<<c)
+		grown = q.pool.Get(size)
 	}
 	grown = grown[:len(s)]
 	copy(grown, s)
@@ -297,9 +303,14 @@ func (q *bucketQueue) grow(s []*event) []*event {
 	return grown
 }
 
-// release returns a backing whose events have moved on to the pool.
+// release returns a backing whose events have moved on to the pool, or to
+// spare when the pool would not keep it.
 func (q *bucketQueue) release(s []*event) {
 	if cap(s) == 0 {
+		return
+	}
+	if q.pool.Keeps(cap(s)) {
+		q.pool.Put(s)
 		return
 	}
 	clear(s)

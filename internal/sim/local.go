@@ -228,6 +228,16 @@ func (p *Pool[T]) Put(b []T) {
 	p.classes[c].free = append(p.classes[c].free, &b[0])
 }
 
+// Keeps reports whether the pool banks backings of n elements: whether Put
+// would keep one rather than leave it to the collector, and Get carve it
+// rather than make it. An owner that holds on to its backings past their
+// use asks it to let go of the ones the pool would not keep, and one that
+// needs a larger backing makes it to the length it needs.
+func (p *Pool[T]) Keeps(n int) bool {
+	_, ok := p.pooled(n)
+	return ok
+}
+
 // Readers is the reader count of a banked record that several holders read at
 // once, where a Bank's one owner does not fit: a fold list is the sender's
 // cache, the push that carries it and the parent's info-base entry together.

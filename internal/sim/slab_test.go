@@ -189,6 +189,9 @@ func TestPoolBacksEachClassOnce(t *testing.T) {
 		}
 	}
 	big := p.Get(poolMaxBytes) // 8 bytes an element: over the cap
+	if p.Keeps(cap(big)) || !p.Keeps(cap(held[0])) {
+		t.Fatalf("Keeps: %t for a backing of %d, %t for one of %d", p.Keeps(cap(big)), cap(big), p.Keeps(cap(held[0])), cap(held[0]))
+	}
 	p.Put(big)
 	if n := p.Poison(mark); n != 0 {
 		t.Fatalf("%d backings banked after a backing over poolMaxBytes was put", n)

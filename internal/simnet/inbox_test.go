@@ -3,6 +3,7 @@ package simnet
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -93,7 +94,7 @@ func TestInboxMatchesScanModel(t *testing.T) {
 		if seed%7 == 0 {
 			depth = 9000
 		}
-		box := inbox{buf: make([]pending, inboxSlots)}
+		box, engine := inbox{buf: make([]pending, inboxSlots)}, sim.NewEngine(1)
 		ref := refInbox{buf: make([]pending, inboxSlots)}
 		at, sent := 0, uint64(0)
 		nextDue := func() time.Duration {
@@ -135,7 +136,7 @@ func TestInboxMatchesScanModel(t *testing.T) {
 				for i := rng.Intn(16) + 1; i > 0; i-- {
 					sent++
 					p := pending{at: nextDue(), key: deliveryKey(Addr(rng.Intn(64)), sent), size: int(sent), msg: sent}
-					box.push(p)
+					box.push(p, engine)
 					ref.push(p)
 				}
 			case r == 9 || ref.n == 0:
@@ -247,5 +248,44 @@ func TestInboxOutgrowsChunkPrivately(t *testing.T) {
 	}
 	if !outgrew {
 		t.Fatalf("no inbox of the randomized schedule ever held more than %d messages", inboxSlots)
+	}
+}
+
+// TestFreshInboxesAllocateOnlyPooledChunks is the inbox's allocation gate:
+// nodes driven past their two slab slots for the first time, one after
+// another, each cost a pool chunk's share of an object. A node five messages
+// deep grows into a ring of four and then of eight, both from its engine's
+// pool, and banks the ring of four for the next node. Measured as the
+// objects each node past 2048 adds, up to 4096, so that what a network costs
+// once drops out.
+func TestFreshInboxesAllocateOnlyPooledChunks(t *testing.T) {
+	const small, large, depth, ceiling = 2048, 4096, 5, 0.05
+	objects := func(nodes int) uint64 {
+		engine := sim.NewEngine(1)
+		n := New(engine, nodes+1, func(Addr, Addr) time.Duration { return time.Millisecond })
+		sink := HandlerFunc(func(Addr, Message) {})
+		for a := 0; a <= nodes; a++ {
+			n.Attach(Addr(a), sink)
+		}
+		src := Addr(nodes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for dst := Addr(0); dst < src; dst++ {
+			for range depth {
+				n.Send(src, dst, nil) // one instant: all five park until its flush
+			}
+			engine.Run()
+			if got := len(n.inboxes[dst].buf); got != 8 {
+				t.Fatalf("node %d, %d messages deep, holds a ring of %d", dst, depth, got)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	a, b := objects(small), objects(large)
+	perNode := float64(b-a) / (large - small)
+	t.Logf("%d objects for %d nodes, %d for %d: %.4f a node past %d", a, small, b, large, perNode, small)
+	if perNode > ceiling {
+		t.Fatalf("each node first driven %d messages deep past %d costs %.4f objects; the ceiling is %v", depth, small, perNode, ceiling)
 	}
 }

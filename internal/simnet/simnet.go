@@ -198,8 +198,11 @@ type pending struct {
 const inboxSlots = 2
 
 // inbox is a growable circular buffer of a node's in-flight messages. It
-// starts as the node's chunk of the slab and moves to a private buffer,
-// doubling, when it outgrows the chunk.
+// starts as the node's chunk of the slab and, when it outgrows that, moves
+// into a ring twice its length from its engine's pool (inboxRings), banking
+// the pooled ring it leaves; the slab chunk is not the pool's and stays
+// where it is. An inbox never shrinks: a node that got deep once is a hub or
+// a gateway and gets deep again.
 //
 // Ordering invariant: the messages are in due-time order, those due at one
 // instant in the order they were pushed. So whether a flush is already
@@ -235,11 +238,19 @@ func (b *inbox) rank(t time.Duration) int {
 	return lo
 }
 
-func (b *inbox) push(p pending) {
+// push parks p. A full inbox first grows into a ring from the pool of e, the
+// engine of the inbox's node: push runs on that engine's goroutine, or at a
+// barrier while every shard is parked.
+func (b *inbox) push(p pending, e *sim.Engine) {
 	if b.n == len(b.buf) {
-		grown := make([]pending, 2*len(b.buf))
+		rings := inboxRings.Of(e)
+		grown := rings.Get(2 * len(b.buf))
+		grown = grown[:cap(grown)]
 		for i := 0; i < b.n; i++ {
 			grown[i] = *b.slotAt(i)
+		}
+		if len(b.buf) > inboxSlots {
+			rings.Put(b.buf)
 		}
 		b.buf = grown
 		b.head = 0
@@ -251,6 +262,20 @@ func (b *inbox) push(p pending) {
 	}
 	*b.slotAt(i) = p
 	b.n++
+}
+
+// ringPool lends the inboxes of one engine's nodes the rings they grow into
+// past their slab slots, and banks the rings they outgrow, so that a node
+// first driven past its slots costs a pool chunk's share of an object.
+type ringPool struct{ sim.Pool[pending] }
+
+// inboxRings holds each engine's ring pool.
+var inboxRings = sim.NewLocal[ringPool]()
+
+// Poison fills every banked ring with a message no one sent, due before the
+// run began, for sim.CheckPoisoned, which sweeps every engine's Locals.
+func (r *ringPool) Poison(uint64) int {
+	return r.Pool.Poison(pending{at: -1, key: ^uint64(0), size: -1, msg: &r.Pool})
 }
 
 // open frees position i of a buffer with room to spare by moving whichever
@@ -380,8 +405,8 @@ func New(engine *sim.Engine, size int, latency LatencyFunc, opts ...Option) *Net
 	// slots, and under maintenance or an aggregation tree that is every
 	// node: carve them from one slab at construction instead of one
 	// allocation per node at its first message. A busier inbox outgrows its
-	// chunk into a private buffer; the chunk's capacity is clipped, so it
-	// never grows into its neighbour's.
+	// chunk into a ring from its engine's pool; the chunk's capacity is
+	// clipped, so it never grows into its neighbour's.
 	slab := make([]pending, inboxSlots*size)
 	for a := range n.inboxes {
 		n.inboxes[a].buf = slab[a*inboxSlots : (a+1)*inboxSlots : (a+1)*inboxSlots]
@@ -468,7 +493,7 @@ func (n *Network) mergeOutboxes() {
 			if !box.hasDue(m.p.at) {
 				eng.AtDelivery(m.p.at, uint64(m.dst))
 			}
-			box.push(m.p)
+			box.push(m.p, eng)
 			out[i] = outMsg{}
 		}
 		n.outboxes[sh] = out[:0]
@@ -600,13 +625,13 @@ func (n *Network) Send(src, dst Addr, msg Message) {
 		n.engines[src].NoteCrossShardSend(at)
 		return
 	}
-	box := &n.inboxes[dst]
+	box, eng := &n.inboxes[dst], n.engineFor(dst)
 	if !box.hasDue(at) {
 		// First message bound for dst at this instant: schedule its flush.
 		// Later same-(dst, at) sends just park in the inbox for free.
-		n.engineFor(dst).AtDelivery(at, uint64(dst))
+		eng.AtDelivery(at, uint64(dst))
 	}
-	box.push(pending{at: at, key: key, size: size, msg: msg})
+	box.push(pending{at: at, key: key, size: size, msg: msg}, eng)
 }
 
 // flushInbox is the engines' delivery handler: key is the destination dst of

@@ -230,6 +230,8 @@ var reachAllowed = map[string]string{
 	"pastry.Ring.ClosestLive":              "test oracle shared across packages: the routing ground truth",
 	"pastry.Ring.firstLive":                "test oracle shared across packages: ClosestLive's walk",
 	"pastry.Node.String":                   "String",
+	"placement.DHT.Poison":                 "test harness shared across packages: serve's poison-on-bank run watches the engine's envelopes and pools",
+	"placement.bootQuery.Poison":           "test harness shared across packages: the envelope bank's poison, which DHT.Poison runs",
 	"placement.ResolutionCache.Invalidate": "safety path: vb serve -cache -rebalance completes no migration (served VMs carry no demand; -servers 256 -rate 5 -duration 30m) and no serve command line crashes a rendezvous",
 	"rebalance.Role.String":                "String",
 	"rebalance.Agent.OrphanAccepted":       "safety path: a verdict past every retry; vb faults -servers 64 -lease 1 -drop-rates 0,0.1 (and 0.2,0.4, and the -crash line at 0.3) delivers none",
@@ -248,6 +250,7 @@ var reachAllowed = map[string]string{
 	"sim.Bank.Poison":                      "test harness shared across packages: the poison-on-bank runs",
 	"sim.Pool.Poison":                      "test harness shared across packages: the poison-on-bank runs",
 	"sim.Engine.At":                        "benchmark/ only: the engine kernel",
+	"simnet.ringPool.Poison":               "test harness shared across packages: every poison-on-bank run sweeps the engines' inbox rings",
 	"simnet.HandlerFunc.HandleMessage":     "benchmark/ only: the network kernel's sink",
 	"topology.Tier.String":                 "String",
 }

@@ -79,11 +79,13 @@ go test -race -count=1 -run "$models" \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/ \
 	./internal/rebalance/ ./internal/migration/ ./internal/cluster/
 
-# Twenty-four gates that must have run and passed by name, not merely not
-# failed (a renamed or skipped test fails the count). Thirteen count objects:
+# Twenty-six gates that must have run and passed by name, not merely not
+# failed (a renamed or skipped test fails the count). Fifteen count objects:
 # a 256-hop spill walk allocates no more than a boot admitted at its
 # rendezvous; a warm serving step (a boot, its query's completion and two
-# terminates, under each of the four cache/batch settings), a warm
+# terminates, under each of the four cache/batch settings), a warm burst of
+# four boots with the gateway idle between bursts (the boot envelopes stay
+# banked across the gap, under each setting), a warm
 # BandwidthSatisfaction sweep, a SetLocal+Global pair on a subscribed topic,
 # a warm round of 4096 five-minute tickers and a warm aggregation round, of
 # unchanged values or of changed ones whose subtrees re-fold into banked fold
@@ -100,8 +102,10 @@ go test -race -count=1 -run "$models" \
 # lists are banked); each fresh customer of the serving front end past 2048,
 # running up past its record's inline slots and back down, costs at most
 # 0.05 objects (the record comes out of a slab, the live queue's ring out of
-# a pool), and 2048 servers filled interleaved allocate at most 0.1 objects a
-# server (their VM lists' backings come out of the cluster's pool). Five are
+# a pool), 2048 servers filled interleaved allocate at most 0.1 objects a
+# server (their VM lists' backings come out of the cluster's pool), and each
+# network node past 2048 first driven five messages deep costs at most 0.05
+# objects (its inbox's rings come out of its engine's pool). Five are
 # what every server or customer holds of each layer, to the byte: the node
 # and the server record come out of one slice each, the Scribe and the topic
 # out of their engine's slabs, a fold list out of its engine's bank, and a
@@ -119,10 +123,10 @@ go test -race -count=1 -run "$models" \
 # One holds vb to its inputs: every nonsense value a
 # bug once hung, panicked or silently ran on exits 1 naming its flag or
 # field.
-step "allocation, size, ledger, fold-reader, knob, export, reach and bad-config gates, PASS by name (24)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestFreshCustomersAllocateOnlySlabChunks|TestInterleavedFillAllocatesOnlyPooledChunks|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestCustomerStateSizeCeiling|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestEveryFunctionRunsInAGate|TestBadConfigs)$' \
+step "allocation, size, ledger, fold-reader, knob, export, reach and bad-config gates, PASS by name (26)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestIdleGapBootsAllocateNothing|TestFreshInboxesAllocateOnlyPooledChunks|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestFreshCustomersAllocateOnlySlabChunks|TestInterleavedFillAllocatesOnlyPooledChunks|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestCustomerStateSizeCeiling|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestEveryFunctionRunsInAGate|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 24
+	./internal/sim/ ./internal/simnet/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 26
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
