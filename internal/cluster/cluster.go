@@ -213,8 +213,8 @@ func (s *Server) UtilizationBW() float64 {
 }
 
 // The VM arena grows in blocks that are allocated full-capacity and only
-// ever appended into, so they never reallocate and *VM pointers stay valid
-// for the life of the cluster. Block sizes double from vmChunkMin up to
+// ever extended in place, so they never reallocate and a *VM stays where it
+// is while its VM lives. Block sizes double from vmChunkMin up to
 // vmChunkMax and stay there: small experiments (Fig. 12's 225 VMs) pay for
 // a 256-slot block instead of a 4096-slot one, while large ones still get
 // the flat-arena economics.
@@ -249,23 +249,23 @@ func vmChunkCap(ci int) int {
 
 // Cluster is the set of servers of one datacenter plus the VM registry.
 //
-// VM records live in a chunked arena and are addressed by their sequential
-// ID, so the registry is index arithmetic instead of a map: at experiment
-// scale (hundreds of thousands of VMs) this removes per-VM heap objects and
-// hashing from every lookup, and iteration walks memory in ID order —
-// deterministic and cache-friendly. Per-VM bookkeeping that changes at a
-// different rate than the record itself (placement, liveness) is kept in
-// parallel flat arrays rather than inside VM.
+// VM records live in a chunked arena (vmArena) and are found through their
+// sequential ID, so the registry is index arithmetic instead of a map: at
+// experiment scale (hundreds of thousands of VMs) this removes per-VM heap
+// objects and hashing from every lookup. A destroyed VM's arena slot goes on
+// a free list and the next CreateVM takes it, so the arena holds the peak
+// live count, not every VM ever booted; what a VM ever booted costs is its
+// entry in slots, 4 bytes. IDs stay sequential and are never reused, so a
+// holder of a VMID finds a destroyed VM gone (VM returns nil), never another
+// one. A *VM is valid only until its VM is destroyed: whoever holds one
+// across an event keeps the VMID instead and looks the record up again.
 type Cluster struct {
 	topo    *topology.Topology
 	servers []*Server
-	// chunks is the VM arena: VM with ID id lives at the
-	// vmChunkIndex(int(id)-1) position.
-	chunks [][]VM
-	// location[id-1] is the server hosting the VM, or -1 while unplaced.
-	location []int32
-	// dead[id-1] marks destroyed VMs; arena slots are retired, never reused.
-	dead   []bool
+	// slots[id-1] is the arena slot of the VM with that ID, or -1 once the
+	// VM is destroyed.
+	slots  []int32
+	arena  vmArena
 	nVMs   int // live (non-destroyed) VM count
 	nextID VMID
 	// keyCustomer and key are the last customer CreateVM hashed and its
@@ -281,6 +281,55 @@ type Cluster struct {
 	// spares is where a server's full VM list finds its next backing.
 	spares vmSpares
 }
+
+// vmArena holds the VM records in the blocks vmChunkIndex lays out, a slot
+// each, and the slots destroyed VMs left. Bookkeeping that changes at a
+// different rate than the record itself (placement) is kept in parallel
+// blocks rather than inside VM.
+type vmArena struct {
+	chunks [][]VM
+	// locs[ci][off] is the server hosting the VM in the slot at (ci, off),
+	// or -1 while it is unplaced or the slot is free.
+	locs  [][]int32
+	slots int // slots made
+	// free lists the slots of destroyed VMs, the last freed on top.
+	free []int32
+}
+
+// at returns the record in slot s.
+func (a *vmArena) at(s int32) *VM {
+	ci, off := vmChunkIndex(int(s))
+	return &a.chunks[ci][off]
+}
+
+// loc returns the location of the VM in slot s.
+func (a *vmArena) loc(s int32) *int32 {
+	ci, off := vmChunkIndex(int(s))
+	return &a.locs[ci][off]
+}
+
+// take returns a slot for a new VM: the last freed, or a new one at the end
+// of the arena.
+func (a *vmArena) take() int32 {
+	if n := len(a.free); n > 0 {
+		s := a.free[n-1]
+		a.free = a.free[:n-1]
+		return s
+	}
+	s := a.slots
+	a.slots++
+	ci, _ := vmChunkIndex(s)
+	if ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]VM, 0, vmChunkCap(ci)))
+		a.locs = append(a.locs, make([]int32, 0, vmChunkCap(ci)))
+	}
+	a.chunks[ci] = a.chunks[ci][:len(a.chunks[ci])+1]
+	a.locs[ci] = append(a.locs[ci], -1)
+	return int32(s)
+}
+
+// put frees slot s of an unplaced VM for the next take.
+func (a *vmArena) put(s int32) { a.free = append(a.free, s) }
 
 // vmSpares hands a server's full VM list a backing of twice its capacity,
 // from a sim.Pool, and banks the one the list leaves. Servers that grow at
@@ -352,7 +401,9 @@ func (c *Cluster) Server(i int) *Server { return c.servers[i] }
 func (c *Cluster) Servers() []*Server { return c.servers }
 
 // CreateVM registers a new, unplaced VM for the customer. Reservation must
-// fit within limit component-wise.
+// fit within limit component-wise. The record returned is the VM's until it
+// is destroyed, when the next CreateVM may reuse it: hold the ID across
+// events, not the record.
 func (c *Cluster) CreateVM(customer string, reservation, limit Resources) (*VM, error) {
 	if !reservation.Fits(limit) {
 		return nil, fmt.Errorf("cluster: reservation %+v exceeds limit %+v", reservation, limit)
@@ -361,44 +412,36 @@ func (c *Cluster) CreateVM(customer string, reservation, limit Resources) (*VM, 
 		c.keyCustomer, c.key = customer, ids.HashString(customer)
 	}
 	c.nextID++
-	i := int(c.nextID) - 1
-	ci, off := vmChunkIndex(i)
-	if ci == len(c.chunks) {
-		c.chunks = append(c.chunks, make([]VM, 0, vmChunkCap(ci)))
-	}
-	c.chunks[ci] = append(c.chunks[ci], VM{
+	slot := c.arena.take()
+	c.slots = append(c.slots, slot)
+	vm := c.arena.at(slot)
+	*vm = VM{
 		ID:          c.nextID,
 		Customer:    customer,
 		Key:         c.key,
 		Reservation: reservation,
 		Limit:       limit,
-	})
-	c.location = append(c.location, -1)
-	c.dead = append(c.dead, false)
-	c.nVMs++
-	return &c.chunks[ci][off], nil
-}
-
-// VM returns the VM with the given id, or nil.
-func (c *Cluster) VM(id VMID) *VM {
-	i := int(id) - 1
-	if i < 0 || i >= len(c.dead) || c.dead[i] {
-		return nil
 	}
-	ci, off := vmChunkIndex(i)
-	return &c.chunks[ci][off]
+	*c.arena.loc(slot) = -1
+	c.nVMs++
+	return vm, nil
 }
 
-// eachVM calls fn for every live VM in ID order: a linear arena walk, no
-// sorting needed.
+// VM returns the VM with the given id, or nil once it is destroyed or when
+// the id was never issued.
+func (c *Cluster) VM(id VMID) *VM {
+	if s := c.slot(id); s >= 0 {
+		return c.arena.at(s)
+	}
+	return nil
+}
+
+// eachVM calls fn for every live VM in ID order: a walk of the slot index,
+// 4 bytes an ID ever issued.
 func (c *Cluster) eachVM(fn func(*VM)) {
-	i := 0
-	for _, ch := range c.chunks {
-		for k := range ch {
-			if !c.dead[i] {
-				fn(&ch[k])
-			}
-			i++
+	for _, s := range c.slots {
+		if s >= 0 {
+			fn(c.arena.at(s))
 		}
 	}
 }
@@ -406,19 +449,19 @@ func (c *Cluster) eachVM(fn func(*VM)) {
 // NumVMs returns the number of registered (non-destroyed) VMs.
 func (c *Cluster) NumVMs() int { return c.nVMs }
 
-// EachVM calls fn for every live VM in ID order — a read-only arena walk.
+// EachVM calls fn for every live VM in ID order — a read-only walk.
 // The online auditor uses it to cross-check the location map against the
 // per-server VM lists.
 func (c *Cluster) EachVM(fn func(*VM)) { c.eachVM(fn) }
 
-// slot returns the registry index of id, or -1 when the id was never issued
-// or the VM is destroyed.
-func (c *Cluster) slot(id VMID) int {
+// slot returns the arena slot of id, or -1 when the id was never issued or
+// the VM is destroyed.
+func (c *Cluster) slot(id VMID) int32 {
 	i := int(id) - 1
-	if i < 0 || i >= len(c.dead) || c.dead[i] {
+	if i < 0 || i >= len(c.slots) {
 		return -1
 	}
-	return i
+	return c.slots[i]
 }
 
 // Place admits the VM on the given server; the VM must not be placed yet.
@@ -427,13 +470,14 @@ func (c *Cluster) Place(vm *VM, server int) error {
 	if i < 0 {
 		return fmt.Errorf("cluster: vm %d is not registered", vm.ID)
 	}
-	if cur := c.location[i]; cur >= 0 {
-		return fmt.Errorf("cluster: vm %d already placed on server %d", vm.ID, cur)
+	loc := c.arena.loc(i)
+	if *loc >= 0 {
+		return fmt.Errorf("cluster: vm %d already placed on server %d", vm.ID, *loc)
 	}
 	if err := c.servers[server].admit(vm, &c.spares); err != nil {
 		return err
 	}
-	c.location[i] = int32(server)
+	*loc = int32(server)
 	c.serverChanged(server)
 	return nil
 }
@@ -442,19 +486,19 @@ func (c *Cluster) Place(vm *VM, server int) error {
 // destination. On failure the VM stays where it was.
 func (c *Cluster) Migrate(id VMID, to int) error {
 	i := c.slot(id)
-	if i < 0 || c.location[i] < 0 {
+	if i < 0 || *c.arena.loc(i) < 0 {
 		return fmt.Errorf("cluster: vm %d is not placed", id)
 	}
-	from := int(c.location[i])
+	loc := c.arena.loc(i)
+	from := int(*loc)
 	if from == to {
 		return nil
 	}
-	vm := c.VM(id)
-	if err := c.servers[to].admit(vm, &c.spares); err != nil {
+	if err := c.servers[to].admit(c.arena.at(i), &c.spares); err != nil {
 		return err
 	}
 	c.servers[from].Remove(id)
-	c.location[i] = int32(to)
+	*loc = int32(to)
 	c.serverChanged(to)
 	c.serverChanged(from)
 	return nil
@@ -465,19 +509,20 @@ func (c *Cluster) Migrate(id VMID, to int) error {
 // capacity it freed; ok is false when the VM is unknown or was not placed.
 func (c *Cluster) Unplace(id VMID) (server int, ok bool) {
 	i := c.slot(id)
-	if i < 0 || c.location[i] < 0 {
+	if i < 0 || *c.arena.loc(i) < 0 {
 		return -1, false
 	}
-	server = int(c.location[i])
+	loc := c.arena.loc(i)
+	server = int(*loc)
 	c.servers[server].Remove(id)
-	c.location[i] = -1
+	*loc = -1
 	c.serverChanged(server)
 	return server, true
 }
 
 // Destroy removes a VM entirely: off its server (if placed) and out of the
 // registry. Destroying an unknown id is a no-op; it reports whether the VM
-// existed. The arena slot is retired, never reused.
+// existed. The VM's arena slot goes on the free list, for the next CreateVM.
 func (c *Cluster) Destroy(id VMID) bool {
 	_, existed := c.Terminate(id)
 	return existed
@@ -493,12 +538,13 @@ func (c *Cluster) Terminate(id VMID) (server int, existed bool) {
 		return -1, false
 	}
 	server = -1
-	if s := c.location[i]; s >= 0 {
-		server = int(s)
-		c.servers[s].Remove(id)
-		c.location[i] = -1
+	if loc := c.arena.loc(i); *loc >= 0 {
+		server = int(*loc)
+		c.servers[server].Remove(id)
+		*loc = -1
 	}
-	c.dead[i] = true
+	c.slots[id-1] = -1
+	c.arena.put(i)
 	c.nVMs--
 	c.serverChanged(server)
 	return server, true
@@ -507,14 +553,14 @@ func (c *Cluster) Terminate(id VMID) (server int, existed bool) {
 // LocationOf returns the server hosting the VM.
 func (c *Cluster) LocationOf(id VMID) (server int, placed bool) {
 	i := c.slot(id)
-	if i < 0 || c.location[i] < 0 {
+	if i < 0 || *c.arena.loc(i) < 0 {
 		return 0, false
 	}
-	return int(c.location[i]), true
+	return int(*c.arena.loc(i)), true
 }
 
-// VMsOf returns the customer's VMs sorted by ID (the arena walk is already
-// in ID order).
+// VMsOf returns the customer's VMs sorted by ID (the slot-index walk is
+// already in ID order).
 func (c *Cluster) VMsOf(customer string) []*VM {
 	var out []*VM
 	c.eachVM(func(vm *VM) {
@@ -546,8 +592,8 @@ func (c *Cluster) SetDemandBW(vm *VM, mbps float64) {
 		return
 	}
 	vm.Demand.BandwidthMbps = mbps
-	if i := c.slot(vm.ID); i >= 0 && c.location[i] >= 0 {
-		c.servers[c.location[i]].gen++
+	if i := c.slot(vm.ID); i >= 0 && *c.arena.loc(i) >= 0 {
+		c.servers[*c.arena.loc(i)].gen++
 	}
 }
 

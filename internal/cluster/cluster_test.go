@@ -342,3 +342,69 @@ func TestInterleavedFillAllocatesOnlyPooledChunks(t *testing.T) {
 		t.Fatalf("an interleaved fill costs %.3f objects a server; the ceiling is %v", perServer, ceiling)
 	}
 }
+
+// TestVMRegistryHoldsLiveVMs is the registry's size gate: cycles of boot and
+// terminate, a burst of VMs placed and then all but a few destroyed, keep
+// the arena at the peak live count, since every CreateVM takes a slot a
+// destroyed VM left before it grows the arena, and cost 4 bytes an ID
+// issued, the slot index. The heap is read after a forced collection, over IDs 65,536 to 1,114,112, and
+// allowed a quarter on top of the 4 bytes: what append leaves spare in the
+// index.
+func TestVMRegistryHoldsLiveVMs(t *testing.T) {
+	const burst, keep, warm = 1000, 24, 1 << 16
+	const total = warm + 1<<20
+	c := testCluster(t)
+	var live []VMID
+	peak := 0
+	cycle := func() {
+		for range burst {
+			vm, err := c.CreateVM("tenant", Resources{CPU: 0.001, MemMB: 1}, Resources{CPU: 1, MemMB: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Place(vm, int(vm.ID)%c.Size()); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, vm.ID)
+		}
+		peak = max(peak, c.NumVMs())
+		for _, id := range live[:len(live)-keep] {
+			if !c.Destroy(id) {
+				t.Fatalf("vm %d was not there to terminate", id)
+			}
+		}
+		live = append(live[:0], live[len(live)-keep:]...)
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	for int(c.nextID) < warm {
+		cycle()
+	}
+	before, from := heap(), c.nextID
+	for int(c.nextID) < total {
+		cycle()
+	}
+	grew, issued := float64(heap())-float64(before), float64(c.nextID-from)
+	slots, capacity := c.arena.slots, 0
+	for _, ch := range c.arena.chunks {
+		capacity += cap(ch)
+	}
+	want := 0
+	for ci := 0; want < peak; ci++ {
+		want += vmChunkCap(ci)
+	}
+	t.Logf("%d IDs issued, peak %d live: %d arena slots, capacity %d, %d free; the heap grew %.2f B an ID over the last %.0f",
+		c.nextID, peak, slots, capacity, len(c.arena.free), grew/issued, issued)
+	if slots != peak || capacity != want || len(c.arena.free) != peak-c.NumVMs() {
+		t.Fatalf("the arena holds %d slots of capacity %d, %d free, for a peak of %d live VMs (want %d slots, capacity %d)",
+			slots, capacity, len(c.arena.free), peak, peak, want)
+	}
+	if per := grew / issued; per > 4*1.25 {
+		t.Fatalf("the registry costs %.2f B an ID issued; the ceiling is 4 B and append's quarter", per)
+	}
+	runtime.KeepAlive(c)
+}

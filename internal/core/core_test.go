@@ -11,6 +11,7 @@ import (
 
 	"vbundle/internal/cluster"
 	"vbundle/internal/pastry"
+	"vbundle/internal/rebalance"
 	"vbundle/internal/sim"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
@@ -393,12 +394,11 @@ func TestBandwidthSatisfactionAllocatesNothing(t *testing.T) {
 }
 
 // TestCoreConstructionAllocatesPerLayer: what New builds above the overlay —
-// the cluster's servers, the placement and rebalancing agents, the hooks
-// between them and the layers below — allocates per layer, not per server:
-// each batch constructor carves one slice, a rebalancing agent meets scribe
-// through the node's app registry (scribe.OrphanAcceptor) and not through a
-// method value, and its release table is made by its first release. A closure
-// or an object a server anywhere above the overlay fails it.
+// the cluster's servers, the placement agents, the hooks between them and
+// the layers below — allocates per layer, not per server: each batch
+// constructor carves one slice. The rebalancing agents are built by the
+// first StartServices (TestUnstartedCoordinatorHoldsNoAgents). A closure or
+// an object a server anywhere above the overlay fails it.
 func TestCoreConstructionAllocatesPerLayer(t *testing.T) {
 	const servers, ceiling = 4096, 0.05
 	opts := Options{Topology: smallSpec(servers/32, 32), Seed: 1}
@@ -419,10 +419,45 @@ func TestCoreConstructionAllocatesPerLayer(t *testing.T) {
 	}
 }
 
-// TestStartServicesAllocatesOnlyMessages: starting a server's services — two
-// aggregation subscriptions, the aggregation ticker and the agent's update and
-// rebalance tickers — allocates its join messages and nothing of its own
-// plumbing: every ticker is embedded in its owner and is its own event's
+// TestUnstartedCoordinatorHoldsNoAgents: New builds no rebalancing agent,
+// so a stack that never starts its services, as a serving stack does not,
+// holds none (an Agent is 296 B a server). StartServices builds them all and
+// registers each on its server's node, where scribe finds it.
+func TestUnstartedCoordinatorHoldsNoAgents(t *testing.T) {
+	vb, err := New(Options{Topology: smallSpec(4, 8), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents := func() (n int) {
+		for _, node := range vb.Ring.Nodes() {
+			if _, ok := pastry.FindApp[*rebalance.Agent](node); ok {
+				n++
+			}
+		}
+		return n
+	}
+	if n := agents(); n != 0 {
+		t.Fatalf("New built %d rebalancing agents; want none before StartServices", n)
+	}
+	if _, _, err := vb.BootVM("acme", cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 10}, cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 20}); err != nil {
+		t.Fatal(err)
+	}
+	if n, leaked := agents(), vb.Rebalancer.LeakedReservations(); n != 0 || leaked != 0 {
+		t.Fatalf("after a boot: %d agents, %d leaked reservations", n, leaked)
+	}
+	vb.StartServices()
+	if n := agents(); n != vb.Cluster.Size() {
+		t.Fatalf("StartServices built %d agents for %d servers", n, vb.Cluster.Size())
+	}
+}
+
+// TestStartServicesAllocatesOnlyMessages: starting a server's services — its
+// rebalancing agent, two aggregation subscriptions, the aggregation ticker
+// and the agent's update and rebalance tickers — allocates its join messages
+// and nothing of its own plumbing: the agents are one slice, an agent meets
+// scribe through the node's app registry (scribe.OrphanAcceptor) and not
+// through a method value, and its release table is made by its first
+// release; every ticker is embedded in its owner and is its own event's
 // handler, a topic is its flush's handler, and the subscriptions and tickers
 // dispatch through named pointer types over their owners. The join messages
 // are the group key the server already holds and their routed envelopes come

@@ -1,6 +1,8 @@
 package migration
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"vbundle/internal/cluster"
@@ -28,10 +30,31 @@ type poisonDone struct{}
 
 func (poisonDone) MigrationDone(error) { panic("migration: a banked flight completed") }
 
-// Poison overwrites a banked flight (sim.CheckPoisoned): no manager, VM or
-// span, servers -1, minus the stamp as its duration and a poisonDone.
+// Poison overwrites a banked flight (sim.CheckPoisoned): no manager or span,
+// a VM ID never issued, servers -1, minus the stamp as its duration and a poisonDone.
 func (f *flight) Poison(stamp uint64) (twice bool) {
 	twice = f.d == -time.Duration(stamp)
-	*f = flight{src: -1, dst: -1, d: -time.Duration(stamp), span: ^obs.Ref(0), onDone: poisonDone{}}
+	*f = flight{vm: -1, src: -1, dst: -1, d: -time.Duration(stamp), span: ^obs.Ref(0), onDone: poisonDone{}}
 	return twice
+}
+
+// freedVMs poisons the records of the VMs a scenario destroyed until a
+// CreateVM takes their slots again (sim.CheckPoisoned): minus the stamp as
+// the ID, which no VM is issued, customer "poisoned" and NaN resources.
+type freedVMs struct{ recs []*cluster.VM }
+
+func (f *freedVMs) add(vm *cluster.VM) { f.recs = append(f.recs, vm) }
+
+func (f *freedVMs) remove(vm *cluster.VM) {
+	if i := slices.Index(f.recs, vm); i >= 0 {
+		f.recs = slices.Delete(f.recs, i, i+1)
+	}
+}
+
+func (f *freedVMs) Poison(stamp uint64) int {
+	nan := cluster.Resources{CPU: math.NaN(), MemMB: math.NaN(), BandwidthMbps: math.NaN()}
+	for _, vm := range f.recs {
+		*vm = cluster.VM{ID: -cluster.VMID(stamp), Customer: "poisoned", Reservation: nan, Limit: nan, Demand: nan}
+	}
+	return len(f.recs)
 }

@@ -106,10 +106,11 @@ type Manager struct {
 }
 
 // flight is one migration between its start and its completion, and the
-// handler of its keyed completion event.
+// handler of its keyed completion event. It keeps the VM's ID, not its
+// record: the VM may be destroyed while it migrates, and its record reused.
 type flight struct {
 	m        *Manager
-	vm       *cluster.VM
+	vm       cluster.VMID
 	src, dst int
 	d        time.Duration
 	span     obs.Ref
@@ -120,7 +121,9 @@ type flight struct {
 type Done interface{ MigrationDone(err error) }
 
 // CompletionHook observes a finished migration attempt: the VM, where it
-// moved from and to, and the outcome (nil = the VM now runs on dst).
+// moved from and to, and the outcome (nil = the VM now runs on dst). vm is
+// nil when the VM was destroyed before the migration ended; err is then not
+// nil.
 type CompletionHook func(vm *cluster.VM, src, dst int, err error)
 
 // New creates a migration manager.
@@ -226,15 +229,14 @@ func (m *Manager) MigrateTraced(rec *obs.Source, parent obs.Ref, id cluster.VMID
 	// the source server's shard clock under sharding.
 	caller := m.engineOf(src)
 	span := rec.Begin(caller.Now(), obs.KindMigration, parent, int64(id), int64(dst))
-	*f = flight{m: m, vm: vm, src: src, dst: dst, d: d, span: span, onDone: onDone}
+	*f = flight{m: m, vm: id, src: src, dst: dst, d: d, span: span, onDone: onDone}
 	caller.AtKeyedHandler(caller.Now()+d, uint64(id), f)
 	return nil
 }
 
 // Fire implements sim.Handler: the migration's completion.
 func (f *flight) Fire() {
-	m, vm, src, dst, d, span, onDone := f.m, f.vm, f.src, f.dst, f.d, f.span, f.onDone
-	id := vm.ID
+	m, id, src, dst, d, span, onDone := f.m, f.vm, f.src, f.dst, f.d, f.span, f.onDone
 	m.mu.Lock()
 	delete(m.inFlight, id)
 	*f = flight{}
@@ -252,6 +254,7 @@ func (f *flight) Fire() {
 	default:
 		err = m.cluster.Migrate(id, dst)
 	}
+	vm := m.cluster.VM(id) // nil once destroyed, and then err is set
 	m.mu.Lock()
 	switch {
 	case errors.Is(err, ErrDestinationDead):

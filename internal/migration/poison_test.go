@@ -15,10 +15,13 @@ import (
 )
 
 // TestPoisonedBanksChangeNothing holds the flight bank to its rule: a flight
-// is banked only once nothing reads it. Waves of migrations of different
-// lengths, some refused at arrival, run one event at a time. Poisoned,
-// every banked flight is overwritten after every event, and the completions
-// must be what they are untouched.
+// is banked only once nothing reads it, and the flights to theirs, that a
+// flight reads its VM's record only while the VM lives. Waves of migrations
+// of different lengths, some refused at arrival, run one event at a time;
+// every other wave destroys two VMs, migrating or not, and makes one, which
+// takes a freed slot. Poisoned, every banked flight and every destroyed VM's
+// record still on the cluster's free list is overwritten after every event,
+// and the completions must be what they are untouched.
 func TestPoisonedBanksChangeNothing(t *testing.T) {
 	sim.CheckPoisoned(t, []int{1}, func(_ int, p *sim.Poisoner) string {
 		tp, err := topology.New(topology.Spec{Racks: 2, ServersPerRack: 4, NICMbps: 400})
@@ -29,6 +32,8 @@ func TestPoisonedBanksChangeNothing(t *testing.T) {
 		cl := cluster.New(tp, cluster.Resources{CPU: 16, MemMB: 1024})
 		m := New(engine, cl)
 		p.Watch(&m.flights)
+		freed := &freedVMs{}
+		p.Watch(freed)
 		var log strings.Builder
 		rng := rand.New(rand.NewSource(3))
 		var vms []*cluster.VM
@@ -41,13 +46,28 @@ func TestPoisonedBanksChangeNothing(t *testing.T) {
 		}
 		for wave := 0; wave < 20; wave++ {
 			engine.At(time.Duration(wave)*300*time.Millisecond, func() {
+				switch wave % 2 {
+				case 0:
+					for range 2 {
+						k := rng.Intn(len(vms))
+						cl.Destroy(vms[k].ID)
+						freed.add(vms[k])
+						vms = append(vms[:k], vms[k+1:]...)
+					}
+				case 1:
+					vm, _ := cl.CreateVM("c", res(64, 10), res(128, 100))
+					freed.remove(vm)
+					if err := cl.Place(vm, rng.Intn(cl.Size())); err == nil {
+						vms = append(vms, vm)
+					}
+				}
 				for k := 0; k < 6; k++ {
-					vm := vms[rng.Intn(len(vms))]
+					id := vms[rng.Intn(len(vms))].ID
 					dst := rng.Intn(cl.Size())
-					err := m.MigrateTraced(nil, obs.NoRef, vm.ID, dst, doneFunc(func(err error) {
-						fmt.Fprintf(&log, "%v: vm %d to %d: %v\n", engine.Now(), vm.ID, dst, err)
+					err := m.MigrateTraced(nil, obs.NoRef, id, dst, doneFunc(func(err error) {
+						fmt.Fprintf(&log, "%v: vm %d to %d: %v\n", engine.Now(), id, dst, err)
 					}))
-					fmt.Fprintf(&log, "%v: start vm %d to %d: %v\n", engine.Now(), vm.ID, dst, err)
+					fmt.Fprintf(&log, "%v: start vm %d to %d: %v\n", engine.Now(), id, dst, err)
 				}
 			})
 		}

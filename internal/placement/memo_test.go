@@ -43,14 +43,14 @@ func (r *memoRig) launch(t *testing.T, customer string, n int) (servers []int, h
 	if m := r.memo(customer); m != nil && r.forget {
 		*m = walkMemo{}
 	}
-	vms := make([]*cluster.VM, n)
+	vms := make([]cluster.VMID, n)
 	servers = make([]int, n)
 	for i := range vms {
 		vm, err := r.cl.CreateVM(customer, bwRes(100), bwRes(200))
 		if err != nil {
 			t.Fatal(err)
 		}
-		vms[i], servers[i] = vm, -2
+		vms[i], servers[i] = vm.ID, -2
 	}
 	hops = new(int)
 	r.d.PlaceBatch(vms, resolveFunc(func(i int, res Result, err error) {

@@ -171,12 +171,11 @@ type DHT struct {
 	agents []*dhtAgent
 	cache  *ResolutionCache // nil = no fast path
 
-	seq     uint64
-	pending map[uint64]pendingQuery
+	seq uint64
 	// envelopes banks the boot envelopes' headers, carved from its slab;
 	// backings lends their variable-size parts. Both are read and written
-	// where pending is — Place and PlaceBatch take an envelope, finish banks
-	// it at the gateway — and so need no more synchronisation than that map
+	// where tq is — Place and PlaceBatch take an envelope, finish banks it
+	// at the gateway — and so need no more synchronisation than the queue
 	// has; a walk that outgrows a backing away from the gateway makes its
 	// own. A banked envelope keeps its backings, and so the room of the
 	// longest walk it carried. outgrown lists, once each, the banked
@@ -189,11 +188,12 @@ type DHT struct {
 	outgrown  []*bootQuery
 	carved    int
 
-	// Timeout wheel: queries share one outstanding timer. QueryTimeout is
-	// constant, so deadlines are FIFO; completed queries are skipped lazily
-	// when their slot fires. This replaces one scheduled closure per query
-	// with one armed timer total — the boot hot path allocates nothing for
-	// timeout tracking.
+	// tq holds the launched queries' gateway records in launch order, and
+	// they share one timer. QueryTimeout is constant, so deadlines are FIFO:
+	// the timer is armed at the oldest unanswered query's deadline, and an
+	// answer that settles the oldest moves the queue's head past every
+	// answered record behind it. The boot hot path neither hashes nor
+	// schedules anything per query for its timeout.
 	tq         timeoutQueue
 	timerArmed bool
 	timerFn    func()
@@ -229,83 +229,107 @@ type WalkStats struct {
 	Resumed, Fallbacks int64
 }
 
-type qTimeout struct {
-	seq uint64
-	at  time.Duration
-}
+// tqChunk is how many records one chunk of a timeoutQueue holds: 28 KB.
+const tqChunk = 512
 
-// tqChunk is how many deadlines one chunk of a timeoutQueue holds: 16 KB.
-const tqChunk = 2048
-
-// timeoutQueue is a FIFO of deadlines in fixed-size chunks. A deadline waits
-// a whole QueryTimeout before the timer looks at it, so under a steady stream
-// the queue holds every query of the last half minute: one slice grown by
-// append paid five times its final size in copies (Go grows a large slice by
-// a quarter at a time), chunks are allocated once and handed back as the head
-// passes them. Every launch pushes its query's deadline, in sequence order,
-// so an entry's query is the head's plus the entry's distance from the head,
-// and only the deadline is stored.
+// timeoutQueue is the gateway's record of every launched query, a FIFO in
+// fixed-size chunks from the oldest unanswered query to the newest. Every
+// launch pushes its record, in sequence order, so a record's query is the
+// head's plus the record's distance from the head, and a lookup is index
+// arithmetic. Chunks are allocated once and handed back as the head passes
+// them; one drained chunk is kept for the next push that needs one.
 type timeoutQueue struct {
-	chunks [][]time.Duration // all but the last are full
-	head   int               // next unread entry of chunks[0]
-	seq    uint64            // the query of that entry
-	spare  []time.Duration   // one drained chunk, kept for the next push that needs one
+	chunks [][]pendingQuery // all but the last are full
+	head   int              // the oldest record, in chunks[0]
+	seq    uint64           // the query of that record
+	spare  []pendingQuery
+	// pending counts the unanswered records.
+	pending int
 }
 
-// push queues t, whose query must follow the last one queued.
-func (q *timeoutQueue) push(t qTimeout) {
-	last := len(q.chunks) - 1
-	if last < 0 {
-		q.seq = t.seq
-	}
-	if last < 0 || len(q.chunks[last]) == tqChunk {
-		c := q.spare[:0]
-		q.spare = nil
-		if cap(c) == 0 {
-			c = make([]time.Duration, 0, tqChunk)
-		}
-		q.chunks = append(q.chunks, c)
-		last++
-	}
-	q.chunks[last] = append(q.chunks[last], t.at)
-}
-
-// peek returns the oldest deadline; ok is false on an empty queue.
-func (q *timeoutQueue) peek() (t qTimeout, ok bool) {
-	if len(q.chunks) == 0 {
-		return qTimeout{}, false
-	}
-	return qTimeout{seq: q.seq, at: q.chunks[0][q.head]}, true
-}
-
-// pop drops the oldest deadline, handing its chunk back once it is drained.
-func (q *timeoutQueue) pop() {
-	q.head++
-	q.seq++
-	if q.head == len(q.chunks[0]) { // full and read through, or the last one and the queue is empty
-		q.spare = q.chunks[0]
-		q.chunks[0] = nil
-		q.chunks = q.chunks[1:]
-		q.head = 0
-	}
-}
-
-// pendingQuery is the gateway-side record of an in-flight query. Exactly one
-// of single/batch is set.
+// pendingQuery is the gateway-side record of a launched query. Exactly one
+// of single/batch is set until the query is answered or times out.
 type pendingQuery struct {
+	at       time.Duration // the deadline
 	single   func(Result, error)
 	batch    Resolver
 	customer string
-	n        int
+	n        int32
 	direct   bool // served via the cache fast path (evict on timeout)
+	answered bool
 }
 
-func (pq pendingQuery) deliver(i int, r Result, err error) {
+func (pq *pendingQuery) deliver(i int, r Result, err error) {
 	if pq.batch != nil {
 		pq.batch.Resolve(i, r, err)
 		return
 	}
 	pq.single(r, err)
+}
+
+// push queues the record of query seq, which must follow the last one queued.
+func (q *timeoutQueue) push(seq uint64, pq pendingQuery) {
+	last := len(q.chunks) - 1
+	if last < 0 {
+		q.seq = seq
+	}
+	if last < 0 || len(q.chunks[last]) == tqChunk {
+		c := q.spare[:0]
+		q.spare = nil
+		if cap(c) == 0 {
+			c = make([]pendingQuery, 0, tqChunk)
+		}
+		q.chunks = append(q.chunks, c)
+		last++
+	}
+	q.chunks[last] = append(q.chunks[last], pq)
+	q.pending++
+}
+
+// oldest returns the head record, nil on an empty queue.
+func (q *timeoutQueue) oldest() *pendingQuery {
+	if len(q.chunks) == 0 {
+		return nil
+	}
+	return &q.chunks[0][q.head]
+}
+
+// find returns query seq's record while it is unanswered, nil once it was
+// answered or timed out.
+func (q *timeoutQueue) find(seq uint64) *pendingQuery {
+	if len(q.chunks) == 0 || seq < q.seq {
+		return nil
+	}
+	i := q.head + int(seq-q.seq)
+	ci, off := i/tqChunk, i%tqChunk
+	if ci >= len(q.chunks) || off >= len(q.chunks[ci]) || q.chunks[ci][off].answered {
+		return nil
+	}
+	return &q.chunks[ci][off]
+}
+
+// settle takes an unanswered record out of the queue and returns it: the
+// record is marked answered, and the head moves past every answered record,
+// handing back the chunks it drains.
+func (q *timeoutQueue) settle(pq *pendingQuery) pendingQuery {
+	out := *pq
+	*pq = pendingQuery{answered: true}
+	q.pending--
+	for len(q.chunks) > 0 && q.chunks[0][q.head].answered {
+		q.chunks[0][q.head] = pendingQuery{}
+		q.head++
+		q.seq++
+		if q.head == len(q.chunks[0]) { // full and read through, or the last one and the queue is empty
+			q.spare = q.chunks[0]
+			// Shift rather than reslice, so that the list keeps its backing
+			// through a queue that drains at every idle gap.
+			n := copy(q.chunks, q.chunks[1:])
+			q.chunks[n] = nil
+			q.chunks = q.chunks[:n]
+			q.head = 0
+		}
+	}
+	return out
 }
 
 // NewDHT builds the engine and registers its agent on every ring node.
@@ -314,11 +338,10 @@ func NewDHT(ring *pastry.Ring, cl *cluster.Cluster, cfg DHTConfig) *DHT {
 		panic(fmt.Sprintf("placement: ring has %d nodes but cluster %d servers", ring.Size(), cl.Size()))
 	}
 	d := &DHT{
-		ring:    ring,
-		cl:      cl,
-		cfg:     cfg.withDefaults(cl.Size()),
-		agents:  make([]*dhtAgent, ring.Size()),
-		pending: make(map[uint64]pendingQuery),
+		ring:   ring,
+		cl:     cl,
+		cfg:    cfg.withDefaults(cl.Size()),
+		agents: make([]*dhtAgent, ring.Size()),
 	}
 	d.timerFn = d.onTimer
 	// One slice for all the agents, as NewRing carves its nodes; a rebound
@@ -367,52 +390,57 @@ func (d *DHT) SetCache(c *ResolutionCache) { d.cache = c }
 // Place implements Engine: route a boot query toward hash(customer).
 func (d *DHT) Place(vm *cluster.VM, onDone func(Result, error)) {
 	q := d.acquireQuery(1)
-	q.VMs = append(q.VMs, vm)
+	q.Customer, q.Key = vm.Customer, vm.Key
+	q.VMs = append(q.VMs, vm.ID)
 	q.Servers = append(q.Servers, vmUnplaced)
 	q.HopsAt = append(q.HopsAt, 0)
 	d.launch(q, pendingQuery{single: onDone})
 }
 
-// PlaceBatch admits a batch of VMs — all belonging to one customer — along a
-// single query walk: the walk admits as many VMs as each visited server can
-// take and keeps spilling while any remain. onDone hears each VM's answer,
-// in batch order, when the query resolves. Panics on an empty batch or mixed
-// customers (a programming error: batches coalesce one customer's boots).
-func (d *DHT) PlaceBatch(vms []*cluster.VM, onDone Resolver) {
+// PlaceBatch admits a batch of registered VMs — all belonging to one
+// customer — along a single query walk: the walk admits as many VMs as each
+// visited server can take and keeps spilling while any remain. onDone hears
+// each VM's answer, in batch order, when the query resolves. Panics on an
+// empty batch, an unknown VM or mixed customers (a programming error:
+// batches coalesce one customer's boots).
+func (d *DHT) PlaceBatch(vms []cluster.VMID, onDone Resolver) {
 	if len(vms) == 0 {
 		panic("placement: empty batch")
 	}
 	q := d.acquireQuery(len(vms))
-	for _, vm := range vms {
-		if vm.Customer != vms[0].Customer {
+	for _, id := range vms {
+		vm := d.cl.VM(id)
+		switch {
+		case vm == nil:
+			panic(fmt.Sprintf("placement: vm %d is not registered", id))
+		case len(q.VMs) == 0:
+			q.Customer, q.Key = vm.Customer, vm.Key
+		case vm.Customer != q.Customer:
 			panic("placement: batch mixes customers")
 		}
-		q.VMs = append(q.VMs, vm)
+		q.VMs = append(q.VMs, id)
 		q.Servers = append(q.Servers, vmUnplaced)
 		q.HopsAt = append(q.HopsAt, 0)
 	}
 	d.launch(q, pendingQuery{batch: onDone})
 }
 
+// launch sends a loaded envelope on its way, Customer and Key set.
 func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
-	vm0 := q.VMs[0]
-	q.Customer = vm0.Customer
-	q.Key = vm0.Key
 	d.seq++
 	q.Seq = d.seq
-	pq.customer = vm0.Customer
-	pq.n = len(q.VMs)
+	pq.customer = q.Customer
+	pq.n = int32(len(q.VMs))
 	gateway := d.Gateway()
 	q.Origin = gateway.Handle()
-	d.armTimeout(q.Seq)
 	if d.cache != nil {
-		if e := d.cache.lookup(vm0.Customer); e != nil {
+		if e := d.cache.lookup(q.Customer); e != nil {
 			// Fast path: skip the overlay route, one direct hop to the
 			// remembered rendezvous. Routed = false keeps a direct walk
 			// from re-populating the cache (a stale entry must only be
 			// refreshed by a full route).
 			pq.direct = true
-			d.pending[q.Seq] = pq
+			d.armTimeout(q.Seq, pq)
 			q.Home = e.home
 			first := e.home
 			if m := &e.memo; m.visited.Len() > 0 {
@@ -441,35 +469,37 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 		}
 	}
 	q.Routed = true
-	d.pending[q.Seq] = pq
+	d.armTimeout(q.Seq, pq)
 	gateway.Route(q.Key, AppName, q)
 }
 
-func (d *DHT) armTimeout(seq uint64) {
+// armTimeout queues the record of query seq with its deadline, and arms the
+// timer when it is idle.
+func (d *DHT) armTimeout(seq uint64, pq pendingQuery) {
 	eng := d.Gateway().Engine()
-	d.tq.push(qTimeout{seq: seq, at: eng.Now() + d.cfg.QueryTimeout})
+	pq.at = eng.Now() + d.cfg.QueryTimeout
+	d.tq.push(seq, pq)
 	if !d.timerArmed {
 		d.timerArmed = true
 		eng.After(d.cfg.QueryTimeout, d.timerFn)
 	}
 }
 
+// onTimer times out every unanswered query whose deadline has come, oldest
+// first, and re-arms at the oldest left: answered queries have left the
+// queue already, so the timer fires about once a QueryTimeout on a stream
+// whose queries answer.
 func (d *DHT) onTimer() {
-	d.timerArmed = false
+	d.timerArmed = true // a boot a timeout's callback launches arms no second timer
 	eng := d.Gateway().Engine()
 	now := eng.Now()
 	for {
-		t, ok := d.tq.peek()
-		if !ok || t.at > now {
+		head := d.tq.oldest()
+		if head == nil || head.at > now {
 			break
 		}
-		d.tq.pop()
-		seq := t.seq
-		pq, ok := d.pending[seq]
-		if !ok {
-			continue // resolved long ago
-		}
-		delete(d.pending, seq)
+		seq := d.tq.seq
+		pq := d.tq.settle(head)
 		d.timeouts++
 		if pq.direct && d.cache != nil {
 			// The rendezvous we trusted never answered — it may be dead.
@@ -477,15 +507,15 @@ func (d *DHT) onTimer() {
 			d.cache.Invalidate(pq.customer)
 		}
 		err := fmt.Errorf("placement: query %d for customer %s timed out", seq, pq.customer)
-		for i := 0; i < pq.n; i++ {
+		for i := 0; i < int(pq.n); i++ {
 			pq.deliver(i, Result{}, err)
 		}
 	}
-	next, ok := d.tq.peek()
-	if !ok {
+	next := d.tq.oldest()
+	if next == nil {
+		d.timerArmed = false
 		return
 	}
-	d.timerArmed = true
 	eng.After(next.at-now, d.timerFn)
 }
 
@@ -548,12 +578,12 @@ func (d *DHT) recordHops(h int) {
 // finish resolves a returned query at the gateway: record stats, refresh the
 // cache, fire callbacks, recycle the envelope.
 func (d *DHT) finish(q *bootQuery) {
-	pq, ok := d.pending[q.Seq]
-	if !ok {
+	rec := d.tq.find(q.Seq)
+	if rec == nil {
 		d.releaseQuery(q) // timed out before the answer arrived
 		return
 	}
-	delete(d.pending, q.Seq)
+	pq := d.tq.settle(rec)
 	placedVMs := 0
 	for _, s := range q.Servers {
 		if s >= 0 {
@@ -589,7 +619,7 @@ func (d *DHT) finish(q *bootQuery) {
 			pq.deliver(i, Result{Server: int(s), Hops: hops}, nil)
 		} else {
 			d.spillFails++
-			pq.deliver(i, Result{}, fmt.Errorf("placement: spill walk exhausted for vm %d", q.VMs[i].ID))
+			pq.deliver(i, Result{}, fmt.Errorf("placement: spill walk exhausted for vm %d", q.VMs[i]))
 		}
 	}
 	d.releaseQuery(q)
@@ -597,9 +627,10 @@ func (d *DHT) finish(q *bootQuery) {
 
 // bootQuery carries a batch of one customer's VM boot requests toward the
 // customer key and then along the spill walk; with Done set, the same
-// envelope carries the per-VM answers back to the origin. The VM pointers
-// are an in-process simulation shortcut for the attribute bundles a real
-// query would serialize. Envelopes are recycled: the final replier hands the
+// envelope carries the per-VM answers back to the origin. The VM IDs are an
+// in-process simulation shortcut for the attribute bundles a real query
+// would serialize: each visit looks the VMs up again, since the gateway may
+// time the query out and destroy them while it walks. Envelopes are recycled: the final replier hands the
 // envelope back to the gateway, which banks it after the callbacks run. The
 // struct is the envelope's fixed-size header, carved from DHT.envelopes; its
 // slices and visited set take power-of-two backings from DHT.backings.
@@ -607,7 +638,7 @@ type bootQuery struct {
 	Seq      uint64
 	Customer string
 	Key      ids.Id
-	VMs      []*cluster.VM
+	VMs      []cluster.VMID
 	// Servers[i] is the server that admitted VMs[i], vmUnplaced while it is
 	// carried, vmGone once the cluster no longer knows it.
 	Servers []int32
@@ -638,7 +669,7 @@ type bootQuery struct {
 // queryBackings lends boot envelopes the backings of their variable-size
 // parts, one pool an element type.
 type queryBackings struct {
-	vms   sim.Pool[*cluster.VM]
+	vms   sim.Pool[cluster.VMID]
 	ints  sim.Pool[int32]       // Servers and HopsAt
 	addrs sim.Pool[simnet.Addr] // Stops
 	keys  sim.Pool[uint32]      // the visited list and its table
@@ -728,7 +759,7 @@ func (d *DHT) acquireQuery(n int) *bootQuery {
 func (d *DHT) releaseQuery(q *bootQuery) {
 	clear(q.VMs)
 	q.Visited.reset()
-	if len(d.pending) == 0 {
+	if d.tq.pending == 0 {
 		b := &d.backings
 		for i, o := range d.outgrown {
 			if o.banked { // not q, nor a lost or late envelope still walking
@@ -802,8 +833,15 @@ func (a *dhtAgent) tryAdmit(q *bootQuery) {
 	// loop admits a VM.
 	reserved := srv.Reserved()
 	unplaced, admitted := 0, false
-	for i, vm := range q.VMs {
+	for i, id := range q.VMs {
 		if q.Servers[i] != vmUnplaced {
+			continue
+		}
+		vm := a.d.cl.VM(id)
+		if vm == nil {
+			// The gateway timed the query out and destroyed its VMs: no
+			// server will ever take this one, so stop carrying it.
+			q.Servers[i] = vmGone
 			continue
 		}
 		if srv.CanAdmitOnTop(reserved, vm) {
@@ -812,12 +850,6 @@ func (a *dhtAgent) tryAdmit(q *bootQuery) {
 				q.HopsAt[i] = int32(q.Detour + q.Spill)
 				reserved = srv.Reserved()
 				admitted = true
-				continue
-			}
-			if a.d.cl.VM(vm.ID) == nil {
-				// The gateway timed the query out and destroyed its VMs: no
-				// server will ever take this one, so stop carrying it.
-				q.Servers[i] = vmGone
 				continue
 			}
 		}

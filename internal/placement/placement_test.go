@@ -416,13 +416,13 @@ func TestIdleGatewayKeepsItsEnvelopes(t *testing.T) {
 	wave := func(round int) {
 		answered := 0
 		for i := 0; i < burst; i++ {
-			vms := make([]*cluster.VM, batch)
+			vms := make([]cluster.VMID, batch)
 			for k := range vms {
 				vm, err := w.cl.CreateVM(fmt.Sprintf("customer-%d-%d", round, i), bwRes(1), bwRes(2))
 				if err != nil {
 					t.Fatal(err)
 				}
-				vms[k] = vm
+				vms[k] = vm.ID
 			}
 			d.PlaceBatch(vms, resolveFunc(func(k int, _ Result, err error) {
 				if err != nil {
@@ -441,12 +441,12 @@ func TestIdleGatewayKeepsItsEnvelopes(t *testing.T) {
 				}
 			}))
 		}
-		if len(d.pending) != burst {
-			t.Fatalf("round %d: %d queries in flight, want %d", round, len(d.pending), burst)
+		if d.tq.pending != burst {
+			t.Fatalf("round %d: %d queries in flight, want %d", round, d.tq.pending, burst)
 		}
 		w.engine.Run()
-		if answered != burst || len(d.pending) != 0 {
-			t.Fatalf("round %d: %d of %d answered, %d pending", round, answered, burst, len(d.pending))
+		if answered != burst || d.tq.pending != 0 {
+			t.Fatalf("round %d: %d of %d answered, %d pending", round, answered, burst, d.tq.pending)
 		}
 		// The last answer's envelope is the first the bank hands out.
 		qs := bankedEnvelopes(t, d, burst)

@@ -6,9 +6,10 @@ import (
 	"vbundle/internal/pastry"
 )
 
-// poisonVM is a VM no cluster hosts, and poisonHandle a node no ring has.
+// poisonVM is a VM ID no cluster issues, and poisonHandle a node no ring has.
+const poisonVM cluster.VMID = -1
+
 var (
-	poisonVM     = &cluster.VM{ID: -1}
 	poisonHandle = pastry.NodeHandle{Id: ids.New(^uint64(0), ^uint64(0)), Addr: -2}
 )
 

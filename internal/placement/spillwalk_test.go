@@ -45,11 +45,11 @@ func (a *refAgent) tryAdmit(q *bootQuery) {
 	q.Visited.Add(a.node.Addr())
 	srv := a.d.cl.Server(a.server)
 	unplaced := 0
-	for i, vm := range q.VMs {
+	for i, id := range q.VMs {
 		if q.Servers[i] >= 0 {
 			continue
 		}
-		if srv.CanAdmit(vm) {
+		if vm := a.d.cl.VM(id); srv.CanAdmit(vm) {
 			if err := a.d.cl.Place(vm, a.server); err == nil {
 				q.Servers[i] = int32(a.server)
 				q.HopsAt[i] = int32(q.Spill)
@@ -122,11 +122,10 @@ func newWalkWorld(t *testing.T, seed int64, shards int, ref bool) *walkWorld {
 		return w
 	}
 	w.d = &DHT{
-		ring:    w.ring,
-		cl:      w.cl,
-		cfg:     DHTConfig{}.withDefaults(w.cl.Size()),
-		agents:  make([]*dhtAgent, w.ring.Size()),
-		pending: make(map[uint64]pendingQuery),
+		ring:   w.ring,
+		cl:     w.cl,
+		cfg:    DHTConfig{}.withDefaults(w.cl.Size()),
+		agents: make([]*dhtAgent, w.ring.Size()),
 	}
 	w.d.timerFn = w.d.onTimer
 	for i, node := range w.ring.Nodes() {
@@ -176,8 +175,9 @@ func (w *walkWorld) launch(vms []*cluster.VM) *trackedQuery {
 		Results:  make([]Result, len(vms)),
 		Failed:   make([]bool, len(vms)),
 	}}
+	tq.q.Customer, tq.q.Key = vms[0].Customer, vms[0].Key
 	for _, vm := range vms {
-		tq.q.VMs = append(tq.q.VMs, vm)
+		tq.q.VMs = append(tq.q.VMs, vm.ID)
 		tq.q.Servers = append(tq.q.Servers, -1)
 		tq.q.HopsAt = append(tq.q.HopsAt, 0)
 	}
@@ -375,7 +375,8 @@ func newSpillFixture(tb testing.TB, hops int) *spillFixture {
 	// the walk up to it unchanged.
 	f.d.cfg.MaxSpillHops = hops + 16 // the bound counts the route's hops too
 	q := f.d.acquireQuery(1)
-	q.VMs = append(q.VMs, vm)
+	q.Customer, q.Key = vm.Customer, vm.Key
+	q.VMs = append(q.VMs, vm.ID)
 	q.Servers = append(q.Servers, -1)
 	q.HopsAt = append(q.HopsAt, 0)
 	target := -1

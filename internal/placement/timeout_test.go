@@ -12,43 +12,64 @@ import (
 )
 
 // TestTimeoutQueueIsFIFOAcrossChunks holds the chunked queue against a plain
-// slice through pushes and pops that cross chunk boundaries, drain the queue
-// to empty and refill it.
+// slice of the unanswered queries through pushes and settles that cross
+// chunk boundaries, oldest first and newest first, drain the queue to empty
+// and refill it. The queue spans from the oldest unanswered query to the
+// newest, and holds the chunks that span needs.
 func TestTimeoutQueueIsFIFOAcrossChunks(t *testing.T) {
 	var q timeoutQueue
-	var model []qTimeout
+	var model []uint64 // the unanswered queries, in launch order
 	next := uint64(0)
-	step := func(pushes, pops int) {
+	step := func(pushes, settles int, oldestFirst bool) {
 		t.Helper()
 		for i := 0; i < pushes; i++ {
 			next++
-			e := qTimeout{seq: next, at: time.Duration(next)}
-			q.push(e)
-			model = append(model, e)
+			q.push(next, pendingQuery{at: time.Duration(next), n: int32(next)})
+			model = append(model, next)
 		}
-		for i := 0; i < pops; i++ {
-			got, ok := q.peek()
-			if !ok || got != model[0] {
-				t.Fatalf("peek = %+v, %v; want %+v", got, ok, model[0])
+		for i := 0; i < settles; i++ {
+			k := len(model) - 1
+			if oldestFirst {
+				k = 0
 			}
-			q.pop()
-			model = model[1:]
+			seq := model[k]
+			rec := q.find(seq)
+			if rec == nil || rec.at != time.Duration(seq) {
+				t.Fatalf("find(%d) = %+v", seq, rec)
+			}
+			if got := q.settle(rec); got.n != int32(seq) || got.answered {
+				t.Fatalf("settle(%d) = %+v", seq, got)
+			}
+			if q.find(seq) != nil {
+				t.Fatalf("query %d is found after it settled", seq)
+			}
+			model = append(model[:k], model[k+1:]...)
 		}
-		if _, ok := q.peek(); ok != (len(model) > 0) {
-			t.Fatalf("peek reports ok=%v with %d entries queued", ok, len(model))
+		if q.pending != len(model) {
+			t.Fatalf("%d pending, model %d", q.pending, len(model))
 		}
-		if live := (len(model) + q.head + tqChunk - 1) / tqChunk; len(q.chunks) != live {
-			t.Fatalf("%d chunks held for %d queued entries (head %d)", len(q.chunks), len(model), q.head)
+		span := 0
+		if len(model) > 0 {
+			span = int(next - model[0] + 1)
+			if o := q.oldest(); o == nil || o.at != time.Duration(model[0]) {
+				t.Fatalf("oldest = %+v, want query %d", o, model[0])
+			}
+		} else if q.oldest() != nil {
+			t.Fatalf("oldest = %+v with nothing pending", q.oldest())
+		}
+		if live := (span + q.head + tqChunk - 1) / tqChunk; span > 0 && len(q.chunks) != live || span == 0 && len(q.chunks) != 0 {
+			t.Fatalf("%d chunks held for a span of %d (head %d)", len(q.chunks), span, q.head)
 		}
 	}
-	step(3, 3)                   // drained inside the first chunk
-	step(tqChunk-1, 0)           // one short of full
-	step(2, 1)                   // spills into a second chunk
-	step(3*tqChunk, 2*tqChunk)   // head crosses two boundaries
-	step(0, len(model))          // drained to empty across a boundary
-	step(tqChunk+5, tqChunk+5)   // refilled from the spare, drained again
-	step(2*tqChunk+1, 2*tqChunk) // one entry left, in the last chunk
-	step(1, 2)
+	step(3, 3, true)                   // drained inside the first chunk
+	step(tqChunk-1, 0, true)           // one short of full
+	step(2, 1, true)                   // spills into a second chunk
+	step(3*tqChunk, 2*tqChunk, false)  // the newest answer: the head stays
+	step(1, 2*tqChunk, true)           // the head crosses the answered ones
+	step(0, len(model), true)          // drained to empty across a boundary
+	step(tqChunk+5, tqChunk+5, true)   // refilled from the spare, drained again
+	step(2*tqChunk+1, 2*tqChunk, true) // one entry left, in the last chunk
+	step(1, 2, true)
 }
 
 // TestQueryTimeoutsFireInLaunchOrder loses every message on the wire, so
@@ -92,16 +113,16 @@ func TestQueryTimeoutsFireInLaunchOrder(t *testing.T) {
 			t.Fatalf("timeout %d fired for query %d after query %d", k, timedOut[k], timedOut[k-1])
 		}
 	}
-	if _, ok := d.tq.peek(); ok || len(d.tq.chunks) != 0 || len(d.pending) != 0 {
-		t.Fatalf("after the last timeout: %d chunks, %d pending queries", len(d.tq.chunks), len(d.pending))
+	if d.tq.oldest() != nil || len(d.tq.chunks) != 0 || d.tq.pending != 0 {
+		t.Fatalf("after the last timeout: %d chunks, %d pending queries", len(d.tq.chunks), d.tq.pending)
 	}
 }
 
 // TestTimedOutQueryStopsWalking: a query the gateway has given up on carries
-// VMs the front end has destroyed (serve.resolve does, on any error). Every
-// server with room refuses them as unregistered; the first such refusal must
-// end the walk. It used to count as "does not fit here", and the envelope
-// walked on to MaxSpillHops — the cluster size, a message a server.
+// VMs the front end has destroyed (serve.resolve does, on any error). The
+// next server it visits finds them gone, and that must end the walk. A
+// refusal once counted as "does not fit here", and the envelope walked on to
+// MaxSpillHops — the cluster size, a message a server.
 func TestTimedOutQueryStopsWalking(t *testing.T) {
 	w := newWorld(t, 64, 8, 1000) // 512 servers, every one with room
 	d := NewDHT(w.ring, w.cl, DHTConfig{QueryTimeout: time.Millisecond})
@@ -133,8 +154,8 @@ func TestTimedOutQueryStopsWalking(t *testing.T) {
 	if after := msgs() - atDeadline; after > 8 {
 		t.Fatalf("%d messages sent after the deadline on a ring of %d, want a handful", after, w.cl.Size())
 	}
-	if d.carved != 1 || len(d.pending) != 0 {
-		t.Fatalf("%d envelopes carved, %d pending", d.carved, len(d.pending))
+	if d.carved != 1 || d.tq.pending != 0 {
+		t.Fatalf("%d envelopes carved, %d pending", d.carved, d.tq.pending)
 	}
 	bankedEnvelopes(t, d, 1) // the zombie came home
 }
@@ -147,7 +168,7 @@ func TestTimedOutQueryStopsWalking(t *testing.T) {
 // at 5 % loss, one in eight lost and timed out, may grow the heap after
 // a forced collection by at most the ceiling from the 4,000th boot to the
 // 40,000th. The VMs are all made before the first checkpoint, since a
-// cluster keeps every VM it ever made.
+// cluster keeps an index entry for every VM it ever made.
 func TestLossyBootsKeepEnvelopesBounded(t *testing.T) {
 	const first, last, ceiling = 4000, 40000, 256 << 10
 	engine := sim.NewEngine(5)

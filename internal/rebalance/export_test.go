@@ -25,7 +25,7 @@ func (b *shuffleBank) Poison(stamp uint64) int {
 
 func (ex *shedExchange) Poison(stamp uint64) (twice bool) {
 	twice = ex.budget == -int(stamp)
-	*ex = shedExchange{demand: poisonDemand, by: poisonHandle, budget: -int(stamp), holds: -int(stamp)}
+	*ex = shedExchange{vm: -1, demand: poisonDemand, by: poisonHandle, budget: -int(stamp), holds: -int(stamp)}
 	return twice
 }
 

@@ -190,11 +190,18 @@ type Coordinator struct {
 	cl       *cluster.Cluster
 	mig      *migration.Manager
 	analyzer *costbenefit.Analyzer // nil when cost-benefit is disabled
-	agents   []*Agent
+	// managers are the per-node aggregation managers the agents build on,
+	// index-aligned with servers: the caller's slice, so a node rebuilt
+	// after a crash is found with its new manager.
+	managers []*aggregation.Manager
+	// agents is nil until the first Start, Agent or ReplaceAgent builds
+	// every server's agent (build).
+	agents []*Agent
 
 	// onMigrated, when set, observes every rebalance-driven migration
 	// attempt as its shed chain completes (keyed band, deterministic
-	// order). The serving layer evicts its resolution cache here.
+	// order); vm is nil when the VM was destroyed before the migration
+	// ended. The serving layer evicts its resolution cache here.
 	onMigrated func(vm *cluster.VM, err error)
 
 	// store, when set, receives a write-through copy of every agent's lease
@@ -205,23 +212,34 @@ type Coordinator struct {
 	started bool
 }
 
-// NewCoordinator builds agents on top of existing per-node aggregation
-// managers (one per ring node, index-aligned with servers).
+// NewCoordinator makes the coordinator of one agent per server, on top of
+// existing per-node aggregation managers (one per ring node, index-aligned
+// with servers). It builds no agent: the first Start, Agent or ReplaceAgent
+// builds them all, so a stack that never starts the rebalancer, as a serving
+// stack does not, holds none.
 func NewCoordinator(ring *pastry.Ring, cl *cluster.Cluster, mig *migration.Manager, managers []*aggregation.Manager, cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	c := &Coordinator{cfg: cfg, ring: ring, cl: cl, mig: mig}
+	c := &Coordinator{cfg: cfg, ring: ring, cl: cl, mig: mig, managers: managers}
 	if cfg.CostBenefit != nil {
 		c.analyzer = costbenefit.New(*cfg.CostBenefit)
 	}
-	// One slice for all the agents, as NewRing carves its nodes; a replaced
-	// agent (ReplaceAgent) is an object of its own.
-	agents := make([]Agent, ring.Size())
-	c.agents = make([]*Agent, ring.Size())
+	return c
+}
+
+// build makes every server's agent on the ring's node and aggregation
+// manager of the moment, unless they exist: one slice for all of them, as
+// NewRing carves its nodes; a replaced agent (ReplaceAgent) is an object of
+// its own.
+func (c *Coordinator) build() {
+	if c.agents != nil {
+		return
+	}
+	agents := make([]Agent, c.ring.Size())
+	c.agents = make([]*Agent, c.ring.Size())
 	for i := range c.agents {
 		c.agents[i] = &agents[i]
-		agents[i].init(c, ring.Node(i), managers[i])
+		agents[i].init(c, c.ring.Node(i), c.managers[i])
 	}
-	return c
 }
 
 // Config returns the effective configuration.
@@ -231,8 +249,11 @@ func (c *Coordinator) Config() Config { return c.cfg }
 // completions (nil err = the VM moved). Set it before Start.
 func (c *Coordinator) SetOnMigrated(fn func(vm *cluster.VM, err error)) { c.onMigrated = fn }
 
-// Agent returns the agent for server i.
-func (c *Coordinator) Agent(i int) *Agent { return c.agents[i] }
+// Agent returns the agent for server i, building the agents if none exist.
+func (c *Coordinator) Agent(i int) *Agent {
+	c.build()
+	return c.agents[i]
+}
 
 // SetStore attaches the per-node durable store: every lease mutation is
 // written through, and LeakedReservations consults the store for nodes that
@@ -242,8 +263,14 @@ func (c *Coordinator) SetStore(st *store.MemStore) { c.store = st }
 // ReplaceAgent rebuilds server i's agent on a freshly rebuilt node after a
 // crash: the old agent (whose node is a corpse) is stopped, and the new one
 // starts blank — re-adopting persisted leases is the rejoin path's job, via
-// AdoptLeases.
+// AdoptLeases. With no agents built yet, no agent runs on the old node, and
+// build makes them all, server i's on node and agg: the ring's and the
+// managers' entries for i by then.
 func (c *Coordinator) ReplaceAgent(i int, node *pastry.Node, agg *aggregation.Manager) *Agent {
+	if c.agents == nil {
+		c.build()
+		return c.agents[i]
+	}
 	c.agents[i].stop()
 	a := new(Agent)
 	a.init(c, node, agg)
@@ -261,6 +288,7 @@ func (c *Coordinator) Start() {
 		return
 	}
 	c.started = true
+	c.build()
 	for _, a := range c.agents {
 		a.start()
 	}
@@ -306,10 +334,11 @@ func (c *Coordinator) QueriesSent() int {
 // section is authoritative: expiry is applied here, at read time, because
 // the dead holder will never sweep again. Without a store, down nodes fall
 // back to the in-memory table — which is exactly the under-report the
-// durable path fixes.
+// durable path fixes. With no agents built there are no tables to read, and
+// only the store is checked, for the nodes that are down.
 func (c *Coordinator) LeakedReservations() int {
 	total := 0
-	for i, a := range c.agents {
+	for i := range c.ring.Size() {
 		if c.store != nil && !c.ring.Network().Alive(simnet.Addr(i)) {
 			st, ok, err := c.store.Load(i)
 			if err != nil {
@@ -318,7 +347,7 @@ func (c *Coordinator) LeakedReservations() int {
 			if !ok {
 				continue
 			}
-			now := a.node.Engine().Now()
+			now := c.ring.Node(i).Engine().Now()
 			for _, r := range st.Leases {
 				if r.Expires > now {
 					total++
@@ -326,8 +355,11 @@ func (c *Coordinator) LeakedReservations() int {
 			}
 			continue
 		}
-		a.sweepLeases()
-		total += a.reserved.len()
+		if c.agents != nil {
+			a := c.agents[i]
+			a.sweepLeases()
+			total += a.reserved.len()
+		}
 	}
 	return total
 }
@@ -908,7 +940,7 @@ func (a *Agent) shedChain(budget int) {
 	}
 	q.readers.Set(1) // the exchange's
 	ex := b.sheds.Take()
-	*ex = shedExchange{a: a, vm: vm, q: q, demand: q.Demand, budget: budget, holds: 1}
+	*ex = shedExchange{a: a, vm: vm.ID, q: q, demand: q.Demand, budget: budget, holds: 1}
 	a.scribe().AnycastWith(lessLoadedKey, q, ex)
 }
 
@@ -921,7 +953,7 @@ func (a *Agent) shedChain(budget int) {
 // still carry it after the exchange is over.
 type shedExchange struct {
 	a      *Agent
-	vm     *cluster.VM
+	vm     cluster.VMID // not the record: the VM may be destroyed meanwhile
 	q      *shedQuery
 	demand cluster.Resources
 	by     pastry.NodeHandle
@@ -947,20 +979,20 @@ func (ex *shedExchange) AnycastDone(res scribe.AnycastResult) {
 	ex.q.Release(a.node.Engine())
 	ex.q = nil
 	if !res.Accepted {
-		a.dropShed(vm.ID)
+		a.dropShed(vm)
 		return // no receiver this round; retry next interval
 	}
 	dst := int(res.By.Addr)
-	if e := a.shedEntry(vm.ID); e != nil {
+	if e := a.shedEntry(vm); e != nil {
 		e.dest, e.haveDest = res.By, true
 	}
 	a.migrationsTriggered.Inc()
 	ex.by = res.By
 	// The migration span is parented to the any-cast that discovered the
 	// receiver, completing the anycast -> lease -> migration chain.
-	if err := a.coord.mig.MigrateTraced(a.obs, res.Trace, vm.ID, dst, ex); err != nil {
-		a.dropShed(vm.ID)
-		a.sendRelease(res.By, vm.ID)
+	if err := a.coord.mig.MigrateTraced(a.obs, res.Trace, vm, dst, ex); err != nil {
+		a.dropShed(vm)
+		a.sendRelease(res.By, vm)
 		return
 	}
 	// Keep the receiver's lease alive for as long as the migration runs, so
@@ -974,13 +1006,13 @@ func (ex *shedExchange) AnycastDone(res scribe.AnycastResult) {
 // MigrationDone implements migration.Done: the migration ended.
 func (ex *shedExchange) MigrationDone(merr error) {
 	a, vm := ex.a, ex.vm
-	a.dropShed(vm.ID)
+	a.dropShed(vm)
 	// Whatever the outcome, release the receiver's hold: on success the
 	// VM's demand now counts directly there; on failure (dead endpoint
 	// included) nothing will arrive.
-	a.sendRelease(ex.by, vm.ID)
+	a.sendRelease(ex.by, vm)
 	if cb := a.coord.onMigrated; cb != nil {
-		cb(vm, merr)
+		cb(a.coord.cl.VM(vm), merr)
 	}
 	ex.release()
 }
@@ -988,7 +1020,7 @@ func (ex *shedExchange) MigrationDone(merr error) {
 // Fire implements sim.Handler: one lease renewal while the migration is in
 // flight.
 func (ex *shedExchange) Fire() {
-	a, vm := ex.a, ex.vm.ID
+	a, vm := ex.a, ex.vm
 	cur, live := a.shedDestOf(vm)
 	if !live || cur.Id != ex.by.Id || !a.coord.mig.InFlight(vm) {
 		ex.release()

@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"math"
+
 	"vbundle/internal/cluster"
 )
 
-var poisonVM, poisonCustomer = &cluster.VM{ID: -1}, &customerState{}
+// poisonVM is a VM ID no cluster issues.
+const poisonVM cluster.VMID = -1
+
+var poisonCustomer = &customerState{}
 
 // poisonBatch is the batch a poisoned flight record carries: a VM no server
 // hosts.
-var poisonBatch = []*cluster.VM{poisonVM}
+var poisonBatch = []cluster.VMID{poisonVM}
 
 // Poison overwrites a banked flight record (sim.CheckPoisoned): a batch of a
 // VM no server hosts, where a banked record holds none, a customer no boot
@@ -30,5 +35,35 @@ type counted struct {
 func (c *counted) Poison(stamp uint64) int {
 	n := c.poison(stamp)
 	c.poisoned += n
+	return n
+}
+
+// freedVMs poisons the records of destroyed VMs while they lie on the
+// cluster's free list (sim.CheckPoisoned): minus the stamp as the ID, which
+// no VM is issued, customer "poisoned" and NaN resources. The free list is
+// the cluster's own, so the records are found through what it shows: every
+// record seen on a server is kept, and one the cluster no longer finds under
+// the ID it holds is free, until a CreateVM writes a new VM into it.
+type freedVMs struct {
+	cl   *cluster.Cluster
+	seen map[*cluster.VM]bool
+}
+
+func (f *freedVMs) Poison(stamp uint64) (n int) {
+	if f.seen == nil {
+		f.seen = make(map[*cluster.VM]bool)
+	}
+	for _, srv := range f.cl.Servers() {
+		for _, vm := range srv.VMs() {
+			f.seen[vm] = true
+		}
+	}
+	nan := cluster.Resources{CPU: math.NaN(), MemMB: math.NaN(), BandwidthMbps: math.NaN()}
+	for vm := range f.seen {
+		if f.cl.VM(vm.ID) != vm {
+			*vm = cluster.VM{ID: -cluster.VMID(stamp), Customer: "poisoned", Reservation: nan, Limit: nan, Demand: nan}
+			n++
+		}
+	}
 	return n
 }

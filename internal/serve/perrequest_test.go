@@ -126,7 +126,7 @@ func TestFreshCustomersAllocateOnlySlabChunks(t *testing.T) {
 	objects := func(customers int) uint64 {
 		vb, fe := newFrontend(t, 64, Config{})
 		names := make([]string, customers)
-		vms := make([]*cluster.VM, 0, customers*peak)
+		vms := make([]cluster.VMID, 0, customers*peak)
 		for i := range names {
 			names[i] = fmt.Sprintf("tenant-%d", i)
 			for range peak {
@@ -134,7 +134,7 @@ func TestFreshCustomersAllocateOnlySlabChunks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vms = append(vms, vm)
+				vms = append(vms, vm.ID)
 			}
 		}
 		var before, after runtime.MemStats
@@ -199,7 +199,7 @@ func TestLiveQueueMatchesSortedModel(t *testing.T) {
 				if vm.ID < maxTerminated {
 					late++
 				}
-				fe.resolve(cs, vm, placement.Result{}, nil)
+				fe.resolve(cs, vm.ID, placement.Result{}, nil)
 				i := sort.Search(len(model), func(i int) bool { return model[i] > vm.ID })
 				model = append(model[:i], append([]cluster.VMID{vm.ID}, model[i:]...)...)
 			default:
@@ -239,7 +239,7 @@ func TestLiveQueueMatchesSortedModel(t *testing.T) {
 		// place: a boot and a terminate a round move it into no other ring
 		// once the first round has settled it, pooled or inline.
 		for _, vm := range pending {
-			fe.resolve(cs, vm, placement.Result{}, nil)
+			fe.resolve(cs, vm.ID, placement.Result{}, nil)
 		}
 		warm := fe.Live("acme") + 1
 		var backing *cluster.VMID
@@ -249,7 +249,7 @@ func TestLiveQueueMatchesSortedModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			fe.inFlight++
-			fe.resolve(cs, vm, placement.Result{}, nil)
+			fe.resolve(cs, vm.ID, placement.Result{}, nil)
 			fe.Terminate("acme")
 			if round == warm {
 				backing = &cs.live[:cap(cs.live)][0]
@@ -266,10 +266,13 @@ func TestLiveQueueMatchesSortedModel(t *testing.T) {
 // banked record is overwritten after every event: a record read after it
 // went back, or banked twice, changes what the run computes or panics. The
 // sweeps take the flight records, their batches' pool and the live queues'
-// pool, the DHT's boot envelopes and its backing pools (DHT.Poison), and
-// every engine Local, among them the network's pools of inbox rings.
-// Every boot is accounted for once, and after the drain of the untouched
-// run every record made lies on the free list, emptied.
+// pool, the DHT's boot envelopes and its backing pools (DHT.Poison), the
+// records of destroyed VMs (freedVMs), and every engine Local, among them
+// the network's pools of inbox rings; a flash crowd of forty tenants every
+// 500 steps parks more messages at the gateway than its inbox's two slab
+// slots, so those pools hold rings to poison. Every boot is accounted for
+// once, and after the drain of the untouched run every record made lies on
+// the free list, emptied.
 func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 	var untouched *Frontend
 	sim.CheckPoisoned(t, []int{1}, func(_ int, p *sim.Poisoner) string {
@@ -282,10 +285,11 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Watch(&fe.flights)
-		rings := &counted{poison: func(uint64) int { return fe.backings.Poison(poisonVM.ID) }}
+		rings := &counted{poison: func(uint64) int { return fe.backings.Poison(poisonVM) }}
 		batches := &counted{poison: func(uint64) int { return fe.batchBackings.Poison(poisonVM) }}
 		envelopes := &counted{poison: fe.dht.Poison}
-		for _, c := range []*counted{rings, batches, envelopes} {
+		freed := &counted{poison: (&freedVMs{cl: vb.Cluster}).Poison}
+		for _, c := range []*counted{rings, batches, envelopes, freed} {
 			p.Watch(c)
 		}
 		rng := rand.New(rand.NewSource(3))
@@ -293,6 +297,11 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 			p.RunUntil(vb.Engine, vb.Now()+time.Duration(1+rng.Intn(100))*time.Millisecond)
 			c := fmt.Sprintf("tenant-%d", rng.Intn(12))
 			fe.Boot(c, 1+rng.Intn(3), testRes, testLim) // a shed is counted, not fatal
+			if i%500 == 250 {
+				for k := range 40 {
+					fe.Boot(fmt.Sprintf("flash-%d-%d", i, k), 1, testRes, testLim)
+				}
+			}
 			// Tenants keep up to twelve VMs for 250 boots, then two, so
 			// live queues outgrow their inline slots and drain back.
 			keep := 12
@@ -318,7 +327,12 @@ func TestFlightRecordsRecycleOnceUnderLoss(t *testing.T) {
 		if untouched == nil {
 			untouched = fe
 		} else {
-			t.Logf("%d live-queue rings, %d flight batches, %d boot envelopes and their backings poisoned", rings.poisoned, batches.poisoned, envelopes.poisoned)
+			t.Logf("%d live-queue rings, %d flight batches, %d boot envelopes and their backings, %d destroyed VMs' records poisoned",
+				rings.poisoned, batches.poisoned, envelopes.poisoned, freed.poisoned)
+			if p.Swept["*simnet.ringPool"] == 0 || freed.poisoned == 0 {
+				t.Errorf("the sweeps poisoned %d inbox rings and %d destroyed VMs' records: the scenario exercises neither bank",
+					p.Swept["*simnet.ringPool"], freed.poisoned)
+			}
 		}
 		return fmt.Sprintf("%+v\n%d records made\n", s, fe.nflights)
 	})

@@ -98,7 +98,7 @@ const liveInline = 8
 // Frontend.records.
 type customerState struct {
 	// queued boots await coalescing onto the next query.
-	queued []*cluster.VM
+	queued []cluster.VMID
 	// live is a ring of the customer's running VMs ordered by id, the
 	// oldest at live[head] and the i-th at live[(head+i)&(len(live)-1)],
 	// i < n, so terminates free the oldest VM regardless of query
@@ -161,15 +161,15 @@ func (cs *customerState) move(to []cluster.VMID, pool *sim.Pool[cluster.VMID]) {
 }
 
 // flight is the front end's record of one launched placement query: the
-// VMs it carries and how many of them are still unanswered. Records come
-// from Frontend.flights and go back once the last VM resolves, their
+// VMs it carries, by ID, and how many of them are still unanswered. Records
+// come from Frontend.flights and go back once the last VM resolves, their
 // batches' backings from Frontend.batchBackings and back with them, and a
 // record hears its query's answers itself (placement.Resolver), so
 // launching a query allocates neither a closure nor a slice.
 type flight struct {
 	f         *Frontend // set when carved
 	cs        *customerState
-	batch     []*cluster.VM
+	batch     []cluster.VMID
 	remaining int
 }
 
@@ -214,14 +214,14 @@ type Frontend struct {
 	backings  sim.Pool[cluster.VMID]
 	// admitted is Boot's scratch list of the request's admitted VMs; submit
 	// copies it into cs.queued or into flights, so it is reused.
-	admitted []*cluster.VM
+	admitted []cluster.VMID
 	// flights banks the idle flight records and batchBackings their
 	// batches' backings; nflights counts every record made. Both are
 	// bounded by the peak number of queries in flight, and neither is cut
 	// when the gateway goes idle: a record is 48 B, and a batch at most
-	// MaxBatch pointers.
+	// MaxBatch IDs.
 	flights       sim.Bank[flight]
-	batchBackings sim.Pool[*cluster.VM]
+	batchBackings sim.Pool[cluster.VMID]
 	nflights      int
 	submitAt      map[cluster.VMID]time.Duration
 	bootSpans     map[cluster.VMID]obs.Ref
@@ -366,7 +366,7 @@ func (f *Frontend) Boot(customer string, group int, reservation, limit cluster.R
 			}
 			f.bootSpans[vm.ID] = f.rootObs.Begin(now, obs.KindBoot, obs.NoRef, int64(vm.ID), hot)
 		}
-		admitted = append(admitted, vm)
+		admitted = append(admitted, vm.ID)
 	}
 	f.submit(cs, admitted)
 	return len(admitted), nil
@@ -376,7 +376,7 @@ func (f *Frontend) Boot(customer string, group int, reservation, limit cluster.R
 // when batching is on, otherwise launch immediately. Either way the VMs are
 // copied, into cs.queued or into flight records, so vms goes back to Boot's
 // scratch list.
-func (f *Frontend) submit(cs *customerState, vms []*cluster.VM) {
+func (f *Frontend) submit(cs *customerState, vms []cluster.VMID) {
 	switch {
 	case len(vms) == 0:
 	case !f.cfg.Batch:
@@ -393,7 +393,7 @@ func (f *Frontend) submit(cs *customerState, vms []*cluster.VM) {
 			f.flush(cs)
 		}
 	}
-	f.admitted = clearVMs(vms)
+	f.admitted = vms[:0]
 }
 
 // flush launches one query carrying up to MaxBatch queued VMs.
@@ -406,22 +406,13 @@ func (f *Frontend) flush(cs *customerState) {
 		n = f.cfg.MaxBatch
 	}
 	fl := f.acquireFlight(cs, cs.queued[:n])
-	rest := copy(cs.queued, cs.queued[n:])
-	clear(cs.queued[rest:])
-	cs.queued = cs.queued[:rest]
+	cs.queued = cs.queued[:copy(cs.queued, cs.queued[n:])]
 	f.launch(fl)
-}
-
-// clearVMs nils the pointers in vms, so a reused list holds no VM, and
-// returns it emptied.
-func clearVMs(vms []*cluster.VM) []*cluster.VM {
-	clear(vms)
-	return vms[:0]
 }
 
 // acquireFlight takes an idle flight record, or makes one, and loads it with
 // a copy of vms in a pooled backing.
-func (f *Frontend) acquireFlight(cs *customerState, vms []*cluster.VM) *flight {
+func (f *Frontend) acquireFlight(cs *customerState, vms []cluster.VMID) *flight {
 	fl := f.flights.Take()
 	if fl.f == nil { // fresh from the slab
 		fl.f = f
@@ -456,28 +447,28 @@ func (f *Frontend) launch(fl *flight) {
 
 // resolve finishes one boot VM: stats, latency, live list — or destroy on
 // failure so nothing stays half-booted.
-func (f *Frontend) resolve(cs *customerState, vm *cluster.VM, r placement.Result, err error) {
+func (f *Frontend) resolve(cs *customerState, id cluster.VMID, r placement.Result, err error) {
 	f.inFlight--
 	now := f.gateway.Now()
-	submitted := f.submitAt[vm.ID]
-	delete(f.submitAt, vm.ID)
-	span, hasSpan := f.bootSpans[vm.ID]
+	submitted := f.submitAt[id]
+	delete(f.submitAt, id)
+	span, hasSpan := f.bootSpans[id]
 	if hasSpan {
-		delete(f.bootSpans, vm.ID)
+		delete(f.bootSpans, id)
 	}
 	if err != nil {
 		f.failed.Inc()
-		f.cl.Destroy(vm.ID)
+		f.cl.Destroy(id)
 		if hasSpan {
-			f.gwObs.End(now, obs.KindBoot, span, int64(vm.ID), -1)
+			f.gwObs.End(now, obs.KindBoot, span, int64(id), -1)
 		}
 		return
 	}
 	f.placed.Inc()
 	f.latency.RecordDuration(now - submitted)
-	cs.push(vm.ID, &f.backings)
+	cs.push(id, &f.backings)
 	if hasSpan {
-		f.gwObs.End(now, obs.KindBoot, span, int64(vm.ID), int64(r.Server))
+		f.gwObs.End(now, obs.KindBoot, span, int64(id), int64(r.Server))
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"time"
 	"unsafe"
@@ -13,6 +14,10 @@ type Poisoner struct {
 	stamp    uint64 // the last sweep's; 0 while the run is untouched
 	poisoned int
 	banks    []interface{ Poison(uint64) int }
+	// Swept counts what the sweeps filled by the type of the bank that
+	// holds it (as %T prints it), over the run, so that a scenario can check
+	// that a bank it means to exercise held something.
+	Swept map[string]int
 }
 
 // Watch adds to every sweep a bank kept in a struct rather than a Local.
@@ -24,16 +29,25 @@ func (p *Poisoner) RunUntil(e *Engine, at time.Duration) {
 	if e.ShardCount() > 1 {
 		engines = append(engines, e.shards...)
 	}
+	sweep := func(b interface{ Poison(uint64) int }) {
+		if n := b.Poison(p.stamp); n > 0 {
+			if p.Swept == nil {
+				p.Swept = make(map[string]int)
+			}
+			p.poisoned += n
+			p.Swept[reflect.TypeOf(b).String()] += n
+		}
+	}
 	for e.Now() < at && e.Step() {
 		if p.stamp > 0 { // the poisoned run
 			p.stamp++
 			for _, b := range p.banks {
-				p.poisoned += b.Poison(p.stamp)
+				sweep(b)
 			}
 			for _, e := range engines {
 				for _, v := range e.locals {
 					if b, ok := v.(interface{ Poison(uint64) int }); ok {
-						p.poisoned += b.Poison(p.stamp)
+						sweep(b)
 					}
 				}
 			}

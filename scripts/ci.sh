@@ -109,7 +109,10 @@ go test -race -count=1 -run "$models" \
 # what every server or customer holds of each layer, to the byte: the node
 # and the server record come out of one slice each, the Scribe and the topic
 # out of their engine's slabs, a fold list out of its engine's bank, and a
-# customer's serving record out of its front end's slab. One holds the
+# customer's serving record out of its front end's slab. Two hold a stack
+# to what it runs: cycles of boot and terminate keep the VM arena at the
+# peak live count and cost 4 bytes an ID issued, and core.New builds no
+# rebalancing agent until StartServices. One holds the
 # auditor's fold_readers check to what it
 # must find: nothing in a sound lossy run, and a list one reader short. One
 # holds the bandwidth
@@ -123,10 +126,10 @@ go test -race -count=1 -run "$models" \
 # One holds vb to its inputs: every nonsense value a
 # bug once hung, panicked or silently ran on exits 1 naming its flag or
 # field.
-step "allocation, size, ledger, fold-reader, knob, export, reach and bad-config gates, PASS by name (26)"
-test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestIdleGapBootsAllocateNothing|TestFreshInboxesAllocateOnlyPooledChunks|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestFreshCustomersAllocateOnlySlabChunks|TestInterleavedFillAllocatesOnlyPooledChunks|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestCustomerStateSizeCeiling|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestEveryFunctionRunsInAGate|TestBadConfigs)$' \
+step "allocation, size, registry, agent, ledger, fold-reader, knob, export, reach and bad-config gates, PASS by name (28)"
+test "$(go test -count=1 -v -run '^(TestSpillWalkAllocatesNothingPerHop|TestBootPathAllocatesNothing|TestIdleGapBootsAllocateNothing|TestFreshInboxesAllocateOnlyPooledChunks|TestBandwidthSatisfactionAllocatesNothing|TestSetLocalGlobalAllocateNothing|TestWarmRoundAllocatesNoMessages|TestFirstRoundAllocatesOnlyFolds|TestPeriodicTimersAllocateNothing|TestConstructionAllocatesPerLayer|TestCoreConstructionAllocatesPerLayer|TestStartServicesAllocatesOnlyMessages|TestShuffleRoundAllocatesPerMigration|TestFreshCustomersAllocateOnlySlabChunks|TestInterleavedFillAllocatesOnlyPooledChunks|TestNodeSizeCeiling|TestScribeSizeCeiling|TestTopicStateSizeCeiling|TestServerSizeCeiling|TestCustomerStateSizeCeiling|TestVMRegistryHoldsLiveVMs|TestUnstartedCoordinatorHoldsNoAgents|TestFoldReaderCheckFindsAnEarlyDrop|TestLedgerMatchesFullSweep|TestEveryKnobHasASetter|TestEveryExportHasACaller|TestEveryFunctionRunsInAGate|TestBadConfigs)$' \
 	./internal/placement/ ./internal/serve/ ./internal/core/ ./internal/aggregation/ \
-	./internal/sim/ ./internal/simnet/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 26
+	./internal/sim/ ./internal/simnet/ ./internal/pastry/ ./internal/scribe/ ./internal/cluster/ ./cmd/vb/ . | grep -c '^--- PASS')" -eq 28
 
 # One iteration of every benchmark: catches benchmarks that panic or fail to
 # build without measuring anything. -short skips the 2048–8192 scale sweeps.
