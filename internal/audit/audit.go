@@ -33,7 +33,7 @@ type Check int
 const (
 	// CheckLeaseBalance verifies per-agent reservation accounting:
 	// Accepted+Adopted holds equal Released+Expired plus the live table,
-	// and no hold lingers renewed long past its lease without an in-flight
+	// and no live hold has aged long past its lease without an in-flight
 	// migration to justify it (the mid-run form of the run-end
 	// LeakedReservations gate).
 	CheckLeaseBalance Check = iota + 1
@@ -291,11 +291,13 @@ func (a *Auditor) checkLeases(now time.Duration) {
 				a.report(now, CheckLeaseExpiry, i, int64(vm),
 					"granted %v expires %v (now %v, lease %v)", grantedAt, expires, now, lease)
 			}
-			// A hold renewed far past its own lease with no in-flight
-			// migration to justify the renewals is a leak in the making.
-			// Expired-but-unswept holds are excluded (lazy expiry will
-			// reclaim them), and a sighting must repeat on the next sweep
-			// so a release in transit at this boundary is forgiven.
+			// A hold lasts one lease from its grant, and only a duplicate
+			// accept refreshes it; a live hold aged far past its own lease
+			// with no in-flight migration to justify the refreshes is a
+			// leak in the making. Expired-but-unswept holds are excluded
+			// (lazy expiry will reclaim them), and a sighting must repeat
+			// on the next sweep so a release in transit at this boundary
+			// is forgiven.
 			if expires > now && now-grantedAt > 2*lease &&
 				(a.t.Migration == nil || !a.t.Migration.InFlight(vm)) {
 				key := suspectKey{server: i, vm: vm}

@@ -388,7 +388,12 @@ func (vb *VBundle) restartNode(addr simnet.Addr) {
 	foreign := node.Rejoin(peers)
 	rejoin := src.Begin(now, obs.KindRejoin, obs.NoRef, int64(foreign), durable)
 
-	adopted, released := agent.AdoptLeases(st.Leases, rejoin)
+	// Before the rebalancer's first start no agent exists, and none ever
+	// held a lease to adopt.
+	adopted, released := 0, 0
+	if agent != nil {
+		adopted, released = agent.AdoptLeases(st.Leases, rejoin)
+	}
 
 	verified, stale, lost := 0, 0, 0
 	for _, rec := range st.Placements {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/pastry"
 	"vbundle/internal/rebalance"
@@ -421,33 +422,53 @@ func TestCoreConstructionAllocatesPerLayer(t *testing.T) {
 
 // TestUnstartedCoordinatorHoldsNoAgents: New builds no rebalancing agent,
 // so a stack that never starts its services, as a serving stack does not,
-// holds none (an Agent is 296 B a server). StartServices builds them all and
-// registers each on its server's node, where scribe finds it.
+// holds none (an Agent is 296 B a server): not after a boot, and not after
+// three sweeps of an auditor, whose lease check reads an agent only where
+// one exists. StartServices builds them all and registers each on its
+// server's node, where scribe finds it.
 func TestUnstartedCoordinatorHoldsNoAgents(t *testing.T) {
-	vb, err := New(Options{Topology: smallSpec(4, 8), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agents := func() (n int) {
-		for _, node := range vb.Ring.Nodes() {
-			if _, ok := pastry.FindApp[*rebalance.Agent](node); ok {
-				n++
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T, vb *VBundle)
+	}{
+		{"boot", func(t *testing.T, vb *VBundle) {
+			if _, _, err := vb.BootVM("acme", cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 10}, cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 20}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		return n
-	}
-	if n := agents(); n != 0 {
-		t.Fatalf("New built %d rebalancing agents; want none before StartServices", n)
-	}
-	if _, _, err := vb.BootVM("acme", cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 10}, cluster.Resources{CPU: 1, MemMB: 128, BandwidthMbps: 20}); err != nil {
-		t.Fatal(err)
-	}
-	if n, leaked := agents(), vb.Rebalancer.LeakedReservations(); n != 0 || leaked != 0 {
-		t.Fatalf("after a boot: %d agents, %d leaked reservations", n, leaked)
-	}
-	vb.StartServices()
-	if n := agents(); n != vb.Cluster.Size() {
-		t.Fatalf("StartServices built %d agents for %d servers", n, vb.Cluster.Size())
+		}},
+		{"audit", func(t *testing.T, vb *VBundle) {
+			a := vb.AttachAudit(audit.Config{Every: time.Second})
+			vb.RunFor(3 * time.Second)
+			if a.Sweeps() == 0 || a.Violations() != 0 {
+				t.Fatalf("the auditor swept %d times and found %d violations", a.Sweeps(), a.Violations())
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			vb, err := New(Options{Topology: smallSpec(4, 8), Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			agents := func() (n int) {
+				for _, node := range vb.Ring.Nodes() {
+					if _, ok := pastry.FindApp[*rebalance.Agent](node); ok {
+						n++
+					}
+				}
+				return n
+			}
+			if n := agents(); n != 0 {
+				t.Fatalf("New built %d rebalancing agents; want none before StartServices", n)
+			}
+			c.run(t, vb)
+			if n, leaked := agents(), vb.Rebalancer.LeakedReservations(); n != 0 || leaked != 0 {
+				t.Fatalf("after the %s: %d agents, %d leaked reservations", c.name, n, leaked)
+			}
+			vb.StartServices()
+			if n := agents(); n != vb.Cluster.Size() {
+				t.Fatalf("StartServices built %d agents for %d servers", n, vb.Cluster.Size())
+			}
+		})
 	}
 }
 

@@ -19,10 +19,10 @@ import (
 // re-fold made a fold list and every shed a load-balance query. Both are
 // banked now when their last reader lets go (an orphaned verdict may still
 // carry a query after its exchange is over), and what is left grows lists
-// that are kept, the network's inboxes among them. A fold list, a shed query or exchange, a release
-// chain, a release, ack or renew shell, an any-cast step or verdict, a wheel
-// timer, a migration's flight or a group state allocated per use puts it
-// over.
+// that are kept, the network's inboxes among them. A fold list, a shed query
+// or exchange, a release chain, a release or ack shell, an any-cast step or
+// verdict, a wheel timer, a migration's flight or a group state allocated per
+// use puts it over.
 func TestShuffleRoundAllocatesPerMigration(t *testing.T) {
 	const ceiling = 3.0
 	vb, err := New(Options{

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -19,11 +17,13 @@ import (
 	"vbundle/internal/workload"
 )
 
-// serveTestParams is the shared configuration for the serving determinism
-// tests: all three optimizations on, a flash window, and terminates, so the
-// whole hot path is exercised.
-func serveTestParams(shards int) ServeParams {
-	return ServeParams{
+// TestServeTraceRecordsBootSpans checks the boot instrumentation itself: a
+// traced run must contain boot spans, shed instants and terminate instants,
+// with the serve counters in the registry.
+func TestServeTraceRecordsBootSpans(t *testing.T) {
+	// All three optimizations on, a flash window, and terminates, so the
+	// whole hot path is traced.
+	p := ServeParams{
 		Spec:            ScaledSpec(256),
 		RatePerSec:      40,
 		Duration:        15 * time.Second,
@@ -35,83 +35,8 @@ func serveTestParams(shards int) ServeParams {
 		Batch:           true,
 		MaxInFlight:     64,
 		Seed:            7,
-		RunConfig:       RunConfig{Shards: shards},
+		RunConfig:       RunConfig{Obs: obs.Config{Stream: true}},
 	}
-}
-
-func reportOf(t *testing.T, o *ServeOutcome) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	o.Report(&buf)
-	return buf.Bytes()
-}
-
-// shardCounts is the equivalence matrix: the one-shard engine is the
-// reference (K = 1 is that engine itself), every K ≥ 2 must reproduce it
-// bit-identically.
-var shardCounts = []int{2, 4, 8}
-
-// TestServeShardedEquivalence replays the serving stream on the sharded
-// engine at K ∈ {2, 4, 8}: every virtual-time metric and the rendered
-// report must match the serial reference byte for byte.
-func TestServeShardedEquivalence(t *testing.T) {
-	ref, err := RunServe(serveTestParams(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Stats.Placed == 0 || ref.Stats.Shed == 0 {
-		t.Fatalf("reference run is vacuous: %+v", ref.Stats)
-	}
-	refReport := reportOf(t, ref)
-	for _, k := range shardCounts {
-		got, err := RunServe(serveTestParams(k))
-		if err != nil {
-			t.Fatalf("shards %d: %v", k, err)
-		}
-		if !bytes.Equal(refReport, reportOf(t, got)) {
-			t.Fatalf("shards %d: report diverged from serial reference\nserial:\n%s\nsharded:\n%s",
-				k, refReport, reportOf(t, got))
-		}
-		got.Params.Shards = 0
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("shards %d: outcome diverged from serial reference\nserial: %+v\nsharded: %+v", k, ref, got)
-		}
-	}
-}
-
-// TestServeTracingInvariance runs the same stream with the recorder off, in
-// ring mode and in stream mode: the serving results must be identical in
-// all three, or the observer is perturbing the simulation.
-func TestServeTracingInvariance(t *testing.T) {
-	base := serveTestParams(2)
-	ref, err := RunServe(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refReport := reportOf(t, ref)
-	for _, cfg := range []obs.Config{{Ring: 4096}, {Stream: true}} {
-		p := base
-		p.Obs = cfg
-		got, err := RunServe(p)
-		if err != nil {
-			t.Fatalf("obs %+v: %v", cfg, err)
-		}
-		if got.Trace == nil {
-			t.Fatalf("obs %+v: no trace recorded", cfg)
-		}
-		if !bytes.Equal(refReport, reportOf(t, got)) {
-			t.Fatalf("obs %+v: report diverged from untraced reference\nuntraced:\n%s\ntraced:\n%s",
-				cfg, refReport, reportOf(t, got))
-		}
-	}
-}
-
-// TestServeTraceRecordsBootSpans checks the boot instrumentation itself: a
-// traced run must contain boot spans, shed instants and terminate instants,
-// with the serve counters in the registry.
-func TestServeTraceRecordsBootSpans(t *testing.T) {
-	p := serveTestParams(0)
-	p.Obs = obs.Config{Stream: true}
 	out, err := RunServe(p)
 	if err != nil {
 		t.Fatal(err)

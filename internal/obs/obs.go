@@ -70,7 +70,8 @@ const (
 	// KindLease spans a receiver-side hold from grant to release/expiry
 	// (A = VM id; B at end: 0 released, 1 expired).
 	KindLease
-	// KindLeaseRenew refreshes a hold in place (A = VM id).
+	// KindLeaseRenew refreshes a hold in place: a duplicate accept of a
+	// retried query (A = VM id).
 	KindLeaseRenew
 	// KindMigration spans a VM transfer from start to arrival or failure
 	// (A = VM id; B at begin: destination server; B at end: outcome,

@@ -20,12 +20,12 @@ var (
 // Poison poisons every bank of the shuffle.
 func (b *shuffleBank) Poison(stamp uint64) int {
 	return b.sheds.Poison(stamp) + b.queries.Poison(stamp) + b.releases.Poison(stamp) +
-		b.rels.Poison(stamp) + b.acks.Poison(stamp) + b.renews.Poison(stamp)
+		b.rels.Poison(stamp) + b.acks.Poison(stamp)
 }
 
 func (ex *shedExchange) Poison(stamp uint64) (twice bool) {
 	twice = ex.budget == -int(stamp)
-	*ex = shedExchange{vm: -1, demand: poisonDemand, by: poisonHandle, budget: -int(stamp), holds: -int(stamp)}
+	*ex = shedExchange{vm: -1, by: poisonHandle, budget: -int(stamp)}
 	return twice
 }
 
@@ -48,12 +48,6 @@ func (m *releaseMsg) Poison(stamp uint64) (twice bool) {
 
 func (m *releaseAckMsg) Poison(stamp uint64) (twice bool) {
 	twice, m.VMID = m.VMID == cluster.VMID(-int(stamp)), cluster.VMID(-int(stamp))
-	return twice
-}
-
-func (m *renewMsg) Poison(stamp uint64) (twice bool) {
-	twice = m.VMID == cluster.VMID(-int(stamp))
-	*m = renewMsg{VMID: cluster.VMID(-int(stamp)), Demand: poisonDemand}
 	return twice
 }
 

@@ -10,17 +10,20 @@ import (
 
 // reservation is one receiver-side hold: resources promised to an inbound
 // VM (paper §III.C step 3, "hold part of its bandwidth waiting"), governed
-// by a lease the shedder renews while the VM is in flight. The lease is the
-// backstop against every way a release can fail to arrive — lost on the
-// wire past the retry budget, or never sent because the shedder died.
+// by a lease: the hold lasts one lease from its grant, or from a duplicate
+// accept's refresh, and is never renewed. The lease is the backstop against
+// every way a release can fail to arrive — lost on the wire past the retry
+// budget, or never sent because the shedder died. A transfer that outlasts
+// the lease loses its hold; the migration's arrival check still decides
+// whether the VM lands, so only the receiver's soft demand guard weakens
+// for it: its utilization stops counting the inbound VM until it lands.
 type reservation struct {
 	vm      cluster.VMID
 	demand  cluster.Resources
 	expires time.Duration
-	// granted is when the current hold was installed (or restored by a
-	// late renew, or re-adopted after a crash): the start of the interval
-	// the lease-hold-time histogram and the auditor's expiry-sanity check
-	// measure from.
+	// granted is when the current hold was installed (or re-adopted after
+	// a crash): the start of the interval the lease-hold-time histogram and
+	// the auditor's expiry-sanity check measure from.
 	granted time.Duration
 	// trace is the hold's recorder span, opened at grant and closed at
 	// release or expiry.
@@ -41,10 +44,10 @@ func (t *reservationTable) index(vm cluster.VMID) (int, bool) {
 }
 
 // upsert installs or refreshes the hold for vm; it reports whether the hold
-// is new. Refreshing replaces the demand vector along with the deadline, so
-// a renew arriving after a premature expiry restores the exact hold; the
-// grant instant is set only on install, so a refreshed hold keeps measuring
-// from its original grant.
+// is new. A duplicate accept of a retried query refreshes: the deadline
+// moves to one lease from now and the demand vector is the query's again;
+// the grant instant is set only on install, so a refreshed hold keeps
+// measuring from its original grant.
 func (t *reservationTable) upsert(vm cluster.VMID, demand cluster.Resources, granted, expires time.Duration) bool {
 	i, ok := t.index(vm)
 	if ok {
@@ -111,11 +114,10 @@ func (t *reservationTable) len() int { return len(t.entries) }
 // ReserveStats counts reservation-protocol events at one agent (both the
 // receiver and the shedder side contribute).
 type ReserveStats struct {
-	// Accepted counts holds installed by accepted queries (and holds
-	// restored by a renew that arrived after its lease had lapsed).
+	// Accepted counts holds installed by accepted queries.
 	Accepted int
-	// Renewed counts holds refreshed in place: renew messages and duplicate
-	// accepts of a retried query.
+	// Renewed counts holds refreshed in place by a duplicate accept of a
+	// retried query. Nothing else refreshes a hold: it lasts one lease.
 	Renewed int
 	// Released counts holds dropped by a release message.
 	Released int

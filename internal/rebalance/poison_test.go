@@ -19,8 +19,8 @@ import (
 // losing 2 % of its messages, on one shard and on two, shuffles a skewed
 // load: twenty minutes of one-minute aggregation rounds and five-minute shed
 // rounds, then two minutes with the services off for the releases to drain.
-// With every banked shed exchange, shed query, release chain and release,
-// ack and renew shell poisoned, the migration and reservation counters, the
+// With every banked shed exchange, shed query, release chain and release
+// and ack shell poisoned, the migration and reservation counters, the
 // queries sent, every server's VMs and every node's traffic must stay what
 // they are untouched.
 func TestPoisonedBanksChangeNothing(t *testing.T) {

@@ -141,13 +141,14 @@ type Config struct {
 	// an accepted exchange is migrated only if the predicted recovered
 	// bandwidth outweighs the predicted migration overhead.
 	CostBenefit *costbenefit.Config
-	// LeaseDuration bounds how long a receiver holds resources for an
-	// inbound VM without hearing from the shedder again. The lease is the
-	// backstop against lost releases and dead shedders: whatever happens on
-	// the wire, a hold is reclaimed at most one lease after its last
-	// renewal. A shedder renews the lease every LeaseDuration/3 while the
-	// migration is in flight, so two consecutive renewals must be lost
-	// before a live migration's hold can lapse. Defaults to 30 seconds.
+	// LeaseDuration is how long a receiver holds resources for an inbound
+	// VM: a hold lasts one lease from its grant, or from a duplicate
+	// accept's refresh, and nothing renews it. The lease is the backstop
+	// against lost releases and dead shedders: whatever happens on the
+	// wire, a hold is reclaimed at most one lease after it was granted. A
+	// transfer that outlasts the lease loses its hold; the migration's
+	// arrival check (admission and liveness at the destination) still
+	// decides whether the VM lands. Defaults to 30 seconds.
 	LeaseDuration time.Duration
 }
 
@@ -194,8 +195,7 @@ type Coordinator struct {
 	// index-aligned with servers: the caller's slice, so a node rebuilt
 	// after a crash is found with its new manager.
 	managers []*aggregation.Manager
-	// agents is nil until the first Start, Agent or ReplaceAgent builds
-	// every server's agent (build).
+	// agents is nil until the first Start builds every server's agent.
 	agents []*Agent
 
 	// onMigrated, when set, observes every rebalance-driven migration
@@ -214,9 +214,9 @@ type Coordinator struct {
 
 // NewCoordinator makes the coordinator of one agent per server, on top of
 // existing per-node aggregation managers (one per ring node, index-aligned
-// with servers). It builds no agent: the first Start, Agent or ReplaceAgent
-// builds them all, so a stack that never starts the rebalancer, as a serving
-// stack does not, holds none.
+// with servers). It builds no agent: the first Start builds them all, so a
+// stack that never starts the rebalancer, as a serving stack does not, holds
+// none.
 func NewCoordinator(ring *pastry.Ring, cl *cluster.Cluster, mig *migration.Manager, managers []*aggregation.Manager, cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{cfg: cfg, ring: ring, cl: cl, mig: mig, managers: managers}
@@ -227,13 +227,9 @@ func NewCoordinator(ring *pastry.Ring, cl *cluster.Cluster, mig *migration.Manag
 }
 
 // build makes every server's agent on the ring's node and aggregation
-// manager of the moment, unless they exist: one slice for all of them, as
-// NewRing carves its nodes; a replaced agent (ReplaceAgent) is an object of
-// its own.
+// manager of the moment: one slice for all of them, as NewRing carves its
+// nodes; a replaced agent (ReplaceAgent) is an object of its own.
 func (c *Coordinator) build() {
-	if c.agents != nil {
-		return
-	}
 	agents := make([]Agent, c.ring.Size())
 	c.agents = make([]*Agent, c.ring.Size())
 	for i := range c.agents {
@@ -249,9 +245,12 @@ func (c *Coordinator) Config() Config { return c.cfg }
 // completions (nil err = the VM moved). Set it before Start.
 func (c *Coordinator) SetOnMigrated(fn func(vm *cluster.VM, err error)) { c.onMigrated = fn }
 
-// Agent returns the agent for server i, building the agents if none exist.
+// Agent returns the agent for server i, or nil while none are built (before
+// the first Start).
 func (c *Coordinator) Agent(i int) *Agent {
-	c.build()
+	if c.agents == nil {
+		return nil
+	}
 	return c.agents[i]
 }
 
@@ -263,13 +262,12 @@ func (c *Coordinator) SetStore(st *store.MemStore) { c.store = st }
 // ReplaceAgent rebuilds server i's agent on a freshly rebuilt node after a
 // crash: the old agent (whose node is a corpse) is stopped, and the new one
 // starts blank — re-adopting persisted leases is the rejoin path's job, via
-// AdoptLeases. With no agents built yet, no agent runs on the old node, and
-// build makes them all, server i's on node and agg: the ring's and the
-// managers' entries for i by then.
+// AdoptLeases. With no agents built yet it returns nil: no agent ever held a
+// lease, and the first Start builds server i's on the ring's node and the
+// managers' entry for i of that moment.
 func (c *Coordinator) ReplaceAgent(i int, node *pastry.Node, agg *aggregation.Manager) *Agent {
 	if c.agents == nil {
-		c.build()
-		return c.agents[i]
+		return nil
 	}
 	c.agents[i].stop()
 	a := new(Agent)
@@ -288,7 +286,9 @@ func (c *Coordinator) Start() {
 		return
 	}
 	c.started = true
-	c.build()
+	if c.agents == nil {
+		c.build()
+	}
 	for _, a := range c.agents {
 		a.start()
 	}
@@ -473,14 +473,6 @@ func (a *Agent) dropShed(vm cluster.VMID) {
 	}
 }
 
-// shedDestOf returns the accepted destination of a live exchange for vm.
-func (a *Agent) shedDestOf(vm cluster.VMID) (pastry.NodeHandle, bool) {
-	if e := a.shedEntry(vm); e != nil && e.haveDest {
-		return e.dest, true
-	}
-	return pastry.NodeHandle{}, false
-}
-
 // init makes a server's agent on node and registers it there, where scribe
 // also finds it as the node's OrphanAcceptor.
 func (a *Agent) init(coord *Coordinator, node *pastry.Node, agg *aggregation.Manager) {
@@ -627,7 +619,7 @@ func (a *Agent) sweepLeases() {
 }
 
 // persistLeases writes the agent's full lease table through to the durable
-// store. Every mutation path (grant, renew, release, expiry sweep, rejoin
+// store. Every mutation path (grant, refresh, release, expiry sweep, rejoin
 // adoption) calls it, so replaying the latest save is always idempotent.
 func (a *Agent) persistLeases() {
 	st := a.coord.store
@@ -940,46 +932,41 @@ func (a *Agent) shedChain(budget int) {
 	}
 	q.readers.Set(1) // the exchange's
 	ex := b.sheds.Take()
-	*ex = shedExchange{a: a, vm: vm.ID, q: q, demand: q.Demand, budget: budget, holds: 1}
+	*ex = shedExchange{a: a, vm: vm.ID, q: q, budget: budget}
 	a.scribe().AnycastWith(lessLoadedKey, q, ex)
 }
 
 // shedExchange is one outbound shed from its query on: the any-cast's
-// verdict, the migration's completion and the lease-renew timer are its
-// methods, so a shed binds no closure. It comes from the shedder's engine's
-// bank and goes back there once no role holds it. It holds a reader of its
-// query until the verdict, as the any-cast's resends need; the walks and
-// verdicts that carry the query hold their own, since an orphaned verdict may
-// still carry it after the exchange is over.
+// verdict and the migration's completion are its methods, so a shed binds no
+// closure. It comes from the shedder's engine's bank and goes back there
+// with the verdict, unless that started a migration, and then with the
+// completion. It holds a reader of its query until the verdict, as the
+// any-cast's resends need; the walks and verdicts that carry the query hold
+// their own, since an orphaned verdict may still carry it after the exchange
+// is over.
 type shedExchange struct {
 	a      *Agent
 	vm     cluster.VMID // not the record: the VM may be destroyed meanwhile
 	q      *shedQuery
-	demand cluster.Resources
 	by     pastry.NodeHandle
 	budget int
-	// holds counts the roles still to run: the verdict, then the completion
-	// and the renew timer.
-	holds int
 }
 
-// release drops one role, banking the exchange with the last.
-func (ex *shedExchange) release() {
-	if ex.holds--; ex.holds == 0 {
-		b := shuffleBanks.Of(ex.a.node.Engine())
-		*ex = shedExchange{}
-		b.sheds.Put(ex)
-	}
+// bank returns the exchange to its engine's bank.
+func (ex *shedExchange) bank() {
+	b := shuffleBanks.Of(ex.a.node.Engine())
+	*ex = shedExchange{}
+	b.sheds.Put(ex)
 }
 
 // AnycastDone implements scribe.AnycastCaller: the verdict on the query.
 func (ex *shedExchange) AnycastDone(res scribe.AnycastResult) {
-	defer ex.release()
 	a, vm := ex.a, ex.vm
 	ex.q.Release(a.node.Engine())
 	ex.q = nil
 	if !res.Accepted {
 		a.dropShed(vm)
+		ex.bank()
 		return // no receiver this round; retry next interval
 	}
 	dst := int(res.By.Addr)
@@ -993,17 +980,15 @@ func (ex *shedExchange) AnycastDone(res scribe.AnycastResult) {
 	if err := a.coord.mig.MigrateTraced(a.obs, res.Trace, vm, dst, ex); err != nil {
 		a.dropShed(vm)
 		a.sendRelease(res.By, vm)
+		ex.bank()
 		return
 	}
-	// Keep the receiver's lease alive for as long as the migration runs, so
-	// a slow transfer is never reclaimed out from under a live exchange.
-	ex.holds += 2
-	a.node.Engine().AfterHandler(a.coord.cfg.LeaseDuration/3, ex)
 	// Keep shedding within this round if still over target.
 	a.shedChain(ex.budget - 1)
 }
 
-// MigrationDone implements migration.Done: the migration ended.
+// MigrationDone implements migration.Done: the migration ended, and with it
+// the exchange.
 func (ex *shedExchange) MigrationDone(merr error) {
 	a, vm := ex.a, ex.vm
 	a.dropShed(vm)
@@ -1014,22 +999,7 @@ func (ex *shedExchange) MigrationDone(merr error) {
 	if cb := a.coord.onMigrated; cb != nil {
 		cb(a.coord.cl.VM(vm), merr)
 	}
-	ex.release()
-}
-
-// Fire implements sim.Handler: one lease renewal while the migration is in
-// flight.
-func (ex *shedExchange) Fire() {
-	a, vm := ex.a, ex.vm
-	cur, live := a.shedDestOf(vm)
-	if !live || cur.Id != ex.by.Id || !a.coord.mig.InFlight(vm) {
-		ex.release()
-		return
-	}
-	m := shuffleBanks.Of(a.node.Engine()).renews.Take()
-	*m = renewMsg{VMID: vm, Demand: ex.demand}
-	a.node.SendDirect(ex.by, AppName, m)
-	a.node.Engine().AfterHandler(a.coord.cfg.LeaseDuration/3, ex)
+	ex.bank()
 }
 
 // sendRelease starts the acknowledged release exchange: the message is
@@ -1109,7 +1079,6 @@ type shuffleBank struct {
 	releases sim.Bank[releaseRetry]
 	rels     sim.Bank[releaseMsg]
 	acks     sim.Bank[releaseAckMsg]
-	renews   sim.Bank[renewMsg]
 }
 
 var (
@@ -1134,7 +1103,7 @@ func (a *Agent) OrphanAccepted(_ ids.Id, payload simnet.Message, by pastry.NodeH
 	if !ok {
 		return
 	}
-	if dst, live := a.shedDestOf(q.VMID); live && dst.Id == by.Id {
+	if e := a.shedEntry(q.VMID); e != nil && e.haveDest && e.dest.Id == by.Id {
 		// The live exchange's own release arrives at migration end; a
 		// duplicate accept only refreshed the same per-VM hold.
 		return
@@ -1199,7 +1168,7 @@ func (a *Agent) pickVictim(k cluster.Kind) *cluster.VM {
 	return best
 }
 
-// HandleDirect implements pastry.App for the release/renew protocol.
+// HandleDirect implements pastry.App for the release protocol.
 func (a *Agent) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 	switch m := payload.(type) {
 	case *releaseMsg:
@@ -1231,26 +1200,6 @@ func (a *Agent) HandleDirect(from pastry.NodeHandle, payload simnet.Message) {
 		m.Recycle(a.node.Engine())
 	case *releaseAckMsg:
 		a.unawait(releaseKey{vm: m.VMID, addr: from.Addr})
-		m.Recycle(a.node.Engine())
-	case *renewMsg:
-		a.sweepLeases()
-		// Upsert rather than refresh-if-present: a renew that raced with
-		// expiry restores the hold, demand vector and all.
-		now := a.node.Engine().Now()
-		if a.hold(m.VMID, m.Demand, now, now+a.coord.cfg.LeaseDuration) {
-			a.reserveStats.Accepted++
-			if a.obs.Enabled() {
-				// A renew that restored a lapsed hold opens a fresh span:
-				// the original closed when it expired.
-				a.reserved.get(m.VMID).trace = a.obs.Begin(now, obs.KindLease, obs.NoRef, int64(m.VMID), 0)
-			}
-		} else {
-			a.reserveStats.Renewed++
-			if a.obs.Enabled() {
-				a.obs.Instant(now, obs.KindLeaseRenew, a.reserved.get(m.VMID).trace, int64(m.VMID), 0)
-			}
-		}
-		a.persistLeases()
 		m.Recycle(a.node.Engine())
 	}
 }
@@ -1340,17 +1289,3 @@ func (releaseAckMsg) WireSize() int { return 8 }
 
 // Recycle implements simnet.Recycler, as releaseMsg's does.
 func (m *releaseAckMsg) Recycle(e *sim.Engine) { shuffleBanks.Of(e).acks.Put(m) }
-
-// renewMsg refreshes the receiver's lease while the VM is in flight. It
-// carries the demand vector so a hold lost to a premature expiry is
-// restored whole.
-type renewMsg struct {
-	VMID   cluster.VMID
-	Demand cluster.Resources
-}
-
-// WireSize implements simnet.WireSizer.
-func (renewMsg) WireSize() int { return 8 + 3*8 }
-
-// Recycle implements simnet.Recycler, as releaseMsg's does.
-func (m *renewMsg) Recycle(e *sim.Engine) { shuffleBanks.Of(e).renews.Put(m) }

@@ -39,7 +39,9 @@ func TestAdoptLeasesReconciles(t *testing.T) {
 		{VM: int64(inflight.ID), DemandBW: 100, Expires: now - time.Second},
 	}
 	// The expired duplicate sorts behind the live record in the slice walk;
-	// table upserts keep it harmless either way.
+	// table upserts keep it harmless either way. The agents are built, not
+	// started: the rejoin path runs on an agent whose protocol is idle.
+	w.coord.build()
 	a := w.coord.Agent(1)
 	adopted, dropped := a.AdoptLeases(recs, obs.NoRef)
 	if adopted != 1 || dropped != 3 {

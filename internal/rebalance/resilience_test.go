@@ -6,6 +6,7 @@ import (
 
 	"vbundle/internal/cluster"
 	"vbundle/internal/metrics"
+	"vbundle/internal/migration"
 	"vbundle/internal/scribe"
 	"vbundle/internal/simnet"
 )
@@ -53,8 +54,8 @@ func TestNoLeakUnderLossAndReceiverKill(t *testing.T) {
 	before := utilSD(w)
 
 	// Tree heartbeats repair edges that 2% loss breaks (lost join acks).
-	for i := 0; i < w.ring.Size(); i++ {
-		w.coord.Agent(i).scribe().StartMaintenance(time.Minute)
+	for _, m := range w.coord.managers {
+		m.Scribe().StartMaintenance(time.Minute)
 	}
 	w.coord.Start()
 
@@ -76,8 +77,8 @@ func TestNoLeakUnderLossAndReceiverKill(t *testing.T) {
 	// protocol and give in-flight releases and leases time to settle.
 	w.engine.RunFor(20 * time.Minute)
 	w.coord.Stop()
-	for i := 0; i < w.ring.Size(); i++ {
-		w.coord.Agent(i).scribe().StopMaintenance()
+	for _, m := range w.coord.managers {
+		m.Scribe().StopMaintenance()
 	}
 	// Bounded drain: under loss + a dead node the damaged aggregation tree
 	// can bounce flushes indefinitely, so an unbounded Run never returns.
@@ -109,6 +110,7 @@ func TestLeaseExpiryReclaimsAfterShedderDeath(t *testing.T) {
 	for s := 0; s < w.cl.Size(); s++ {
 		loadVM(t, w, s, 500)
 	}
+	w.coord.build() // a receiver driven by hand: built, not started
 	recv := w.coord.Agent(1)
 	recv.role = RoleReceiver
 	recv.haveMean = true
@@ -126,7 +128,7 @@ func TestLeaseExpiryReclaimsAfterShedderDeath(t *testing.T) {
 	if got := w.coord.LeakedReservations(); got != 1 {
 		t.Fatalf("holds after accept = %d, want 1", got)
 	}
-	// The shedder "dies": no release, no renewal. The hold must survive
+	// The shedder "dies": no release arrives. The hold must survive
 	// until the lease deadline and not one sweep longer.
 	w.engine.RunFor(cfg.LeaseDuration - time.Second)
 	if got := w.coord.LeakedReservations(); got != 1 {
@@ -151,6 +153,7 @@ func TestDuplicateAndUnknownReleaseStats(t *testing.T) {
 	for s := 0; s < w.cl.Size(); s++ {
 		loadVM(t, w, s, 500)
 	}
+	w.coord.build() // a receiver driven by hand: built, not started
 	recv := w.coord.Agent(1)
 	recv.role = RoleReceiver
 	recv.haveMean = true
@@ -174,15 +177,10 @@ func TestDuplicateAndUnknownReleaseStats(t *testing.T) {
 	w.engine.Run() // drain the acks
 }
 
-// TestOrphanedAcceptIsReleasedPromptly is the end-to-end regression for the
-// leak: the shedder's any-cast times out before the accept verdict arrives,
-// so the receiver is holding resources for an exchange the shedder never
-// starts. The orphan path must release the hold through the protocol —
-// promptly, not via the lease backstop.
-func TestOrphanedAcceptIsReleasedPromptly(t *testing.T) {
-	cfg := fastCfg(0.1)
-	w := build(t, 4, 4, cfg)
-	// One very hot server, a handful of cold ones, the rest at the mean.
+// seedOneHot loads one very hot server (0), a handful of cold ones (1–4)
+// and the rest at the mean: server 0 is the one shedder.
+func seedOneHot(t *testing.T, w *world) {
+	t.Helper()
 	for s := 0; s < w.cl.Size(); s++ {
 		var per float64
 		switch {
@@ -197,18 +195,29 @@ func TestOrphanedAcceptIsReleasedPromptly(t *testing.T) {
 			loadVM(t, w, s, per)
 		}
 	}
-	shedder := w.coord.Agent(0)
+}
+
+// TestOrphanedAcceptIsReleasedPromptly is the end-to-end regression for the
+// leak: the shedder's any-cast times out before the accept verdict arrives,
+// so the receiver is holding resources for an exchange the shedder never
+// starts. The orphan path must release the hold through the protocol —
+// promptly, not via the lease backstop.
+func TestOrphanedAcceptIsReleasedPromptly(t *testing.T) {
+	cfg := fastCfg(0.1)
+	w := build(t, 4, 4, cfg)
+	seedOneHot(t, w)
 	// The shedder gives up on every query long before any verdict can cross
 	// the network, so each accept arrives orphaned.
-	shedder.scribe().AnycastTimeout = time.Microsecond
-	shedder.scribe().AnycastRetries = 0
+	shedder := w.coord.managers[0].Scribe()
+	shedder.AnycastTimeout = time.Microsecond
+	shedder.AnycastRetries = 0
 
 	w.coord.Start()
 	w.engine.RunFor(7 * time.Minute) // one rebalance round plus slack
 	w.coord.Stop()
 	w.engine.Run()
 
-	if _, orphans := shedder.scribe().AnycastStats(); orphans == 0 {
+	if _, orphans := shedder.AnycastStats(); orphans == 0 {
 		t.Fatal("no orphaned accepts: the timeout never beat the verdict")
 	}
 	st := w.coord.ReserveStats()
@@ -224,5 +233,40 @@ func TestOrphanedAcceptIsReleasedPromptly(t *testing.T) {
 	// The protocol, not the lease, must have cleaned up.
 	if st.Expired != 0 {
 		t.Fatalf("lease expiry had to reclaim %d holds; the orphan path leaked them", st.Expired)
+	}
+}
+
+// TestSlowTransferOutlivesItsHold pins the lease contract: nothing renews a
+// hold, so a transfer that outlasts its lease loses it. With a 1-s lease
+// against the 1.39-s transfer of a 128-MB VM, the one shed's hold expires
+// once and is never refreshed, the VM still lands (the migration's arrival
+// check decides that, not the hold), and nothing leaks.
+func TestSlowTransferOutlivesItsHold(t *testing.T) {
+	cfg := fastCfg(0.1)
+	cfg.LeaseDuration = time.Second
+	cfg.MaxShedsPerRound = 1
+	w := build(t, 4, 4, cfg)
+	seedOneHot(t, w)
+	if d := migration.Duration(128); d <= cfg.LeaseDuration {
+		t.Fatalf("a 128-MB transfer takes %v, within the %v lease", d, cfg.LeaseDuration)
+	}
+
+	w.coord.Start()
+	w.engine.RunFor(7 * time.Minute) // one rebalance round plus slack
+	w.coord.Stop()
+	w.engine.Run()
+
+	if ms := w.mig.Stats(); ms.Completed != 1 || ms.Failed != 0 {
+		t.Fatalf("migrations %+v, want one completed", ms)
+	}
+	if n := len(w.cl.Server(0).VMs()); n != 9 {
+		t.Fatalf("the shedder hosts %d VMs, want 9: the VM did not land", n)
+	}
+	if leaked := w.coord.LeakedReservations(); leaked != 0 {
+		t.Fatalf("%d reservations leaked", leaked)
+	}
+	// The release at the transfer's end finds the hold gone.
+	if st := w.coord.ReserveStats(); st.Accepted != 1 || st.Expired != 1 || st.Renewed != 0 || st.UnknownRelease != 1 {
+		t.Fatalf("stats %+v, want the one hold accepted and expired, never renewed, and its release unknown", st)
 	}
 }

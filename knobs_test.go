@@ -235,8 +235,6 @@ var reachAllowed = map[string]string{
 	"placement.ResolutionCache.Invalidate": "safety path: vb serve -cache -rebalance completes no migration (served VMs carry no demand; -servers 256 -rate 5 -duration 30m) and no serve command line crashes a rendezvous",
 	"rebalance.Role.String":                "String",
 	"rebalance.Agent.OrphanAccepted":       "safety path: a verdict past every retry; vb faults -servers 64 -lease 1 -drop-rates 0,0.1 (and 0.2,0.4, and the -crash line at 0.3) delivers none",
-	"rebalance.renewMsg.WireSize":          "safety path: lease renewal fires at lease/3 (10 s at least) and a 128-MB migration takes 1.4 s; vb faults -lease 1 sends none",
-	"rebalance.renewMsg.Recycle":           "safety path: lease renewal, as renewMsg.WireSize",
 	"scribe.anycastFunc.AnycastDone":       "benchmark/ only: its any-cast kernel hears verdicts through a func",
 	"scribe.Scribe.InTree":                 "test oracle shared across packages: the tree's shape",
 	"scribe.Scribe.Children":               "test oracle shared across packages: the tree's shape",

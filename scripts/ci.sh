@@ -79,7 +79,7 @@ go test -race -count=1 -run "$models" \
 	./internal/sim/ ./internal/simnet/ ./internal/aggregation/ ./internal/pastry/ ./internal/scribe/ ./internal/core/ \
 	./internal/rebalance/ ./internal/migration/ ./internal/cluster/
 
-# Twenty-six gates that must have run and passed by name, not merely not
+# Twenty-eight gates that must have run and passed by name, not merely not
 # failed (a renamed or skipped test fails the count). Fifteen count objects:
 # a 256-hop spill walk allocates no more than a boot admitted at its
 # rendezvous; a warm serving step (a boot, its query's completion and two
